@@ -31,5 +31,5 @@ for n in (3, 5, 8):
           f"(connected={nc.is_connected(broken)})")
 
 print("\nKronecker product: a 4-node bank of 1-state controllers mixed by L")
-K = nc.kron(L, np.eye(1))
+K = np.kron(L, np.eye(1))
 print("L (x) I_1 has shape", K.shape, "and equals L:", np.array_equal(K, L))

@@ -20,10 +20,9 @@ graph = nc.Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2)}))
 params = nc.PendulumParams()
 plant = nc.pendulum_plant(params)
 v1 = nc.pendulum_storage(params)
-v2 = nc.controller_storage(a, b)
+Y, _ = nc.first_order_certificate(a, b)   # controller storage x^T Y^-1 x / 2
 
-net = nc.build_controller_network(nc.first_order(a, b), graph)
-loop = nc.network_interconnect(plant, net)
+loop = nc.network_interconnect(plant, nc.first_order(a, b), graph)
 
 x0 = np.zeros(12)
 x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]   # initial angles, rad
@@ -42,9 +41,9 @@ print("\ndissipation checks along the run:")
 for node in range(4):
     rep = analysis.check_ni_dissipation(traj, v1, node)
     print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
-rep = analysis.check_osni_like_network(traj, v2, graph, delta)
+rep = analysis.check_osni_like_network(traj, Y, delta)
 print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
-cs = nc.composite_storage(loop, v1, v2)
+cs = nc.CompositeStorage(loop, v1, Y)
 rep = analysis.check_lyapunov_monotone(traj, cs, delta)
 print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
 

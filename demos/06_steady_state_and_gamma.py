@@ -9,7 +9,7 @@ import numpy as np
 import niconsensus as nc
 
 graph = nc.Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2)}))
-net = nc.build_controller_network(nc.first_order(10.0, 10.0), graph)
+net = nc.kron_ss(nc.laplacian(graph), nc.first_order(10.0, 10.0))
 
 print("settled bank output vs. the DC map L (x) M(0):")
 rng = np.random.default_rng(42)

@@ -14,19 +14,18 @@ from .analysis import (CheckReport, check_lyapunov_monotone, check_ni_dissipatio
                        consensus_metric, edge_rate_sums)
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .graph import (Graph, adjacency, complete_graph, fiedler_value, is_connected,
-                    kron, laplacian, laplacian_eigenvalues, path_graph)
-from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, feedthrough,
-                     first_order, first_order_certificate, freq_response, is_hurwitz,
-                     kron_ss, minimality_diagnostic, ni_freq_test,
-                     osni_certificate_check, osni_freq_test, osni_max_delta)
-from .network import (ClosedLoop, CompositeStorage, ControllerNetwork,
-                      PositivityReport, build_controller_network, composite_storage,
+                    laplacian, laplacian_eigenvalues, path_graph)
+from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_order,
+                     first_order_certificate, freq_response, is_hurwitz, kron_ss,
+                     minimality_diagnostic, ni_freq_test, osni_certificate_check,
+                     osni_freq_test, osni_max_delta)
+from .network import (ClosedLoop, CompositeStorage, PositivityReport,
                       network_interconnect, pair_interconnect,
                       storage_positivity_scan)
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
-                    controller_storage, equilibrium_solve, gamma_estimate,
-                    gamma_input_grid, output_rate, pendulum_plant, pendulum_storage,
-                    ss_plant, supply_ni, supply_osni)
+                    equilibrium_solve, gamma_estimate, gamma_input_grid,
+                    output_rate, pendulum_plant, pendulum_storage, supply_ni,
+                    supply_osni)
 from .sim import (EXACT, IntegratorConfig, SimulationDiverged, Trajectory,
                   convergence_order, integrate, rk4_path)
 

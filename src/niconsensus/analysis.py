@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, laplacian
-from .linsys import dc_gain
-from .network import ControllerNetwork
+from .graph import Graph
+from .linsys import StateSpace, dc_gain
 from .plant import StorageFunction
 from .sim import IntegratorConfig, Trajectory, rk4_path
 
@@ -46,28 +45,32 @@ def _node_cols(traj: Trajectory, node: int) -> slice:
     return slice(node * m, (node + 1) * m)
 
 
-def _ctrl_derivs(traj: Trajectory, node: int) -> np.ndarray:
-    """Exact dxc/dt of one controller subsystem at every sample."""
+def _storage_matrix(Y) -> np.ndarray:
+    """Y^-1, the matrix of the controller storage V2(x) = (1/2) x^T Y^-1 x."""
+    return np.linalg.inv(np.atleast_2d(np.asarray(Y, dtype=float)))
+
+
+def _edge_index(traj: Trajectory, g: Graph | None = None):
+    """Node index arrays (i, j), i < j, of the graph edges: those of g, or
+    the nonzero off-diagonal entries of the loop's mixing matrix."""
     cl = traj.system
-    xc = traj.node_ctrl_states(node)
-    u2 = traj.y1[:, _node_cols(traj, node)]
-    if cl.mode == "pair":
-        return np.array([cl.controller.f(xc[k], u2[k]) for k in range(traj.n_samples)])
-    sysm = cl.controller.node_controller
-    return xc @ sysm.A.T + u2 @ sysm.B.T
+    if cl.n_plants < 2:
+        raise ValueError("needs a loop with at least two nodes")
+    if g is not None:
+        return tuple(np.array(g.edge_list, dtype=int).reshape(-1, 2).T)
+    return np.nonzero(np.triu(cl.K, 1))
 
 
 def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction,
                              node: int = 0) -> np.ndarray:
     """dV/dt - u^T dy/dt along plant subsystem ``node`` (<= 0 when NI,
     identically 0 for lossless plants)."""
-    cl = traj.system
+    plant = traj.system.plant
     xs = traj.node_plant_states(node)
     cols = _node_cols(traj, node)
     u1 = traj.u1[:, cols]
     y1dot = traj.y1dot[:, cols]
     out = np.empty(traj.n_samples)
-    plant = cl.plants[node if cl.mode == "network" else 0]
     for k in range(traj.n_samples):
         dx = plant.f(xs[k], u1[k])
         out[k] = float(v.grad(xs[k]) @ dx) - float(u1[k] @ y1dot[k])
@@ -81,28 +84,26 @@ def check_ni_dissipation(traj: Trajectory, v: StorageFunction, node: int = 0,
                    traj.times, tol)
 
 
-def osni_dissipation_residuals(traj: Trajectory, v: StorageFunction,
-                               delta: float, node: int = 0) -> np.ndarray:
-    """dV/dt - u^T dy/dt + delta |dy/dt|^2 along controller subsystem
-    ``node``. For the lag a/(s+b) with storage (b/2a) x^2 this equals
-    -(1/a - delta) |dy/dt|^2 identically."""
+def osni_dissipation_residuals(traj: Trajectory, Y, delta: float,
+                               node: int = 0) -> np.ndarray:
+    """dV2/dt - u^T dy/dt + delta |dy/dt|^2 along controller subsystem
+    ``node``, with V2(x) = (1/2) x^T Y^-1 x. For the lag a/(s+b) with its
+    certificate Y = a/b this equals -(1/a - delta) |dy/dt|^2 identically."""
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
+    sysm = traj.system.controller
     cols = _node_cols(traj, node)
     xc = traj.node_ctrl_states(node)
     u2 = traj.y1[:, cols]
     ycdot = traj.ycdot[:, cols]
-    dxc = _ctrl_derivs(traj, node)
-    out = np.empty(traj.n_samples)
-    for k in range(traj.n_samples):
-        rate = float(v.grad(xc[k]) @ dxc[k])
-        out[k] = rate - float(u2[k] @ ycdot[k]) + delta * float(ycdot[k] @ ycdot[k])
-    return out
+    dxc = xc @ sysm.A.T + u2 @ sysm.B.T
+    rate = np.sum((xc @ _storage_matrix(Y)) * dxc, axis=1)
+    return rate - np.sum(u2 * ycdot, axis=1) + delta * np.sum(ycdot * ycdot, axis=1)
 
 
-def check_osni_dissipation(traj: Trajectory, v: StorageFunction, delta: float,
+def check_osni_dissipation(traj: Trajectory, Y, delta: float,
                            node: int = 0, tol: float = DEFAULT_TOL) -> CheckReport:
-    residuals = osni_dissipation_residuals(traj, v, delta, node)
+    residuals = osni_dissipation_residuals(traj, Y, delta, node)
     return _report(f"osni_dissipation_node_{node}", np.maximum(residuals, 0.0),
                    traj.times, tol)
 
@@ -110,44 +111,47 @@ def check_osni_dissipation(traj: Trajectory, v: StorageFunction, delta: float,
 def edge_rate_sums(traj: Trajectory) -> np.ndarray:
     """Per-sample ordered-pair sum of squared controller output-rate
     differences over the graph edges (each edge counted in both directions)."""
+    i, j = _edge_index(traj)
+    ycdot = traj.ycdot.reshape(traj.n_samples, traj.system.n_plants, -1)
+    diff = ycdot[:, i, :] - ycdot[:, j, :]
+    return 2.0 * np.sum(diff * diff, axis=(1, 2))
+
+
+def _strictness_form(traj: Trajectory) -> np.ndarray:
+    """Per-sample ycdot^T (K (x) I) ycdot, the output-rate term of the
+    strictness bounds: |dy2/dt|^2 for a pair, (1/2) sum_ij a_ij
+    |d(yc_i - yc_j)/dt|^2 for K = L."""
     cl = traj.system
-    if cl.mode != "network":
-        raise ValueError("edge rate sums need a network-mode trajectory")
-    m = cl.io_dim
-    ycdot = traj.ycdot.reshape(traj.n_samples, cl.n_plants, m)
-    total = np.zeros(traj.n_samples)
-    for i, j in cl.graph.edge_list:
-        diff = ycdot[:, i, :] - ycdot[:, j, :]
-        total += 2.0 * np.sum(diff * diff, axis=1)
-    return total
+    mix = np.kron(cl.K, np.eye(cl.io_dim))
+    return np.sum((traj.ycdot @ mix) * traj.ycdot, axis=1)
 
 
-def check_osni_like_network(traj: Trajectory, v2: StorageFunction, g: Graph,
-                            delta: float, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Edge-wise output strictness of the controller bank.
-
-    Verifies d/dt [ (1/2) sum_ij a_ij V2(xc_i - xc_j) ]
-             <= U2^T dY2/dt - (delta/2) sum_ij a_ij |d(yc_i - yc_j)/dt|^2.
-    """
+def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
+    """d/dt [(1/2) xc^T (K (x) Y^-1) xc] - U2^T dY2/dt
+    + delta ycdot^T (K (x) I) ycdot along the whole controller bank."""
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
-    if cl.mode != "network":
-        raise ValueError("network dissipation check needs a network-mode trajectory")
-    net = cl.controller
-    strictness = 0.5 * delta * edge_rate_sums(traj)
-    residuals = np.empty(traj.n_samples)
-    for k in range(traj.n_samples):
-        _, xc_flat = cl.split(traj.states[k])
-        xc = net.node_states(xc_flat)
-        dxc = net.node_states(net.deriv(xc_flat, traj.y1[k]))
-        storage_rate = 0.0
-        for i, j in g.edge_list:
-            d = xc[i] - xc[j]
-            dd = dxc[i] - dxc[j]
-            storage_rate += 0.5 * float(v2.grad(d) @ dd - v2.grad(-d) @ dd)
-        supply = float(traj.y1[k] @ traj.y2dot[k])
-        residuals[k] = storage_rate - (supply - strictness[k])
+    bank = cl.bank
+    xc = traj.states[:, cl.n_states - bank.state_dim:]
+    dxc = xc @ bank.A.T + traj.y1 @ bank.B.T
+    P = np.kron(cl.K, _storage_matrix(Y))
+    storage_rate = np.sum((xc @ P) * dxc, axis=1)
+    supply = np.sum(traj.y1 * traj.y2dot, axis=1)
+    return storage_rate - (supply - delta * _strictness_form(traj))
+
+
+def check_osni_like_network(traj: Trajectory, Y, delta: float,
+                            tol: float = DEFAULT_TOL) -> CheckReport:
+    """Output strictness of the controller bank with storage
+    (1/2) xc^T (K (x) Y^-1) xc.
+
+    For K = L this is the edge-wise inequality
+        d/dt [ (1/2) sum_ij a_ij V2(xc_i - xc_j) ]
+             <= U2^T dY2/dt - (delta/2) sum_ij a_ij |d(yc_i - yc_j)/dt|^2;
+    for a pair (K = [[1]]) it is the OSNI inequality of the one controller.
+    """
+    residuals = osni_like_network_residuals(traj, Y, delta)
     return _report("osni_like_network", np.maximum(residuals, 0.0), traj.times, tol)
 
 
@@ -160,7 +164,7 @@ def check_pair_identities(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
     Checked against the stored trajectory columns at every sample.
     """
     cl = traj.system
-    if cl.mode != "network" or cl.n_plants != 2:
+    if cl.n_plants != 2:
         raise ValueError("pair identities need a 2-node network trajectory")
     m = cl.io_dim
     u2 = traj.y1
@@ -175,24 +179,19 @@ def check_pair_identities(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
 
 
 def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
-                            g: Graph | None = None,
                             tol: float = DEFAULT_TOL) -> CheckReport:
     """Decay of the composite storage W along the trajectory.
 
     Verifies the rate bound at every sample
-        dW/dt <= -(delta/2) sum_ij a_ij |d(yc_i - yc_j)/dt|^2   (network)
-        dW/dt <= -delta |dy2/dt|^2                              (pair)
-    and monotonicity W(t_{k+1}) <= W(t_k) + tol across samples, with dW/dt
-    from exact gradients.
+        dW/dt <= -delta ycdot^T (K (x) I) ycdot
+    (-delta |dy2/dt|^2 for a pair, -(delta/2) sum_ij a_ij
+    |d(yc_i - yc_j)/dt|^2 for K = L) and monotonicity
+    W(t_{k+1}) <= W(t_k) + tol across samples, with dW/dt from exact
+    gradients.
     """
-    cl = traj.system
     values = np.array([cs.value(x) for x in traj.states])
     rates = np.array([cs.rate(x) for x in traj.states])
-    if cl.mode == "network":
-        bound = -0.5 * delta * edge_rate_sums(traj)
-    else:
-        bound = -delta * np.sum(traj.y2dot ** 2, axis=1)
-    rate_violation = np.maximum(rates - bound, 0.0)
+    rate_violation = np.maximum(rates + delta * _strictness_form(traj), 0.0)
     mono_violation = np.concatenate([[0.0], np.maximum(np.diff(values), 0.0)])
     return _report("lyapunov_monotone",
                    np.maximum(rate_violation, mono_violation), traj.times, tol)
@@ -202,44 +201,41 @@ def consensus_metric(traj: Trajectory, g: Graph | None = None):
     """Largest plant-output disagreement per sample.
 
     Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over graph
-    edges and over all node pairs respectively.
+    edges (those of g, default the loop's) and over all node pairs. Needs at
+    least two nodes.
     """
-    cl = traj.system
-    if cl.mode != "network":
-        raise ValueError("consensus metric needs a network-mode trajectory")
-    g = g or cl.graph
-    m = cl.io_dim
-    y1 = traj.y1.reshape(traj.n_samples, cl.n_plants, m)
-    def pair_dist(i, j):
-        return np.linalg.norm(y1[:, i, :] - y1[:, j, :], axis=1)
-    edge_max = np.max([pair_dist(i, j) for i, j in g.edge_list], axis=0)
-    all_pairs = np.max([pair_dist(i, j) for i in range(cl.n_plants)
-                        for j in range(i + 1, cl.n_plants)], axis=0)
-    return edge_max, all_pairs
+    n = traj.system.n_plants
+    y1 = traj.y1.reshape(traj.n_samples, n, -1)
+
+    def max_dist(i, j):
+        return np.linalg.norm(y1[:, i, :] - y1[:, j, :], axis=2).max(axis=1)
+
+    return max_dist(*_edge_index(traj, g)), max_dist(*np.triu_indices(n, 1))
 
 
-def check_steady_state_relation(net: ControllerNetwork, u2bar,
+def check_steady_state_relation(bank: StateSpace, u2bar,
                                 tol: float = DEFAULT_TOL) -> CheckReport:
-    """Long-run output of the controller bank against its DC map.
+    """Long-run output of a controller bank against its DC map.
 
-    Simulates the bank from rest under the constant input and compares the
-    settled output with (L (x) M(0)) u2bar. The horizon is set from the
-    slowest controller mode so the transient is below round-off.
+    Simulates the bank (for instance kron_ss(L, M)) from rest under the
+    constant input and compares the settled output with its DC gain applied
+    to u2bar, (L (x) M(0)) u2bar for the Laplacian-mixed bank. The horizon is
+    set from the slowest controller mode so the transient is below round-off.
     """
     u2bar = np.asarray(u2bar, dtype=float).reshape(-1)
-    if u2bar.size != net.io_dim:
-        raise ValueError(f"constant input must have length {net.io_dim}")
-    eigs = np.linalg.eigvals(net.node_controller.A)
+    if u2bar.size != bank.io_dim:
+        raise ValueError(f"constant input must have length {bank.io_dim}")
+    eigs = np.linalg.eigvals(bank.A)
     decay = float(np.max(eigs.real))
     if decay >= 0:
         raise ValueError("steady-state relation needs a Hurwitz controller")
     t_end = min(60.0 / -decay, 1e4)
     step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
-    field = lambda xc: net.deriv(xc, u2bar)
+    drive = bank.B @ u2bar
+    field = lambda xc: bank.A @ xc + drive
     cfg = IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
-    _, states = rk4_path(field, np.zeros(net.state_dim), cfg)
-    settled = net.network_output(states[-1]).reshape(-1)
-    expected = np.kron(laplacian(net.graph), dc_gain(net.node_controller)) @ u2bar
-    violation = float(np.abs(settled - expected).max())
+    _, states = rk4_path(field, np.zeros(bank.state_dim), cfg)
+    settled = bank.C @ states[-1]
+    violation = float(np.abs(settled - dc_gain(bank) @ u2bar).max())
     return CheckReport(name="steady_state_relation", max_violation=violation,
                        time_of_max=t_end, tolerance=tol, passed=violation <= tol)

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
-from .linsys import (FreqGrid, first_order_certificate, is_hurwitz, kron_ss,
-                     ni_freq_test, osni_certificate_check, osni_freq_test,
-                     osni_max_delta)
-from .network import composite_storage
+from .linsys import (FreqGrid, is_hurwitz, kron_ss, ni_freq_test,
+                     osni_certificate_check, osni_freq_test, osni_max_delta)
+from .network import CompositeStorage
 from .plant import gamma_estimate, gamma_input_grid
 from .sim import SimulationDiverged, integrate
 from .svgplot import write_line_plot
@@ -30,6 +29,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
+
+#: Trajectory checks that need the controller storage of an OSNI certificate.
+STORAGE_CHECKS = ("osni_dissipation", "osni_like_network", "lyapunov_monotone")
 
 
 def _say(quiet, *args):
@@ -64,40 +66,32 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     extra_cols = []
     summary = {"status": "ok"}
     for name in cfg.checks:
-        if name == "ni_dissipation":
+        if name in STORAGE_CHECKS and cfg.controller_Y is None:
+            results[name] = {"skipped": "no closed-form controller storage"}
+        elif name == "ni_dissipation":
             reports = [analysis.check_ni_dissipation(traj, cfg.plant_storage, node=i)
                        for i in range(loop.n_plants)]
             results[name] = _aggregate(reports)
         elif name == "osni_dissipation":
-            if cfg.controller_storage is None:
-                results[name] = {"skipped": "no closed-form controller storage"}
-                continue
-            n_ctrl = 1 if loop.mode == "pair" else loop.n_plants
             reports = [analysis.check_osni_dissipation(
-                traj, cfg.controller_storage, cfg.delta, node=i)
-                for i in range(n_ctrl)]
+                traj, cfg.controller_Y, cfg.delta, node=i)
+                for i in range(loop.n_plants)]
             results[name] = _aggregate(reports)
         elif name == "osni_like_network":
-            if loop.mode != "network":
-                results[name] = {"skipped": "network mode only"}
-                continue
             results[name] = asdict(analysis.check_osni_like_network(
-                traj, cfg.controller_storage, cfg.graph, cfg.delta))
+                traj, cfg.controller_Y, cfg.delta))
         elif name == "pair_identities":
-            if loop.mode != "network" or loop.n_plants != 2:
+            if loop.n_plants != 2:
                 results[name] = {"skipped": "needs a 2-node network"}
                 continue
             results[name] = asdict(analysis.check_pair_identities(traj))
         elif name == "lyapunov_monotone":
-            if cfg.controller_storage is None:
-                results[name] = {"skipped": "no closed-form controller storage"}
-                continue
-            cs = composite_storage(loop, cfg.plant_storage, cfg.controller_storage)
+            cs = CompositeStorage(loop, cfg.plant_storage, cfg.controller_Y)
             results[name] = asdict(analysis.check_lyapunov_monotone(
                 traj, cs, cfg.delta))
         elif name == "consensus":
-            if loop.mode != "network":
-                results[name] = {"skipped": "network mode only"}
+            if loop.n_plants < 2:
+                results[name] = {"skipped": "needs at least two nodes"}
                 continue
             edge_max, all_pairs = analysis.consensus_metric(traj)
             extra_cols = [("edge_max", edge_max), ("all_pairs_max", all_pairs)]
@@ -123,16 +117,13 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     csv_path = out_dir / "trajectory.csv"
     traj.write_csv(csv_path, extra_columns=extra_cols)
     svg_path = out_dir / "outputs.svg"
-    m = loop.io_dim
-    if loop.mode == "network":
-        curves = traj.y1.reshape(traj.n_samples, loop.n_plants, m)[:, :, 0].T
-        labels = [f"node {i + 1}" for i in range(loop.n_plants)]
-    else:
-        curves = np.vstack([traj.y1[:, 0], traj.y2[:, 0]])
-        labels = ["plant output", "controller output"]
+    curves = traj.y1.reshape(traj.n_samples, loop.n_plants, loop.io_dim)[:, :, 0].T
+    labels = [f"node {i + 1}" for i in range(loop.n_plants)]
     write_line_plot(svg_path, traj.times, curves, labels=labels,
                     title=cfg.label, xlabel="time (s)", ylabel="output")
-    report = {"label": cfg.label, "mode": cfg.mode, "checks": results,
+    report = {"label": cfg.label,
+              "mode": "pair" if cfg.graph is None else "network",
+              "checks": results,
               "artifacts": {"trajectory_csv": str(csv_path),
                             "outputs_svg": str(svg_path)},
               "config": cfg.raw}
@@ -180,11 +171,9 @@ def cmd_verify(args) -> int:
     def record(name, passed, **extra):
         checks[name] = {"passed": bool(passed), **extra}
 
+    # resolve_config has already rejected a controller that is not Hurwitz
     record("is_hurwitz", is_hurwitz(sysm))
-    if checks["is_hurwitz"]["passed"]:
-        record("ni_freq_test", ni_freq_test(sysm, grid))
-    else:
-        record("ni_freq_test", False, skipped="controller is not Hurwitz")
+    record("ni_freq_test", ni_freq_test(sysm, grid))
     if checks["ni_freq_test"]["passed"]:
         record("osni_freq_test", osni_freq_test(sysm, cfg.delta, grid),
                delta=cfg.delta)
@@ -199,11 +188,8 @@ def cmd_verify(args) -> int:
         for name in ("osni_freq_test", "osni_max_delta",
                      "pair_network_strictness_halving"):
             record(name, False, skipped="controller is not NI")
-    raw_ctrl = cfg.raw["controller"]
-    if "first_order" in raw_ctrl:
-        fo = raw_ctrl["first_order"]
-        Y, _ = first_order_certificate(fo["a"], fo["b"])
-        cert = osni_certificate_check(sysm, Y, cfg.delta)
+    if cfg.controller_Y is not None:
+        cert = osni_certificate_check(sysm, cfg.controller_Y, cfg.delta)
         record("osni_certificate", cert.passed,
                inequality_residual=cert.inequality_residual,
                b_equation_residual=cert.b_equation_residual)
@@ -215,13 +201,13 @@ def cmd_verify(args) -> int:
     record("gamma_pair", pair_report.gamma_hat < 1.0,
            gamma_hat=pair_report.gamma_hat,
            worst_input=pair_report.worst_input.tolist())
-    if cfg.mode == "network":
+    if cfg.graph is not None:
         rng = np.random.default_rng(gamma_cfg.get("seed", 12345))
         nm = cfg.graph.n * cfg.plant.m
         samples = gamma_cfg.get("network_samples", 100)
         inputs = [rng.uniform(lo, hi, nm) for _ in range(samples)]
-        net = cfg.build_loop().controller
-        net_report = gamma_estimate(cfg.plant, net, inputs)
+        bank = cfg.build_loop().bank
+        net_report = gamma_estimate(cfg.plant, bank, inputs)
         record("gamma_network", net_report.gamma_hat < 1.0,
                gamma_hat=net_report.gamma_hat,
                worst_input=net_report.worst_input.tolist())
@@ -258,6 +244,7 @@ def _sweep_variant(doc: dict, param: str, value):
         n = int(value)
         if n < 2:
             raise ConfigError("sweep over n needs n >= 2")
+        doc["mode"] = "network"
         doc["graph"] = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
         angles = np.linspace(-2.0, 2.0, n)
         doc["initial_conditions"] = {

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .graph import Graph, is_connected
-from .linsys import StateSpace, first_order
-from .network import ClosedLoop, build_controller_network, network_interconnect, pair_interconnect
-from .plant import (NonlinearPlant, PendulumParams, StorageFunction,
-                    controller_storage, pendulum_plant, pendulum_storage, ss_plant)
+from .graph import Graph, is_connected, laplacian
+from .linsys import StateSpace, first_order, first_order_certificate
+from .network import ClosedLoop, check_controller
+from .plant import (NonlinearPlant, PendulumParams, StorageFunction, pendulum_plant,
+                    pendulum_storage)
 from .sim import IntegratorConfig
 
 
@@ -116,22 +116,25 @@ SCHEMA = {
     },
 }
 
-DEFAULT_CHECKS_NETWORK = ["ni_dissipation", "osni_dissipation", "osni_like_network",
-                          "lyapunov_monotone", "consensus"]
-DEFAULT_CHECKS_PAIR = ["ni_dissipation", "osni_dissipation", "lyapunov_monotone"]
+DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
+                  "lyapunov_monotone", "consensus"]
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment: systems built, dimensions checked."""
+    """Fully resolved experiment: systems built, dimensions checked.
+
+    ``graph`` is None for a single plant/controller pair. ``controller_Y`` is
+    the OSNI certificate Y whose storage (1/2) x^T Y^-1 x the trajectory
+    checks use; None when the controller has no closed-form certificate.
+    """
 
     raw: dict
-    mode: str
     graph: Graph | None
     plant: NonlinearPlant
     plant_storage: StorageFunction | None
     controller_ss: StateSpace
-    controller_storage: StorageFunction | None
+    controller_Y: np.ndarray | None
     delta: float
     x0: np.ndarray
     integrator: IntegratorConfig
@@ -141,11 +144,13 @@ class ExperimentConfig:
     out_dir: str | None = None
     label: str = "experiment"
 
+    @property
+    def K(self) -> np.ndarray:
+        """Mixing matrix of the controller bank: [[1]] for a pair, else L."""
+        return np.ones((1, 1)) if self.graph is None else laplacian(self.graph)
+
     def build_loop(self) -> ClosedLoop:
-        if self.mode == "network":
-            net = build_controller_network(self.controller_ss, self.graph)
-            return network_interconnect(self.plant, net)
-        return pair_interconnect(self.plant, ss_plant(self.controller_ss))
+        return ClosedLoop(self.plant, self.controller_ss, self.K)
 
 
 def graph_from_config(entry: dict) -> Graph:
@@ -172,11 +177,11 @@ def plant_from_config(entry: dict):
     return pendulum_plant(pp), pendulum_storage(pp)
 
 
-def _controller_storage_from_config(entry: dict):
+def _certificate_from_config(entry: dict):
     if "first_order" in entry:
         fo = entry["first_order"]
-        return controller_storage(fo["a"], fo["b"])
-    return None  # no closed-form storage for a general realisation
+        return first_order_certificate(fo["a"], fo["b"])[0]
+    return None  # no closed-form certificate for a general realisation
 
 
 def resolve_config(doc: dict) -> ExperimentConfig:
@@ -189,40 +194,32 @@ def resolve_config(doc: dict) -> ExperimentConfig:
     mode = doc["mode"]
     plant, plant_storage = plant_from_config(doc["plant"])
     controller = statespace_from_config(doc["controller"])
-    ics = doc["initial_conditions"]
+    try:
+        check_controller(controller)
+    except ValueError as err:
+        raise ConfigError(f"$.controller: {err}") from err
+    graph = None
     if mode == "network":
         if "graph" not in doc:
             raise ConfigError("$.graph: network mode requires a graph")
         graph = graph_from_config(doc["graph"])
         if not is_connected(graph):
             raise ConfigError("$.graph: consensus requires a connected graph")
-        if "plants" not in ics or "controllers" not in ics:
-            raise ConfigError("$.initial_conditions: network mode needs "
-                              "'plants' and 'controllers' lists")
-        xp = np.asarray(ics["plants"], dtype=float)
-        xc = np.asarray(ics["controllers"], dtype=float)
-        if xp.shape != (graph.n, plant.p):
-            raise ConfigError(f"$.initial_conditions.plants: expected shape "
-                              f"({graph.n}, {plant.p}), got {list(xp.shape)}")
-        if xc.shape != (graph.n, controller.state_dim):
-            raise ConfigError(f"$.initial_conditions.controllers: expected shape "
-                              f"({graph.n}, {controller.state_dim}), got {list(xc.shape)}")
-        x0 = np.concatenate([xp.reshape(-1), xc.reshape(-1)])
-        default_checks = DEFAULT_CHECKS_NETWORK
-    else:
-        graph = graph_from_config(doc["graph"]) if "graph" in doc else None
-        if "plant" not in ics or "controller" not in ics:
-            raise ConfigError("$.initial_conditions: pair mode needs "
-                              "'plant' and 'controller' vectors")
-        xp = np.asarray(ics["plant"], dtype=float)
-        xc = np.asarray(ics["controller"], dtype=float)
-        if xp.shape != (plant.p,):
-            raise ConfigError(f"$.initial_conditions.plant: expected length {plant.p}")
-        if xc.shape != (controller.state_dim,):
-            raise ConfigError("$.initial_conditions.controller: expected length "
-                              f"{controller.state_dim}")
-        x0 = np.concatenate([xp, xc])
-        default_checks = DEFAULT_CHECKS_PAIR
+    # one bank of n nodes either way; the pair form drops the node axis
+    pair = graph is None
+    keys = ("plant", "controller") if pair else ("plants", "controllers")
+    ics = doc["initial_conditions"]
+    if any(key not in ics for key in keys):
+        raise ConfigError(f"$.initial_conditions: {mode} mode needs "
+                          f"{keys[0]!r} and {keys[1]!r}")
+    x0 = []
+    for key, dim in zip(keys, (plant.p, controller.state_dim)):
+        value = np.asarray(ics[key], dtype=float)
+        shape = (dim,) if pair else (graph.n, dim)
+        if value.shape != shape:
+            raise ConfigError(f"$.initial_conditions.{key}: expected shape "
+                              f"{list(shape)}, got {list(value.shape)}")
+        x0.append(value.reshape(-1))
     integ = doc["integrator"]
     try:
         integrator = IntegratorConfig(step_s=integ["step_s"], t_end_s=integ["t_end_s"],
@@ -232,16 +229,15 @@ def resolve_config(doc: dict) -> ExperimentConfig:
     consensus = doc.get("consensus", {})
     return ExperimentConfig(
         raw=doc,
-        mode=mode,
         graph=graph,
         plant=plant,
         plant_storage=plant_storage,
         controller_ss=controller,
-        controller_storage=_controller_storage_from_config(doc["controller"]),
+        controller_Y=_certificate_from_config(doc["controller"]),
         delta=float(doc["delta"]),
-        x0=x0,
+        x0=np.concatenate(x0),
         integrator=integrator,
-        checks=list(doc.get("checks", default_checks)),
+        checks=list(doc.get("checks", DEFAULT_CHECKS)),
         consensus_rel=float(consensus.get("rel", 0.02)),
         consensus_abs=float(consensus.get("abs", 0.05)),
         out_dir=doc.get("output", {}).get("dir"),

@@ -1,4 +1,4 @@
-"""Undirected graphs and the Laplacian / Kronecker algebra used by the consensus protocol.
+"""Undirected graphs and the Laplacian algebra used by the consensus protocol.
 
 Matrices throughout the package are plain ``numpy.ndarray`` objects with
 row-major semantics; no wrapper type is introduced.
@@ -45,9 +45,6 @@ class Graph:
     def edge_list(self):
         """Edges as a sorted list of (i, j) with i < j."""
         return sorted(self.edges)
-
-    def neighbors(self, i):
-        return sorted(j for e in self.edges for a, j in (e, e[::-1]) if a == i)
 
 
 def path_graph(n: int) -> Graph:
@@ -112,11 +109,3 @@ def fiedler_value(g: Graph) -> float:
         raise ValueError("fiedler value needs at least two nodes")
     return float(laplacian_eigenvalues(g)[1])
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two non-empty real matrices."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("kron requires non-empty matrices")
-    return np.kron(a, b)

@@ -117,11 +117,6 @@ def freq_response(sys: StateSpace, w: float) -> np.ndarray:
     return sys.C @ resolvent + sys.D
 
 
-def feedthrough(sys: StateSpace) -> np.ndarray:
-    """The w -> inf response M(inf) = D."""
-    return sys.D.copy()
-
-
 def _check_osni_preconditions(sys: StateSpace):
     if not is_hurwitz(sys):
         raise ValueError("frequency-domain NI tests require a Hurwitz A")

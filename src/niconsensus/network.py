@@ -1,16 +1,16 @@
 """Closed-loop interconnections and composite storage functions.
 
-Two layouts are supported:
+Every closed loop is n identical plants in positive feedback with one linear
+controller bank: n identical strictly proper controllers M = (A, B, C) whose
+outputs are mixed by a constant symmetric n x n matrix K. The bank is the
+single realisation kron_ss(K, M) = (I (x) A, I (x) B, K (x) C): controller i
+integrates dxc_i = A xc_i + B y1_i locally and plant i receives
+u1_i = sum_j K_ij C xc_j. The two cases of the paper are
 
-* pair mode: one nonlinear plant and one (possibly linear, wrapped) plant in
-  positive feedback, u1 = y2 and u2 = y1;
-* network mode: n identical plants, each driven by the output of a bank of n
-  identical linear controllers whose per-node outputs are mixed by the graph
-  Laplacian. Controller i integrates dxc_i = A xc_i + B y1_i locally and the
-  i-th network output is sum_j a_ij (C xc_i - C xc_j), i.e. the mixing sits
-  at the controller outputs. This makes the difference states xc_i - xc_j
-  literal copies of the single-controller dynamics, which is what the
-  edge-wise dissipation checks rely on.
+* a single plant/controller pair: n = 1 and K = [[1]];
+* a network over an undirected graph: K is the graph Laplacian L, so the
+  i-th input is sum_j a_ij (C xc_i - C xc_j) and the difference states
+  xc_i - xc_j are literal copies of the single-controller dynamics.
 
 Composite state layout: all plant states first, node by node, then all
 controller states node by node.
@@ -19,7 +19,6 @@ controller states node by node.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,60 +29,13 @@ from .linsys import StateSpace, is_hurwitz, kron_ss
 from .plant import NonlinearPlant, StorageFunction
 
 
-@dataclass(frozen=True)
-class ControllerNetwork:
-    """n identical strictly proper controllers with Laplacian-mixed outputs."""
-
-    node_controller: StateSpace
-    graph: Graph
-
-    def __post_init__(self):
-        if np.any(self.node_controller.D != 0):
-            raise ValueError("network controllers must be strictly proper (D = 0)")
-        object.__setattr__(self, "_L", laplacian(self.graph))
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def state_dim(self) -> int:
-        return self.n * self.node_controller.state_dim
-
-    @property
-    def io_dim(self) -> int:
-        return self.n * self.node_controller.io_dim
-
-    def node_states(self, xc_flat):
-        return np.asarray(xc_flat).reshape(self.n, self.node_controller.state_dim)
-
-    def deriv(self, xc_flat, u2_flat):
-        """Stacked dxc_i = A xc_i + B u2_i."""
-        sysm = self.node_controller
-        xc = self.node_states(xc_flat)
-        u2 = np.asarray(u2_flat).reshape(self.n, sysm.io_dim)
-        return (xc @ sysm.A.T + u2 @ sysm.B.T).reshape(-1)
-
-    def node_outputs(self, xc_flat):
-        """Per-node outputs C xc_i, stacked (n, m)."""
-        return self.node_states(xc_flat) @ self.node_controller.C.T
-
-    def network_output(self, xc_flat):
-        """Laplacian-mixed output: row i is sum_j a_ij (C xc_i - C xc_j)."""
-        return self._L @ self.node_outputs(xc_flat)
-
-    def as_statespace(self) -> StateSpace:
-        """The equivalent transfer matrix L (x) M(s) as one realisation."""
-        return kron_ss(self._L, self.node_controller)
-
-
-def build_controller_network(m_sys: StateSpace, g: Graph) -> ControllerNetwork:
-    """Per-node copies of m_sys with outputs mixed by the graph Laplacian."""
-    if not is_hurwitz(m_sys):
-        raise ValueError("controller network requires a Hurwitz node controller")
-    if not is_connected(g):
-        warnings.warn("controller network graph is not connected", stacklevel=2)
-    return ControllerNetwork(node_controller=m_sys, graph=g)
+def check_controller(sys: StateSpace):
+    """Raise ValueError unless the controller is Hurwitz and strictly proper,
+    the two conditions every interconnection relies on."""
+    if not is_hurwitz(sys):
+        raise ValueError("the controller must be Hurwitz")
+    if np.any(sys.D != 0):
+        raise ValueError("the controller must be strictly proper (D = 0)")
 
 
 @dataclass(frozen=True)
@@ -91,8 +43,9 @@ class LoopSignals:
     """Every signal of a closed loop evaluated at one composite state.
 
     Flat arrays of length n*m: plant inputs u1, plant outputs y1 and their
-    exact rates, per-node controller outputs yc and rates, mixed controller
-    outputs y2 and rates. In pair mode n = 1 and y2 coincides with yc.
+    exact rates, per-node controller outputs yc = (I (x) C) xc and rates,
+    mixed controller outputs y2 = (K (x) C) xc and rates. The plant input u1
+    is y2 (positive feedback); for a pair K = [[1]] makes y2 equal to yc.
     """
 
     dstate: np.ndarray
@@ -106,178 +59,131 @@ class LoopSignals:
 
 
 class ClosedLoop:
-    """Positive feedback interconnection, pair or network mode.
+    """n copies of one plant in positive feedback with the controller bank
+    kron_ss(K, controller), where n is the order of the mixing matrix K.
 
     The composite vector field is a pure function of the composite state;
     instances hold no mutable simulation state and may be shared freely.
     """
 
-    def __init__(self, plants, controller, graph=None, mode="network"):
-        self.mode = mode
-        self.plants = tuple(plants)
+    def __init__(self, plant: NonlinearPlant, controller: StateSpace, K):
+        check_controller(controller)
+        if plant.m != controller.io_dim:
+            raise ValueError("plant and controller input/output dimensions differ")
+        self.plant = plant
         self.controller = controller
-        self.graph = graph
-        if mode == "pair":
-            h1, h2 = self.plants[0], controller
-            self.n_plants = 1
-            self._split = h1.p
-            self.n_states = h1.p + h2.p
-            self.io_dim = h1.m
-        elif mode == "network":
-            plant = self.plants[0]
-            self.n_plants = controller.n
-            self._split = self.n_plants * plant.p
-            self.n_states = self._split + controller.state_dim
-            self.io_dim = plant.m
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        self.K = np.atleast_2d(np.asarray(K, dtype=float))
+        self.bank = kron_ss(self.K, controller)
+        n, p, m = self.K.shape[0], plant.p, plant.m
+        self.n_plants = n
+        self.io_dim = m
+        self._split = n * p
+        self.n_states = self._split + self.bank.state_dim
+        self._nodes = [(slice(i * p, (i + 1) * p), slice(i * m, (i + 1) * m))
+                       for i in range(n)]
+        self._node_C = np.kron(np.eye(n), controller.C)
 
     def plant_state_slice(self, i: int) -> slice:
-        p = self.plants[0].p
-        return slice(i * p, (i + 1) * p)
+        return self._nodes[i][0]
 
     def ctrl_state_slice(self, i: int) -> slice:
-        q = (self.controller.p if self.mode == "pair"
-             else self.controller.node_controller.state_dim)
+        q = self.controller.state_dim
         return slice(self._split + i * q, self._split + (i + 1) * q)
 
     def split(self, X):
         """(plant states as (n, p), controller states flat)."""
         X = np.asarray(X, dtype=float)
-        return X[:self._split].reshape(self.n_plants, self.plants[0].p), X[self._split:]
+        return X[:self._split].reshape(self.n_plants, self.plant.p), X[self._split:]
 
     def rhs(self, X):
         """Composite derivative; the lean path used inside the integrator."""
-        xp, xc = self.split(X)
-        if self.mode == "pair":
-            h1, h2 = self.plants[0], self.controller
-            x1, x2 = xp[0], xc
-            y1, y2 = h1.h(x1), h2.h(x2)
-            return np.concatenate([h1.f(x1, y2), h2.f(x2, y1)])
-        net = self.controller
-        y2 = net.network_output(xc)
-        n, p = self.n_plants, self.plants[0].p
-        dxp = np.empty((n, p))
-        y1 = np.empty((n, self.io_dim))
-        for i in range(n):
-            dxp[i] = self.plants[i].f(xp[i], y2[i])
-            y1[i] = self.plants[i].h(xp[i])
-        dxc = net.deriv(xc, y1.reshape(-1))
-        return np.concatenate([dxp.reshape(-1), dxc])
+        bank, f, h = self.bank, self.plant.f, self.plant.h
+        xc = X[self._split:]
+        y2 = bank.C @ xc
+        y1 = np.empty(bank.io_dim)
+        dX = np.empty(self.n_states)
+        for sx, sy in self._nodes:
+            x = X[sx]
+            dX[sx] = f(x, y2[sy])
+            y1[sy] = h(x)
+        dX[self._split:] = bank.A @ xc + bank.B @ y1
+        return dX
 
     def evaluate(self, X) -> LoopSignals:
         """Derivative plus every loop signal, all from exact chain rules."""
-        xp, xc = self.split(X)
-        if self.mode == "pair":
-            h1, h2 = self.plants[0], self.controller
-            x1, x2 = xp[0], xc
-            y1, y2 = h1.h(x1), h2.h(x2)
-            dx1, dx2 = h1.f(x1, y2), h2.f(x2, y1)
-            y1dot = h1.dh(x1) @ dx1
-            y2dot = h2.dh(x2) @ dx2
-            return LoopSignals(dstate=np.concatenate([dx1, dx2]),
-                               u1=y2, y1=y1, y1dot=y1dot,
-                               yc=y2, ycdot=y2dot, y2=y2, y2dot=y2dot)
-        net = self.controller
-        m = self.io_dim
-        yc = net.node_outputs(xc)
-        y2 = net._L @ yc
-        n, p = self.n_plants, self.plants[0].p
-        dxp = np.empty((n, p))
-        y1 = np.empty((n, m))
-        y1dot = np.empty((n, m))
-        for i in range(n):
-            plant = self.plants[i]
-            dxp[i] = plant.f(xp[i], y2[i])
-            y1[i] = plant.h(xp[i])
-            y1dot[i] = plant.dh(xp[i]) @ dxp[i]
-        dxc = net.deriv(xc, y1.reshape(-1))
-        ycdot = net.node_states(dxc) @ net.node_controller.C.T
-        y2dot = net._L @ ycdot
-        return LoopSignals(dstate=np.concatenate([dxp.reshape(-1), dxc]),
-                           u1=y2.reshape(-1), y1=y1.reshape(-1),
-                           y1dot=y1dot.reshape(-1), yc=yc.reshape(-1),
-                           ycdot=ycdot.reshape(-1), y2=y2.reshape(-1),
-                           y2dot=y2dot.reshape(-1))
+        X = np.asarray(X, dtype=float)
+        bank, plant = self.bank, self.plant
+        xc = X[self._split:]
+        y2 = bank.C @ xc
+        y1 = np.empty(bank.io_dim)
+        y1dot = np.empty(bank.io_dim)
+        dX = np.empty(self.n_states)
+        for sx, sy in self._nodes:
+            x = X[sx]
+            dx = plant.f(x, y2[sy])
+            dX[sx] = dx
+            y1[sy] = plant.h(x)
+            y1dot[sy] = plant.dh(x) @ dx
+        dxc = bank.A @ xc + bank.B @ y1
+        dX[self._split:] = dxc
+        return LoopSignals(dstate=dX, u1=y2, y1=y1, y1dot=y1dot,
+                           yc=self._node_C @ xc, ycdot=self._node_C @ dxc,
+                           y2=y2, y2dot=bank.C @ dxc)
 
 
-def pair_interconnect(h1: NonlinearPlant, h2: NonlinearPlant) -> ClosedLoop:
-    """Positive feedback pair: u1 = y2, u2 = y1, no external reference."""
-    if h1.m != h2.m:
-        raise ValueError("plant and controller input/output dimensions differ")
-    return ClosedLoop(plants=[h1], controller=h2, mode="pair")
+def pair_interconnect(plant: NonlinearPlant, controller: StateSpace) -> ClosedLoop:
+    """Positive feedback pair u1 = y2, u2 = y1: the bank with K = [[1]]."""
+    return ClosedLoop(plant, controller, [[1.0]])
 
 
-def network_interconnect(plant: NonlinearPlant, net: ControllerNetwork) -> ClosedLoop:
-    """n plant copies driven by the Laplacian-mixed controller bank."""
-    if not is_connected(net.graph):
+def network_interconnect(plant: NonlinearPlant, controller: StateSpace,
+                         graph: Graph) -> ClosedLoop:
+    """n plant copies driven by the bank with K = L, the graph Laplacian."""
+    if not is_connected(graph):
         raise ValueError("consensus requires a connected graph")
-    if plant.m != net.node_controller.io_dim:
-        raise ValueError("plant and controller input/output dimensions differ")
-    return ClosedLoop(plants=[plant] * net.n, controller=net,
-                      graph=net.graph, mode="network")
+    return ClosedLoop(plant, controller, laplacian(graph))
 
 
 class CompositeStorage:
-    """Candidate Lyapunov function of a closed loop.
+    """Candidate Lyapunov function of a closed loop,
 
-    Pair mode:      W = V1(x1) + V2(x2) - y1 . y2
-    Network mode:   W = sum_i V1(xp_i)
-                        + (1/2) sum_ij a_ij V2(xc_i - xc_j)
-                        - Y1 . Y2
-    The ordered double sum counts each edge twice, which the 1/2 compensates.
+        W = sum_i V1(xp_i) + (1/2) xc^T (K (x) Y^-1) xc - Y1^T (K (x) C) xc,
+
+    with V2(x) = (1/2) x^T Y^-1 x the controller storage of the OSNI
+    certificate Y. For a pair this is V1 + V2 - y1 . y2; for K = L the
+    quadratic term equals the edge-wise (1/2) sum_ij a_ij V2(xc_i - xc_j).
     ``rate`` differentiates W along the loop vector field with exact storage
     gradients and output chain rules.
     """
 
-    def __init__(self, loop: ClosedLoop, v1: StorageFunction, v2: StorageFunction):
+    def __init__(self, loop: ClosedLoop, v1: StorageFunction, Y):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        q = loop.controller.state_dim
+        if Y.shape != (q, q):
+            raise ValueError(f"controller certificate Y must be {q} x {q}")
         self.loop = loop
         self.v1 = v1
-        self.v2 = v2
-        if loop.mode == "network":
-            self._edges = loop.graph.edge_list
+        self._P = np.kron(loop.K, np.linalg.inv(Y))
 
     def value(self, X) -> float:
-        loop = self.loop
-        xp, xc = loop.split(X)
-        if loop.mode == "pair":
-            y1 = loop.plants[0].h(xp[0])
-            y2 = loop.controller.h(xc)
-            return self.v1.V(xp[0]) + self.v2.V(xc) - float(y1 @ y2)
-        net = loop.controller
-        xcn = net.node_states(xc)
-        total = sum(self.v1.V(xp[i]) for i in range(loop.n_plants))
-        for i, j in self._edges:
-            d = xcn[i] - xcn[j]
-            total += 0.5 * (self.v2.V(d) + self.v2.V(-d))
-        y1 = np.concatenate([loop.plants[i].h(xp[i]) for i in range(loop.n_plants)])
-        y2 = net.network_output(xc).reshape(-1)
-        return float(total - y1 @ y2)
+        loop, V, h = self.loop, self.v1.V, self.loop.plant.h
+        X = np.asarray(X, dtype=float)
+        xc = X[loop._split:]
+        y1 = np.empty(loop.bank.io_dim)
+        total = 0.0
+        for sx, sy in loop._nodes:
+            total += V(X[sx])
+            y1[sy] = h(X[sx])
+        return float(total + 0.5 * (xc @ self._P @ xc) - y1 @ (loop.bank.C @ xc))
 
     def rate(self, X) -> float:
-        loop = self.loop
-        xp, xc = loop.split(X)
+        loop, grad = self.loop, self.v1.grad
+        X = np.asarray(X, dtype=float)
         sig = loop.evaluate(X)
-        dxp = sig.dstate[:loop._split].reshape(loop.n_plants, loop.plants[0].p)
-        dxc = sig.dstate[loop._split:]
-        cross = float(sig.y1dot @ sig.y2 + sig.y1 @ sig.y2dot)
-        if loop.mode == "pair":
-            return (float(self.v1.grad(xp[0]) @ dxp[0])
-                    + float(self.v2.grad(xc) @ dxc) - cross)
-        net = loop.controller
-        xcn = net.node_states(xc)
-        dxcn = net.node_states(dxc)
-        total = sum(float(self.v1.grad(xp[i]) @ dxp[i]) for i in range(loop.n_plants))
-        for i, j in self._edges:
-            d = xcn[i] - xcn[j]
-            dd = dxcn[i] - dxcn[j]
-            total += 0.5 * float(self.v2.grad(d) @ dd - self.v2.grad(-d) @ dd)
-        return total - cross
-
-
-def composite_storage(loop: ClosedLoop, v1: StorageFunction,
-                      v2: StorageFunction) -> CompositeStorage:
-    return CompositeStorage(loop, v1, v2)
+        dX = sig.dstate
+        total = sum(float(grad(X[sx]) @ dX[sx]) for sx, _ in loop._nodes)
+        total += float(X[loop._split:] @ self._P @ dX[loop._split:])
+        return total - float(sig.y1dot @ sig.y2 + sig.y1 @ sig.y2dot)
 
 
 @dataclass(frozen=True)

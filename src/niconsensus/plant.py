@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import laplacian
 from .linsys import StateSpace, dc_gain
 
 #: Newton residual tolerance for equilibrium solving.
@@ -100,37 +99,6 @@ def pendulum_storage(params: PendulumParams) -> StorageFunction:
     return StorageFunction(V=V, grad=grad)
 
 
-def controller_storage(a: float, b: float) -> StorageFunction:
-    """Quadratic storage (b / 2a) x^2 of the first-order lag a/(s+b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    c = b / (2.0 * a)
-
-    def V(x):
-        z = float(np.atleast_1d(x)[0])
-        return c * z * z
-
-    def grad(x):
-        z = float(np.atleast_1d(x)[0])
-        return np.array([2.0 * c * z])
-
-    return StorageFunction(V=V, grad=grad)
-
-
-def ss_plant(sys: StateSpace) -> NonlinearPlant:
-    """Wrap a strictly proper linear system as a NonlinearPlant."""
-    if np.any(sys.D != 0):
-        raise ValueError("only strictly proper systems (D = 0) map to y = h(x)")
-    A, B, C = sys.A, sys.B, sys.C
-
-    def f(x, u):
-        return A @ np.asarray(x, dtype=float) + B @ np.atleast_1d(np.asarray(u, dtype=float))
-
-    return NonlinearPlant(p=sys.state_dim, m=sys.io_dim,
-                          f=f, h=lambda x: C @ np.asarray(x, dtype=float),
-                          dh=lambda x: C)
-
-
 def output_rate(plant: NonlinearPlant, x, u) -> np.ndarray:
     """Exact dy/dt = dh(x) f(x, u)."""
     return plant.dh(x) @ plant.f(x, u)
@@ -208,24 +176,23 @@ def gamma_input_grid(lo: float = -25.0, hi: float = 25.0, count: int = 201):
     return [np.array([u]) for u in pts if abs(u) > 1e-12]
 
 
-def gamma_estimate(plant: NonlinearPlant, net, inputs, x0=None) -> GammaReport:
+def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
+                   x0=None) -> GammaReport:
     """Steady-state gain ratio of the open chain plant -> controller.
 
     For each constant plant input the plant equilibrium is solved by Newton
     iteration, the equilibrium output is mapped through the controller's DC
-    gain, and the ratio u^T ybar2 / |u|^2 is recorded. ``net`` is either a
-    single StateSpace (one plant feeding one controller) or a
-    ControllerNetwork (n plants feeding the Laplacian-mixed bank, DC map
-    L (x) M(0)). Inputs must be nonzero; an input whose equilibrium Newton
-    solve fails is reported in the raised error.
+    gain, and the ratio u^T ybar2 / |u|^2 is recorded. The controller feeds
+    n = io_dim / plant.m plant copies: a single controller (n = 1) or a
+    controller bank such as kron_ss(L, M) with DC map L (x) M(0). Inputs
+    must be nonzero; an input whose equilibrium Newton solve fails is
+    reported in the raised error.
     """
-    if hasattr(net, "node_controller"):
-        M0 = dc_gain(net.node_controller)
-        dc_map = np.kron(laplacian(net.graph), M0)
-        n = net.graph.n
-    else:
-        dc_map = dc_gain(net)
-        n = 1
+    n, rest = divmod(controller.io_dim, plant.m)
+    if rest:
+        raise ValueError("controller input/output dimension is not a multiple "
+                         "of the plant's")
+    dc_map = dc_gain(controller)
     inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
     if not inputs:
         raise ValueError("need at least one constant input")

@@ -104,18 +104,12 @@ class Trajectory:
         by node, y1 per node, y2 per node, y1 rates, y2 rates, then any extra
         (name, series) columns."""
         cl = self.system
-        p = cl.plants[0].p
-        q = (cl.controller.p if cl.mode == "pair"
-             else cl.controller.node_controller.state_dim)
-        m = cl.io_dim
+        nodes = range(1, cl.n_plants + 1)
         header = ["t"]
-        header += [f"x_plant_{i+1}_{k}" for i in range(cl.n_plants) for k in range(p)]
-        n_ctrl = 1 if cl.mode == "pair" else cl.controller.n
-        header += [f"x_ctrl_{i+1}_{k}" for i in range(n_ctrl) for k in range(q)]
-        header += [f"y1_{i+1}_{k}" for i in range(cl.n_plants) for k in range(m)]
-        header += [f"y2_{i+1}_{k}" for i in range(n_ctrl) for k in range(m)]
-        header += [f"y1dot_{i+1}_{k}" for i in range(cl.n_plants) for k in range(m)]
-        header += [f"y2dot_{i+1}_{k}" for i in range(n_ctrl) for k in range(m)]
+        for name, dim in (("x_plant", cl.plant.p), ("x_ctrl", cl.controller.state_dim),
+                          ("y1", cl.io_dim), ("y2", cl.io_dim),
+                          ("y1dot", cl.io_dim), ("y2dot", cl.io_dim)):
+            header += [f"{name}_{i}_{k}" for i in nodes for k in range(dim)]
         extras = list(extra_columns or [])
         header += [name for name, _ in extras]
         with open(path, "w", newline="") as fh:
@@ -135,10 +129,7 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError(f"initial state must have length {cl.n_states}")
     times, states = rk4_path(cl.rhs, x0, cfg)
     cols = {name: np.empty((times.size, cl.n_plants * cl.io_dim))
-            for name in ("u1", "y1", "y1dot")}
-    n_ctrl_sig = cl.n_plants * cl.io_dim
-    for name in ("yc", "ycdot", "y2", "y2dot"):
-        cols[name] = np.empty((times.size, n_ctrl_sig))
+            for name in ("u1", "y1", "y1dot", "yc", "ycdot", "y2", "y2dot")}
     for k in range(times.size):
         sig = cl.evaluate(states[k])
         for name in cols:

@@ -20,8 +20,7 @@ def pendulum():
 @pytest.fixture(scope="session")
 def network_loop(four_node_graph, pendulum):
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), four_node_graph)
-    return nc.network_interconnect(plant, net)
+    return nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +40,7 @@ def network_traj(network_loop, network_x0):
 @pytest.fixture(scope="session")
 def pair_loop(pendulum):
     plant, _ = pendulum
-    return nc.pair_interconnect(plant, nc.ss_plant(nc.first_order(20.0, 6.0)))
+    return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,7 @@ def test_criterion_3_pendulum_losslessness(timed_network_traj, pendulum):
 
 def test_criterion_4_controller_residual_identity(timed_network_traj):
     traj, _ = timed_network_traj
-    v2 = nc.controller_storage(A, B)
+    v2, _ = nc.first_order_certificate(A, B)
     worst = 0.0
     for delta in (0.05, 0.1):
         for node in range(4):
@@ -82,7 +82,7 @@ def test_criterion_4_controller_residual_identity(timed_network_traj):
 def test_criterion_5_network_lyapunov_bound(timed_network_traj, pendulum):
     traj, _ = timed_network_traj
     _, v1 = pendulum
-    cs = nc.composite_storage(traj.system, v1, nc.controller_storage(A, B))
+    cs = nc.CompositeStorage(traj.system, v1, nc.first_order_certificate(A, B)[0])
     rates = np.array([cs.rate(x) for x in traj.states])
     bound = -0.5 * DELTA * analysis.edge_rate_sums(traj)
     rate_gap = float((rates - bound).max())
@@ -108,7 +108,7 @@ def test_criterion_7_gamma_estimates(pendulum, four_node_graph):
                              nc.gamma_input_grid(-25.0, 25.0, 201))
     small = nc.gamma_estimate(plant, nc.first_order(A, B),
                               [np.array([1e-3]), np.array([-1e-3])])
-    net = nc.build_controller_network(nc.first_order(A, B), four_node_graph)
+    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
     rng = np.random.default_rng(12345)
     networked = nc.gamma_estimate(plant, net,
                                   [rng.uniform(-25, 25, 4) for _ in range(100)])
@@ -121,7 +121,7 @@ def test_criterion_7_gamma_estimates(pendulum, four_node_graph):
 
 
 def test_criterion_8_steady_state_relation(four_node_graph):
-    net = nc.build_controller_network(nc.first_order(A, B), four_node_graph)
+    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
     rng = np.random.default_rng(2024)
     random_report = nc.check_steady_state_relation(net, rng.uniform(-2, 2, 4),
                                                    tol=1e-6)
@@ -153,8 +153,8 @@ def test_criterion_10_graph_algebra(four_node_graph):
 def test_criterion_11_pair_stability(pair_traj, pendulum):
     _, v1 = pendulum
     final_norm = float(np.linalg.norm(pair_traj.states[-1]))
-    cs = nc.composite_storage(pair_traj.system, v1,
-                              nc.controller_storage(PAIR_A, PAIR_B))
+    cs = nc.CompositeStorage(pair_traj.system, v1,
+                             nc.first_order_certificate(PAIR_A, PAIR_B)[0])
     values = np.array([cs.value(x) for x in pair_traj.states])
     mono_gap = float(np.diff(values).max())
     ok = final_norm <= 1e-2 and mono_gap <= 1e-6

@@ -8,14 +8,14 @@ import niconsensus as nc
 from niconsensus import analysis
 
 A = B = 10.0
+Y, _ = nc.first_order_certificate(A, B)
 
 
 @pytest.fixture(scope="module")
 def two_node_traj(pendulum):
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(A, B),
-                                      nc.Graph(2, frozenset({(0, 1)})))
-    loop = nc.network_interconnect(plant, net)
+    loop = nc.network_interconnect(plant, nc.first_order(A, B),
+                                   nc.Graph(2, frozenset({(0, 1)})))
     x0 = np.array([1.5, 0.0, -1.0, 0.0, 0.0, 0.0])
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=6.0, record_every=10)
     return nc.integrate(loop, x0, cfg)
@@ -53,39 +53,48 @@ def test_ni_dissipation_corrupted_storage_fails(network_traj):
 @pytest.mark.parametrize("delta,expect_pass", [(0.05, True), (0.1, True),
                                                (0.2, False)])
 def test_osni_dissipation_levels(network_traj, delta, expect_pass):
-    v2 = nc.controller_storage(A, B)
-    report = analysis.check_osni_dissipation(network_traj, v2, delta, node=0)
+    report = analysis.check_osni_dissipation(network_traj, Y, delta, node=0)
     assert report.passed == expect_pass
 
 
 def test_osni_dissipation_residual_identity(network_traj):
     """Residual is exactly -(1/a - delta) |dy/dt|^2 for the first-order lag."""
-    v2 = nc.controller_storage(A, B)
     for delta in (0.05, 0.1):
         for node in range(4):
-            res = analysis.osni_dissipation_residuals(network_traj, v2, delta, node)
+            res = analysis.osni_dissipation_residuals(network_traj, Y, delta, node)
             ycd = network_traj.ycdot[:, node]
             gap = np.abs(res + (1.0 / A - delta) * ycd ** 2).max()
             assert gap < 1e-9
 
 
 def test_osni_like_network_levels(two_node_traj):
-    v2 = nc.controller_storage(A, B)
-    g = two_node_traj.system.graph
-    assert analysis.check_osni_like_network(two_node_traj, v2, g, 0.05).passed
-    assert analysis.check_osni_like_network(two_node_traj, v2, g, 0.1).passed
-    assert not analysis.check_osni_like_network(two_node_traj, v2, g, 0.2).passed
+    assert analysis.check_osni_like_network(two_node_traj, Y, 0.05).passed
+    assert analysis.check_osni_like_network(two_node_traj, Y, 0.1).passed
+    assert not analysis.check_osni_like_network(two_node_traj, Y, 0.2).passed
 
 
 def test_osni_like_network_consensus_manifold(network_loop, pendulum):
     _, v1 = pendulum
-    v2 = nc.controller_storage(A, B)
     x0 = np.concatenate([np.tile([0.7, 0.0], 4), np.zeros(4)])
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=2.0, record_every=10)
     traj = nc.integrate(network_loop, x0, cfg)
-    report = analysis.check_osni_like_network(traj, v2, network_loop.graph, 0.05)
+    report = analysis.check_osni_like_network(traj, Y, 0.05)
     assert report.max_violation < 1e-12
     assert np.abs(analysis.edge_rate_sums(traj)).max() < 1e-15
+
+
+def test_osni_like_network_on_a_pair_is_the_controller_check(pair_traj):
+    """With K = [[1]] the bank inequality is node 0's OSNI inequality."""
+    Y_pair, _ = nc.first_order_certificate(20.0, 6.0)
+    for delta in (0.02, 0.05, 0.2):
+        bank = analysis.osni_like_network_residuals(pair_traj, Y_pair, delta)
+        node = analysis.osni_dissipation_residuals(pair_traj, Y_pair, delta, node=0)
+        assert np.allclose(bank, node, rtol=0.0, atol=1e-12)
+        by_bank = analysis.check_osni_like_network(pair_traj, Y_pair, delta)
+        by_node = analysis.check_osni_dissipation(pair_traj, Y_pair, delta, node=0)
+        assert by_bank.passed == by_node.passed
+        assert by_bank.max_violation == pytest.approx(by_node.max_violation, abs=1e-12)
+    assert not analysis.check_osni_like_network(pair_traj, Y_pair, 0.2).passed
 
 
 def test_pair_identities(two_node_traj):
@@ -95,9 +104,8 @@ def test_pair_identities(two_node_traj):
 
 def test_pair_identities_zero_trajectory(pendulum):
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(A, B),
-                                      nc.Graph(2, frozenset({(0, 1)})))
-    loop = nc.network_interconnect(plant, net)
+    loop = nc.network_interconnect(plant, nc.first_order(A, B),
+                                   nc.Graph(2, frozenset({(0, 1)})))
     traj = nc.integrate(loop, np.zeros(6), nc.IntegratorConfig(1e-2, 1.0))
     report = analysis.check_pair_identities(traj)
     assert report.max_violation == 0.0
@@ -117,18 +125,16 @@ def test_pair_identities_need_two_nodes(network_traj):
 
 def test_lyapunov_monotone_network(network_traj, pendulum):
     _, v1 = pendulum
-    v2 = nc.controller_storage(A, B)
-    cs = nc.composite_storage(network_traj.system, v1, v2)
+    cs = nc.CompositeStorage(network_traj.system, v1, Y)
     report = analysis.check_lyapunov_monotone(network_traj, cs, 0.05)
     assert report.passed
 
 
 def test_lyapunov_monotone_consensus_manifold(network_loop, pendulum):
     _, v1 = pendulum
-    v2 = nc.controller_storage(A, B)
     x0 = np.concatenate([np.tile([0.7, 0.0], 4), np.zeros(4)])
     traj = nc.integrate(network_loop, x0, nc.IntegratorConfig(1e-3, 2.0, 10))
-    cs = nc.composite_storage(network_loop, v1, v2)
+    cs = nc.CompositeStorage(network_loop, v1, Y)
     report = analysis.check_lyapunov_monotone(traj, cs, 0.05)
     # the bound's right side is zero on the manifold and W stays constant
     assert report.passed
@@ -140,19 +146,18 @@ def test_lyapunov_monotone_sign_flipped_feedback_fails(pendulum, four_node_graph
     flipped = nc.NonlinearPlant(p=2, m=1,
                                 f=lambda x, u: plant.f(x, -np.atleast_1d(u)),
                                 h=plant.h, dh=plant.dh)
-    net = nc.build_controller_network(nc.first_order(A, B), four_node_graph)
-    loop = nc.network_interconnect(flipped, net)
+    loop = nc.network_interconnect(flipped, nc.first_order(A, B), four_node_graph)
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 5.0, 10))
-    cs = nc.composite_storage(loop, v1, nc.controller_storage(A, B))
+    cs = nc.CompositeStorage(loop, v1, Y)
     report = analysis.check_lyapunov_monotone(traj, cs, 0.05)
     assert not report.passed
 
 
 def test_lyapunov_monotone_pair(pair_traj, pendulum):
     _, v1 = pendulum
-    cs = nc.composite_storage(pair_traj.system, v1, nc.controller_storage(20.0, 6.0))
+    cs = nc.CompositeStorage(pair_traj.system, v1, nc.first_order_certificate(20.0, 6.0)[0])
     report = analysis.check_lyapunov_monotone(pair_traj, cs, 0.05)
     assert report.passed
 
@@ -161,13 +166,11 @@ def test_component_checks_imply_lyapunov_decay(network_traj, pendulum):
     """Meta-test: plant NI plus network output strictness forces the
     composite storage to decay at the claimed rate."""
     _, v1 = pendulum
-    v2 = nc.controller_storage(A, B)
     delta = 0.05
     ni_ok = all(analysis.check_ni_dissipation(network_traj, v1, i).passed
                 for i in range(4))
-    osni_ok = analysis.check_osni_like_network(
-        network_traj, v2, network_traj.system.graph, delta).passed
-    cs = nc.composite_storage(network_traj.system, v1, v2)
+    osni_ok = analysis.check_osni_like_network(network_traj, Y, delta).passed
+    cs = nc.CompositeStorage(network_traj.system, v1, Y)
     lyap_ok = analysis.check_lyapunov_monotone(network_traj, cs, delta).passed
     assert not (ni_ok and osni_ok) or lyap_ok
 
@@ -194,8 +197,7 @@ def test_consensus_all_pairs_dominates_edges(network_traj, pendulum):
     assert np.all(all_pairs >= edge_max - 1e-15)
     # equality holds on a complete graph
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(A, B), nc.complete_graph(4))
-    loop = nc.network_interconnect(plant, net)
+    loop = nc.network_interconnect(plant, nc.first_order(A, B), nc.complete_graph(4))
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 2.0, 10))
@@ -204,12 +206,11 @@ def test_consensus_all_pairs_dominates_edges(network_traj, pendulum):
 
 
 def test_steady_state_relation_examples(four_node_graph):
-    net = nc.build_controller_network(nc.first_order(A, B), four_node_graph)
+    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
     ones = analysis.check_steady_state_relation(net, np.ones(4), tol=1e-9)
     assert ones.passed
 
-    two = nc.build_controller_network(nc.first_order(A, B),
-                                      nc.Graph(2, frozenset({(0, 1)})))
+    two = nc.kron_ss([[1.0, -1.0], [-1.0, 1.0]], nc.first_order(A, B))
     report = analysis.check_steady_state_relation(two, [1.0, 0.0])
     assert report.passed
     rng = np.random.default_rng(17)
@@ -228,10 +229,8 @@ def test_reports_are_reproducible(network_traj, pendulum):
 
 def test_report_pass_invariant(network_traj, pendulum):
     _, v1 = pendulum
-    v2 = nc.controller_storage(A, B)
     reports = [analysis.check_ni_dissipation(network_traj, v1, 0),
-               analysis.check_osni_dissipation(network_traj, v2, 0.2, 0),
-               analysis.check_osni_like_network(
-                   network_traj, v2, network_traj.system.graph, 0.05)]
+               analysis.check_osni_dissipation(network_traj, Y, 0.2, 0),
+               analysis.check_osni_like_network(network_traj, Y, 0.05)]
     for r in reports:
         assert r.passed == (r.max_violation <= r.tolerance)

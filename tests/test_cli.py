@@ -193,6 +193,61 @@ def test_full_statespace_controller_config(tmp_path):
                  "--out", str(out), "--quiet"]) == 0
 
 
+def test_statespace_controller_with_default_checks(tmp_path):
+    """Without a certificate every storage-based check is skipped alike."""
+    doc = short_network_doc(t_end=0.5)
+    doc["controller"] = {"A": [[-10.0]], "B": [[10.0]], "C": [[1.0]]}
+    del doc["checks"]
+    doc["consensus"] = {"rel": 1.0, "abs": 10.0}
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(out), "--quiet"]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    for name in ("osni_dissipation", "osni_like_network", "lyapunov_monotone"):
+        assert "skipped" in checks[name]
+    assert checks["ni_dissipation"]["passed"] and checks["consensus"]["passed"]
+
+
+@pytest.mark.parametrize("controller,message", [
+    ({"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}, "Hurwitz"),
+    ({"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.5]]}, "strictly proper"),
+])
+@pytest.mark.parametrize("base", [PENDULUM4, PENDULUM_PAIR])
+def test_inadmissible_controller_exit2(tmp_path, capsys, base, controller, message):
+    doc = json.loads(base.read_text())
+    doc["controller"] = controller
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_single_node_network_skips_consensus(tmp_path):
+    doc = short_network_doc(t_end=0.5)
+    doc["graph"] = {"n": 1, "edges": []}
+    doc["initial_conditions"] = {"plants": [[1.0, 0.0]], "controllers": [[0.0]]}
+    doc["checks"] = ["ni_dissipation", "consensus"]
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(out), "--quiet"]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert "skipped" in checks["consensus"]
+    assert checks["ni_dissipation"]["passed"]
+
+
+def test_sweep_node_count_from_pair_config(tmp_path):
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.5
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--param", "n", "--values", "2,3", "--quiet"])
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 3 and all(",ok," in row for row in rows[1:])
+    report = json.loads((out / "run_n=3" / "report.json").read_text())
+    assert report["mode"] == "network"
+
+
 def test_zero_state_run_reports_zero_convergence(tmp_path):
     doc = short_network_doc(t_end=1.0)
     doc["initial_conditions"] = {"plants": [[0.0, 0.0]] * 4,

@@ -88,33 +88,6 @@ def test_degree_adjacency(four_node_graph):
     assert np.array_equal(adjacency(four_node_graph).sum(axis=0), [3, 2, 2, 1])
 
 
-def test_kron_identity_factor():
-    X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    K = nc.kron(np.eye(2), X)
-    assert np.array_equal(K[:2, :2], X)
-    assert np.array_equal(K[2:, 2:], X)
-    assert np.array_equal(K[:2, 2:], np.zeros((2, 2)))
-
-
-def test_kron_scalar_one():
-    L2 = nc.laplacian(nc.Graph(2, frozenset({(0, 1)})))
-    assert np.array_equal(nc.kron(L2, [[1.0]]), L2)
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        A, B, C, D = (rng.normal(size=(2, 2)) for _ in range(4))
-        left = nc.kron(A, B) @ nc.kron(C, D)
-        right = nc.kron(A @ C, B @ D)
-        assert np.allclose(left, right, atol=1e-12)
-
-
-def test_kron_empty_rejected():
-    with pytest.raises(ValueError):
-        nc.kron(np.zeros((0, 2)), np.eye(2))
-
-
 def test_graph_validation():
     with pytest.raises(ValueError):
         nc.Graph(3, frozenset({(1, 1)}))

@@ -25,7 +25,6 @@ def test_dc_gain():
 def test_freq_response():
     m = nc.first_order(10.0, 10.0)
     assert nc.freq_response(m, 10.0)[0, 0] == pytest.approx(0.5 - 0.5j)
-    assert np.array_equal(nc.feedthrough(m), [[0.0]])
     dc = nc.dc_gain(m)
     near_dc = nc.freq_response(m, 1e-6).real
     assert np.abs(near_dc - dc).max() <= 1e-6 * np.abs(dc).max()

@@ -8,16 +8,12 @@ import niconsensus as nc
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def two_node_network():
-    return nc.build_controller_network(nc.first_order(10.0, 10.0),
-                                       nc.Graph(2, frozenset({(0, 1)})))
-
-
 def test_two_node_network_matches_explicit_block_realization():
-    """Driven responses of the per-node bank and of the monolithic
-    [[M, -M], [-M, M]] realisation agree at integrator accuracy."""
-    net = two_node_network()
-    explicit = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
+    """Driven responses of the monolithic bank kron_ss(L2, M) and of two
+    separately integrated lags with outputs mixed afterwards agree."""
+    bank = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
+    assert np.array_equal(bank.A, [[-10.0, 0.0], [0.0, -10.0]])
+    assert np.array_equal(bank.C, L2)
 
     def drive(field, dim):
         h, t_end = 1e-3, 3.0
@@ -37,35 +33,37 @@ def test_two_node_network_matches_explicit_block_realization():
             outs.append(x.copy())
         return np.array(outs)
 
-    xs_net = drive(lambda x, u: net.deriv(x, u), 2)
-    xs_exp = drive(lambda x, u: explicit.A @ x + explicit.B @ u, 2)
-    y_net = np.array([net.network_output(x).reshape(-1) for x in xs_net])
-    y_exp = xs_exp @ explicit.C.T
-    assert np.abs(y_net - y_exp).max() < 1e-9
+    xs_bank = drive(lambda x, u: bank.A @ x + bank.B @ u, 2)
+    xs_node = drive(lambda x, u: -10.0 * x + 10.0 * u, 2)
+    y_bank = xs_bank @ bank.C.T
+    y_node = xs_node @ L2.T
+    assert np.abs(y_bank - y_node).max() < 1e-9
 
 
 def test_edgeless_network_zero_output():
-    with pytest.warns(UserWarning, match="not connected"):
-        net = nc.build_controller_network(nc.first_order(10.0, 10.0), nc.Graph(3))
+    bank = nc.kron_ss(nc.laplacian(nc.Graph(3)), nc.first_order(10.0, 10.0))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert np.array_equal(net.network_output(rng.normal(size=3)), np.zeros((3, 1)))
+        assert np.array_equal(bank.C @ rng.normal(size=3), np.zeros(3))
 
 
-def test_network_requires_hurwitz_and_strictly_proper():
+def test_network_requires_hurwitz_and_strictly_proper(pendulum):
+    plant, _ = pendulum
     g = nc.Graph(2, frozenset({(0, 1)}))
-    with pytest.raises(ValueError, match="Hurwitz"):
-        nc.build_controller_network(nc.StateSpace([[1.0]], [[1.0]], [[1.0]]), g)
-    with pytest.raises(ValueError, match="strictly proper"):
-        nc.build_controller_network(
-            nc.StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]]), g)
+    unstable = nc.StateSpace([[1.0]], [[1.0]], [[1.0]])
+    proper = nc.StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]])
+    for ctrl, match in ((unstable, "Hurwitz"), (proper, "strictly proper")):
+        with pytest.raises(ValueError, match=match):
+            nc.network_interconnect(plant, ctrl, g)
+        with pytest.raises(ValueError, match=match):
+            nc.pair_interconnect(plant, ctrl)
 
 
 def test_network_dc_relation_steady_state(four_node_graph):
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), four_node_graph)
+    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
     ones = nc.check_steady_state_relation(net, np.ones(4), tol=1e-9)
     assert ones.passed and ones.max_violation <= 1e-9
-    two = two_node_network()
+    two = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
     report = nc.check_steady_state_relation(two, [1.0, 0.0])
     assert report.passed
     # settle it directly and compare against the hand value M(0) L2 (1,0)
@@ -76,27 +74,32 @@ def test_network_dc_relation_steady_state(four_node_graph):
 
 def test_pair_interconnect_structure(pendulum):
     plant, _ = pendulum
-    ctrl = nc.ss_plant(nc.first_order(10.0, 10.0))
-    loop = nc.pair_interconnect(plant, ctrl)
-    assert loop.n_states == 3
+    loop = nc.pair_interconnect(plant, nc.first_order(10.0, 10.0))
+    assert loop.n_states == 3 and loop.n_plants == 1
+    assert np.array_equal(loop.K, [[1.0]])
     assert np.array_equal(loop.rhs(np.zeros(3)), np.zeros(3))
     sig = loop.evaluate(np.array([0.3, -0.2, 0.7]))
     assert sig.u1 == pytest.approx([0.7])   # plant input is the controller output
     assert sig.y1 == pytest.approx([0.3])   # controller input is the plant output
-    bad = nc.NonlinearPlant(p=1, m=2, f=lambda x, u: x, h=lambda x: np.zeros(2),
-                            dh=lambda x: np.zeros((2, 1)))
+    two_io = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="dimensions differ"):
-        nc.pair_interconnect(plant, bad)
+        nc.pair_interconnect(plant, two_io)
 
 
-def test_pair_swap_symmetry(pendulum):
+def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
+    """The K = [[1]] bank reproduces the hand-written pair field bit for bit."""
     plant, _ = pendulum
-    ctrl = nc.ss_plant(nc.first_order(10.0, 10.0))
-    cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=2.0, record_every=20)
-    fwd = nc.integrate(nc.pair_interconnect(plant, ctrl), [1.0, 0.5, -0.2], cfg)
-    rev = nc.integrate(nc.pair_interconnect(ctrl, plant), [-0.2, 1.0, 0.5], cfg)
-    # same trajectories under the coordinate permutation [x1 x2 x3] -> [x3 x1 x2]
-    assert np.allclose(fwd.states[:, [2, 0, 1]], rev.states, atol=1e-12)
+    a, b = 20.0, 6.0
+    m_kg, l_m, kappa, g = 1.0, 0.5, 5.0, 9.8
+    ml2, mgl = m_kg * l_m ** 2, m_kg * g * l_m
+    loop = nc.pair_interconnect(plant, nc.first_order(a, b))
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        th, om, xc = rng.uniform(-3, 3, 3)
+        explicit = [om, (-kappa * th - mgl * math.sin(th) + xc) / ml2, -b * xc + a * th]
+        X = np.array([th, om, xc])
+        assert np.array_equal(loop.rhs(X), explicit)
+        assert np.array_equal(loop.evaluate(X).dstate, explicit)
 
 
 def test_network_interconnect_dimensions(network_loop):
@@ -108,18 +111,15 @@ def test_network_interconnect_dimensions(network_loop):
 
 def test_network_disconnected_graph_rejected(pendulum):
     plant, _ = pendulum
-    with pytest.warns(UserWarning):
-        net = nc.build_controller_network(nc.first_order(10.0, 10.0),
-                                          nc.Graph(3, frozenset({(0, 1)})))
     with pytest.raises(ValueError, match="connected graph"):
-        nc.network_interconnect(plant, net)
+        nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
+                                nc.Graph(3, frozenset({(0, 1)})))
 
 
 def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     """Identical nodes feel zero network input and evolve like free plants."""
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), four_node_graph)
-    loop = nc.network_interconnect(plant, net)
+    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
     x0 = np.zeros(12)
     x0[0:8:2] = 0.9
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=8.0, record_every=20)
@@ -133,8 +133,7 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
 
 def test_single_node_network_degenerates(pendulum):
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), nc.Graph(1))
-    loop = nc.network_interconnect(plant, net)
+    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), nc.Graph(1))
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=4.0, record_every=10)
     traj = nc.integrate(loop, np.array([1.2, 0.0, 0.0]), cfg)
     assert np.abs(traj.u1).max() == 0.0
@@ -155,8 +154,7 @@ def test_permutation_equivariance(pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=5.0, record_every=50)
 
     def run(g, xp, xc):
-        net = nc.build_controller_network(nc.first_order(10.0, 10.0), g)
-        loop = nc.network_interconnect(plant, net)
+        loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), g)
         return nc.integrate(loop, np.concatenate([xp.reshape(-1), xc]), cfg)
 
     t1 = run(g1, x_plants, x_ctrl)
@@ -174,32 +172,68 @@ def test_permutation_equivariance(pendulum):
 def test_composite_storage_values(pendulum, network_loop):
     plant, v1 = pendulum
     a = b = 10.0
-    v2 = nc.controller_storage(a, b)
-    pair = nc.pair_interconnect(plant, nc.ss_plant(nc.first_order(a, b)))
-    cs = nc.composite_storage(pair, v1, v2)
+    Y, _ = nc.first_order_certificate(a, b)
+    pair = nc.pair_interconnect(plant, nc.first_order(a, b))
+    cs = nc.CompositeStorage(pair, v1, Y)
     assert cs.value(np.zeros(3)) == 0.0
     w = cs.value(np.array([math.pi, 0.0, 1.0]))
     assert w == pytest.approx(34.474011002723395 + 0.5 - math.pi, abs=1e-12)
 
-    cs_net = nc.composite_storage(network_loop, v1, v2)
+    cs_net = nc.CompositeStorage(network_loop, v1, Y)
     assert cs_net.value(np.zeros(12)) == 0.0
     # consensus manifold: identical nodes leave only the plant energies
     x = np.concatenate([np.tile([0.8, -0.3], 4), np.full(4, 0.25)])
     assert cs_net.value(x) == pytest.approx(4.0 * v1.V([0.8, -0.3]), abs=1e-12)
+    with pytest.raises(ValueError, match="1 x 1"):
+        nc.CompositeStorage(pair, v1, np.eye(2))
 
 
-def test_composite_storage_rate_matches_directional_difference(pendulum, network_loop):
+def random_connected_graph(rng, n):
+    """A random spanning tree plus random extra edges."""
+    order = rng.permutation(n)
+    edges = {(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n)}
+    for i, j in rng.integers(n, size=(n, 2)):
+        if i != j:
+            edges.add((int(i), int(j)))
+    return nc.Graph(n, frozenset(edges))
+
+
+def test_quadratic_controller_storage_is_the_edge_sum(pendulum):
+    """(1/2) xc^T (L (x) Y^-1) xc equals (1/2) sum_ij a_ij V2(xc_i - xc_j)
+    with V2(d) = (1/2) d^T Y^-1 d, summed over the edge list."""
+    plant, v1 = pendulum
+    # a 2-state strictly proper Hurwitz controller, so Y is a genuine matrix
+    ctrl = nc.StateSpace([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.3]])
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 5, 8):
+        g = random_connected_graph(rng, n)
+        loop = nc.network_interconnect(plant, ctrl, g)
+        for _ in range(5):
+            R = rng.normal(size=(2, 2))
+            Y = R @ R.T + 0.1 * np.eye(2)
+            cs = nc.CompositeStorage(loop, v1, Y)
+            xc = rng.uniform(-2, 2, (n, 2))
+            Yinv = np.linalg.inv(Y)
+            edge_sum = sum(0.5 * (xc[i] - xc[j]) @ Yinv @ (xc[i] - xc[j])
+                           for i, j in g.edge_list)
+            # plants at rest: W is the controller storage alone
+            X = np.concatenate([np.zeros(2 * n), xc.reshape(-1)])
+            assert cs.value(X) == pytest.approx(edge_sum, rel=1e-12, abs=1e-14)
+
+
+def test_composite_storage_rate_matches_directional_difference(pendulum, network_loop,
+                                                               pair_loop):
     """Chain-rule rate against a central difference along the flow direction."""
     plant, v1 = pendulum
-    v2 = nc.controller_storage(10.0, 10.0)
-    cs = nc.composite_storage(network_loop, v1, v2)
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = rng.uniform(-1, 1, 12)
-        d = network_loop.rhs(x)
-        eps = 1e-6
-        fd = (cs.value(x + eps * d) - cs.value(x - eps * d)) / (2 * eps)
-        assert cs.rate(x) == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
+    for loop, (a, b) in ((network_loop, (10.0, 10.0)), (pair_loop, (20.0, 6.0))):
+        cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
+        for _ in range(10):
+            x = rng.uniform(-1, 1, loop.n_states)
+            d = loop.rhs(x)
+            eps = 1e-6
+            fd = (cs.value(x + eps * d) - cs.value(x - eps * d)) / (2 * eps)
+            assert cs.rate(x) == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
 
 
 def test_positivity_scan(pendulum, four_node_graph):
@@ -208,9 +242,8 @@ def test_positivity_scan(pendulum, four_node_graph):
     hi = -lo
 
     def scan(a, b, samples=100_000):
-        net = nc.build_controller_network(nc.first_order(a, b), four_node_graph)
-        loop = nc.network_interconnect(plant, net)
-        cs = nc.composite_storage(loop, v1, nc.controller_storage(a, b))
+        loop = nc.network_interconnect(plant, nc.first_order(a, b), four_node_graph)
+        cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
         return nc.storage_positivity_scan(cs, lo, hi, samples=samples)
 
     good = scan(10.0, 10.0)
@@ -224,9 +257,8 @@ def test_positivity_scan_quadratic_dominates(four_node_graph):
     params = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=500.0, g_ms2=9.8)
     plant = nc.pendulum_plant(params)
     v1 = nc.pendulum_storage(params)
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), four_node_graph)
-    loop = nc.network_interconnect(plant, net)
-    cs = nc.composite_storage(loop, v1, nc.controller_storage(10.0, 10.0))
+    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
+    cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
     lo = np.array([-math.pi, -5.0] * 4 + [-5.0] * 4)
     report = nc.storage_positivity_scan(cs, lo, -lo, samples=20_000)
     assert report.passed
@@ -234,7 +266,7 @@ def test_positivity_scan_quadratic_dominates(four_node_graph):
 
 def test_positivity_scan_region_validation(pendulum, network_loop):
     plant, v1 = pendulum
-    cs = nc.composite_storage(network_loop, v1, nc.controller_storage(10.0, 10.0))
+    cs = nc.CompositeStorage(network_loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
     with pytest.raises(ValueError, match="origin"):
         nc.storage_positivity_scan(cs, np.full(12, 1.0), np.full(12, 2.0), samples=10)
     with pytest.raises(ValueError, match="length"):

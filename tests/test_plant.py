@@ -41,7 +41,6 @@ def test_pendulum_storage_values(pendulum):
 
 def test_storage_gradients_match_finite_differences(pendulum):
     _, storage = pendulum
-    v2 = nc.controller_storage(10.0, 10.0)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.uniform(-3, 3, 2)
@@ -50,28 +49,31 @@ def test_storage_gradients_match_finite_differences(pendulum):
             e[j] = 1e-6
             fd = (storage.V(x + e) - storage.V(x - e)) / 2e-6
             assert abs(storage.grad(x)[j] - fd) < 1e-5
-        z = rng.uniform(-3, 3, 1)
-        fd = (v2.V(z + 1e-6) - v2.V(z - 1e-6)) / 2e-6
-        assert abs(v2.grad(z)[0] - fd) < 1e-5
 
 
-def test_controller_storage_values():
-    v2 = nc.controller_storage(10.0, 10.0)
-    assert v2.V([1.0]) == pytest.approx(0.5)
-    assert v2.V([0.0]) == 0.0
-    assert v2.V([2.0]) == pytest.approx(2.0)
+def test_controller_storage_values(pendulum):
+    """V2(x) = (1/2) x^T Y^-1 x with the lag's certificate Y = a/b is
+    (b / 2a) x^2: the composite storage with the plant at rest."""
+    plant, v1 = pendulum
+    loop = nc.pair_interconnect(plant, nc.first_order(10.0, 10.0))
+    cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
+    assert cs.value([0.0, 0.0, 1.0]) == pytest.approx(0.5)
+    assert cs.value([0.0, 0.0, 0.0]) == 0.0
+    assert cs.value([0.0, 0.0, 2.0]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        nc.controller_storage(-1.0, 1.0)
+        nc.first_order_certificate(-1.0, 1.0)
 
 
 def test_output_rate(pendulum):
     plant, _ = pendulum
     assert nc.output_rate(plant, [0.7, 2.0], [13.0]) == pytest.approx([2.0])
     assert nc.output_rate(plant, [0.0, 0.0], [0.0]) == pytest.approx([0.0])
-    ctrl = nc.ss_plant(nc.first_order(10.0, 10.0))
+    lag = nc.first_order(10.0, 10.0)
+    ctrl = nc.NonlinearPlant(p=1, m=1, f=lambda x, u: lag.A @ x + lag.B @ u,
+                             h=lambda x: lag.C @ x, dh=lambda x: lag.C)
     x3, u2 = 0.4, -1.3
     expected = -10.0 * x3 + 10.0 * u2
-    assert nc.output_rate(ctrl, [x3], [u2]) == pytest.approx([expected])
+    assert nc.output_rate(ctrl, np.array([x3]), np.array([u2])) == pytest.approx([expected])
 
 
 def test_supply_rates():
@@ -105,14 +107,15 @@ def test_pendulum_is_lossless(pendulum):
 def test_controller_dissipation_identity(delta):
     """u dy - delta dy^2 - dV2 = (1/a - delta) dy^2 for the lag a/(s+b)."""
     a = b = 10.0
-    ctrl = nc.ss_plant(nc.first_order(a, b))
-    v2 = nc.controller_storage(a, b)
+    ctrl = nc.first_order(a, b)
+    Y, _ = nc.first_order_certificate(a, b)
     rng = np.random.default_rng(8)
     for _ in range(200):
         x = rng.uniform(-5, 5, 1)
         u = rng.uniform(-5, 5, 1)
-        ydot = nc.output_rate(ctrl, x, u)
-        lhs = nc.supply_osni(u, ydot, delta) - v2.grad(x) @ ctrl.f(x, u)
+        dx = ctrl.A @ x + ctrl.B @ u
+        ydot = ctrl.C @ dx
+        lhs = nc.supply_osni(u, ydot, delta) - np.linalg.solve(Y, x) @ dx
         rhs = (1.0 / a - delta) * float(ydot @ ydot)
         assert abs(lhs - rhs) < 1e-9
 
@@ -167,7 +170,7 @@ def test_gamma_small_signal_limit(pendulum):
 
 def test_gamma_network_random_inputs(pendulum, four_node_graph):
     plant, _ = pendulum
-    net = nc.build_controller_network(nc.first_order(10.0, 10.0), four_node_graph)
+    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25, 25, 4) for _ in range(100)]
     report = nc.gamma_estimate(plant, net, inputs)
@@ -210,7 +213,7 @@ def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
 
     def window_ratios(x0):
         traj = nc.integrate(pair_loop, x0, cfg)
-        plant = pair_loop.plants[0]
+        plant = pair_loop.plant
         ratios = []
         n = traj.n_samples
         for start in range(n // 2, n - 120, 120):

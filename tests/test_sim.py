@@ -100,7 +100,7 @@ def test_trajectory_columns_and_csv(tmp_path, network_loop, network_x0):
     # closed loop: plant inputs are the mixed controller outputs
     assert np.array_equal(traj.u1, traj.y2)
     # mixed outputs are the Laplacian image of the per-node outputs
-    L = nc.laplacian(network_loop.graph)
+    L = network_loop.K
     assert np.allclose(traj.y2, traj.yc @ L.T, atol=1e-12)
     path = tmp_path / "traj.csv"
     traj.write_csv(path, extra_columns=[("edge_max", np.zeros(traj.n_samples))])
@@ -114,6 +114,6 @@ def test_trajectory_columns_and_csv(tmp_path, network_loop, network_x0):
 
 
 def test_pair_trajectory_signals(pair_traj):
-    # in pair mode the controller output is the plant input
+    # with K = [[1]] the controller output is the plant input
     assert np.array_equal(pair_traj.u1, pair_traj.y2)
     assert np.array_equal(pair_traj.yc, pair_traj.y2)
