@@ -65,16 +65,11 @@ def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction,
                              node: int = 0) -> np.ndarray:
     """dV/dt - u^T dy/dt along plant subsystem ``node`` (<= 0 when NI,
     identically 0 for lossless plants)."""
-    plant = traj.system.plant
     xs = traj.node_plant_states(node)
     cols = _node_cols(traj, node)
-    u1 = traj.u1[:, cols]
-    y1dot = traj.y1dot[:, cols]
-    out = np.empty(traj.n_samples)
-    for k in range(traj.n_samples):
-        dx = plant.f(xs[k], u1[k])
-        out[k] = float(v.grad(xs[k]) @ dx) - float(u1[k] @ y1dot[k])
-    return out
+    u1, y1dot = traj.u1[:, cols], traj.y1dot[:, cols]
+    dx = traj.system.plant.f(xs, u1)
+    return np.sum(v.grad(xs) * dx, axis=1) - np.sum(u1 * y1dot, axis=1)
 
 
 def check_ni_dissipation(traj: Trajectory, v: StorageFunction, node: int = 0,
@@ -189,8 +184,8 @@ def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
     W(t_{k+1}) <= W(t_k) + tol across samples, with dW/dt from exact
     gradients.
     """
-    values = np.array([cs.value(x) for x in traj.states])
-    rates = np.array([cs.rate(x) for x in traj.states])
+    values = cs.value(traj.states)
+    rates = cs.rate(traj.states)
     rate_violation = np.maximum(rates + delta * _strictness_form(traj), 0.0)
     mono_violation = np.concatenate([[0.0], np.maximum(np.diff(values), 0.0)])
     return _report("lyapunov_monotone",

@@ -206,8 +206,7 @@ def cmd_verify(args) -> int:
         nm = cfg.graph.n * cfg.plant.m
         samples = gamma_cfg.get("network_samples", 100)
         inputs = [rng.uniform(lo, hi, nm) for _ in range(samples)]
-        bank = cfg.build_loop().bank
-        net_report = gamma_estimate(cfg.plant, bank, inputs)
+        net_report = gamma_estimate(cfg.plant, kron_ss(cfg.K, sysm), inputs)
         record("gamma_network", net_report.gamma_hat < 1.0,
                gamma_hat=net_report.gamma_hat,
                worst_input=net_report.worst_input.tolist())

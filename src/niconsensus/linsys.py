@@ -107,11 +107,19 @@ def dc_gain(sys: StateSpace) -> np.ndarray:
     return -sys.C @ np.linalg.solve(sys.A, sys.B) + sys.D
 
 
-def freq_response(sys: StateSpace, w: float) -> np.ndarray:
-    """M(jw) = C (jwI - A)^-1 B + D at a single frequency w > 0."""
-    q = sys.state_dim
+def matvec(M, x) -> np.ndarray:
+    """M x for each vector of the stack x (M one matrix or a stack), one
+    product per vector: a batch row equals the single-vector result exactly."""
+    return (M @ x[..., None])[..., 0]
+
+
+def freq_response(sys: StateSpace, w) -> np.ndarray:
+    """M(jw) = C (jwI - A)^-1 B + D at frequencies w > 0: an m x m matrix for
+    a scalar w, a stack of shape w.shape + (m, m) for an array."""
+    w = np.asarray(w, dtype=float)
+    B = np.broadcast_to(sys.B, w.shape + sys.B.shape)
     try:
-        resolvent = np.linalg.solve(1j * w * np.eye(q) - sys.A, sys.B)
+        resolvent = np.linalg.solve(1j * w[..., None, None] * np.eye(sys.state_dim) - sys.A, B)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"singular resolvent at w={w}") from err
     return sys.C @ resolvent + sys.D
@@ -124,35 +132,31 @@ def _check_osni_preconditions(sys: StateSpace):
         raise ValueError("OSNI tests require symmetric D")
 
 
-def _ni_term(sys: StateSpace, w: float) -> np.ndarray:
-    """Hermitian matrix j [M(jw) - M(jw)*]."""
-    M = freq_response(sys, w)
-    return 1j * (M - M.conj().T)
+def _psd(H: np.ndarray) -> bool:
+    """True when every Hermitian matrix of the stack H is positive
+    semi-definite down to the eigenvalue floor; one stacked eigvalsh call."""
+    return bool(np.all(np.linalg.eigvalsh(H) >= -PSD_TOL))
 
 
 def _osni_terms(sys: StateSpace, grid: FreqGrid):
-    """Per-frequency pair (P, R) with P = jw [M - M*] and R = 2 w^2 Mc* Mc,
-    plus the analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
-    pairs = []
-    for w in grid.points:
-        M = freq_response(sys, w)
-        Mc = M - sys.D
-        P = 1j * w * (M - M.conj().T)
-        R = 2.0 * w * w * (Mc.conj().T @ Mc)
-        pairs.append((P, R))
+    """Stacks (P, R), one matrix per grid frequency, with P = jw [M - M*] and
+    R = 2 w^2 Mc* Mc, plus a last entry holding the analytic w -> inf limits
+    P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
+    w = grid.points[:, None, None]
+    M = freq_response(sys, grid.points)
+    Mc = M - sys.D
     CB = sys.C @ sys.B
-    pairs.append((CB + CB.T + 0j, 2.0 * (CB.T @ CB) + 0j))
-    return pairs
+    P = np.concatenate([1j * w * (M - M.conj().swapaxes(1, 2)), [CB + CB.T + 0j]])
+    R = np.concatenate([2.0 * w * w * (Mc.conj().swapaxes(1, 2) @ Mc),
+                        [2.0 * (CB.T @ CB) + 0j]])
+    return P, R
 
 
 def ni_freq_test(sys: StateSpace, grid: FreqGrid | None = None) -> bool:
     """Negative-imaginary test: j [M(jw) - M(jw)*] >= 0 on the whole grid."""
     _check_osni_preconditions(sys)
-    grid = grid or FreqGrid.default()
-    for w in grid.points:
-        if np.linalg.eigvalsh(_ni_term(sys, w)).min() < -PSD_TOL:
-            return False
-    return True
+    M = freq_response(sys, (grid or FreqGrid.default()).points)
+    return _psd(1j * (M - M.conj().swapaxes(1, 2)))
 
 
 def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) -> bool:
@@ -164,11 +168,8 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     _check_osni_preconditions(sys)
-    grid = grid or FreqGrid.default()
-    for P, R in _osni_terms(sys, grid):
-        if np.linalg.eigvalsh(P - delta * R).min() < -PSD_TOL:
-            return False
-    return True
+    P, R = _osni_terms(sys, grid or FreqGrid.default())
+    return _psd(P - delta * R)
 
 
 def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
@@ -181,14 +182,10 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
     grid = grid or FreqGrid.default()
     if not ni_freq_test(sys, grid):
         raise ValueError("not NI, no strictness level exists")
-    terms = _osni_terms(sys, grid)
-
-    def passes(delta):
-        return all(np.linalg.eigvalsh(P - delta * R).min() >= -PSD_TOL for P, R in terms)
-
+    P, R = _osni_terms(sys, grid)
     hi = 1.0
     doublings = 0
-    while passes(hi):
+    while _psd(P - hi * R):
         hi *= 2.0
         doublings += 1
         if doublings > 60:
@@ -196,7 +193,7 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
     lo = hi / 2.0 if doublings else 0.0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if passes(mid):
+        if _psd(P - mid * R):
             lo = mid
         else:
             hi = mid

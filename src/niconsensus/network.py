@@ -18,15 +18,14 @@ controller states node by node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
 from .graph import Graph, is_connected, laplacian
-from .linsys import StateSpace, is_hurwitz, kron_ss
-from .plant import NonlinearPlant, StorageFunction
+from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
+from .plant import NonlinearPlant, StorageFunction, output_rate
 
 
 def check_controller(sys: StateSpace):
@@ -40,9 +39,9 @@ def check_controller(sys: StateSpace):
 
 @dataclass(frozen=True)
 class LoopSignals:
-    """Every signal of a closed loop evaluated at one composite state.
+    """Every signal of a closed loop at composite states of shape (..., N).
 
-    Flat arrays of length n*m: plant inputs u1, plant outputs y1 and their
+    Arrays of shape (..., n*m): plant inputs u1, plant outputs y1 and their
     exact rates, per-node controller outputs yc = (I (x) C) xc and rates,
     mixed controller outputs y2 = (K (x) C) xc and rates. The plant input u1
     is y2 (positive feedback); for a pair K = [[1]] makes y2 equal to yc.
@@ -74,61 +73,51 @@ class ClosedLoop:
         self.controller = controller
         self.K = np.atleast_2d(np.asarray(K, dtype=float))
         self.bank = kron_ss(self.K, controller)
-        n, p, m = self.K.shape[0], plant.p, plant.m
-        self.n_plants = n
-        self.io_dim = m
-        self._split = n * p
+        self.n_plants = n = self.K.shape[0]
+        self.io_dim = plant.m
+        self._split = n * plant.p
         self.n_states = self._split + self.bank.state_dim
-        self._nodes = [(slice(i * p, (i + 1) * p), slice(i * m, (i + 1) * m))
-                       for i in range(n)]
         self._node_C = np.kron(np.eye(n), controller.C)
 
     def plant_state_slice(self, i: int) -> slice:
-        return self._nodes[i][0]
+        return slice(i * self.plant.p, (i + 1) * self.plant.p)
 
     def ctrl_state_slice(self, i: int) -> slice:
         q = self.controller.state_dim
         return slice(self._split + i * q, self._split + (i + 1) * q)
 
     def split(self, X):
-        """(plant states as (n, p), controller states flat)."""
+        """(plant states as (..., n, p), controller states as (..., n*q))."""
         X = np.asarray(X, dtype=float)
-        return X[:self._split].reshape(self.n_plants, self.plant.p), X[self._split:]
+        xp = X[..., :self._split].reshape(X.shape[:-1] + (self.n_plants, self.plant.p))
+        return xp, X[..., self._split:]
 
     def rhs(self, X):
-        """Composite derivative; the lean path used inside the integrator."""
-        bank, f, h = self.bank, self.plant.f, self.plant.h
+        """Composite derivative of one state, the integrator's lean path: one
+        plant call on all n nodes."""
+        bank, plant, n = self.bank, self.plant, self.n_plants
+        xp = X[:self._split].reshape(n, plant.p)
         xc = X[self._split:]
-        y2 = bank.C @ xc
-        y1 = np.empty(bank.io_dim)
         dX = np.empty(self.n_states)
-        for sx, sy in self._nodes:
-            x = X[sx]
-            dX[sx] = f(x, y2[sy])
-            y1[sy] = h(x)
-        dX[self._split:] = bank.A @ xc + bank.B @ y1
+        dX[:self._split] = plant.f(xp, bank.C.dot(xc).reshape(n, plant.m)).ravel()
+        dX[self._split:] = bank.A.dot(xc) + bank.B.dot(plant.h(xp).ravel())
         return dX
 
     def evaluate(self, X) -> LoopSignals:
-        """Derivative plus every loop signal, all from exact chain rules."""
-        X = np.asarray(X, dtype=float)
+        """Derivative plus every loop signal at composite states X of shape
+        (N,) or (..., N), all from exact chain rules."""
         bank, plant = self.bank, self.plant
-        xc = X[self._split:]
-        y2 = bank.C @ xc
-        y1 = np.empty(bank.io_dim)
-        y1dot = np.empty(bank.io_dim)
-        dX = np.empty(self.n_states)
-        for sx, sy in self._nodes:
-            x = X[sx]
-            dx = plant.f(x, y2[sy])
-            dX[sx] = dx
-            y1[sy] = plant.h(x)
-            y1dot[sy] = plant.dh(x) @ dx
-        dxc = bank.A @ xc + bank.B @ y1
-        dX[self._split:] = dxc
-        return LoopSignals(dstate=dX, u1=y2, y1=y1, y1dot=y1dot,
-                           yc=self._node_C @ xc, ycdot=self._node_C @ dxc,
-                           y2=y2, y2dot=bank.C @ dxc)
+        xp, xc = self.split(X)
+        lead = xp.shape[:-2]
+        y2 = matvec(bank.C, xc)
+        u = y2.reshape(xp.shape[:-1] + (plant.m,))
+        y1 = plant.h(xp).reshape(lead + (-1,))
+        dxc = matvec(bank.A, xc) + matvec(bank.B, y1)
+        dX = np.concatenate([plant.f(xp, u).reshape(lead + (-1,)), dxc], axis=-1)
+        return LoopSignals(dstate=dX, u1=y2, y1=y1,
+                           y1dot=output_rate(plant, xp, u).reshape(lead + (-1,)),
+                           yc=matvec(self._node_C, xc), ycdot=matvec(self._node_C, dxc),
+                           y2=y2, y2dot=matvec(bank.C, dxc))
 
 
 def pair_interconnect(plant: NonlinearPlant, controller: StateSpace) -> ClosedLoop:
@@ -165,25 +154,23 @@ class CompositeStorage:
         self.v1 = v1
         self._P = np.kron(loop.K, np.linalg.inv(Y))
 
-    def value(self, X) -> float:
-        loop, V, h = self.loop, self.v1.V, self.loop.plant.h
-        X = np.asarray(X, dtype=float)
-        xc = X[loop._split:]
-        y1 = np.empty(loop.bank.io_dim)
-        total = 0.0
-        for sx, sy in loop._nodes:
-            total += V(X[sx])
-            y1[sy] = h(X[sx])
-        return float(total + 0.5 * (xc @ self._P @ xc) - y1 @ (loop.bank.C @ xc))
+    def value(self, X):
+        """W at composite states X of shape (N,) or (..., N)."""
+        loop = self.loop
+        xp, xc = loop.split(X)
+        y1 = loop.plant.h(xp).reshape(xc.shape[:-1] + (-1,))
+        return (self.v1.V(xp).sum(axis=-1) + 0.5 * np.sum((xc @ self._P) * xc, axis=-1)
+                - np.sum(y1 * (xc @ loop.bank.C.T), axis=-1))
 
-    def rate(self, X) -> float:
-        loop, grad = self.loop, self.v1.grad
-        X = np.asarray(X, dtype=float)
+    def rate(self, X):
+        """dW/dt at composite states X of shape (N,) or (..., N)."""
+        loop = self.loop
+        xp, xc = loop.split(X)
         sig = loop.evaluate(X)
-        dX = sig.dstate
-        total = sum(float(grad(X[sx]) @ dX[sx]) for sx, _ in loop._nodes)
-        total += float(X[loop._split:] @ self._P @ dX[loop._split:])
-        return total - float(sig.y1dot @ sig.y2 + sig.y1 @ sig.y2dot)
+        dxp, dxc = loop.split(sig.dstate)
+        return (np.sum(self.v1.grad(xp) * dxp, axis=(-2, -1))
+                + np.sum((xc @ self._P) * dxc, axis=-1)
+                - np.sum(sig.y1dot * sig.y2 + sig.y1 * sig.y2dot, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -212,13 +199,10 @@ def storage_positivity_scan(cs: CompositeStorage, lo, hi, samples: int = 20000,
     if np.any(lo > 0) or np.any(hi < 0):
         raise ValueError("scan box must contain the origin")
     points = lo + qmc.Halton(d=dim, seed=seed).random(samples) * (hi - lo)
-    best_val, best_x, counted = math.inf, None, 0
-    for x in points:
-        if np.linalg.norm(x) <= 1e-8:
-            continue
-        counted += 1
-        w = cs.value(x)
-        if w < best_val:
-            best_val, best_x = w, x
-    return PositivityReport(min_value=float(best_val), argmin=best_x,
-                            samples=counted, passed=best_val > 0)
+    points = points[np.linalg.norm(points, axis=1) > 1e-8]
+    if not len(points):
+        return PositivityReport(min_value=np.inf, argmin=None, samples=0, passed=False)
+    values = cs.value(points)
+    best = int(np.argmin(values))
+    return PositivityReport(min_value=float(values[best]), argmin=points[best],
+                            samples=len(points), passed=bool(values[best] > 0))

@@ -6,6 +6,9 @@ exact output Jacobian dh is carried alongside h so that output rates (and
 with them every dissipation check) come from the chain rule rather than from
 differencing sampled signals.
 
+Plants and storage functions act row-wise on leading batch axes, so one call
+evaluates n nodes or T samples at once.
+
 Plants used in the stability experiments additionally satisfy h(0) = 0 and
 the implication "x(t) constant => u(t) constant" (for the pendulum this
 follows from the second state equation); the latter is required by the
@@ -14,12 +17,11 @@ steady-state arguments and is likewise a documented precondition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import StateSpace, dc_gain
+from .linsys import StateSpace, dc_gain, matvec
 
 #: Newton residual tolerance for equilibrium solving.
 EQUILIBRIUM_TOL = 1e-10
@@ -27,7 +29,13 @@ EQUILIBRIUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NonlinearPlant:
-    """State-space nonlinearity with state dim p and input/output dim m."""
+    """State-space nonlinearity with state dim p and input/output dim m.
+
+    The maps act row-wise on leading batch axes:
+    f: (..., p), (..., m) -> (..., p); h: (..., p) -> (..., m);
+    dh: (..., p) -> (..., m, p). A single state of shape (p,) is the batch
+    of no leading axes.
+    """
 
     p: int
     m: int
@@ -38,10 +46,12 @@ class NonlinearPlant:
 
 @dataclass(frozen=True)
 class StorageFunction:
-    """Positive definite energy function V with its exact gradient."""
+    """Positive definite energy function V with its exact gradient, acting
+    row-wise on leading batch axes: V: (..., p) -> (...) and
+    grad: (..., p) -> (..., p)."""
 
-    V: callable  # x -> float
-    grad: callable  # x -> p-vector
+    V: callable  # x -> energy
+    grad: callable  # x -> gradient
 
 
 @dataclass(frozen=True)
@@ -59,49 +69,56 @@ class PendulumParams:
             raise ValueError("pendulum parameters must be strictly positive")
 
 
+def _pendulum_constants(params: PendulumParams):
+    """(m l^2, m g l, kappa) as 0-d arrays: numpy multiplies these by array
+    elements faster than it does Python floats."""
+    return (np.array(params.m_kg * params.l_m ** 2),
+            np.array(params.m_kg * params.g_ms2 * params.l_m), np.array(params.kappa))
+
+
 def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
     """Pendulum with angle x1 from the downward position and rate x2.
 
     dx1 = x2,  dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2),  y = x1.
     """
-    ml2 = params.m_kg * params.l_m ** 2
-    mgl = params.m_kg * params.g_ms2 * params.l_m
-    kap = params.kappa
+    ml2, mgl, kap = _pendulum_constants(params)
+    neg_kap = -kap
+    jac = np.array([[1.0, 0.0]])
 
     def f(x, u):
-        x1 = float(x[0])
-        torque = float(u[0]) if np.ndim(u) else float(u)
-        return np.array([float(x[1]), (-kap * x1 - mgl * math.sin(x1) + torque) / ml2])
+        x, u = np.asarray(x), np.asarray(u)
+        x1 = x[..., 0]
+        dx = np.array(x[..., ::-1], dtype=float)  # dx1 = x2; dx2 is set below
+        dx[..., 1] = (neg_kap * x1 - mgl * np.sin(x1) + u[..., 0]) / ml2
+        return dx
 
     def h(x):
-        return np.array([float(x[0])])
+        return np.asarray(x, dtype=float)[..., :1].copy()
 
     def dh(x):
-        return np.array([[1.0, 0.0]])
+        return np.broadcast_to(jac, np.shape(x)[:-1] + jac.shape)
 
     return NonlinearPlant(p=2, m=1, f=f, h=h, dh=dh)
 
 
 def pendulum_storage(params: PendulumParams) -> StorageFunction:
     """Total pendulum energy: spring + kinetic + gravitational terms."""
-    ml2 = params.m_kg * params.l_m ** 2
-    mgl = params.m_kg * params.g_ms2 * params.l_m
-    kap = params.kappa
+    ml2, mgl, kap = _pendulum_constants(params)
 
     def V(x):
-        x1, x2 = float(x[0]), float(x[1])
-        return 0.5 * kap * x1 * x1 + 0.5 * ml2 * x2 * x2 + mgl * (1.0 - math.cos(x1))
+        x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        return 0.5 * kap * x1 * x1 + 0.5 * ml2 * x2 * x2 + mgl * (1.0 - np.cos(x1))
 
     def grad(x):
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array([kap * x1 + mgl * math.sin(x1), ml2 * x2])
+        x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        return np.stack([kap * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1)
 
     return StorageFunction(V=V, grad=grad)
 
 
 def output_rate(plant: NonlinearPlant, x, u) -> np.ndarray:
-    """Exact dy/dt = dh(x) f(x, u)."""
-    return plant.dh(x) @ plant.f(x, u)
+    """Exact dy/dt = dh(x) f(x, u), row-wise over leading batch axes."""
+    return matvec(plant.dh(x), plant.f(x, u))
 
 
 def supply_ni(u, ydot) -> float:
@@ -121,43 +138,62 @@ def supply_osni(u, ydot, delta: float) -> float:
     return supply_ni(u, ydot) - delta * float(ydot @ ydot)
 
 
+class EquilibriumError(RuntimeError):
+    """Newton iteration found no equilibrium; ``member`` is the flat index of
+    the first batch member that failed."""
+
+    def __init__(self, member: int):
+        super().__init__("no equilibrium found from this guess")
+        self.member = member
+
+
 def equilibrium_solve(plant: NonlinearPlant, ubar, x0, max_iter: int = 100) -> np.ndarray:
     """Solve f(x, ubar) = 0 by damped Newton iteration from the guess x0.
 
-    The Jacobian is a forward difference with step 1e-7 (1 + |x_j|); steps
-    are halved until the residual decreases. Converged when the residual
-    max-norm drops below 1e-10.
+    x0 is one state (p,) with ubar (m,), or a batch (..., p) with ubar
+    (..., m) whose members are solved independently: a returned member took
+    the steps it would take alone. The Jacobian is a forward difference with step
+    1e-7 (1 + |x_j|), its p columns from one plant call; steps are halved
+    until the residual decreases. Converged when the residual max-norm drops
+    below 1e-10. Raises EquilibriumError naming the first member that fails.
     """
-    x = np.array(x0, dtype=float)
-    ubar = np.atleast_1d(np.asarray(ubar, dtype=float))
-    fx = plant.f(x, ubar)
+    p = plant.p
+    shape = np.shape(x0)
+    x = np.array(x0, dtype=float).reshape(-1, p)
+    u = np.asarray(ubar, dtype=float).reshape(x.shape[0], plant.m)
+    fx = plant.f(x, u)
+    res = np.abs(fx).max(axis=1)  # residual max-norm; NaN marks a failed member
+    diag = np.arange(p)
     for _ in range(max_iter):
-        if np.abs(fx).max() < EQUILIBRIUM_TOL:
-            return x
-        J = np.empty((plant.p, plant.p))
-        for j in range(plant.p):
-            step = 1e-7 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += step
-            J[:, j] = (plant.f(xp, ubar) - fx) / step
+        todo = np.flatnonzero(res >= EQUILIBRIUM_TOL)
+        if not todo.size:
+            break
+        xa, ua, fa = x[todo], u[todo], fx[todo]
+        step = 1e-7 * (1.0 + np.abs(xa))
+        probes = np.repeat(xa[:, None, :], p, axis=1)
+        probes[:, diag, diag] += step
+        J = ((plant.f(probes, ua[:, None, :]) - fa[:, None, :])
+             / step[:, :, None]).swapaxes(1, 2)
         try:
-            d = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError("no equilibrium found from this guess") from err
-        t = 1.0
-        base = np.abs(fx).max()
-        while t > 1e-6:
-            trial = x + t * d
-            f_trial = plant.f(trial, ubar)
-            if np.abs(f_trial).max() < base:
-                x, fx = trial, f_trial
-                break
+            d = np.linalg.solve(J, -fa[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            res[todo[np.linalg.det(J) == 0]] = np.nan
+            continue
+        t, left = 1.0, np.arange(todo.size)
+        while left.size and t > 1e-6:
+            trial = xa[left] + t * d[left]
+            f_trial = plant.f(trial, ua[left])
+            r_trial = np.abs(f_trial).max(axis=1)
+            ok = r_trial < res[todo[left]]
+            won = todo[left[ok]]
+            x[won], fx[won], res[won] = trial[ok], f_trial[ok], r_trial[ok]
+            left = left[~ok]
             t *= 0.5
-        else:
-            raise RuntimeError("no equilibrium found from this guess")
-    if np.abs(fx).max() < EQUILIBRIUM_TOL:
-        return x
-    raise RuntimeError("no equilibrium found from this guess")
+        res[todo[left]] = np.nan
+    bad = np.flatnonzero(~(res < EQUILIBRIUM_TOL))
+    if bad.size:
+        raise EquilibriumError(int(bad[0]))
+    return x.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -184,9 +220,10 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     iteration, the equilibrium output is mapped through the controller's DC
     gain, and the ratio u^T ybar2 / |u|^2 is recorded. The controller feeds
     n = io_dim / plant.m plant copies: a single controller (n = 1) or a
-    controller bank such as kron_ss(L, M) with DC map L (x) M(0). Inputs
-    must be nonzero; an input whose equilibrium Newton solve fails is
-    reported in the raised error.
+    controller bank such as kron_ss(L, M) with DC map L (x) M(0). The n
+    node equilibria of one input are one batched solve, started from those of
+    the previous input (continuation along the input list). Inputs must be
+    nonzero; a failed solve is reported with its input and first failing node.
     """
     n, rest = divmod(controller.io_dim, plant.m)
     if rest:
@@ -197,24 +234,17 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     if not inputs:
         raise ValueError("need at least one constant input")
     ratios = np.empty(len(inputs))
-    best = (-math.inf, None)
-    guesses = [np.zeros(plant.p) if x0 is None else np.array(x0, dtype=float)
-               for _ in range(n)]
+    guess = np.zeros((n, plant.p)) if x0 is None else np.tile(np.asarray(x0, float), (n, 1))
     for k, ubar in enumerate(inputs):
         if np.linalg.norm(ubar) <= 1e-300:
             raise ValueError("constant inputs must be nonzero")
-        per_node = ubar.reshape(n, plant.m)
-        ybar1 = np.empty((n, plant.m))
-        for i in range(n):
-            try:
-                xbar = equilibrium_solve(plant, per_node[i], guesses[i])
-            except RuntimeError as err:
-                raise RuntimeError(
-                    f"equilibrium solve failed for input {ubar} (node {i})") from err
-            guesses[i] = xbar  # continuation along the input list
-            ybar1[i] = plant.h(xbar)
-        ybar2 = dc_map @ ybar1.reshape(-1)
+        try:
+            guess = equilibrium_solve(plant, ubar.reshape(n, plant.m), guess)
+        except EquilibriumError as err:
+            raise RuntimeError(f"equilibrium solve failed for input {ubar} "
+                               f"(node {err.member})") from err
+        ybar2 = dc_map @ plant.h(guess).reshape(-1)
         ratios[k] = float(ubar @ ybar2) / float(ubar @ ubar)
-        if ratios[k] > best[0]:
-            best = (ratios[k], ubar)
-    return GammaReport(gamma_hat=float(best[0]), worst_input=best[1], ratios=ratios)
+    worst = int(np.argmax(ratios))
+    return GammaReport(gamma_hat=float(ratios[worst]), worst_input=inputs[worst],
+                       ratios=ratios)

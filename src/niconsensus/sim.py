@@ -64,7 +64,7 @@ def rk4_path(field, x0, cfg: IntegratorConfig):
             k3 = field(x + half * k2)
             k4 = field(x + h * k3)
             x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise SimulationDiverged(k * h, states[rec - 1])
             if k % cfg.record_every == 0 or k == n_steps:
                 times[rec] = k * h
@@ -128,13 +128,8 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     times, states = rk4_path(cl.rhs, x0, cfg)
-    cols = {name: np.empty((times.size, cl.n_plants * cl.io_dim))
-            for name in ("u1", "y1", "y1dot", "yc", "ycdot", "y2", "y2dot")}
-    for k in range(times.size):
-        sig = cl.evaluate(states[k])
-        for name in cols:
-            cols[name][k] = getattr(sig, name)
-    return Trajectory(system=cl, times=times, states=states, **cols)
+    signals = {k: v for k, v in vars(cl.evaluate(states)).items() if k != "dstate"}
+    return Trajectory(system=cl, times=times, states=states, **signals)
 
 
 def convergence_order(system, x0, cfg: IntegratorConfig):

@@ -43,8 +43,9 @@ def test_ni_dissipation_corrupted_storage_fails(network_traj):
     params = nc.PendulumParams()
     honest = nc.pendulum_storage(params)
     doubled_kinetic = nc.StorageFunction(
-        V=lambda x: honest.V(x) + 0.5 * 0.25 * float(x[1]) ** 2,
-        grad=lambda x: honest.grad(x) + np.array([0.0, 0.25 * float(x[1])]))
+        V=lambda x: honest.V(x) + 0.5 * 0.25 * x[..., 1] ** 2,
+        grad=lambda x: honest.grad(x) + np.stack([0.0 * x[..., 1], 0.25 * x[..., 1]],
+                                                 axis=-1))
     report = analysis.check_ni_dissipation(network_traj, doubled_kinetic, 0,
                                            tol=1e-6)
     assert not report.passed

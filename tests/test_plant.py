@@ -135,9 +135,9 @@ def test_equilibrium_examples(pendulum):
 
 def test_equilibrium_failure_reports():
     hopeless = nc.NonlinearPlant(p=1, m=1,
-                                 f=lambda x, u: np.array([x[0] ** 2 + 1.0]),
+                                 f=lambda x, u: x ** 2 + 1.0,
                                  h=lambda x: x.copy(),
-                                 dh=lambda x: np.eye(1))
+                                 dh=lambda x: np.ones(np.shape(x) + (1,)))
     with pytest.raises(RuntimeError, match="no equilibrium"):
         nc.equilibrium_solve(hopeless, [0.0], [0.0])
 
@@ -185,8 +185,8 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
 def test_gamma_zero_output_plant():
     silent = nc.NonlinearPlant(p=1, m=1,
                                f=lambda x, u: -x + np.atleast_1d(u),
-                               h=lambda x: np.zeros(1),
-                               dh=lambda x: np.zeros((1, 1)))
+                               h=lambda x: np.zeros(np.shape(x)),
+                               dh=lambda x: np.zeros(np.shape(x) + (1,)))
     report = nc.gamma_estimate(silent, nc.first_order(10.0, 10.0),
                                [np.array([1.0]), np.array([-2.0])])
     assert report.gamma_hat == 0.0
@@ -199,10 +199,27 @@ def test_gamma_input_validation(pendulum):
     with pytest.raises(ValueError, match="at least one"):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [])
     hopeless = nc.NonlinearPlant(p=1, m=1,
-                                 f=lambda x, u: np.array([x[0] ** 2 + 1.0]),
-                                 h=lambda x: x.copy(), dh=lambda x: np.eye(1))
+                                 f=lambda x, u: x ** 2 + 1.0,
+                                 h=lambda x: x.copy(),
+                                 dh=lambda x: np.ones(np.shape(x) + (1,)))
     with pytest.raises(RuntimeError, match=r"failed for input \[3\."):
         nc.gamma_estimate(hopeless, nc.first_order(10.0, 10.0), [np.array([3.0])])
+
+
+def test_gamma_error_names_the_failing_node(four_node_graph):
+    """tanh(x) = u has no solution for |u| >= 1, so the batched Newton solve
+    of an input fails at exactly the nodes that receive such a value."""
+    saturating = nc.NonlinearPlant(p=1, m=1, f=lambda x, u: u - np.tanh(x),
+                                   h=lambda x: x.copy(),
+                                   dh=lambda x: np.ones(np.shape(x) + (1,)))
+    bank = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
+    report = nc.gamma_estimate(saturating, bank, [np.array([0.5, -0.3, 0.2, 0.9])])
+    assert np.isfinite(report.gamma_hat)
+    with pytest.raises(RuntimeError, match=r"\(node 2\)"):
+        nc.gamma_estimate(saturating, bank, [np.array([0.5, -0.3, 3.0, 0.2])])
+    with pytest.raises(RuntimeError, match=r"\(node 1\)"):
+        nc.gamma_estimate(saturating, bank, [np.array([0.5, 0.1, 0.2, 0.3]),
+                                             np.array([0.5, -2.0, 0.2, 4.0])])
 
 
 def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
