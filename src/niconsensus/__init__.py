@@ -1,6 +1,6 @@
 """Consensus of networked nonlinear negative-imaginary systems.
 
-A numpy/scipy toolbox for simulating identical nonlinear NI plants under
+A numpy toolbox for simulating identical nonlinear NI plants under
 identical linear output-strictly-NI controllers in positive feedback through
 an undirected graph, and for numerically certifying the dissipativity
 inequalities that make the interconnection work: frequency-domain NI/OSNI

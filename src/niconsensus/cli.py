@@ -29,9 +29,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
+EXIT_BY_STATUS = {"ok": EXIT_OK, "check_failed": EXIT_CHECK_FAILED,
+                  "diverged": EXIT_DIVERGED}
 
 #: Trajectory checks that need the controller storage of an OSNI certificate.
 STORAGE_CHECKS = ("osni_dissipation", "osni_like_network", "lyapunov_monotone")
+#: Consensus figures a run's summary carries into its row of sweep.csv.
+SWEEP_FIGURES = ("initial_edge_max", "final_edge_max", "final_all_pairs_max")
 
 
 def _say(quiet, *args):
@@ -50,21 +54,10 @@ def _aggregate(reports):
     }
 
 
-def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
-    """Integrate one experiment, run its checks, write the artifacts.
-
-    Returns (exit_code, summary dict)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    loop = cfg.build_loop()
-    try:
-        traj = integrate(loop, cfg.x0, cfg.integrator)
-    except SimulationDiverged as err:
-        _say(quiet, f"simulation diverged: {err}")
-        return EXIT_DIVERGED, {"status": "diverged", "error": str(err)}
-
+def _run_checks(cfg: ExperimentConfig, loop, traj, summary: dict):
+    """Results and extra CSV columns of the configured checks; fills `summary`."""
     results = {}
     extra_cols = []
-    summary = {"status": "ok"}
     for name in cfg.checks:
         if name in STORAGE_CHECKS and cfg.controller_Y is None:
             results[name] = {"skipped": "no closed-form controller storage"}
@@ -108,41 +101,52 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
                                and edge_max[-1] <= cfg.consensus_abs),
             }
             results[name] = entry
-            summary.update(initial_edge_max=entry["initial_edge_max"],
-                           final_edge_max=entry["final_edge_max"],
-                           final_all_pairs_max=entry["final_all_pairs_max"])
+            summary.update({k: entry[k] for k in SWEEP_FIGURES})
         else:
             results[name] = {"skipped": f"unknown check {name!r}"}
+    return results, extra_cols
 
-    csv_path = out_dir / "trajectory.csv"
-    traj.write_csv(csv_path, extra_columns=extra_cols)
-    svg_path = out_dir / "outputs.svg"
-    curves = traj.y1.reshape(traj.n_samples, loop.n_plants, loop.io_dim)[:, :, 0].T
-    labels = [f"node {i + 1}" for i in range(loop.n_plants)]
-    write_line_plot(svg_path, traj.times, curves, labels=labels,
-                    title=cfg.label, xlabel="time (s)", ylabel="output")
-    report = {"label": cfg.label,
-              "mode": "pair" if cfg.graph is None else "network",
-              "checks": results,
-              "artifacts": {"trajectory_csv": str(csv_path),
-                            "outputs_svg": str(svg_path)},
-              "config": cfg.raw}
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
 
-    failed = [name for name, entry in results.items()
-              if isinstance(entry, dict) and entry.get("passed") is False]
+def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
+    """Integrate one experiment, run its checks, write the artifacts, and
+    write report.json on every path: "status" is "ok", "check_failed" or
+    "diverged" (with "error"). Returns (exit_code, summary dict)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    loop = cfg.build_loop()
+    summary = {"status": "ok"}
+    results, artifacts = {}, {}
+    try:
+        traj = integrate(loop, cfg.x0, cfg.integrator)
+    except SimulationDiverged as err:
+        _say(quiet, f"simulation diverged: {err}")
+        summary = {"status": "diverged", "error": str(err)}
+    else:
+        results, extra_cols = _run_checks(cfg, loop, traj, summary)
+        csv_path = out_dir / "trajectory.csv"
+        traj.write_csv(csv_path, extra_columns=extra_cols)
+        svg_path = out_dir / "outputs.svg"
+        curves = traj.y1.reshape(traj.n_samples, loop.n_plants, loop.io_dim)[:, :, 0].T
+        labels = [f"node {i + 1}" for i in range(loop.n_plants)]
+        write_line_plot(svg_path, traj.times, curves, labels=labels,
+                        title=cfg.label, xlabel="time (s)", ylabel="output")
+        artifacts = {"trajectory_csv": str(csv_path), "outputs_svg": str(svg_path)}
+        summary["failed_checks"] = [name for name, entry in results.items()
+                                    if entry.get("passed") is False]
+        if summary["failed_checks"]:
+            summary["status"] = "check_failed"
+
+    report = {"label": cfg.label, "mode": "pair" if cfg.graph is None else "network",
+              **{k: summary[k] for k in ("status", "error") if k in summary},
+              "checks": results, "artifacts": artifacts, "config": cfg.raw}
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+
     for name, entry in results.items():
         if "skipped" in entry:
             _say(quiet, f"  [skip] {name}: {entry['skipped']}")
         else:
             _say(quiet, f"  [{'pass' if entry['passed'] else 'FAIL'}] {name}")
     _say(quiet, f"artifacts in {out_dir}")
-    summary["failed_checks"] = failed
-    if failed:
-        summary["status"] = "check_failed"
-        return EXIT_CHECK_FAILED, summary
-    return EXIT_OK, summary
+    return EXIT_BY_STATUS[summary["status"]], summary
 
 
 def cmd_simulate(args) -> int:
@@ -289,15 +293,11 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep.csv"
     with open(table, "w") as fh:
-        fh.write("param,value,status,initial_edge_max,final_edge_max,"
-                 "final_all_pairs_max,out_dir\n")
+        fh.write(",".join(("param", "value", "status", *SWEEP_FIGURES, "out_dir")) + "\n")
         for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
             fh.write(",".join([
                 args.param, json.dumps(v), outcome.get("status", "error"),
-                str(outcome.get("initial_edge_max", "")),
-                str(outcome.get("final_edge_max", "")),
-                str(outcome.get("final_all_pairs_max", "")),
-                run_dir,
+                *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir,
             ]) + "\n")
     _say(args.quiet, f"sweep table written to {table}")
     bad = [o for o in outcomes if o.get("exit_code", EXIT_OK) != EXIT_OK]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .graph import Graph, is_connected, laplacian
 from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
@@ -142,7 +141,9 @@ class CompositeStorage:
     certificate Y. For a pair this is V1 + V2 - y1 . y2; for K = L the
     quadratic term equals the edge-wise (1/2) sum_ij a_ij V2(xc_i - xc_j).
     ``rate`` differentiates W along the loop vector field with exact storage
-    gradients and output chain rules.
+    gradients and output chain rules. For K = L, W = 0 on the whole line
+    xp = 0, xc = c 1 (L 1 = 0 kills the quadratic and the cross term): W can
+    be positive only off the controller-consensus subspace.
     """
 
     def __init__(self, loop: ClosedLoop, v1: StorageFunction, Y):
@@ -185,11 +186,13 @@ class PositivityReport:
 
 def storage_positivity_scan(cs: CompositeStorage, lo, hi, samples: int = 20000,
                             seed: int = 0) -> PositivityReport:
-    """Evaluate the storage at Halton points in the box [lo, hi].
+    """Evaluate the storage at uniform random points in the box [lo, hi].
 
     Passes when the sampled minimum is positive outside a 1e-8 ball around
-    the origin. Sampling cannot prove positive definiteness; the report is
-    advisory and callers are expected to proceed (with a warning) on failure.
+    the origin. A pass means "positive at every sampled point": for K = L the
+    samples miss, almost surely, the line on which W = 0 (see CompositeStorage).
+    Sampling cannot prove positive definiteness; the report is advisory and
+    callers are expected to proceed (with a warning) on failure.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -198,7 +201,7 @@ def storage_positivity_scan(cs: CompositeStorage, lo, hi, samples: int = 20000,
         raise ValueError(f"box bounds must have length {dim}")
     if np.any(lo > 0) or np.any(hi < 0):
         raise ValueError("scan box must contain the origin")
-    points = lo + qmc.Halton(d=dim, seed=seed).random(samples) * (hi - lo)
+    points = lo + np.random.default_rng(seed).random((samples, dim)) * (hi - lo)
     points = points[np.linalg.norm(points, axis=1) > 1e-8]
     if not len(points):
         return PositivityReport(min_value=np.inf, argmin=None, samples=0, passed=False)

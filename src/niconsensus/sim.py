@@ -7,7 +7,6 @@ uniform sample spacing; adaptive stepping and stiff solvers are out of scope.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -112,14 +111,11 @@ class Trajectory:
             header += [f"{name}_{i}_{k}" for i in nodes for k in range(dim)]
         extras = list(extra_columns or [])
         header += [name for name, _ in extras]
+        table = np.column_stack([self.times, self.states, self.y1, self.y2,
+                                 self.y1dot, self.y2dot, *(s for _, s in extras)])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.n_samples):
-                row = [self.times[k], *self.states[k], *self.y1[k], *self.y2[k],
-                       *self.y1dot[k], *self.y2dot[k]]
-                row += [series[k] for _, series in extras]
-                writer.writerow([f"{v:.12g}" for v in row])
+            fh.write(",".join(header) + "\r\n")
+            np.savetxt(fh, table, fmt="%.12g", delimiter=",", newline="\r\n")
 
 
 def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,11 @@ def test_simulate_divergence_exit3(tmp_path):
     code = main(["simulate", "--config", str(write(tmp_path, doc)),
                  "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 3
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["status"] == "diverged"
+    assert report["error"].startswith("divergence at t=")
+    assert report["checks"] == {} and report["artifacts"] == {}
+    assert report["config"] == doc
 
 
 def test_simulate_failing_check_exit4(tmp_path):
@@ -270,3 +276,17 @@ def test_module_entrypoint(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_package_imports_without_scipy():
+    """scipy is a test-only dependency: importing the package and its CLI in
+    a fresh interpreter must not load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, niconsensus, niconsensus.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

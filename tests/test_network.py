@@ -188,6 +188,20 @@ def test_composite_storage_values(pendulum, network_loop):
         nc.CompositeStorage(pair, v1, np.eye(2))
 
 
+def test_network_storage_vanishes_on_controller_consensus_line(pendulum, network_loop):
+    """For K = L both the quadratic and the cross term of W vanish at xp = 0,
+    xc = c 1 (L 1 = 0), so W is not positive definite; a pair's W is positive
+    at the same controller state."""
+    plant, v1 = pendulum
+    Y, _ = nc.first_order_certificate(10.0, 10.0)
+    cs_net = nc.CompositeStorage(network_loop, v1, Y)
+    cs_pair = nc.CompositeStorage(nc.pair_interconnect(plant, nc.first_order(10.0, 10.0)),
+                                  v1, Y)
+    for c in (1.0, -3.0, 0.37):
+        assert abs(cs_net.value(np.concatenate([np.zeros(8), np.full(4, c)]))) <= 1e-15
+        assert cs_pair.value(np.array([0.0, 0.0, c])) > 0
+
+
 def random_connected_graph(rng, n):
     """A random spanning tree plus random extra edges."""
     order = rng.permutation(n)
