@@ -23,8 +23,7 @@ plant = nc.pendulum_plant(params)
 print("\nsteady-state ratio of the pendulum-to-controller chain, M(0) = 1:")
 grid = nc.gamma_input_grid(-25.0, 25.0, 201)
 report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), grid)
-small = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0),
-                          [np.array([1e-3])])
+small = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array([[1e-3]]))
 print(f"  small-torque limit: {small.gamma_hat:.6f} "
       f"(linearisation 1/(kappa + m g l) = {1/9.9:.6f})")
 print(f"  grid maximum: {report.gamma_hat:.6f} at torque "
@@ -33,6 +32,6 @@ print("  the ratio stays below one, which rules out nonzero steady state "
       "in closed loop")
 
 print("\nnetworked version over random constant input vectors:")
-inputs = [rng.uniform(-25, 25, 4) for _ in range(100)]
+inputs = rng.uniform(-25, 25, (100, 4))  # one constant input vector per row
 rep = nc.gamma_estimate(plant, net, inputs)
 print(f"  max ratio {rep.gamma_hat:.4f} at {np.round(rep.worst_input, 2)}")

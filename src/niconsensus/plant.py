@@ -207,9 +207,10 @@ class GammaReport:
 
 
 def gamma_input_grid(lo: float = -25.0, hi: float = 25.0, count: int = 201):
-    """Scalar constant-input grid (zero excluded) for the pair-chain ratio."""
+    """Scalar constant-input grid (zero excluded) for the pair-chain ratio,
+    one input per row: a (k, 1) array."""
     pts = np.linspace(lo, hi, count)
-    return [np.array([u]) for u in pts if abs(u) > 1e-12]
+    return pts[np.abs(pts) > 1e-12, None]
 
 
 def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
@@ -220,31 +221,33 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     iteration, the equilibrium output is mapped through the controller's DC
     gain, and the ratio u^T ybar2 / |u|^2 is recorded. The controller feeds
     n = io_dim / plant.m plant copies: a single controller (n = 1) or a
-    controller bank such as kron_ss(L, M) with DC map L (x) M(0). The n
-    node equilibria of one input are one batched solve, started from those of
-    the previous input (continuation along the input list). Inputs must be
-    nonzero; a failed solve is reported with its input and first failing node.
+    controller bank such as kron_ss(L, M) with DC map L (x) M(0). ``inputs``
+    is a (k, n m) array or a list of k nonzero input vectors. All k n node
+    equilibria are one batched solve, each started from the plant state x0
+    (default: rest), with no continuation from one input to the next. A
+    failed solve is reported with its input and first failing node.
     """
     n, rest = divmod(controller.io_dim, plant.m)
     if rest:
         raise ValueError("controller input/output dimension is not a multiple "
                          "of the plant's")
-    dc_map = dc_gain(controller)
-    inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
-    if not inputs:
+    U = np.asarray(inputs, dtype=float)
+    if not U.size:
         raise ValueError("need at least one constant input")
-    ratios = np.empty(len(inputs))
-    guess = np.zeros((n, plant.p)) if x0 is None else np.tile(np.asarray(x0, float), (n, 1))
-    for k, ubar in enumerate(inputs):
-        if np.linalg.norm(ubar) <= 1e-300:
-            raise ValueError("constant inputs must be nonzero")
-        try:
-            guess = equilibrium_solve(plant, ubar.reshape(n, plant.m), guess)
-        except EquilibriumError as err:
-            raise RuntimeError(f"equilibrium solve failed for input {ubar} "
-                               f"(node {err.member})") from err
-        ybar2 = dc_map @ plant.h(guess).reshape(-1)
-        ratios[k] = float(ubar @ ybar2) / float(ubar @ ubar)
+    k = len(U)
+    U = U.reshape(k, controller.io_dim)
+    if np.any(np.linalg.norm(U, axis=1) <= 1e-300):
+        raise ValueError("constant inputs must be nonzero")
+    x0 = np.zeros(plant.p) if x0 is None else np.asarray(x0, dtype=float)
+    try:
+        xbar = equilibrium_solve(plant, U.reshape(k, n, plant.m),
+                                 np.broadcast_to(x0, (k, n, plant.p)))
+    except EquilibriumError as err:
+        j, node = divmod(err.member, n)
+        raise RuntimeError(f"equilibrium solve failed for input {U[j]} "
+                           f"(node {node})") from err
+    ybar2 = matvec(dc_gain(controller), plant.h(xbar).reshape(k, -1))
+    ratios = np.sum(U * ybar2, axis=1) / np.sum(U * U, axis=1)
     worst = int(np.argmax(ratios))
-    return GammaReport(gamma_hat=float(ratios[worst]), worst_input=inputs[worst],
+    return GammaReport(gamma_hat=float(ratios[worst]), worst_input=U[worst],
                        ratios=ratios)

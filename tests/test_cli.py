@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from niconsensus.cli import main
+from niconsensus import gamma_estimate, kron_ss, load_config
+from niconsensus.analysis import CheckReport
+from niconsensus.cli import _aggregate, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PENDULUM4 = CONFIG_DIR / "pendulum4.json"
@@ -112,6 +116,36 @@ def test_simulate_divergence_exit3(tmp_path):
     assert report["config"] == doc
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_run_writes_strict_json(tmp_path):
+    """a = 5000, b = 1 at h = 1e-3 grows to about 1e232 without leaving the
+    finite floats, so the checks overflow to NaN: report.json carries those
+    as null, parses as strict JSON, and every such check fails."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"]["first_order"] = {"a": 5000.0, "b": 1.0}
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(out), "--quiet"])
+    assert code == 4
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    for name in doc["checks"]:
+        assert report["checks"][name]["passed"] is False
+        assert report["checks"][name]["max_violation"] is None
+
+
+def test_aggregate_ranks_a_nan_violation_worst():
+    finite = CheckReport("node_0", 1e-3, 0.5, 1e-6, False)
+    nan = CheckReport("node_1", math.nan, 1.0, 1e-6, False)
+    for reports in ([finite, nan], [nan, finite]):
+        entry = _aggregate(reports)
+        assert math.isnan(entry["max_violation"]) and entry["time_of_max"] == 1.0
+        assert entry["passed"] is False
+
+
 def test_simulate_failing_check_exit4(tmp_path):
     doc = short_network_doc(t_end=1.0)
     doc["delta"] = 0.2  # exceeds the controller's strictness capacity 1/a
@@ -134,6 +168,51 @@ def test_verify_bundled_config(tmp_path):
     assert checks["osni_certificate"]["passed"]
     assert checks["gamma_pair"]["gamma_hat"] < 1.0
     assert checks["gamma_network"]["gamma_hat"] < 1.0
+
+
+def test_verify_gamma_network_draws_one_input_per_row(tmp_path):
+    """verify draws the network inputs as one (samples, n m) array: the
+    stream of one draw per input, so a list of those draws gives the same
+    estimate."""
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(PENDULUM4), "--out", str(out),
+                 "--quiet"]) == 0
+    entry = json.loads((out / "verify.json").read_text())["checks"]["gamma_network"]
+    cfg = load_config(PENDULUM4)
+    rng = np.random.default_rng(12345)
+    inputs = [rng.uniform(-25.0, 25.0, 4) for _ in range(100)]
+    report = gamma_estimate(cfg.plant, kron_ss(cfg.K, cfg.controller_ss), inputs)
+    assert entry["gamma_hat"] == report.gamma_hat
+    assert entry["worst_input"] == report.worst_input.tolist()
+
+
+def test_verify_bundled_pair_config(tmp_path):
+    """pendulum_pair.json sets delta = 1/a, the lag's exact strictness level,
+    where the bisection returns a value just below it."""
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(PENDULUM_PAIR), "--out", str(out),
+                 "--quiet"]) == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert all(entry["passed"] for entry in checks.values())
+    assert checks["osni_max_delta"]["value"] < 0.05
+
+
+@pytest.mark.parametrize("a", [7.0, 10.0, 20.0])
+def test_verify_strictness_verdict_is_exact_at_the_boundary(tmp_path, a):
+    """The lag a/(s+b) has delta* = 1/a. The osni_max_delta verdict comes
+    from the OSNI test at the configured delta, so delta = 1/a passes and
+    delta = (1/a)(1 + 1e-9) fails; the bisection value stays reported."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"]["first_order"] = {"a": a, "b": 6.0}
+    for delta, admissible in ((1.0 / a, True), (1.0 / a * (1.0 + 1e-9), False)):
+        doc["delta"] = delta
+        out = tmp_path / str(admissible)
+        code = main(["verify", "--config", str(write(tmp_path, doc)),
+                     "--out", str(out), "--quiet"])
+        entry = json.loads((out / "verify.json").read_text())["checks"]["osni_max_delta"]
+        assert entry["passed"] is admissible
+        assert 1.0 / a - 1e-6 <= entry["value"] <= 1.0 / a
+        assert code == (0 if admissible else 4)
 
 
 def test_verify_inadmissible_delta_exit4(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import niconsensus as nc
+from niconsensus.linsys import matvec
 
 PARAMS = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
 ML2, MGL, KAP = 0.25, 4.9, 5.0
@@ -142,9 +145,9 @@ def test_equilibrium_failure_reports():
         nc.equilibrium_solve(hopeless, [0.0], [0.0])
 
 
-def brentq_equilibrium(u):
+def brentq_equilibrium(u, kap=KAP, mgl=MGL):
     """Independent scalar oracle for the pendulum equilibrium angle."""
-    return brentq(lambda x: KAP * x + MGL * math.sin(x) - u, -30.0, 30.0,
+    return brentq(lambda x: kap * x + mgl * math.sin(x) - u, -30.0, 30.0,
                   xtol=1e-13)
 
 
@@ -159,6 +162,54 @@ def test_gamma_pair_grid_matches_bracketing_oracle(pendulum):
     assert report.gamma_hat < 1.0
     # the ratio peaks near the positive root of tan(x) = x (about 4.4934)
     assert abs(brentq_equilibrium(abs(report.worst_input[0])) - 4.4934) < 0.15
+
+
+def test_gamma_input_grid_is_one_input_per_row():
+    grid = nc.gamma_input_grid(-25.0, 25.0, 201)
+    assert grid.shape == (200, 1)
+    assert np.array_equal(grid[:, 0], np.delete(np.linspace(-25.0, 25.0, 201), 100))
+
+
+@pytest.mark.parametrize("network", [False, True])
+def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, network):
+    """The one batched solve gives, bit for bit, the ratios of a loop of
+    one-input solves from rest; a list of input rows gives the same report."""
+    plant, _ = pendulum
+    controller = nc.first_order(10.0, 10.0)
+    if network:
+        controller = nc.kron_ss(nc.laplacian(four_node_graph), controller)
+        inputs = np.random.default_rng(12345).uniform(-25, 25, (100, 4))
+    else:
+        inputs = nc.gamma_input_grid(-25.0, 25.0, 201)
+    report = nc.gamma_estimate(plant, controller, inputs)
+    n = inputs.shape[1]
+    dc = nc.dc_gain(controller)
+    loop = []
+    for u in inputs:
+        x = nc.equilibrium_solve(plant, u.reshape(n, 1), np.zeros((n, 2)))
+        y2 = matvec(dc, plant.h(x).reshape(-1))
+        loop.append(np.sum(u * y2) / np.sum(u * u))
+    assert np.array_equal(report.ratios, loop)
+    assert np.array_equal(report.worst_input, inputs[np.argmax(loop)])
+    listed = nc.gamma_estimate(plant, controller, list(inputs))
+    assert np.array_equal(listed.ratios, report.ratios)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.floats(0.5, 2.0), l=st.floats(0.25, 1.0), stiffness=st.floats(1.5, 10.0),
+       inputs=st.lists(st.floats(-50.0, 50.0).filter(lambda u: abs(u) >= 1.0),
+                       min_size=1, max_size=20))
+def test_gamma_matches_bracketing_oracle_on_random_pendulums(m, l, stiffness, inputs):
+    """With kappa > m g l the equilibrium is unique, so every batch member
+    solved from rest lands on the root the bracketing oracle finds. The
+    Newton residual bound 1e-10 moves an angle by at most
+    1e-10 m l^2 / (kappa - m g l) < 4e-10 here, and |u| >= 1."""
+    mgl = m * 9.8 * l
+    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=stiffness * mgl, g_ms2=9.8)
+    report = nc.gamma_estimate(nc.pendulum_plant(params), nc.first_order(10.0, 10.0),
+                               np.array(inputs)[:, None])
+    oracle = max(brentq_equilibrium(u, params.kappa, mgl) / u for u in inputs)
+    assert report.gamma_hat == pytest.approx(oracle, abs=1e-9)
 
 
 def test_gamma_small_signal_limit(pendulum):
@@ -220,6 +271,10 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
     with pytest.raises(RuntimeError, match=r"\(node 1\)"):
         nc.gamma_estimate(saturating, bank, [np.array([0.5, 0.1, 0.2, 0.3]),
                                              np.array([0.5, -2.0, 0.2, 4.0])])
+    # two failing inputs: the first input is named, with its first failing node
+    with pytest.raises(RuntimeError, match=r"input \[ 0\.5 +0\.1 +3\. +-1\.5\] \(node 2\)"):
+        nc.gamma_estimate(saturating, bank, np.array([[0.5, 0.1, 3.0, -1.5],
+                                                      [2.0, -2.0, 0.2, 4.0]]))
 
 
 def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
