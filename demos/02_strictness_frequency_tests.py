@@ -45,7 +45,8 @@ for _ in range(500):
     x, u = rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1)
     dx = m.A @ x + m.B @ u
     ydot = m.C @ dx
-    slack = nc.supply_osni(u, ydot, 0.05) - float(x @ Yinv @ dx)
+    # output-strict supply rate u dy/dt - delta |dy/dt|^2 minus the storage rate
+    slack = float(u @ ydot - 0.05 * ydot @ ydot - x @ Yinv @ dx)
     worst = max(worst, abs(slack - (1 / a - 0.05) * float(ydot @ ydot)))
 print(f"  supply - storage rate always equals (1/a - delta)|dy|^2, "
       f"worst gap {worst:.2e}")

@@ -32,8 +32,8 @@ for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
     x = traj.states[k]
     print(f"  t={t:5.1f} s  |x|={np.linalg.norm(x):.3e}  W={values[k]:.3e}")
 
-rep_ni = analysis.check_ni_dissipation(traj, v1)
-rep_osni = analysis.check_osni_dissipation(traj, Y, delta)
+[rep_ni] = analysis.check_ni_dissipation(traj, v1)
+[rep_osni] = analysis.check_osni_dissipation(traj, Y, delta)
 rep_w = analysis.check_lyapunov_monotone(traj, cs, delta)
 print("\nchecks:")
 for rep in (rep_ni, rep_osni, rep_w):

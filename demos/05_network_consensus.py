@@ -38,8 +38,7 @@ for t in (0.0, 2.0, 5.0, 10.0, 15.0, 20.0):
           f"all pairs {all_pairs[k]:.5f} rad")
 
 print("\ndissipation checks along the run:")
-for node in range(4):
-    rep = analysis.check_ni_dissipation(traj, v1, node)
+for rep in analysis.check_ni_dissipation(traj, v1):
     print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
 rep = analysis.check_osni_like_network(traj, Y, delta)
 print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")

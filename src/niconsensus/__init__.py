@@ -11,22 +11,20 @@ trajectories, steady-state gain conditions, and the output consensus metric.
 from .analysis import (CheckReport, check_lyapunov_monotone, check_ni_dissipation,
                        check_osni_dissipation, check_osni_like_network,
                        check_pair_identities, check_steady_state_relation,
-                       consensus_metric, edge_rate_sums)
+                       consensus_metric)
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
-from .graph import (Graph, adjacency, complete_graph, fiedler_value, is_connected,
-                    laplacian, laplacian_eigenvalues, path_graph)
+from .graph import (Graph, fiedler_value, is_connected, laplacian,
+                    laplacian_eigenvalues, path_graph)
 from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_order,
                      first_order_certificate, freq_response, is_hurwitz, kron_ss,
-                     minimality_diagnostic, ni_freq_test, osni_certificate_check,
-                     osni_freq_test, osni_max_delta)
+                     ni_freq_test, osni_certificate_check, osni_freq_test,
+                     osni_max_delta)
 from .network import (ClosedLoop, CompositeStorage, PositivityReport,
                       network_interconnect, pair_interconnect,
                       storage_positivity_scan)
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
                     equilibrium_solve, gamma_estimate, gamma_input_grid,
-                    output_rate, pendulum_plant, pendulum_storage, supply_ni,
-                    supply_osni)
-from .sim import (EXACT, IntegratorConfig, SimulationDiverged, Trajectory,
-                  convergence_order, integrate, rk4_path)
+                    output_rate, pendulum_plant, pendulum_storage)
+from .sim import IntegratorConfig, SimulationDiverged, Trajectory, integrate, rk4_path
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
 from .linsys import StateSpace, dc_gain
+from .network import CompositeStorage
 from .plant import StorageFunction
 from .sim import IntegratorConfig, Trajectory, rk4_path
 
@@ -40,76 +40,54 @@ def _report(name: str, violations: np.ndarray, times: np.ndarray,
                        passed=max_violation <= tol)
 
 
-def _node_cols(traj: Trajectory, node: int) -> slice:
-    m = traj.system.io_dim
-    return slice(node * m, (node + 1) * m)
+def _node_reports(name: str, violations: np.ndarray, times: np.ndarray,
+                  tol: float) -> list:
+    """One report per column of the (T, n) violations, named name_node_i."""
+    return [_report(f"{name}_node_{i}", v, times, tol) for i, v in enumerate(violations.T)]
 
 
-def _storage_matrix(Y) -> np.ndarray:
-    """Y^-1, the matrix of the controller storage V2(x) = (1/2) x^T Y^-1 x."""
-    return np.linalg.inv(np.atleast_2d(np.asarray(Y, dtype=float)))
+def _by_node(traj: Trajectory, signal: np.ndarray) -> np.ndarray:
+    """A (T, n k) signal or state block as a (T, n, k) view."""
+    return signal.reshape(traj.n_samples, traj.system.n_plants, -1)
 
 
-def _edge_index(traj: Trajectory, g: Graph | None = None):
-    """Node index arrays (i, j), i < j, of the graph edges: those of g, or
-    the nonzero off-diagonal entries of the loop's mixing matrix."""
-    cl = traj.system
-    if cl.n_plants < 2:
-        raise ValueError("needs a loop with at least two nodes")
-    if g is not None:
-        return tuple(np.array(g.edge_list, dtype=int).reshape(-1, 2).T)
-    return np.nonzero(np.triu(cl.K, 1))
-
-
-def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction,
-                             node: int = 0) -> np.ndarray:
-    """dV/dt - u^T dy/dt along plant subsystem ``node`` (<= 0 when NI,
+def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray:
+    """dV/dt - u^T dy/dt of every plant node, shape (T, n) (<= 0 when NI,
     identically 0 for lossless plants)."""
-    xs = traj.node_plant_states(node)
-    cols = _node_cols(traj, node)
-    u1, y1dot = traj.u1[:, cols], traj.y1dot[:, cols]
-    dx = traj.system.plant.f(xs, u1)
-    return np.sum(v.grad(xs) * dx, axis=1) - np.sum(u1 * y1dot, axis=1)
+    xp, _ = traj.system.split(traj.states)
+    u1, y1dot = _by_node(traj, traj.u1), _by_node(traj, traj.y1dot)
+    dx = traj.system.plant.f(xp, u1)
+    return np.sum(v.grad(xp) * dx, axis=-1) - np.sum(u1 * y1dot, axis=-1)
 
 
-def check_ni_dissipation(traj: Trajectory, v: StorageFunction, node: int = 0,
-                         tol: float = DEFAULT_TOL) -> CheckReport:
-    residuals = ni_dissipation_residuals(traj, v, node)
-    return _report(f"ni_dissipation_node_{node}", np.maximum(residuals, 0.0),
-                   traj.times, tol)
+def check_ni_dissipation(traj: Trajectory, v: StorageFunction, *,
+                         tol: float = DEFAULT_TOL) -> list:
+    """One report per plant node, ni_dissipation_node_i."""
+    residuals = ni_dissipation_residuals(traj, v)
+    return _node_reports("ni_dissipation", np.maximum(residuals, 0.0), traj.times, tol)
 
 
-def osni_dissipation_residuals(traj: Trajectory, Y, delta: float,
-                               node: int = 0) -> np.ndarray:
-    """dV2/dt - u^T dy/dt + delta |dy/dt|^2 along controller subsystem
-    ``node``, with V2(x) = (1/2) x^T Y^-1 x. For the lag a/(s+b) with its
+def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
+    """dV2/dt - u^T dy/dt + delta |dy/dt|^2 of every controller node, shape
+    (T, n), with V2(x) = (1/2) x^T Y^-1 x. For the lag a/(s+b) with its
     certificate Y = a/b this equals -(1/a - delta) |dy/dt|^2 identically."""
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
-    sysm = traj.system.controller
-    cols = _node_cols(traj, node)
-    xc = traj.node_ctrl_states(node)
-    u2 = traj.y1[:, cols]
-    ycdot = traj.ycdot[:, cols]
+    cl = traj.system
+    sysm = cl.controller
+    Yinv, _ = cl.storage_matrices(Y)
+    xc = _by_node(traj, cl.split(traj.states)[1])
+    u2, ycdot = _by_node(traj, traj.y1), _by_node(traj, traj.ycdot)
     dxc = xc @ sysm.A.T + u2 @ sysm.B.T
-    rate = np.sum((xc @ _storage_matrix(Y)) * dxc, axis=1)
-    return rate - np.sum(u2 * ycdot, axis=1) + delta * np.sum(ycdot * ycdot, axis=1)
+    rate = np.sum((xc @ Yinv) * dxc, axis=-1)
+    return rate - np.sum(u2 * ycdot, axis=-1) + delta * np.sum(ycdot * ycdot, axis=-1)
 
 
-def check_osni_dissipation(traj: Trajectory, Y, delta: float,
-                           node: int = 0, tol: float = DEFAULT_TOL) -> CheckReport:
-    residuals = osni_dissipation_residuals(traj, Y, delta, node)
-    return _report(f"osni_dissipation_node_{node}", np.maximum(residuals, 0.0),
-                   traj.times, tol)
-
-
-def edge_rate_sums(traj: Trajectory) -> np.ndarray:
-    """Per-sample ordered-pair sum of squared controller output-rate
-    differences over the graph edges (each edge counted in both directions)."""
-    i, j = _edge_index(traj)
-    ycdot = traj.ycdot.reshape(traj.n_samples, traj.system.n_plants, -1)
-    diff = ycdot[:, i, :] - ycdot[:, j, :]
-    return 2.0 * np.sum(diff * diff, axis=(1, 2))
+def check_osni_dissipation(traj: Trajectory, Y, delta: float, *,
+                           tol: float = DEFAULT_TOL) -> list:
+    """One report per controller node, osni_dissipation_node_i."""
+    residuals = osni_dissipation_residuals(traj, Y, delta)
+    return _node_reports("osni_dissipation", np.maximum(residuals, 0.0), traj.times, tol)
 
 
 def _strictness_form(traj: Trajectory) -> np.ndarray:
@@ -128,9 +106,9 @@ def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
     bank = cl.bank
-    xc = traj.states[:, cl.n_states - bank.state_dim:]
+    xc = cl.split(traj.states)[1]
     dxc = xc @ bank.A.T + traj.y1 @ bank.B.T
-    P = np.kron(cl.K, _storage_matrix(Y))
+    _, P = cl.storage_matrices(Y)
     storage_rate = np.sum((xc @ P) * dxc, axis=1)
     supply = np.sum(traj.y1 * traj.y2dot, axis=1)
     return storage_rate - (supply - delta * _strictness_form(traj))
@@ -192,20 +170,51 @@ def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
                    np.maximum(rate_violation, mono_violation), traj.times, tol)
 
 
-def consensus_metric(traj: Trajectory, g: Graph | None = None):
+def consensus_metric(traj: Trajectory):
     """Largest plant-output disagreement per sample.
 
-    Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over graph
-    edges (those of g, default the loop's) and over all node pairs. Needs at
-    least two nodes.
+    Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over the graph
+    edges (the nonzero off-diagonal entries of the loop's mixing matrix) and
+    over all node pairs. Needs at least two nodes.
     """
-    n = traj.system.n_plants
-    y1 = traj.y1.reshape(traj.n_samples, n, -1)
+    cl = traj.system
+    if cl.n_plants < 2:
+        raise ValueError("needs a loop with at least two nodes")
+    y1 = _by_node(traj, traj.y1)
 
     def max_dist(i, j):
         return np.linalg.norm(y1[:, i, :] - y1[:, j, :], axis=2).max(axis=1)
 
-    return max_dist(*_edge_index(traj, g)), max_dist(*np.triu_indices(n, 1))
+    return max_dist(*np.nonzero(np.triu(cl.K, 1))), max_dist(*np.triu_indices(cl.n_plants, 1))
+
+
+@dataclass(frozen=True)
+class ConsensusReport:
+    """Plant-output disagreement over the graph edges at the start and the
+    end of a run; ``columns`` holds the per-sample series as (name, series)."""
+
+    initial_edge_max: float
+    final_edge_max: float
+    final_all_pairs_max: float
+    rel_threshold: float
+    abs_threshold: float
+    outcome: str
+    passed: bool
+    columns: tuple = ()
+
+
+def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> ConsensusReport:
+    """Passes when the final edge disagreement is at most rel times the
+    initial one and at most abs_tol. The outcome is "zero_convergence" when
+    every plant state ends below 1e-3, else "consensus"."""
+    edge_max, all_pairs = consensus_metric(traj)
+    final_plant_norm = float(np.abs(traj.system.split(traj.states[-1])[0]).max())
+    return ConsensusReport(
+        initial_edge_max=float(edge_max[0]), final_edge_max=float(edge_max[-1]),
+        final_all_pairs_max=float(all_pairs[-1]), rel_threshold=rel, abs_threshold=abs_tol,
+        outcome="zero_convergence" if final_plant_norm < 1e-3 else "consensus",
+        passed=bool(edge_max[-1] <= rel * edge_max[0] and edge_max[-1] <= abs_tol),
+        columns=(("edge_max", edge_max), ("all_pairs_max", all_pairs)))
 
 
 def check_steady_state_relation(bank: StateSpace, u2bar,
@@ -234,3 +243,28 @@ def check_steady_state_relation(bank: StateSpace, u2bar,
     violation = float(np.abs(settled - dc_gain(bank) @ u2bar).max())
     return CheckReport(name="steady_state_relation", max_violation=violation,
                        time_of_max=t_end, tolerance=tol, passed=violation <= tol)
+
+
+# Skip rules of the check table: (applies(cfg, n_nodes), reason).
+_NEEDS_Y = (lambda cfg, n: cfg.controller_Y is None, "no closed-form controller storage")
+_NEEDS_NODES = (lambda cfg, n: n < 2, "needs at least two nodes")
+_NEEDS_PAIR = (lambda cfg, n: n != 2, "needs a 2-node network")
+
+#: The trajectory checks a config may name: name -> (run, skip rule, per node).
+#: run(cfg, traj) takes its arguments from the ExperimentConfig cfg and returns
+#: one report, or one per node when the flag is set. It looks its check up in
+#: this module when it runs, so a wrapper set on the module attribute sees it.
+CHECKS = {
+    "ni_dissipation": (lambda cfg, traj: check_ni_dissipation(traj, cfg.plant_storage),
+                       None, True),
+    "osni_dissipation": (lambda cfg, traj: check_osni_dissipation(
+        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y, True),
+    "osni_like_network": (lambda cfg, traj: check_osni_like_network(
+        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y, False),
+    "pair_identities": (lambda cfg, traj: check_pair_identities(traj), _NEEDS_PAIR, False),
+    "lyapunov_monotone": (lambda cfg, traj: check_lyapunov_monotone(
+        traj, CompositeStorage(traj.system, cfg.plant_storage, cfg.controller_Y), cfg.delta),
+        _NEEDS_Y, False),
+    "consensus": (lambda cfg, traj: check_consensus(
+        traj, cfg.consensus_rel, cfg.consensus_abs), _NEEDS_NODES, False),
+}

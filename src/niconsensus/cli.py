@@ -1,7 +1,7 @@
 """Experiment runner: simulate / verify / sweep over JSON configs.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
-4 check failure.
+4 check failure; `sweep` exits 1 when any variant does not exit 0.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from . import analysis
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .linsys import (FreqGrid, is_hurwitz, kron_ss, ni_freq_test,
                      osni_certificate_check, osni_freq_test, osni_max_delta)
-from .network import CompositeStorage
-from .plant import gamma_estimate, gamma_input_grid
+from .plant import GammaError, gamma_estimate, gamma_input_grid
 from .sim import SimulationDiverged, integrate
 from .svgplot import write_line_plot
 
@@ -33,8 +32,6 @@ EXIT_CHECK_FAILED = 4
 EXIT_BY_STATUS = {"ok": EXIT_OK, "check_failed": EXIT_CHECK_FAILED,
                   "diverged": EXIT_DIVERGED}
 
-#: Trajectory checks that need the controller storage of an OSNI certificate.
-STORAGE_CHECKS = ("osni_dissipation", "osni_like_network", "lyapunov_monotone")
 #: Consensus figures a run's summary carries into its row of sweep.csv.
 SWEEP_FIGURES = ("initial_edge_max", "final_edge_max", "final_all_pairs_max")
 
@@ -73,54 +70,17 @@ def _aggregate(reports):
 
 def _run_checks(cfg: ExperimentConfig, loop, traj, summary: dict):
     """Results and extra CSV columns of the configured checks; fills `summary`."""
-    results = {}
-    extra_cols = []
+    results, extra_cols = {}, []
     for name in cfg.checks:
-        if name in STORAGE_CHECKS and cfg.controller_Y is None:
-            results[name] = {"skipped": "no closed-form controller storage"}
-        elif name == "ni_dissipation":
-            reports = [analysis.check_ni_dissipation(traj, cfg.plant_storage, node=i)
-                       for i in range(loop.n_plants)]
-            results[name] = _aggregate(reports)
-        elif name == "osni_dissipation":
-            reports = [analysis.check_osni_dissipation(
-                traj, cfg.controller_Y, cfg.delta, node=i)
-                for i in range(loop.n_plants)]
-            results[name] = _aggregate(reports)
-        elif name == "osni_like_network":
-            results[name] = asdict(analysis.check_osni_like_network(
-                traj, cfg.controller_Y, cfg.delta))
-        elif name == "pair_identities":
-            if loop.n_plants != 2:
-                results[name] = {"skipped": "needs a 2-node network"}
-                continue
-            results[name] = asdict(analysis.check_pair_identities(traj))
-        elif name == "lyapunov_monotone":
-            cs = CompositeStorage(loop, cfg.plant_storage, cfg.controller_Y)
-            results[name] = asdict(analysis.check_lyapunov_monotone(
-                traj, cs, cfg.delta))
-        elif name == "consensus":
-            if loop.n_plants < 2:
-                results[name] = {"skipped": "needs at least two nodes"}
-                continue
-            edge_max, all_pairs = analysis.consensus_metric(traj)
-            extra_cols = [("edge_max", edge_max), ("all_pairs_max", all_pairs)]
-            final_plant_norm = float(np.abs(loop.split(traj.states[-1])[0]).max())
-            entry = {
-                "initial_edge_max": float(edge_max[0]),
-                "final_edge_max": float(edge_max[-1]),
-                "final_all_pairs_max": float(all_pairs[-1]),
-                "rel_threshold": cfg.consensus_rel,
-                "abs_threshold": cfg.consensus_abs,
-                "outcome": ("zero_convergence" if final_plant_norm < 1e-3
-                            else "consensus"),
-                "passed": bool(edge_max[-1] <= cfg.consensus_rel * edge_max[0]
-                               and edge_max[-1] <= cfg.consensus_abs),
-            }
-            results[name] = entry
-            summary.update({k: entry[k] for k in SWEEP_FIGURES})
-        else:
-            results[name] = {"skipped": f"unknown check {name!r}"}
+        run, skip, per_node = analysis.CHECKS[name]
+        if skip and skip[0](cfg, loop.n_plants):
+            results[name] = {"skipped": skip[1]}
+            continue
+        report = run(cfg, traj)
+        entry = _aggregate(report) if per_node else asdict(report)
+        extra_cols += entry.pop("columns", ())
+        summary.update({k: entry[k] for k in SWEEP_FIGURES if k in entry})
+        results[name] = entry
     return results, extra_cols
 
 
@@ -167,22 +127,13 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out or cfg.out_dir or "out")
-    code, _ = run_simulation(cfg, out_dir, quiet=args.quiet)
+    cfg = load_config(args.config)
+    code, _ = run_simulation(cfg, Path(args.out or cfg.out_dir or "out"), quiet=args.quiet)
     return code
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = FreqGrid.default()
@@ -217,23 +168,27 @@ def cmd_verify(args) -> int:
         record("osni_certificate", cert.passed,
                inequality_residual=cert.inequality_residual,
                b_equation_residual=cert.b_equation_residual)
+
+    def record_gamma(name, controller, inputs):
+        try:
+            est = gamma_estimate(cfg.plant, controller, inputs)
+        except GammaError as err:
+            record(name, False, error=str(err), input=err.input.tolist(), node=err.node)
+        else:
+            record(name, est.gamma_hat < 1.0, gamma_hat=est.gamma_hat,
+                   worst_input=est.worst_input.tolist())
+
     gamma_cfg = cfg.raw.get("gamma", {})
     lo = gamma_cfg.get("lo", -25.0)
     hi = gamma_cfg.get("hi", 25.0)
     count = gamma_cfg.get("count", 201)
-    pair_report = gamma_estimate(cfg.plant, sysm, gamma_input_grid(lo, hi, count))
-    record("gamma_pair", pair_report.gamma_hat < 1.0,
-           gamma_hat=pair_report.gamma_hat,
-           worst_input=pair_report.worst_input.tolist())
+    record_gamma("gamma_pair", sysm, gamma_input_grid(lo, hi, count))
     if cfg.graph is not None:
         rng = np.random.default_rng(gamma_cfg.get("seed", 12345))
         nm = cfg.graph.n * cfg.plant.m
         samples = gamma_cfg.get("network_samples", 100)
-        inputs = rng.uniform(lo, hi, (samples, nm))
-        net_report = gamma_estimate(cfg.plant, kron_ss(cfg.K, sysm), inputs)
-        record("gamma_network", net_report.gamma_hat < 1.0,
-               gamma_hat=net_report.gamma_hat,
-               worst_input=net_report.worst_input.tolist())
+        record_gamma("gamma_network", kron_ss(cfg.K, sysm),
+                     rng.uniform(lo, hi, (samples, nm)))
 
     report = {"label": cfg.label, "checks": checks, "config": cfg.raw}
     _write_json(out_dir / "verify.json", report)
@@ -250,15 +205,13 @@ def cmd_verify(args) -> int:
 
 
 def _set_path(doc: dict, dotted: str, value):
+    *parents, leaf = dotted.split(".")
     node = doc
-    parts = dotted.split(".")
-    for key in parts[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"sweep parameter path {dotted!r} not found in config")
-        node = node[key]
-    if parts[-1] not in node:
+    for key in parents:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"sweep parameter path {dotted!r} not found in config")
-    node[parts[-1]] = value
+    node[leaf] = value
 
 
 def _sweep_variant(doc: dict, param: str, value):
@@ -295,19 +248,12 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     values = [v for v in (args.values or "").split(",") if v.strip()]
     if not values:
-        print("config error: sweep needs a non-empty --values list", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        base = load_config(args.config)
-        parsed = [json.loads(v) for v in values]
-        tasks = []
-        out_root = Path(args.out or base.out_dir or "out")
-        for v in parsed:
-            doc = _sweep_variant(base.raw, args.param, v)
-            tasks.append((doc, str(out_root / f"run_{args.param}={v}")))
-    except (ConfigError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep needs a non-empty --values list")
+    base = load_config(args.config)
+    parsed = [json.loads(v) for v in values]
+    out_root = Path(args.out or base.out_dir or "out")
+    tasks = [(_sweep_variant(base.raw, args.param, v), str(out_root / f"run_{args.param}={v}"))
+             for v in parsed]
     with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
         outcomes = list(pool.map(_sweep_worker, tasks))
     out_root.mkdir(parents=True, exist_ok=True)
@@ -343,7 +289,11 @@ def main(argv=None) -> int:
             p.add_argument("--values", required=True,
                            help="comma-separated values")
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, json.JSONDecodeError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint():

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from jsonschema import Draft202012Validator
 
+from .analysis import CHECKS
 from .graph import Graph, is_connected, laplacian
 from .linsys import StateSpace, first_order, first_order_certificate
 from .network import ClosedLoop, check_controller
@@ -93,7 +94,7 @@ SCHEMA = {
                            "t_end_s": {"type": "number", "exclusiveMinimum": 0},
                            "record_every": {"type": "integer", "minimum": 1}},
         },
-        "checks": {"type": "array", "items": {"type": "string"}},
+        "checks": {"type": "array", "items": {"enum": list(CHECKS)}},
         "consensus": {
             "type": "object",
             "additionalProperties": False,
@@ -160,12 +161,14 @@ def graph_from_config(entry: dict) -> Graph:
         raise ConfigError(f"graph: {err}") from err
 
 
-def statespace_from_config(entry: dict) -> StateSpace:
+def controller_from_config(entry: dict):
+    """(M, Y): the controller and its closed-form OSNI certificate Y, None for
+    a general realisation."""
     try:
         if "first_order" in entry:
-            fo = entry["first_order"]
-            return first_order(fo["a"], fo["b"])
-        return StateSpace(entry["A"], entry["B"], entry["C"], entry.get("D"))
+            a, b = entry["first_order"]["a"], entry["first_order"]["b"]
+            return first_order(a, b), first_order_certificate(a, b)[0]
+        return StateSpace(entry["A"], entry["B"], entry["C"], entry.get("D")), None
     except ValueError as err:
         raise ConfigError(f"controller: {err}") from err
 
@@ -177,13 +180,6 @@ def plant_from_config(entry: dict):
     return pendulum_plant(pp), pendulum_storage(pp)
 
 
-def _certificate_from_config(entry: dict):
-    if "first_order" in entry:
-        fo = entry["first_order"]
-        return first_order_certificate(fo["a"], fo["b"])[0]
-    return None  # no closed-form certificate for a general realisation
-
-
 def resolve_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build every referenced object."""
     errors = sorted(Draft202012Validator(SCHEMA).iter_errors(doc),
@@ -193,7 +189,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"{e.json_path}: {e.message}")
     mode = doc["mode"]
     plant, plant_storage = plant_from_config(doc["plant"])
-    controller = statespace_from_config(doc["controller"])
+    controller, controller_Y = controller_from_config(doc["controller"])
     try:
         check_controller(controller)
     except ValueError as err:
@@ -233,7 +229,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         plant=plant,
         plant_storage=plant_storage,
         controller_ss=controller,
-        controller_Y=_certificate_from_config(doc["controller"]),
+        controller_Y=controller_Y,
         delta=float(doc["delta"]),
         x0=np.concatenate(x0),
         integrator=integrator,

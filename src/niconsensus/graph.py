@@ -11,10 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Eigenvalues of symmetric matrices are trusted to this absolute accuracy
-#: (all matrices here are well conditioned and at most 64 x 64).
-EIG_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -52,27 +48,14 @@ def path_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = a[j, i] = 1.0
-    return a
-
-
-def degree(g: Graph) -> np.ndarray:
-    return np.diag(adjacency(g).sum(axis=1))
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian (degree matrix minus adjacency matrix).
 
     Symmetric, positive semi-definite, zero row sums.
     """
-    a = adjacency(g)
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
     return np.diag(a.sum(axis=1)) - a
 
 

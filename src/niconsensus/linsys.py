@@ -15,7 +15,7 @@ floor of -1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,20 +272,3 @@ def kron_ss(K: np.ndarray, sys: StateSpace) -> StateSpace:
     return StateSpace(np.kron(eye, sys.A), np.kron(eye, sys.B),
                       np.kron(K, sys.C), np.kron(K, sys.D))
 
-
-def minimality_diagnostic(sys: StateSpace, tol: float = 1e-8):
-    """Optional controllability/observability rank diagnostic.
-
-    Returns (controllable, observable) using SVD ranks of the Kalman
-    matrices. Minimality is a documented precondition of the OSNI
-    certificate equivalence, not something the checks enforce.
-    """
-    q = sys.state_dim
-    blocks_c, blocks_o = [sys.B], [sys.C]
-    for _ in range(q - 1):
-        blocks_c.append(sys.A @ blocks_c[-1])
-        blocks_o.append(blocks_o[-1] @ sys.A)
-    ctrb = np.hstack(blocks_c)
-    obsv = np.vstack(blocks_o)
-    rank = lambda M: int(np.sum(np.linalg.svd(M, compute_uv=False) > tol * max(M.shape)))
-    return rank(ctrb) == q, rank(obsv) == q

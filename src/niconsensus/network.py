@@ -78,18 +78,22 @@ class ClosedLoop:
         self.n_states = self._split + self.bank.state_dim
         self._node_C = np.kron(np.eye(n), controller.C)
 
-    def plant_state_slice(self, i: int) -> slice:
-        return slice(i * self.plant.p, (i + 1) * self.plant.p)
-
-    def ctrl_state_slice(self, i: int) -> slice:
-        q = self.controller.state_dim
-        return slice(self._split + i * q, self._split + (i + 1) * q)
-
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
         X = np.asarray(X, dtype=float)
         xp = X[..., :self._split].reshape(X.shape[:-1] + (self.n_plants, self.plant.p))
         return xp, X[..., self._split:]
+
+    def storage_matrices(self, Y):
+        """(Y^-1, K (x) Y^-1): the matrices of the controller storage
+        (1/2) x^T Y^-1 x of the OSNI certificate Y and of the bank storage
+        (1/2) xc^T (K (x) Y^-1) xc."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        q = self.controller.state_dim
+        if Y.shape != (q, q):
+            raise ValueError(f"controller certificate Y must be {q} x {q}")
+        Yinv = np.linalg.inv(Y)
+        return Yinv, np.kron(self.K, Yinv)
 
     def rhs(self, X):
         """Composite derivative of one state, the integrator's lean path: one
@@ -147,13 +151,9 @@ class CompositeStorage:
     """
 
     def __init__(self, loop: ClosedLoop, v1: StorageFunction, Y):
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        q = loop.controller.state_dim
-        if Y.shape != (q, q):
-            raise ValueError(f"controller certificate Y must be {q} x {q}")
         self.loop = loop
         self.v1 = v1
-        self._P = np.kron(loop.K, np.linalg.inv(Y))
+        _, self._P = loop.storage_matrices(Y)
 
     def value(self, X):
         """W at composite states X of shape (N,) or (..., N)."""

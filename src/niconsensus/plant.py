@@ -1,4 +1,4 @@
-"""Nonlinear plants, storage functions, supply rates and equilibrium analysis.
+"""Nonlinear plants, storage functions and equilibrium analysis.
 
 A plant is dx/dt = f(x, u), y = h(x) with f Lipschitz continuous and h of
 class C^1; both are documented preconditions and are not verified here. The
@@ -121,23 +121,6 @@ def output_rate(plant: NonlinearPlant, x, u) -> np.ndarray:
     return matvec(plant.dh(x), plant.f(x, u))
 
 
-def supply_ni(u, ydot) -> float:
-    """Negative-imaginary supply rate u^T dy/dt."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
-    if u.shape != ydot.shape:
-        raise ValueError("input and output-rate dimensions differ")
-    return float(u @ ydot)
-
-
-def supply_osni(u, ydot, delta: float) -> float:
-    """Output-strict supply rate u^T dy/dt - delta |dy/dt|^2."""
-    if delta <= 0:
-        raise ValueError("strictness level delta must be positive")
-    ydot = np.atleast_1d(np.asarray(ydot, dtype=float))
-    return supply_ni(u, ydot) - delta * float(ydot @ ydot)
-
-
 class EquilibriumError(RuntimeError):
     """Newton iteration found no equilibrium; ``member`` is the flat index of
     the first batch member that failed."""
@@ -196,6 +179,15 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0, max_iter: int = 100) -> n
     return x.reshape(shape)
 
 
+class GammaError(RuntimeError):
+    """No equilibrium for one input of a gain estimate: ``input`` is that
+    constant input and ``node`` its first node without one."""
+
+    def __init__(self, u: np.ndarray, node: int):
+        super().__init__(f"equilibrium solve failed for input {u} (node {node})")
+        self.input, self.node = u, node
+
+
 @dataclass(frozen=True)
 class GammaReport:
     """Largest steady-state ratio u^T ybar2 / |u|^2 over a grid of constant
@@ -225,7 +217,7 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     is a (k, n m) array or a list of k nonzero input vectors. All k n node
     equilibria are one batched solve, each started from the plant state x0
     (default: rest), with no continuation from one input to the next. A
-    failed solve is reported with its input and first failing node.
+    failed solve raises GammaError with its input and first failing node.
     """
     n, rest = divmod(controller.io_dim, plant.m)
     if rest:
@@ -244,8 +236,7 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
                                  np.broadcast_to(x0, (k, n, plant.p)))
     except EquilibriumError as err:
         j, node = divmod(err.member, n)
-        raise RuntimeError(f"equilibrium solve failed for input {U[j]} "
-                           f"(node {node})") from err
+        raise GammaError(U[j], node) from err
     ybar2 = matvec(dc_gain(controller), plant.h(xbar).reshape(k, -1))
     ratios = np.sum(U * ybar2, axis=1) / np.sum(U * U, axis=1)
     worst = int(np.argmax(ratios))

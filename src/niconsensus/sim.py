@@ -7,14 +7,9 @@ uniform sample spacing; adaptive stepping and stiff solvers are out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Sentinel returned by convergence_order when the scheme is exact for the
-#: given field (successive refinements agree to round-off).
-EXACT = math.inf
 
 
 @dataclass(frozen=True)
@@ -92,12 +87,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def node_plant_states(self, i: int) -> np.ndarray:
-        return self.states[:, self.system.plant_state_slice(i)]
-
-    def node_ctrl_states(self, i: int) -> np.ndarray:
-        return self.states[:, self.system.ctrl_state_slice(i)]
-
     def write_csv(self, path, extra_columns=None):
         """Column order: t, plant states node by node, controller states node
         by node, y1 per node, y2 per node, y1 rates, y2 rates, then any extra
@@ -127,24 +116,3 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     signals = {k: v for k, v in vars(cl.evaluate(states)).items() if k != "dstate"}
     return Trajectory(system=cl, times=times, states=states, **signals)
 
-
-def convergence_order(system, x0, cfg: IntegratorConfig):
-    """Observed order of accuracy by Richardson extrapolation.
-
-    Integrates at steps h, h/2 and h/4 and compares terminal states; returns
-    log2 of the ratio of successive differences (about 4 for smooth fields)
-    or the EXACT sentinel when the differences are at round-off.
-    """
-    field = system.rhs if hasattr(system, "rhs") else system
-    terminal = []
-    for div in (1, 2, 4):
-        sub = IntegratorConfig(step_s=cfg.step_s / div, t_end_s=cfg.t_end_s,
-                               record_every=10 ** 9)
-        _, states = rk4_path(field, x0, sub)
-        terminal.append(states[-1])
-    scale = 1.0 + float(np.linalg.norm(terminal[-1]))
-    d1 = float(np.linalg.norm(terminal[0] - terminal[1]))
-    d2 = float(np.linalg.norm(terminal[1] - terminal[2]))
-    if d1 < 1e-13 * scale or d2 < 1e-14 * scale:
-        return EXACT
-    return math.log2(d1 / d2)

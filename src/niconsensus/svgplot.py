@@ -30,11 +30,9 @@ def _fmt(v: float) -> str:
 
 
 def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""):
-    """Write one SVG with a polyline per column of ``series``."""
+    """Write one SVG with a polyline per row of ``series``, shape (k, len(x))."""
     x = np.asarray(x, dtype=float)
     ys = np.atleast_2d(np.asarray(series, dtype=float))
-    if ys.shape[0] == x.size and ys.shape[1] != x.size:
-        ys = ys.T
     labels = labels or [f"series {i + 1}" for i in range(ys.shape[0])]
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())

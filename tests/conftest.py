@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,45 @@ def pair_loop(pendulum):
 def pair_traj(pair_loop):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=20.0, record_every=10)
     return nc.integrate(pair_loop, np.array([1.0, 0.0, 0.0]), cfg)
+
+
+# --- oracles shared by several test modules ---------------------------------
+
+#: Returned by convergence_order when the scheme is exact for the given field
+#: (successive refinements agree to round-off).
+EXACT = math.inf
+
+
+def complete_graph(n: int) -> nc.Graph:
+    return nc.Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def edge_rate_sums(traj) -> np.ndarray:
+    """Per-sample ordered-pair sum of squared controller output-rate
+    differences over the graph edges (each edge counted in both directions)."""
+    i, j = np.nonzero(np.triu(traj.system.K, 1))
+    ycdot = traj.ycdot.reshape(traj.n_samples, traj.system.n_plants, -1)
+    diff = ycdot[:, i, :] - ycdot[:, j, :]
+    return 2.0 * np.sum(diff * diff, axis=(1, 2))
+
+
+def convergence_order(system, x0, cfg: nc.IntegratorConfig):
+    """Observed order of accuracy by Richardson extrapolation.
+
+    Integrates at steps h, h/2 and h/4 and compares terminal states; returns
+    log2 of the ratio of successive differences (about 4 for smooth fields)
+    or EXACT when the differences are at round-off.
+    """
+    field = system.rhs if hasattr(system, "rhs") else system
+    terminal = []
+    for div in (1, 2, 4):
+        sub = nc.IntegratorConfig(step_s=cfg.step_s / div, t_end_s=cfg.t_end_s,
+                                  record_every=10 ** 9)
+        _, states = nc.rk4_path(field, x0, sub)
+        terminal.append(states[-1])
+    scale = 1.0 + float(np.linalg.norm(terminal[-1]))
+    d1 = float(np.linalg.norm(terminal[0] - terminal[1]))
+    d2 = float(np.linalg.norm(terminal[1] - terminal[2]))
+    if d1 < 1e-13 * scale or d2 < 1e-14 * scale:
+        return EXACT
+    return math.log2(d1 / d2)

@@ -1,10 +1,10 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import niconsensus as nc
+from conftest import complete_graph, edge_rate_sums
 from niconsensus import analysis
 
 A = B = 10.0
@@ -23,19 +23,41 @@ def two_node_traj(pendulum):
 
 def test_ni_dissipation_pendulum_lossless(network_traj, pendulum):
     _, v1 = pendulum
-    for node in range(4):
-        residuals = analysis.ni_dissipation_residuals(network_traj, v1, node)
-        assert np.abs(residuals).max() < 1e-9
-        report = analysis.check_ni_dissipation(network_traj, v1, node)
-        assert report.passed
-        assert report.name == f"ni_dissipation_node_{node}"
+    residuals = analysis.ni_dissipation_residuals(network_traj, v1)
+    assert residuals.shape == (network_traj.n_samples, 4)
+    assert np.abs(residuals).max() < 1e-9
+    reports = analysis.check_ni_dissipation(network_traj, v1)
+    assert [r.name for r in reports] == [f"ni_dissipation_node_{i}" for i in range(4)]
+    assert all(r.passed for r in reports)
+
+
+def test_node_residuals_equal_single_node_oracle(network_traj, pendulum):
+    """Column i of the (T, n) residuals is node i's residual computed from
+    hand-sliced columns of the trajectory, bit for bit."""
+    _, v1 = pendulum
+    traj, cl = network_traj, network_traj.system
+    ni = analysis.ni_dissipation_residuals(traj, v1)
+    osni = analysis.osni_dissipation_residuals(traj, Y, 0.05)
+    Yinv = np.linalg.inv(Y)
+    for i in range(4):
+        xs = traj.states[:, 2 * i:2 * i + 2]
+        xc = traj.states[:, 8 + i:9 + i]
+        u1, y1dot = traj.u1[:, i:i + 1], traj.y1dot[:, i:i + 1]
+        u2, ycdot = traj.y1[:, i:i + 1], traj.ycdot[:, i:i + 1]
+        dx = cl.plant.f(xs, u1)
+        oracle = np.sum(v1.grad(xs) * dx, axis=1) - np.sum(u1 * y1dot, axis=1)
+        assert np.array_equal(ni[:, i], oracle)
+        dxc = xc @ cl.controller.A.T + u2 @ cl.controller.B.T
+        oracle = (np.sum((xc @ Yinv) * dxc, axis=1) - np.sum(u2 * ycdot, axis=1)
+                  + 0.05 * np.sum(ycdot * ycdot, axis=1))
+        assert np.array_equal(osni[:, i], oracle)
 
 
 def test_ni_dissipation_zero_trajectory(network_loop, pendulum):
     _, v1 = pendulum
     cfg = nc.IntegratorConfig(step_s=1e-2, t_end_s=1.0)
     traj = nc.integrate(network_loop, np.zeros(12), cfg)
-    report = analysis.check_ni_dissipation(traj, v1, 0)
+    report = analysis.check_ni_dissipation(traj, v1)[0]
     assert report.max_violation == 0.0 and report.passed
 
 
@@ -46,25 +68,24 @@ def test_ni_dissipation_corrupted_storage_fails(network_traj):
         V=lambda x: honest.V(x) + 0.5 * 0.25 * x[..., 1] ** 2,
         grad=lambda x: honest.grad(x) + np.stack([0.0 * x[..., 1], 0.25 * x[..., 1]],
                                                  axis=-1))
-    report = analysis.check_ni_dissipation(network_traj, doubled_kinetic, 0,
-                                           tol=1e-6)
+    report = analysis.check_ni_dissipation(network_traj, doubled_kinetic, tol=1e-6)[0]
     assert not report.passed
 
 
 @pytest.mark.parametrize("delta,expect_pass", [(0.05, True), (0.1, True),
                                                (0.2, False)])
 def test_osni_dissipation_levels(network_traj, delta, expect_pass):
-    report = analysis.check_osni_dissipation(network_traj, Y, delta, node=0)
+    report = analysis.check_osni_dissipation(network_traj, Y, delta)[0]
     assert report.passed == expect_pass
 
 
 def test_osni_dissipation_residual_identity(network_traj):
     """Residual is exactly -(1/a - delta) |dy/dt|^2 for the first-order lag."""
     for delta in (0.05, 0.1):
+        res = analysis.osni_dissipation_residuals(network_traj, Y, delta)
         for node in range(4):
-            res = analysis.osni_dissipation_residuals(network_traj, Y, delta, node)
             ycd = network_traj.ycdot[:, node]
-            gap = np.abs(res + (1.0 / A - delta) * ycd ** 2).max()
+            gap = np.abs(res[:, node] + (1.0 / A - delta) * ycd ** 2).max()
             assert gap < 1e-9
 
 
@@ -81,7 +102,7 @@ def test_osni_like_network_consensus_manifold(network_loop, pendulum):
     traj = nc.integrate(network_loop, x0, cfg)
     report = analysis.check_osni_like_network(traj, Y, 0.05)
     assert report.max_violation < 1e-12
-    assert np.abs(analysis.edge_rate_sums(traj)).max() < 1e-15
+    assert np.abs(edge_rate_sums(traj)).max() < 1e-15
 
 
 def test_osni_like_network_on_a_pair_is_the_controller_check(pair_traj):
@@ -89,10 +110,10 @@ def test_osni_like_network_on_a_pair_is_the_controller_check(pair_traj):
     Y_pair, _ = nc.first_order_certificate(20.0, 6.0)
     for delta in (0.02, 0.05, 0.2):
         bank = analysis.osni_like_network_residuals(pair_traj, Y_pair, delta)
-        node = analysis.osni_dissipation_residuals(pair_traj, Y_pair, delta, node=0)
+        node = analysis.osni_dissipation_residuals(pair_traj, Y_pair, delta)[:, 0]
         assert np.allclose(bank, node, rtol=0.0, atol=1e-12)
         by_bank = analysis.check_osni_like_network(pair_traj, Y_pair, delta)
-        by_node = analysis.check_osni_dissipation(pair_traj, Y_pair, delta, node=0)
+        by_node = analysis.check_osni_dissipation(pair_traj, Y_pair, delta)[0]
         assert by_bank.passed == by_node.passed
         assert by_bank.max_violation == pytest.approx(by_node.max_violation, abs=1e-12)
     assert not analysis.check_osni_like_network(pair_traj, Y_pair, 0.2).passed
@@ -139,7 +160,7 @@ def test_lyapunov_monotone_consensus_manifold(network_loop, pendulum):
     report = analysis.check_lyapunov_monotone(traj, cs, 0.05)
     # the bound's right side is zero on the manifold and W stays constant
     assert report.passed
-    assert np.abs(analysis.edge_rate_sums(traj)).max() < 1e-18
+    assert np.abs(edge_rate_sums(traj)).max() < 1e-18
 
 
 def test_lyapunov_monotone_sign_flipped_feedback_fails(pendulum, four_node_graph):
@@ -168,8 +189,7 @@ def test_component_checks_imply_lyapunov_decay(network_traj, pendulum):
     composite storage to decay at the claimed rate."""
     _, v1 = pendulum
     delta = 0.05
-    ni_ok = all(analysis.check_ni_dissipation(network_traj, v1, i).passed
-                for i in range(4))
+    ni_ok = all(r.passed for r in analysis.check_ni_dissipation(network_traj, v1))
     osni_ok = analysis.check_osni_like_network(network_traj, Y, delta).passed
     cs = nc.CompositeStorage(network_traj.system, v1, Y)
     lyap_ok = analysis.check_lyapunov_monotone(network_traj, cs, delta).passed
@@ -198,7 +218,7 @@ def test_consensus_all_pairs_dominates_edges(network_traj, pendulum):
     assert np.all(all_pairs >= edge_max - 1e-15)
     # equality holds on a complete graph
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(A, B), nc.complete_graph(4))
+    loop = nc.network_interconnect(plant, nc.first_order(A, B), complete_graph(4))
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 2.0, 10))
@@ -223,15 +243,15 @@ def test_steady_state_relation_examples(four_node_graph):
 
 def test_reports_are_reproducible(network_traj, pendulum):
     _, v1 = pendulum
-    first = analysis.check_ni_dissipation(network_traj, v1, 1)
-    second = analysis.check_ni_dissipation(network_traj, v1, 1)
+    first = analysis.check_ni_dissipation(network_traj, v1)
+    second = analysis.check_ni_dissipation(network_traj, v1)
     assert first == second
 
 
 def test_report_pass_invariant(network_traj, pendulum):
     _, v1 = pendulum
-    reports = [analysis.check_ni_dissipation(network_traj, v1, 0),
-               analysis.check_osni_dissipation(network_traj, Y, 0.2, 0),
+    reports = [*analysis.check_ni_dissipation(network_traj, v1),
+               *analysis.check_osni_dissipation(network_traj, Y, 0.2),
                analysis.check_osni_like_network(network_traj, Y, 0.05)]
     for r in reports:
         assert r.passed == (r.max_violation <= r.tolerance)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from niconsensus import gamma_estimate, kron_ss, load_config
-from niconsensus.analysis import CheckReport
+from niconsensus.analysis import CHECKS, CheckReport
 from niconsensus.cli import _aggregate, main
+from niconsensus.config import DEFAULT_CHECKS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PENDULUM4 = CONFIG_DIR / "pendulum4.json"
@@ -213,6 +214,39 @@ def test_verify_strictness_verdict_is_exact_at_the_boundary(tmp_path, a):
         assert entry["passed"] is admissible
         assert 1.0 / a - 1e-6 <= entry["value"] <= 1.0 / a
         assert code == (0 if admissible else 4)
+
+
+def test_verify_records_a_failed_equilibrium_solve(tmp_path, capsys):
+    """kappa = 1 < mgl = 4.9: the plant is NI, but Newton from rest finds no
+    equilibrium for u = -24.75. gamma_pair is then a recorded failure that
+    names the input and node; every other check is still written."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["plant"]["pendulum"]["kappa"] = 1.0
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--quiet"])
+    assert code == 4
+    assert "gamma_pair failed" in capsys.readouterr().err
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["gamma_pair"] == {
+        "passed": False, "error": "equilibrium solve failed for input [-24.75] (node 0)",
+        "input": [-24.75], "node": 0}
+    assert set(checks) == {"is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
+                           "pair_network_strictness_halving", "osni_certificate",
+                           "gamma_pair"}
+    assert all(checks[name]["passed"] for name in checks if name != "gamma_pair")
+
+
+def test_misspelled_check_name_exit2(tmp_path, capsys):
+    doc = short_network_doc(t_end=0.5)
+    doc["checks"] = ["ni_disipation"]
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "$.checks[0]" in err and "'ni_disipation' is not one of" in err
+    assert not (tmp_path / "o").exists()
+    assert set(DEFAULT_CHECKS) <= set(CHECKS)
 
 
 def test_verify_inadmissible_delta_exit4(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from niconsensus.graph import degree, adjacency
+from conftest import complete_graph
 
 
 def random_graph(rng, n):
@@ -84,8 +84,10 @@ def test_fiedler_iff_connected_random_graphs():
 
 
 def test_degree_adjacency(four_node_graph):
-    assert np.array_equal(np.diag(degree(four_node_graph)), [3, 2, 2, 1])
-    assert np.array_equal(adjacency(four_node_graph).sum(axis=0), [3, 2, 2, 1])
+    # the Laplacian's diagonal is the degree, its negated off-diagonal the adjacency
+    L = nc.laplacian(four_node_graph)
+    assert np.array_equal(np.diag(L), [3, 2, 2, 1])
+    assert np.array_equal((np.diag(np.diag(L)) - L).sum(axis=0), [3, 2, 2, 1])
 
 
 def test_graph_validation():
@@ -103,5 +105,5 @@ def test_graph_validation():
 
 def test_helper_graphs():
     assert nc.path_graph(4).edges == frozenset({(0, 1), (1, 2), (2, 3)})
-    assert len(nc.complete_graph(4).edges) == 6
+    assert len(complete_graph(4).edges) == 6
     assert nc.is_connected(nc.path_graph(8))

@@ -139,14 +139,6 @@ def test_kron_ss_matches_direct_frequency_response(four_node_graph):
     assert np.allclose(nc.dc_gain(netss), np.kron(L, nc.dc_gain(m)), atol=1e-12)
 
 
-def test_minimality_diagnostic():
-    assert nc.minimality_diagnostic(nc.first_order(10.0, 10.0)) == (True, True)
-    # the two-node closed network hides the sum direction from the output
-    two = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
-    ctrb, obsv = nc.minimality_diagnostic(two)
-    assert ctrb and not obsv
-
-
 def test_freq_grid_validation():
     with pytest.raises(ValueError):
         nc.FreqGrid(np.array([0.0, 1.0]))

@@ -105,8 +105,8 @@ def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
 def test_network_interconnect_dimensions(network_loop):
     assert network_loop.n_states == 12
     assert np.array_equal(network_loop.rhs(np.zeros(12)), np.zeros(12))
-    assert network_loop.plant_state_slice(2) == slice(4, 6)
-    assert network_loop.ctrl_state_slice(2) == slice(10, 11)
+    xp, xc = network_loop.split(np.arange(12.0))
+    assert np.array_equal(xp[2], [4.0, 5.0]) and np.array_equal(xc[2:3], [10.0])
 
 
 def test_network_disconnected_graph_rejected(pendulum):
@@ -128,7 +128,7 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     free_times, free_states = nc.rk4_path(
         lambda x: plant.f(x, np.zeros(1)), np.array([0.9, 0.0]), cfg)
     for i in range(4):
-        assert np.allclose(traj.node_plant_states(i), free_states, atol=1e-9)
+        assert np.allclose(loop.split(traj.states)[0][:, i], free_states, atol=1e-9)
 
 
 def test_single_node_network_degenerates(pendulum):
@@ -139,7 +139,7 @@ def test_single_node_network_degenerates(pendulum):
     assert np.abs(traj.u1).max() == 0.0
     _, free_states = nc.rk4_path(lambda x: plant.f(x, np.zeros(1)),
                                  np.array([1.2, 0.0]), cfg)
-    assert np.allclose(traj.node_plant_states(0), free_states, atol=1e-12)
+    assert np.allclose(loop.split(traj.states)[0][:, 0], free_states, atol=1e-12)
 
 
 def test_permutation_equivariance(pendulum):
@@ -164,9 +164,8 @@ def test_permutation_equivariance(pendulum):
         xp2[perm[i]] = x_plants[i]
         xc2[perm[i]] = x_ctrl[i]
     t2 = run(g2, xp2, xc2)
-    for i in range(4):
-        assert np.allclose(t1.node_plant_states(i),
-                           t2.node_plant_states(int(perm[i])), atol=1e-9)
+    xp1, xp2 = t1.system.split(t1.states)[0], t2.system.split(t2.states)[0]
+    assert np.allclose(xp1, xp2[:, perm], atol=1e-9)
 
 
 def test_composite_storage_values(pendulum, network_loop):

@@ -79,19 +79,6 @@ def test_output_rate(pendulum):
     assert nc.output_rate(ctrl, np.array([x3]), np.array([u2])) == pytest.approx([expected])
 
 
-def test_supply_rates():
-    assert nc.supply_ni([0.0, 0.0], [5.0, -1.0]) == 0.0
-    assert nc.supply_ni([1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
-    assert nc.supply_ni(2.0, -1.0) == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        nc.supply_ni([1.0, 2.0], [1.0])
-    assert nc.supply_osni([7.0], [0.0], 0.1) == 0.0
-    assert nc.supply_osni(1.0, 1.0, 0.1) == pytest.approx(0.9)
-    assert nc.supply_osni(0.0, 2.0, 0.1) == pytest.approx(-0.4)
-    with pytest.raises(ValueError):
-        nc.supply_osni(1.0, 1.0, 0.0)
-
-
 def test_pendulum_is_lossless(pendulum):
     """The energy rate equals the supply u dy/dt exactly (no damping term)."""
     plant, storage = pendulum
@@ -101,7 +88,7 @@ def test_pendulum_is_lossless(pendulum):
         x = rng.uniform(-4, 4, 2)
         u = rng.uniform(-20, 20, 1)
         vdot = storage.grad(x) @ plant.f(x, u)
-        supply = nc.supply_ni(u, nc.output_rate(plant, x, u))
+        supply = u @ nc.output_rate(plant, x, u)
         worst = max(worst, abs(vdot - supply))
     assert worst < 1e-9
 
@@ -118,7 +105,7 @@ def test_controller_dissipation_identity(delta):
         u = rng.uniform(-5, 5, 1)
         dx = ctrl.A @ x + ctrl.B @ u
         ydot = ctrl.C @ dx
-        lhs = nc.supply_osni(u, ydot, delta) - np.linalg.solve(Y, x) @ dx
+        lhs = u @ ydot - delta * ydot @ ydot - np.linalg.solve(Y, x) @ dx
         rhs = (1.0 / a - delta) * float(ydot @ ydot)
         assert abs(lhs - rhs) < 1e-9
 
@@ -290,7 +277,7 @@ def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
         n = traj.n_samples
         for start in range(n // 2, n - 120, 120):
             sl = slice(start, start + 120)
-            xs = traj.node_plant_states(0)[sl]
+            xs = traj.states[sl, :2]
             us = traj.u1[sl]
             xdots = np.array([plant.f(xs[k], us[k]) for k in range(xs.shape[0])])
             eps = np.abs(traj.y1dot[sl]).max()

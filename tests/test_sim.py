@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
+from conftest import EXACT, convergence_order
 from niconsensus.sim import rk4_path
 
 
@@ -59,17 +60,17 @@ def test_step_halving_error_ratio(network_loop, network_x0):
 
 def test_convergence_order_linear_field():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = nc.convergence_order(lambda x: -x, np.array([1.0]), cfg)
+    order = convergence_order(lambda x: -x, np.array([1.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
     sysm = np.array([[0.0, 1.0], [-4.0, -0.4]])
-    order = nc.convergence_order(lambda x: sysm @ x, np.array([1.0, 0.0]), cfg)
+    order = convergence_order(lambda x: sysm @ x, np.array([1.0, 0.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
 
 
 def test_convergence_order_exact_sentinel():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = nc.convergence_order(lambda x: np.zeros_like(x), np.array([2.0]), cfg)
-    assert order == nc.EXACT
+    order = convergence_order(lambda x: np.zeros_like(x), np.array([2.0]), cfg)
+    assert order == EXACT
 
 
 def test_divergence_raises():
