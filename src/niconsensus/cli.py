@@ -42,8 +42,8 @@ def _say(quiet, *args):
 
 
 def _write_json(path: Path, doc: dict):
-    """Write doc as strict JSON: non-finite floats become null, since NaN and
-    Infinity tokens are rejected by strict parsers."""
+    """Write doc as strict JSON, creating its directory: non-finite floats
+    become null, since NaN and Infinity tokens are rejected by strict parsers."""
     def finite(value):
         if isinstance(value, float):
             return value if math.isfinite(value) else None
@@ -53,6 +53,7 @@ def _write_json(path: Path, doc: dict):
             return [finite(v) for v in value]
         return value
 
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(finite(doc), indent=2, allow_nan=False) + "\n")
 
 
@@ -135,7 +136,6 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = FreqGrid.default()
     sysm = cfg.controller_ss
     checks = {}
@@ -261,8 +261,12 @@ def cmd_sweep(args) -> int:
     with open(table, "w") as fh:
         fh.write(",".join(("param", "value", "status", *SWEEP_FIGURES, "out_dir")) + "\n")
         for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
+            if outcome["status"] == "error":  # a rejected variant: say why
+                print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
+                report = {"status": "error", "error": outcome["error"], "config": doc}
+                _write_json(Path(run_dir) / "report.json", report)
             fh.write(",".join([
-                args.param, json.dumps(v), outcome.get("status", "error"),
+                args.param, json.dumps(v), outcome["status"],
                 *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir,
             ]) + "\n")
     _say(args.quiet, f"sweep table written to {table}")

@@ -182,10 +182,9 @@ def plant_from_config(entry: dict):
 
 def resolve_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build every referenced object."""
-    errors = sorted(Draft202012Validator(SCHEMA).iter_errors(doc),
-                    key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
+    e = min(Draft202012Validator(SCHEMA).iter_errors(doc), key=lambda e: e.json_path,
+            default=None)
+    if e is not None:
         raise ConfigError(f"{e.json_path}: {e.message}")
     mode = doc["mode"]
     plant, plant_storage = plant_from_config(doc["plant"])
@@ -216,10 +215,8 @@ def resolve_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"$.initial_conditions.{key}: expected shape "
                               f"{list(shape)}, got {list(value.shape)}")
         x0.append(value.reshape(-1))
-    integ = doc["integrator"]
-    try:
-        integrator = IntegratorConfig(step_s=integ["step_s"], t_end_s=integ["t_end_s"],
-                                      record_every=integ.get("record_every", 1))
+    try:  # the schema's integrator keys are IntegratorConfig's fields
+        integrator = IntegratorConfig(**doc["integrator"])
     except ValueError as err:
         raise ConfigError(f"$.integrator: {err}") from err
     consensus = doc.get("consensus", {})

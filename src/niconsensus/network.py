@@ -13,7 +13,10 @@ u1_i = sum_j K_ij C xc_j. The two cases of the paper are
   xc_i - xc_j are literal copies of the single-controller dynamics.
 
 Composite state layout: all plant states first, node by node, then all
-controller states node by node.
+controller states node by node. For plants dx/dt = A x + B u + E phi(x),
+y = C x and controller (Ac, Bc, Cc), the field is W [xp; phi(xp); xc] with W
+built once: [[I (x) A, I (x) E, K (x) B Cc], [I (x) Bc C, 0, I (x) Ac]], so a
+pendulum row sums spring, gravity and input terms in the hand-written order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .graph import Graph, is_connected, laplacian
 from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
-from .plant import NonlinearPlant, StorageFunction, output_rate
+from .plant import NonlinearPlant, StorageFunction
 
 
 def check_controller(sys: StateSpace):
@@ -68,15 +71,18 @@ class ClosedLoop:
         check_controller(controller)
         if plant.m != controller.io_dim:
             raise ValueError("plant and controller input/output dimensions differ")
-        self.plant = plant
-        self.controller = controller
+        self.plant, self.controller = plant, controller
         self.K = np.atleast_2d(np.asarray(K, dtype=float))
         self.bank = kron_ss(self.K, controller)
         self.n_plants = n = self.K.shape[0]
         self.io_dim = plant.m
         self._split = n * plant.p
         self.n_states = self._split + self.bank.state_dim
-        self._node_C = np.kron(np.eye(n), controller.C)
+        eye, (A, B, C, E) = np.eye(n), (plant.A, plant.B, plant.C, plant.E)
+        self._node_C = np.kron(eye, controller.C)
+        self._W = np.block([[np.kron(eye, A), np.kron(eye, E), np.kron(self.K, B @ controller.C)],
+                            [np.kron(eye, controller.B @ C),
+                             np.zeros((self.bank.state_dim, n * E.shape[1])), self.bank.A]])
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -97,30 +103,24 @@ class ClosedLoop:
 
     def rhs(self, X):
         """Composite derivative of one state, the integrator's lean path: one
-        plant call on all n nodes."""
-        bank, plant, n = self.bank, self.plant, self.n_plants
-        xp = X[:self._split].reshape(n, plant.p)
-        xc = X[self._split:]
-        dX = np.empty(self.n_states)
-        dX[:self._split] = plant.f(xp, bank.C.dot(xc).reshape(n, plant.m)).ravel()
-        dX[self._split:] = bank.A.dot(xc) + bank.B.dot(plant.h(xp).ravel())
-        return dX
+        nonlinearity call on all n plant states and one product with W."""
+        xp = X[:self._split]
+        phi = self.plant.phi(xp.reshape(self.n_plants, self.plant.p))
+        return self._W.dot(np.concatenate((xp, phi.ravel(), X[self._split:])))
 
     def evaluate(self, X) -> LoopSignals:
         """Derivative plus every loop signal at composite states X of shape
         (N,) or (..., N), all from exact chain rules."""
-        bank, plant = self.bank, self.plant
         xp, xc = self.split(X)
-        lead = xp.shape[:-2]
-        y2 = matvec(bank.C, xc)
-        u = y2.reshape(xp.shape[:-1] + (plant.m,))
-        y1 = plant.h(xp).reshape(lead + (-1,))
-        dxc = matvec(bank.A, xc) + matvec(bank.B, y1)
-        dX = np.concatenate([plant.f(xp, u).reshape(lead + (-1,)), dxc], axis=-1)
-        return LoopSignals(dstate=dX, u1=y2, y1=y1,
-                           y1dot=output_rate(plant, xp, u).reshape(lead + (-1,)),
+        flat = xp.shape[:-2] + (-1,)
+        phi = self.plant.phi(xp).reshape(flat)
+        dX = matvec(self._W, np.concatenate((xp.reshape(flat), phi, xc), axis=-1))
+        dxp, dxc = self.split(dX)
+        y2 = matvec(self.bank.C, xc)
+        return LoopSignals(dstate=dX, u1=y2, y1=self.plant.h(xp).reshape(flat),
+                           y1dot=self.plant.h(dxp).reshape(flat),
                            yc=matvec(self._node_C, xc), ycdot=matvec(self._node_C, dxc),
-                           y2=y2, y2dot=matvec(bank.C, dxc))
+                           y2=y2, y2dot=matvec(self.bank.C, dxc))
 
 
 def pair_interconnect(plant: NonlinearPlant, controller: StateSpace) -> ClosedLoop:

@@ -1,18 +1,15 @@
 """Nonlinear plants, storage functions and equilibrium analysis.
 
-A plant is dx/dt = f(x, u), y = h(x) with f Lipschitz continuous and h of
-class C^1; both are documented preconditions and are not verified here. The
-exact output Jacobian dh is carried alongside h so that output rates (and
-with them every dissipation check) come from the chain rule rather than from
-differencing sampled signals.
+Every plant is a linear part plus a static nonlinearity, dx/dt = A x + B u +
+E phi(x), y = C x, with phi Lipschitz continuous (a documented precondition,
+not verified here). The output Jacobian is C, so output rates come from the
+chain rule rather than from differencing sampled signals.
 
 Plants and storage functions act row-wise on leading batch axes, so one call
-evaluates n nodes or T samples at once.
-
-Plants used in the stability experiments additionally satisfy h(0) = 0 and
-the implication "x(t) constant => u(t) constant" (for the pendulum this
-follows from the second state equation); the latter is required by the
-steady-state arguments and is likewise a documented precondition.
+evaluates n nodes or T samples at once. Plants used in the stability
+experiments additionally satisfy "x(t) constant => u(t) constant" (for the
+pendulum this follows from the second state equation), a documented
+precondition of the steady-state arguments.
 """
 
 from __future__ import annotations
@@ -29,19 +26,45 @@ EQUILIBRIUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NonlinearPlant:
-    """State-space nonlinearity with state dim p and input/output dim m.
+    """dx/dt = A x + B u + E phi(x), y = C x with A p x p, B p x m, C m x p, E p x r;
+    phi: (..., p) -> (..., r), f: (..., p), (..., m) -> (..., p), h: (..., p) -> (..., m)
+    and dh: (..., p) -> (..., m, p) act row-wise on leading batch axes."""
 
-    The maps act row-wise on leading batch axes:
-    f: (..., p), (..., m) -> (..., p); h: (..., p) -> (..., m);
-    dh: (..., p) -> (..., m, p). A single state of shape (p,) is the batch
-    of no leading axes.
-    """
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    E: np.ndarray
+    phi: callable  # (..., p) -> (..., r)
 
-    p: int
-    m: int
-    f: callable  # (x, u) -> dx/dt
-    h: callable  # x -> y
-    dh: callable  # x -> m x p output Jacobian
+    def __post_init__(self):
+        for name in "ABCE":
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
+        p, m = self.B.shape
+        if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p):
+            raise ValueError("plant matrices must be A p x p, B p x m, C m x p, E p x r")
+
+    p = property(lambda self: self.A.shape[0], doc="state dimension")
+    m = property(lambda self: self.B.shape[1], doc="input/output dimension")
+
+    def f(self, x, u):
+        """A x + E phi(x) + B u summed entry by entry in that column order,
+        zero entries skipped: exact per batch row, with no per-row product."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        cols = [v[..., j] for v in (x, self.phi(x), u) for j in range(v.shape[-1])]
+        dx = np.zeros_like(x)
+        for i, row in enumerate(np.hstack((self.A, self.E, self.B)).tolist()):
+            for w, c in zip(row, cols):
+                if w:
+                    dx[..., i] += w * c
+        return dx
+
+    def h(self, x):
+        return matvec(self.C, np.asarray(x, dtype=float))
+
+    def dh(self, x):
+        return np.broadcast_to(self.C, np.shape(x)[:-1] + self.C.shape)
 
 
 @dataclass(frozen=True)
@@ -70,35 +93,18 @@ class PendulumParams:
 
 
 def _pendulum_constants(params: PendulumParams):
-    """(m l^2, m g l, kappa) as 0-d arrays: numpy multiplies these by array
-    elements faster than it does Python floats."""
+    """(m l^2, m g l, kappa) as 0-d arrays, which numpy multiplies fastest."""
     return (np.array(params.m_kg * params.l_m ** 2),
             np.array(params.m_kg * params.g_ms2 * params.l_m), np.array(params.kappa))
 
 
 def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
-    """Pendulum with angle x1 from the downward position and rate x2.
-
-    dx1 = x2,  dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2),  y = x1.
-    """
+    """Pendulum with angle x1 from the downward position and rate x2: dx1 = x2,
+    dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2), y = x1; phi(x) = sin x1."""
     ml2, mgl, kap = _pendulum_constants(params)
-    neg_kap = -kap
-    jac = np.array([[1.0, 0.0]])
-
-    def f(x, u):
-        x, u = np.asarray(x), np.asarray(u)
-        x1 = x[..., 0]
-        dx = np.array(x[..., ::-1], dtype=float)  # dx1 = x2; dx2 is set below
-        dx[..., 1] = (neg_kap * x1 - mgl * np.sin(x1) + u[..., 0]) / ml2
-        return dx
-
-    def h(x):
-        return np.asarray(x, dtype=float)[..., :1].copy()
-
-    def dh(x):
-        return np.broadcast_to(jac, np.shape(x)[:-1] + jac.shape)
-
-    return NonlinearPlant(p=2, m=1, f=f, h=h, dh=dh)
+    return NonlinearPlant(A=[[0.0, 1.0], [-kap / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
+                          C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]],
+                          phi=lambda x: np.sin(x[..., :1]))
 
 
 def pendulum_storage(params: PendulumParams) -> StorageFunction:

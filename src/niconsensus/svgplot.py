@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Escapes for SVG text (xml.sax.saxutils.escape would import urllib.request, ~7 MB).
+_ESC = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f"]
 
@@ -75,16 +77,16 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
         ly = _MT + 16 + 20 * idx
         parts.append(f'<line x1="{_ML + pw + 12}" y1="{ly - 4}" x2="{_ML + pw + 36}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2.5"/>')
-        parts.append(f'<text x="{_ML + pw + 42}" y="{ly}">{labels[idx]}</text>')
+        parts.append(f'<text x="{_ML + pw + 42}" y="{ly}">{labels[idx].translate(_ESC)}</text>')
     if title:
         parts.append(f'<text x="{_ML + pw / 2}" y="26" text-anchor="middle" '
-                     f'font-size="16">{title}</text>')
+                     f'font-size="16">{title.translate(_ESC)}</text>')
     if xlabel:
         parts.append(f'<text x="{_ML + pw / 2}" y="{_H - 14}" text-anchor="middle">'
-                     f'{xlabel}</text>')
+                     f'{xlabel.translate(_ESC)}</text>')
     if ylabel:
         parts.append(f'<text x="20" y="{_MT + ph / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 20 {_MT + ph / 2})">{ylabel}</text>')
+                     f'transform="rotate(-90 20 {_MT + ph / 2})">{ylabel.translate(_ESC)}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -165,9 +165,8 @@ def test_lyapunov_monotone_consensus_manifold(network_loop, pendulum):
 
 def test_lyapunov_monotone_sign_flipped_feedback_fails(pendulum, four_node_graph):
     plant, v1 = pendulum
-    flipped = nc.NonlinearPlant(p=2, m=1,
-                                f=lambda x, u: plant.f(x, -np.atleast_1d(u)),
-                                h=plant.h, dh=plant.dh)
+    flipped = nc.NonlinearPlant(A=plant.A, B=-plant.B, C=plant.C, E=plant.E,
+                                phi=plant.phi)
     loop = nc.network_interconnect(flipped, nc.first_order(A, B), four_node_graph)
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]

@@ -13,7 +13,7 @@ W1 = 1e5
 
 
 def loops(pendulum, four_node_graph):
-    """A pair, the four-node flagship graph and a 16-node path."""
+    """A pair, the four-node flagship graph, and 16- and 64-node paths."""
     plant, _ = pendulum
     return {
         "pair": nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
@@ -21,6 +21,8 @@ def loops(pendulum, four_node_graph):
                                              four_node_graph),
         "path16": nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
                                           nc.path_graph(16)),
+        "path64": nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
+                                          nc.path_graph(64)),
     }
 
 
@@ -28,7 +30,7 @@ def random_states(loop, count, seed):
     return np.random.default_rng(seed).uniform(-2.0, 2.0, (count, loop.n_states))
 
 
-@pytest.mark.parametrize("name", ["pair", "flagship4", "path16"])
+@pytest.mark.parametrize("name", ["pair", "flagship4", "path16", "path64"])
 def test_evaluate_batch_matches_rows(pendulum, four_node_graph, name):
     loop = loops(pendulum, four_node_graph)[name]
     states = random_states(loop, 40, 1)
@@ -84,6 +86,25 @@ def test_pendulum_maps_act_row_wise(pendulum):
             assert np.array_equal(grad[i, j], storage.grad(xs[i, j]))
 
 
+def test_dense_mimo_plant_maps_act_row_wise():
+    """A dense plant with m = 2 and r = 2: f sums entry by entry, so batch
+    rows equal single rows exactly and match A x + B u + E phi(x)."""
+    rng = np.random.default_rng(6)
+    A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
+    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E, phi=lambda x: np.tanh(x[..., :2]))
+    assert (plant.p, plant.m) == (3, 2)
+    xs = rng.uniform(-2.0, 2.0, (4, 6, 3))
+    us = rng.uniform(-2.0, 2.0, (4, 6, 2))
+    f, h = plant.f(xs, us), plant.h(xs)
+    assert np.abs(f - (xs @ A.T + us @ B.T + np.tanh(xs[..., :2]) @ E.T)).max() <= 1e-13
+    for i in range(4):
+        for j in range(6):
+            assert np.array_equal(f[i, j], plant.f(xs[i, j], us[i, j]))
+            assert np.array_equal(h[i, j], plant.h(xs[i, j]))
+    with pytest.raises(ValueError, match="plant matrices"):
+        nc.NonlinearPlant(A=A, B=B, C=C.T, E=E, phi=plant.phi)
+
+
 def test_equilibrium_batch_matches_single_solves(pendulum):
     plant, _ = pendulum
     rng = np.random.default_rng(5)
@@ -98,9 +119,8 @@ def test_equilibrium_batch_matches_single_solves(pendulum):
 
 
 def test_equilibrium_batch_names_first_failing_member():
-    saturating = nc.NonlinearPlant(p=1, m=1, f=lambda x, u: u - np.tanh(x),
-                                   h=lambda x: x.copy(),
-                                   dh=lambda x: np.ones(np.shape(x) + (1,)))
+    saturating = nc.NonlinearPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[-1.0]],
+                                   phi=np.tanh)
     ubar = np.array([[0.5], [2.0], [-0.3], [-4.0]])
     with pytest.raises(nc.plant.EquilibriumError) as info:
         nc.equilibrium_solve(saturating, ubar, np.zeros((4, 1)))

@@ -6,7 +6,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from niconsensus import config
+import numpy as np
+
+from niconsensus import config, integrate
 from niconsensus.cli import run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,3 +46,16 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
     span_of = {"consensus": "analysis.consensus"}
     for name in cfg.checks:
         assert spans.count(span_of.get(name, f"analysis.{name}")) == 1, name
+
+
+def test_pendulum4_final_state_matches_benchmark_oracle():
+    """The flagship run against the benchmark's independent RK4 integration
+    of the hand-written pendulum/lag field."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = json.loads((ROOT / "configs" / "pendulum4.json").read_text())
+    cfg = config.resolve_config(doc)
+    traj = integrate(cfg.build_loop(), cfg.x0, cfg.integrator)
+    assert np.abs(traj.states[-1] - workloads.oracle_final_state(doc)).max() <= 1e-10

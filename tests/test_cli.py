@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -403,3 +404,32 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_svg_escapes_label_text(tmp_path):
+    doc = short_network_doc(t_end=0.5)
+    doc["label"] = "gain a < b & fast"
+    doc["checks"] = []
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(out), "--quiet"]) == 0
+    texts = [el.text for el in ET.parse(out / "outputs.svg").getroot().iter()
+             if el.tag.endswith("text")]
+    assert "gain a < b & fast" in texts
+
+
+def test_sweep_rejected_variant_keeps_its_reason(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(out),
+                 "--param", "delta", "--values", "0.05,-1", "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "delta=-1: $.delta: -1 is less than or equal to the minimum of 0" in err
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert rows[0] == ("param,value,status,initial_edge_max,final_edge_max,"
+                       "final_all_pairs_max,out_dir")
+    assert rows[1].startswith("delta,0.05,ok,") and rows[2].startswith("delta,-1,error,,,,")
+    run_dir = Path(rows[2].rsplit(",", 1)[1])
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["status"] == "error" and "minimum of 0" in report["error"]
+    assert report["config"]["delta"] == -1

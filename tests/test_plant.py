@@ -67,13 +67,26 @@ def test_controller_storage_values(pendulum):
         nc.first_order_certificate(-1.0, 1.0)
 
 
+def test_pendulum_field_matches_closed_form(pendulum):
+    """The structured field A x + B u + E phi(x) against the hand-written
+    pendulum equations on a nested batch."""
+    plant, _ = pendulum
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(-4.0, 4.0, (3, 5, 2))
+    us = rng.uniform(-20.0, 20.0, (3, 5, 1))
+    th, om = xs[..., 0], xs[..., 1]
+    closed = np.stack([om, (-KAP * th - MGL * np.sin(th) + us[..., 0]) / ML2], axis=-1)
+    assert np.abs(plant.f(xs, us) - closed).max() <= 1e-13
+    assert np.array_equal(plant.h(xs), xs[..., :1])
+
+
 def test_output_rate(pendulum):
     plant, _ = pendulum
     assert nc.output_rate(plant, [0.7, 2.0], [13.0]) == pytest.approx([2.0])
     assert nc.output_rate(plant, [0.0, 0.0], [0.0]) == pytest.approx([0.0])
     lag = nc.first_order(10.0, 10.0)
-    ctrl = nc.NonlinearPlant(p=1, m=1, f=lambda x, u: lag.A @ x + lag.B @ u,
-                             h=lambda x: lag.C @ x, dh=lambda x: lag.C)
+    ctrl = nc.NonlinearPlant(A=lag.A, B=lag.B, C=lag.C, E=np.zeros((1, 0)),
+                             phi=lambda x: x[..., :0])
     x3, u2 = 0.4, -1.3
     expected = -10.0 * x3 + 10.0 * u2
     assert nc.output_rate(ctrl, np.array([x3]), np.array([u2])) == pytest.approx([expected])
@@ -124,10 +137,8 @@ def test_equilibrium_examples(pendulum):
 
 
 def test_equilibrium_failure_reports():
-    hopeless = nc.NonlinearPlant(p=1, m=1,
-                                 f=lambda x, u: x ** 2 + 1.0,
-                                 h=lambda x: x.copy(),
-                                 dh=lambda x: np.ones(np.shape(x) + (1,)))
+    hopeless = nc.NonlinearPlant(A=[[0.0]], B=[[0.0]], C=[[1.0]], E=[[1.0]],
+                                 phi=lambda x: x ** 2 + 1.0)
     with pytest.raises(RuntimeError, match="no equilibrium"):
         nc.equilibrium_solve(hopeless, [0.0], [0.0])
 
@@ -221,10 +232,8 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
 
 
 def test_gamma_zero_output_plant():
-    silent = nc.NonlinearPlant(p=1, m=1,
-                               f=lambda x, u: -x + np.atleast_1d(u),
-                               h=lambda x: np.zeros(np.shape(x)),
-                               dh=lambda x: np.zeros(np.shape(x) + (1,)))
+    silent = nc.NonlinearPlant(A=[[-1.0]], B=[[1.0]], C=[[0.0]], E=np.zeros((1, 0)),
+                               phi=lambda x: x[..., :0])
     report = nc.gamma_estimate(silent, nc.first_order(10.0, 10.0),
                                [np.array([1.0]), np.array([-2.0])])
     assert report.gamma_hat == 0.0
@@ -236,10 +245,8 @@ def test_gamma_input_validation(pendulum):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [np.zeros(1)])
     with pytest.raises(ValueError, match="at least one"):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [])
-    hopeless = nc.NonlinearPlant(p=1, m=1,
-                                 f=lambda x, u: x ** 2 + 1.0,
-                                 h=lambda x: x.copy(),
-                                 dh=lambda x: np.ones(np.shape(x) + (1,)))
+    hopeless = nc.NonlinearPlant(A=[[0.0]], B=[[0.0]], C=[[1.0]], E=[[1.0]],
+                                 phi=lambda x: x ** 2 + 1.0)
     with pytest.raises(RuntimeError, match=r"failed for input \[3\."):
         nc.gamma_estimate(hopeless, nc.first_order(10.0, 10.0), [np.array([3.0])])
 
@@ -247,9 +254,8 @@ def test_gamma_input_validation(pendulum):
 def test_gamma_error_names_the_failing_node(four_node_graph):
     """tanh(x) = u has no solution for |u| >= 1, so the batched Newton solve
     of an input fails at exactly the nodes that receive such a value."""
-    saturating = nc.NonlinearPlant(p=1, m=1, f=lambda x, u: u - np.tanh(x),
-                                   h=lambda x: x.copy(),
-                                   dh=lambda x: np.ones(np.shape(x) + (1,)))
+    saturating = nc.NonlinearPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[-1.0]],
+                                   phi=np.tanh)
     bank = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
     report = nc.gamma_estimate(saturating, bank, [np.array([0.5, -0.3, 0.2, 0.9])])
     assert np.isfinite(report.gamma_hat)
