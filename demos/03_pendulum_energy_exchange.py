@@ -38,7 +38,7 @@ def forced(x):
 times, states = rk4_path(forced, np.array([1.0, 0.0, 0.0]),
                          nc.IntegratorConfig(h, t_end, record_every=100))
 xs, drive = states[:, :2], 2.0 * np.sin(3.0 * states[:, 2:])
-supply = np.sum(drive * nc.output_rate(plant, xs, drive), axis=1)
+supply = np.sum(drive * plant.h(plant.f(xs, drive)), axis=1)
 rate = np.sum(storage.grad(xs) * plant.f(xs, drive), axis=1)
 print(f"  energy-balance gap |dV/dt - u dy/dt| over the run: "
       f"{np.abs(rate - supply).max():.2e}")

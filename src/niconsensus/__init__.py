@@ -24,7 +24,7 @@ from .network import (ClosedLoop, CompositeStorage, PositivityReport,
                       storage_positivity_scan)
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
                     equilibrium_solve, gamma_estimate, gamma_input_grid,
-                    output_rate, pendulum_plant, pendulum_storage)
+                    pendulum_plant, pendulum_storage)
 from .sim import IntegratorConfig, SimulationDiverged, Trajectory, integrate, rk4_path
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Trajectory checks: dissipation inequalities, Lyapunov decay, consensus.
 
 Every check follows one convention: a residual series lhs - rhs is formed at
-each recorded sample from exact gradients and chain rules, the violation is
-max(0, lhs - rhs), and the check passes when the largest violation stays
-below its tolerance. The default tolerance of 1e-6 absorbs floating-point
-accumulation only; there is no differentiation noise to absorb because no
-sampled signal is ever differenced.
+each recorded sample from exact gradients and the state derivatives the
+trajectory recorded in ``dstate``, the violation is max(0, lhs - rhs), and
+the check passes when the largest violation stays below its tolerance. The
+default tolerance of 1e-6 absorbs floating-point accumulation only; there is
+no differentiation noise to absorb because no sampled signal is ever
+differenced.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray
     """dV/dt - u^T dy/dt of every plant node, shape (T, n) (<= 0 when NI,
     identically 0 for lossless plants)."""
     xp, _ = traj.system.split(traj.states)
+    dxp, _ = traj.system.split(traj.dstate)
     u1, y1dot = _by_node(traj, traj.u1), _by_node(traj, traj.y1dot)
-    dx = traj.system.plant.f(xp, u1)
-    return np.sum(v.grad(xp) * dx, axis=-1) - np.sum(u1 * y1dot, axis=-1)
+    return np.sum(v.grad(xp) * dxp, axis=-1) - np.sum(u1 * y1dot, axis=-1)
 
 
 def check_ni_dissipation(traj: Trajectory, v: StorageFunction, *,
@@ -74,11 +75,10 @@ def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
-    sysm = cl.controller
     Yinv, _ = cl.storage_matrices(Y)
     xc = _by_node(traj, cl.split(traj.states)[1])
+    dxc = _by_node(traj, cl.split(traj.dstate)[1])
     u2, ycdot = _by_node(traj, traj.y1), _by_node(traj, traj.ycdot)
-    dxc = xc @ sysm.A.T + u2 @ sysm.B.T
     rate = np.sum((xc @ Yinv) * dxc, axis=-1)
     return rate - np.sum(u2 * ycdot, axis=-1) + delta * np.sum(ycdot * ycdot, axis=-1)
 
@@ -105,9 +105,7 @@ def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
-    bank = cl.bank
-    xc = cl.split(traj.states)[1]
-    dxc = xc @ bank.A.T + traj.y1 @ bank.B.T
+    xc, dxc = cl.split(traj.states)[1], cl.split(traj.dstate)[1]
     _, P = cl.storage_matrices(Y)
     storage_rate = np.sum((xc @ P) * dxc, axis=1)
     supply = np.sum(traj.y1 * traj.y2dot, axis=1)

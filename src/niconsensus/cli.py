@@ -1,7 +1,7 @@
 """Experiment runner: simulate / verify / sweep over JSON configs.
 
-Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
-4 check failure; `sweep` exits 1 when any variant does not exit 0.
+Exit codes: 0 success, 1 a `sweep` variant that did not exit 0,
+2 configuration error, 3 simulation divergence, 4 check failure.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
-from .linsys import (FreqGrid, is_hurwitz, kron_ss, ni_freq_test,
+from .linsys import (BISECT_TOL, FreqGrid, is_hurwitz, kron_ss, ni_freq_test,
                      osni_certificate_check, osni_freq_test, osni_max_delta)
 from .plant import GammaError, gamma_estimate, gamma_input_grid
 from .sim import SimulationDiverged, integrate
 from .svgplot import write_line_plot
 
 EXIT_OK = 0
+EXIT_SWEEP_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
@@ -157,7 +158,7 @@ def cmd_verify(args) -> int:
         two_node = kron_ss([[1.0, -1.0], [-1.0, 1.0]], sysm)
         half = osni_max_delta(two_node, grid)
         record("pair_network_strictness_halving",
-               abs(half - 0.5 * delta_max) <= 2e-6,
+               abs(half - 0.5 * delta_max) <= 2 * BISECT_TOL,
                value=half, expected=0.5 * delta_max)
     else:
         for name in ("osni_freq_test", "osni_max_delta",
@@ -214,8 +215,8 @@ def _set_path(doc: dict, dotted: str, value):
     node[leaf] = value
 
 
-def _sweep_variant(doc: dict, param: str, value):
-    doc = deepcopy(doc)
+def _sweep_variant(base: ExperimentConfig, param: str, value):
+    doc = deepcopy(base.raw)
     if param == "n":
         n = int(value)
         if n < 2:
@@ -225,7 +226,7 @@ def _sweep_variant(doc: dict, param: str, value):
         angles = np.linspace(-2.0, 2.0, n)
         doc["initial_conditions"] = {
             "plants": [[float(a), 0.0] for a in angles],
-            "controllers": [[0.0] for _ in range(n)],
+            "controllers": [[0.0] * base.controller_ss.state_dim for _ in range(n)],
         }
         return doc
     if param in ("a", "b"):
@@ -252,7 +253,7 @@ def cmd_sweep(args) -> int:
     base = load_config(args.config)
     parsed = [json.loads(v) for v in values]
     out_root = Path(args.out or base.out_dir or "out")
-    tasks = [(_sweep_variant(base.raw, args.param, v), str(out_root / f"run_{args.param}={v}"))
+    tasks = [(_sweep_variant(base, args.param, v), str(out_root / f"run_{args.param}={v}"))
              for v in parsed]
     with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
         outcomes = list(pool.map(_sweep_worker, tasks))
@@ -271,7 +272,7 @@ def cmd_sweep(args) -> int:
             ]) + "\n")
     _say(args.quiet, f"sweep table written to {table}")
     bad = [o for o in outcomes if o.get("exit_code", EXIT_OK) != EXIT_OK]
-    return 1 if bad else EXIT_OK
+    return EXIT_SWEEP_FAILED if bad else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,8 @@
 
 Every plant is a linear part plus a static nonlinearity, dx/dt = A x + B u +
 E phi(x), y = C x, with phi Lipschitz continuous (a documented precondition,
-not verified here). The output Jacobian is C, so output rates come from the
-chain rule rather than from differencing sampled signals.
+not verified here). The output map is linear, so an output rate is exactly
+h(f(x, u)) = C dx/dt rather than a difference of sampled signals.
 
 Plants and storage functions act row-wise on leading batch axes, so one call
 evaluates n nodes or T samples at once. Plants used in the stability
@@ -27,8 +27,8 @@ EQUILIBRIUM_TOL = 1e-10
 @dataclass(frozen=True)
 class NonlinearPlant:
     """dx/dt = A x + B u + E phi(x), y = C x with A p x p, B p x m, C m x p, E p x r;
-    phi: (..., p) -> (..., r), f: (..., p), (..., m) -> (..., p), h: (..., p) -> (..., m)
-    and dh: (..., p) -> (..., m, p) act row-wise on leading batch axes."""
+    phi: (..., p) -> (..., r), f: (..., p), (..., m) -> (..., p) and
+    h: (..., p) -> (..., m) act row-wise on leading batch axes."""
 
     A: np.ndarray
     B: np.ndarray
@@ -62,9 +62,6 @@ class NonlinearPlant:
 
     def h(self, x):
         return matvec(self.C, np.asarray(x, dtype=float))
-
-    def dh(self, x):
-        return np.broadcast_to(self.C, np.shape(x)[:-1] + self.C.shape)
 
 
 @dataclass(frozen=True)
@@ -120,11 +117,6 @@ def pendulum_storage(params: PendulumParams) -> StorageFunction:
         return np.stack([kap * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1)
 
     return StorageFunction(V=V, grad=grad)
-
-
-def output_rate(plant: NonlinearPlant, x, u) -> np.ndarray:
-    """Exact dy/dt = dh(x) f(x, u), row-wise over leading batch axes."""
-    return matvec(plant.dh(x), plant.f(x, u))
 
 
 class EquilibriumError(RuntimeError):

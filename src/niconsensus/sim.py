@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import LoopSignals
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -67,21 +69,15 @@ def rk4_path(field, x0, cfg: IntegratorConfig):
     return times[:rec], states[:rec]
 
 
-@dataclass
-class Trajectory:
-    """Recorded closed-loop run: uniform sample instants, composite states,
-    and every loop signal recomputed exactly at each recorded state."""
+@dataclass(frozen=True)
+class Trajectory(LoopSignals):
+    """Recorded closed-loop run: the loop signals of the recorded composite
+    states, derivative ``dstate`` included, with their uniform sample
+    instants and the loop that produced them."""
 
     system: object
     times: np.ndarray
     states: np.ndarray
-    u1: np.ndarray
-    y1: np.ndarray
-    y1dot: np.ndarray
-    yc: np.ndarray
-    ycdot: np.ndarray
-    y2: np.ndarray
-    y2dot: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -113,6 +109,5 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     times, states = rk4_path(cl.rhs, x0, cfg)
-    signals = {k: v for k, v in vars(cl.evaluate(states)).items() if k != "dstate"}
-    return Trajectory(system=cl, times=times, states=states, **signals)
+    return Trajectory(system=cl, times=times, states=states, **vars(cl.evaluate(states)))
 

@@ -44,6 +44,23 @@ def test_evaluate_batch_matches_rows(pendulum, four_node_graph, name):
     assert np.array_equal(nested.y1dot.reshape(40, -1), batch.y1dot)
 
 
+@pytest.mark.parametrize("name,tol", [("pair", 0.0), ("flagship4", 1e-13), ("path64", 1e-13)])
+def test_recorded_dstate_matches_component_equations(pendulum, four_node_graph, name, tol):
+    """The derivative the trajectory checks read, the plant and controller
+    blocks of a trajectory's dstate, equals node by node plant.f(xp_i, u1_i)
+    and the controller's xc_i A^T + y1_i B^T."""
+    loop = loops(pendulum, four_node_graph)[name]
+    x0 = np.random.default_rng(5).uniform(-2.0, 2.0, loop.n_states)
+    traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 0.5, record_every=10))
+    (xp, xc), (dxp, dxc) = loop.split(traj.states), loop.split(traj.dstate)
+    ctrl, m, q = loop.controller, loop.io_dim, loop.controller.state_dim
+    for i in range(loop.n_plants):
+        u1, y1 = traj.u1[:, i * m:(i + 1) * m], traj.y1[:, i * m:(i + 1) * m]
+        xci, dxci = xc[:, i * q:(i + 1) * q], dxc[:, i * q:(i + 1) * q]
+        assert np.abs(dxp[:, i] - loop.plant.f(xp[:, i], u1)).max() <= tol
+        assert np.abs(dxci - (xci @ ctrl.A.T + y1 @ ctrl.B.T)).max() <= tol
+
+
 @pytest.mark.parametrize("name", ["pair", "flagship4", "path16"])
 def test_composite_storage_batch_matches_rows(pendulum, four_node_graph, name):
     loop = loops(pendulum, four_node_graph)[name]
@@ -57,31 +74,19 @@ def test_composite_storage_batch_matches_rows(pendulum, four_node_graph, name):
         assert rates[k] == pytest.approx(cs.rate(x), rel=1e-13, abs=1e-12)
 
 
-def test_output_rate_batch_matches_rows(pendulum):
-    plant, _ = pendulum
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-4.0, 4.0, (50, 2))
-    us = rng.uniform(-20.0, 20.0, (50, 1))
-    batch = nc.output_rate(plant, xs, us)
-    assert batch.shape == (50, 1)
-    for k in range(50):
-        assert np.array_equal(batch[k], nc.output_rate(plant, xs[k], us[k]))
-
-
 def test_pendulum_maps_act_row_wise(pendulum):
     plant, storage = pendulum
     rng = np.random.default_rng(4)
     xs = rng.uniform(-4.0, 4.0, (3, 5, 2))
     us = rng.uniform(-20.0, 20.0, (3, 5, 1))
-    f, h, dh = plant.f(xs, us), plant.h(xs), plant.dh(xs)
+    f, h = plant.f(xs, us), plant.h(xs)
     V, grad = storage.V(xs), storage.grad(xs)
-    assert (f.shape, h.shape, dh.shape) == ((3, 5, 2), (3, 5, 1), (3, 5, 1, 2))
+    assert (f.shape, h.shape) == ((3, 5, 2), (3, 5, 1))
     assert (V.shape, grad.shape) == ((3, 5), (3, 5, 2))
     for i in range(3):
         for j in range(5):
             assert np.array_equal(f[i, j], plant.f(xs[i, j], us[i, j]))
             assert np.array_equal(h[i, j], plant.h(xs[i, j]))
-            assert np.array_equal(dh[i, j], plant.dh(xs[i, j]))
             assert V[i, j] == storage.V(xs[i, j])
             assert np.array_equal(grad[i, j], storage.grad(xs[i, j]))
 

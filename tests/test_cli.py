@@ -368,6 +368,20 @@ def test_sweep_node_count_from_pair_config(tmp_path):
     assert report["mode"] == "network"
 
 
+def test_sweep_node_count_with_a_two_state_controller(tmp_path):
+    doc = short_network_doc(t_end=0.5)
+    doc["controller"] = {"A": [[-10.0, 0.0], [0.0, -5.0]], "B": [[5.0], [2.5]],
+                         "C": [[1.0, 1.0]]}
+    doc["initial_conditions"]["controllers"] = [[0.0, 0.0]] * 4
+    doc["checks"] = ["ni_dissipation"]
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--param", "n", "--values", "2,3", "--quiet"])
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(rows) == 3 and not any(",error," in row for row in rows[1:])
+    assert code == 0
+
+
 def test_zero_state_run_reports_zero_convergence(tmp_path):
     doc = short_network_doc(t_end=1.0)
     doc["initial_conditions"] = {"plants": [[0.0, 0.0]] * 4,

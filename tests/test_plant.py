@@ -22,7 +22,7 @@ def test_pendulum_plant_examples(pendulum):
     f = plant.f([0.0, 1.0], [4.9])
     assert f == pytest.approx([1.0, 19.6], abs=1e-12)
     assert np.array_equal(plant.h([0.3, -2.0]), [0.3])
-    assert np.array_equal(plant.dh([0.3, -2.0]), [[1.0, 0.0]])
+    assert np.array_equal(plant.C, [[1.0, 0.0]])
 
 
 def test_pendulum_jacobian_matches_finite_differences(pendulum):
@@ -32,7 +32,7 @@ def test_pendulum_jacobian_matches_finite_differences(pendulum):
         x = rng.uniform(-3, 3, 2)
         fd = np.array([[(plant.h(x + e)[0] - plant.h(x - e)[0]) / (2e-6)
                         for e in (np.array([1e-6, 0.0]), np.array([0.0, 1e-6]))]])
-        assert np.abs(plant.dh(x) - fd).max() < 1e-5
+        assert np.abs(plant.C - fd).max() < 1e-5
 
 
 def test_pendulum_storage_values(pendulum):
@@ -80,18 +80,6 @@ def test_pendulum_field_matches_closed_form(pendulum):
     assert np.array_equal(plant.h(xs), xs[..., :1])
 
 
-def test_output_rate(pendulum):
-    plant, _ = pendulum
-    assert nc.output_rate(plant, [0.7, 2.0], [13.0]) == pytest.approx([2.0])
-    assert nc.output_rate(plant, [0.0, 0.0], [0.0]) == pytest.approx([0.0])
-    lag = nc.first_order(10.0, 10.0)
-    ctrl = nc.NonlinearPlant(A=lag.A, B=lag.B, C=lag.C, E=np.zeros((1, 0)),
-                             phi=lambda x: x[..., :0])
-    x3, u2 = 0.4, -1.3
-    expected = -10.0 * x3 + 10.0 * u2
-    assert nc.output_rate(ctrl, np.array([x3]), np.array([u2])) == pytest.approx([expected])
-
-
 def test_pendulum_is_lossless(pendulum):
     """The energy rate equals the supply u dy/dt exactly (no damping term)."""
     plant, storage = pendulum
@@ -101,7 +89,7 @@ def test_pendulum_is_lossless(pendulum):
         x = rng.uniform(-4, 4, 2)
         u = rng.uniform(-20, 20, 1)
         vdot = storage.grad(x) @ plant.f(x, u)
-        supply = u @ nc.output_rate(plant, x, u)
+        supply = u @ plant.h(plant.f(x, u))
         worst = max(worst, abs(vdot - supply))
     assert worst < 1e-9
 
