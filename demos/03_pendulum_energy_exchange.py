@@ -28,11 +28,11 @@ print("\ndriven swing with u(t) = 2 sin(3t):")
 h, t_end = 1e-3, 8.0
 
 
-def forced(x):
+def forced(x, out):
     # append time as an extra state so the drive is part of the field
     u = np.array([2.0 * math.sin(3.0 * x[2])])
-    dx = plant.f(x[:2], u)
-    return np.array([dx[0], dx[1], 1.0])
+    out[:2] = plant.f(x[:2], u)
+    out[2] = 1.0
 
 
 times, states = rk4_path(forced, np.array([1.0, 0.0, 0.0]),

@@ -161,7 +161,7 @@ def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
     gradients.
     """
     values = cs.value(traj.states)
-    rates = cs.rate(traj.states)
+    rates = cs.rate(traj.states, traj)
     rate_violation = np.maximum(rates + delta * _strictness_form(traj), 0.0)
     mono_violation = np.concatenate([[0.0], np.maximum(np.diff(values), 0.0)])
     return _report("lyapunov_monotone",
@@ -234,7 +234,7 @@ def check_steady_state_relation(bank: StateSpace, u2bar,
     t_end = min(60.0 / -decay, 1e4)
     step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
     drive = bank.B @ u2bar
-    field = lambda xc: bank.A @ xc + drive
+    field = lambda xc, out: np.add(bank.A @ xc, drive, out=out)
     cfg = IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
     _, states = rk4_path(field, np.zeros(bank.state_dim), cfg)
     settled = bank.C @ states[-1]

@@ -14,8 +14,9 @@ u1_i = sum_j K_ij C xc_j. The two cases of the paper are
 
 Composite state layout: all plant states first, node by node, then all
 controller states node by node. For plants dx/dt = A x + B u + E phi(x),
-y = C x and controller (Ac, Bc, Cc), the field is W [xp; phi(xp); xc] with W
-built once: [[I (x) A, I (x) E, K (x) B Cc], [I (x) Bc C, 0, I (x) Ac]], so a
+y = C x and controller (Ac, Bc, Cc), the integrator steps the extended state
+Z = [xp; phi(xp); xc] by dZ/dt = W Z, with the square W built once:
+[[I (x) A, I (x) E, K (x) B Cc], [0, 0, 0], [I (x) Bc C, 0, I (x) Ac]], so a
 pendulum row sums spring, gravity and input terms in the hand-written order.
 """
 
@@ -80,9 +81,12 @@ class ClosedLoop:
         self.n_states = self._split + self.bank.state_dim
         eye, (A, B, C, E) = np.eye(n), (plant.A, plant.B, plant.C, plant.E)
         self._node_C = np.kron(eye, controller.C)
+        split, nr, q = self._split, n * E.shape[1], self.bank.state_dim
+        self._nodes, self._phi = (n, plant.p), slice(split, split + nr)
+        self._rows = np.r_[:split, split + nr:split + nr + q]
         self._W = np.block([[np.kron(eye, A), np.kron(eye, E), np.kron(self.K, B @ controller.C)],
-                            [np.kron(eye, controller.B @ C),
-                             np.zeros((self.bank.state_dim, n * E.shape[1])), self.bank.A]])
+                            [np.zeros((nr, split + nr + q))],
+                            [np.kron(eye, controller.B @ C), np.zeros((q, nr)), self.bank.A]])
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -101,22 +105,28 @@ class ClosedLoop:
         Yinv = np.linalg.inv(Y)
         return Yinv, np.kron(self.K, Yinv)
 
-    def rhs(self, X):
-        """Composite derivative of one state, the integrator's lean path: one
-        nonlinearity call on all n plant states and one product with W."""
-        xp = X[:self._split]
-        phi = self.plant.phi(xp.reshape(self.n_plants, self.plant.p))
-        return self._W.dot(np.concatenate((xp, phi.ravel(), X[self._split:])))
+    def extend(self, X):
+        """The extended states Z = [xp, phi(xp), xc] of composite states X of
+        shape (N,) or (..., N): the column layout of the loop matrix W."""
+        xp, xc = self.split(X)
+        flat = xp.shape[:-2] + (-1,)
+        return np.concatenate((xp.reshape(flat), self.plant.phi(xp).reshape(flat), xc), axis=-1)
+
+    def rhs(self, Z, out):
+        """The integrator's field on one extended state Z: refills Z's phi
+        block from its plant block, then writes dZ/dt = W Z into out with one
+        product. W's phi rows are zero, so dZ/dt is 0 there."""
+        Z[self._phi] = self.plant.phi(Z[:self._split].reshape(self._nodes)).ravel()
+        np.dot(self._W, Z, out=out)
 
     def evaluate(self, X) -> LoopSignals:
         """Derivative plus every loop signal at composite states X of shape
         (N,) or (..., N), all from exact chain rules."""
         xp, xc = self.split(X)
-        flat = xp.shape[:-2] + (-1,)
-        phi = self.plant.phi(xp).reshape(flat)
-        dX = matvec(self._W, np.concatenate((xp.reshape(flat), phi, xc), axis=-1))
+        dX = matvec(self._W, self.extend(X))[..., self._rows]
         dxp, dxc = self.split(dX)
         y2 = matvec(self.bank.C, xc)
+        flat = xp.shape[:-2] + (-1,)
         return LoopSignals(dstate=dX, u1=y2, y1=self.plant.h(xp).reshape(flat),
                            y1dot=self.plant.h(dxp).reshape(flat),
                            yc=matvec(self._node_C, xc), ycdot=matvec(self._node_C, dxc),
@@ -163,11 +173,10 @@ class CompositeStorage:
         return (self.v1.V(xp).sum(axis=-1) + 0.5 * np.sum((xc @ self._P) * xc, axis=-1)
                 - np.sum(y1 * (xc @ loop.bank.C.T), axis=-1))
 
-    def rate(self, X):
-        """dW/dt at composite states X of shape (N,) or (..., N)."""
+    def rate(self, X, sig: LoopSignals):
+        """dW/dt at composite states X of shape (N,) or (..., N) with signals sig at X."""
         loop = self.loop
         xp, xc = loop.split(X)
-        sig = loop.evaluate(X)
         dxp, dxc = loop.split(sig.dstate)
         return (np.sum(self.v1.grad(xp) * dxp, axis=(-2, -1))
                 + np.sum((xc @ self._P) * dxc, axis=-1)

@@ -44,6 +44,9 @@ class NonlinearPlant:
         p, m = self.B.shape
         if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p):
             raise ValueError("plant matrices must be A p x p, B p x m, C m x p, E p x r")
+        rows = np.hstack((self.A, self.E, self.B)).tolist()
+        object.__setattr__(self, "_terms", [(i, j, w) for i, row in enumerate(rows)
+                                            for j, w in enumerate(row) if w])
 
     p = property(lambda self: self.A.shape[0], doc="state dimension")
     m = property(lambda self: self.B.shape[1], doc="input/output dimension")
@@ -54,10 +57,8 @@ class NonlinearPlant:
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         cols = [v[..., j] for v in (x, self.phi(x), u) for j in range(v.shape[-1])]
         dx = np.zeros_like(x)
-        for i, row in enumerate(np.hstack((self.A, self.E, self.B)).tolist()):
-            for w, c in zip(row, cols):
-                if w:
-                    dx[..., i] += w * c
+        for i, j, w in self._terms:
+            dx[..., i] += w * cols[j]
         return dx
 
     def h(self, x):

@@ -30,17 +30,17 @@ class IntegratorConfig:
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the state leaves the finite floats."""
+    """The state left the finite floats at ``step``; ``last_state`` precedes it."""
 
-    def __init__(self, t: float, last_state: np.ndarray):
+    def __init__(self, t: float, step: int, last_state: np.ndarray):
         super().__init__(f"divergence at t={t:.6g}")
-        self.t = t
-        self.last_state = last_state
+        self.t, self.step, self.last_state = t, step, last_state
 
 
 def rk4_path(field, x0, cfg: IntegratorConfig):
-    """Integrate dx/dt = field(x), returning (times, states) at the recorded
-    samples: t = 0, every record_every-th step, and the final step."""
+    """Integrate dx/dt = field(x, out), a field that writes dx/dt into out, in
+    place on stage buffers allocated once. Returns (times, states) at the
+    recorded samples: t = 0, every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -49,19 +49,23 @@ def rk4_path(field, x0, cfg: IntegratorConfig):
     states = np.empty((n_rec, x.size))
     times[0], states[0] = 0.0, x
     rec = 1
-    half = 0.5 * h
-    sixth = h / 6.0
-    # overflow on the way to divergence is reported via SimulationDiverged,
-    # not as a numpy warning
+    half, sixth = 0.5 * h, h / 6.0
+    k1, k2, k3, k4, s, t = (np.empty_like(x) for _ in range(6))
+    # 0 * v is +-0 for finite v and NaN for +-inf or NaN: zero . s != 0 iff s is not finite
+    zero = np.zeros_like(x)
+    # overflow on the way to divergence raises SimulationDiverged, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            k1 = field(x)
-            k2 = field(x + half * k1)
-            k3 = field(x + half * k2)
-            k4 = field(x + h * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.isfinite(x).all():
-                raise SimulationDiverged(k * h, states[rec - 1])
+            field(x, k1)
+            field(np.add(x, np.multiply(half, k1, out=t), out=s), k2)
+            field(np.add(x, np.multiply(half, k2, out=t), out=s), k3)
+            field(np.add(x, np.multiply(h, k3, out=t), out=s), k4)
+            np.multiply(2.0, np.add(k2, k3, out=t), out=t)
+            np.multiply(sixth, np.add(np.add(k1, t, out=t), k4, out=t), out=t)
+            np.add(x, t, out=s)
+            if zero.dot(s) != 0.0:
+                raise SimulationDiverged(k * h, k, x)
+            x, s = s, x
             if k % cfg.record_every == 0 or k == n_steps:
                 times[rec] = k * h
                 states[rec] = x
@@ -108,6 +112,11 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
-    times, states = rk4_path(cl.rhs, x0, cfg)
+    try:
+        times, Z = rk4_path(cl.rhs, cl.extend(x0), cfg)
+    except SimulationDiverged as err:
+        err.last_state = err.last_state[cl._rows]
+        raise
+    states = Z[:, cl._rows]
     return Trajectory(system=cl, times=times, states=states, **vars(cl.evaluate(states)))
 

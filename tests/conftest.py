@@ -78,12 +78,14 @@ def convergence_order(system, x0, cfg: nc.IntegratorConfig):
     log2 of the ratio of successive differences (about 4 for smooth fields)
     or EXACT when the differences are at round-off.
     """
-    field = system.rhs if hasattr(system, "rhs") else system
     terminal = []
     for div in (1, 2, 4):
         sub = nc.IntegratorConfig(step_s=cfg.step_s / div, t_end_s=cfg.t_end_s,
                                   record_every=10 ** 9)
-        _, states = nc.rk4_path(field, x0, sub)
+        if isinstance(system, nc.ClosedLoop):
+            states = nc.integrate(system, x0, sub).states
+        else:
+            _, states = nc.rk4_path(system, x0, sub)
         terminal.append(states[-1])
     scale = 1.0 + float(np.linalg.norm(terminal[-1]))
     d1 = float(np.linalg.norm(terminal[0] - terminal[1]))
@@ -91,3 +93,41 @@ def convergence_order(system, x0, cfg: nc.IntegratorConfig):
     if d1 < 1e-13 * scale or d2 < 1e-14 * scale:
         return EXACT
     return math.log2(d1 / d2)
+
+
+def rhs_rows(loop, X):
+    """(state rows, phi rows) of the integrator's field loop.rhs at the
+    extended state of one composite state X."""
+    Z = loop.extend(X)
+    out = np.empty_like(Z)
+    loop.rhs(Z, out)
+    split = loop.n_plants * loop.plant.p
+    phi = slice(split, split + Z.size - loop.n_states)
+    return np.delete(out, phi), out[phi]
+
+
+def rk4_path_oracle(field, x0, cfg: nc.IntegratorConfig):
+    """Fixed-step RK4 with a pure field dx/dt = field(x), allocating every
+    stage: the integrator as it was before its stages ran in place. Returns
+    (times, states) at the same samples as nc.rk4_path and raises
+    nc.SimulationDiverged at the same step."""
+    h = cfg.step_s
+    n_steps = max(1, round(cfg.t_end_s / h))
+    x = np.array(x0, dtype=float)
+    times, states = [0.0], [x]
+    half = 0.5 * h
+    sixth = h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            k1 = field(x)
+            k2 = field(x + half * k1)
+            k3 = field(x + half * k2)
+            k4 = field(x + h * k3)
+            new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(new).all():
+                raise nc.SimulationDiverged(k * h, k, x)
+            x = new
+            if k % cfg.record_every == 0 or k == n_steps:
+                times.append(k * h)
+                states.append(x)
+    return np.array(times), np.array(states)

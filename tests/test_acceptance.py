@@ -82,7 +82,7 @@ def test_criterion_5_network_lyapunov_bound(timed_network_traj, pendulum):
     traj, _ = timed_network_traj
     _, v1 = pendulum
     cs = nc.CompositeStorage(traj.system, v1, nc.first_order_certificate(A, B)[0])
-    rates = np.array([cs.rate(x) for x in traj.states])
+    rates = np.array([cs.rate(x, traj.system.evaluate(x)) for x in traj.states])
     bound = -0.5 * DELTA * edge_rate_sums(traj)
     rate_gap = float((rates - bound).max())
     values = np.array([cs.value(x) for x in traj.states])

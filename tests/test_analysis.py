@@ -152,6 +152,20 @@ def test_lyapunov_monotone_network(network_traj, pendulum):
     assert report.passed
 
 
+def test_lyapunov_monotone_reads_the_recorded_signals(network_traj, pendulum, monkeypatch):
+    """The storage rate comes from the trajectory's signals: the check
+    evaluates the loop no second time."""
+    _, v1 = pendulum
+    cs = nc.CompositeStorage(network_traj.system, v1, Y)
+    expected = analysis.check_lyapunov_monotone(network_traj, cs, 0.05)
+
+    def refuse(self, X):
+        raise AssertionError("the loop was evaluated again")
+
+    monkeypatch.setattr(nc.ClosedLoop, "evaluate", refuse)
+    assert analysis.check_lyapunov_monotone(network_traj, cs, 0.05) == expected
+
+
 def test_lyapunov_monotone_consensus_manifold(network_loop, pendulum):
     _, v1 = pendulum
     x0 = np.concatenate([np.tile([0.7, 0.0], 4), np.zeros(4)])

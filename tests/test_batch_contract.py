@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
+from conftest import rhs_rows
 from niconsensus import linsys
 
 W1 = 1e5
@@ -39,7 +40,8 @@ def test_evaluate_batch_matches_rows(pendulum, four_node_graph, name):
         row = loop.evaluate(x)
         for field in vars(row):
             assert np.abs(getattr(batch, field)[k] - getattr(row, field)).max() <= 1e-14
-        assert np.array_equal(loop.rhs(x), row.dstate)
+        state_rows, phi_rows = rhs_rows(loop, x)
+        assert np.array_equal(state_rows, row.dstate) and not phi_rows.any()
     nested = loop.evaluate(states.reshape(4, 10, -1))
     assert np.array_equal(nested.y1dot.reshape(40, -1), batch.y1dot)
 
@@ -67,11 +69,11 @@ def test_composite_storage_batch_matches_rows(pendulum, four_node_graph, name):
     _, v1 = pendulum
     cs = nc.CompositeStorage(loop, v1, [[1.0]])
     states = random_states(loop, 40, 2)
-    values, rates = cs.value(states), cs.rate(states)
+    values, rates = cs.value(states), cs.rate(states, loop.evaluate(states))
     assert values.shape == rates.shape == (40,)
     for k, x in enumerate(states):
         assert values[k] == pytest.approx(cs.value(x), rel=1e-13, abs=1e-12)
-        assert rates[k] == pytest.approx(cs.rate(x), rel=1e-13, abs=1e-12)
+        assert rates[k] == pytest.approx(cs.rate(x, loop.evaluate(x)), rel=1e-13, abs=1e-12)
 
 
 def test_pendulum_maps_act_row_wise(pendulum):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
+from conftest import rhs_rows
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -77,7 +78,7 @@ def test_pair_interconnect_structure(pendulum):
     loop = nc.pair_interconnect(plant, nc.first_order(10.0, 10.0))
     assert loop.n_states == 3 and loop.n_plants == 1
     assert np.array_equal(loop.K, [[1.0]])
-    assert np.array_equal(loop.rhs(np.zeros(3)), np.zeros(3))
+    assert np.array_equal(loop.evaluate(np.zeros(3)).dstate, np.zeros(3))
     sig = loop.evaluate(np.array([0.3, -0.2, 0.7]))
     assert sig.u1 == pytest.approx([0.7])   # plant input is the controller output
     assert sig.y1 == pytest.approx([0.3])   # controller input is the plant output
@@ -98,13 +99,13 @@ def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
         th, om, xc = rng.uniform(-3, 3, 3)
         explicit = [om, (-kappa * th - mgl * math.sin(th) + xc) / ml2, -b * xc + a * th]
         X = np.array([th, om, xc])
-        assert np.array_equal(loop.rhs(X), explicit)
+        assert np.array_equal(rhs_rows(loop, X)[0], explicit)
         assert np.array_equal(loop.evaluate(X).dstate, explicit)
 
 
 def test_network_interconnect_dimensions(network_loop):
     assert network_loop.n_states == 12
-    assert np.array_equal(network_loop.rhs(np.zeros(12)), np.zeros(12))
+    assert np.array_equal(network_loop.evaluate(np.zeros(12)).dstate, np.zeros(12))
     xp, xc = network_loop.split(np.arange(12.0))
     assert np.array_equal(xp[2], [4.0, 5.0]) and np.array_equal(xc[2:3], [10.0])
 
@@ -126,7 +127,7 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     traj = nc.integrate(loop, x0, cfg)
     assert np.abs(traj.u1).max() < 1e-9
     free_times, free_states = nc.rk4_path(
-        lambda x: plant.f(x, np.zeros(1)), np.array([0.9, 0.0]), cfg)
+        lambda x, out: np.copyto(out, plant.f(x, np.zeros(1))), np.array([0.9, 0.0]), cfg)
     for i in range(4):
         assert np.allclose(loop.split(traj.states)[0][:, i], free_states, atol=1e-9)
 
@@ -137,7 +138,7 @@ def test_single_node_network_degenerates(pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=4.0, record_every=10)
     traj = nc.integrate(loop, np.array([1.2, 0.0, 0.0]), cfg)
     assert np.abs(traj.u1).max() == 0.0
-    _, free_states = nc.rk4_path(lambda x: plant.f(x, np.zeros(1)),
+    _, free_states = nc.rk4_path(lambda x, out: np.copyto(out, plant.f(x, np.zeros(1))),
                                  np.array([1.2, 0.0]), cfg)
     assert np.allclose(loop.split(traj.states)[0][:, 0], free_states, atol=1e-12)
 
@@ -243,10 +244,11 @@ def test_composite_storage_rate_matches_directional_difference(pendulum, network
         cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
         for _ in range(10):
             x = rng.uniform(-1, 1, loop.n_states)
-            d = loop.rhs(x)
+            sig = loop.evaluate(x)
+            d = sig.dstate
             eps = 1e-6
             fd = (cs.value(x + eps * d) - cs.value(x - eps * d)) / (2 * eps)
-            assert cs.rate(x) == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
+            assert cs.rate(x, sig) == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
 
 
 def test_positivity_scan(pendulum, four_node_graph):

@@ -23,3 +23,13 @@ def test_readme_custom_plant_example_passes_its_check():
                                                          namespace["energy"])
     assert namespace["loop"].plant is namespace["spring"]
     assert len(reports) == 4 and all(r.passed for r in reports)
+
+
+def test_readme_field_example_runs():
+    blocks = python_blocks()
+    field = [b for b in blocks if "def damped(x, out)" in b]
+    assert len(field) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README quick start", "exec"), namespace)
+    exec(compile(field[0], "README field", "exec"), namespace)
+    assert namespace["times"][-1] == 10.0 and namespace["states"].shape == (101, 2)
