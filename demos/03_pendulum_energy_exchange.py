@@ -5,6 +5,7 @@ rate u * dy/dt: no margin, no dissipation. The demo integrates a driven
 swing and tracks the energy balance to round-off.
 """
 import math
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def forced(x, out):
     out[2] = 1.0
 
 
-times, states = rk4_path(forced, np.array([1.0, 0.0, 0.0]),
+times, states = rk4_path(lambda x: partial(forced, x), np.array([1.0, 0.0, 0.0]),
                          nc.IntegratorConfig(h, t_end, record_every=100))
 xs, drive = states[:, :2], 2.0 * np.sin(3.0 * states[:, 2:])
 supply = np.sum(drive * plant.h(plant.f(xs, drive)), axis=1)

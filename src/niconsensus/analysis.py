@@ -234,9 +234,9 @@ def check_steady_state_relation(bank: StateSpace, u2bar,
     t_end = min(60.0 / -decay, 1e4)
     step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
     drive = bank.B @ u2bar
-    field = lambda xc, out: np.add(bank.A @ xc, drive, out=out)
+    field_at = lambda xc: lambda out: np.add(bank.A @ xc, drive, out=out)
     cfg = IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
-    _, states = rk4_path(field, np.zeros(bank.state_dim), cfg)
+    _, states = rk4_path(field_at, np.zeros(bank.state_dim), cfg)
     settled = bank.C @ states[-1]
     violation = float(np.abs(settled - dc_gain(bank) @ u2bar).max())
     return CheckReport(name="steady_state_relation", max_violation=violation,

@@ -23,6 +23,7 @@ pendulum row sums spring, gravity and input terms in the hand-written order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +83,8 @@ class ClosedLoop:
         eye, (A, B, C, E) = np.eye(n), (plant.A, plant.B, plant.C, plant.E)
         self._node_C = np.kron(eye, controller.C)
         split, nr, q = self._split, n * E.shape[1], self.bank.state_dim
-        self._nodes, self._phi = (n, plant.p), slice(split, split + nr)
+        self._nodes, self._phi_nodes = (n, plant.p), (n, E.shape[1])
+        self._phi = slice(split, split + nr)
         self._rows = np.r_[:split, split + nr:split + nr + q]
         self._W = np.block([[np.kron(eye, A), np.kron(eye, E), np.kron(self.K, B @ controller.C)],
                             [np.zeros((nr, split + nr + q))],
@@ -112,12 +114,30 @@ class ClosedLoop:
         flat = xp.shape[:-2] + (-1,)
         return np.concatenate((xp.reshape(flat), self.plant.phi(xp).reshape(flat), xc), axis=-1)
 
-    def rhs(self, Z, out):
-        """The integrator's field on one extended state Z: refills Z's phi
-        block from its plant block, then writes dZ/dt = W Z into out with one
-        product. W's phi rows are zero, so dZ/dt is 0 there."""
-        Z[self._phi] = self.plant.phi(Z[:self._split].reshape(self._nodes)).ravel()
+    def field_at(self, Z):
+        """The integrator's field bound to one extended state buffer Z: the
+        views of Z's plant block as (n, p) and phi block as (n, r) are built
+        once here, and the returned function of out runs ``rhs`` on them."""
+        xp = Z[:self._split].reshape(self._nodes)
+        ph = Z[self._phi].reshape(self._phi_nodes)
+        return partial(self.rhs, Z, xp, ph)
+
+    def rhs(self, Z, xp, ph, out):
+        """One field evaluation at the extended state Z, with xp and ph the
+        views of ``field_at``: refills the phi block from the plant block,
+        then writes dZ/dt = W Z into out with one product. W's phi rows are
+        zero, so dZ/dt is 0 there."""
+        ph[...] = self.plant.phi(xp)
         np.dot(self._W, Z, out=out)
+
+    def component(self, i: int) -> str:
+        """The plant or controller coordinate at index i of a composite state,
+        with nodes counted from 1 as in the trajectory CSV columns."""
+        if i < self._split:
+            kind, (node, k) = "plant", divmod(i, self.plant.p)
+        else:
+            kind, (node, k) = "controller", divmod(i - self._split, self.controller.state_dim)
+        return f"{kind} {node + 1}, coordinate {k}"
 
     def evaluate(self, X) -> LoopSignals:
         """Derivative plus every loop signal at composite states X of shape

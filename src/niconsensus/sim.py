@@ -30,17 +30,34 @@ class IntegratorConfig:
 
 
 class SimulationDiverged(RuntimeError):
-    """The state left the finite floats at ``step``; ``last_state`` precedes it."""
+    """The state left the finite floats at ``step``; ``last_state`` precedes it
+    and ``index`` is the entry that left them first."""
 
-    def __init__(self, t: float, step: int, last_state: np.ndarray):
+    def __init__(self, t: float, step: int, last_state: np.ndarray, index: int):
         super().__init__(f"divergence at t={t:.6g}")
-        self.t, self.step, self.last_state = t, step, last_state
+        self.t, self.step, self.last_state, self.index = t, step, last_state, index
 
 
-def rk4_path(field, x0, cfg: IntegratorConfig):
-    """Integrate dx/dt = field(x, out), a field that writes dx/dt into out, in
-    place on stage buffers allocated once. Returns (times, states) at the
-    recorded samples: t = 0, every record_every-th step, and the final step."""
+def _first_non_finite(x, k1, k2, k3, k4, half, h, s) -> int:
+    """The entry that left the finite floats first in a failed step from x:
+    the first non-finite entry of the earliest non-finite slope, stage state
+    or new state s. A field's product can turn one non-finite entry of a
+    stage state into a non-finite slope everywhere, so later arrays do not
+    name it."""
+    for v in (k1, x + half * k1, k2, x + half * k2, k3, x + h * k3, k4, s):
+        finite = np.isfinite(v)
+        if not finite.all():
+            return int(np.argmin(finite))
+
+
+def rk4_path(field_at, x0, cfg: IntegratorConfig):
+    """Integrate dx/dt = f(x) in place on stage buffers allocated once.
+
+    field_at(z) binds f to one state buffer z: it returns a function of one
+    argument, out, that writes f at z's current value into out. The loop
+    evaluates f at two buffers only, the state x and the stage state s, and
+    binds each once. Returns (times, states) at the recorded samples: t = 0,
+    every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -51,21 +68,27 @@ def rk4_path(field, x0, cfg: IntegratorConfig):
     rec = 1
     half, sixth = 0.5 * h, h / 6.0
     k1, k2, k3, k4, s, t = (np.empty_like(x) for _ in range(6))
+    fx, fs = field_at(x), field_at(s)
+    add, mul = np.add, np.multiply
     # 0 * v is +-0 for finite v and NaN for +-inf or NaN: zero . s != 0 iff s is not finite
     zero = np.zeros_like(x)
     # overflow on the way to divergence raises SimulationDiverged, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            field(x, k1)
-            field(np.add(x, np.multiply(half, k1, out=t), out=s), k2)
-            field(np.add(x, np.multiply(half, k2, out=t), out=s), k3)
-            field(np.add(x, np.multiply(h, k3, out=t), out=s), k4)
-            np.multiply(2.0, np.add(k2, k3, out=t), out=t)
-            np.multiply(sixth, np.add(np.add(k1, t, out=t), k4, out=t), out=t)
-            np.add(x, t, out=s)
+            fx(k1)
+            add(x, mul(half, k1, out=t), out=s)
+            fs(k2)
+            add(x, mul(half, k2, out=t), out=s)
+            fs(k3)
+            add(x, mul(h, k3, out=t), out=s)
+            fs(k4)
+            mul(2.0, add(k2, k3, out=t), out=t)
+            mul(sixth, add(add(k1, t, out=t), k4, out=t), out=t)
+            add(x, t, out=s)
             if zero.dot(s) != 0.0:
-                raise SimulationDiverged(k * h, k, x)
-            x, s = s, x
+                raise SimulationDiverged(k * h, k, x,
+                                         _first_non_finite(x, k1, k2, k3, k4, half, h, s))
+            x, s, fx, fs = s, x, fs, fx
             if k % cfg.record_every == 0 or k == n_steps:
                 times[rec] = k * h
                 states[rec] = x
@@ -113,9 +136,13 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     try:
-        times, Z = rk4_path(cl.rhs, cl.extend(x0), cfg)
+        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg)
     except SimulationDiverged as err:
         err.last_state = err.last_state[cl._rows]
+        # W's phi rows are zero, so a slope's phi block goes non-finite only
+        # together with every other row: the entry named is a state row
+        err.index = int(np.searchsorted(cl._rows, err.index))
+        err.args = (f"{err} in {cl.component(err.index)}",)
         raise
     states = Z[:, cl._rows]
     return Trajectory(system=cl, times=times, states=states, **vars(cl.evaluate(states)))

@@ -69,9 +69,12 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
                      'stroke="#ddd" stroke-width="0.7"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">'
                      f'{_fmt(tv)}</text>')
+    # pixel coordinates as arrays, a row at a time; formatting from .tolist()
+    # is faster but holds two lists of Python floats at the plot's memory peak
+    x_px = sx(x)
     for idx, row in enumerate(ys):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, row))
+        pts = " ".join(f"{xv:.2f},{yv:.2f}" for xv, yv in zip(x_px, sy(row)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.6"/>')
         ly = _MT + 16 + 20 * idx

@@ -74,9 +74,10 @@ def edge_rate_sums(traj) -> np.ndarray:
 def convergence_order(system, x0, cfg: nc.IntegratorConfig):
     """Observed order of accuracy by Richardson extrapolation.
 
-    Integrates at steps h, h/2 and h/4 and compares terminal states; returns
-    log2 of the ratio of successive differences (about 4 for smooth fields)
-    or EXACT when the differences are at round-off.
+    Integrates a ClosedLoop, or a field_at of nc.rk4_path, at steps h, h/2
+    and h/4 and compares terminal states; returns log2 of the ratio of
+    successive differences (about 4 for smooth fields) or EXACT when the
+    differences are at round-off.
     """
     terminal = []
     for div in (1, 2, 4):
@@ -96,11 +97,11 @@ def convergence_order(system, x0, cfg: nc.IntegratorConfig):
 
 
 def rhs_rows(loop, X):
-    """(state rows, phi rows) of the integrator's field loop.rhs at the
-    extended state of one composite state X."""
+    """(state rows, phi rows) of the integrator's field, loop.field_at bound
+    to the extended state of one composite state X."""
     Z = loop.extend(X)
     out = np.empty_like(Z)
-    loop.rhs(Z, out)
+    loop.field_at(Z)(out)
     split = loop.n_plants * loop.plant.p
     phi = slice(split, split + Z.size - loop.n_states)
     return np.delete(out, phi), out[phi]
@@ -125,7 +126,7 @@ def rk4_path_oracle(field, x0, cfg: nc.IntegratorConfig):
             k4 = field(x + h * k3)
             new = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if not np.isfinite(new).all():
-                raise nc.SimulationDiverged(k * h, k, x)
+                raise nc.SimulationDiverged(k * h, k, x, int(np.argmin(np.isfinite(new))))
             x = new
             if k % cfg.record_every == 0 or k == n_steps:
                 times.append(k * h)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from niconsensus import config, integrate
+from niconsensus import IntegratorConfig, config, integrate
 from niconsensus.cli import run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +46,23 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
     span_of = {"consensus": "analysis.consensus"}
     for name in cfg.checks:
         assert spans.count(span_of.get(name, f"analysis.{name}")) == 1, name
+
+
+def test_tracer_sees_every_field_evaluation_under_rk4_path():
+    """The benchmark counts sim.steps as the network.rhs spans whose parent
+    is sim.rk4_path, over 4: the field the integrator binds must run the
+    traced ClosedLoop.rhs at every stage of every step."""
+    cfg = config.resolve_config(json.loads((ROOT / "configs" / "pendulum4.json").read_text()))
+    loop, h, steps = cfg.build_loop(), cfg.integrator.step_s, 25
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        integrate(loop, cfg.x0, IntegratorConfig(h, steps * h, record_every=10))
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    assert spans.count("network.rhs") == 4 * steps
+    assert spans.count("network.rhs", parent="sim.rk4_path") == 4 * steps
 
 
 def test_pendulum4_final_state_matches_benchmark_oracle():

@@ -110,6 +110,16 @@ def test_network_interconnect_dimensions(network_loop):
     assert np.array_equal(xp[2], [4.0, 5.0]) and np.array_equal(xc[2:3], [10.0])
 
 
+def test_components_are_named_like_the_csv_columns(network_loop):
+    """Composite index i is the i-th state column of the trajectory CSV,
+    x_plant_<node>_<coordinate> or x_ctrl_<node>_<coordinate>."""
+    names = [network_loop.component(i) for i in range(network_loop.n_states)]
+    assert names[:3] == ["plant 1, coordinate 0", "plant 1, coordinate 1",
+                         "plant 2, coordinate 0"]
+    assert names[7:] == ["plant 4, coordinate 1"] + [
+        f"controller {i}, coordinate 0" for i in (1, 2, 3, 4)]
+
+
 def test_network_disconnected_graph_rejected(pendulum):
     plant, _ = pendulum
     with pytest.raises(ValueError, match="connected graph"):
@@ -127,7 +137,8 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     traj = nc.integrate(loop, x0, cfg)
     assert np.abs(traj.u1).max() < 1e-9
     free_times, free_states = nc.rk4_path(
-        lambda x, out: np.copyto(out, plant.f(x, np.zeros(1))), np.array([0.9, 0.0]), cfg)
+        lambda x: lambda out: np.copyto(out, plant.f(x, np.zeros(1))),
+        np.array([0.9, 0.0]), cfg)
     for i in range(4):
         assert np.allclose(loop.split(traj.states)[0][:, i], free_states, atol=1e-9)
 
@@ -138,7 +149,7 @@ def test_single_node_network_degenerates(pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=4.0, record_every=10)
     traj = nc.integrate(loop, np.array([1.2, 0.0, 0.0]), cfg)
     assert np.abs(traj.u1).max() == 0.0
-    _, free_states = nc.rk4_path(lambda x, out: np.copyto(out, plant.f(x, np.zeros(1))),
+    _, free_states = nc.rk4_path(lambda x: lambda out: np.copyto(out, plant.f(x, np.zeros(1))),
                                  np.array([1.2, 0.0]), cfg)
     assert np.allclose(loop.split(traj.states)[0][:, 0], free_states, atol=1e-12)
 

@@ -15,28 +15,28 @@ PENDULUM_PAIR = Path(__file__).resolve().parent.parent / "configs" / "pendulum_p
 
 def test_exponential_decay():
     cfg = nc.IntegratorConfig(step_s=0.01, t_end_s=1.0)
-    times, states = rk4_path(lambda x, out: np.negative(x, out=out), np.array([1.0]), cfg)
+    times, states = rk4_path(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
     assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_constant_field():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=2.0)
-    _, states = rk4_path(lambda x, out: out.fill(0.0), np.array([3.0, -1.0]), cfg)
+    _, states = rk4_path(lambda x: lambda out: out.fill(0.0), np.array([3.0, -1.0]), cfg)
     assert np.array_equal(states, np.tile([3.0, -1.0], (states.shape[0], 1)))
 
 
 def test_harmonic_oscillator_energy_drift():
-    field = lambda x, out: np.copyto(out, [x[1], -x[0]])
+    field_at = lambda x: lambda out: np.copyto(out, [x[1], -x[0]])
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=10.0, record_every=10)
-    _, states = rk4_path(field, np.array([1.0, 0.0]), cfg)
+    _, states = rk4_path(field_at, np.array([1.0, 0.0]), cfg)
     energy = 0.5 * (states[:, 0] ** 2 + states[:, 1] ** 2)
     assert np.abs(energy - energy[0]).max() < 1e-9
 
 
 def test_recording_includes_both_endpoints():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.05, record_every=4)
-    times, states = rk4_path(lambda x, out: np.negative(x, out=out), np.array([1.0]), cfg)
+    times, states = rk4_path(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
     # 10 steps of 0.1 (nearest to 1.05): records at 0, 0.4, 0.8 and the end
     assert times == pytest.approx([0.0, 0.4, 0.8, 1.0])
 
@@ -64,17 +64,17 @@ def test_step_halving_error_ratio(network_loop, network_x0):
 
 def test_convergence_order_linear_field():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = convergence_order(lambda x, out: np.negative(x, out=out), np.array([1.0]), cfg)
+    order = convergence_order(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
     sysm = np.array([[0.0, 1.0], [-4.0, -0.4]])
-    order = convergence_order(lambda x, out: np.dot(sysm, x, out=out),
+    order = convergence_order(lambda x: lambda out: np.dot(sysm, x, out=out),
                               np.array([1.0, 0.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
 
 
 def test_convergence_order_exact_sentinel():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = convergence_order(lambda x, out: out.fill(0.0), np.array([2.0]), cfg)
+    order = convergence_order(lambda x: lambda out: out.fill(0.0), np.array([2.0]), cfg)
     assert order == EXACT
 
 
@@ -82,7 +82,7 @@ def test_divergence_raises():
     # finite-time blow-up of dx/dt = x^2 overflows to inf
     cfg = nc.IntegratorConfig(step_s=0.01, t_end_s=3.0)
     with pytest.raises(nc.SimulationDiverged, match="divergence at t="):
-        rk4_path(lambda x, out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
+        rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
 
 
 def test_divergence_reports_the_step_and_the_last_finite_state():
@@ -92,7 +92,7 @@ def test_divergence_reports_the_step_and_the_last_finite_state():
     h = 0.01
     cfg = nc.IntegratorConfig(step_s=h, t_end_s=3.0, record_every=7)
     with pytest.raises(nc.SimulationDiverged, match="divergence at t=") as err:
-        rk4_path(lambda x, out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
+        rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
     x, step = np.array([1.0]), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -111,12 +111,15 @@ def test_divergence_reports_the_step_and_the_last_finite_state():
     with pytest.raises(nc.SimulationDiverged) as ref:
         rk4_path_oracle(lambda x: x * x, np.array([1.0]), cfg)
     assert ref.value.step == step and np.array_equal(ref.value.last_state, x)
+    assert err.value.index == ref.value.index == 0
 
 
 def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     """a = b = 5000 at h = 1e-3 puts h lambda = -5 outside RK4's stability
     region: the run exits 3 at t = 0.268, and the error carries the composite
-    state (not the extended one) that a run of one step fewer ends in."""
+    state (not the extended one) that a run of one step fewer ends in. The
+    controller state, whose own pole is the stiff one, overflows first: the
+    error names it by its composite index, 2, and in its message."""
     doc = json.loads(PENDULUM_PAIR.read_text())
     doc["controller"]["first_order"] = {"a": 5000.0, "b": 5000.0}
     path = tmp_path / "stiff.json"
@@ -124,20 +127,40 @@ def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 3
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["error"] == "divergence at t=0.268"
+    assert report["error"] == "divergence at t=0.268 in controller 1, coordinate 0"
     cfg = nc.resolve_config(doc)
     loop, h = cfg.build_loop(), cfg.integrator.step_s
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, cfg.x0, cfg.integrator)
     assert err.value.step == 268 and err.value.last_state.shape == (loop.n_states,)
+    assert err.value.index == 2 and loop.component(2) == "controller 1, coordinate 0"
     before = nc.integrate(loop, cfg.x0, nc.IntegratorConfig(h, 267 * h, record_every=10))
     assert np.array_equal(err.value.last_state, before.states[-1])
+
+
+def test_divergence_names_the_first_non_finite_entry():
+    cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
+    with pytest.raises(nc.SimulationDiverged) as err:
+        rk4_path(lambda x: lambda out: out.fill(0.0),
+                 np.array([1.0, 2.0, np.nan, 3.0, np.inf, -np.inf]), cfg)
+    assert err.value.index == 2
+
+
+def test_divergence_inside_a_stage_names_the_entry_that_overflowed(pendulum):
+    """From xc = 1e306 the stiff controller's first slope overflows, and the
+    product with W spreads it to every entry of the next slope and so of the
+    new state. The error names the controller, not entry 0."""
+    loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
+    with pytest.raises(nc.SimulationDiverged) as err:
+        nc.integrate(loop, np.array([0.0, 0.0, 1e306]), nc.IntegratorConfig(1e-3, 1e-2))
+    assert err.value.step == 1 and err.value.index == 2
+    assert str(err.value) == "divergence at t=0.001 in controller 1, coordinate 0"
 
 
 @pytest.mark.parametrize("size", [1, 3, 12, 67])
 def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
-    still = lambda x, out: out.fill(0.0)
+    still = lambda x: lambda out: out.fill(0.0)
     huge = 1e300 * (-1.0) ** np.arange(size)
     _, states = rk4_path(still, huge, cfg)
     assert np.array_equal(states[-1], huge)
@@ -145,11 +168,29 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
         for i in range(size):
             x0 = huge.copy()
             x0[i] = bad
-            with pytest.raises(nc.SimulationDiverged):
+            with pytest.raises(nc.SimulationDiverged) as err:
                 rk4_path(still, x0, cfg)
+            assert err.value.index == i
 
 
-@pytest.mark.parametrize("name", ["pair", "flagship4", "path64"])
+def dense_path3():
+    """A 3-node path of a dense plant with m = 2 and r = 2, under a raw-matrix
+    controller with two inputs."""
+    rng = np.random.default_rng(6)
+    A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
+    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E, phi=lambda x: np.tanh(x[..., :2]))
+    ctrl = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
+    return nc.network_interconnect(plant, ctrl, nc.path_graph(3))
+
+
+def linear_pair():
+    """A pair with a linear plant: r = 0, so the phi block is empty."""
+    plant = nc.NonlinearPlant(A=[[0.0, 1.0], [-4.0, -0.1]], B=[[0.0], [1.0]],
+                              C=[[1.0, 0.0]], E=np.zeros((2, 0)), phi=lambda x: x[..., :0])
+    return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
+
+
+@pytest.mark.parametrize("name", ["pair", "flagship4", "path64", "dense_path3", "linear_pair"])
 def test_integrate_matches_the_allocating_oracle(pendulum, four_node_graph, name):
     """In-place stages on the extended state record the states of the
     allocate-per-stage integrator on the plain composite field, bit for bit."""
@@ -157,13 +198,34 @@ def test_integrate_matches_the_allocating_oracle(pendulum, four_node_graph, name
     lag = nc.first_order(10.0, 10.0)
     loop = {"pair": lambda: nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
             "flagship4": lambda: nc.network_interconnect(plant, lag, four_node_graph),
-            "path64": lambda: nc.network_interconnect(plant, lag, nc.path_graph(64))}[name]()
+            "path64": lambda: nc.network_interconnect(plant, lag, nc.path_graph(64)),
+            "dense_path3": dense_path3, "linear_pair": linear_pair}[name]()
     x0 = np.random.default_rng(7).uniform(-2.0, 2.0, loop.n_states)
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=1.0, record_every=7)
     traj = nc.integrate(loop, x0, cfg)
     times, states = rk4_path_oracle(lambda x: loop.evaluate(x).dstate, x0, cfg)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("make", [dense_path3, linear_pair])
+def test_field_at_binds_views_of_the_buffer(make):
+    """The plant and phi views a bound field evaluates share Z's memory, so
+    the phi refill writes into Z and the product reads it back."""
+    loop = make()
+    Z = loop.extend(np.random.default_rng(3).uniform(-1.0, 1.0, loop.n_states))
+    bound = loop.field_at(Z)
+    buf, xp, ph = bound.args
+    assert buf is Z and np.shares_memory(xp, Z) and xp.shape == (loop.n_plants, loop.plant.p)
+    assert ph.shape == (loop.n_plants, loop.plant.E.shape[1])
+    assert np.shares_memory(ph, Z) or ph.size == 0
+    phi = np.s_[xp.size:xp.size + ph.size]
+    Z[:xp.size] = 0.5
+    Z[phi] = np.nan
+    out = np.empty_like(Z)
+    bound(out)
+    assert np.array_equal(Z[phi], loop.plant.phi(np.full(xp.shape, 0.5)).ravel())
+    assert np.array_equal(np.delete(out, phi), loop.evaluate(np.delete(Z, phi)).dstate)
 
 
 def test_integrator_config_validation():
