@@ -243,10 +243,12 @@ def check_steady_state_relation(bank: StateSpace, u2bar,
                        time_of_max=t_end, tolerance=tol, passed=violation <= tol)
 
 
-# Skip rules of the check table: (applies(cfg, n_nodes), reason).
-_NEEDS_Y = (lambda cfg, n: cfg.controller_Y is None, "no closed-form controller storage")
-_NEEDS_NODES = (lambda cfg, n: n < 2, "needs at least two nodes")
-_NEEDS_PAIR = (lambda cfg, n: n != 2, "needs a 2-node network")
+# Skip rules of the check table: (applies(cfg, entries recorded so far), reason).
+_NEEDS_Y = (lambda cfg, done: cfg.controller_Y is None, "no closed-form controller storage")
+_NEEDS_NODES = (lambda cfg, done: cfg.graph is None or cfg.graph.n < 2,
+                "needs at least two nodes")
+_NEEDS_PAIR = (lambda cfg, done: cfg.graph is None or cfg.graph.n != 2,
+               "needs a 2-node network")
 
 #: The trajectory checks a config may name: name -> (run, skip rule, per node).
 #: run(cfg, traj) takes its arguments from the ExperimentConfig cfg and returns

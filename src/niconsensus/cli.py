@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
-from .linsys import (BISECT_TOL, FreqGrid, is_hurwitz, kron_ss, ni_freq_test,
-                     osni_certificate_check, osni_freq_test, osni_max_delta)
+from .linsys import (BISECT_TOL, is_hurwitz, kron_ss, ni_freq_test, osni_certificate_check,
+                     osni_freq_test, osni_max_delta)
 from .plant import GammaError, gamma_estimate, gamma_input_grid
 from .sim import SimulationDiverged, integrate
 from .svgplot import write_line_plot
@@ -70,20 +70,38 @@ def _aggregate(reports):
     }
 
 
-def _run_checks(cfg: ExperimentConfig, loop, traj, summary: dict):
-    """Results and extra CSV columns of the configured checks; fills `summary`."""
-    results, extra_cols = {}, []
-    for name in cfg.checks:
-        run, skip, per_node = analysis.CHECKS[name]
-        if skip and skip[0](cfg, loop.n_plants):
-            results[name] = {"skipped": skip[1]}
+def _run_table(table: dict, names, cfg: ExperimentConfig, arg, entries: dict) -> dict:
+    """Fill `entries` with one entry per named row of a check table, a row being
+    (run, skip rule[, per node]): {"skipped": reason} when the skip rule applies
+    to (cfg, entries so far), else run(cfg, arg)'s report as a dict, per-node
+    reports aggregated. A run that returns None leaves its row out."""
+    for name in names:
+        run, skip, *per_node = table[name]
+        if skip and skip[0](cfg, entries):
+            entries[name] = {"skipped": skip[1]}
             continue
-        report = run(cfg, traj)
-        entry = _aggregate(report) if per_node else asdict(report)
-        extra_cols += entry.pop("columns", ())
-        summary.update({k: entry[k] for k in SWEEP_FIGURES if k in entry})
-        results[name] = entry
-    return results, extra_cols
+        entry = run(cfg, arg)
+        if per_node:
+            entry = _aggregate(entry) if per_node[0] else asdict(entry)
+        if entry is not None:
+            entries[name] = entry
+    return entries
+
+
+def _record(path: Path, doc: dict, quiet: bool) -> list:
+    """Write doc to path, print one line per entry of its "checks" and return
+    the names of the failed ones; a doc whose "status" is "ok" turns
+    "check_failed" when one failed."""
+    failed = [name for name, entry in doc["checks"].items() if entry.get("passed") is False]
+    if failed and doc.get("status") == "ok":
+        doc["status"] = "check_failed"
+    _write_json(path, doc)
+    for name, entry in doc["checks"].items():
+        if "skipped" in entry:
+            _say(quiet, f"  [skip] {name}: {entry['skipped']}")
+        else:
+            _say(quiet, f"  [{'pass' if entry['passed'] else 'FAIL'}] {name}")
+    return failed
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
@@ -100,7 +118,11 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         _say(quiet, f"simulation diverged: {err}")
         summary = {"status": "diverged", "error": str(err)}
     else:
-        results, extra_cols = _run_checks(cfg, loop, traj, summary)
+        results = _run_table(analysis.CHECKS, cfg.checks, cfg, traj, {})
+        extra_cols = []
+        for entry in results.values():
+            extra_cols += entry.pop("columns", ())
+            summary.update({k: entry[k] for k in SWEEP_FIGURES if k in entry})
         csv_path = out_dir / "trajectory.csv"
         traj.write_csv(csv_path, extra_columns=extra_cols)
         svg_path = out_dir / "outputs.svg"
@@ -109,21 +131,12 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         write_line_plot(svg_path, traj.times, curves, labels=labels,
                         title=cfg.label, xlabel="time (s)", ylabel="output")
         artifacts = {"trajectory_csv": str(csv_path), "outputs_svg": str(svg_path)}
-        summary["failed_checks"] = [name for name, entry in results.items()
-                                    if entry.get("passed") is False]
-        if summary["failed_checks"]:
-            summary["status"] = "check_failed"
 
     report = {"label": cfg.label, "mode": "pair" if cfg.graph is None else "network",
               **{k: summary[k] for k in ("status", "error") if k in summary},
               "checks": results, "artifacts": artifacts, "config": cfg.raw}
-    _write_json(out_dir / "report.json", report)
-
-    for name, entry in results.items():
-        if "skipped" in entry:
-            _say(quiet, f"  [skip] {name}: {entry['skipped']}")
-        else:
-            _say(quiet, f"  [{'pass' if entry['passed'] else 'FAIL'}] {name}")
+    _record(out_dir / "report.json", report, quiet)
+    summary["status"] = report["status"]
     _say(quiet, f"artifacts in {out_dir}")
     return EXIT_BY_STATUS[summary["status"]], summary
 
@@ -134,71 +147,65 @@ def cmd_simulate(args) -> int:
     return code
 
 
+def _gamma(cfg: ExperimentConfig, controller, inputs) -> dict:
+    try:
+        est = gamma_estimate(cfg.plant, controller, inputs)
+    except GammaError as err:
+        return {"passed": False, "error": str(err), "input": err.input.tolist(),
+                "node": err.node}
+    return {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
+            "worst_input": est.worst_input.tolist()}
+
+
+def _certificate(cfg: ExperimentConfig) -> dict:
+    cert = osni_certificate_check(cfg.controller_ss, cfg.controller_Y, cfg.delta)
+    return {"passed": bool(cert.passed), "inequality_residual": cert.inequality_residual,
+            "b_equation_residual": cert.b_equation_residual}
+
+
+def _halving(cfg: ExperimentConfig, done: dict) -> dict:
+    half = osni_max_delta(kron_ss([[1.0, -1.0], [-1.0, 1.0]], cfg.controller_ss))
+    expected = 0.5 * done["osni_max_delta"]["value"]
+    return {"passed": bool(abs(half - expected) <= 2 * BISECT_TOL), "value": half,
+            "expected": expected}
+
+
+_NOT_NI = (lambda cfg, done: not done["ni_freq_test"]["passed"], "controller is not NI")
+
+#: verify's certificates in report order: name -> (run(cfg, entries so far),
+#: skip rule), on the default frequency grid, with gains over gamma_input_grid()
+#: and 100 seeded draws from [-25, 25]^(n m). A run looks its function up in
+#: this module when it runs, so a wrapper set on the module attribute sees it.
+CERTIFICATES = {
+    # resolve_config has already rejected a controller that is not Hurwitz
+    "is_hurwitz": (lambda cfg, done: {"passed": is_hurwitz(cfg.controller_ss)}, None),
+    "ni_freq_test": (lambda cfg, done: {"passed": ni_freq_test(cfg.controller_ss)}, None),
+    "osni_freq_test": (lambda cfg, done: {
+        "passed": osni_freq_test(cfg.controller_ss, cfg.delta), "delta": cfg.delta}, _NOT_NI),
+    # P - delta R falls monotonically in delta (R >= 0), so the test at the
+    # configured delta decides "delta <= delta*" exactly on the grid; the
+    # bisection value is only accurate to its tolerance and is reported.
+    "osni_max_delta": (lambda cfg, done: {"passed": done["osni_freq_test"]["passed"],
+                                          "value": osni_max_delta(cfg.controller_ss)},
+                       _NOT_NI),
+    "pair_network_strictness_halving": (_halving, _NOT_NI),
+    "osni_certificate": (lambda cfg, done: None if cfg.controller_Y is None
+                         else _certificate(cfg), None),
+    "gamma_pair": (lambda cfg, done: _gamma(cfg, cfg.controller_ss, gamma_input_grid()),
+                   None),
+    "gamma_network": (lambda cfg, done: None if cfg.graph is None else _gamma(
+        cfg, kron_ss(cfg.K, cfg.controller_ss), np.random.default_rng(12345).uniform(
+            -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m))), None),
+}
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "out")
-    grid = FreqGrid.default()
-    sysm = cfg.controller_ss
     checks = {}
-
-    def record(name, passed, **extra):
-        checks[name] = {"passed": bool(passed), **extra}
-
-    # resolve_config has already rejected a controller that is not Hurwitz
-    record("is_hurwitz", is_hurwitz(sysm))
-    record("ni_freq_test", ni_freq_test(sysm, grid))
-    if checks["ni_freq_test"]["passed"]:
-        admissible = osni_freq_test(sysm, cfg.delta, grid)
-        record("osni_freq_test", admissible, delta=cfg.delta)
-        # P - delta R falls monotonically in delta (R >= 0), so the test at the
-        # configured delta decides "delta <= delta*" exactly on the grid; the
-        # bisection value is only accurate to its tolerance and is reported.
-        delta_max = osni_max_delta(sysm, grid)
-        record("osni_max_delta", admissible, value=delta_max)
-        two_node = kron_ss([[1.0, -1.0], [-1.0, 1.0]], sysm)
-        half = osni_max_delta(two_node, grid)
-        record("pair_network_strictness_halving",
-               abs(half - 0.5 * delta_max) <= 2 * BISECT_TOL,
-               value=half, expected=0.5 * delta_max)
-    else:
-        for name in ("osni_freq_test", "osni_max_delta",
-                     "pair_network_strictness_halving"):
-            record(name, False, skipped="controller is not NI")
-    if cfg.controller_Y is not None:
-        cert = osni_certificate_check(sysm, cfg.controller_Y, cfg.delta)
-        record("osni_certificate", cert.passed,
-               inequality_residual=cert.inequality_residual,
-               b_equation_residual=cert.b_equation_residual)
-
-    def record_gamma(name, controller, inputs):
-        try:
-            est = gamma_estimate(cfg.plant, controller, inputs)
-        except GammaError as err:
-            record(name, False, error=str(err), input=err.input.tolist(), node=err.node)
-        else:
-            record(name, est.gamma_hat < 1.0, gamma_hat=est.gamma_hat,
-                   worst_input=est.worst_input.tolist())
-
-    gamma_cfg = cfg.raw.get("gamma", {})
-    lo = gamma_cfg.get("lo", -25.0)
-    hi = gamma_cfg.get("hi", 25.0)
-    count = gamma_cfg.get("count", 201)
-    record_gamma("gamma_pair", sysm, gamma_input_grid(lo, hi, count))
-    if cfg.graph is not None:
-        rng = np.random.default_rng(gamma_cfg.get("seed", 12345))
-        nm = cfg.graph.n * cfg.plant.m
-        samples = gamma_cfg.get("network_samples", 100)
-        record_gamma("gamma_network", kron_ss(cfg.K, sysm),
-                     rng.uniform(lo, hi, (samples, nm)))
-
-    report = {"label": cfg.label, "checks": checks, "config": cfg.raw}
-    _write_json(out_dir / "verify.json", report)
-    failed = [name for name, entry in checks.items()
-              if not entry["passed"] and "skipped" not in entry]
-    for name, entry in checks.items():
-        tag = "pass" if entry["passed"] else "FAIL"
-        extra = {k: v for k, v in entry.items() if k != "passed"}
-        _say(args.quiet, f"  [{tag}] {name}" + (f" {extra}" if extra else ""))
+    _run_table(CERTIFICATES, CERTIFICATES, cfg, checks, checks)
+    doc = {"label": cfg.label, "checks": checks, "config": cfg.raw}
+    failed = _record(out_dir / "verify.json", doc, args.quiet)
     if failed:
         print(f"verification failed: {failed[0]} failed", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -94,20 +94,12 @@ SCHEMA = {
                            "t_end_s": {"type": "number", "exclusiveMinimum": 0},
                            "record_every": {"type": "integer", "minimum": 1}},
         },
-        "checks": {"type": "array", "items": {"enum": list(CHECKS)}},
+        "checks": {"type": "array", "items": {"enum": list(CHECKS)}, "uniqueItems": True},
         "consensus": {
             "type": "object",
             "additionalProperties": False,
             "properties": {"rel": {"type": "number", "exclusiveMinimum": 0},
                            "abs": {"type": "number", "exclusiveMinimum": 0}},
-        },
-        "gamma": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"lo": _NUMBER, "hi": _NUMBER,
-                           "count": {"type": "integer", "minimum": 2},
-                           "network_samples": {"type": "integer", "minimum": 1},
-                           "seed": {"type": "integer"}},
         },
         "output": {
             "type": "object",
@@ -193,13 +185,11 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         check_controller(controller)
     except ValueError as err:
         raise ConfigError(f"$.controller: {err}") from err
-    graph = None
-    if mode == "network":
-        if "graph" not in doc:
-            raise ConfigError("$.graph: network mode requires a graph")
-        graph = graph_from_config(doc["graph"])
-        if not is_connected(graph):
-            raise ConfigError("$.graph: consensus requires a connected graph")
+    if ("graph" in doc) != (mode == "network"):
+        raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
+    graph = graph_from_config(doc["graph"]) if mode == "network" else None
+    if graph is not None and not is_connected(graph):
+        raise ConfigError("$.graph: consensus requires a connected graph")
     # one bank of n nodes either way; the pair form drops the node axis
     pair = graph is None
     keys = ("plant", "controller") if pair else ("plants", "controllers")

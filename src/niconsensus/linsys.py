@@ -89,10 +89,10 @@ class FreqGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def default(cls, lo: float = 1e-3, hi: float = 1e4, count: int = 400) -> "FreqGrid":
+    def default(cls) -> "FreqGrid":
         """400 log-spaced points over [1e-3, 1e4] rad/s; the w -> inf limit is
         handled analytically by the tests themselves."""
-        return cls(np.logspace(math.log10(lo), math.log10(hi), count))
+        return cls(np.logspace(-3.0, 4.0, 400))
 
 
 def is_hurwitz(sys: StateSpace) -> bool:

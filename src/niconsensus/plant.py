@@ -20,8 +20,9 @@ import numpy as np
 
 from .linsys import StateSpace, dc_gain, matvec
 
-#: Newton residual tolerance for equilibrium solving.
+#: Newton residual tolerance and iteration limit of equilibrium solving.
 EQUILIBRIUM_TOL = 1e-10
+EQUILIBRIUM_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class EquilibriumError(RuntimeError):
         self.member = member
 
 
-def equilibrium_solve(plant: NonlinearPlant, ubar, x0, max_iter: int = 100) -> np.ndarray:
+def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
     """Solve f(x, ubar) = 0 by damped Newton iteration from the guess x0.
 
     x0 is one state (p,) with ubar (m,), or a batch (..., p) with ubar
@@ -137,7 +138,8 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0, max_iter: int = 100) -> n
     the steps it would take alone. The Jacobian is a forward difference with step
     1e-7 (1 + |x_j|), its p columns from one plant call; steps are halved
     until the residual decreases. Converged when the residual max-norm drops
-    below 1e-10. Raises EquilibriumError naming the first member that fails.
+    below 1e-10 within 100 steps. Raises EquilibriumError naming the first
+    member that fails.
     """
     p = plant.p
     shape = np.shape(x0)
@@ -146,7 +148,7 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0, max_iter: int = 100) -> n
     fx = plant.f(x, u)
     res = np.abs(fx).max(axis=1)  # residual max-norm; NaN marks a failed member
     diag = np.arange(p)
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         todo = np.flatnonzero(res >= EQUILIBRIUM_TOL)
         if not todo.size:
             break
@@ -204,8 +206,7 @@ def gamma_input_grid(lo: float = -25.0, hi: float = 25.0, count: int = 201):
     return pts[np.abs(pts) > 1e-12, None]
 
 
-def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
-                   x0=None) -> GammaReport:
+def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs) -> GammaReport:
     """Steady-state gain ratio of the open chain plant -> controller.
 
     For each constant plant input the plant equilibrium is solved by Newton
@@ -214,8 +215,8 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     n = io_dim / plant.m plant copies: a single controller (n = 1) or a
     controller bank such as kron_ss(L, M) with DC map L (x) M(0). ``inputs``
     is a (k, n m) array or a list of k nonzero input vectors. All k n node
-    equilibria are one batched solve, each started from the plant state x0
-    (default: rest), with no continuation from one input to the next. A
+    equilibria are one batched solve, each started from rest, with no
+    continuation from one input to the next. A
     failed solve raises GammaError with its input and first failing node.
     """
     n, rest = divmod(controller.io_dim, plant.m)
@@ -229,10 +230,8 @@ def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs,
     U = U.reshape(k, controller.io_dim)
     if np.any(np.linalg.norm(U, axis=1) <= 1e-300):
         raise ValueError("constant inputs must be nonzero")
-    x0 = np.zeros(plant.p) if x0 is None else np.asarray(x0, dtype=float)
     try:
-        xbar = equilibrium_solve(plant, U.reshape(k, n, plant.m),
-                                 np.broadcast_to(x0, (k, n, plant.p)))
+        xbar = equilibrium_solve(plant, U.reshape(k, n, plant.m), np.zeros((k, n, plant.p)))
     except EquilibriumError as err:
         j, node = divmod(err.member, n)
         raise GammaError(U[j], node) from err

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from niconsensus import IntegratorConfig, config, integrate
-from niconsensus.cli import run_simulation
+from niconsensus.cli import main, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -46,6 +46,26 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
     span_of = {"consensus": "analysis.consensus"}
     for name in cfg.checks:
         assert spans.count(span_of.get(name, f"analysis.{name}")) == 1, name
+
+
+def test_tracer_sees_each_verify_certificate_function(tmp_path):
+    """verify runs each certificate function a fixed number of times: δ* is
+    bisected once for the controller and once for the two-node bank (the
+    halving reuses the first), and osni_max_delta runs ni_freq_test again
+    itself. A table run holding a function taken at import would hide it."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "--config", str(ROOT / "configs" / "pendulum4.json"),
+                     "--out", str(tmp_path), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = tracer.take()
+    counts = {"linsys.ni_freq_test": 3, "linsys.osni_freq_test": 1,
+              "linsys.osni_max_delta": 2, "linsys.certificate": 1,
+              "plant.gamma_estimate": 2, "plant.equilibrium_solve": 2}
+    assert {name: spans.count(name) for name in counts} == counts
 
 
 def test_tracer_sees_every_field_evaluation_under_rk4_path():

@@ -250,6 +250,70 @@ def test_misspelled_check_name_exit2(tmp_path, capsys):
     assert set(DEFAULT_CHECKS) <= set(CHECKS)
 
 
+def test_repeated_check_name_exit2(tmp_path, capsys):
+    """A check named twice would run twice and write its CSV columns twice."""
+    doc = short_network_doc(t_end=0.5)
+    doc["checks"] = ["consensus", "consensus"]
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "$.checks" in err and "non-unique" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_pair_config_with_a_graph_exit2(tmp_path, capsys, command):
+    """A pair config's graph would be ignored: one pair would run as a pair."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["graph"] = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+    code = main([command, "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "$.graph: network mode requires a graph and pair mode takes none" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_network_config_without_a_graph_exit2(tmp_path, capsys):
+    doc = load_pendulum4()
+    del doc["graph"]
+    assert main(["simulate", "--config", str(write(tmp_path, doc)), "--quiet"]) == 2
+    assert "$.graph: network mode requires a graph" in capsys.readouterr().err
+
+
+def test_config_with_a_gamma_block_exit2(tmp_path, capsys):
+    """verify's gain grid and network draws are fixed, not configured."""
+    doc = load_pendulum4()
+    doc["gamma"] = {"lo": -10.0, "hi": 10.0}
+    code = main(["verify", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "'gamma' was unexpected" in capsys.readouterr().err
+
+
+def test_verify_controller_that_is_not_ni(tmp_path, capsys):
+    """M = -1/(s+1) is Hurwitz and strictly proper but not NI: ni_freq_test
+    fails, the strictness certificates that presuppose NI are recorded as
+    skipped, and the gain estimate still runs."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"] = {"A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]]}
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(write(tmp_path, doc)), "--out", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "verification failed: ni_freq_test failed" in captured.err
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert set(checks) == {"is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
+                           "pair_network_strictness_halving", "gamma_pair"}
+    assert checks["ni_freq_test"] == {"passed": False}
+    skipped = ("osni_freq_test", "osni_max_delta", "pair_network_strictness_halving")
+    for name in skipped:
+        assert checks[name] == {"skipped": "controller is not NI"}
+        assert f"  [skip] {name}: controller is not NI" in captured.out.splitlines()
+    assert "  [FAIL] ni_freq_test" in captured.out.splitlines()
+
+
 def test_verify_inadmissible_delta_exit4(tmp_path, capsys):
     doc = load_pendulum4()
     doc["delta"] = 0.2

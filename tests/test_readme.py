@@ -1,9 +1,12 @@
 """README's code blocks run: the custom-plant example is executed as written,
-after the quick start it continues, so an API change cannot silently break
-the documented example."""
+after the quick start it continues, and the config block resolves, so an API
+or schema change cannot silently break the documented examples."""
 
+import json
 import re
 from pathlib import Path
+
+from niconsensus.config import resolve_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +36,10 @@ def test_readme_field_example_runs():
     exec(compile(blocks[0], "README quick start", "exec"), namespace)
     exec(compile(field[0], "README field", "exec"), namespace)
     assert namespace["times"][-1] == 10.0 and namespace["states"].shape == (101, 2)
+
+
+def test_readme_config_block_resolves():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = resolve_config(json.loads(blocks[0]))
+    assert cfg.graph.n == 4
