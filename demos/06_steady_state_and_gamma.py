@@ -21,7 +21,7 @@ for label, u2 in (("consensus direction 1n", np.ones(4)),
 params = nc.PendulumParams()
 plant = nc.pendulum_plant(params)
 print("\nsteady-state ratio of the pendulum-to-controller chain, M(0) = 1:")
-grid = nc.gamma_input_grid(-25.0, 25.0, 201)
+grid = nc.gamma_input_grid()
 report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), grid)
 small = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array([[1e-3]]))
 print(f"  small-torque limit: {small.gamma_hat:.6f} "

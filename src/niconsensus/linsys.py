@@ -23,8 +23,6 @@ import numpy as np
 PSD_TOL = 1e-9
 #: Residual tolerance for the state-space OSNI certificate.
 CERT_TOL = 1e-9
-#: Absolute tolerance of the strictness-level bisection.
-BISECT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,29 +173,23 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
 def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
     """Largest strictness level delta for which the OSNI test passes.
 
-    Bisection to absolute tolerance 1e-6; the upper bracket is found by
-    doubling from 1. Returns inf for systems whose strictly proper part
-    vanishes (the test is then delta-independent).
+    With P + PSD_TOL I = L L*, P - delta R >= -PSD_TOL at one point exactly
+    when delta lambda_max(L^-1 R L^-*) <= 1, so the supremum over the grid
+    and the w -> inf limit is 1 / the largest such eigenvalue. Returns inf
+    when R vanishes (the test is then delta-independent) and 0.0 when P
+    already breaks the floor somewhere.
     """
     grid = grid or FreqGrid.default()
     if not ni_freq_test(sys, grid):
         raise ValueError("not NI, no strictness level exists")
     P, R = _osni_terms(sys, grid)
-    hi = 1.0
-    doublings = 0
-    while _psd(P - hi * R):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            return math.inf
-    lo = hi / 2.0 if doublings else 0.0
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _psd(P - mid * R):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    try:
+        L = np.linalg.cholesky(P + PSD_TOL * np.eye(sys.io_dim))
+    except np.linalg.LinAlgError:
+        return 0.0
+    S = np.linalg.solve(L, np.linalg.solve(L, R).conj().swapaxes(1, 2))
+    lam = np.linalg.eigvalsh(S).max()
+    return float(1.0 / lam) if lam > 0 else math.inf
 
 
 @dataclass(frozen=True)

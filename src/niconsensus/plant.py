@@ -23,6 +23,8 @@ from .linsys import StateSpace, dc_gain, matvec
 #: Newton residual tolerance and iteration limit of equilibrium solving.
 EQUILIBRIUM_TOL = 1e-10
 EQUILIBRIUM_MAX_ITER = 100
+#: Range and point count of the scalar constant-input grid of gamma_input_grid.
+GAMMA_INPUT_LO, GAMMA_INPUT_HI, GAMMA_INPUT_COUNT = -25.0, 25.0, 201
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,10 @@ class GammaReport:
     ratios: np.ndarray
 
 
-def gamma_input_grid(lo: float = -25.0, hi: float = 25.0, count: int = 201):
+def gamma_input_grid():
     """Scalar constant-input grid (zero excluded) for the pair-chain ratio,
     one input per row: a (k, 1) array."""
-    pts = np.linspace(lo, hi, count)
+    pts = np.linspace(GAMMA_INPUT_LO, GAMMA_INPUT_HI, GAMMA_INPUT_COUNT)
     return pts[np.abs(pts) > 1e-12, None]
 
 

@@ -96,6 +96,26 @@ def convergence_order(system, x0, cfg: nc.IntegratorConfig):
     return math.log2(d1 / d2)
 
 
+def bisect_max_delta(passes, tol):
+    """Largest delta that passes(delta) accepts, within tol: doubling from 1
+    brackets it (inf after 60 doublings), then bisection shrinks the bracket
+    [lo, hi) below tol. Returns lo, so delta* lies in [lo, lo + tol)."""
+    hi, doublings = 1.0, 0
+    while passes(hi):
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            return math.inf
+    lo = hi / 2.0 if doublings else 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def rhs_rows(loop, X):
     """(state rows, phi rows) of the integrator's field, loop.field_at bound
     to the extended state of one composite state X."""

@@ -104,7 +104,7 @@ def test_criterion_6_output_consensus(timed_network_traj):
 def test_criterion_7_gamma_estimates(pendulum, four_node_graph):
     plant, _ = pendulum
     pair = nc.gamma_estimate(plant, nc.first_order(A, B),
-                             nc.gamma_input_grid(-25.0, 25.0, 201))
+                             nc.gamma_input_grid())
     small = nc.gamma_estimate(plant, nc.first_order(A, B),
                               [np.array([1e-3]), np.array([-1e-3])])
     net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import rhs_rows
+from conftest import bisect_max_delta, rhs_rows
 from niconsensus import linsys
 
 W1 = 1e5
@@ -166,22 +166,18 @@ def oracle_passes(terms, delta):
                for P, R in terms)
 
 
-def oracle_max_delta(sys, grid):
-    terms = oracle_terms(sys, grid)
-    hi, doublings = 1.0, 0
-    while oracle_passes(terms, hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            return math.inf
-    lo = hi / 2.0 if doublings else 0.0
-    while hi - lo > linsys.BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if oracle_passes(terms, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def oracle_delta_star(terms):
+    """delta* one frequency at a time: with P + PSD_TOL I = L L*, the test
+    holds at a point exactly when delta lambda_max(L^-1 R L^-*) <= 1."""
+    lam = 0.0
+    for P, R in terms:
+        try:
+            L = np.linalg.cholesky(P + linsys.PSD_TOL * np.eye(len(P)))
+        except np.linalg.LinAlgError:
+            return 0.0
+        S = np.linalg.solve(L, np.linalg.solve(L, R).conj().T)
+        lam = max(lam, np.linalg.eigvalsh(S).max())
+    return 1.0 / lam if lam > 0 else math.inf
 
 
 CONTROLLERS = {
@@ -201,7 +197,10 @@ def test_stacked_frequency_tests_match_per_frequency_oracle(name):
     for delta in (1e-3, 0.0095, 0.05, 0.0999, 0.1, 0.2, 1.0):
         assert nc.osni_freq_test(sys, delta, grid) == oracle_passes(terms, delta)
     if oracle_ni(sys, grid):
-        assert nc.osni_max_delta(sys, grid) == oracle_max_delta(sys, grid)
+        value = nc.osni_max_delta(sys, grid)
+        assert value == oracle_delta_star(terms)
+        oracle = bisect_max_delta(lambda delta: oracle_passes(terms, delta), 1e-6)
+        assert oracle <= value < oracle + 1e-6
 
 
 def test_stacked_tests_on_a_grid_that_reaches_the_resonance():

@@ -50,7 +50,7 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
 
 def test_tracer_sees_each_verify_certificate_function(tmp_path):
     """verify runs each certificate function a fixed number of times: δ* is
-    bisected once for the controller and once for the two-node bank (the
+    computed once for the controller and once for the two-node bank (the
     halving reuses the first), and osni_max_delta runs ni_freq_test again
     itself. A table run holding a function taken at import would hide it."""
     tracer = load_tracing().Tracer()

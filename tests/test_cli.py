@@ -189,21 +189,22 @@ def test_verify_gamma_network_draws_one_input_per_row(tmp_path):
 
 
 def test_verify_bundled_pair_config(tmp_path):
-    """pendulum_pair.json sets delta = 1/a, the lag's exact strictness level,
-    where the bisection returns a value just below it."""
+    """pendulum_pair.json sets delta = 1/a, the lag's exact strictness level;
+    the grid supremum is 1/a + PSD_TOL/(2a^2), just above it."""
     out = tmp_path / "out"
     assert main(["verify", "--config", str(PENDULUM_PAIR), "--out", str(out),
                  "--quiet"]) == 0
     checks = json.loads((out / "verify.json").read_text())["checks"]
     assert all(entry["passed"] for entry in checks.values())
-    assert checks["osni_max_delta"]["value"] < 0.05
+    assert 0.05 <= checks["osni_max_delta"]["value"] <= 0.05 + 1e-9
 
 
 @pytest.mark.parametrize("a", [7.0, 10.0, 20.0])
 def test_verify_strictness_verdict_is_exact_at_the_boundary(tmp_path, a):
     """The lag a/(s+b) has delta* = 1/a. The osni_max_delta verdict comes
     from the OSNI test at the configured delta, so delta = 1/a passes and
-    delta = (1/a)(1 + 1e-9) fails; the bisection value stays reported."""
+    delta = (1/a)(1 + 1e-9) fails; the reported value is the grid supremum,
+    1/a + PSD_TOL/(2a^2)."""
     doc = json.loads(PENDULUM_PAIR.read_text())
     doc["controller"]["first_order"] = {"a": a, "b": 6.0}
     for delta, admissible in ((1.0 / a, True), (1.0 / a * (1.0 + 1e-9), False)):
@@ -213,7 +214,7 @@ def test_verify_strictness_verdict_is_exact_at_the_boundary(tmp_path, a):
                      "--out", str(out), "--quiet"])
         entry = json.loads((out / "verify.json").read_text())["checks"]["osni_max_delta"]
         assert entry["passed"] is admissible
-        assert 1.0 / a - 1e-6 <= entry["value"] <= 1.0 / a
+        assert 1.0 / a <= entry["value"] <= 1.0 / a + 1e-9
         assert code == (0 if admissible else 4)
 
 
@@ -344,6 +345,18 @@ def test_sweep_path_graph_sizes(tmp_path):
     assert code == 0
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("value", ["2.5", '"abc"', "null"])
+def test_sweep_node_count_that_is_not_an_integer_exit2(tmp_path, capsys, value):
+    """A node count is an integer: 2.5 must not run as n = 2 under the name
+    run_n=2.5, and a string or null is a config error, not a traceback."""
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(out),
+                 "--param", "n", "--values", value, "--quiet"])
+    assert code == 2
+    assert f"sweep over n needs integers n >= 2, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_values_exit2(tmp_path, capsys):

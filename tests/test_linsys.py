@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import niconsensus as nc
+from conftest import bisect_max_delta
+from niconsensus.linsys import PSD_TOL
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -84,6 +88,46 @@ def test_strictness_halves_for_two_node_networks():
         single = nc.osni_max_delta(sysm)
         networked = nc.osni_max_delta(nc.kron_ss(L2, sysm))
         assert networked == pytest.approx(single / 2.0, abs=2e-6)
+
+
+#: One positive lag a/(s+b) as (log10 a, log10 b).
+LOG_LAG = st.tuples(st.floats(-2.0, 1.5), st.floats(-1.5, 2.0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(lags=st.lists(LOG_LAG, min_size=1, max_size=3), bank=st.booleans(),
+       n=st.integers(2, 4))
+def test_max_delta_is_the_supremum_osni_freq_test_accepts(lags, bank, n):
+    """A sum of positive lags is NI, alone or as the bank kron_ss(L, M) over a
+    path graph. osni_max_delta lies in the bracket a bisection on
+    osni_freq_test finds, and at the edge of what that test accepts."""
+    a, b = (10.0 ** np.array(v) for v in zip(*lags))
+    sys = nc.StateSpace(np.diag(-b), a[:, None], np.ones((1, len(a))))
+    if bank:
+        sys = nc.kron_ss(nc.laplacian(nc.path_graph(n)), sys)
+    delta = nc.osni_max_delta(sys)
+    oracle = bisect_max_delta(lambda d: nc.osni_freq_test(sys, d), 1e-6)
+    assert oracle <= delta < oracle + 1e-6
+    assert nc.osni_freq_test(sys, delta * (1.0 - 1e-9))
+    assert not nc.osni_freq_test(sys, delta * (1.0 + 1e-6))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(a=st.floats(0.1, 100.0), b=st.floats(0.1, 100.0))
+def test_max_delta_of_a_lag_is_set_by_the_high_frequency_limit(a, b):
+    """For a/(s+b), P + PSD_TOL - delta R = 2 a w^2/(w^2 + b^2) (1 - delta a)
+    + PSD_TOL is tightest at the w -> inf limit 2a (1 - delta a) + PSD_TOL."""
+    assert nc.osni_max_delta(nc.first_order(a, b)) == pytest.approx(
+        1.0 / a + PSD_TOL / (2.0 * a * a), rel=1e-12, abs=0.0)
+
+
+def test_max_delta_is_zero_when_no_level_passes():
+    """-8e-10/(s+1) passes the NI grid test above its eigenvalue floor, but
+    its w -> inf term CB + (CB)^T = -1.6e-9 is below the floor at every delta."""
+    sys = nc.first_order(-8e-10, 1.0)
+    assert nc.ni_freq_test(sys)
+    assert not nc.osni_freq_test(sys, 1e-12)
+    assert nc.osni_max_delta(sys) == 0.0
 
 
 def test_static_gain_unbounded_strictness():

@@ -140,7 +140,7 @@ def brentq_equilibrium(u, kap=KAP, mgl=MGL):
 def test_gamma_pair_grid_matches_bracketing_oracle(pendulum):
     plant, _ = pendulum
     report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0),
-                               nc.gamma_input_grid(-25.0, 25.0, 201))
+                               nc.gamma_input_grid())
     oracle = max(u * brentq_equilibrium(u) / u ** 2
                  for u in np.linspace(-25, 25, 201) if abs(u) > 1e-12)
     assert report.gamma_hat == pytest.approx(oracle, abs=1e-9)
@@ -151,7 +151,7 @@ def test_gamma_pair_grid_matches_bracketing_oracle(pendulum):
 
 
 def test_gamma_input_grid_is_one_input_per_row():
-    grid = nc.gamma_input_grid(-25.0, 25.0, 201)
+    grid = nc.gamma_input_grid()
     assert grid.shape == (200, 1)
     assert np.array_equal(grid[:, 0], np.delete(np.linspace(-25.0, 25.0, 201), 100))
 
@@ -166,7 +166,7 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
         controller = nc.kron_ss(nc.laplacian(four_node_graph), controller)
         inputs = np.random.default_rng(12345).uniform(-25, 25, (100, 4))
     else:
-        inputs = nc.gamma_input_grid(-25.0, 25.0, 201)
+        inputs = nc.gamma_input_grid()
     report = nc.gamma_estimate(plant, controller, inputs)
     n = inputs.shape[1]
     dc = nc.dc_gain(controller)
