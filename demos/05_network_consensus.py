@@ -46,11 +46,8 @@ cs = nc.CompositeStorage(loop, v1, Y)
 rep = analysis.check_lyapunov_monotone(traj, cs, delta)
 print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
 
-scan = nc.storage_positivity_scan(
-    cs, np.array([-np.pi, -5.0] * 4 + [-5.0] * 4),
-    np.array([np.pi, 5.0] * 4 + [5.0] * 4), samples=20000)
-print(f"  storage positivity scan: passed={scan.passed} "
-      f"(sampled min {scan.min_value:.3f})")
+# positive: W > 0 off the controller-consensus subspace, for every state
+print(f"  storage positivity margin: {cs.positivity_margin():.3f}")
 
 out = Path(__file__).resolve().parent
 csv_path = out / "05_network_consensus.csv"

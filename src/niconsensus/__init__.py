@@ -19,9 +19,7 @@ from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_ord
                      first_order_certificate, freq_response, is_hurwitz, kron_ss,
                      ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
-from .network import (ClosedLoop, CompositeStorage, PositivityReport,
-                      network_interconnect, pair_interconnect,
-                      storage_positivity_scan)
+from .network import ClosedLoop, CompositeStorage, network_interconnect, pair_interconnect
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
                     equilibrium_solve, gamma_estimate, gamma_input_grid,
                     pendulum_plant, pendulum_storage)

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import ConfigError, ExperimentConfig, load_config, resolve_config
+from .config import (ConfigError, ExperimentConfig, load_config, reject_constant,
+                     resolve_config)
 from .linsys import (is_hurwitz, kron_ss, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
 from .plant import GammaError, gamma_estimate, gamma_input_grid
@@ -260,10 +261,15 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     base = load_config(args.config)
-    parsed = [json.loads(v) for v in values]
+    parsed = [json.loads(v, parse_constant=reject_constant) for v in values]
     out_root = Path(args.out or base.out_dir or "out")
-    tasks = [(_sweep_variant(base, args.param, v), str(out_root / f"run_{args.param}={v}"))
-             for v in parsed]
+    run_dirs = [str(out_root / f"run_{args.param}={v}") for v in parsed]
+    for v, run_dir in zip(parsed, run_dirs):
+        if run_dirs.count(run_dir) > 1:  # two pool workers would write one directory
+            raise ConfigError(f"sweep value {json.dumps(v)} repeats: two runs would "
+                              f"share {run_dir}")
+    tasks = [(_sweep_variant(base, args.param, v), run_dir)
+             for v, run_dir in zip(parsed, run_dirs)]
     with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
         outcomes = list(pool.map(_sweep_worker, tasks))
     out_root.mkdir(parents=True, exist_ok=True)

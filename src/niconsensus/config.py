@@ -21,6 +21,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field diagnostics."""
 
 
+def reject_constant(token):
+    """json's parse_constant hook for outside input: Python's json accepts the
+    NaN and Infinity tokens, which are not JSON and no experiment value."""
+    raise ConfigError(f"non-finite number {token} is not valid JSON")
+
+
 _NUMBER = {"type": "number"}
 _MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 1},
            "minItems": 1}
@@ -185,6 +191,9 @@ def resolve_config(doc: dict) -> ExperimentConfig:
         check_controller(controller)
     except ValueError as err:
         raise ConfigError(f"$.controller: {err}") from err
+    if controller.io_dim != plant.m:
+        raise ConfigError(f"$.controller: input/output dimension {controller.io_dim} "
+                          f"differs from the plant's {plant.m}")
     if ("graph" in doc) != (mode == "network"):
         raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
     graph = graph_from_config(doc["graph"]) if mode == "network" else None
@@ -231,7 +240,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:

@@ -177,13 +177,15 @@ class CompositeStorage:
     ``rate`` differentiates W along the loop vector field with exact storage
     gradients and output chain rules. For K = L, W = 0 on the whole line
     xp = 0, xc = c 1 (L 1 = 0 kills the quadratic and the cross term): W can
-    be positive only off the controller-consensus subspace.
+    be positive only off the controller-consensus subspace;
+    ``positivity_margin`` decides whether it is.
     """
 
     def __init__(self, loop: ClosedLoop, v1: StorageFunction, Y):
         self.loop = loop
         self.v1 = v1
-        _, self._P = loop.storage_matrices(Y)
+        self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        _, self._P = loop.storage_matrices(self.Y)
 
     def value(self, X):
         """W at composite states X of shape (N,) or (..., N)."""
@@ -202,39 +204,16 @@ class CompositeStorage:
                 + np.sum((xc @ self._P) * dxc, axis=-1)
                 - np.sum(sig.y1dot * sig.y2 + sig.y1 * sig.y2dot, axis=-1))
 
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Sampled lower bound of a composite storage over a box."""
-
-    min_value: float
-    argmin: np.ndarray
-    samples: int
-    passed: bool
-
-
-def storage_positivity_scan(cs: CompositeStorage, lo, hi, samples: int = 20000,
-                            seed: int = 0) -> PositivityReport:
-    """Evaluate the storage at uniform random points in the box [lo, hi].
-
-    Passes when the sampled minimum is positive outside a 1e-8 ball around
-    the origin. A pass means "positive at every sampled point": for K = L the
-    samples miss, almost surely, the line on which W = 0 (see CompositeStorage).
-    Sampling cannot prove positive definiteness; the report is advisory and
-    callers are expected to proceed (with a warning) on failure.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    dim = cs.loop.n_states
-    if lo.shape != (dim,) or hi.shape != (dim,):
-        raise ValueError(f"box bounds must have length {dim}")
-    if np.any(lo > 0) or np.any(hi < 0):
-        raise ValueError("scan box must contain the origin")
-    points = lo + np.random.default_rng(seed).random((samples, dim)) * (hi - lo)
-    points = points[np.linalg.norm(points, axis=1) > 1e-8]
-    if not len(points):
-        return PositivityReport(min_value=np.inf, argmin=None, samples=0, passed=False)
-    values = cs.value(points)
-    best = int(np.argmin(values))
-    return PositivityReport(min_value=float(values[best]), argmin=points[best],
-                            samples=len(points), passed=bool(values[best] > 0))
+    def positivity_margin(self) -> float:
+        """lambda_min(Q - lambda_max(K) G Y G^T) with G = Cp^T Cc, for K positive
+        semidefinite. V1 replaced by x^T Q x / 2 makes W a quadratic form within
+        n c of W, and a Schur complement reduces its blocks, one per eigenvalue
+        of K, to this matrix. A positive margin makes W positive off {xp = 0,
+        xc in ker K (x) R^q}, a negative one unbounded below. Raises ValueError
+        unless Y is symmetric positive definite."""
+        Y, loop = self.Y, self.loop
+        if not (np.array_equal(Y, Y.T) and np.linalg.eigvalsh(Y)[0] > 0):
+            raise ValueError("controller certificate Y must be symmetric positive definite")
+        G = loop.plant.C.T @ loop.controller.C
+        lam = np.linalg.eigvalsh(loop.K)[-1]
+        return float(np.linalg.eigvalsh(self.v1.Q - lam * G @ Y @ G.T)[0])

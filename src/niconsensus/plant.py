@@ -72,10 +72,12 @@ class NonlinearPlant:
 class StorageFunction:
     """Positive definite energy function V with its exact gradient, acting
     row-wise on leading batch axes: V: (..., p) -> (...) and
-    grad: (..., p) -> (..., p)."""
+    grad: (..., p) -> (..., p). Q is a symmetric p x p matrix such that
+    V(x) - (1/2) x^T Q x lies in [0, c] for some constant c."""
 
     V: callable  # x -> energy
     grad: callable  # x -> gradient
+    Q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,8 @@ def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
 
 
 def pendulum_storage(params: PendulumParams) -> StorageFunction:
-    """Total pendulum energy: spring + kinetic + gravitational terms."""
+    """Total pendulum energy: spring + kinetic + gravitational terms, with
+    Q = diag(kappa, m l^2) and c = 2 m g l."""
     ml2, mgl, kap = _pendulum_constants(params)
 
     def V(x):
@@ -120,7 +123,7 @@ def pendulum_storage(params: PendulumParams) -> StorageFunction:
         x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
         return np.stack([kap * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1)
 
-    return StorageFunction(V=V, grad=grad)
+    return StorageFunction(V=V, grad=grad, Q=np.diag([kap, ml2]))
 
 
 class EquilibriumError(RuntimeError):

@@ -524,3 +524,51 @@ def test_sweep_rejected_variant_keeps_its_reason(tmp_path, capsys):
     report = json.loads((run_dir / "report.json").read_text())
     assert report["status"] == "error" and "minimum of 0" in report["error"]
     assert report["config"]["delta"] == -1
+
+
+@pytest.mark.parametrize("command,key,token", [
+    ("simulate", ("integrator", "t_end_s"), "NaN"),
+    ("simulate", ("integrator", "t_end_s"), "Infinity"),
+    ("verify", ("delta",), "NaN"),
+    ("simulate", ("plant", "pendulum", "kappa"), "NaN"),
+    ("sweep", None, "NaN"),
+], ids=["t_end_s-NaN", "t_end_s-Infinity", "delta-NaN", "kappa-NaN", "sweep-values-NaN"])
+def test_non_finite_json_token_exit2(tmp_path, capsys, command, key, token):
+    """Python's json parses NaN and Infinity, which are not JSON: a config
+    file and sweep's --values both reject them by name before anything runs."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    extra = ["--param", "delta", "--values", token] if command == "sweep" else []
+    if key:
+        *parents, leaf = key
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[leaf] = float(token)
+    out = tmp_path / "o"
+    code = main([command, "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--quiet", *extra])
+    assert code == 2
+    assert f"non-finite number {token} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_repeated_value_exit2(tmp_path, capsys):
+    """10 and 10 name one run directory, which two workers would write at once."""
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write(tmp_path, short_network_doc())),
+                 "--out", str(out), "--param", "a", "--values", "10,5, 10", "--quiet"])
+    assert code == 2
+    assert "sweep value 10 repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_controller_of_another_io_dimension_exit2(tmp_path, capsys, command):
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"] = {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+                         "C": [[1.0, 0.0], [0.0, 1.0]]}
+    code = main([command, "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert ("$.controller: input/output dimension 2 differs from the plant's 1"
+            in capsys.readouterr().err)

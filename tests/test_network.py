@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import rhs_rows
@@ -262,38 +265,126 @@ def test_composite_storage_rate_matches_directional_difference(pendulum, network
             assert cs.rate(x, sig) == pytest.approx(fd, abs=1e-5 * (1 + abs(fd)))
 
 
-def test_positivity_scan(pendulum, four_node_graph):
+def margin_witness(cs, t):
+    """The composite state t (u (x) v, u (x) Y G^T v), G = Cp^T Cc, u the top
+    eigenvector of K and v the bottom one of Q - lambda_max(K) G Y G^T: the
+    quadratic part of W there is (1/2) t^2 times the positivity margin."""
+    loop = cs.loop
+    G = loop.plant.C.T @ loop.controller.C
+    lam, U = np.linalg.eigh(loop.K)
+    v = np.linalg.eigh(cs.v1.Q - lam[-1] * G @ cs.Y @ G.T)[1][:, 0]
+    u = U[:, -1]
+    return t * np.concatenate([np.kron(u, v), np.kron(u, cs.Y @ G.T @ v)])
+
+
+def lag_storage(plant, v1, a, b, graph=None):
+    ctrl = nc.first_order(a, b)
+    loop = (nc.pair_interconnect(plant, ctrl) if graph is None
+            else nc.network_interconnect(plant, ctrl, graph))
+    return nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
+
+
+def test_positivity_margin(pendulum, four_node_graph):
     plant, v1 = pendulum
-    lo = np.array([-math.pi, -5.0] * 4 + [-5.0] * 4)
-    hi = -lo
-
-    def scan(a, b, samples=100_000):
-        loop = nc.network_interconnect(plant, nc.first_order(a, b), four_node_graph)
-        cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
-        return nc.storage_positivity_scan(cs, lo, hi, samples=samples)
-
-    good = scan(10.0, 10.0)
-    assert good.passed and good.min_value > 0
-    bad = scan(100.0, 1.0, samples=20_000)
-    assert not bad.passed and bad.min_value < 0
+    # kappa = 5, m l^2 = 0.25, lambda_max(L) = 4: min(5 - 4 a/b, 0.25)
+    good = lag_storage(plant, v1, 10.0, 10.0, four_node_graph)
+    assert good.positivity_margin() == pytest.approx(0.25, abs=1e-12)
+    bad = lag_storage(plant, v1, 100.0, 1.0, four_node_graph)
+    assert bad.positivity_margin() == pytest.approx(5.0 - 400.0, rel=1e-12)
+    assert bad.value(margin_witness(bad, 1.0)) < 0
 
 
-def test_positivity_scan_quadratic_dominates(four_node_graph):
+def test_positivity_margin_quadratic_dominates(four_node_graph):
     # stiff-spring limit: the quadratic plant energy dwarfs the cross term
     params = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=500.0, g_ms2=9.8)
-    plant = nc.pendulum_plant(params)
-    v1 = nc.pendulum_storage(params)
-    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
-    cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
-    lo = np.array([-math.pi, -5.0] * 4 + [-5.0] * 4)
-    report = nc.storage_positivity_scan(cs, lo, -lo, samples=20_000)
-    assert report.passed
+    cs = lag_storage(nc.pendulum_plant(params), nc.pendulum_storage(params), 10.0, 10.0,
+                     four_node_graph)
+    assert cs.positivity_margin() > 0
 
 
-def test_positivity_scan_region_validation(pendulum, network_loop):
+@pytest.mark.parametrize("a,b,on_graph", [(10.0, 7.0, True), (10.0, 6.0, True),
+                                          (20.0, 3.5, False), (20.0, 3.9, False)])
+def test_positivity_margin_rejects_what_the_scan_passed(pendulum, four_node_graph,
+                                                        a, b, on_graph):
+    """Storages a 20 000-point scan of [-pi, pi] x [-5, 5] per node passed:
+    each is negative at theta = t u, xc = t (a/b) u, u the top eigenvector
+    of K, once t is large."""
     plant, v1 = pendulum
-    cs = nc.CompositeStorage(network_loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
-    with pytest.raises(ValueError, match="origin"):
-        nc.storage_positivity_scan(cs, np.full(12, 1.0), np.full(12, 2.0), samples=10)
-    with pytest.raises(ValueError, match="length"):
-        nc.storage_positivity_scan(cs, np.zeros(3), np.ones(3), samples=10)
+    cs = lag_storage(plant, v1, a, b, four_node_graph if on_graph else None)
+    assert cs.positivity_margin() < 0
+    n = cs.loop.n_plants
+    u = np.linalg.eigh(cs.loop.K)[1][:, -1]
+    t = 30.0
+    X = np.concatenate([np.stack([t * u, np.zeros(n)], axis=1).reshape(-1), t * a / b * u])
+    assert cs.value(X) < 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(m=st.floats(0.5, 2.0), l=st.floats(0.25, 1.0), kappa=st.floats(0.5, 20.0),
+       g=st.floats(1.0, 20.0), a=st.floats(0.5, 50.0), b=st.floats(0.5, 10.0),
+       shape=st.sampled_from(["pair", "path", "complete"]), n=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_positivity_margin_decides_the_sign_of_the_storage(m, l, kappa, g, a, b, shape,
+                                                           n, seed):
+    """A positive margin: W >= 0 at random states. A negative one: W < 0 at
+    the witness for t = 100, whenever the bound W <= n c + (1/2) t^2 margin,
+    c = 2 m g l, is negative there."""
+    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=kappa, g_ms2=g)
+    graph = {"pair": None, "path": nc.path_graph(n),
+             "complete": nc.Graph(n, frozenset(itertools.combinations(range(n), 2)))}[shape]
+    cs = lag_storage(nc.pendulum_plant(params), nc.pendulum_storage(params), a, b, graph)
+    margin = cs.positivity_margin()
+    if margin > 0:
+        X = np.random.default_rng(seed).uniform(-10.0, 10.0, (200, cs.loop.n_states))
+        assert cs.value(X).min() >= 0
+    else:
+        assume(cs.loop.n_plants * 2 * m * g * l + 0.5 * 100.0 ** 2 * margin < 0)
+        assert cs.value(margin_witness(cs, 100.0)) < 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(p=st.integers(1, 3), io=st.integers(1, 2), q=st.integers(1, 2), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_positivity_margin_matches_the_dense_storage_matrix(p, io, q, n, seed):
+    """A linear plant with V = (1/2) x^T Q x makes W the quadratic form
+    (1/2) z^T H z of the dense H. The margin's sign is that of H's smallest
+    eigenvalue off H's kernel {xp = 0, xc in ker K (x) R^q}."""
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(p, p))
+    Q = S @ S.T + rng.uniform(-1.0, 3.0) * np.eye(p)
+    plant = nc.NonlinearPlant(A=-np.eye(p), B=rng.normal(size=(p, io)),
+                              C=rng.normal(size=(io, p)), E=np.zeros((p, 0)),
+                              phi=lambda x: x[..., :0])
+    v1 = nc.StorageFunction(V=lambda x: 0.5 * np.einsum("...i,ij,...j", x, Q, x),
+                            grad=lambda x: x @ Q, Q=Q)
+    ctrl = nc.StateSpace(-np.eye(q), rng.normal(size=(q, io)), rng.normal(size=(io, q)))
+    R = rng.normal(size=(q, q))
+    Y = R @ R.T + 0.1 * np.eye(q)
+    loop = (nc.pair_interconnect(plant, ctrl) if n == 1
+            else nc.network_interconnect(plant, ctrl, nc.path_graph(n)))
+    cs = nc.CompositeStorage(loop, v1, Y)
+    K, G = loop.K, plant.C.T @ ctrl.C
+    H = np.block([[np.kron(np.eye(len(K)), Q), -np.kron(K, G)],
+                  [-np.kron(K, G.T), np.kron(K, np.linalg.inv(Y))]])
+    Z = rng.normal(size=(5, loop.n_states))
+    assert cs.value(Z) == pytest.approx(0.5 * np.einsum("ki,ij,kj->k", Z, H, Z),
+                                        rel=1e-9, abs=1e-9)
+    lam, U = np.linalg.eigh(K)
+    kernel = np.vstack([np.zeros((len(K) * p, q)), np.kron(U[:, :1], np.eye(q))])
+    if n == 1:  # K = [[1]] has no kernel
+        kernel = kernel[:, :0]
+    P = np.eye(loop.n_states) - kernel @ kernel.T
+    off = np.linalg.eigvalsh(P @ H @ P)
+    off = np.delete(off, np.argsort(np.abs(off))[:kernel.shape[1]])
+    margin = cs.positivity_margin()
+    assume(abs(margin) > 1e-6)
+    assert (off.min() > 0) == (margin > 0)
+
+
+def test_positivity_margin_needs_a_positive_definite_certificate(pendulum, network_loop):
+    plant, v1 = pendulum
+    two_state = nc.pair_interconnect(plant, nc.StateSpace(-np.eye(2), [[1.0], [0.0]],
+                                                          [[1.0, 0.0]]))
+    for loop, Y in ((network_loop, [[-1.0]]), (two_state, [[1.0, 1.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            nc.CompositeStorage(loop, v1, Y).positivity_margin()
