@@ -173,7 +173,9 @@ def consensus_metric(traj: Trajectory):
 
     Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over the graph
     edges (the nonzero off-diagonal entries of the loop's mixing matrix) and
-    over all node pairs. Needs at least two nodes.
+    over all node pairs. For scalar outputs the farthest pair is the largest
+    and the smallest output, and rounding y_i - y_j is monotone in both, so
+    max - min is the all-pairs maximum exactly. Needs at least two nodes.
     """
     cl = traj.system
     if cl.n_plants < 2:
@@ -183,7 +185,11 @@ def consensus_metric(traj: Trajectory):
     def max_dist(i, j):
         return np.linalg.norm(y1[:, i, :] - y1[:, j, :], axis=2).max(axis=1)
 
-    return max_dist(*np.nonzero(np.triu(cl.K, 1))), max_dist(*np.triu_indices(cl.n_plants, 1))
+    if y1.shape[2] == 1:
+        all_pairs = y1.max(axis=(1, 2)) - y1.min(axis=(1, 2))
+    else:
+        all_pairs = max_dist(*np.triu_indices(cl.n_plants, 1))
+    return max_dist(*np.nonzero(np.triu(cl.K, 1))), all_pairs
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,16 @@ def reject_constant(token):
     """json's parse_constant hook for outside input: Python's json accepts the
     NaN and Infinity tokens, which are not JSON and no experiment value."""
     raise ConfigError(f"non-finite number {token} is not valid JSON")
+
+
+def finite_float(literal):
+    """json's parse_float hook for outside input: a literal beyond the floats,
+    such as 1e999, would otherwise parse as inf without calling
+    ``reject_constant``."""
+    value = float(literal)
+    if math.isinf(value):
+        raise ConfigError(f"number {literal} overflows a float")
+    return value
 
 
 _NUMBER = {"type": "number"}
@@ -240,7 +251,7 @@ def resolve_config(doc: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject_constant)
+            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:

@@ -139,8 +139,9 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
         times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg)
     except SimulationDiverged as err:
         err.last_state = err.last_state[cl._rows]
-        # W's phi rows are zero, so a slope's phi block goes non-finite only
-        # together with every other row: the entry named is a state row
+        # W's phi rows are zero, so a slope's phi block stays 0 (edge product)
+        # or goes non-finite only together with every other row (dense
+        # product): the entry named is a state row
         err.index = int(np.searchsorted(cl._rows, err.index))
         err.args = (f"{err} in {cl.component(err.index)}",)
         raise

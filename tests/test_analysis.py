@@ -240,6 +240,24 @@ def test_consensus_all_pairs_dominates_edges(network_traj, pendulum):
     assert np.array_equal(em, ap)
 
 
+def test_consensus_metric_max_minus_min_is_the_pairwise_maximum(pendulum):
+    """For scalar outputs the all-pairs series is max - min per sample, bit
+    for bit the largest norm over all node pairs, on outputs spread over 200
+    decades with ties and signed zeros."""
+    plant, _ = pendulum
+    loop = nc.network_interconnect(plant, nc.first_order(A, B), nc.path_graph(7))
+    rng = np.random.default_rng(11)
+    X = rng.choice([-1.0, 1.0], (500, loop.n_states)) * 10.0 ** rng.uniform(-100, 100, (500, loop.n_states))
+    X[:50, 0:14:2] = X[:50, :1]
+    X[50:60, 0:14:2] = rng.choice([0.0, -0.0], (10, 7))
+    traj = nc.Trajectory(system=loop, times=np.arange(500.0), states=X, **vars(loop.evaluate(X)))
+    _, all_pairs = analysis.consensus_metric(traj)
+    y1 = X[:, 0:14:2]
+    pairwise = np.max([np.linalg.norm(y1[:, [i]] - y1[:, [j]], axis=1)
+                       for i in range(7) for j in range(i + 1, 7)], axis=0)
+    assert all_pairs.tobytes() == pairwise.tobytes()
+
+
 def test_steady_state_relation_examples(four_node_graph):
     net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
     ones = analysis.check_steady_state_relation(net, np.ones(4), tol=1e-9)

@@ -7,8 +7,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from niconsensus import IntegratorConfig, config, integrate
+from niconsensus import (IntegratorConfig, config, integrate, network,
+                         network_interconnect, path_graph)
 from niconsensus.cli import main, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,16 +70,22 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
     assert {name: spans.count(name) for name in counts} == counts
 
 
-def test_tracer_sees_every_field_evaluation_under_rk4_path():
+@pytest.mark.parametrize("nodes", [None, 64], ids=["flagship4", "path64"])
+def test_tracer_sees_every_field_evaluation_under_rk4_path(nodes):
     """The benchmark counts sim.steps as the network.rhs spans whose parent
     is sim.rk4_path, over 4: the field the integrator binds must run the
-    traced ClosedLoop.rhs at every stage of every step."""
+    traced ClosedLoop.rhs at every stage of every step, with the dense
+    product (flagship4) and with the edge product (a 64-node path)."""
     cfg = config.resolve_config(json.loads((ROOT / "configs" / "pendulum4.json").read_text()))
-    loop, h, steps = cfg.build_loop(), cfg.integrator.step_s, 25
+    loop, x0, h, steps = cfg.build_loop(), cfg.x0, cfg.integrator.step_s, 25
+    if nodes:
+        loop = network_interconnect(loop.plant, loop.controller, path_graph(nodes))
+        x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
+    assert (loop.extend(x0).size >= network.EDGE_PRODUCT_MIN) == bool(nodes)
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        integrate(loop, cfg.x0, IntegratorConfig(h, steps * h, record_every=10))
+        integrate(loop, x0, IntegratorConfig(h, steps * h, record_every=10))
     finally:
         tracer.uninstall()
     spans = tracer.take()

@@ -552,6 +552,25 @@ def test_non_finite_json_token_exit2(tmp_path, capsys, command, key, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_overflowing_number_literal_exit2(tmp_path, capsys, command):
+    """json parses 1e999 as inf without calling parse_constant: a config file
+    and sweep's --values both reject the literal by name before anything runs
+    (simulate ended in an OverflowError traceback, sweep ran a=inf)."""
+    path = PENDULUM_PAIR
+    if command == "simulate":
+        doc = json.loads(PENDULUM_PAIR.read_text())
+        doc["integrator"]["t_end_s"] = 1234.5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace("1234.5", "1e999"))
+    extra = ["--param", "a", "--values", "1e999"] if command == "sweep" else []
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out), "--quiet", *extra])
+    assert code == 2
+    assert "number 1e999 overflows a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_repeated_value_exit2(tmp_path, capsys):
     """10 and 10 name one run directory, which two workers would write at once."""
     out = tmp_path / "sweep"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import niconsensus as nc
-from conftest import rhs_rows
+from conftest import complete_graph, rhs_rows
+from niconsensus import network
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -104,6 +106,27 @@ def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
         X = np.array([th, om, xc])
         assert np.array_equal(rhs_rows(loop, X)[0], explicit)
         assert np.array_equal(loop.evaluate(X).dstate, explicit)
+
+
+def test_edge_product_rows_are_the_explicit_path_field(pendulum):
+    """Above the crossover each row sums its entries in column order: the
+    pendulum rows add spring, gravity and the inputs from the lower to the
+    higher neighbour, as the hand-written field does, bit for bit."""
+    plant, _ = pendulum
+    a, b, n = 10.0, 10.0, 64
+    kappa, ml2, mgl = 5.0, 0.25, 4.9
+    loop = nc.network_interconnect(plant, nc.first_order(a, b), nc.path_graph(n))
+    assert loop.extend(np.zeros(loop.n_states)).size >= network.EDGE_PRODUCT_MIN
+    X = np.random.default_rng(12).uniform(-3.0, 3.0, loop.n_states)
+    th, om, xc = X[0:2 * n:2], X[1:2 * n:2], X[2 * n:]
+    explicit = []
+    for i in range(n):
+        u = -kappa * th[i] - mgl * math.sin(th[i])
+        for j in range(max(i - 1, 0), min(i + 2, n)):
+            u += loop.K[i, j] * xc[j]
+        explicit += [om[i], u / ml2]
+    explicit += [-b * c + a * t for t, c in zip(th, xc)]
+    assert np.array_equal(rhs_rows(loop, X)[0], explicit)
 
 
 def test_network_interconnect_dimensions(network_loop):
@@ -388,3 +411,50 @@ def test_positivity_margin_needs_a_positive_definite_certificate(pendulum, netwo
     for loop, Y in ((network_loop, [[-1.0]]), (two_state, [[1.0, 1.0], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="symmetric positive definite"):
             nc.CompositeStorage(loop, v1, Y).positivity_margin()
+
+
+def star_graph(n):
+    return nc.Graph(n, frozenset((0, i) for i in range(1, n)))
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "complete"])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape, n):
+    """Both products of one loop, forced by the crossover: the dense W that
+    the triplets scatter into is np.kron's np.block entry for entry, and the
+    edge product agrees with it to rounding. In either regime a batch
+    evaluate row equals the bound field's state rows bit for bit."""
+    plant, _ = pendulum
+    lag = nc.first_order(10.0, 10.0)
+    graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
+    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 10 ** 9)
+    dense = nc.network_interconnect(plant, lag, graph)
+    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 0)
+    edge = nc.network_interconnect(plant, lag, graph)
+    eye, K, bank = np.eye(n), dense.K, dense.bank
+    W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
+                  [np.zeros((n, 4 * n))],
+                  [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), bank.A]])
+    assert np.array_equal(dense._product.args[0], W)
+    X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
+    for loop in (dense, edge):
+        batch = loop.evaluate(X).dstate
+        for x, row in zip(X, batch):
+            state_rows, phi_rows = rhs_rows(loop, x)
+            assert np.array_equal(state_rows, row) and not phi_rows.any()
+    scale = np.abs(W) @ np.abs(dense.extend(X)).T
+    err = np.abs(edge.evaluate(X).dstate - dense.evaluate(X).dstate)
+    assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
+
+
+def test_large_loop_is_built_without_its_dense_matrix(pendulum):
+    """A 1024-node path has N' = 4096: its dense W alone would take 134 MB."""
+    plant, _ = pendulum
+    graph = nc.path_graph(1024)
+    tracemalloc.start()
+    try:
+        nc.network_interconnect(plant, nc.first_order(10.0, 10.0), graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import EXACT, convergence_order, rk4_path_oracle
+from conftest import EXACT, convergence_order, rhs_rows, rk4_path_oracle
+from niconsensus import network
 from niconsensus.cli import main
 from niconsensus.sim import rk4_path
 
@@ -155,6 +156,28 @@ def test_divergence_inside_a_stage_names_the_entry_that_overflowed(pendulum):
         nc.integrate(loop, np.array([0.0, 0.0, 1e306]), nc.IntegratorConfig(1e-3, 1e-2))
     assert err.value.step == 1 and err.value.index == 2
     assert str(err.value) == "divergence at t=0.001 in controller 1, coordinate 0"
+
+
+def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
+    """Above network.EDGE_PRODUCT_MIN the field never forms W, so a
+    non-finite angle spoils only the rows that read it, where the dense
+    product turns every row NaN (0 * inf). From a huge angle at node 41 the
+    stiff controller of that node overflows first, and the error names it."""
+    plant, _ = pendulum
+    loop = nc.network_interconnect(plant, nc.first_order(5000.0, 5000.0), nc.path_graph(64))
+    assert loop.extend(np.zeros(loop.n_states)).size >= network.EDGE_PRODUCT_MIN
+    x0 = np.zeros(loop.n_states)
+    x0[0:128:2] = 0.1
+    x0[80] = 1e100
+    with pytest.raises(nc.SimulationDiverged) as err:
+        nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 1.0))
+    assert str(err.value) == "divergence at t=0.18 in controller 41, coordinate 0"
+    x0[80] = np.inf
+    with np.errstate(invalid="ignore"):
+        state_rows, phi_rows = rhs_rows(loop, x0)
+    assert [loop.component(i) for i in np.flatnonzero(~np.isfinite(state_rows))] == [
+        "plant 41, coordinate 1", "controller 41, coordinate 0"]
+    assert not phi_rows.any()
 
 
 @pytest.mark.parametrize("size", [1, 3, 12, 67])
