@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import (ConfigError, ExperimentConfig, finite_float, load_config,
-                     reject_constant, resolve_config)
+from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
+                     load_config, reject_constant, resolve_config)
 from .linsys import (is_hurwitz, kron_ss, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
 from .plant import GammaError, gamma_estimate, gamma_input_grid
@@ -261,8 +261,8 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     base = load_config(args.config)
-    parsed = [json.loads(v, parse_constant=reject_constant, parse_float=finite_float)
-              for v in values]
+    parsed = [json.loads(v, parse_constant=reject_constant, parse_float=finite_float,
+                         parse_int=finite_int) for v in values]
     out_root = Path(args.out or base.out_dir or "out")
     run_dirs = [str(out_root / f"run_{args.param}={v}") for v in parsed]
     for v, run_dir in zip(parsed, run_dirs):

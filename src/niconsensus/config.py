@@ -38,6 +38,14 @@ def finite_float(literal):
     return value
 
 
+def finite_int(literal):
+    """json's parse_int hook for outside input: an integer literal beyond the
+    floats would otherwise parse, then overflow where it meets a float (or
+    exceed Python's 4300-digit conversion limit first)."""
+    finite_float(literal)
+    return int(literal)
+
+
 _NUMBER = {"type": "number"}
 _MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 1},
            "minItems": 1}
@@ -251,7 +259,8 @@ def resolve_config(doc: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float)
+            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
+                            parse_int=finite_int)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:

@@ -21,9 +21,11 @@ W is built once as its nonzero entries, row-sorted (row, column, value)
 triplets taken straight from the nonzeros of the Kronecker factors, so its
 size follows the graph's edges rather than N'^2. Below EDGE_PRODUCT_MIN
 extended states the field scatters them into the dense W and multiplies by
-it; from there on it never forms W and sums each row's entries in column
-order with one gather, one multiply and one bincount. Either way a pendulum
-row sums spring, gravity and input terms in the hand-written order.
+it through the bound method W.dot; from there on it never forms W and sums
+each row's entries in column order with one gather, one multiply and one
+bincount. Either way a pendulum row sums spring, gravity and input terms in
+the hand-written order. A field evaluation first writes phi(xp) into Z's phi
+block through phi's ufunc-style out argument, so it allocates nothing.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class ClosedLoop:
         if size < EDGE_PRODUCT_MIN:
             W = np.zeros((size, size))
             W[rows, cols] = vals
-            self._product, self._batch_product = partial(np.dot, W), partial(matvec, W)
+            self._product, self._batch_product = W.dot, partial(matvec, W)
         else:
             # the k-th entry of each row that has one: a batch sums slot after slot
             slot = np.arange(rows.size) - np.searchsorted(rows, rows)
@@ -153,10 +155,10 @@ class ClosedLoop:
 
     def rhs(self, Z, xp, ph, out):
         """One field evaluation at the extended state Z, with xp and ph the
-        views of ``field_at``: refills the phi block from the plant block,
-        then writes dZ/dt = W Z into out with the product chosen at build.
-        W's phi rows are zero, so dZ/dt is 0 there."""
-        ph[...] = self.plant.phi(xp)
+        views of ``field_at``: phi writes the phi block from the plant block
+        in place, then the product chosen at build writes dZ/dt = W Z into
+        out. W's phi rows are zero, so dZ/dt is 0 there."""
+        self.plant.phi(xp, ph)
         self._product(Z, out)
 
     def component(self, i: int) -> str:

@@ -6,10 +6,11 @@ not verified here). The output map is linear, so an output rate is exactly
 h(f(x, u)) = C dx/dt rather than a difference of sampled signals.
 
 Plants and storage functions act row-wise on leading batch axes, so one call
-evaluates n nodes or T samples at once. Plants used in the stability
-experiments additionally satisfy "x(t) constant => u(t) constant" (for the
-pendulum this follows from the second state equation), a documented
-precondition of the steady-state arguments.
+evaluates n nodes or T samples at once; phi(x, out=None) also writes into
+out like a numpy ufunc, so the integrator refills its buffer in place.
+Plants used in the stability experiments additionally satisfy "x(t)
+constant => u(t) constant" (for the pendulum this follows from the second
+state equation), a documented precondition of the steady-state arguments.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ GAMMA_INPUT_LO, GAMMA_INPUT_HI, GAMMA_INPUT_COUNT = -25.0, 25.0, 201
 class NonlinearPlant:
     """dx/dt = A x + B u + E phi(x), y = C x with A p x p, B p x m, C m x p, E p x r;
     phi: (..., p) -> (..., r), f: (..., p), (..., m) -> (..., p) and
-    h: (..., p) -> (..., m) act row-wise on leading batch axes."""
+    h: (..., p) -> (..., m) act row-wise on leading batch axes. phi(x, out)
+    writes phi(x) into out like a ufunc; one probe at construction checks it."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     E: np.ndarray
-    phi: callable  # (..., p) -> (..., r)
+    phi: callable  # (..., p), out=None -> (..., r)
 
     def __post_init__(self):
         for name in "ABCE":
@@ -47,6 +49,12 @@ class NonlinearPlant:
         p, m = self.B.shape
         if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p):
             raise ValueError("plant matrices must be A p x p, B p x m, C m x p, E p x r")
+        # a phi that ignored out would leave a stale phi block in every RK4 stage
+        x = np.linspace(0.25, 0.75, 2 * p).reshape(2, p)
+        out = np.full((2, self.E.shape[1]), np.nan)
+        self.phi(x, out)
+        if not np.array_equal(out, self.phi(x)):
+            raise ValueError("phi(x, out) must write phi(x), of shape (..., r), into out")
         rows = np.hstack((self.A, self.E, self.B)).tolist()
         object.__setattr__(self, "_terms", [(i, j, w) for i, row in enumerate(rows)
                                             for j, w in enumerate(row) if w])
@@ -107,7 +115,7 @@ def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
     ml2, mgl, kap = _pendulum_constants(params)
     return NonlinearPlant(A=[[0.0, 1.0], [-kap / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
                           C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]],
-                          phi=lambda x: np.sin(x[..., :1]))
+                          phi=lambda x, out=None: np.sin(x[..., :1], out=out))
 
 
 def pendulum_storage(params: PendulumParams) -> StorageFunction:

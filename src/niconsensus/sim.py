@@ -65,8 +65,9 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig):
     times = np.empty(n_rec)
     states = np.empty((n_rec, x.size))
     times[0], states[0] = 0.0, x
-    rec = 1
-    half, sixth = 0.5 * h, h / 6.0
+    rec, every = 1, cfg.record_every
+    # 0-d arrays: a ufunc takes them without converting a Python float per call
+    half, step, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
     k1, k2, k3, k4, s, t = (np.empty_like(x) for _ in range(6))
     fx, fs = field_at(x), field_at(s)
     add, mul = np.add, np.multiply
@@ -80,16 +81,16 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig):
             fs(k2)
             add(x, mul(half, k2, out=t), out=s)
             fs(k3)
-            add(x, mul(h, k3, out=t), out=s)
+            add(x, mul(step, k3, out=t), out=s)
             fs(k4)
-            mul(2.0, add(k2, k3, out=t), out=t)
+            mul(two, add(k2, k3, out=t), out=t)
             mul(sixth, add(add(k1, t, out=t), k4, out=t), out=t)
             add(x, t, out=s)
             if zero.dot(s) != 0.0:
                 raise SimulationDiverged(k * h, k, x,
                                          _first_non_finite(x, k1, k2, k3, k4, half, h, s))
             x, s, fx, fs = s, x, fs, fx
-            if k % cfg.record_every == 0 or k == n_steps:
+            if k % every == 0 or k == n_steps:
                 times[rec] = k * h
                 states[rec] = x
                 rec += 1

@@ -98,7 +98,8 @@ def test_dense_mimo_plant_maps_act_row_wise():
     rows equal single rows exactly and match A x + B u + E phi(x)."""
     rng = np.random.default_rng(6)
     A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
-    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E, phi=lambda x: np.tanh(x[..., :2]))
+    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E,
+                              phi=lambda x, out=None: np.tanh(x[..., :2], out=out))
     assert (plant.p, plant.m) == (3, 2)
     xs = rng.uniform(-2.0, 2.0, (4, 6, 3))
     us = rng.uniform(-2.0, 2.0, (4, 6, 2))

@@ -552,22 +552,34 @@ def test_non_finite_json_token_exit2(tmp_path, capsys, command, key, token):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_overflowing_number_literal_exit2(tmp_path, capsys, command):
-    """json parses 1e999 as inf without calling parse_constant: a config file
-    and sweep's --values both reject the literal by name before anything runs
-    (simulate ended in an OverflowError traceback, sweep ran a=inf)."""
+BEYOND_FLOATS = "1" + "0" * 400
+BEYOND_INT_DIGITS = "1" + "0" * 4300
+
+
+@pytest.mark.parametrize("command, literal", [
+    pytest.param("simulate", "1e999", id="simulate"),
+    pytest.param("sweep", "1e999", id="sweep"),
+    pytest.param("simulate", BEYOND_FLOATS, id="simulate-int"),
+    pytest.param("simulate", BEYOND_INT_DIGITS, id="simulate-int-4301-digits"),
+    pytest.param("sweep", BEYOND_FLOATS, id="sweep-int"),
+])
+def test_overflowing_number_literal_exit2(tmp_path, capsys, command, literal):
+    """json parses 1e999 as inf without calling parse_constant, and an integer
+    literal as a Python int: a config file and sweep's --values both reject
+    the literal by name before anything runs (simulate ended in an
+    OverflowError or a digit-limit ValueError traceback, sweep ran a=inf or
+    ended in the pool's OverflowError)."""
     path = PENDULUM_PAIR
     if command == "simulate":
         doc = json.loads(PENDULUM_PAIR.read_text())
         doc["integrator"]["t_end_s"] = 1234.5
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc).replace("1234.5", "1e999"))
-    extra = ["--param", "a", "--values", "1e999"] if command == "sweep" else []
+        path.write_text(json.dumps(doc).replace("1234.5", literal))
+    extra = ["--param", "a", "--values", literal] if command == "sweep" else []
     out = tmp_path / "o"
     code = main([command, "--config", str(path), "--out", str(out), "--quiet", *extra])
     assert code == 2
-    assert "number 1e999 overflows a float" in capsys.readouterr().err
+    assert f"number {literal} overflows a float" in capsys.readouterr().err
     assert not out.exists()
 
 

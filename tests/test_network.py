@@ -377,7 +377,7 @@ def test_positivity_margin_matches_the_dense_storage_matrix(p, io, q, n, seed):
     Q = S @ S.T + rng.uniform(-1.0, 3.0) * np.eye(p)
     plant = nc.NonlinearPlant(A=-np.eye(p), B=rng.normal(size=(p, io)),
                               C=rng.normal(size=(io, p)), E=np.zeros((p, 0)),
-                              phi=lambda x: x[..., :0])
+                              phi=lambda x, out=None: x[..., :0])
     v1 = nc.StorageFunction(V=lambda x: 0.5 * np.einsum("...i,ij,...j", x, Q, x),
                             grad=lambda x: x @ Q, Q=Q)
     ctrl = nc.StateSpace(-np.eye(q), rng.normal(size=(q, io)), rng.normal(size=(io, q)))
@@ -435,7 +435,7 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
                   [np.zeros((n, 4 * n))],
                   [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), bank.A]])
-    assert np.array_equal(dense._product.args[0], W)
+    assert np.array_equal(dense._product.__self__, W)
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
     for loop in (dense, edge):
         batch = loop.evaluate(X).dstate

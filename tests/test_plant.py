@@ -126,7 +126,7 @@ def test_equilibrium_examples(pendulum):
 
 def test_equilibrium_failure_reports():
     hopeless = nc.NonlinearPlant(A=[[0.0]], B=[[0.0]], C=[[1.0]], E=[[1.0]],
-                                 phi=lambda x: x ** 2 + 1.0)
+                                 phi=lambda x, out=None: np.add(x ** 2, 1.0, out=out))
     with pytest.raises(RuntimeError, match="no equilibrium"):
         nc.equilibrium_solve(hopeless, [0.0], [0.0])
 
@@ -221,7 +221,7 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
 
 def test_gamma_zero_output_plant():
     silent = nc.NonlinearPlant(A=[[-1.0]], B=[[1.0]], C=[[0.0]], E=np.zeros((1, 0)),
-                               phi=lambda x: x[..., :0])
+                               phi=lambda x, out=None: x[..., :0])
     report = nc.gamma_estimate(silent, nc.first_order(10.0, 10.0),
                                [np.array([1.0]), np.array([-2.0])])
     assert report.gamma_hat == 0.0
@@ -234,9 +234,18 @@ def test_gamma_input_validation(pendulum):
     with pytest.raises(ValueError, match="at least one"):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [])
     hopeless = nc.NonlinearPlant(A=[[0.0]], B=[[0.0]], C=[[1.0]], E=[[1.0]],
-                                 phi=lambda x: x ** 2 + 1.0)
+                                 phi=lambda x, out=None: np.add(x ** 2, 1.0, out=out))
     with pytest.raises(RuntimeError, match=r"failed for input \[3\."):
         nc.gamma_estimate(hopeless, nc.first_order(10.0, 10.0), [np.array([3.0])])
+
+
+def test_phi_that_ignores_out_is_refused():
+    """The integrator refills its phi block with phi(x, out): a phi that
+    returns phi(x) but leaves out alone would keep the block stale in every
+    RK4 stage, so the plant refuses it at construction."""
+    with pytest.raises(ValueError, match=r"phi\(x, out\) must write phi\(x\)"):
+        nc.NonlinearPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[-1.0]],
+                          phi=lambda x, out=None: np.tanh(x))
 
 
 def test_gamma_error_names_the_failing_node(four_node_graph):

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +204,8 @@ def dense_path3():
     controller with two inputs."""
     rng = np.random.default_rng(6)
     A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
-    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E, phi=lambda x: np.tanh(x[..., :2]))
+    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E,
+                              phi=lambda x, out=None: np.tanh(x[..., :2], out=out))
     ctrl = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
     return nc.network_interconnect(plant, ctrl, nc.path_graph(3))
 
@@ -209,7 +213,8 @@ def dense_path3():
 def linear_pair():
     """A pair with a linear plant: r = 0, so the phi block is empty."""
     plant = nc.NonlinearPlant(A=[[0.0, 1.0], [-4.0, -0.1]], B=[[0.0], [1.0]],
-                              C=[[1.0, 0.0]], E=np.zeros((2, 0)), phi=lambda x: x[..., :0])
+                              C=[[1.0, 0.0]], E=np.zeros((2, 0)),
+                              phi=lambda x, out=None: x[..., :0])
     return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
 
 
@@ -249,6 +254,31 @@ def test_field_at_binds_views_of_the_buffer(make):
     bound(out)
     assert np.array_equal(Z[phi], loop.plant.phi(np.full(xp.shape, 0.5)).ravel())
     assert np.array_equal(np.delete(out, phi), loop.evaluate(np.delete(Z, phi)).dstate)
+
+
+def test_an_rk4_step_runs_no_hidden_python_frames(network_loop, network_x0):
+    """A flagship4 step is four field evaluations, each one ``rhs`` frame and
+    one pendulum ``phi`` frame: no numpy dispatcher or other Python frame
+    runs on the hot path. Setup frames cancel in the difference between a
+    two-step and a one-step run, and the collector is off so that no
+    callback adds frames."""
+    def python_frames(steps):
+        names = []
+        cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=steps * 1e-3)
+        z0 = network_loop.extend(network_x0)
+        gc.disable()
+        sys.setprofile(lambda frame, event, _: names.append(frame.f_code.co_name)
+                       if event == "call" else None)
+        try:
+            rk4_path(network_loop.field_at, z0, cfg)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return Counter(names)
+
+    one, two = python_frames(1), python_frames(2)
+    assert two - one == Counter({"rhs": 4, "<lambda>": 4})
+    assert two.total() - one.total() == 8
 
 
 def test_integrator_config_validation():
