@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .analysis import CHECKS
 from .graph import Graph, is_connected, laplacian
@@ -134,6 +134,110 @@ SCHEMA = {
     },
 }
 
+#: JSON Schema's types as jsonschema decides them: a bool is no number, and an
+#: integral float such as 10.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _equal(a, b):
+    """jsonschema's equality of JSON values: True is not 1, inside arrays and
+    objects too."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _unique(items):
+    """jsonschema's uniqueness test: no equal neighbours once sorted, or no
+    equal pair when the items do not sort (a bool among them, mixed types,
+    objects). Unhashable items such as lists are fine."""
+    try:
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError("bools are compared pairwise")
+        ordered = sorted(items)
+        pairs = zip(ordered, ordered[1:])
+    except TypeError:
+        pairs = ((a, b) for k, b in enumerate(items) for a in items[:k])
+    return not any(_equal(a, b) for a, b in pairs)
+
+
+def schema_errors(schema, value, path="$"):
+    """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``,
+    in the keyword order and wording of jsonschema's Draft 2020-12 validator.
+
+    Only the keywords SCHEMA uses are implemented (``additionalProperties``
+    only as false, ``type`` only as one name); any other keyword raises
+    NotImplementedError instead of being skipped.
+    """
+    for key, arg in schema.items():
+        if key == "$schema":
+            continue
+        if key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "const":
+            if not _equal(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if not any(_equal(each, value) for each in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum":
+            if _TYPES["number"](value) and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if _TYPES["number"](value) and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from schema_errors(arg, item, f"{path}[{i}]")
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "uniqueItems":
+            if arg and isinstance(value, list) and not _unique(value):
+                yield path, f"{value!r} has non-unique elements"
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from schema_errors(sub, value[name], f"{path}.{name}")
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                known = schema.get("properties", {})
+                extras = sorted((name for name in value if name not in known), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, (f"Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "oneOf":
+            valid = [sub for sub in arg if next(schema_errors(sub, value, path), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:  # jsonschema names the first valid one last
+                yield path, (f"{value!r} is valid under each of "
+                             f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+        else:
+            raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
+
+
 DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
                   "lyapunov_monotone", "consensus"]
 
@@ -199,10 +303,9 @@ def plant_from_config(entry: dict):
 
 def resolve_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document and build every referenced object."""
-    e = min(Draft202012Validator(SCHEMA).iter_errors(doc), key=lambda e: e.json_path,
-            default=None)
-    if e is not None:
-        raise ConfigError(f"{e.json_path}: {e.message}")
+    error = min(schema_errors(SCHEMA, doc), key=lambda e: e[0], default=None)
+    if error is not None:
+        raise ConfigError("{}: {}".format(*error))
     mode = doc["mode"]
     plant, plant_storage = plant_from_config(doc["plant"])
     controller, controller_Y = controller_from_config(doc["controller"])
@@ -233,8 +336,13 @@ def resolve_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"$.initial_conditions.{key}: expected shape "
                               f"{list(shape)}, got {list(value.shape)}")
         x0.append(value.reshape(-1))
-    try:  # the schema's integrator keys are IntegratorConfig's fields
-        integrator = IntegratorConfig(**doc["integrator"])
+    # the schema's integrator keys are IntegratorConfig's fields; a schema
+    # integer may be an integral float (10.0), which the integrator cannot step by
+    fields = dict(doc["integrator"])
+    if "record_every" in fields:
+        fields["record_every"] = int(fields["record_every"])
+    try:
+        integrator = IntegratorConfig(**fields)
     except ValueError as err:
         raise ConfigError(f"$.integrator: {err}") from err
     consensus = doc.get("consensus", {})

@@ -484,13 +484,15 @@ def test_module_entrypoint(tmp_path):
 
 
 def test_package_imports_without_scipy():
-    """scipy is a test-only dependency: importing the package and its CLI in
-    a fresh interpreter must not load it."""
+    """scipy and jsonschema (with its `referencing`) are test-only
+    dependencies: importing the package and its CLI in a fresh interpreter
+    must load none of them."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = ("import sys, niconsensus, niconsensus.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'jsonschema', 'referencing')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
