@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from copy import deepcopy
 from dataclasses import asdict
 from pathlib import Path
@@ -271,6 +270,9 @@ def cmd_sweep(args) -> int:
                               f"share {run_dir}")
     tasks = [(_sweep_variant(base, args.param, v), run_dir)
              for v, run_dir in zip(parsed, run_dirs)]
+    # imported here: the pool's multiprocessing stack would load with every command
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
         outcomes = list(pool.map(_sweep_worker, tasks))
     out_root.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,13 @@ each row's entries in column order with one gather, one multiply and one
 bincount. Either way a pendulum row sums spring, gravity and input terms in
 the hand-written order. A field evaluation first writes phi(xp) into Z's phi
 block through phi's ufunc-style out argument, so it allocates nothing.
+
+With the phi block fresh the field is linear in Z, so the integrator's RK4
+stages are products of stage operators built from W for each step h
+(``rk4_stages``), such as [I | h/2 W] on the stacked stage states. Below
+EDGE_PRODUCT_MIN they are dense; from there on they are W's entries plus an
+identity entry per row, summed by a gather, a multiply and one reduction
+into buffers allocated when the stages are bound.
 """
 
 from __future__ import annotations
@@ -39,10 +46,14 @@ from .graph import Graph, is_connected, laplacian
 from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
 from .plant import NonlinearPlant, StorageFunction
 
-#: Extended-state size N' from which the field uses the edge product. Timed
-#: on one pinned core, the dense np.dot(W, Z) takes 2.0 us at N' = 128 and
-#: 6.1 us at N' = 192, the edge product 2.6 and 3.7 us (see CHANGES.md).
-EDGE_PRODUCT_MIN = 192
+#: Extended-state size N' from which the loop uses the edge products. Timed
+#: as RK4 steps on one pinned core, two passes: on pendulum paths the dense
+#: stage operators (up to N' x 4N') take 12-17 us per step at N' = 64
+#: against 15-19 us for the edge stages and 22-24 us at N' = 112 against
+#: 17-18 us; on stars, whose hub row sends the edge stages to
+#: np.add.reduceat, the two are level at N' = 96-112 and the edge stages
+#: take 20 us against 29-31 us at N' = 128 (see CHANGES.md).
+EDGE_PRODUCT_MIN = 112
 
 
 def check_controller(sys: StateSpace):
@@ -108,9 +119,10 @@ class ClosedLoop:
                   _kron_entries(eye, Ac, split + nr, split + nr)]
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        self._entries = rows, cols, vals = rows[order], cols[order], vals[order]
+        self._size, self._W = size, None
         if size < EDGE_PRODUCT_MIN:
-            W = np.zeros((size, size))
+            self._W = W = np.zeros((size, size))
             W[rows, cols] = vals
             self._product, self._batch_product = W.dot, partial(matvec, W)
         else:
@@ -145,21 +157,62 @@ class ClosedLoop:
         flat = xp.shape[:-2] + (-1,)
         return np.concatenate((xp.reshape(flat), self.plant.phi(xp).reshape(flat), xc), axis=-1)
 
+    def _views(self, z):
+        """(plant block as (n, p), phi block as (n, r)): views of the extended state z."""
+        return z[:self._split].reshape(self._nodes), z[self._phi].reshape(self._phi_nodes)
+
     def field_at(self, Z):
         """The integrator's field bound to one extended state buffer Z: the
         views of Z's plant block as (n, p) and phi block as (n, r) are built
-        once here, and the returned function of out runs ``rhs`` on them."""
-        xp = Z[:self._split].reshape(self._nodes)
-        ph = Z[self._phi].reshape(self._phi_nodes)
-        return partial(self.rhs, Z, xp, ph)
+        once here, and the returned function of out runs ``rhs`` on them
+        with the product W Z chosen at build."""
+        return partial(self.rhs, Z, *self._views(Z), product=self._product)
 
-    def rhs(self, Z, xp, ph, out):
-        """One field evaluation at the extended state Z, with xp and ph the
-        views of ``field_at``: phi writes the phi block from the plant block
-        in place, then the product chosen at build writes dZ/dt = W Z into
-        out. W's phi rows are zero, so dZ/dt is 0 there."""
+    def rhs(self, Z, xp, ph, out, product):
+        """One evaluation: phi writes the phi block of the extended state
+        whose views are xp and ph from its plant block, in place, then
+        product(Z, out) writes into out. For ``field_at`` Z is that state and
+        the product is dZ/dt = W Z (W's phi rows are zero, so dZ/dt is 0
+        there); for ``rk4_stages`` Z holds the stacked stage states and the
+        product is a stage operator."""
         self.plant.phi(xp, ph)
-        self._product(Z, out)
+        product(Z, out)
+
+    def rk4_stages(self, h):
+        """The stages_at of ``sim.rk4_path`` for step h, with no slope formed:
+        on the stage states z1..z4, the rows of the stage buffer P,
+        z2 = (I + h/2 W) z1, z3 = [I | h/2 W] [z1; z2],
+        z4 = [I | 0 | h W] [z1; z2; z3] and the new state is
+        z1 + W (h/6 z1 + h/3 z2 + h/3 z3 + h/6 z4), each one ``rhs`` call.
+        Above the crossover the last stage is the weighted sum into P[4] and
+        one [I | W] product on z1 and P[4]."""
+        N, W, half, third, sixth = self._size, self._W, 0.5 * h, h / 3.0, h / 6.0
+        if W is not None:
+            eye = np.eye(N)
+            ops = (eye + half * W, np.hstack((eye, half * W)),
+                   np.hstack((eye, np.zeros((N, N)), h * W)),
+                   np.hstack((eye + sixth * W, third * W, third * W, sixth * W)))
+            return partial(self._bind_stages, lambda P: [
+                (P[:k + 1].ravel(), S.dot) for k, S in enumerate(ops)])
+        rows, cols, vals = self._entries
+        # (column offset of the W block in the flattened (5, N) buffer, its scale)
+        ops = [_stage_entries(N, rows, offset + cols, scale * vals)
+               for offset, scale in ((0, half), (N, half), (2 * N, h), (4 * N, 1.0))]
+        weights = np.array((sixth, third, third, sixth))
+
+        def operands(P):  # every stage reads all of P, with a scratch array of its own
+            products = [partial(_edge_stage, *op, np.empty(op[0].shape)) for op in ops]
+            products[3] = partial(_edge_last, weights, P[:4], P[4], products[3])
+            return [(P.ravel(), product) for product in products]
+
+        return partial(self._bind_stages, operands)
+
+    def _bind_stages(self, operands, P, Q):
+        """Stage k: ``rhs`` with row k's views and (input, product) =
+        operands(P)[k], writing the next row of P (the last stage: Q[0])."""
+        outs = (P[1], P[2], P[3], Q[0])
+        return tuple(partial(self.rhs, Z, *self._views(P[k]), out, product)
+                     for k, ((Z, product), out) in enumerate(zip(operands(P), outs)))
 
     def component(self, i: int) -> str:
         """The plant or controller coordinate at index i of a composite state,
@@ -188,6 +241,49 @@ def _edge_product(rows, cols, vals, Z, out):
     """W Z from W's entries (rows, cols, vals): np.bincount adds each row's
     products in the entries' (column) order."""
     out[:] = np.bincount(rows, Z.take(cols) * vals, out.size)
+
+
+def _stage_entries(N, rows, cols, vals):
+    """(columns, values, row starts) of the stage operator [I | ...] whose
+    entries beyond the identity are (rows, cols, vals), each row's entries in
+    column order. If padding every row to the longest at most triples the
+    entries, they are (width, N) arrays whose slot k holds the k-th entry of
+    every row, a shorter row padded with zeros on its own identity column,
+    and the row starts are None; otherwise they run row after row from the
+    row starts, and no row is empty, since every row holds its identity
+    entry."""
+    eye = np.arange(N)
+    rows, cols = np.concatenate((eye, rows)), np.concatenate((eye, cols))
+    vals = np.concatenate((np.ones(N), vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.searchsorted(rows, eye)
+    slot = np.arange(rows.size) - starts[rows]
+    width = slot.max() + 1
+    if width * N > 3 * rows.size:
+        return cols, vals, starts
+    slot_cols, slot_vals = np.tile(eye, (width, 1)), np.zeros((width, N))
+    slot_cols[slot, rows], slot_vals[slot, rows] = cols, vals
+    return slot_cols, slot_vals, None
+
+
+def _edge_stage(cols, vals, starts, terms, Z, out):
+    """out = S Z for a stage operator S given by ``_stage_entries``: a gather
+    and a multiply into terms, then one sum over the slots, or over each
+    row's segment with np.add.reduceat."""
+    Z.take(cols, None, terms, "clip")
+    np.multiply(terms, vals, out=terms)
+    if starts is None:
+        np.add.reduce(terms, 0, None, out)
+    else:
+        np.add.reduceat(terms, starts, 0, None, out)
+
+
+def _edge_last(weights, stages, acc, product, Z, out):
+    """The last RK4 stage above the crossover: acc = weights . stages, then
+    the [I | W] product on z1 and acc."""
+    np.matmul(weights, stages, out=acc)
+    product(Z, out)
 
 
 def _edge_batch(slots, Z):

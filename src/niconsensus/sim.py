@@ -3,11 +3,20 @@
 Classical fourth-order Runge-Kutta with a fixed step. Fixed stepping keeps
 runs bit-reproducible on one platform and gives the dissipation checks a
 uniform sample spacing; adaptive stepping and stiff solvers are out of scope.
+
+One step loop, ``rk4_path``, serves two stage forms. A plain field runs the
+classical slopes (``slope_stages``). A closed loop's field is linear in its
+extended state once the phi block is fresh, so ``integrate`` runs the folded
+stages of ``ClosedLoop.rk4_stages``: each stage state is one product of a
+stage operator on the stacked stage states, and no slope is formed. The two
+agree to round-off (the classical RK4 stability-polynomial identity for
+linear fields), not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,26 +47,76 @@ class SimulationDiverged(RuntimeError):
         self.t, self.step, self.last_state, self.index = t, step, last_state, index
 
 
-def _first_non_finite(x, k1, k2, k3, k4, half, h, s) -> int:
-    """The entry that left the finite floats first in a failed step from x:
-    the first non-finite entry of the earliest non-finite slope, stage state
-    or new state s. A field's product can turn one non-finite entry of a
-    stage state into a non-finite slope everywhere, so later arrays do not
-    name it."""
-    for v in (k1, x + half * k1, k2, x + half * k2, k3, x + h * k3, k4, s):
+def _first_non_finite(field_at, x, h, new) -> int:
+    """The entry that left the finite floats first in a failed step from x.
+
+    The step is run again from x in slope form, allocating, with the field
+    field_at binds: the first non-finite entry of its earliest non-finite
+    slope, stage state or new state names the entry, else the first
+    non-finite entry of new, the failed step's result. A field's product can
+    turn one non-finite entry of a stage state into a non-finite slope
+    everywhere, so later arrays do not name it."""
+    z = np.array(x)
+    f, k = field_at(z), np.empty_like(z)
+
+    def slope(s):
+        np.copyto(z, s)
+        f(k)
+        return k.copy()
+
+    k1 = slope(x)
+    k2 = slope(s2 := x + 0.5 * h * k1)
+    k3 = slope(s3 := x + 0.5 * h * k2)
+    k4 = slope(s4 := x + h * k3)
+    for v in (k1, s2, k2, s3, k3, s4, k4, x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), new):
         finite = np.isfinite(v)
         if not finite.all():
             return int(np.argmin(finite))
 
 
-def rk4_path(field_at, x0, cfg: IntegratorConfig):
-    """Integrate dx/dt = f(x) in place on stage buffers allocated once.
+def slope_stages(field_at, h):
+    """The stages_at of ``rk4_path`` for a plain field dx/dt = f(x): the
+    classical RK4 slopes k1..k4 in rows 1-4 of the stage buffer, the stage
+    state and a scratch array beside them, and the new state
+    x + h/6 (k1 + 2 (k2 + k3) + k4) written in place."""
+    # 0-d arrays: a ufunc takes them without converting a Python float per call
+    half, step, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
+    add, mul = np.add, np.multiply
+
+    def stages(P, Q):
+        x, (k1, k2, k3, k4), new = P[0], P[1:], Q[0]
+        s, t = np.empty_like(x), np.empty_like(x)
+        fx, fs = field_at(x), field_at(s)
+
+        def stage(f, k, c):  # slope k at the stage state, then the next: s = x + c k
+            f(k)
+            add(x, mul(c, k, out=t), out=s)
+
+        def last():
+            fs(k4)
+            mul(two, add(k2, k3, out=t), out=t)
+            mul(sixth, add(add(k1, t, out=t), k4, out=t), out=t)
+            add(x, t, out=new)
+
+        return (partial(stage, fx, k1, half), partial(stage, fs, k2, half),
+                partial(stage, fs, k3, step), last)
+
+    return stages
+
+
+def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None):
+    """Integrate dx/dt = f(x) with fixed-step RK4 in stage buffers allocated once.
 
     field_at(z) binds f to one state buffer z: it returns a function of one
-    argument, out, that writes f at z's current value into out. The loop
-    evaluates f at two buffers only, the state x and the stage state s, and
-    binds each once. Returns (times, states) at the recorded samples: t = 0,
-    every record_every-th step, and the final step."""
+    argument, out, that writes f at z's current value into out. A step runs
+    in two (5, N) stage buffers P and Q: stages_at(P, Q) returns its four
+    stage calls, functions of no argument that together write the state
+    that follows P[0] into Q[0], using rows 1-4 of P as they like. The loop
+    binds P to Q and Q to P once each and alternates the two. By default
+    the stages are ``slope_stages(field_at, h)``; with stages_at given (the
+    folded stages of ``ClosedLoop.rk4_stages``) f itself runs only to name
+    the entry of a failed step. Returns (times, states) at the recorded
+    samples: t = 0, every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -66,30 +125,24 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig):
     states = np.empty((n_rec, x.size))
     times[0], states[0] = 0.0, x
     rec, every = 1, cfg.record_every
-    # 0-d arrays: a ufunc takes them without converting a Python float per call
-    half, step, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
-    k1, k2, k3, k4, s, t = (np.empty_like(x) for _ in range(6))
-    fx, fs = field_at(x), field_at(s)
-    add, mul = np.add, np.multiply
-    # 0 * v is +-0 for finite v and NaN for +-inf or NaN: zero . s != 0 iff s is not finite
+    P, Q = np.empty((5, x.size)), np.empty((5, x.size))
+    P[0] = x
+    bind = stages_at or slope_stages(field_at, h)
+    here, there = bind(P, Q), bind(Q, P)
+    x, new = P[0], Q[0]
+    # 0 * v is +-0 for finite v and NaN for +-inf or NaN: zero . new != 0 iff new is not finite
     zero = np.zeros_like(x)
     # overflow on the way to divergence raises SimulationDiverged, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            fx(k1)
-            add(x, mul(half, k1, out=t), out=s)
-            fs(k2)
-            add(x, mul(half, k2, out=t), out=s)
-            fs(k3)
-            add(x, mul(step, k3, out=t), out=s)
-            fs(k4)
-            mul(two, add(k2, k3, out=t), out=t)
-            mul(sixth, add(add(k1, t, out=t), k4, out=t), out=t)
-            add(x, t, out=s)
-            if zero.dot(s) != 0.0:
-                raise SimulationDiverged(k * h, k, x,
-                                         _first_non_finite(x, k1, k2, k3, k4, half, h, s))
-            x, s, fx, fs = s, x, fs, fx
+            first, second, third, last = here
+            first()
+            second()
+            third()
+            last()
+            if zero.dot(new) != 0.0:
+                raise SimulationDiverged(k * h, k, x, _first_non_finite(field_at, x, h, new))
+            x, new, here, there = new, x, there, here
             if k % every == 0 or k == n_steps:
                 times[rec] = k * h
                 states[rec] = x
@@ -137,12 +190,13 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     try:
-        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg)
+        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s))
     except SimulationDiverged as err:
         err.last_state = err.last_state[cl._rows]
         # W's phi rows are zero, so a slope's phi block stays 0 (edge product)
         # or goes non-finite only together with every other row (dense
-        # product): the entry named is a state row
+        # product): the entry named is a state row, or a phi row of a
+        # result whose every row went non-finite, which names the next one
         err.index = int(np.searchsorted(cl._rows, err.index))
         err.args = (f"{err} in {cl.component(err.index)}",)
         raise

@@ -499,6 +499,22 @@ def test_package_imports_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_imports_the_process_pool_only_for_sweep():
+    """Only `sweep` runs a process pool: importing the CLI in a fresh
+    interpreter must load neither multiprocessing nor the pool's module,
+    which `simulate` and `verify` would otherwise pay for at every start."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, niconsensus.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+             "or m == 'concurrent.futures.process'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_svg_escapes_label_text(tmp_path):
     doc = short_network_doc(t_end=0.5)
     doc["label"] = "gain a < b & fast"

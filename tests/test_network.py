@@ -447,6 +447,38 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
 
 
+@pytest.mark.parametrize("shape", ["path", "star", "complete"])
+@pytest.mark.parametrize("n", [4, 64])
+def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shape, n):
+    """Both stage forms of one loop, forced by the crossover, run each RK4
+    stage on the same stage buffers and write the same row to rounding. At
+    n = 64 the path's rows are about equally long, so its edge stages sum
+    zero-padded slots, while the star's hub row holds every edge, so its
+    edge stages reduce row segments."""
+    plant, _ = pendulum
+    lag = nc.first_order(10.0, 10.0)
+    graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
+    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 10 ** 9)
+    dense = nc.network_interconnect(plant, lag, graph)
+    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 0)
+    edge = nc.network_interconnect(plant, lag, graph)
+    size = dense.extend(np.zeros(dense.n_states)).size
+    rng = np.random.default_rng(n)
+    P, Q = rng.uniform(-2.0, 2.0, (5, size)), rng.uniform(-2.0, 2.0, (5, size))
+    written = [(0, 1), (0, 2), (0, 3), (1, 0)]
+    for k in range(4):
+        outs = []
+        for loop in (dense, edge):
+            buffers = [P.copy(), Q.copy()]
+            loop.rk4_stages(1e-3)(*buffers)[k]()
+            which, row = written[k]
+            outs.append(buffers[which][row])
+        assert np.abs(outs[1] - outs[0]).max() <= 1e-13
+    starts = edge.rk4_stages(1e-3)(P, Q)[0].args[-1].args[2]
+    if n == 64 and shape != "complete":
+        assert (starts is None) == (shape == "path")
+
+
 def test_large_loop_is_built_without_its_dense_matrix(pendulum):
     """A 1024-node path has N' = 4096: its dense W alone would take 134 MB."""
     plant, _ = pendulum

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import EXACT, convergence_order, rhs_rows, rk4_path_oracle
+from conftest import EXACT, convergence_order, rhs_rows, rk4_path_oracle, rk4_stage_oracle
 from niconsensus import network
 from niconsensus.cli import main
 from niconsensus.sim import rk4_path
@@ -120,7 +120,7 @@ def test_divergence_reports_the_step_and_the_last_finite_state():
 
 def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     """a = b = 5000 at h = 1e-3 puts h lambda = -5 outside RK4's stability
-    region: the run exits 3 at t = 0.268, and the error carries the composite
+    region: the run exits 3 at t = 0.271, and the error carries the composite
     state (not the extended one) that a run of one step fewer ends in. The
     controller state, whose own pole is the stiff one, overflows first: the
     error names it by its composite index, 2, and in its message."""
@@ -131,15 +131,17 @@ def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 3
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["error"] == "divergence at t=0.268 in controller 1, coordinate 0"
+    assert report["error"] == "divergence at t=0.271 in controller 1, coordinate 0"
     cfg = nc.resolve_config(doc)
     loop, h = cfg.build_loop(), cfg.integrator.step_s
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, cfg.x0, cfg.integrator)
-    assert err.value.step == 268 and err.value.last_state.shape == (loop.n_states,)
+    assert err.value.step == 271 and err.value.last_state.shape == (loop.n_states,)
     assert err.value.index == 2 and loop.component(2) == "controller 1, coordinate 0"
-    before = nc.integrate(loop, cfg.x0, nc.IntegratorConfig(h, 267 * h, record_every=10))
-    assert np.array_equal(err.value.last_state, before.states[-1])
+    # the state one step before is near 1e307, so its reconstructed derivative
+    # would overflow: the allocating oracle records the states alone
+    _, before = rk4_stage_oracle(loop, cfg.x0, nc.IntegratorConfig(h, 270 * h, record_every=10))
+    assert np.array_equal(err.value.last_state, before[-1])
 
 
 def test_divergence_names_the_first_non_finite_entry():
@@ -157,8 +159,8 @@ def test_divergence_inside_a_stage_names_the_entry_that_overflowed(pendulum):
     loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, np.array([0.0, 0.0, 1e306]), nc.IntegratorConfig(1e-3, 1e-2))
-    assert err.value.step == 1 and err.value.index == 2
-    assert str(err.value) == "divergence at t=0.001 in controller 1, coordinate 0"
+    assert err.value.step == 2 and err.value.index == 2
+    assert str(err.value) == "divergence at t=0.002 in controller 1, coordinate 0"
 
 
 def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
@@ -174,7 +176,7 @@ def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
     x0[80] = 1e100
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 1.0))
-    assert str(err.value) == "divergence at t=0.18 in controller 41, coordinate 0"
+    assert str(err.value) == "divergence at t=0.183 in controller 41, coordinate 0"
     x0[80] = np.inf
     with np.errstate(invalid="ignore"):
         state_rows, phi_rows = rhs_rows(loop, x0)
@@ -218,22 +220,46 @@ def linear_pair():
     return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
 
 
-@pytest.mark.parametrize("name", ["pair", "flagship4", "path64", "dense_path3", "linear_pair"])
-def test_integrate_matches_the_allocating_oracle(pendulum, four_node_graph, name):
-    """In-place stages on the extended state record the states of the
-    allocate-per-stage integrator on the plain composite field, bit for bit."""
+LOOPS = ["pair", "flagship4", "path64", "dense_path3", "linear_pair"]
+
+
+def make_loop(pendulum, four_node_graph, name):
     plant, _ = pendulum
     lag = nc.first_order(10.0, 10.0)
-    loop = {"pair": lambda: nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
+    return {"pair": lambda: nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
             "flagship4": lambda: nc.network_interconnect(plant, lag, four_node_graph),
             "path64": lambda: nc.network_interconnect(plant, lag, nc.path_graph(64)),
-            "dense_path3": dense_path3, "linear_pair": linear_pair}[name]()
+            "dense_path3": dense_path3, "linear_pair": linear_pair,
+            "star40": lambda: nc.network_interconnect(
+                plant, lag, nc.Graph(40, frozenset((0, i) for i in range(1, 40))))}[name]()
+
+
+# star40 is above the crossover with a hub row, so its edge stages reduce row segments
+@pytest.mark.parametrize("name", LOOPS + ["star40"])
+def test_integrate_matches_the_allocating_oracle(pendulum, four_node_graph, name):
+    """In-place stages on the extended state record the states of the
+    allocate-per-stage integrator of the loop's folded stages, bit for bit."""
+    loop = make_loop(pendulum, four_node_graph, name)
+    x0 = np.random.default_rng(7).uniform(-2.0, 2.0, loop.n_states)
+    cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=1.0, record_every=7)
+    traj = nc.integrate(loop, x0, cfg)
+    times, states = rk4_stage_oracle(loop, x0, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_folded_stages_stay_within_1e_12_of_the_slope_form(pendulum, four_node_graph, name):
+    """The folded stages are the classical RK4 slopes rearranged for a field
+    linear in the extended state: every recorded state is within 1e-12 of
+    the allocate-per-stage slope integrator on the plain composite field."""
+    loop = make_loop(pendulum, four_node_graph, name)
     x0 = np.random.default_rng(7).uniform(-2.0, 2.0, loop.n_states)
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=1.0, record_every=7)
     traj = nc.integrate(loop, x0, cfg)
     times, states = rk4_path_oracle(lambda x: loop.evaluate(x).dstate, x0, cfg)
     assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states, states)
+    assert np.abs(traj.states - states).max() <= 1e-12
 
 
 @pytest.mark.parametrize("make", [dense_path3, linear_pair])
@@ -256,29 +282,48 @@ def test_field_at_binds_views_of_the_buffer(make):
     assert np.array_equal(np.delete(out, phi), loop.evaluate(np.delete(Z, phi)).dstate)
 
 
-def test_an_rk4_step_runs_no_hidden_python_frames(network_loop, network_x0):
-    """A flagship4 step is four field evaluations, each one ``rhs`` frame and
-    one pendulum ``phi`` frame: no numpy dispatcher or other Python frame
-    runs on the hot path. Setup frames cancel in the difference between a
-    two-step and a one-step run, and the collector is off so that no
-    callback adds frames."""
+def step_frames(loop, x0):
+    """The Python frames, by name, of a one-step and a two-step run of a
+    loop: setup frames cancel in their difference, and the collector is off
+    so that no callback adds frames."""
     def python_frames(steps):
         names = []
         cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=steps * 1e-3)
-        z0 = network_loop.extend(network_x0)
+        z0 = loop.extend(x0)
         gc.disable()
         sys.setprofile(lambda frame, event, _: names.append(frame.f_code.co_name)
                        if event == "call" else None)
         try:
-            rk4_path(network_loop.field_at, z0, cfg)
+            rk4_path(loop.field_at, z0, cfg, loop.rk4_stages(1e-3))
         finally:
             sys.setprofile(None)
             gc.enable()
         return Counter(names)
 
-    one, two = python_frames(1), python_frames(2)
+    return python_frames(1), python_frames(2)
+
+
+def test_an_rk4_step_runs_no_hidden_python_frames(network_loop, network_x0):
+    """A flagship4 step is four stages, each one ``rhs`` frame and one
+    pendulum ``phi`` frame: no numpy dispatcher or other Python frame runs on
+    the hot path."""
+    one, two = step_frames(network_loop, network_x0)
     assert two - one == Counter({"rhs": 4, "<lambda>": 4})
     assert two.total() - one.total() == 8
+
+
+def test_an_edge_rk4_step_adds_one_frame_per_stage_product(pendulum):
+    """Above the crossover (a 64-node path) each stage adds the one frame of
+    its edge stage product, and the last stage one more for the weighted sum
+    before it: the gather, multiply, reduction and weighted sum are ufunc
+    and array methods, which run no numpy dispatcher."""
+    plant, _ = pendulum
+    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), nc.path_graph(64))
+    x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
+    assert loop.extend(x0).size >= network.EDGE_PRODUCT_MIN
+    one, two = step_frames(loop, x0)
+    assert two - one == Counter({"rhs": 4, "<lambda>": 4, "_edge_stage": 4, "_edge_last": 1})
+    assert two.total() - one.total() == 13
 
 
 def test_integrator_config_validation():
