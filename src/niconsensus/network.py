@@ -21,11 +21,12 @@ W is built once as its nonzero entries, row-sorted (row, column, value)
 triplets taken straight from the nonzeros of the Kronecker factors, so its
 size follows the graph's edges rather than N'^2. Below EDGE_PRODUCT_MIN
 extended states the field scatters them into the dense W and multiplies by
-it through the bound method W.dot; from there on it never forms W and sums
-each row's entries in column order with one gather, one multiply and one
-bincount. Either way a pendulum row sums spring, gravity and input terms in
-the hand-written order. A field evaluation first writes phi(xp) into Z's phi
-block through phi's ufunc-style out argument, so it allocates nothing.
+it through the bound method W.dot; from there on it never forms W and adds
+each row's entries in column order, one pass per place in the row, the
+product ``evaluate`` applies to a batch. Either way a pendulum row sums
+spring, gravity and input terms in the hand-written order. A field
+evaluation first writes phi(xp) into Z's phi block through phi's
+ufunc-style out argument.
 
 With the phi block fresh the field is linear in Z, so the integrator's RK4
 stages are products of stage operators built from W for each step h
@@ -121,6 +122,8 @@ class ClosedLoop:
         order = np.lexsort((cols, rows))
         self._entries = rows, cols, vals = rows[order], cols[order], vals[order]
         self._size, self._W = size, None
+        #: |W|, W's largest absolute row sum: |W Z| <= |W| max|Z| entry by entry
+        self.field_norm = float(np.bincount(rows, np.abs(vals), size).max())
         if size < EDGE_PRODUCT_MIN:
             self._W = W = np.zeros((size, size))
             W[rows, cols] = vals
@@ -130,8 +133,7 @@ class ClosedLoop:
             slot = np.arange(rows.size) - np.searchsorted(rows, rows)
             slots = [(rows[m], cols[m], vals[m])
                      for m in (slot == k for k in range(slot.max(initial=-1) + 1))]
-            self._product = partial(_edge_product, rows, cols, vals)
-            self._batch_product = partial(_edge_batch, slots)
+            self._product = self._batch_product = partial(_edge_batch, slots)
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -237,12 +239,6 @@ class ClosedLoop:
                            y2=y2, y2dot=matvec(self.bank.C, dxc))
 
 
-def _edge_product(rows, cols, vals, Z, out):
-    """W Z from W's entries (rows, cols, vals): np.bincount adds each row's
-    products in the entries' (column) order."""
-    out[:] = np.bincount(rows, Z.take(cols) * vals, out.size)
-
-
 def _stage_entries(N, rows, cols, vals):
     """(columns, values, row starts) of the stage operator [I | ...] whose
     entries beyond the identity are (rows, cols, vals), each row's entries in
@@ -251,7 +247,11 @@ def _stage_entries(N, rows, cols, vals):
     every row, a shorter row padded with zeros on its own identity column,
     and the row starts are None; otherwise they run row after row from the
     row starts, and no row is empty, since every row holds its identity
-    entry."""
+    entry. The factor 3 is where the two reductions cross: timed as one
+    stage product on pendulum paths with a hub of growing degree (N' = 128,
+    256, 512, one pinned core), the slots win by 0.1-3 us up to a padding
+    ratio of 2.7, the two are level within noise at 3.0-3.6, and
+    np.add.reduceat wins from 4.2 on, by 125 us at ratio 37 (a star)."""
     eye = np.arange(N)
     rows, cols = np.concatenate((eye, rows)), np.concatenate((eye, cols))
     vals = np.concatenate((np.ones(N), vals))
@@ -286,12 +286,14 @@ def _edge_last(weights, stages, acc, product, Z, out):
     product(Z, out)
 
 
-def _edge_batch(slots, Z):
-    """W Z for each extended state of a stack Z of shape (..., N'), from W's
-    entries grouped by their place in their row: one pass per slot adds the
-    same products in the same order as ``_edge_product``, so a batch row
-    equals its result bit for bit."""
-    out = np.zeros(Z.shape)
+def _edge_batch(slots, Z, out=None):
+    """W Z for each extended state of a stack Z of shape (..., N'), into out
+    if given, from W's entries grouped by their place in their row: one
+    pass per slot adds each row's products in column order, so a batch row
+    equals the result for its state alone bit for bit."""
+    if out is None:
+        out = np.empty(Z.shape)
+    out.fill(0.0)
     for rows, cols, vals in slots:
         term = Z[..., cols]
         term *= vals

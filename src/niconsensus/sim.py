@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 
 import numpy as np
 
@@ -39,23 +40,25 @@ class IntegratorConfig:
 
 
 class SimulationDiverged(RuntimeError):
-    """The state left the finite floats at ``step``; ``last_state`` precedes it
-    and ``index`` is the entry that left them first."""
+    """The state left the finite floats, or the range ``rk4_path``'s scale
+    allows, at ``step``; ``last_state`` precedes it and ``index`` is the
+    entry that left first."""
 
     def __init__(self, t: float, step: int, last_state: np.ndarray, index: int):
         super().__init__(f"divergence at t={t:.6g}")
         self.t, self.step, self.last_state, self.index = t, step, last_state, index
 
 
-def _first_non_finite(field_at, x, h, new) -> int:
-    """The entry that left the finite floats first in a failed step from x.
+def _diverged_entry(field_at, x, h, new) -> int:
+    """The entry that left first in a failed step from x to new.
 
     The step is run again from x in slope form, allocating, with the field
     field_at binds: the first non-finite entry of its earliest non-finite
     slope, stage state or new state names the entry, else the first
-    non-finite entry of new, the failed step's result. A field's product can
-    turn one non-finite entry of a stage state into a non-finite slope
-    everywhere, so later arrays do not name it."""
+    non-finite entry of new, else new's largest entry (a finite new state
+    beyond the scaled range). A field's product can turn one non-finite
+    entry of a stage state into a non-finite slope everywhere, so later
+    arrays do not name it."""
     z = np.array(x)
     f, k = field_at(z), np.empty_like(z)
 
@@ -72,6 +75,7 @@ def _first_non_finite(field_at, x, h, new) -> int:
         finite = np.isfinite(v)
         if not finite.all():
             return int(np.argmin(finite))
+    return int(np.argmax(np.abs(new)))
 
 
 def slope_stages(field_at, h):
@@ -104,7 +108,7 @@ def slope_stages(field_at, h):
     return stages
 
 
-def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None):
+def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0):
     """Integrate dx/dt = f(x) with fixed-step RK4 in stage buffers allocated once.
 
     field_at(z) binds f to one state buffer z: it returns a function of one
@@ -115,8 +119,13 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None):
     binds P to Q and Q to P once each and alternates the two. By default
     the stages are ``slope_stages(field_at, h)``; with stages_at given (the
     folded stages of ``ClosedLoop.rk4_stages``) f itself runs only to name
-    the entry of a failed step. Returns (times, states) at the recorded
-    samples: t = 0, every record_every-th step, and the final step."""
+    the entry of a failed step. A step diverges when scale * sum(x'), one
+    dot product over its new state x', is not finite: with scale 0, exactly
+    when x' is not finite; with scale > 0 also as x' nears the largest
+    float over scale, and a state that passes has every |x'_i| below twice
+    that (a fused multiply-add can absorb one product up to twice the
+    largest float). Returns (times, states) at the recorded samples: t = 0,
+    every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -130,8 +139,9 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None):
     bind = stages_at or slope_stages(field_at, h)
     here, there = bind(P, Q), bind(Q, P)
     x, new = P[0], Q[0]
-    # 0 * v is +-0 for finite v and NaN for +-inf or NaN: zero . new != 0 iff new is not finite
-    zero = np.zeros_like(x)
+    # 0 * v is +-0 for finite v and NaN for +-inf or NaN, so with scale 0 the
+    # probe's dot is finite iff new is
+    probe = np.full_like(x, scale)
     # overflow on the way to divergence raises SimulationDiverged, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
@@ -140,8 +150,8 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None):
             second()
             third()
             last()
-            if zero.dot(new) != 0.0:
-                raise SimulationDiverged(k * h, k, x, _first_non_finite(field_at, x, h, new))
+            if not isfinite(probe.dot(new)):
+                raise SimulationDiverged(k * h, k, x, _diverged_entry(field_at, x, h, new))
             x, new, here, there = new, x, there, here
             if k % every == 0 or k == n_steps:
                 times[rec] = k * h
@@ -190,7 +200,9 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     try:
-        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s))
+        # a recorded state then has |Z_i| <= max / (2 |W|), so evaluate's W Z stays finite
+        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s),
+                            4.0 * cl.field_norm)
     except SimulationDiverged as err:
         err.last_state = err.last_state[cl._rows]
         # W's phi rows are zero, so a slope's phi block stays 0 (edge product)

@@ -159,26 +159,21 @@ def rk4_stage_oracle(loop, x0, cfg: nc.IntegratorConfig):
     stage: each stage runs alone, bound afresh by loop.rk4_stages to new
     copies of the stage buffers, and each step starts from the extended
     state of the composite state it records. Returns (times, states) at the
-    same samples as nc.integrate and raises nc.SimulationDiverged at the same
-    step."""
+    same samples as nc.integrate."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     stages_at = loop.rk4_stages(h)
     x = np.array(x0, dtype=float)
     times, states = [0.0], [x]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            z = loop.extend(x)
-            P, Q = np.zeros((5, z.size)), np.zeros((5, z.size))
-            P[0] = z
-            for stage in range(4):
-                P, Q = P.copy(), Q.copy()
-                stages_at(P, Q)[stage]()
-            new = Q[0][loop._rows]
-            if not np.isfinite(new).all():
-                raise nc.SimulationDiverged(k * h, k, x, int(np.argmin(np.isfinite(new))))
-            x = new
-            if k % cfg.record_every == 0 or k == n_steps:
-                times.append(k * h)
-                states.append(x)
+    for k in range(1, n_steps + 1):
+        z = loop.extend(x)
+        P, Q = np.zeros((5, z.size)), np.zeros((5, z.size))
+        P[0] = z
+        for stage in range(4):
+            P, Q = P.copy(), Q.copy()
+            stages_at(P, Q)[stage]()
+        x = Q[0][loop._rows]
+        if k % cfg.record_every == 0 or k == n_steps:
+            times.append(k * h)
+            states.append(x)
     return np.array(times), np.array(states)

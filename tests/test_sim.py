@@ -120,7 +120,7 @@ def test_divergence_reports_the_step_and_the_last_finite_state():
 
 def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     """a = b = 5000 at h = 1e-3 puts h lambda = -5 outside RK4's stability
-    region: the run exits 3 at t = 0.271, and the error carries the composite
+    region: the run exits 3 at t = 0.268, and the error carries the composite
     state (not the extended one) that a run of one step fewer ends in. The
     controller state, whose own pole is the stiff one, overflows first: the
     error names it by its composite index, 2, and in its message."""
@@ -131,17 +131,36 @@ def test_stiff_pair_diverges_with_its_last_composite_state(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 3
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report["error"] == "divergence at t=0.271 in controller 1, coordinate 0"
+    assert report["error"] == "divergence at t=0.268 in controller 1, coordinate 0"
     cfg = nc.resolve_config(doc)
     loop, h = cfg.build_loop(), cfg.integrator.step_s
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, cfg.x0, cfg.integrator)
-    assert err.value.step == 271 and err.value.last_state.shape == (loop.n_states,)
+    assert err.value.step == 268 and err.value.last_state.shape == (loop.n_states,)
     assert err.value.index == 2 and loop.component(2) == "controller 1, coordinate 0"
-    # the state one step before is near 1e307, so its reconstructed derivative
-    # would overflow: the allocating oracle records the states alone
-    _, before = rk4_stage_oracle(loop, cfg.x0, nc.IntegratorConfig(h, 270 * h, record_every=10))
-    assert np.array_equal(err.value.last_state, before[-1])
+    before = nc.integrate(loop, cfg.x0, nc.IntegratorConfig(h, 267 * h, record_every=10))
+    assert np.array_equal(err.value.last_state, before.states[-1])
+
+
+@pytest.mark.parametrize("t_end_s, x0", [(0.270, None), (0.001, [0.0, 0.0, 1e306])])
+def test_a_run_that_ends_where_the_field_overflows_diverges(tmp_path, t_end_s, x0):
+    """The folded stages carry a state further than the slopes, to finite
+    entries near 1e307 whose derivative W Z overflows. The loop's divergence
+    test is scaled by W's largest absolute row sum so that it trips first:
+    the stiff pair stopped at t = 0.270, two steps after it diverges, and a
+    single step from xc = 1e306 each exit 3 with no warning, not with
+    infinite derivatives in the checks."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"]["first_order"] = {"a": 5000.0, "b": 5000.0}
+    doc["integrator"]["t_end_s"] = t_end_s
+    if x0:
+        doc["initial_conditions"] = {"plant": x0[:2], "controller": x0[2:]}
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["error"].endswith(" in controller 1, coordinate 0")
 
 
 def test_divergence_names_the_first_non_finite_entry():
@@ -159,8 +178,8 @@ def test_divergence_inside_a_stage_names_the_entry_that_overflowed(pendulum):
     loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, np.array([0.0, 0.0, 1e306]), nc.IntegratorConfig(1e-3, 1e-2))
-    assert err.value.step == 2 and err.value.index == 2
-    assert str(err.value) == "divergence at t=0.002 in controller 1, coordinate 0"
+    assert err.value.step == 1 and err.value.index == 2
+    assert str(err.value) == "divergence at t=0.001 in controller 1, coordinate 0"
 
 
 def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
@@ -176,7 +195,7 @@ def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
     x0[80] = 1e100
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 1.0))
-    assert str(err.value) == "divergence at t=0.183 in controller 41, coordinate 0"
+    assert str(err.value) == "divergence at t=0.18 in controller 41, coordinate 0"
     x0[80] = np.inf
     with np.errstate(invalid="ignore"):
         state_rows, phi_rows = rhs_rows(loop, x0)
