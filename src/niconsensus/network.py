@@ -13,20 +13,25 @@ u1_i = sum_j K_ij C xc_j. The two cases of the paper are
   xc_i - xc_j are literal copies of the single-controller dynamics.
 
 Composite state layout: all plant states first, node by node, then all
-controller states node by node. For plants dx/dt = A x + B u + E phi(x),
-y = C x and controller (Ac, Bc, Cc), the integrator steps the extended state
-Z = [xp; phi(xp); xc] by dZ/dt = W Z with the square loop matrix
-[[I (x) A, I (x) E, K (x) B Cc], [0, 0, 0], [I (x) Bc C, 0, I (x) Ac]].
-W is built once as its nonzero entries, row-sorted (row, column, value)
-triplets taken straight from the nonzeros of the Kronecker factors, so its
-size follows the graph's edges rather than N'^2. Below EDGE_PRODUCT_MIN
-extended states the field scatters them into the dense W and multiplies by
-it through the bound method W.dot; from there on it never forms W and adds
-each row's entries in column order, one pass per place in the row, the
-product ``evaluate`` applies to a batch. Either way a pendulum row sums
-spring, gravity and input terms in the hand-written order. A field
-evaluation first writes phi(xp) into Z's phi block through phi's
-ufunc-style out argument.
+controller states node by node. For plants dx/dt = A x + B u +
+E phi(x[..., :r]), y = C x and controller (Ac, Bc, Cc), the integrator steps
+the extended state Z = [xp; phi; xc] by dZ/dt = W Z with the square loop
+matrix [[I (x) A, I (x) E, K (x) B Cc], [0, 0, 0], [I (x) Bc C, 0, I (x) Ac]]
+read node by node. Z itself holds its plant and phi blocks coordinate by
+coordinate (coordinate 1 of every node, then coordinate 2, ...) and xc node
+by node, so phi's argument, the first r coordinates of all n plants, and its
+output are each one contiguous run of Z; ``_rows`` is the permutation that
+reads the composite state back, Z[..., _rows] = X, and W's entries are
+mapped through it before they are sorted. W is built once as its nonzero
+entries, row-sorted (row, column, value) triplets taken straight from the
+nonzeros of the Kronecker factors, so its size follows the graph's edges
+rather than N'^2. Below EDGE_PRODUCT_MIN extended states the field scatters
+them into the dense W and multiplies by it through the bound method W.dot;
+from there on it never forms W and adds each row's entries in column order,
+one pass per place in the row, the product ``evaluate`` applies to a batch.
+Either way a pendulum row sums spring, gravity and input terms in the
+hand-written order. A field evaluation first writes phi into Z's phi block
+through phi's ufunc-style out argument.
 
 With the phi block fresh the field is linear in Z, so the integrator's RK4
 stages are products of stage operators built from W for each step h
@@ -48,13 +53,12 @@ from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
 from .plant import NonlinearPlant, StorageFunction
 
 #: Extended-state size N' from which the loop uses the edge products. Timed
-#: as RK4 steps on one pinned core, two passes: on pendulum paths the dense
-#: stage operators (up to N' x 4N') take 12-17 us per step at N' = 64
-#: against 15-19 us for the edge stages and 22-24 us at N' = 112 against
-#: 17-18 us; on stars, whose hub row sends the edge stages to
-#: np.add.reduceat, the two are level at N' = 96-112 and the edge stages
-#: take 20 us against 29-31 us at N' = 128 (see CHANGES.md).
-EDGE_PRODUCT_MIN = 112
+#: as RK4 steps on one pinned core, 40 interleaved rounds of paired 200-step
+#: runs: the median edge/dense step ratio on pendulum paths is 1.17 at
+#: N' = 88, 1.01 at 96, 0.91 at 104 and 0.58 at 128; on stars, whose hub row
+#: sends the edge stages to np.add.reduceat, 1.27, 1.00, 0.95 and 0.77 (see
+#: CHANGES.md).
+EDGE_PRODUCT_MIN = 96
 
 
 def check_controller(sys: StateSpace):
@@ -108,17 +112,22 @@ class ClosedLoop:
         A, B, C, E = plant.A, plant.B, plant.C, plant.E
         Ac, Bc, Cc = controller.A, controller.B, controller.C
         self._node_C = np.kron(np.eye(n), Cc)
-        split, nr, q = self._split, n * E.shape[1], self.bank.state_dim
-        self._nodes, self._phi_nodes = (n, plant.p), (n, E.shape[1])
-        self._phi = slice(split, split + nr)
-        self._rows = np.r_[:split, split + nr:split + nr + q]
+        split, nr, q = self._split, n * plant.r, self.bank.state_dim
         size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(self.K)
+        self._arg, self._phi = slice(nr), slice(split, split + nr)
+        # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
+        major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()
+        perm = np.concatenate((major(plant.p), split + major(plant.r),
+                               np.arange(split + nr, size)))
+        #: Z[..., _rows] is the composite state of the extended states Z
+        self._rows = np.delete(perm, self._phi)
         eye, mix = (nodes, nodes, np.ones(n)), (i, j, self.K[i, j])
         blocks = [_kron_entries(eye, A, 0, 0), _kron_entries(eye, E, 0, split),
                   _kron_entries(mix, B @ Cc, 0, split + nr),
                   _kron_entries(eye, Bc @ C, split + nr, 0),
                   _kron_entries(eye, Ac, split + nr, split + nr)]
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+        rows, cols = perm[rows], perm[cols]
         order = np.lexsort((cols, rows))
         self._entries = rows, cols, vals = rows[order], cols[order], vals[order]
         self._size, self._W = size, None
@@ -153,31 +162,39 @@ class ClosedLoop:
         return Yinv, np.kron(self.K, Yinv)
 
     def extend(self, X):
-        """The extended states Z = [xp, phi(xp), xc] of composite states X of
-        shape (N,) or (..., N): the column layout of the loop matrix W."""
-        xp, xc = self.split(X)
-        flat = xp.shape[:-2] + (-1,)
-        return np.concatenate((xp.reshape(flat), self.plant.phi(xp).reshape(flat), xc), axis=-1)
+        """The extended states Z = [xp, phi, xc] of composite states X of
+        shape (N,) or (..., N): the column layout of the loop matrix W, with
+        the plant and phi blocks coordinate by coordinate."""
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != (self.n_states,):
+            raise ValueError(f"composite states must have length {self.n_states}")
+        Z = np.empty(X.shape[:-1] + (self._size,))
+        Z[..., self._rows] = X
+        self.plant.phi(*self._views(Z))
+        return Z
 
-    def _views(self, z):
-        """(plant block as (n, p), phi block as (n, r)): views of the extended state z."""
-        return z[:self._split].reshape(self._nodes), z[self._phi].reshape(self._phi_nodes)
+    def _views(self, Z):
+        """(first r plant coordinates, phi block), both as (..., n, r): views
+        of extended states Z, C-contiguous for a single state and r = 1."""
+        shape = Z.shape[:-1] + (self.plant.r, self.n_plants)
+        return (Z[..., self._arg].reshape(shape).swapaxes(-1, -2),
+                Z[..., self._phi].reshape(shape).swapaxes(-1, -2))
 
     def field_at(self, Z):
         """The integrator's field bound to one extended state buffer Z: the
-        views of Z's plant block as (n, p) and phi block as (n, r) are built
+        views of phi's argument and of the phi block, both (n, r), are built
         once here, and the returned function of out runs ``rhs`` on them
         with the product W Z chosen at build."""
         return partial(self.rhs, Z, *self._views(Z), product=self._product)
 
-    def rhs(self, Z, xp, ph, out, product):
+    def rhs(self, Z, arg, ph, out, product):
         """One evaluation: phi writes the phi block of the extended state
-        whose views are xp and ph from its plant block, in place, then
-        product(Z, out) writes into out. For ``field_at`` Z is that state and
-        the product is dZ/dt = W Z (W's phi rows are zero, so dZ/dt is 0
-        there); for ``rk4_stages`` Z holds the stacked stage states and the
-        product is a stage operator."""
-        self.plant.phi(xp, ph)
+        whose views are arg and ph from its first r plant coordinates, in
+        place, then product(Z, out) writes into out. For ``field_at`` Z is
+        that state and the product is dZ/dt = W Z (W's phi rows are zero, so
+        dZ/dt is 0 there); for ``rk4_stages`` Z holds the stacked stage
+        states and the product is a stage operator."""
+        self.plant.phi(arg, ph)
         product(Z, out)
 
     def rk4_stages(self, h):

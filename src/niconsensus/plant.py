@@ -1,13 +1,16 @@
 """Nonlinear plants, storage functions and equilibrium analysis.
 
-Every plant is a linear part plus a static nonlinearity, dx/dt = A x + B u +
-E phi(x), y = C x, with phi Lipschitz continuous (a documented precondition,
-not verified here). The output map is linear, so an output rate is exactly
-h(f(x, u)) = C dx/dt rather than a difference of sampled signals.
+Every plant is a linear part plus a static nonlinearity of its first r state
+coordinates, dx/dt = A x + B u + E phi(x[..., :r]), y = C x (the Lur'e form),
+with phi Lipschitz continuous (a documented precondition, not verified
+here). A nonlinearity of other coordinates is phi on all r = p of them, with
+zero columns in E where needed. The output map is linear, so an output rate
+is exactly h(f(x, u)) = C dx/dt rather than a difference of sampled signals.
 
 Plants and storage functions act row-wise on leading batch axes, so one call
-evaluates n nodes or T samples at once; phi(x, out=None) also writes into
-out like a numpy ufunc, so the integrator refills its buffer in place.
+evaluates n nodes or T samples at once; phi(v, out=None) also writes into
+out like a numpy ufunc, so the integrator refills its buffer in place, and
+a ufunc such as np.sin is a phi as it stands.
 Plants used in the stability experiments additionally satisfy "x(t)
 constant => u(t) constant" (for the pendulum this follows from the second
 state equation), a documented precondition of the steady-state arguments.
@@ -30,8 +33,9 @@ GAMMA_INPUT_LO, GAMMA_INPUT_HI, GAMMA_INPUT_COUNT = -25.0, 25.0, 201
 
 @dataclass(frozen=True)
 class NonlinearPlant:
-    """dx/dt = A x + B u + E phi(x), y = C x with A p x p, B p x m, C m x p, E p x r;
-    phi: (..., p) -> (..., r), f: (..., p), (..., m) -> (..., p) and
+    """dx/dt = A x + B u + E phi(x[..., :r]), y = C x with A p x p, B p x m,
+    C m x p, E p x r and r <= p: phi maps the first r state coordinates,
+    phi: (..., r) -> (..., r), and f: (..., p), (..., m) -> (..., p) and
     h: (..., p) -> (..., m) act row-wise on leading batch axes. phi(x, out)
     writes phi(x) into out like a ufunc; one probe at construction checks it."""
 
@@ -39,7 +43,7 @@ class NonlinearPlant:
     B: np.ndarray
     C: np.ndarray
     E: np.ndarray
-    phi: callable  # (..., p), out=None -> (..., r)
+    phi: callable  # (..., r), out=None -> (..., r)
 
     def __post_init__(self):
         for name in "ABCE":
@@ -47,11 +51,13 @@ class NonlinearPlant:
             M.setflags(write=False)
             object.__setattr__(self, name, M)
         p, m = self.B.shape
-        if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p):
-            raise ValueError("plant matrices must be A p x p, B p x m, C m x p, E p x r")
+        r = self.E.shape[1]
+        if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p) or r > p:
+            raise ValueError("plant matrices must be A p x p, B p x m, C m x p, "
+                             "E p x r with r <= p")
         # a phi that ignored out would leave a stale phi block in every RK4 stage
-        x = np.linspace(0.25, 0.75, 2 * p).reshape(2, p)
-        out = np.full((2, self.E.shape[1]), np.nan)
+        x = np.linspace(0.25, 0.75, 2 * r).reshape(2, r)
+        out = np.full((2, r), np.nan)
         self.phi(x, out)
         if not np.array_equal(out, self.phi(x)):
             raise ValueError("phi(x, out) must write phi(x), of shape (..., r), into out")
@@ -61,12 +67,14 @@ class NonlinearPlant:
 
     p = property(lambda self: self.A.shape[0], doc="state dimension")
     m = property(lambda self: self.B.shape[1], doc="input/output dimension")
+    r = property(lambda self: self.E.shape[1], doc="dimension of phi, on x[..., :r]")
 
     def f(self, x, u):
-        """A x + E phi(x) + B u summed entry by entry in that column order,
-        zero entries skipped: exact per batch row, with no per-row product."""
+        """A x + E phi(x[..., :r]) + B u summed entry by entry in that column
+        order, zero entries skipped: exact per batch row, with no per-row product."""
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        cols = [v[..., j] for v in (x, self.phi(x), u) for j in range(v.shape[-1])]
+        cols = [v[..., j] for v in (x, self.phi(x[..., :self.r]), u)
+                for j in range(v.shape[-1])]
         dx = np.zeros_like(x)
         for i, j, w in self._terms:
             dx[..., i] += w * cols[j]
@@ -111,11 +119,12 @@ def _pendulum_constants(params: PendulumParams):
 
 def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
     """Pendulum with angle x1 from the downward position and rate x2: dx1 = x2,
-    dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2), y = x1; phi(x) = sin x1."""
+    dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2), y = x1; r = 1 and phi = sin,
+    the ufunc itself."""
     ml2, mgl, kap = _pendulum_constants(params)
     return NonlinearPlant(A=[[0.0, 1.0], [-kap / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
                           C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]],
-                          phi=lambda x, out=None: np.sin(x[..., :1], out=out))
+                          phi=np.sin)
 
 
 def pendulum_storage(params: PendulumParams) -> StorageFunction:

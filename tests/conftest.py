@@ -117,14 +117,13 @@ def bisect_max_delta(passes, tol):
 
 
 def rhs_rows(loop, X):
-    """(state rows, phi rows) of the integrator's field, loop.field_at bound
-    to the extended state of one composite state X."""
+    """(state rows in composite order, phi rows) of the integrator's field,
+    loop.field_at bound to the extended state of one composite state X."""
     Z = loop.extend(X)
     out = np.empty_like(Z)
     loop.field_at(Z)(out)
     split = loop.n_plants * loop.plant.p
-    phi = slice(split, split + Z.size - loop.n_states)
-    return np.delete(out, phi), out[phi]
+    return out[loop._rows], out[split:split + Z.size - loop.n_states]
 
 
 def rk4_path_oracle(field, x0, cfg: nc.IntegratorConfig):

@@ -421,9 +421,10 @@ def star_graph(n):
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape, n):
     """Both products of one loop, forced by the crossover: the dense W that
-    the triplets scatter into is np.kron's np.block entry for entry, and the
-    edge product agrees with it to rounding. In either regime a batch
-    evaluate row equals the bound field's state rows bit for bit."""
+    the triplets scatter into is np.kron's np.block entry for entry once its
+    rows and columns are read node by node, and the edge product agrees
+    with it to rounding. In either regime a batch evaluate row equals the
+    bound field's state rows bit for bit."""
     plant, _ = pendulum
     lag = nc.first_order(10.0, 10.0)
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
@@ -435,14 +436,16 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
                   [np.zeros((n, 4 * n))],
                   [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), bank.A]])
-    assert np.array_equal(dense._product.__self__, W)
+    # the extended state's indices node by node: plant states, phi (r = 1), xc
+    node_major = np.r_[dense._rows[:2 * n], 2 * n + np.arange(n), dense._rows[2 * n:]]
+    assert np.array_equal(dense._product.__self__[np.ix_(node_major, node_major)], W)
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
     for loop in (dense, edge):
         batch = loop.evaluate(X).dstate
         for x, row in zip(X, batch):
             state_rows, phi_rows = rhs_rows(loop, x)
             assert np.array_equal(state_rows, row) and not phi_rows.any()
-    scale = np.abs(W) @ np.abs(dense.extend(X)).T
+    scale = np.abs(dense._product.__self__) @ np.abs(dense.extend(X)).T
     err = np.abs(edge.evaluate(X).dstate - dense.evaluate(X).dstate)
     assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
 

@@ -204,6 +204,23 @@ def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
     assert not phi_rows.any()
 
 
+def test_divergence_reads_entries_in_composite_order():
+    """Plant 1's coordinate 1 and plant 2's coordinate 0 overflow in the same
+    slope. The extended state holds plant 2's coordinate 0 first (coordinate
+    by coordinate), the composite state and its CSV columns plant 1's
+    coordinate 1 (node by node): the error names plant 1."""
+    plant = nc.NonlinearPlant(A=-1e10 * np.eye(2), B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                              E=np.zeros((2, 0)), phi=np.positive)
+    loop = nc.network_interconnect(plant, nc.first_order(1.0, 1.0), nc.path_graph(2))
+    assert loop._rows[2] < loop._rows[1]
+    x0 = np.zeros(loop.n_states)
+    x0[[1, 2]] = 1e300
+    with pytest.raises(nc.SimulationDiverged) as err:
+        nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 1e-2))
+    assert err.value.index == 1
+    assert str(err.value) == "divergence at t=0.001 in plant 1, coordinate 1"
+
+
 @pytest.mark.parametrize("size", [1, 3, 12, 67])
 def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
@@ -283,22 +300,91 @@ def test_folded_stages_stay_within_1e_12_of_the_slope_form(pendulum, four_node_g
 
 @pytest.mark.parametrize("make", [dense_path3, linear_pair])
 def test_field_at_binds_views_of_the_buffer(make):
-    """The plant and phi views a bound field evaluates share Z's memory, so
-    the phi refill writes into Z and the product reads it back."""
+    """phi's argument, the first r coordinates of every plant, and the phi
+    block a bound field evaluates are (n, r) views of Z, so the phi refill
+    writes into Z and the product reads it back."""
     loop = make()
     Z = loop.extend(np.random.default_rng(3).uniform(-1.0, 1.0, loop.n_states))
     bound = loop.field_at(Z)
-    buf, xp, ph = bound.args
-    assert buf is Z and np.shares_memory(xp, Z) and xp.shape == (loop.n_plants, loop.plant.p)
-    assert ph.shape == (loop.n_plants, loop.plant.E.shape[1])
-    assert np.shares_memory(ph, Z) or ph.size == 0
-    phi = np.s_[xp.size:xp.size + ph.size]
-    Z[:xp.size] = 0.5
+    buf, arg, ph = bound.args
+    xp = loop.split(Z[loop._rows])[0]
+    (n, p), r = xp.shape, loop.plant.r
+    assert buf is Z and arg.shape == ph.shape == (n, r)
+    assert np.array_equal(arg, xp[:, :r])
+    assert (np.shares_memory(arg, Z) and np.shares_memory(ph, Z)) or r == 0
+    phi = np.s_[n * p:n * (p + r)]
+    Z[:n * p] = 0.5
     Z[phi] = np.nan
     out = np.empty_like(Z)
     bound(out)
-    assert np.array_equal(Z[phi], loop.plant.phi(np.full(xp.shape, 0.5)).ravel())
-    assert np.array_equal(np.delete(out, phi), loop.evaluate(np.delete(Z, phi)).dstate)
+    assert np.array_equal(ph, loop.plant.phi(np.full((n, r), 0.5)))
+    assert np.array_equal(out[loop._rows], loop.evaluate(Z[loop._rows]).dstate)
+
+
+@pytest.mark.parametrize("name", ["flagship4", "path64"])
+def test_stages_bind_contiguous_views_of_the_stage_buffer(pendulum, four_node_graph, name):
+    """With r = 1 each stage's phi argument, the angles of all n nodes, and
+    its phi block are C-contiguous (n, 1) views of its own row of the stage
+    buffer, below and above the crossover: the pendulum's np.sin runs on
+    contiguous memory with no slice."""
+    loop = make_loop(pendulum, four_node_graph, name)
+    n = loop.n_plants
+    size = loop.extend(np.zeros(loop.n_states)).size
+    P, Q = np.zeros((5, size)), np.zeros((5, size))
+    for k, stage in enumerate(loop.rk4_stages(1e-3)(P, Q)):
+        arg, ph = stage.args[1:3]
+        assert arg.shape == ph.shape == (n, 1)
+        assert arg.flags.c_contiguous and ph.flags.c_contiguous
+        assert np.shares_memory(arg, P[k, :n]) and np.shares_memory(ph, P[k, 2 * n:3 * n])
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_extend_lays_out_the_plant_and_phi_blocks_coordinate_by_coordinate(
+        pendulum, four_node_graph, name):
+    """extend(X)[..., _rows] is X for a batch, each batch row is the
+    extension of its state alone, and the plant and phi blocks hold
+    coordinate 1 of every node, then coordinate 2, and so on. A state of
+    another length is refused, not broadcast."""
+    loop = make_loop(pendulum, four_node_graph, name)
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, (3, 4, loop.n_states))
+    Z = loop.extend(X)
+    assert np.array_equal(Z[..., loop._rows], X)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(Z[i, j], loop.extend(X[i, j]))
+    xp, xc = loop.split(X)
+    r = loop.plant.r
+    major = lambda v: v.swapaxes(-1, -2).reshape(X.shape[:-1] + (-1,))
+    assert np.array_equal(Z, np.concatenate(
+        (major(xp), major(loop.plant.phi(xp[..., :r])), xc), axis=-1))
+    with pytest.raises(ValueError, match=f"length {loop.n_states}"):
+        loop.extend(np.ones((3, 1)))
+
+
+def test_a_phi_of_several_coordinates_is_a_phi_of_all_p(four_node_graph):
+    """A nonlinearity that reads more than the first coordinates, here the
+    product x1 x2, is phi on all r = p coordinates with a zero column of E
+    for the phi entry no row uses: the loop integrates to the run of the
+    hand-written field within 1e-13."""
+    plant = nc.NonlinearPlant(A=[[0.0, 1.0], [-4.0, -0.5]], B=[[0.0], [1.0]],
+                              C=[[1.0, 0.0]], E=[[0.0, 0.0], [-1.0, 0.0]],
+                              phi=lambda v, out=None: np.multiply(v, v[..., ::-1], out=out))
+    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
+    L = loop.K
+
+    def field(X):
+        x1, x2, xc = X[0:8:2], X[1:8:2], X[8:]
+        dX = np.empty(12)
+        dX[0:8:2] = x2
+        dX[1:8:2] = -4.0 * x1 - 0.5 * x2 - x1 * x2 + L @ xc
+        dX[8:] = -10.0 * xc + 10.0 * x1
+        return dX
+
+    x0 = np.random.default_rng(9).uniform(-1.0, 1.0, 12)
+    cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=2.0, record_every=10)
+    traj = nc.integrate(loop, x0, cfg)
+    times, states = rk4_path_oracle(field, x0, cfg)
+    assert np.array_equal(traj.times, times)
+    assert np.abs(traj.states - states).max() <= 1e-13
 
 
 def step_frames(loop, x0):
@@ -323,12 +409,12 @@ def step_frames(loop, x0):
 
 
 def test_an_rk4_step_runs_no_hidden_python_frames(network_loop, network_x0):
-    """A flagship4 step is four stages, each one ``rhs`` frame and one
-    pendulum ``phi`` frame: no numpy dispatcher or other Python frame runs on
-    the hot path."""
+    """A flagship4 step is four stages, each one ``rhs`` frame: the
+    pendulum's phi is the ufunc np.sin, and no numpy dispatcher or other
+    Python frame runs on the hot path."""
     one, two = step_frames(network_loop, network_x0)
-    assert two - one == Counter({"rhs": 4, "<lambda>": 4})
-    assert two.total() - one.total() == 8
+    assert two - one == Counter({"rhs": 4})
+    assert two.total() - one.total() == 4
 
 
 def test_an_edge_rk4_step_adds_one_frame_per_stage_product(pendulum):
@@ -341,8 +427,8 @@ def test_an_edge_rk4_step_adds_one_frame_per_stage_product(pendulum):
     x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
     assert loop.extend(x0).size >= network.EDGE_PRODUCT_MIN
     one, two = step_frames(loop, x0)
-    assert two - one == Counter({"rhs": 4, "<lambda>": 4, "_edge_stage": 4, "_edge_last": 1})
-    assert two.total() - one.total() == 13
+    assert two - one == Counter({"rhs": 4, "_edge_stage": 4, "_edge_last": 1})
+    assert two.total() - one.total() == 9
 
 
 def test_integrator_config_validation():
@@ -377,6 +463,34 @@ def test_trajectory_columns_and_csv(tmp_path, network_loop, network_x0):
         + [f"x_ctrl_{i}_0" for i in (1, 2, 3, 4)]
     assert header[-1] == "edge_max"
     assert len(lines) == traj.n_samples + 1
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("traj", ["network_traj", "pair_traj"])
+def test_csv_blocks_are_the_bytes_of_savetxt(tmp_path, request, monkeypatch, traj, extra,
+                                             entries):
+    """write_csv formats blocks of rows, not the whole table at once, and
+    writes np.savetxt's bytes: 2001 rows, which is no multiple of the
+    block, with and without extra columns, and one row per block."""
+    traj = request.getfixturevalue(traj)
+    if entries:
+        monkeypatch.setattr(nc.sim, "CSV_BLOCK_ENTRIES", entries)
+    extras = [("edge_max", np.linspace(-1.0, 1.0, traj.n_samples) ** 3),
+              ("flag", np.arange(traj.n_samples) % 2)] if extra else None
+    traj.write_csv(tmp_path / "blocks.csv", extra_columns=extras)
+    table = np.column_stack([traj.times, traj.states, traj.y1, traj.y2, traj.y1dot,
+                             traj.y2dot, *(s for _, s in extras or ())])
+    rows = max(1, nc.sim.CSV_BLOCK_ENTRIES // table.shape[1])
+    assert traj.n_samples % rows or rows == 1
+    with open(tmp_path / "blocks.csv", newline="") as fh:
+        header = fh.readline()
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        fh.write(header)
+        np.savetxt(fh, table, fmt="%.12g", delimiter=",", newline="\r\n")
+    expected = (tmp_path / "savetxt.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == expected
+    assert expected.count(b"\r\n") == traj.n_samples + 1
 
 
 def test_pair_trajectory_signals(pair_traj):
