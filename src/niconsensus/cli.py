@@ -1,5 +1,8 @@
 """Experiment runner: simulate / verify / sweep over JSON configs.
 
+`sweep` runs its first variant in this process, beside a process pool for
+the others; a one-variant sweep starts no pool.
+
 Exit codes: 0 success, 1 a `sweep` variant that did not exit 0,
 2 configuration error, 3 simulation divergence, 4 check failure.
 """
@@ -68,7 +71,8 @@ def _aggregate(reports):
         "max_violation": worst.max_violation,
         "time_of_max": worst.time_of_max,
         "tolerance": worst.tolerance,
-        "per_node": [asdict(r) for r in reports],
+        # the reports are flat: a copy of the fields, not asdict's deep copy
+        "per_node": [dict(vars(r)) for r in reports],
     }
 
 
@@ -255,6 +259,21 @@ def _sweep_worker(task):
         return {"status": "error", "error": str(err), "exit_code": EXIT_CONFIG}
 
 
+def _run_variants(tasks) -> list:
+    """The outcomes of _sweep_worker over tasks, in order: this process runs
+    the first while a pool of at most 3 workers runs the rest, so at most 4
+    run at once. A single variant runs here alone and starts no pool."""
+    first, rest = tasks[0], tasks[1:]
+    if not rest:
+        return [_sweep_worker(first)]
+    # imported here: the pool's multiprocessing stack would load with every command
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(3, len(rest))) as pool:
+        pending = pool.map(_sweep_worker, rest)  # submitted first, so the two overlap
+        return [_sweep_worker(first), *pending]
+
+
 def cmd_sweep(args) -> int:
     values = [v for v in (args.values or "").split(",") if v.strip()]
     if not values:
@@ -270,11 +289,7 @@ def cmd_sweep(args) -> int:
                               f"share {run_dir}")
     tasks = [(_sweep_variant(base, args.param, v), run_dir)
              for v, run_dir in zip(parsed, run_dirs)]
-    # imported here: the pool's multiprocessing stack would load with every command
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-        outcomes = list(pool.map(_sweep_worker, tasks))
+    outcomes = _run_variants(tasks)
     out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep.csv"
     with open(table, "w") as fh:

@@ -127,13 +127,20 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     binds P to Q and Q to P once each and alternates the two. By default
     the stages are ``slope_stages(field_at, h)``; with stages_at given (the
     folded stages of ``ClosedLoop.rk4_stages``) f itself runs only to name
-    the entry of a failed step. A step diverges when scale * sum(x'), one
-    dot product over its new state x', is not finite: with scale 0, exactly
-    when x' is not finite; with scale > 0 also as x' nears the largest
-    float over scale, and a state that passes has every |x'_i| below twice
-    that (a fused multiply-add can absorb one product up to twice the
-    largest float). Returns (times, states) at the recorded samples: t = 0,
-    every record_every-th step, and the final step."""
+    the entry of a failed step.
+
+    A state x' diverges when scale * sum(x'), one dot product, is not
+    finite: with scale 0, exactly when x' is not finite; with scale > 0 also
+    as x' nears the largest float over scale, and a state that passes has
+    every |x'_i| below twice that (a fused multiply-add can absorb one
+    product up to twice the largest float). The test runs on the recorded
+    states only. When one fails, the steps since the last recorded state
+    run again from it with the test on every step (``_replay``), and the
+    first step that fails raises SimulationDiverged. Every stage carries the
+    state itself (x' = x + ...), so a state that leaves the finite floats
+    never returns to them; a finite state beyond the range that is back in
+    it by the next recorded step passes. Returns (times, states) at the
+    recorded samples: t = 0, every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -145,10 +152,10 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     P, Q = np.empty((5, x.size)), np.empty((5, x.size))
     P[0] = x
     bind = stages_at or slope_stages(field_at, h)
-    here, there = bind(P, Q), bind(Q, P)
+    here, there = bound = bind(P, Q), bind(Q, P)
     x, new = P[0], Q[0]
     # 0 * v is +-0 for finite v and NaN for +-inf or NaN, so with scale 0 the
-    # probe's dot is finite iff new is
+    # probe's dot is finite iff x is
     probe = np.full_like(x, scale)
     order = slice(None) if order is None else order
     # overflow on the way to divergence raises SimulationDiverged, not a numpy warning
@@ -159,15 +166,31 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
             second()
             third()
             last()
-            if not isfinite(probe.dot(new)):
-                raise SimulationDiverged(k * h, k, x,
-                                         _diverged_entry(field_at, x, h, new, order))
             x, new, here, there = new, x, there, here
             if k % every == 0 or k == n_steps:
+                if not isfinite(probe.dot(x)):
+                    _replay(field_at, h, bound, (P[0], Q[0]), (rec - 1) * every,
+                            states[rec - 1], k, probe, order)
                 times[rec] = k * h
                 states[rec] = x
                 rec += 1
     return times[:rec], states[:rec]
+
+
+def _replay(field_at, h, bound, buffers, start, state, stop, probe, order):
+    """Run steps start + 1 .. stop of ``rk4_path`` again from the state
+    recorded at step start, testing each new state, and raise
+    SimulationDiverged at the first that fails (at stop, which failed the
+    recorded test, at the latest). After step j the state is in
+    buffers[j % 2], and step j + 1 runs the stages bound[j % 2]."""
+    np.copyto(buffers[start % 2], state)
+    for j in range(start, stop):
+        for stage in bound[j % 2]:
+            stage()
+        x, new = buffers[j % 2], buffers[(j + 1) % 2]
+        if j + 1 == stop or not isfinite(probe.dot(new)):
+            raise SimulationDiverged((j + 1) * h, j + 1, x,
+                                     _diverged_entry(field_at, x, h, new, order))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _polyline_points(x_px, y_rows):
+    """The points attribute of one polyline per row of y_rows, pixel y
+    coordinates over the pixel x coordinates x_px, each "%.2f,%.2f". The x
+    coordinates are formatted once into a template that one % per row fills
+    from .tolist(), so only one row's list of Python floats is held at a time."""
+    template = " ".join("%.2f" % v + ",%.2f" for v in x_px.tolist())
+    return (template % tuple(row.tolist()) for row in y_rows)
+
+
 def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""):
     """Write one SVG with a polyline per row of ``series``, shape (k, len(x))."""
     x = np.asarray(x, dtype=float)
@@ -69,12 +78,8 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
                      'stroke="#ddd" stroke-width="0.7"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">'
                      f'{_fmt(tv)}</text>')
-    # pixel coordinates as arrays, a row at a time; formatting from .tolist()
-    # is faster but holds two lists of Python floats at the plot's memory peak
-    x_px = sx(x)
-    for idx, row in enumerate(ys):
+    for idx, pts in enumerate(_polyline_points(sx(x), map(sy, ys))):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{xv:.2f},{yv:.2f}" for xv, yv in zip(x_px, sy(row)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.6"/>')
         ly = _MT + 16 + 20 * idx

@@ -11,8 +11,8 @@ import pytest
 
 from niconsensus import gamma_estimate, kron_ss, load_config
 from niconsensus.analysis import CHECKS, CheckReport
-from niconsensus.cli import _aggregate, main
-from niconsensus.config import DEFAULT_CHECKS
+from niconsensus.cli import SWEEP_FIGURES, _aggregate, main, run_simulation
+from niconsensus.config import DEFAULT_CHECKS, resolve_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PENDULUM4 = CONFIG_DIR / "pendulum4.json"
@@ -35,6 +35,23 @@ def write(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+#: Source that lists the process pool's modules loaded in sys.modules.
+POOL_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+                "or m == 'concurrent.futures.process')")
+
+
+def fresh_python(code: str) -> str:
+    """The stripped stdout of code run by a fresh interpreter that imports
+    the package from src/, which must exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_simulate_bundled_config(tmp_path):
@@ -487,32 +504,16 @@ def test_package_imports_without_scipy():
     """scipy and jsonschema (with its `referencing`) are test-only
     dependencies: importing the package and its CLI in a fresh interpreter
     must load none of them."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, niconsensus, niconsensus.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-             "('scipy', 'jsonschema', 'referencing')))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python("import sys, niconsensus, niconsensus.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                        "('scipy', 'jsonschema', 'referencing')))") == "[]"
 
 
 def test_cli_imports_the_process_pool_only_for_sweep():
     """Only `sweep` runs a process pool: importing the CLI in a fresh
     interpreter must load neither multiprocessing nor the pool's module,
     which `simulate` and `verify` would otherwise pay for at every start."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, niconsensus.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
-             "or m == 'concurrent.futures.process'))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(f"import sys, niconsensus.cli; print({POOL_MODULES})") == "[]"
 
 
 def test_svg_escapes_label_text(tmp_path):
@@ -528,20 +529,78 @@ def test_svg_escapes_label_text(tmp_path):
 
 
 def test_sweep_rejected_variant_keeps_its_reason(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(out),
-                 "--param", "delta", "--values", "0.05,-1", "--quiet"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "delta=-1: $.delta: -1 is less than or equal to the minimum of 0" in err
-    rows = (out / "sweep.csv").read_text().strip().splitlines()
-    assert rows[0] == ("param,value,status,initial_edge_max,final_edge_max,"
-                       "final_all_pairs_max,out_dir")
-    assert rows[1].startswith("delta,0.05,ok,") and rows[2].startswith("delta,-1,error,,,,")
-    run_dir = Path(rows[2].rsplit(",", 1)[1])
-    report = json.loads((run_dir / "report.json").read_text())
-    assert report["status"] == "error" and "minimum of 0" in report["error"]
-    assert report["config"]["delta"] == -1
+    """The rejected variant's reason reaches stderr, sweep.csv and its own
+    report.json both when it runs in this process (first) and on the pool."""
+    for where, values in (("pool", "0.05,-1"), ("in_process", "-1,0.05")):
+        out = tmp_path / where
+        # "--values=": argparse would read a leading "-1" as an option
+        code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(out),
+                     "--param", "delta", f"--values={values}", "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "delta=-1: $.delta: -1 is less than or equal to the minimum of 0" in err
+        rows = (out / "sweep.csv").read_text().strip().splitlines()
+        assert rows[0] == ("param,value,status,initial_edge_max,final_edge_max,"
+                           "final_all_pairs_max,out_dir")
+        bad = 1 + values.split(",").index("-1")
+        assert rows[3 - bad].startswith("delta,0.05,ok,")
+        assert rows[bad].startswith("delta,-1,error,,,,")
+        run_dir = Path(rows[bad].rsplit(",", 1)[1])
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["status"] == "error" and "minimum of 0" in report["error"]
+        assert report["config"]["delta"] == -1
+
+
+def sweep_modules(tmp_path, values):
+    """The pool's modules that a fresh interpreter has loaded after a short
+    pair sweep over a, run through main() with exit 0."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    argv = ["sweep", "--config", str(write(tmp_path, doc)), "--out",
+            str(tmp_path / values.replace(",", "_")), "--param", "a", "--values", values,
+            "--quiet"]
+    return fresh_python(f"import sys; from niconsensus.cli import main; "
+                        f"assert main({argv!r}) == 0; print({POOL_MODULES})")
+
+
+def test_one_variant_sweep_runs_in_process(tmp_path):
+    """A one-variant sweep runs its variant in the calling process and starts
+    no pool: neither multiprocessing nor the pool's module is loaded. A
+    two-variant sweep loads the pool's module, so the probe sees a pool."""
+    assert sweep_modules(tmp_path, "10") == "[]"
+    assert "'concurrent.futures.process'" in sweep_modules(tmp_path, "10,20")
+
+
+@pytest.mark.parametrize("values", ["10,20", "5,10,20"])
+def test_sweep_artifacts_are_the_bytes_of_solo_runs(tmp_path, values):
+    """A sweep's first variant runs in this process and the others on the
+    pool: every run directory holds the bytes of the variant run alone
+    through run_simulation (paths aside), and sweep.csv has each run's
+    status and figures in --values order. The network base adds consensus
+    figures to sweep.csv."""
+    for name, doc in (("pair", json.loads(PENDULUM_PAIR.read_text())),
+                      ("network", short_network_doc())):
+        doc["integrator"]["t_end_s"] = 1.0
+        if name == "network":
+            doc["checks"] = doc["checks"] + ["consensus"]
+        out, solo = tmp_path / name / "sweep", tmp_path / name / "solo"
+        swept_code = main(["sweep", "--config", str(write(tmp_path, doc, f"{name}.json")),
+                           "--out", str(out), "--param", "a", "--values", values, "--quiet"])
+        rows = ["param,value,status,initial_edge_max,final_edge_max,final_all_pairs_max,"
+                "out_dir"]
+        codes = []
+        for v in values.split(","):
+            doc["controller"]["first_order"]["a"] = int(v)
+            code, summary = run_simulation(resolve_config(doc), solo / f"run_a={v}", quiet=True)
+            codes.append(code)
+            figures = [str(summary.get(k, "")) for k in SWEEP_FIGURES]
+            rows.append(",".join(["a", v, summary["status"], *figures, str(out / f"run_a={v}")]))
+            for path in sorted((solo / f"run_a={v}").iterdir()):
+                swept = (out / f"run_a={v}" / path.name).read_text()
+                assert swept == path.read_text().replace(str(solo), str(out)), path
+        assert name == "pair" or rows[1].split(",")[3]
+        assert (out / "sweep.csv").read_text() == "\n".join(rows) + "\n"
+        assert swept_code == (1 if any(codes) else 0)
 
 
 @pytest.mark.parametrize("command,key,token", [

@@ -221,6 +221,36 @@ def test_divergence_reads_entries_in_composite_order():
     assert str(err.value) == "divergence at t=0.001 in plant 1, coordinate 1"
 
 
+@pytest.mark.parametrize("name, step", [("stiff_pair", 268), ("stiff_path64", 180)])
+def test_divergence_between_recorded_steps_replays_to_the_same_step(pendulum, name, step):
+    """The divergence test runs on the recorded states, and a failed one
+    steps its window again from the last recorded state with the test on
+    every step. A loop that diverges between recorded samples (the stiff
+    pair on the dense product, the stiff 64-node path on the edge product)
+    reports the same t, step, entry and last state whether every step,
+    every 7th or only the final one is recorded."""
+    plant, _ = pendulum
+    stiff = nc.first_order(5000.0, 5000.0)
+    if name == "stiff_pair":
+        loop, x0 = nc.pair_interconnect(plant, stiff), np.array([1.0, 0.0, 0.0])
+    else:
+        loop = nc.network_interconnect(plant, stiff, nc.path_graph(64))
+        x0 = np.zeros(loop.n_states)
+        x0[0:128:2] = 0.1
+        x0[80] = 1e100
+    errors = []
+    for every in (1, 7, 10**9):
+        with pytest.raises(nc.SimulationDiverged) as err:
+            nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 1.0, record_every=every))
+        errors.append(err.value)
+    assert step % 7 != 0
+    for err in errors:
+        assert (err.t, err.step, err.index) == (step * 1e-3, step, errors[0].index)
+        assert str(err) == str(errors[0])
+        assert np.array_equal(err.last_state, errors[0].last_state)
+        assert np.isfinite(err.last_state).all()
+
+
 @pytest.mark.parametrize("size", [1, 3, 12, 67])
 def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
