@@ -12,6 +12,7 @@ differenced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -95,8 +96,7 @@ def _strictness_form(traj: Trajectory) -> np.ndarray:
     strictness bounds: |dy2/dt|^2 for a pair, (1/2) sum_ij a_ij
     |d(yc_i - yc_j)/dt|^2 for K = L."""
     cl = traj.system
-    mix = np.kron(cl.K, np.eye(cl.io_dim))
-    return np.sum((traj.ycdot @ mix) * traj.ycdot, axis=1)
+    return np.sum(cl.mixed(np.eye(cl.io_dim)).apply(traj.ycdot) * traj.ycdot, axis=1)
 
 
 def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
@@ -107,7 +107,7 @@ def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray
     cl = traj.system
     xc, dxc = cl.split(traj.states)[1], cl.split(traj.dstate)[1]
     _, P = cl.storage_matrices(Y)
-    storage_rate = np.sum((xc @ P) * dxc, axis=1)
+    storage_rate = np.sum(P.apply(xc) * dxc, axis=1)
     supply = np.sum(traj.y1 * traj.y2dot, axis=1)
     return storage_rate - (supply - delta * _strictness_form(traj))
 
@@ -172,10 +172,11 @@ def consensus_metric(traj: Trajectory):
     """Largest plant-output disagreement per sample.
 
     Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over the graph
-    edges (the nonzero off-diagonal entries of the loop's mixing matrix) and
-    over all node pairs. For scalar outputs the farthest pair is the largest
-    and the smallest output, and rounding y_i - y_j is monotone in both, so
-    max - min is the all-pairs maximum exactly. Needs at least two nodes.
+    edges (the off-diagonal entries of K (x) [1]) and over all node pairs.
+    For scalar outputs the farthest pair is the largest and the smallest
+    output, and rounding y_i - y_j is monotone in both, so max - min is the
+    all-pairs maximum exactly; otherwise it is a running maximum over one
+    node's pairs at a time. Needs at least two nodes.
     """
     cl = traj.system
     if cl.n_plants < 2:
@@ -188,8 +189,10 @@ def consensus_metric(traj: Trajectory):
     if y1.shape[2] == 1:
         all_pairs = y1.max(axis=(1, 2)) - y1.min(axis=(1, 2))
     else:
-        all_pairs = max_dist(*np.triu_indices(cl.n_plants, 1))
-    return max_dist(*np.nonzero(np.triu(cl.K, 1))), all_pairs
+        all_pairs = reduce(np.maximum, (max_dist([i], slice(i + 1, None))
+                                        for i in range(cl.n_plants - 1)))
+    i, j, _ = cl.mixed([[1.0]]).entries
+    return max_dist(i[i < j], j[i < j]), all_pairs
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,10 @@ def main(argv=None) -> int:
                                 "integrator.step_s)")
             p.add_argument("--values", required=True,
                            help="comma-separated values")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:  # else argparse reads a list like -1,0.05 as an option
+        k = argv.index("--values")
+        argv[k:k + 2] = ["--values=" + argv[k + 1]]
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

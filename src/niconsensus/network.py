@@ -2,36 +2,34 @@
 
 Every closed loop is n identical plants in positive feedback with one linear
 controller bank: n identical strictly proper controllers M = (A, B, C) whose
-outputs are mixed by a constant symmetric n x n matrix K. The bank is the
-single realisation kron_ss(K, M) = (I (x) A, I (x) B, K (x) C): controller i
-integrates dxc_i = A xc_i + B y1_i locally and plant i receives
-u1_i = sum_j K_ij C xc_j. The two cases of the paper are
+outputs are mixed by a constant symmetric n x n matrix K. The bank is
+(I (x) A, I (x) B, K (x) C): controller i integrates dxc_i = A xc_i + B y1_i
+locally and plant i receives u1_i = sum_j K_ij C xc_j. The two cases of the
+paper are
 
 * a single plant/controller pair: n = 1 and K = [[1]];
 * a network over an undirected graph: K is the graph Laplacian L, so the
   i-th input is sum_j a_ij (C xc_i - C xc_j) and the difference states
   xc_i - xc_j are literal copies of the single-controller dynamics.
 
-Composite state layout: all plant states first, node by node, then all
-controller states node by node. For plants dx/dt = A x + B u +
-E phi(x[..., :r]), y = C x and controller (Ac, Bc, Cc), the integrator steps
-the extended state Z = [xp; phi; xc] by dZ/dt = W Z with the square loop
-matrix [[I (x) A, I (x) E, K (x) B Cc], [0, 0, 0], [I (x) Bc C, 0, I (x) Ac]]
-read node by node. Z itself holds its plant and phi blocks coordinate by
-coordinate (coordinate 1 of every node, then coordinate 2, ...) and xc node
-by node, so phi's argument, the first r coordinates of all n plants, and its
-output are each one contiguous run of Z; ``_rows`` is the permutation that
-reads the composite state back, Z[..., _rows] = X, and W's entries are
-mapped through it before they are sorted. W is built once as its nonzero
-entries, row-sorted (row, column, value) triplets taken straight from the
-nonzeros of the Kronecker factors, so its size follows the graph's edges
-rather than N'^2. Below EDGE_PRODUCT_MIN extended states the field scatters
-them into the dense W and multiplies by it through the bound method W.dot;
-from there on it never forms W and adds each row's entries in column order,
-one pass per place in the row, the product ``evaluate`` applies to a batch.
-Either way a pendulum row sums spring, gravity and input terms in the
-hand-written order. A field evaluation first writes phi into Z's phi block
-through phi's ufunc-style out argument.
+Every product in n is a ``KronOperator``, held as the nonzeros of its
+Kronecker factors, so its size follows the graph's edges rather than n^2;
+the loop keeps K itself only as its nonzeros. Composite state layout: all
+plant states first, node by node, then all controller states node by node.
+For plants dx/dt = A x + B u + E phi(x[..., :r]), y = C x and controller
+(Ac, Bc, Cc), the integrator steps the extended state Z = [xp; phi; xc] by
+dZ/dt = W Z with the square loop matrix [[I (x) A, I (x) E, K (x) B Cc],
+[0, 0, 0], [I (x) Bc C, 0, I (x) Ac]] read node by node. Z itself holds its
+plant and phi blocks coordinate by coordinate (coordinate 1 of every node,
+then coordinate 2, ...) and xc node by node, so phi's argument, the first r
+coordinates of all n plants, and its output are each one contiguous run of
+Z; ``_rows`` is the permutation that reads the composite state back,
+Z[..., _rows] = X, and W's entries are mapped through it. Below
+EDGE_PRODUCT_MIN extended states every operator of the loop is dense; from
+there on none forms its matrix. Either way a pendulum row of W Z sums
+spring, gravity and input terms in the hand-written order. A field
+evaluation first writes phi into Z's phi block through phi's ufunc-style out
+argument.
 
 With the phi block fresh the field is linear in Z, so the integrator's RK4
 stages are products of stage operators built from W for each step h
@@ -49,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from .graph import Graph, is_connected, laplacian
-from .linsys import StateSpace, is_hurwitz, kron_ss, matvec
+from .linsys import StateSpace, is_hurwitz
 from .plant import NonlinearPlant, StorageFunction
 
 #: Extended-state size N' from which the loop uses the edge products. Timed
@@ -68,6 +66,47 @@ def check_controller(sys: StateSpace):
         raise ValueError("the controller must be Hurwitz")
     if np.any(sys.D != 0):
         raise ValueError("the controller must be strictly proper (D = 0)")
+
+
+class KronOperator:
+    """A matrix of the given shape summing Kronecker blocks (outer, M, row0,
+    col0), K (x) M at (row0, col0) with outer = (i, j, K[i, j]) the nonzeros of K,
+    indices mapped through perm if given, held as its row-sorted (row,
+    column, value) triplets ``entries``. ``apply`` multiplies by the matrix
+    ``dense`` when built dense (else None), or adds each row's entries in
+    column order, one pass per place in the row: either way a batch row
+    equals the result for its vector alone bit for bit."""
+
+    def __init__(self, shape, blocks, dense, perm=None):
+        rows, cols, vals = (np.concatenate(part)
+                            for part in zip(*(_kron_entries(*block) for block in blocks)))
+        if perm is not None:
+            rows, cols = perm[rows], perm[cols]
+        self.shape, order = shape, np.lexsort((cols, rows))
+        self.entries = rows, cols, vals = rows[order], cols[order], vals[order]
+        self.dense = self.matrix() if dense else None
+        # the k-th entry of each row that has one: a batch sums slot after slot
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+        self._slots = [(rows[m], cols[m], vals[m])
+                       for m in (slot == k for k in range(slot.max(initial=-1) + 1))]
+
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, scattered from the entries."""
+        M = np.zeros(self.shape)
+        M[self.entries[:2]] = self.entries[2]
+        return M
+
+    def apply(self, Z, out=None):
+        """The product with each vector of Z, shape (..., columns), into out if given."""
+        out = np.empty(Z.shape[:-1] + self.shape[:1]) if out is None else out
+        if self.dense is not None:
+            return np.matmul(self.dense, Z[..., None], out=out[..., None])[..., 0]
+        out.fill(0.0)
+        for rows, cols, vals in self._slots:
+            term = Z.take(cols, -1)
+            term *= vals
+            out[..., rows] = out.take(rows, -1) + term
+        return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +131,7 @@ class LoopSignals:
 
 class ClosedLoop:
     """n copies of one plant in positive feedback with the controller bank
-    kron_ss(K, controller), where n is the order of the mixing matrix K.
+    (I (x) A, I (x) B, K (x) C), where n is the order of the mixing matrix K.
 
     The composite vector field is a pure function of the composite state;
     instances hold no mutable simulation state and may be shared freely.
@@ -103,17 +142,15 @@ class ClosedLoop:
         if plant.m != controller.io_dim:
             raise ValueError("plant and controller input/output dimensions differ")
         self.plant, self.controller = plant, controller
-        self.K = np.atleast_2d(np.asarray(K, dtype=float))
-        self.bank = kron_ss(self.K, controller)
-        self.n_plants = n = self.K.shape[0]
+        K = np.atleast_2d(np.asarray(K, dtype=float))
+        self.n_plants = n = K.shape[0]
         self.io_dim = plant.m
         self._split = n * plant.p
-        self.n_states = self._split + self.bank.state_dim
+        self.n_states = self._split + n * controller.state_dim
         A, B, C, E = plant.A, plant.B, plant.C, plant.E
         Ac, Bc, Cc = controller.A, controller.B, controller.C
-        self._node_C = np.kron(np.eye(n), Cc)
-        split, nr, q = self._split, n * plant.r, self.bank.state_dim
-        size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(self.K)
+        split, nr, q = self._split, n * plant.r, n * controller.state_dim
+        size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(K)
         self._arg, self._phi = slice(nr), slice(split, split + nr)
         # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
         major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()
@@ -121,28 +158,27 @@ class ClosedLoop:
                                np.arange(split + nr, size)))
         #: Z[..., _rows] is the composite state of the extended states Z
         self._rows = np.delete(perm, self._phi)
-        eye, mix = (nodes, nodes, np.ones(n)), (i, j, self.K[i, j])
-        blocks = [_kron_entries(eye, A, 0, 0), _kron_entries(eye, E, 0, split),
-                  _kron_entries(mix, B @ Cc, 0, split + nr),
-                  _kron_entries(eye, Bc @ C, split + nr, 0),
-                  _kron_entries(eye, Ac, split + nr, split + nr)]
-        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-        rows, cols = perm[rows], perm[cols]
-        order = np.lexsort((cols, rows))
-        self._entries = rows, cols, vals = rows[order], cols[order], vals[order]
-        self._size, self._W = size, None
+        eye, self._mix = (nodes, nodes, np.ones(n)), (i, j, K[i, j])
+        self._size, self._dense = size, size < EDGE_PRODUCT_MIN
+        self.W = KronOperator((size, size), [
+            (eye, A, 0, 0), (eye, E, 0, split), (self._mix, B @ Cc, 0, split + nr),
+            (eye, Bc @ C, split + nr, 0), (eye, Ac, split + nr, split + nr)], self._dense, perm)
+        rows, _, vals = self.W.entries
         #: |W|, W's largest absolute row sum: |W Z| <= |W| max|Z| entry by entry
         self.field_norm = float(np.bincount(rows, np.abs(vals), size).max())
-        if size < EDGE_PRODUCT_MIN:
-            self._W = W = np.zeros((size, size))
-            W[rows, cols] = vals
-            self._product, self._batch_product = W.dot, partial(matvec, W)
-        else:
-            # the k-th entry of each row that has one: a batch sums slot after slot
-            slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-            slots = [(rows[m], cols[m], vals[m])
-                     for m in (slot == k for k in range(slot.max(initial=-1) + 1))]
-            self._product = self._batch_product = partial(_edge_batch, slots)
+        self.mixed_C = self.mixed(Cc)
+        self.node_C = KronOperator((n * plant.m, q), [(eye, Cc, 0, 0)], self._dense)
+
+    @property
+    def K(self) -> np.ndarray:
+        """The mixing matrix, built from its nonzeros on each call."""
+        return self.mixed([[1.0]]).matrix()
+
+    def mixed(self, M) -> KronOperator:
+        """K (x) M as an operator, dense or an edge list as the loop's W."""
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        shape = (self.n_plants * M.shape[0], self.n_plants * M.shape[1])
+        return KronOperator(shape, [(self._mix, M, 0, 0)], self._dense)
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -151,15 +187,15 @@ class ClosedLoop:
         return xp, X[..., self._split:]
 
     def storage_matrices(self, Y):
-        """(Y^-1, K (x) Y^-1): the matrices of the controller storage
-        (1/2) x^T Y^-1 x of the OSNI certificate Y and of the bank storage
-        (1/2) xc^T (K (x) Y^-1) xc."""
+        """(Y^-1, K (x) Y^-1): the matrix of the controller storage
+        (1/2) x^T Y^-1 x of the OSNI certificate Y and the operator of the
+        bank storage (1/2) xc^T (K (x) Y^-1) xc."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         q = self.controller.state_dim
         if Y.shape != (q, q):
             raise ValueError(f"controller certificate Y must be {q} x {q}")
         Yinv = np.linalg.inv(Y)
-        return Yinv, np.kron(self.K, Yinv)
+        return Yinv, self.mixed(Yinv)
 
     def extend(self, X):
         """The extended states Z = [xp, phi, xc] of composite states X of
@@ -185,7 +221,7 @@ class ClosedLoop:
         views of phi's argument and of the phi block, both (n, r), are built
         once here, and the returned function of out runs ``rhs`` on them
         with the product W Z chosen at build."""
-        return partial(self.rhs, Z, *self._views(Z), product=self._product)
+        return partial(self.rhs, Z, *self._views(Z), product=self.W.apply)
 
     def rhs(self, Z, arg, ph, out, product):
         """One evaluation: phi writes the phi block of the extended state
@@ -205,7 +241,7 @@ class ClosedLoop:
         z1 + W (h/6 z1 + h/3 z2 + h/3 z3 + h/6 z4), each one ``rhs`` call.
         Above the crossover the last stage is the weighted sum into P[4] and
         one [I | W] product on z1 and P[4]."""
-        N, W, half, third, sixth = self._size, self._W, 0.5 * h, h / 3.0, h / 6.0
+        N, W, half, third, sixth = self._size, self.W.dense, 0.5 * h, h / 3.0, h / 6.0
         if W is not None:
             eye = np.eye(N)
             ops = (eye + half * W, np.hstack((eye, half * W)),
@@ -213,7 +249,7 @@ class ClosedLoop:
                    np.hstack((eye + sixth * W, third * W, third * W, sixth * W)))
             return partial(self._bind_stages, lambda P: [
                 (P[:k + 1].ravel(), S.dot) for k, S in enumerate(ops)])
-        rows, cols, vals = self._entries
+        rows, cols, vals = self.W.entries
         # (column offset of the W block in the flattened (5, N) buffer, its scale)
         ops = [_stage_entries(N, rows, offset + cols, scale * vals)
                for offset, scale in ((0, half), (N, half), (2 * N, h), (4 * N, 1.0))]
@@ -246,14 +282,14 @@ class ClosedLoop:
         """Derivative plus every loop signal at composite states X of shape
         (N,) or (..., N), all from exact chain rules."""
         xp, xc = self.split(X)
-        dX = self._batch_product(self.extend(X))[..., self._rows]
+        dX = self.W.apply(self.extend(X))[..., self._rows]
         dxp, dxc = self.split(dX)
-        y2 = matvec(self.bank.C, xc)
+        y2 = self.mixed_C.apply(xc)
         flat = xp.shape[:-2] + (-1,)
         return LoopSignals(dstate=dX, u1=y2, y1=self.plant.h(xp).reshape(flat),
                            y1dot=self.plant.h(dxp).reshape(flat),
-                           yc=matvec(self._node_C, xc), ycdot=matvec(self._node_C, dxc),
-                           y2=y2, y2dot=matvec(self.bank.C, dxc))
+                           yc=self.node_C.apply(xc), ycdot=self.node_C.apply(dxc),
+                           y2=y2, y2dot=self.mixed_C.apply(dxc))
 
 
 def _stage_entries(N, rows, cols, vals):
@@ -301,21 +337,6 @@ def _edge_last(weights, stages, acc, product, Z, out):
     the [I | W] product on z1 and acc."""
     np.matmul(weights, stages, out=acc)
     product(Z, out)
-
-
-def _edge_batch(slots, Z, out=None):
-    """W Z for each extended state of a stack Z of shape (..., N'), into out
-    if given, from W's entries grouped by their place in their row: one
-    pass per slot adds each row's products in column order, so a batch row
-    equals the result for its state alone bit for bit."""
-    if out is None:
-        out = np.empty(Z.shape)
-    out.fill(0.0)
-    for rows, cols, vals in slots:
-        term = Z[..., cols]
-        term *= vals
-        out[..., rows] += term
-    return out
 
 
 def _kron_entries(outer, M, row0, col0):
@@ -368,8 +389,8 @@ class CompositeStorage:
         loop = self.loop
         xp, xc = loop.split(X)
         y1 = loop.plant.h(xp).reshape(xc.shape[:-1] + (-1,))
-        return (self.v1.V(xp).sum(axis=-1) + 0.5 * np.sum((xc @ self._P) * xc, axis=-1)
-                - np.sum(y1 * (xc @ loop.bank.C.T), axis=-1))
+        return (self.v1.V(xp).sum(axis=-1) + 0.5 * np.sum(self._P.apply(xc) * xc, axis=-1)
+                - np.sum(y1 * loop.mixed_C.apply(xc), axis=-1))
 
     def rate(self, X, sig: LoopSignals):
         """dW/dt at composite states X of shape (N,) or (..., N) with signals sig at X."""
@@ -377,7 +398,7 @@ class CompositeStorage:
         xp, xc = loop.split(X)
         dxp, dxc = loop.split(sig.dstate)
         return (np.sum(self.v1.grad(xp) * dxp, axis=(-2, -1))
-                + np.sum((xc @ self._P) * dxc, axis=-1)
+                + np.sum(self._P.apply(xc) * dxc, axis=-1)
                 - np.sum(sig.y1dot * sig.y2 + sig.y1 * sig.y2dot, axis=-1))
 
     def positivity_margin(self) -> float:

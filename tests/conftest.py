@@ -58,6 +58,16 @@ def pair_traj(pair_loop):
 EXACT = math.inf
 
 
+def dense_plant():
+    """(plant, controller): a dense plant with m = 2 and r = 2 under a
+    raw-matrix controller with two inputs."""
+    rng = np.random.default_rng(6)
+    A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
+    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E,
+                              phi=lambda x, out=None: np.tanh(x[..., :2], out=out))
+    return plant, nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
+
+
 def complete_graph(n: int) -> nc.Graph:
     return nc.Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import complete_graph, edge_rate_sums
+from conftest import complete_graph, dense_plant, edge_rate_sums
 from niconsensus import analysis
 
 A = B = 10.0
@@ -256,6 +256,23 @@ def test_consensus_metric_max_minus_min_is_the_pairwise_maximum(pendulum):
     pairwise = np.max([np.linalg.norm(y1[:, [i]] - y1[:, [j]], axis=1)
                        for i in range(7) for j in range(i + 1, 7)], axis=0)
     assert all_pairs.tobytes() == pairwise.tobytes()
+
+
+def test_consensus_metric_for_vector_outputs_is_the_pairwise_maximum():
+    """For m = 2 the all-pairs series, a running maximum over one node's
+    pairs at a time, and the edge series read from K (x) [1] are bit for
+    bit the maxima of the norms over every node pair and every graph edge."""
+    loop = nc.network_interconnect(*dense_plant(), nc.path_graph(7))
+    rng = np.random.default_rng(12)
+    X = rng.choice([-1.0, 1.0], (500, loop.n_states)) * 10.0 ** rng.uniform(-100, 100, (500, loop.n_states))
+    traj = nc.Trajectory(system=loop, times=np.arange(500.0), states=X, **vars(loop.evaluate(X)))
+    edge_max, all_pairs = analysis.consensus_metric(traj)
+    y1 = traj.y1.reshape(500, 7, 2)
+    norms = {(i, j): np.linalg.norm(y1[:, i] - y1[:, j], axis=1)
+             for i in range(7) for j in range(i + 1, 7)}
+    assert all_pairs.tobytes() == np.max(list(norms.values()), axis=0).tobytes()
+    edges = [norms[i, i + 1] for i in range(6)]
+    assert edge_max.tobytes() == np.max(edges, axis=0).tobytes()
 
 
 def test_steady_state_relation_examples(four_node_graph):

@@ -533,9 +533,8 @@ def test_sweep_rejected_variant_keeps_its_reason(tmp_path, capsys):
     report.json both when it runs in this process (first) and on the pool."""
     for where, values in (("pool", "0.05,-1"), ("in_process", "-1,0.05")):
         out = tmp_path / where
-        # "--values=": argparse would read a leading "-1" as an option
         code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(out),
-                     "--param", "delta", f"--values={values}", "--quiet"])
+                     "--param", "delta", "--values", values, "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
         assert "delta=-1: $.delta: -1 is less than or equal to the minimum of 0" in err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import complete_graph, rhs_rows
-from niconsensus import network
+from niconsensus import analysis, network
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -420,34 +420,51 @@ def star_graph(n):
 @pytest.mark.parametrize("shape", ["path", "star", "complete"])
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape, n):
-    """Both products of one loop, forced by the crossover: the dense W that
-    the triplets scatter into is np.kron's np.block entry for entry once its
-    rows and columns are read node by node, and the edge product agrees
-    with it to rounding. In either regime a batch evaluate row equals the
-    bound field's state rows bit for bit."""
-    plant, _ = pendulum
+    """Both forms of one loop's operators, forced by the crossover: the dense
+    W that the triplets scatter into is np.kron's np.block entry for entry
+    once its rows and columns are read node by node, K (x) Cc, I (x) Cc and
+    K (x) Y^-1 are np.kron's, and the edge form agrees with the dense one to
+    rounding on every loop signal, the composite storage, its rate and the
+    strictness form. In either regime a batch evaluate row equals the bound
+    field's state rows bit for bit."""
+    plant, v1 = pendulum
     lag = nc.first_order(10.0, 10.0)
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
     monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 10 ** 9)
     dense = nc.network_interconnect(plant, lag, graph)
     monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 0)
     edge = nc.network_interconnect(plant, lag, graph)
-    eye, K, bank = np.eye(n), dense.K, dense.bank
+    assert edge.W.dense is None and edge.mixed_C.dense is None
+    eye, K, Y = np.eye(n), dense.K, np.array([[0.8]])
     W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
                   [np.zeros((n, 4 * n))],
-                  [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), bank.A]])
+                  [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), np.kron(eye, lag.A)]])
     # the extended state's indices node by node: plant states, phi (r = 1), xc
     node_major = np.r_[dense._rows[:2 * n], 2 * n + np.arange(n), dense._rows[2 * n:]]
-    assert np.array_equal(dense._product.__self__[np.ix_(node_major, node_major)], W)
+    assert np.array_equal(dense.W.dense[np.ix_(node_major, node_major)], W)
+    assert np.array_equal(dense.mixed_C.dense, np.kron(K, lag.C))
+    assert np.array_equal(dense.node_C.dense, np.kron(eye, lag.C))
+    assert np.array_equal(dense.storage_matrices(Y)[1].dense, np.kron(K, np.linalg.inv(Y)))
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
     for loop in (dense, edge):
         batch = loop.evaluate(X).dstate
         for x, row in zip(X, batch):
             state_rows, phi_rows = rhs_rows(loop, x)
             assert np.array_equal(state_rows, row) and not phi_rows.any()
-    scale = np.abs(dense._product.__self__) @ np.abs(dense.extend(X)).T
+    scale = np.abs(dense.W.dense) @ np.abs(dense.extend(X)).T
     err = np.abs(edge.evaluate(X).dstate - dense.evaluate(X).dstate)
     assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
+    # the other outputs are sums of at most n + 1 terms: rounding in the
+    # last place of each, relative to the largest of them
+    outs = []
+    for loop in (dense, edge):
+        sig = loop.evaluate(X)
+        traj = nc.Trajectory(system=loop, times=np.arange(8.0), states=X, **vars(sig))
+        cs = nc.CompositeStorage(loop, v1, Y)
+        outs.append([*vars(sig).values(), cs.value(X), cs.rate(X, sig),
+                     analysis._strictness_form(traj)])
+    for d, e in zip(*outs):
+        assert np.abs(e - d).max() <= 4 * (n + 1) * np.finfo(float).eps * np.abs(d).max()
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "complete"])
@@ -483,13 +500,15 @@ def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shap
 
 
 def test_large_loop_is_built_without_its_dense_matrix(pendulum):
-    """A 1024-node path has N' = 4096: its dense W alone would take 134 MB."""
+    """A 1024-node path has N' = 4096: its dense W alone would take 134 MB,
+    and K or any other n x n matrix 8 MB; the built loop holds none."""
     plant, _ = pendulum
     graph = nc.path_graph(1024)
     tracemalloc.start()
     try:
-        nc.network_interconnect(plant, nc.first_order(10.0, 10.0), graph)
-        peak = tracemalloc.get_traced_memory()[1]
+        loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), graph)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+    assert held < 5e6 and loop.n_plants == 1024

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import EXACT, convergence_order, rhs_rows, rk4_path_oracle, rk4_stage_oracle
+from conftest import (EXACT, convergence_order, dense_plant, rhs_rows, rk4_path_oracle,
+                      rk4_stage_oracle)
 from niconsensus import network
 from niconsensus.cli import main
 from niconsensus.sim import rk4_path
@@ -268,14 +269,8 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
 
 
 def dense_path3():
-    """A 3-node path of a dense plant with m = 2 and r = 2, under a raw-matrix
-    controller with two inputs."""
-    rng = np.random.default_rng(6)
-    A, B, C, E = (rng.normal(size=s) for s in ((3, 3), (3, 2), (2, 3), (3, 2)))
-    plant = nc.NonlinearPlant(A=A, B=B, C=C, E=E,
-                              phi=lambda x, out=None: np.tanh(x[..., :2], out=out))
-    ctrl = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
-    return nc.network_interconnect(plant, ctrl, nc.path_graph(3))
+    """A 3-node path of the dense plant with m = 2 and r = 2."""
+    return nc.network_interconnect(*dense_plant(), nc.path_graph(3))
 
 
 def linear_pair():
