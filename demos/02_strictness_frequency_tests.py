@@ -27,6 +27,8 @@ L2 = [[1.0, -1.0], [-1.0, 1.0]]
 paired = nc.kron_ss(L2, m)
 print(f"  max delta of the two-node bank: {nc.osni_max_delta(paired):.7f} "
       f"(= {dmax:.6f} / 2)")
+print(f"  the same test block by block on the eigenvalues {{0, 2}} of L2, "
+      f"no bank formed: {nc.osni_max_delta(m, K=L2):.7f}")
 
 print("\nstate-space certificate with the closed-form Y = a/b:")
 Y, delta_star = nc.first_order_certificate(a, b)

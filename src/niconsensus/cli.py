@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, plant
 from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
                      load_config, reject_constant, resolve_config)
-from .linsys import (is_hurwitz, kron_ss, ni_freq_test, osni_certificate_check, osni_freq_test,
+from .linsys import (is_hurwitz, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
 from .plant import GammaError, gamma_estimate, gamma_input_grid
 from .sim import SimulationDiverged, integrate
@@ -153,14 +153,28 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _gamma(cfg: ExperimentConfig, controller, inputs) -> dict:
+def _gamma(cfg: ExperimentConfig, inputs, K, equilibria) -> dict:
     try:
-        est = gamma_estimate(cfg.plant, controller, inputs)
+        est = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, K, equilibria)
     except GammaError as err:
         return {"passed": False, "error": str(err), "input": err.input.tolist(),
                 "node": err.node}
     return {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
             "worst_input": est.worst_input.tolist()}
+
+
+def _gains(cfg: ExperimentConfig) -> dict:
+    """gamma_pair over gamma_input_grid(), on a graph gamma_network over 100
+    seeded draws from [-25, 25]^(n m): one batched solve, failures per gain."""
+    cases = {"gamma_pair": (gamma_input_grid(), np.ones((1, 1)))}
+    if cfg.graph is not None:
+        cases["gamma_network"] = (np.random.default_rng(12345).uniform(
+            -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m)), cfg.K)
+    nodes = np.concatenate([U.reshape(-1, cfg.plant.m) for U, _ in cases.values()])
+    xbar = plant.equilibrium_solve(cfg.plant, nodes, np.zeros((len(nodes), cfg.plant.p)),
+                                   strict=False)
+    parts = np.split(xbar, np.cumsum([len(U) * len(K) for U, K in cases.values()])[:-1])
+    return {name: _gamma(cfg, U, K, part) for (name, (U, K)), part in zip(cases.items(), parts)}
 
 
 def _certificate(cfg: ExperimentConfig) -> dict:
@@ -170,7 +184,8 @@ def _certificate(cfg: ExperimentConfig) -> dict:
 
 
 def _halving(cfg: ExperimentConfig, done: dict) -> dict:
-    half = osni_max_delta(kron_ss([[1.0, -1.0], [-1.0, 1.0]], cfg.controller_ss))
+    # the two-node bank's grid test, block by block on its Laplacian's {0, 2}
+    half = osni_max_delta(cfg.controller_ss, K=[[1.0, -1.0], [-1.0, 1.0]])
     expected = 0.5 * done["osni_max_delta"]["value"]
     return {"passed": bool(abs(half - expected) <= HALVING_TOL), "value": half,
             "expected": expected}
@@ -178,10 +193,10 @@ def _halving(cfg: ExperimentConfig, done: dict) -> dict:
 
 _NOT_NI = (lambda cfg, done: not done["ni_freq_test"]["passed"], "controller is not NI")
 
-#: verify's certificates in report order: name -> (run(cfg, entries so far),
-#: skip rule), on the default frequency grid, with gains over gamma_input_grid()
-#: and 100 seeded draws from [-25, 25]^(n m). A run looks its function up in
-#: this module when it runs, so a wrapper set on the module attribute sees it.
+#: verify's certificates in report order, the gains of _gains after them: name
+#: -> (run(cfg, entries so far), skip rule), on the default frequency grid. A
+#: run looks its function up in this module when it runs, so a wrapper set on
+#: the module attribute sees it.
 CERTIFICATES = {
     # resolve_config has already rejected a controller that is not Hurwitz
     "is_hurwitz": (lambda cfg, done: {"passed": is_hurwitz(cfg.controller_ss)}, None),
@@ -197,11 +212,6 @@ CERTIFICATES = {
     "pair_network_strictness_halving": (_halving, _NOT_NI),
     "osni_certificate": (lambda cfg, done: None if cfg.controller_Y is None
                          else _certificate(cfg), None),
-    "gamma_pair": (lambda cfg, done: _gamma(cfg, cfg.controller_ss, gamma_input_grid()),
-                   None),
-    "gamma_network": (lambda cfg, done: None if cfg.graph is None else _gamma(
-        cfg, kron_ss(cfg.K, cfg.controller_ss), np.random.default_rng(12345).uniform(
-            -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m))), None),
 }
 
 
@@ -210,6 +220,7 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out or cfg.out_dir or "out")
     checks = {}
     _run_table(CERTIFICATES, CERTIFICATES, cfg, checks, checks)
+    checks.update(_gains(cfg))
     doc = {"label": cfg.label, "checks": checks, "config": cfg.raw}
     failed = _record(out_dir / "verify.json", doc, args.quiet)
     if failed:
@@ -310,12 +321,12 @@ def cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="niconsensus",
+        prog="niconsensus", allow_abbrev=False,
         description="Simulate and verify output-feedback consensus experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("simulate", cmd_simulate), ("verify", cmd_verify),
                      ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # main joins only the full --values
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
@@ -324,8 +335,7 @@ def main(argv=None) -> int:
             p.add_argument("--param", required=True,
                            help="config path to vary (e.g. a, delta, n, "
                                 "integrator.step_s)")
-            p.add_argument("--values", required=True,
-                           help="comma-separated values")
+            p.add_argument("--values", help="comma-separated values")
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--values" in argv[:-1]:  # else argparse reads a list like -1,0.05 as an option
         k = argv.index("--values")

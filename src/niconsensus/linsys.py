@@ -137,17 +137,17 @@ def _psd(H: np.ndarray) -> bool:
 
 
 def _osni_terms(sys: StateSpace, grid: FreqGrid):
-    """Stacks (P, R), one matrix per grid frequency, with P = jw [M - M*] and
-    R = 2 w^2 Mc* Mc, plus a last entry holding the analytic w -> inf limits
-    P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
+    """Stacks (N, P, R) of one frequency response: N = j [M - M*], P = jw N and
+    R = 2 w^2 Mc* Mc per grid frequency, P and R with a last entry holding the
+    analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
     w = grid.points[:, None, None]
     M = freq_response(sys, grid.points)
-    Mc = M - sys.D
+    skew, Mc = M - M.conj().swapaxes(1, 2), M - sys.D
     CB = sys.C @ sys.B
-    P = np.concatenate([1j * w * (M - M.conj().swapaxes(1, 2)), [CB + CB.T + 0j]])
+    P = np.concatenate([1j * w * skew, [CB + CB.T + 0j]])
     R = np.concatenate([2.0 * w * w * (Mc.conj().swapaxes(1, 2) @ Mc),
                         [2.0 * (CB.T @ CB) + 0j]])
-    return P, R
+    return 1j * skew, P, R
 
 
 def ni_freq_test(sys: StateSpace, grid: FreqGrid | None = None) -> bool:
@@ -166,11 +166,11 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     _check_osni_preconditions(sys)
-    P, R = _osni_terms(sys, grid or FreqGrid.default())
+    _, P, R = _osni_terms(sys, grid or FreqGrid.default())
     return _psd(P - delta * R)
 
 
-def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
+def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=None) -> float:
     """Largest strictness level delta for which the OSNI test passes.
 
     With P + PSD_TOL I = L L*, P - delta R >= -PSD_TOL at one point exactly
@@ -178,18 +178,23 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None) -> float:
     and the w -> inf limit is 1 / the largest such eigenvalue. Returns inf
     when R vanishes (the test is then delta-independent) and 0.0 when P
     already breaks the floor somewhere.
+
+    Given a symmetric K = U diag(lam) U^T, the level of the bank kron_ss(K,
+    sys) without forming it: its NI matrices and grid terms are M's scaled
+    block by block, lam N, lam P and lam^2 R, from one frequency response.
     """
-    grid = grid or FreqGrid.default()
-    if not ni_freq_test(sys, grid):
+    _check_osni_preconditions(sys)
+    N, P, R = _osni_terms(sys, grid or FreqGrid.default())
+    lam = (np.ones(1) if K is None else np.linalg.eigvalsh(K))[:, None, None, None]
+    if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")
-    P, R = _osni_terms(sys, grid)
     try:
-        L = np.linalg.cholesky(P + PSD_TOL * np.eye(sys.io_dim))
+        L = np.linalg.cholesky(lam * P + PSD_TOL * np.eye(sys.io_dim))
     except np.linalg.LinAlgError:
         return 0.0
-    S = np.linalg.solve(L, np.linalg.solve(L, R).conj().swapaxes(1, 2))
-    lam = np.linalg.eigvalsh(S).max()
-    return float(1.0 / lam) if lam > 0 else math.inf
+    S = np.linalg.solve(L, np.linalg.solve(L, lam * lam * R).conj().swapaxes(-1, -2))
+    top = np.linalg.eigvalsh(S).max()
+    return float(1.0 / top) if top > 0 else math.inf
 
 
 @dataclass(frozen=True)

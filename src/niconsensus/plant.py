@@ -152,7 +152,7 @@ class EquilibriumError(RuntimeError):
         self.member = member
 
 
-def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
+def equilibrium_solve(plant: NonlinearPlant, ubar, x0, strict: bool = True) -> np.ndarray:
     """Solve f(x, ubar) = 0 by damped Newton iteration from the guess x0.
 
     x0 is one state (p,) with ubar (m,), or a batch (..., p) with ubar
@@ -161,7 +161,7 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
     1e-7 (1 + |x_j|), its p columns from one plant call; steps are halved
     until the residual decreases. Converged when the residual max-norm drops
     below 1e-10 within 100 steps. Raises EquilibriumError naming the first
-    member that fails.
+    member that fails; with strict=False such members are NaN instead.
     """
     p = plant.p
     shape = np.shape(x0)
@@ -197,8 +197,9 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
             t *= 0.5
         res[todo[left]] = np.nan
     bad = np.flatnonzero(~(res < EQUILIBRIUM_TOL))
-    if bad.size:
+    if bad.size and strict:
         raise EquilibriumError(int(bad[0]))
+    x[bad] = np.nan
     return x.reshape(shape)
 
 
@@ -228,36 +229,40 @@ def gamma_input_grid():
     return pts[np.abs(pts) > 1e-12, None]
 
 
-def gamma_estimate(plant: NonlinearPlant, controller: StateSpace, inputs) -> GammaReport:
-    """Steady-state gain ratio of the open chain plant -> controller.
+def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),),
+                   equilibria=None) -> GammaReport:
+    """Steady-state gain ratio of the open chain from n plant copies to the
+    bank K (x) M(s): K = [[1]] (the default) for a pair, L for a network.
 
-    For each constant plant input the plant equilibrium is solved by Newton
-    iteration, the equilibrium output is mapped through the controller's DC
-    gain, and the ratio u^T ybar2 / |u|^2 is recorded. The controller feeds
-    n = io_dim / plant.m plant copies: a single controller (n = 1) or a
-    controller bank such as kron_ss(L, M) with DC map L (x) M(0). ``inputs``
-    is a (k, n m) array or a list of k nonzero input vectors. All k n node
-    equilibria are one batched solve, each started from rest, with no
-    continuation from one input to the next. A
-    failed solve raises GammaError with its input and first failing node.
+    ``inputs`` is a (k, n m) array or a list of k nonzero input vectors. Each
+    node's equilibrium is solved from rest, its output mapped through the DC
+    map K (x) M(0), applied through the nonzeros of K, and the ratio
+    u^T ybar2 / |u|^2 recorded. The k n node equilibria are one batched solve
+    unless ``equilibria``, (k n, p) and NaN at a failed node, holds them from
+    a solve shared by several estimates. A failed solve raises GammaError
+    with its input and first failing node.
     """
-    n, rest = divmod(controller.io_dim, plant.m)
-    if rest:
-        raise ValueError("controller input/output dimension is not a multiple "
-                         "of the plant's")
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    n, m = len(K), plant.m
+    if M.io_dim != m:
+        raise ValueError("controller input/output dimension must equal the plant's")
     U = np.asarray(inputs, dtype=float)
     if not U.size:
         raise ValueError("need at least one constant input")
     k = len(U)
-    U = U.reshape(k, controller.io_dim)
+    U = U.reshape(k, n * m)
     if np.any(np.linalg.norm(U, axis=1) <= 1e-300):
         raise ValueError("constant inputs must be nonzero")
-    try:
-        xbar = equilibrium_solve(plant, U.reshape(k, n, plant.m), np.zeros((k, n, plant.p)))
-    except EquilibriumError as err:
-        j, node = divmod(err.member, n)
-        raise GammaError(U[j], node) from err
-    ybar2 = matvec(dc_gain(controller), plant.h(xbar).reshape(k, -1))
+    if equilibria is None:
+        equilibria = equilibrium_solve(plant, U.reshape(k * n, m), np.zeros((k * n, plant.p)),
+                                       strict=False)
+    xbar = np.reshape(equilibria, (k, n, plant.p))
+    failed = np.flatnonzero(np.isnan(xbar).any(axis=2))
+    if failed.size:
+        raise GammaError(U[failed[0] // n], int(failed[0] % n))
+    rows, cols, mixed = *np.nonzero(K), np.zeros((k, n, m))
+    np.add.at(mixed, (slice(None), rows), K[rows, cols, None] * plant.h(xbar)[:, cols])
+    ybar2 = matvec(dc_gain(M), mixed).reshape(k, -1)
     ratios = np.sum(U * ybar2, axis=1) / np.sum(U * U, axis=1)
     worst = int(np.argmax(ratios))
     return GammaReport(gamma_hat=float(ratios[worst]), worst_input=U[worst],

@@ -107,10 +107,10 @@ def test_criterion_7_gamma_estimates(pendulum, four_node_graph):
                              nc.gamma_input_grid())
     small = nc.gamma_estimate(plant, nc.first_order(A, B),
                               [np.array([1e-3]), np.array([-1e-3])])
-    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
     rng = np.random.default_rng(12345)
-    networked = nc.gamma_estimate(plant, net,
-                                  [rng.uniform(-25, 25, 4) for _ in range(100)])
+    networked = nc.gamma_estimate(plant, nc.first_order(A, B),
+                                  [rng.uniform(-25, 25, 4) for _ in range(100)],
+                                  nc.laplacian(four_node_graph))
     ok = (pair.gamma_hat < 1.0
           and abs(small.gamma_hat - 0.1010) <= 1e-3
           and networked.gamma_hat < 1.0)

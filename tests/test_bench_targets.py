@@ -52,9 +52,11 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
 
 def test_tracer_sees_each_verify_certificate_function(tmp_path):
     """verify runs each certificate function a fixed number of times: δ* is
-    computed once for the controller and once for the two-node bank (the
-    halving reuses the first), and osni_max_delta runs ni_freq_test again
-    itself. A table run holding a function taken at import would hide it."""
+    computed once for the controller and once, block by block, for the
+    two-node bank (the halving compares the two); each test forms one
+    frequency response and osni_max_delta reads its NI precondition from its
+    own, so ni_freq_test runs once; both gains share one equilibrium solve.
+    A table run holding a function taken at import would hide it."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -64,9 +66,10 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
         tracer.uninstall()
     assert code == 0
     spans = tracer.take()
-    counts = {"linsys.ni_freq_test": 3, "linsys.osni_freq_test": 1,
-              "linsys.osni_max_delta": 2, "linsys.certificate": 1,
-              "plant.gamma_estimate": 2, "plant.equilibrium_solve": 2}
+    counts = {"linsys.ni_freq_test": 1, "linsys.osni_freq_test": 1,
+              "linsys.osni_max_delta": 2, "linsys.freq_response": 4,
+              "linsys.certificate": 1, "plant.gamma_estimate": 2,
+              "plant.equilibrium_solve": 1}
     assert {name: spans.count(name) for name in counts} == counts
 
 

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from niconsensus import gamma_estimate, kron_ss, load_config
+from niconsensus import gamma_estimate, load_config
 from niconsensus.analysis import CHECKS, CheckReport
 from niconsensus.cli import SWEEP_FIGURES, _aggregate, main, run_simulation
 from niconsensus.config import DEFAULT_CHECKS, resolve_config
+from niconsensus.plant import GammaError, gamma_input_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PENDULUM4 = CONFIG_DIR / "pendulum4.json"
@@ -200,7 +201,7 @@ def test_verify_gamma_network_draws_one_input_per_row(tmp_path):
     cfg = load_config(PENDULUM4)
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25.0, 25.0, 4) for _ in range(100)]
-    report = gamma_estimate(cfg.plant, kron_ss(cfg.K, cfg.controller_ss), inputs)
+    report = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, cfg.K)
     assert entry["gamma_hat"] == report.gamma_hat
     assert entry["worst_input"] == report.worst_input.tolist()
 
@@ -254,6 +255,47 @@ def test_verify_records_a_failed_equilibrium_solve(tmp_path, capsys):
                            "pair_network_strictness_halving", "osni_certificate",
                            "gamma_pair"}
     assert all(checks[name]["passed"] for name in checks if name != "gamma_pair")
+
+
+def test_verify_names_each_gains_own_failure_through_the_shared_solve(tmp_path):
+    """Both gains' node equilibria are one batched solve. With kappa = 1 on
+    the four-node network each gain still records its own first failing
+    input and node, those of gamma_estimate run on that gain alone."""
+    doc = load_pendulum4()
+    doc["plant"]["pendulum"]["kappa"] = 1.0
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--quiet"]) == 4
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    cfg = resolve_config(doc)
+    inputs = {"gamma_pair": (gamma_input_grid(), [[1.0]]),
+              "gamma_network": (np.random.default_rng(12345).uniform(-25.0, 25.0, (100, 4)),
+                                cfg.K)}
+    for name, (U, K) in inputs.items():
+        with pytest.raises(GammaError) as info:
+            gamma_estimate(cfg.plant, cfg.controller_ss, U, K)
+        assert checks[name] == {"passed": False, "error": str(info.value),
+                                "input": info.value.input.tolist(),
+                                "node": info.value.node}
+    assert (checks["gamma_pair"]["input"], checks["gamma_pair"]["node"]) == ([-24.75], 0)
+    assert checks["gamma_network"]["input"] == inputs["gamma_network"][0][0].tolist()
+    assert checks["gamma_network"]["node"] == 3
+    assert all(checks[name]["passed"] for name in checks if not name.startswith("gamma"))
+
+
+def test_sweep_refuses_an_abbreviated_option(tmp_path, capsys):
+    """argparse would read --val as --values, past main's join of --values
+    with a value list that starts with '-': prefixes are refused by name,
+    and --values -1,0.05 still reaches sweep as one list."""
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(PENDULUM_PAIR), "--param", "delta",
+              "--val", "-1,0.05"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --val -1,0.05" in capsys.readouterr().err
+    code = main(["sweep", "--config", str(PENDULUM_PAIR), "--out", str(tmp_path),
+                 "--param", "delta", "--values", "-1,0.05", "--quiet"])
+    assert code == 1  # -1 is rejected as a variant, 0.05 runs
+    assert "delta=-1:" in capsys.readouterr().err
 
 
 def test_misspelled_check_name_exit2(tmp_path, capsys):

@@ -90,6 +90,26 @@ def test_strictness_halves_for_two_node_networks():
         assert networked == pytest.approx(single / 2.0, abs=2e-6)
 
 
+@pytest.mark.parametrize("graph", ["two_node", "flagship"])
+@pytest.mark.parametrize("controller", ["lag_10_10", "lag_20_6", "two_state"])
+def test_bank_level_block_by_block_matches_the_bank(graph, controller, four_node_graph):
+    """osni_max_delta(M, K=L) runs the grid test of kron_ss(L, M) on the
+    eigenvalues of L and M's own frequency response; it equals the level of
+    the realised bank within 1e-12, and a controller that is not NI is
+    refused in both forms."""
+    L = np.array(L2) if graph == "two_node" else nc.laplacian(four_node_graph)
+    M = {"lag_10_10": nc.first_order(10.0, 10.0), "lag_20_6": nc.first_order(20.0, 6.0),
+         "two_state": nc.StateSpace([[-10.0, 0.0], [0.0, -2.0]], [[10.0], [5.0]],
+                                    [[1.0, 1.0]])}[controller]
+    bank = nc.osni_max_delta(nc.kron_ss(L, M))
+    assert abs(nc.osni_max_delta(M, K=L) - bank) <= 1e-12
+    assert bank == pytest.approx(nc.osni_max_delta(M) / np.linalg.eigvalsh(L).max(), abs=1e-9)
+    not_ni = nc.first_order(-1.0, 1.0)
+    for sys, K in ((nc.kron_ss(L, not_ni), None), (not_ni, L)):
+        with pytest.raises(ValueError, match="not NI"):
+            nc.osni_max_delta(sys, K=K)
+
+
 #: One positive lag a/(s+b) as (log10 a, log10 b).
 LOG_LAG = st.tuples(st.floats(-2.0, 1.5), st.floats(-1.5, 2.0))
 
@@ -104,8 +124,11 @@ def test_max_delta_is_the_supremum_osni_freq_test_accepts(lags, bank, n):
     a, b = (10.0 ** np.array(v) for v in zip(*lags))
     sys = nc.StateSpace(np.diag(-b), a[:, None], np.ones((1, len(a))))
     if bank:
-        sys = nc.kron_ss(nc.laplacian(nc.path_graph(n)), sys)
+        M, L = sys, nc.laplacian(nc.path_graph(n))
+        sys = nc.kron_ss(L, M)
     delta = nc.osni_max_delta(sys)
+    if bank:  # the same level block by block, from M's frequency response
+        assert nc.osni_max_delta(M, K=L) == pytest.approx(delta, rel=1e-12)
     oracle = bisect_max_delta(lambda d: nc.osni_freq_test(sys, d), 1e-6)
     assert oracle <= delta < oracle + 1e-6
     assert nc.osni_freq_test(sys, delta * (1.0 - 1e-9))

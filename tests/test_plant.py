@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -156,28 +157,38 @@ def test_gamma_input_grid_is_one_input_per_row():
     assert np.array_equal(grid[:, 0], np.delete(np.linspace(-25.0, 25.0, 201), 100))
 
 
-@pytest.mark.parametrize("network", [False, True])
+@pytest.mark.parametrize("network", [False, True, 64])
 def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, network):
-    """The one batched solve gives, bit for bit, the ratios of a loop of
-    one-input solves from rest; a list of input rows gives the same report."""
+    """The one batched solve gives, bit for bit, the ratios of one-input
+    estimates; a list of input rows gives the same report. Against a loop of
+    one-input solves mapped through the realised bank's DC map,
+    dc_gain(kron_ss(K, M)), they agree bit for bit for the pair and within
+    1e-12 for K = L, whose K (x) M(0) is applied through the nonzeros of L.
+    network is False for the pair, True for the flagship graph, or the node
+    count of a path."""
     plant, _ = pendulum
-    controller = nc.first_order(10.0, 10.0)
+    M = nc.first_order(10.0, 10.0)
     if network:
-        controller = nc.kron_ss(nc.laplacian(four_node_graph), controller)
-        inputs = np.random.default_rng(12345).uniform(-25, 25, (100, 4))
+        graph = four_node_graph if network is True else nc.path_graph(network)
+        K = nc.laplacian(graph)
+        inputs = np.random.default_rng(12345).uniform(-25, 25, (100, graph.n))
     else:
-        inputs = nc.gamma_input_grid()
-    report = nc.gamma_estimate(plant, controller, inputs)
+        K, inputs = np.ones((1, 1)), nc.gamma_input_grid()
+    report = nc.gamma_estimate(plant, M, inputs, K)
+    single = [nc.gamma_estimate(plant, M, u[None], K).ratios[0] for u in inputs]
+    assert np.array_equal(report.ratios, single)
     n = inputs.shape[1]
-    dc = nc.dc_gain(controller)
+    dc = nc.dc_gain(nc.kron_ss(K, M))
     loop = []
     for u in inputs:
         x = nc.equilibrium_solve(plant, u.reshape(n, 1), np.zeros((n, 2)))
         y2 = matvec(dc, plant.h(x).reshape(-1))
         loop.append(np.sum(u * y2) / np.sum(u * u))
-    assert np.array_equal(report.ratios, loop)
+    if not network:
+        assert np.array_equal(report.ratios, loop)
+    assert np.abs(report.ratios - loop).max() <= 1e-12
     assert np.array_equal(report.worst_input, inputs[np.argmax(loop)])
-    listed = nc.gamma_estimate(plant, controller, list(inputs))
+    listed = nc.gamma_estimate(plant, M, list(inputs), K)
     assert np.array_equal(listed.ratios, report.ratios)
 
 
@@ -207,10 +218,10 @@ def test_gamma_small_signal_limit(pendulum):
 
 def test_gamma_network_random_inputs(pendulum, four_node_graph):
     plant, _ = pendulum
-    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25, 25, 4) for _ in range(100)]
-    report = nc.gamma_estimate(plant, net, inputs)
+    report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs,
+                               nc.laplacian(four_node_graph))
     assert report.gamma_hat < 1.0
     # cross-check the reported maximiser against the bracketing oracle
     u = report.worst_input
@@ -253,18 +264,21 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
     of an input fails at exactly the nodes that receive such a value."""
     saturating = nc.NonlinearPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[-1.0]],
                                    phi=np.tanh)
-    bank = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
-    report = nc.gamma_estimate(saturating, bank, [np.array([0.5, -0.3, 0.2, 0.9])])
+    gain = partial(nc.gamma_estimate, saturating, nc.first_order(10.0, 10.0),
+                   K=nc.laplacian(four_node_graph))
+    report = gain([np.array([0.5, -0.3, 0.2, 0.9])])
     assert np.isfinite(report.gamma_hat)
     with pytest.raises(RuntimeError, match=r"\(node 2\)"):
-        nc.gamma_estimate(saturating, bank, [np.array([0.5, -0.3, 3.0, 0.2])])
+        gain([np.array([0.5, -0.3, 3.0, 0.2])])
     with pytest.raises(RuntimeError, match=r"\(node 1\)"):
-        nc.gamma_estimate(saturating, bank, [np.array([0.5, 0.1, 0.2, 0.3]),
-                                             np.array([0.5, -2.0, 0.2, 4.0])])
+        gain([np.array([0.5, 0.1, 0.2, 0.3]), np.array([0.5, -2.0, 0.2, 4.0])])
     # two failing inputs: the first input is named, with its first failing node
     with pytest.raises(RuntimeError, match=r"input \[ 0\.5 +0\.1 +3\. +-1\.5\] \(node 2\)"):
-        nc.gamma_estimate(saturating, bank, np.array([[0.5, 0.1, 3.0, -1.5],
-                                                      [2.0, -2.0, 0.2, 4.0]]))
+        gain(np.array([[0.5, 0.1, 3.0, -1.5], [2.0, -2.0, 0.2, 4.0]]))
+    # a bank passed as M, the form before K was an argument, is refused
+    with pytest.raises(ValueError, match="must equal the plant's"):
+        nc.gamma_estimate(saturating, nc.kron_ss(nc.laplacian(four_node_graph),
+                                                 nc.first_order(10.0, 10.0)), np.ones((1, 4)))
 
 
 def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
