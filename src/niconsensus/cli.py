@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, plant
+from . import analysis
 from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
                      load_config, reject_constant, resolve_config)
 from .linsys import (is_hurwitz, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
-from .plant import GammaError, gamma_estimate, gamma_input_grid
+# perfbench's tracer wraps cli.gamma_estimate; verify's gains run through gamma_estimates
+from .plant import GammaError, gamma_estimate, gamma_estimates, gamma_input_grid
 from .sim import SimulationDiverged, integrate
 from .svgplot import write_line_plot
 
@@ -153,28 +154,21 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _gamma(cfg: ExperimentConfig, inputs, K, equilibria) -> dict:
-    try:
-        est = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, K, equilibria)
-    except GammaError as err:
-        return {"passed": False, "error": str(err), "input": err.input.tolist(),
-                "node": err.node}
+def _gamma(est) -> dict:
+    if isinstance(est, GammaError):
+        return {"passed": False, "error": str(est), "input": est.input.tolist(), "node": est.node}
     return {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
             "worst_input": est.worst_input.tolist()}
 
 
 def _gains(cfg: ExperimentConfig) -> dict:
-    """gamma_pair over gamma_input_grid(), on a graph gamma_network over 100
-    seeded draws from [-25, 25]^(n m): one batched solve, failures per gain."""
+    """gamma_pair and, on a graph, gamma_network: one solve, each its own failure."""
     cases = {"gamma_pair": (gamma_input_grid(), np.ones((1, 1)))}
     if cfg.graph is not None:
         cases["gamma_network"] = (np.random.default_rng(12345).uniform(
             -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m)), cfg.K)
-    nodes = np.concatenate([U.reshape(-1, cfg.plant.m) for U, _ in cases.values()])
-    xbar = plant.equilibrium_solve(cfg.plant, nodes, np.zeros((len(nodes), cfg.plant.p)),
-                                   strict=False)
-    parts = np.split(xbar, np.cumsum([len(U) * len(K) for U, K in cases.values()])[:-1])
-    return {name: _gamma(cfg, U, K, part) for (name, (U, K)), part in zip(cases.items(), parts)}
+    ests = gamma_estimates(cfg.plant, cfg.controller_ss, list(cases.values()))
+    return {name: _gamma(est) for name, est in zip(cases, ests)}
 
 
 def _certificate(cfg: ExperimentConfig) -> dict:
@@ -184,7 +178,6 @@ def _certificate(cfg: ExperimentConfig) -> dict:
 
 
 def _halving(cfg: ExperimentConfig, done: dict) -> dict:
-    # the two-node bank's grid test, block by block on its Laplacian's {0, 2}
     half = osni_max_delta(cfg.controller_ss, K=[[1.0, -1.0], [-1.0, 1.0]])
     expected = 0.5 * done["osni_max_delta"]["value"]
     return {"passed": bool(abs(half - expected) <= HALVING_TOL), "value": half,
@@ -193,10 +186,9 @@ def _halving(cfg: ExperimentConfig, done: dict) -> dict:
 
 _NOT_NI = (lambda cfg, done: not done["ni_freq_test"]["passed"], "controller is not NI")
 
-#: verify's certificates in report order, the gains of _gains after them: name
-#: -> (run(cfg, entries so far), skip rule), on the default frequency grid. A
-#: run looks its function up in this module when it runs, so a wrapper set on
-#: the module attribute sees it.
+#: verify's certificates in report order, then _gains: name -> (run(cfg, entries
+#: so far), skip rule), on the default frequency grid. A run looks its function
+#: up in this module when it runs, so a wrapper set on the module attribute sees it.
 CERTIFICATES = {
     # resolve_config has already rejected a controller that is not Hurwitz
     "is_hurwitz": (lambda cfg, done: {"passed": is_hurwitz(cfg.controller_ss)}, None),

@@ -140,6 +140,7 @@ def _osni_terms(sys: StateSpace, grid: FreqGrid):
     """Stacks (N, P, R) of one frequency response: N = j [M - M*], P = jw N and
     R = 2 w^2 Mc* Mc per grid frequency, P and R with a last entry holding the
     analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
+    _check_osni_preconditions(sys)
     w = grid.points[:, None, None]
     M = freq_response(sys, grid.points)
     skew, Mc = M - M.conj().swapaxes(1, 2), M - sys.D
@@ -165,12 +166,11 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     """
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
-    _check_osni_preconditions(sys)
     _, P, R = _osni_terms(sys, grid or FreqGrid.default())
     return _psd(P - delta * R)
 
 
-def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=None) -> float:
+def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=((1.0,),)) -> float:
     """Largest strictness level delta for which the OSNI test passes.
 
     With P + PSD_TOL I = L L*, P - delta R >= -PSD_TOL at one point exactly
@@ -183,9 +183,11 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=None) -> flo
     sys) without forming it: its NI matrices and grid terms are M's scaled
     block by block, lam N, lam P and lam^2 R, from one frequency response.
     """
-    _check_osni_preconditions(sys)
+    K = np.asarray(K, dtype=float)
+    if not np.allclose(K, K.T, atol=1e-12):
+        raise ValueError("K must be symmetric")
     N, P, R = _osni_terms(sys, grid or FreqGrid.default())
-    lam = (np.ones(1) if K is None else np.linalg.eigvalsh(K))[:, None, None, None]
+    lam = np.linalg.eigvalsh(K)[:, None, None, None]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")
     try:

@@ -144,15 +144,15 @@ def pendulum_storage(params: PendulumParams) -> StorageFunction:
 
 
 class EquilibriumError(RuntimeError):
-    """Newton iteration found no equilibrium; ``member`` is the flat index of
-    the first batch member that failed."""
+    """Newton iteration found no equilibrium: ``member`` is the flat index of
+    the first failed batch member, ``x`` the batch with NaN at each failure."""
 
-    def __init__(self, member: int):
+    def __init__(self, member: int, x: np.ndarray):
         super().__init__("no equilibrium found from this guess")
-        self.member = member
+        self.member, self.x = member, x
 
 
-def equilibrium_solve(plant: NonlinearPlant, ubar, x0, strict: bool = True) -> np.ndarray:
+def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
     """Solve f(x, ubar) = 0 by damped Newton iteration from the guess x0.
 
     x0 is one state (p,) with ubar (m,), or a batch (..., p) with ubar
@@ -161,7 +161,7 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0, strict: bool = True) -> n
     1e-7 (1 + |x_j|), its p columns from one plant call; steps are halved
     until the residual decreases. Converged when the residual max-norm drops
     below 1e-10 within 100 steps. Raises EquilibriumError naming the first
-    member that fails; with strict=False such members are NaN instead.
+    member that fails.
     """
     p = plant.p
     shape = np.shape(x0)
@@ -197,9 +197,9 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0, strict: bool = True) -> n
             t *= 0.5
         res[todo[left]] = np.nan
     bad = np.flatnonzero(~(res < EQUILIBRIUM_TOL))
-    if bad.size and strict:
-        raise EquilibriumError(int(bad[0]))
     x[bad] = np.nan
+    if bad.size:
+        raise EquilibriumError(int(bad[0]), x.reshape(shape))
     return x.reshape(shape)
 
 
@@ -229,41 +229,47 @@ def gamma_input_grid():
     return pts[np.abs(pts) > 1e-12, None]
 
 
-def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),),
-                   equilibria=None) -> GammaReport:
+def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),)) -> GammaReport:
     """Steady-state gain ratio of the open chain from n plant copies to the
-    bank K (x) M(s): K = [[1]] (the default) for a pair, L for a network.
+    bank K (x) M(s), K = [[1]] (the default) for a pair and L for a network:
+    gamma_estimates on this one case, raising its GammaError."""
+    (est,) = gamma_estimates(plant, M, [(inputs, K)])
+    if isinstance(est, GammaError):
+        raise est
+    return est
 
-    ``inputs`` is a (k, n m) array or a list of k nonzero input vectors. Each
-    node's equilibrium is solved from rest, its output mapped through the DC
-    map K (x) M(0), applied through the nonzeros of K, and the ratio
-    u^T ybar2 / |u|^2 recorded. The k n node equilibria are one batched solve
-    unless ``equilibria``, (k n, p) and NaN at a failed node, holds them from
-    a solve shared by several estimates. A failed solve raises GammaError
-    with its input and first failing node.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    n, m = len(K), plant.m
-    if M.io_dim != m:
+
+def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
+    """Gain ratios u^T ybar2 / |u|^2 of the chains into K (x) M(s), one per
+    (inputs, K) case, inputs a (k, n m) array or a list of k nonzero vectors:
+    each node's equilibrium solved from rest, those of all cases in one batch,
+    its output mapped through K (x) M(0) on the nonzeros of K. Per case a
+    GammaReport, or a GammaError naming the input and first node that failed."""
+    if M.io_dim != plant.m:
         raise ValueError("controller input/output dimension must equal the plant's")
-    U = np.asarray(inputs, dtype=float)
-    if not U.size:
+    Ks = [np.atleast_2d(np.asarray(K, dtype=float)) for _, K in cases]
+    Us = [np.asarray(inputs, dtype=float) for inputs, _ in cases]
+    if not all(U.size for U in Us):
         raise ValueError("need at least one constant input")
-    k = len(U)
-    U = U.reshape(k, n * m)
-    if np.any(np.linalg.norm(U, axis=1) <= 1e-300):
+    Us = [U.reshape(len(U), len(K) * plant.m) for U, K in zip(Us, Ks)]
+    if any(np.any(np.linalg.norm(U, axis=1) <= 1e-300) for U in Us):
         raise ValueError("constant inputs must be nonzero")
-    if equilibria is None:
-        equilibria = equilibrium_solve(plant, U.reshape(k * n, m), np.zeros((k * n, plant.p)),
-                                       strict=False)
-    xbar = np.reshape(equilibria, (k, n, plant.p))
-    failed = np.flatnonzero(np.isnan(xbar).any(axis=2))
-    if failed.size:
-        raise GammaError(U[failed[0] // n], int(failed[0] % n))
-    rows, cols, mixed = *np.nonzero(K), np.zeros((k, n, m))
-    np.add.at(mixed, (slice(None), rows), K[rows, cols, None] * plant.h(xbar)[:, cols])
-    ybar2 = matvec(dc_gain(M), mixed).reshape(k, -1)
-    ratios = np.sum(U * ybar2, axis=1) / np.sum(U * U, axis=1)
-    worst = int(np.argmax(ratios))
-    return GammaReport(gamma_hat=float(ratios[worst]), worst_input=U[worst],
-                       ratios=ratios)
+    nodes = np.concatenate([U.reshape(-1, plant.m) for U in Us])
+    try:
+        xbar = equilibrium_solve(plant, nodes, np.zeros((len(nodes), plant.p)))
+    except EquilibriumError as err:
+        xbar = err.x
+    ends, D, out = np.cumsum([len(U) * len(K) for U, K in zip(Us, Ks)]), dc_gain(M), []
+    for U, K, x in zip(Us, Ks, np.split(xbar, ends[:-1])):
+        k, n = len(U), len(K)
+        x = x.reshape(k, n, plant.p)
+        failed = np.flatnonzero(np.isnan(x).any(axis=2))
+        if failed.size:
+            out.append(GammaError(U[failed[0] // n], int(failed[0] % n)))
+            continue
+        rows, cols, mixed = *np.nonzero(K), np.zeros((k, n, plant.m))
+        np.add.at(mixed, (slice(None), rows), K[rows, cols, None] * plant.h(x)[:, cols])
+        ratios = np.sum(U * matvec(D, mixed).reshape(k, -1), axis=1) / np.sum(U * U, axis=1)
+        worst = int(np.argmax(ratios))
+        out.append(GammaReport(float(ratios[worst]), U[worst], ratios))
+    return out

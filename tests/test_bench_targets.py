@@ -55,8 +55,10 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
     computed once for the controller and once, block by block, for the
     two-node bank (the halving compares the two); each test forms one
     frequency response and osni_max_delta reads its NI precondition from its
-    own, so ni_freq_test runs once; both gains share one equilibrium solve.
-    A table run holding a function taken at import would hide it."""
+    own, so ni_freq_test runs once; both gains are one gamma_estimates call
+    and share one equilibrium solve, so the traced gamma_estimate, the
+    one-gain form, does not run. A table run holding a function taken at
+    import would hide it."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -68,7 +70,7 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
     spans = tracer.take()
     counts = {"linsys.ni_freq_test": 1, "linsys.osni_freq_test": 1,
               "linsys.osni_max_delta": 2, "linsys.freq_response": 4,
-              "linsys.certificate": 1, "plant.gamma_estimate": 2,
+              "linsys.certificate": 1, "plant.gamma_estimate": 0,
               "plant.equilibrium_solve": 1}
     assert {name: spans.count(name) for name in counts} == counts
 

@@ -95,8 +95,8 @@ def test_strictness_halves_for_two_node_networks():
 def test_bank_level_block_by_block_matches_the_bank(graph, controller, four_node_graph):
     """osni_max_delta(M, K=L) runs the grid test of kron_ss(L, M) on the
     eigenvalues of L and M's own frequency response; it equals the level of
-    the realised bank within 1e-12, and a controller that is not NI is
-    refused in both forms."""
+    the realised bank within 1e-12, a controller that is not NI is refused
+    in both forms, and so is a K that is not symmetric."""
     L = np.array(L2) if graph == "two_node" else nc.laplacian(four_node_graph)
     M = {"lag_10_10": nc.first_order(10.0, 10.0), "lag_20_6": nc.first_order(20.0, 6.0),
          "two_state": nc.StateSpace([[-10.0, 0.0], [0.0, -2.0]], [[10.0], [5.0]],
@@ -105,9 +105,12 @@ def test_bank_level_block_by_block_matches_the_bank(graph, controller, four_node
     assert abs(nc.osni_max_delta(M, K=L) - bank) <= 1e-12
     assert bank == pytest.approx(nc.osni_max_delta(M) / np.linalg.eigvalsh(L).max(), abs=1e-9)
     not_ni = nc.first_order(-1.0, 1.0)
-    for sys, K in ((nc.kron_ss(L, not_ni), None), (not_ni, L)):
+    for sys, K in ((nc.kron_ss(L, not_ni), [[1.0]]), (not_ni, L)):
         with pytest.raises(ValueError, match="not NI"):
             nc.osni_max_delta(sys, K=K)
+    # eigvalsh would read one triangle of a non-symmetric K and return a level
+    with pytest.raises(ValueError, match="K must be symmetric"):
+        nc.osni_max_delta(M, K=L + np.triu(np.ones_like(L), 1))
 
 
 #: One positive lag a/(s+b) as (log10 a, log10 b).
