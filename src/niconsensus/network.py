@@ -12,31 +12,31 @@ paper are
   i-th input is sum_j a_ij (C xc_i - C xc_j) and the difference states
   xc_i - xc_j are literal copies of the single-controller dynamics.
 
-Every product in n is a ``KronOperator``, held as the nonzeros of its
-Kronecker factors, so its size follows the graph's edges rather than n^2;
-the loop keeps K itself only as its nonzeros. Composite state layout: all
-plant states first, node by node, then all controller states node by node.
-For plants dx/dt = A x + B u + E phi(x[..., :r]), y = C x and controller
-(Ac, Bc, Cc), the integrator steps the extended state Z = [xp; phi; xc] by
-dZ/dt = W Z with the square loop matrix [[I (x) A, I (x) E, K (x) B Cc],
-[0, 0, 0], [I (x) Bc C, 0, I (x) Ac]] read node by node. Z itself holds its
-plant and phi blocks coordinate by coordinate (coordinate 1 of every node,
-then coordinate 2, ...) and xc node by node, so phi's argument, the first r
-coordinates of all n plants, and its output are each one contiguous run of
-Z; ``_rows`` is the permutation that reads the composite state back,
-Z[..., _rows] = X, and W's entries are mapped through it. Below
-EDGE_PRODUCT_MIN extended states every operator of the loop is dense; from
-there on none forms its matrix. Either way a pendulum row of W Z sums
-spring, gravity and input terms in the hand-written order. A field
-evaluation first writes phi into Z's phi block through phi's ufunc-style out
-argument.
+Composite state layout: all plant states first, node by node, then all
+controller states node by node. For plants dx/dt = A x + B u + E phi(x[...,
+:r]), y = C x and controller (Ac, Bc, Cc), the integrator steps the extended
+state Z = [xp; phi; xc] by dZ/dt = W Z with the square loop matrix
+[[I (x) A, I (x) E, K (x) B Cc], [0, 0, 0], [I (x) Bc C, 0, I (x) Ac]] read
+node by node. Z holds its plant and phi blocks coordinate by coordinate and
+xc node by node, so phi's argument, the first r coordinates of all n plants,
+and its output are each one contiguous run of Z; Z[..., _rows] = X reads the
+composite state back, and W's entries are mapped through ``_rows``. A field
+evaluation first writes phi into Z's phi block (phi's ufunc-style out); the
+field is then linear in Z, so the RK4 stages are products of stage
+operators built from W for each step h, such as [I | h/2 W] on the stacked
+stages (``rk4_stages``).
 
-With the phi block fresh the field is linear in Z, so the integrator's RK4
-stages are products of stage operators built from W for each step h
-(``rk4_stages``), such as [I | h/2 W] on the stacked stage states. Below
-EDGE_PRODUCT_MIN they are dense; from there on they are W's entries plus an
-identity entry per row, summed by a gather, a multiply and one reduction
-into buffers allocated when the stages are bound.
+Every product the loop makes, in n or in a stage, is one ``KronOperator``:
+the (row, column, value) triplets of Kronecker blocks K (x) M and I (x) M
+and, in a stage, an identity entry per row, so its size follows the graph's
+edges rather than n^2 (the loop keeps K only as its nonzeros). It takes one
+of three forms at build: dense below EDGE_PRODUCT_MIN extended states, else
+the ELLPACK or CSR form of a sparse product (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 3.4), padded slots or, past PADDING_MAX,
+row segments. Both crossovers were timed on one pinned core, the first as
+RK4 steps and the second as stage products (see each constant). Either way
+a pendulum row of W Z sums spring, gravity and input terms in the
+hand-written order.
 """
 
 from __future__ import annotations
@@ -50,13 +50,19 @@ from .graph import Graph, is_connected, laplacian
 from .linsys import StateSpace, is_hurwitz
 from .plant import NonlinearPlant, StorageFunction
 
-#: Extended-state size N' from which the loop uses the edge products. Timed
+#: Extended-state size N' from which the loop's operators are sparse, timed
 #: as RK4 steps on one pinned core, 40 interleaved rounds of paired 200-step
-#: runs: the median edge/dense step ratio on pendulum paths is 1.17 at
+#: runs: the median sparse/dense step ratio on pendulum paths is 1.17 at
 #: N' = 88, 1.01 at 96, 0.91 at 104 and 0.58 at 128; on stars, whose hub row
-#: sends the edge stages to np.add.reduceat, 1.27, 1.00, 0.95 and 0.77 (see
-#: CHANGES.md).
+#: sends the stages to row segments, 1.27, 1.00, 0.95 and 0.77.
 EDGE_PRODUCT_MIN = 96
+
+#: Largest ratio of padded slots to entries at which a sparse operator sums
+#: padded slots rather than row segments, timed as one stage product on
+#: pendulum paths with a hub of growing degree (N' = 128, 256, 512, one pinned
+#: core): slots win by 0.1-3 us up to a ratio of 2.7, the two are level at
+#: 3.0-3.6, and np.add.reduceat wins from 4.2 on, by 125 us at 37 (a star).
+PADDING_MAX = 3
 
 
 def check_controller(sys: StateSpace):
@@ -69,44 +75,80 @@ def check_controller(sys: StateSpace):
 
 
 class KronOperator:
-    """A matrix of the given shape summing Kronecker blocks (outer, M, row0,
-    col0), K (x) M at (row0, col0) with outer = (i, j, K[i, j]) the nonzeros of K,
-    indices mapped through perm if given, held as its row-sorted (row,
-    column, value) triplets ``entries``. ``apply`` multiplies by the matrix
-    ``dense`` when built dense (else None), or adds each row's entries in
-    column order, one pass per place in the row: either way a batch row
-    equals the result for its vector alone bit for bit."""
+    """A matrix of the given shape held as (row, column, value) triplets,
+    ``entries``, sorted by row and then column, duplicates in the order given.
+    Built dense or with no columns, ``dense`` is ``matrix()`` and products are
+    BLAS's; else ``dense`` is None and each row adds its entries in column
+    order, as padded slots or, past PADDING_MAX, as row segments. A row pads
+    with zeros on its first entry's column, so a non-finite input spoils only
+    the rows that read it, and a row with no entries is zero. A batch row of
+    ``apply`` equals the vector ``product`` bit for bit up to a zero's sign."""
 
-    def __init__(self, shape, blocks, dense, perm=None):
-        rows, cols, vals = (np.concatenate(part)
-                            for part in zip(*(_kron_entries(*block) for block in blocks)))
-        if perm is not None:
-            rows, cols = perm[rows], perm[cols]
+    def __init__(self, shape, entries, dense):
+        rows, cols, vals = entries
         self.shape, order = shape, np.lexsort((cols, rows))
         self.entries = rows, cols, vals = rows[order], cols[order], vals[order]
-        self.dense = self.matrix() if dense else None
-        # the k-th entry of each row that has one: a batch sums slot after slot
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-        self._slots = [(rows[m], cols[m], vals[m])
-                       for m in (slot == k for k in range(slot.max(initial=-1) + 1))]
+        self.dense = self.matrix() if dense or not shape[1] else None
+        if self.dense is not None:
+            return
+        counts = np.bincount(rows, minlength=shape[0])
+        starts, empty = np.cumsum(counts) - counts, np.flatnonzero(counts == 0)
+        self._empty = empty if empty.size else None
+        width, filled = max(counts.max(initial=0), 1), np.maximum(counts, 1)
+        if width * shape[0] > PADDING_MAX * filled.sum():  # segments, one zero per empty row
+            at = np.searchsorted(rows, empty)
+            self._cols, self._vals = np.insert(cols, at, 0), np.insert(vals, at, 0.0)
+            self._starts = np.cumsum(filled) - filled
+            return
+        # slot k holds the k-th entry of every row, padded on the row's first column
+        slot, pad = np.arange(rows.size) - starts[rows], np.append(cols, 0)[starts]
+        self._cols, self._vals = np.tile(pad, (width, 1)), np.zeros((width, shape[0]))
+        self._cols[slot, rows], self._vals[slot, rows] = cols, vals
+        self._starts = None
 
     def matrix(self) -> np.ndarray:
-        """The dense matrix, scattered from the entries."""
+        """The dense matrix: the entries added into zeros in entry order."""
         M = np.zeros(self.shape)
-        M[self.entries[:2]] = self.entries[2]
+        np.add.at(M, self.entries[:2], self.entries[2])
         return M
 
     def apply(self, Z, out=None):
-        """The product with each vector of Z, shape (..., columns), into out if given."""
+        """The product with each vector of Z, shape (..., columns), into out
+        if given: padded slots add one pass per slot into a zeroed out."""
         out = np.empty(Z.shape[:-1] + self.shape[:1]) if out is None else out
         if self.dense is not None:
             return np.matmul(self.dense, Z[..., None], out=out[..., None])[..., 0]
-        out.fill(0.0)
-        for rows, cols, vals in self._slots:
-            term = Z.take(cols, -1)
-            term *= vals
-            out[..., rows] = out.take(rows, -1) + term
+        if self._starts is not None:
+            terms = Z.take(self._cols, -1)
+            terms *= self._vals
+            np.add.reduceat(terms, self._starts, -1, None, out)
+        else:
+            out.fill(0.0)
+            for cols, vals in zip(self._cols, self._vals):
+                term = Z.take(cols, -1)
+                term *= vals
+                out += term
+        if self._empty is not None:
+            out[..., self._empty] = 0.0
         return out
+
+    def product(self):
+        """The vector product (z, out) for a 1-D z: dense, the matrix's own
+        dot; else ``_gather_sum`` bound to a scratch array of its own."""
+        if self.dense is not None:
+            return self.dense.dot
+        return partial(self._gather_sum, np.empty(self._cols.shape))
+
+    def _gather_sum(self, terms, z, out):
+        """A gather and a multiply into terms, then one sum into out."""
+        z.take(self._cols, None, terms, "clip")
+        np.multiply(terms, self._vals, out=terms)
+        if self._starts is None:
+            np.add.reduce(terms, 0, None, out)
+        else:
+            np.add.reduceat(terms, self._starts, 0, None, out)
+        if self._empty is not None:
+            out[self._empty] = 0.0
 
 
 @dataclass(frozen=True)
@@ -143,6 +185,8 @@ class ClosedLoop:
             raise ValueError("plant and controller input/output dimensions differ")
         self.plant, self.controller = plant, controller
         K = np.atleast_2d(np.asarray(K, dtype=float))
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise ValueError("K must be square and symmetric")
         self.n_plants = n = K.shape[0]
         self.io_dim = plant.m
         self._split = n * plant.p
@@ -151,6 +195,8 @@ class ClosedLoop:
         Ac, Bc, Cc = controller.A, controller.B, controller.C
         split, nr, q = self._split, n * plant.r, n * controller.state_dim
         size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(K)
+        if not np.allclose(K[i, j], K[j, i], atol=1e-12):  # K^T = K on K's nonzeros
+            raise ValueError("K must be square and symmetric")
         self._arg, self._phi = slice(nr), slice(split, split + nr)
         # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
         major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()
@@ -160,14 +206,15 @@ class ClosedLoop:
         self._rows = np.delete(perm, self._phi)
         eye, self._mix = (nodes, nodes, np.ones(n)), (i, j, K[i, j])
         self._size, self._dense = size, size < EDGE_PRODUCT_MIN
-        self.W = KronOperator((size, size), [
+        rows, cols, vals = _kron_entries(
             (eye, A, 0, 0), (eye, E, 0, split), (self._mix, B @ Cc, 0, split + nr),
-            (eye, Bc @ C, split + nr, 0), (eye, Ac, split + nr, split + nr)], self._dense, perm)
+            (eye, Bc @ C, split + nr, 0), (eye, Ac, split + nr, split + nr))
+        self.W = KronOperator((size, size), (perm[rows], perm[cols], vals), self._dense)
         rows, _, vals = self.W.entries
         #: |W|, W's largest absolute row sum: |W Z| <= |W| max|Z| entry by entry
         self.field_norm = float(np.bincount(rows, np.abs(vals), size).max())
         self.mixed_C = self.mixed(Cc)
-        self.node_C = KronOperator((n * plant.m, q), [(eye, Cc, 0, 0)], self._dense)
+        self.node_C = KronOperator((n * plant.m, q), _kron_entries((eye, Cc, 0, 0)), self._dense)
 
     @property
     def K(self) -> np.ndarray:
@@ -175,10 +222,10 @@ class ClosedLoop:
         return self.mixed([[1.0]]).matrix()
 
     def mixed(self, M) -> KronOperator:
-        """K (x) M as an operator, dense or an edge list as the loop's W."""
+        """K (x) M as an operator, dense or sparse as the loop's W."""
         M = np.atleast_2d(np.asarray(M, dtype=float))
         shape = (self.n_plants * M.shape[0], self.n_plants * M.shape[1])
-        return KronOperator(shape, [(self._mix, M, 0, 0)], self._dense)
+        return KronOperator(shape, _kron_entries((self._mix, M, 0, 0)), self._dense)
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -217,57 +264,47 @@ class ClosedLoop:
                 Z[..., self._phi].reshape(shape).swapaxes(-1, -2))
 
     def field_at(self, Z):
-        """The integrator's field bound to one extended state buffer Z: the
-        views of phi's argument and of the phi block, both (n, r), are built
-        once here, and the returned function of out runs ``rhs`` on them
-        with the product W Z chosen at build."""
+        """The integrator's field bound to one extended state buffer Z: a
+        function of out that runs ``rhs`` on Z's views of phi's argument and
+        of the phi block, both (n, r) and built once, with the product W Z."""
         return partial(self.rhs, Z, *self._views(Z), product=self.W.apply)
 
     def rhs(self, Z, arg, ph, out, product):
-        """One evaluation: phi writes the phi block of the extended state
-        whose views are arg and ph from its first r plant coordinates, in
-        place, then product(Z, out) writes into out. For ``field_at`` Z is
-        that state and the product is dZ/dt = W Z (W's phi rows are zero, so
-        dZ/dt is 0 there); for ``rk4_stages`` Z holds the stacked stage
-        states and the product is a stage operator."""
+        """One evaluation: phi writes, in place, the phi block (view ph) of an
+        extended state from its first r plant coordinates (view arg), then
+        product(Z, out) writes into out: for ``field_at`` dZ/dt = W Z of that
+        state (0 in W's empty phi rows), for ``rk4_stages`` a stage operator
+        on the stacked stage states Z."""
         self.plant.phi(arg, ph)
         product(Z, out)
 
     def rk4_stages(self, h):
         """The stages_at of ``sim.rk4_path`` for step h, with no slope formed:
-        on the stage states z1..z4, the rows of the stage buffer P,
-        z2 = (I + h/2 W) z1, z3 = [I | h/2 W] [z1; z2],
-        z4 = [I | 0 | h W] [z1; z2; z3] and the new state is
-        z1 + W (h/6 z1 + h/3 z2 + h/3 z3 + h/6 z4), each one ``rhs`` call.
-        Above the crossover the last stage is the weighted sum into P[4] and
-        one [I | W] product on z1 and P[4]."""
-        N, W, half, third, sixth = self._size, self.W.dense, 0.5 * h, h / 3.0, h / 6.0
-        if W is not None:
-            eye = np.eye(N)
-            ops = (eye + half * W, np.hstack((eye, half * W)),
-                   np.hstack((eye, np.zeros((N, N)), h * W)),
-                   np.hstack((eye + sixth * W, third * W, third * W, sixth * W)))
-            return partial(self._bind_stages, lambda P: [
-                (P[:k + 1].ravel(), S.dot) for k, S in enumerate(ops)])
-        rows, cols, vals = self.W.entries
-        # (column offset of the W block in the flattened (5, N) buffer, its scale)
-        ops = [_stage_entries(N, rows, offset + cols, scale * vals)
-               for offset, scale in ((0, half), (N, half), (2 * N, h), (4 * N, 1.0))]
-        weights = np.array((sixth, third, third, sixth))
+        on the stage states z1..z4, the rows of the stage buffer P, z2 = (I +
+        h/2 W) z1, z3 = [I | h/2 W] [z1; z2], z4 = [I | 0 | h W] [z1; z2; z3]
+        and the new state is z1 + W (h/6 z1 + h/3 z2 + h/3 z3 + h/6 z4), each
+        one ``rhs`` call with a stage operator on the first rows of P. Sparse,
+        the last stage is the weighted sum into P[4], then [I | W] on z1, P[4]."""
+        N, (rows, cols, vals), eye = self._size, self.W.entries, np.arange(self._size)
+        weights = np.array((h / 6.0, h / 3.0, h / 3.0, h / 6.0))
+        # per stage, the (column offset in the flattened stage buffer, scale) of each W block
+        blocks = [[(0, 0.5 * h)], [(N, 0.5 * h)], [(2 * N, h)],
+                  list(zip(N * np.arange(4), weights)) if self._dense else [(4 * N, 1.0)]]
+        ops = []
+        for stage in blocks:
+            parts = zip((eye, eye, np.ones(N)), *((rows, at + cols, s * vals) for at, s in stage))
+            entries = [np.concatenate(part) for part in parts]
+            ops.append(KronOperator((N, stage[-1][0] + N), entries, self._dense))
 
-        def operands(P):  # every stage reads all of P, with a scratch array of its own
-            products = [partial(_edge_stage, *op, np.empty(op[0].shape)) for op in ops]
-            products[3] = partial(_edge_last, weights, P[:4], P[4], products[3])
-            return [(P.ravel(), product) for product in products]
+        def stages_at(P, Q):  # stage k writes the next row of P, the last Q[0]
+            products = [op.product() for op in ops]
+            if not self._dense:
+                products[3] = partial(_last_stage, weights, P[:4], P[4], products[3])
+            return tuple(partial(self.rhs, P[:op.shape[1] // N].ravel(), *self._views(P[k]),
+                                 out, product) for k, (op, out, product)
+                         in enumerate(zip(ops, (P[1], P[2], P[3], Q[0]), products)))
 
-        return partial(self._bind_stages, operands)
-
-    def _bind_stages(self, operands, P, Q):
-        """Stage k: ``rhs`` with row k's views and (input, product) =
-        operands(P)[k], writing the next row of P (the last stage: Q[0])."""
-        outs = (P[1], P[2], P[3], Q[0])
-        return tuple(partial(self.rhs, Z, *self._views(P[k]), out, product)
-                     for k, ((Z, product), out) in enumerate(zip(operands(P), outs)))
+        return stages_at
 
     def component(self, i: int) -> str:
         """The plant or controller coordinate at index i of a composite state,
@@ -292,62 +329,24 @@ class ClosedLoop:
                            y2=y2, y2dot=self.mixed_C.apply(dxc))
 
 
-def _stage_entries(N, rows, cols, vals):
-    """(columns, values, row starts) of the stage operator [I | ...] whose
-    entries beyond the identity are (rows, cols, vals), each row's entries in
-    column order. If padding every row to the longest at most triples the
-    entries, they are (width, N) arrays whose slot k holds the k-th entry of
-    every row, a shorter row padded with zeros on its own identity column,
-    and the row starts are None; otherwise they run row after row from the
-    row starts, and no row is empty, since every row holds its identity
-    entry. The factor 3 is where the two reductions cross: timed as one
-    stage product on pendulum paths with a hub of growing degree (N' = 128,
-    256, 512, one pinned core), the slots win by 0.1-3 us up to a padding
-    ratio of 2.7, the two are level within noise at 3.0-3.6, and
-    np.add.reduceat wins from 4.2 on, by 125 us at ratio 37 (a star)."""
-    eye = np.arange(N)
-    rows, cols = np.concatenate((eye, rows)), np.concatenate((eye, cols))
-    vals = np.concatenate((np.ones(N), vals))
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    starts = np.searchsorted(rows, eye)
-    slot = np.arange(rows.size) - starts[rows]
-    width = slot.max() + 1
-    if width * N > 3 * rows.size:
-        return cols, vals, starts
-    slot_cols, slot_vals = np.tile(eye, (width, 1)), np.zeros((width, N))
-    slot_cols[slot, rows], slot_vals[slot, rows] = cols, vals
-    return slot_cols, slot_vals, None
-
-
-def _edge_stage(cols, vals, starts, terms, Z, out):
-    """out = S Z for a stage operator S given by ``_stage_entries``: a gather
-    and a multiply into terms, then one sum over the slots, or over each
-    row's segment with np.add.reduceat."""
-    Z.take(cols, None, terms, "clip")
-    np.multiply(terms, vals, out=terms)
-    if starts is None:
-        np.add.reduce(terms, 0, None, out)
-    else:
-        np.add.reduceat(terms, starts, 0, None, out)
-
-
-def _edge_last(weights, stages, acc, product, Z, out):
-    """The last RK4 stage above the crossover: acc = weights . stages, then
-    the [I | W] product on z1 and acc."""
+def _last_stage(weights, stages, acc, product, Z, out):
+    """The last sparse RK4 stage: acc = weights . stages, then [I | W] on z1, acc."""
     np.matmul(weights, stages, out=acc)
     product(Z, out)
 
 
-def _kron_entries(outer, M, row0, col0):
-    """(rows, columns, values) of the nonzeros of K (x) M placed at (row0,
-    col0), with outer = (i, j, K[i, j]) the nonzeros of K: each value is the
-    one product K[i, j] * M[k, l] that np.kron forms."""
-    i, j, kij = outer
-    k, l = np.nonzero(M)
-    p, q = M.shape
-    return ((row0 + p * i[:, None] + k).ravel(), (col0 + q * j[:, None] + l).ravel(),
-            (kij[:, None] * M[k, l]).ravel())
+def _kron_entries(*blocks):
+    """(rows, columns, values) of the nonzeros of the Kronecker blocks
+    (outer, M, row0, col0), each K (x) M placed at (row0, col0) with outer =
+    (i, j, K[i, j]) the nonzeros of K: each value is the one product
+    K[i, j] * M[k, l] that np.kron forms."""
+    parts = []
+    for (i, j, kij), M, row0, col0 in blocks:
+        k, l = np.nonzero(M)
+        p, q = M.shape
+        parts.append(((row0 + p * i[:, None] + k).ravel(), (col0 + q * j[:, None] + l).ravel(),
+                      (kij[:, None] * M[k, l]).ravel()))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def pair_interconnect(plant: NonlinearPlant, controller: StateSpace) -> ClosedLoop:

@@ -241,7 +241,7 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     try:
         # a recorded state then has |Z_i| <= max / (2 |W|), so evaluate's W Z stays finite
         # divergence reads the state rows in composite order: W's phi rows are
-        # zero, so a slope's phi block stays 0 (edge product) or goes
+        # zero, so a slope's phi block stays 0 (sparse product) or goes
         # non-finite only together with every other row (dense product)
         times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s),
                             4.0 * cl.field_norm, cl._rows)

@@ -146,6 +146,20 @@ def test_components_are_named_like_the_csv_columns(network_loop):
         f"controller {i}, coordinate 0" for i in (1, 2, 3, 4)]
 
 
+def test_closed_loop_refuses_a_mixing_matrix_that_is_not_square_and_symmetric(pendulum):
+    """A non-square K would mix n controller outputs into another number of
+    plant inputs, and a non-symmetric one is not the undirected graph's
+    Laplacian the theory needs, while positivity_margin reads lambda_max(K)
+    from one triangle only: both are refused at build, as osni_max_delta
+    refuses them. A symmetric K with negative entries still builds."""
+    plant, _ = pendulum
+    lag = nc.first_order(10.0, 10.0)
+    for K in ([[1.0, 0.0, 0.0]], [[1.0, -1.0], [0.0, 0.0]], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="K must be square and symmetric"):
+            nc.ClosedLoop(plant, lag, K)
+    assert nc.ClosedLoop(plant, lag, L2).n_plants == 2
+
+
 def test_network_disconnected_graph_rejected(pendulum):
     plant, _ = pendulum
     with pytest.raises(ValueError, match="connected graph"):
@@ -417,25 +431,65 @@ def star_graph(n):
     return nc.Graph(n, frozenset((0, i) for i in range(1, n)))
 
 
+#: (EDGE_PRODUCT_MIN, PADDING_MAX) that force every operator of a loop into one form
+FORMS = {"dense": (10 ** 9, 3), "slots": (0, 10 ** 9), "segments": (0, 0)}
+
+
+def built_in(monkeypatch, form, build):
+    """build() with the crossover constants forcing the operator form; the
+    constants are restored to their module values afterwards."""
+    with monkeypatch.context() as m:
+        for name, value in zip(("EDGE_PRODUCT_MIN", "PADDING_MAX"), FORMS[form]):
+            m.setattr(network, name, value)
+        return build()
+
+
+def form_of(op):
+    return "dense" if op.dense is not None else "slots" if op._starts is None else "segments"
+
+
+def stage_operators(monkeypatch, loop, h):
+    """The four operators loop.rk4_stages(h) builds, recorded as it builds them."""
+    built, cls = [], network.KronOperator
+    with monkeypatch.context() as m:
+        m.setattr(network, "KronOperator", lambda *args: built.append(cls(*args)) or built[-1])
+        loop.rk4_stages(h)
+    return built
+
+
+def check_products(op, rng):
+    """Each batch row of op.apply equals op's vector product of its vector
+    (array_equal: bit for bit up to the sign of a zero sum), and both match
+    op.matrix() to rounding relative to the sum of the absolute terms."""
+    Z = rng.uniform(-2.0, 2.0, (6, op.shape[1]))
+    batch, product, M = op.apply(Z), op.product(), op.matrix()
+    for z, row in zip(Z, batch):
+        out = np.empty(op.shape[0])
+        product(z, out)
+        assert np.array_equal(out, row)
+    assert (np.abs(batch - Z @ M.T) <= 1e-13 * (np.abs(Z) @ np.abs(M).T)).all()
+
+
 @pytest.mark.parametrize("shape", ["path", "star", "complete"])
 @pytest.mark.parametrize("n", [4, 64, 256])
 def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape, n):
-    """Both forms of one loop's operators, forced by the crossover: the dense
-    W that the triplets scatter into is np.kron's np.block entry for entry
-    once its rows and columns are read node by node, K (x) Cc, I (x) Cc and
-    K (x) Y^-1 are np.kron's, and the edge form agrees with the dense one to
-    rounding on every loop signal, the composite storage, its rate and the
-    strictness form. In either regime a batch evaluate row equals the bound
-    field's state rows bit for bit."""
+    """Every form of one loop's operators, forced by the crossover constants:
+    the dense W that the triplets add into is np.kron's np.block entry for
+    entry once its rows and columns are read node by node, K (x) Cc, I (x) Cc
+    and K (x) Y^-1 are np.kron's, and padded slots and row segments each
+    agree with the dense form to rounding on every loop signal, the
+    composite storage, its rate and the strictness form. In every form a
+    batch evaluate row equals the bound field's state rows bit for bit."""
     plant, v1 = pendulum
     lag = nc.first_order(10.0, 10.0)
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
-    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 10 ** 9)
-    dense = nc.network_interconnect(plant, lag, graph)
-    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 0)
-    edge = nc.network_interconnect(plant, lag, graph)
-    assert edge.W.dense is None and edge.mixed_C.dense is None
+    loops = {form: built_in(monkeypatch, form, lambda: nc.network_interconnect(plant, lag, graph))
+             for form in FORMS}
+    dense = loops["dense"]
     eye, K, Y = np.eye(n), dense.K, np.array([[0.8]])
+    for form, loop in loops.items():
+        storage = built_in(monkeypatch, form, lambda: loop.storage_matrices(Y)[1])
+        assert {form_of(op) for op in (loop.W, loop.mixed_C, loop.node_C, storage)} == {form}
     W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
                   [np.zeros((n, 4 * n))],
                   [np.kron(eye, lag.B @ plant.C), np.zeros((n, n)), np.kron(eye, lag.A)]])
@@ -446,57 +500,87 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     assert np.array_equal(dense.node_C.dense, np.kron(eye, lag.C))
     assert np.array_equal(dense.storage_matrices(Y)[1].dense, np.kron(K, np.linalg.inv(Y)))
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
-    for loop in (dense, edge):
-        batch = loop.evaluate(X).dstate
-        for x, row in zip(X, batch):
+    scale = np.abs(dense.W.dense) @ np.abs(dense.extend(X)).T
+
+    def outputs(loop):
+        sig = loop.evaluate(X)
+        for x, row in zip(X, sig.dstate):
             state_rows, phi_rows = rhs_rows(loop, x)
             assert np.array_equal(state_rows, row) and not phi_rows.any()
-    scale = np.abs(dense.W.dense) @ np.abs(dense.extend(X)).T
-    err = np.abs(edge.evaluate(X).dstate - dense.evaluate(X).dstate)
-    assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
-    # the other outputs are sums of at most n + 1 terms: rounding in the
-    # last place of each, relative to the largest of them
-    outs = []
-    for loop in (dense, edge):
-        sig = loop.evaluate(X)
+        err = np.abs(sig.dstate - dense.evaluate(X).dstate)
+        assert (err <= 1e-13 * scale.T[:, dense._rows]).all()
         traj = nc.Trajectory(system=loop, times=np.arange(8.0), states=X, **vars(sig))
         cs = nc.CompositeStorage(loop, v1, Y)
-        outs.append([*vars(sig).values(), cs.value(X), cs.rate(X, sig),
-                     analysis._strictness_form(traj)])
-    for d, e in zip(*outs):
-        assert np.abs(e - d).max() <= 4 * (n + 1) * np.finfo(float).eps * np.abs(d).max()
+        return [*vars(sig).values(), cs.value(X), cs.rate(X, sig), analysis._strictness_form(traj)]
+
+    outs = [built_in(monkeypatch, form, lambda: outputs(loop)) for form, loop in loops.items()]
+    # the other outputs are sums of at most n + 1 terms: rounding in the
+    # last place of each, relative to the largest of them
+    for other in outs[1:]:
+        for d, e in zip(outs[0], other):
+            assert np.abs(e - d).max() <= 4 * (n + 1) * np.finfo(float).eps * np.abs(d).max()
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "complete"])
 @pytest.mark.parametrize("n", [4, 64])
 def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shape, n):
-    """Both stage forms of one loop, forced by the crossover, run each RK4
-    stage on the same stage buffers and write the same row to rounding. At
-    n = 64 the path's rows are about equally long, so its edge stages sum
-    zero-padded slots, while the star's hub row holds every edge, so its
-    edge stages reduce row segments."""
+    """Every form of one loop, forced by the crossover constants, runs each
+    RK4 stage on the same stage buffers and writes the same row to rounding.
+    In each form three operators, W with its empty phi rows, the non-square
+    K (x) Cc of a two-state controller and the first stage operator
+    I + h/2 W, give batch rows equal to their vector products and match their
+    matrix(), and that of I + h/2 W is np.eye(N) + h/2 W bit for bit (the
+    identity and diagonal entries of W added, not assigned). At the module's
+    PADDING_MAX a 64-node path's rows are about equally long, so its sparse
+    operators sum padded slots, while a 64-node star's hub row holds every
+    edge, so its W and stages reduce row segments."""
     plant, _ = pendulum
-    lag = nc.first_order(10.0, 10.0)
+    h, lag = 1e-3, nc.first_order(10.0, 10.0)
+    two_state = nc.StateSpace([[-1.0, 1.0], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 0.3]])
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
-    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 10 ** 9)
-    dense = nc.network_interconnect(plant, lag, graph)
-    monkeypatch.setattr(network, "EDGE_PRODUCT_MIN", 0)
-    edge = nc.network_interconnect(plant, lag, graph)
-    size = dense.extend(np.zeros(dense.n_states)).size
+    loops = {form: built_in(monkeypatch, form, lambda: nc.network_interconnect(plant, lag, graph))
+             for form in FORMS}
+    size = loops["dense"].extend(np.zeros(loops["dense"].n_states)).size
     rng = np.random.default_rng(n)
     P, Q = rng.uniform(-2.0, 2.0, (5, size)), rng.uniform(-2.0, 2.0, (5, size))
     written = [(0, 1), (0, 2), (0, 3), (1, 0)]
     for k in range(4):
         outs = []
-        for loop in (dense, edge):
+        for loop in loops.values():
             buffers = [P.copy(), Q.copy()]
-            loop.rk4_stages(1e-3)(*buffers)[k]()
+            loop.rk4_stages(h)(*buffers)[k]()
             which, row = written[k]
             outs.append(buffers[which][row])
-        assert np.abs(outs[1] - outs[0]).max() <= 1e-13
-    starts = edge.rk4_stages(1e-3)(P, Q)[0].args[-1].args[2]
+        for out in outs[1:]:
+            assert np.abs(out - outs[0]).max() <= 1e-13
+    W = loops["dense"].W.dense
+    for form, loop in loops.items():
+        mixed = built_in(monkeypatch, form,
+                         lambda: nc.network_interconnect(plant, two_state, graph)).mixed_C
+        stages = built_in(monkeypatch, form, lambda: stage_operators(monkeypatch, loop, h))
+        assert mixed.shape == (n, 2 * n)
+        assert {form_of(op) for op in (loop.W, mixed, *stages)} == {form}
+        for op in (loop.W, mixed, stages[0]):
+            check_products(op, rng)
+        assert np.array_equal(stages[0].matrix(), np.eye(size) + h / 2 * W)
+    assert np.bincount(loops["dense"].W.entries[0], minlength=size).min() == 0
     if n == 64 and shape != "complete":
-        assert (starts is None) == (shape == "path")
+        natural = nc.network_interconnect(plant, lag, graph)
+        ops = (natural.W, *stage_operators(monkeypatch, natural, h))
+        assert {form_of(op) for op in ops} == {"slots" if shape == "path" else "segments"}
+
+
+def test_a_controller_without_states_mixes_to_zero_in_every_form(pendulum, monkeypatch):
+    """M = 0 realised with no states: K (x) Cc and I (x) Cc have no columns,
+    which every form of the loop holds as an empty dense matrix, and the
+    controller outputs are zero."""
+    plant, _ = pendulum
+    empty = nc.StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+    for form in FORMS:
+        loop = built_in(monkeypatch, form,
+                        lambda: nc.network_interconnect(plant, empty, nc.path_graph(32)))
+        sig = loop.evaluate(np.ones(loop.n_states))
+        assert loop.mixed_C.shape == (32, 0) and not sig.y2.any() and not sig.yc.any()
 
 
 def test_large_loop_is_built_without_its_dense_matrix(pendulum):

@@ -444,15 +444,16 @@ def test_an_rk4_step_runs_no_hidden_python_frames(network_loop, network_x0):
 
 def test_an_edge_rk4_step_adds_one_frame_per_stage_product(pendulum):
     """Above the crossover (a 64-node path) each stage adds the one frame of
-    its edge stage product, and the last stage one more for the weighted sum
-    before it: the gather, multiply, reduction and weighted sum are ufunc
-    and array methods, which run no numpy dispatcher."""
+    its stage operator's vector product, KronOperator._gather_sum, and the
+    last stage one more for the weighted sum before it: the gather,
+    multiply, reduction and weighted sum are ufunc and array methods, which
+    run no numpy dispatcher."""
     plant, _ = pendulum
     loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), nc.path_graph(64))
     x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
     assert loop.extend(x0).size >= network.EDGE_PRODUCT_MIN
     one, two = step_frames(loop, x0)
-    assert two - one == Counter({"rhs": 4, "_edge_stage": 4, "_edge_last": 1})
+    assert two - one == Counter({"rhs": 4, "_gather_sum": 4, "_last_stage": 1})
     assert two.total() - one.total() == 9
 
 
