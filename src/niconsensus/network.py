@@ -20,9 +20,9 @@ state Z = [xp; phi; xc] by dZ/dt = W Z with the square loop matrix
 node by node. Z holds its plant and phi blocks coordinate by coordinate and
 xc node by node, so phi's argument, the first r coordinates of all n plants,
 and its output are each one contiguous run of Z; Z[..., _rows] = X reads the
-composite state back, and W's entries are mapped through ``_rows``. A field
-evaluation first writes phi into Z's phi block (phi's ufunc-style out); the
-field is then linear in Z, so the RK4 stages are products of stage
+composite state back, and W's entries are mapped through ``_rows``. Each RK4
+stage first writes phi into its stage state's phi block (phi's ufunc-style
+out); the field is then linear in Z, so the stages are products of stage
 operators built from W for each step h, such as [I | h/2 W] on the stacked
 stages (``rk4_stages``).
 
@@ -263,18 +263,11 @@ class ClosedLoop:
         return (Z[..., self._arg].reshape(shape).swapaxes(-1, -2),
                 Z[..., self._phi].reshape(shape).swapaxes(-1, -2))
 
-    def field_at(self, Z):
-        """The integrator's field bound to one extended state buffer Z: a
-        function of out that runs ``rhs`` on Z's views of phi's argument and
-        of the phi block, both (n, r) and built once, with the product W Z."""
-        return partial(self.rhs, Z, *self._views(Z), product=self.W.apply)
-
     def rhs(self, Z, arg, ph, out, product):
-        """One evaluation: phi writes, in place, the phi block (view ph) of an
-        extended state from its first r plant coordinates (view arg), then
-        product(Z, out) writes into out: for ``field_at`` dZ/dt = W Z of that
-        state (0 in W's empty phi rows), for ``rk4_stages`` a stage operator
-        on the stacked stage states Z."""
+        """One RK4 stage of ``rk4_stages``: phi writes, in place, the phi
+        block (view ph) of a stage state from its first r plant coordinates
+        (view arg), then product(Z, out) writes a stage operator on the
+        stacked stage states Z into out."""
         self.plant.phi(arg, ph)
         product(Z, out)
 

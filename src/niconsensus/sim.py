@@ -10,7 +10,8 @@ extended state once the phi block is fresh, so ``integrate`` runs the folded
 stages of ``ClosedLoop.rk4_stages``: each stage state is one product of a
 stage operator on the stacked stage states, and no slope is formed. The two
 agree to round-off (the classical RK4 stability-polynomial identity for
-linear fields), not bit for bit.
+linear fields), not bit for bit. A step that diverges is named from the
+stage rows it has just filled, in either form, without running it again.
 """
 
 from __future__ import annotations
@@ -49,37 +50,24 @@ CSV_BLOCK_ENTRIES = 4096
 class SimulationDiverged(RuntimeError):
     """The state left the finite floats, or the range ``rk4_path``'s scale
     allows, at ``step``; ``last_state`` precedes it and ``index`` is the
-    entry that left first."""
+    entry that left first, both in the order ``rk4_path`` reads entries."""
 
     def __init__(self, t: float, step: int, last_state: np.ndarray, index: int):
         super().__init__(f"divergence at t={t:.6g}")
         self.t, self.step, self.last_state, self.index = t, step, last_state, index
 
 
-def _diverged_entry(field_at, x, h, new, order) -> int:
-    """The entry that left first in a failed step from x to new, as a
-    position in order, the indices of x in the order entries are read.
-
-    The step is run again from x in slope form, allocating, with the field
-    field_at binds: the first non-finite entry of its earliest non-finite
-    slope, stage state or new state names the entry, else the first
-    non-finite entry of new, else new's largest entry (a finite new state
+def _diverged_entry(stages, new, order) -> int:
+    """The entry that left first in a failed step, as a position in order,
+    the indices of the state in the order entries are read: the first
+    non-finite entry of the earliest non-finite row of stages, the stage
+    buffer rows 1-4 the step filled (a plain field's slopes k1..k4, or the
+    folded stage states z2..z4 and the sparse last stage's weighted sum),
+    else of the new state new, else new's largest entry (a finite new state
     beyond the scaled range). A field's product can turn one non-finite
-    entry of a stage state into a non-finite slope everywhere, so later
-    arrays do not name it."""
-    z = np.array(x)
-    f, k = field_at(z), np.empty_like(z)
-
-    def slope(s):
-        np.copyto(z, s)
-        f(k)
-        return k.copy()
-
-    k1 = slope(x)
-    k2 = slope(s2 := x + 0.5 * h * k1)
-    k3 = slope(s3 := x + 0.5 * h * k2)
-    k4 = slope(s4 := x + h * k3)
-    for v in (k1, s2, k2, s3, k3, s4, k4, x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), new):
+    entry of a stage into a non-finite row everywhere, so later rows do not
+    name it."""
+    for v in (*stages, new):
         finite = np.isfinite(v[order])
         if not finite.all():
             return int(np.argmin(finite))
@@ -126,8 +114,8 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     that follows P[0] into Q[0], using rows 1-4 of P as they like. The loop
     binds P to Q and Q to P once each and alternates the two. By default
     the stages are ``slope_stages(field_at, h)``; with stages_at given (the
-    folded stages of ``ClosedLoop.rk4_stages``) f itself runs only to name
-    the entry of a failed step.
+    folded stages of ``ClosedLoop.rk4_stages``) field_at is not read. P and
+    Q start as zeros, so a row the stages never write reads as finite.
 
     A state x' diverges when scale * sum(x'), one dot product, is not
     finite: with scale 0, exactly when x' is not finite; with scale > 0 also
@@ -136,11 +124,13 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     product up to twice the largest float). The test runs on the recorded
     states only. When one fails, the steps since the last recorded state
     run again from it with the test on every step (``_replay``), and the
-    first step that fails raises SimulationDiverged. Every stage carries the
-    state itself (x' = x + ...), so a state that leaves the finite floats
-    never returns to them; a finite state beyond the range that is back in
-    it by the next recorded step passes. Returns (times, states) at the
-    recorded samples: t = 0, every record_every-th step, and the final step."""
+    first step that fails raises SimulationDiverged, with the state before
+    it and the entry that left first (``_diverged_entry``) read in order.
+    Every stage carries the state itself (x' = x + ...), so a state that
+    leaves the finite floats never returns to them; a finite state beyond
+    the range that is back in it by the next recorded step passes. Returns
+    (times, states) at the recorded samples: t = 0, every record_every-th
+    step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -149,7 +139,7 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     states = np.empty((n_rec, x.size))
     times[0], states[0] = 0.0, x
     rec, every = 1, cfg.record_every
-    P, Q = np.empty((5, x.size)), np.empty((5, x.size))
+    P, Q = np.zeros((5, x.size)), np.zeros((5, x.size))
     P[0] = x
     bind = stages_at or slope_stages(field_at, h)
     here, there = bound = bind(P, Q), bind(Q, P)
@@ -169,28 +159,29 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
             x, new, here, there = new, x, there, here
             if k % every == 0 or k == n_steps:
                 if not isfinite(probe.dot(x)):
-                    _replay(field_at, h, bound, (P[0], Q[0]), (rec - 1) * every,
-                            states[rec - 1], k, probe, order)
+                    _replay(h, bound, (P, Q), (rec - 1) * every, states[rec - 1], k,
+                            probe, order)
                 times[rec] = k * h
                 states[rec] = x
                 rec += 1
     return times[:rec], states[:rec]
 
 
-def _replay(field_at, h, bound, buffers, start, state, stop, probe, order):
+def _replay(h, bound, buffers, start, state, stop, probe, order):
     """Run steps start + 1 .. stop of ``rk4_path`` again from the state
     recorded at step start, testing each new state, and raise
     SimulationDiverged at the first that fails (at stop, which failed the
-    recorded test, at the latest). After step j the state is in
-    buffers[j % 2], and step j + 1 runs the stages bound[j % 2]."""
-    np.copyto(buffers[start % 2], state)
+    recorded test, at the latest). After step j the state is row 0 of the
+    stage buffer buffers[j % 2], and step j + 1 runs the stages bound[j % 2]
+    on that buffer's rows 1-4, which name the entry if it fails."""
+    np.copyto(buffers[start % 2][0], state)
     for j in range(start, stop):
         for stage in bound[j % 2]:
             stage()
-        x, new = buffers[j % 2], buffers[(j + 1) % 2]
+        P, new = buffers[j % 2], buffers[(j + 1) % 2][0]
         if j + 1 == stop or not isfinite(probe.dot(new)):
-            raise SimulationDiverged((j + 1) * h, j + 1, x,
-                                     _diverged_entry(field_at, x, h, new, order))
+            raise SimulationDiverged((j + 1) * h, j + 1, P[0][order],
+                                     _diverged_entry(P[1:], new, order))
 
 
 @dataclass(frozen=True)
@@ -239,14 +230,11 @@ def integrate(cl, x0, cfg: IntegratorConfig) -> Trajectory:
     if x0.shape != (cl.n_states,):
         raise ValueError(f"initial state must have length {cl.n_states}")
     try:
-        # a recorded state then has |Z_i| <= max / (2 |W|), so evaluate's W Z stays finite
-        # divergence reads the state rows in composite order: W's phi rows are
-        # zero, so a slope's phi block stays 0 (sparse product) or goes
-        # non-finite only together with every other row (dense product)
-        times, Z = rk4_path(cl.field_at, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s),
+        # a recorded state then has |Z_i| <= max / (2 |W|), so evaluate's W Z stays
+        # finite; divergence reads the state rows in composite order, skipping phi's
+        times, Z = rk4_path(None, cl.extend(x0), cfg, cl.rk4_stages(cfg.step_s),
                             4.0 * cl.field_norm, cl._rows)
     except SimulationDiverged as err:
-        err.last_state = err.last_state[cl._rows]
         err.args = (f"{err} in {cl.component(err.index)}",)
         raise
     states = Z[:, cl._rows]

@@ -127,11 +127,10 @@ def bisect_max_delta(passes, tol):
 
 
 def rhs_rows(loop, X):
-    """(state rows in composite order, phi rows) of the integrator's field,
-    loop.field_at bound to the extended state of one composite state X."""
+    """(state rows in composite order, phi rows) of the loop's field W Z at
+    the extended state Z of one composite state X."""
     Z = loop.extend(X)
-    out = np.empty_like(Z)
-    loop.field_at(Z)(out)
+    out = loop.W.apply(Z)
     split = loop.n_plants * loop.plant.p
     return out[loop._rows], out[split:split + Z.size - loop.n_states]
 

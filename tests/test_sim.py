@@ -252,8 +252,37 @@ def test_divergence_between_recorded_steps_replays_to_the_same_step(pendulum, na
         assert np.isfinite(err.last_state).all()
 
 
+def test_a_diverging_loop_evaluates_its_field_only_inside_its_stages(pendulum, monkeypatch):
+    """A failed step is named from the stage rows its replay filled, not by
+    running it again in another form: the stiff pair, which diverges at step
+    268, calls ClosedLoop.rhs four times per step the loop runs or replays,
+    whether every step, every 7th or only the final one is recorded."""
+    calls, rhs = [], network.ClosedLoop.rhs
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return rhs(self, *args, **kwargs)
+
+    monkeypatch.setattr(network.ClosedLoop, "rhs", counted)
+    loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
+    for every in (1, 7, 10**9):
+        calls.clear()
+        with pytest.raises(nc.SimulationDiverged) as err:
+            nc.integrate(loop, np.array([1.0, 0.0, 0.0]),
+                         nc.IntegratorConfig(1e-3, 1.0, record_every=every))
+        stop = err.value.step
+        stepped = min(-(-stop // every) * every, 1000)  # to the first recorded failure
+        replayed = stop - (stop - 1) // every * every  # from the last recorded pass
+        assert stop == 268 and len(calls) == 4 * (stepped + replayed)
+
+
 @pytest.mark.parametrize("size", [1, 3, 12, 67])
 def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
+    """A still field keeps huge finite entries and names a non-finite one.
+    From the huge state, a field whose first slope overflows in entry i
+    alone turns every later slope and the new state NaN (0 * inf in the
+    sum): the step's first slope names entry i, where the new state would
+    name entry 0."""
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
     still = lambda x: lambda out: out.fill(0.0)
     huge = 1e300 * (-1.0) ** np.arange(size)
@@ -266,6 +295,17 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
             with pytest.raises(nc.SimulationDiverged) as err:
                 rk4_path(still, x0, cfg)
             assert err.value.index == i
+    for i in range(size):
+        gain = np.zeros(size)
+        gain[i] = 1e10
+        spill = lambda x: gain * x + 0.0 * x.sum()
+        with pytest.raises(nc.SimulationDiverged) as err:
+            rk4_path(lambda x: lambda out: np.copyto(out, spill(x)), huge, cfg)
+        assert (err.value.step, err.value.index) == (1, i)
+        assert np.array_equal(err.value.last_state, huge)
+        with pytest.raises(nc.SimulationDiverged) as ref:
+            rk4_path_oracle(spill, huge, cfg)
+        assert ref.value.index == 0
 
 
 def dense_path3():
@@ -321,29 +361,6 @@ def test_folded_stages_stay_within_1e_12_of_the_slope_form(pendulum, four_node_g
     times, states = rk4_path_oracle(lambda x: loop.evaluate(x).dstate, x0, cfg)
     assert np.array_equal(traj.times, times)
     assert np.abs(traj.states - states).max() <= 1e-12
-
-
-@pytest.mark.parametrize("make", [dense_path3, linear_pair])
-def test_field_at_binds_views_of_the_buffer(make):
-    """phi's argument, the first r coordinates of every plant, and the phi
-    block a bound field evaluates are (n, r) views of Z, so the phi refill
-    writes into Z and the product reads it back."""
-    loop = make()
-    Z = loop.extend(np.random.default_rng(3).uniform(-1.0, 1.0, loop.n_states))
-    bound = loop.field_at(Z)
-    buf, arg, ph = bound.args
-    xp = loop.split(Z[loop._rows])[0]
-    (n, p), r = xp.shape, loop.plant.r
-    assert buf is Z and arg.shape == ph.shape == (n, r)
-    assert np.array_equal(arg, xp[:, :r])
-    assert (np.shares_memory(arg, Z) and np.shares_memory(ph, Z)) or r == 0
-    phi = np.s_[n * p:n * (p + r)]
-    Z[:n * p] = 0.5
-    Z[phi] = np.nan
-    out = np.empty_like(Z)
-    bound(out)
-    assert np.array_equal(ph, loop.plant.phi(np.full((n, r), 0.5)))
-    assert np.array_equal(out[loop._rows], loop.evaluate(Z[loop._rows]).dstate)
 
 
 @pytest.mark.parametrize("name", ["flagship4", "path64"])
@@ -424,7 +441,7 @@ def step_frames(loop, x0):
         sys.setprofile(lambda frame, event, _: names.append(frame.f_code.co_name)
                        if event == "call" else None)
         try:
-            rk4_path(loop.field_at, z0, cfg, loop.rk4_stages(1e-3))
+            rk4_path(None, z0, cfg, loop.rk4_stages(1e-3))
         finally:
             sys.setprofile(None)
             gc.enable()
