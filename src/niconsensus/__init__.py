@@ -10,15 +10,13 @@ trajectories, steady-state gain conditions, and the output consensus metric.
 
 from .analysis import (CheckReport, check_lyapunov_monotone, check_ni_dissipation,
                        check_osni_dissipation, check_osni_like_network,
-                       check_pair_identities, check_steady_state_relation,
-                       consensus_metric)
+                       check_pair_identities, consensus_metric)
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .graph import (Graph, fiedler_value, is_connected, laplacian,
                     laplacian_eigenvalues, path_graph)
 from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_order,
-                     first_order_certificate, freq_response, is_hurwitz, kron_ss,
-                     ni_freq_test, osni_certificate_check, osni_freq_test,
-                     osni_max_delta)
+                     first_order_certificate, freq_response, is_hurwitz, ni_freq_test,
+                     osni_certificate_check, osni_freq_test, osni_max_delta)
 from .network import ClosedLoop, CompositeStorage, network_interconnect, pair_interconnect
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
                     equilibrium_solve, gamma_estimate, gamma_input_grid,

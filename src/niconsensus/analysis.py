@@ -16,10 +16,9 @@ from functools import reduce
 
 import numpy as np
 
-from .linsys import StateSpace, dc_gain
 from .network import CompositeStorage
 from .plant import StorageFunction
-from .sim import IntegratorConfig, Trajectory, rk4_path
+from .sim import Trajectory
 
 DEFAULT_TOL = 1e-6
 
@@ -222,34 +221,6 @@ def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> ConsensusRe
         outcome="zero_convergence" if final_plant_norm < 1e-3 else "consensus",
         passed=bool(edge_max[-1] <= rel * edge_max[0] and edge_max[-1] <= abs_tol),
         columns=(("edge_max", edge_max), ("all_pairs_max", all_pairs)))
-
-
-def check_steady_state_relation(bank: StateSpace, u2bar,
-                                tol: float = DEFAULT_TOL) -> CheckReport:
-    """Long-run output of a controller bank against its DC map.
-
-    Simulates the bank (for instance kron_ss(L, M)) from rest under the
-    constant input and compares the settled output with its DC gain applied
-    to u2bar, (L (x) M(0)) u2bar for the Laplacian-mixed bank. The horizon is
-    set from the slowest controller mode so the transient is below round-off.
-    """
-    u2bar = np.asarray(u2bar, dtype=float).reshape(-1)
-    if u2bar.size != bank.io_dim:
-        raise ValueError(f"constant input must have length {bank.io_dim}")
-    eigs = np.linalg.eigvals(bank.A)
-    decay = float(np.max(eigs.real))
-    if decay >= 0:
-        raise ValueError("steady-state relation needs a Hurwitz controller")
-    t_end = min(60.0 / -decay, 1e4)
-    step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
-    drive = bank.B @ u2bar
-    field_at = lambda xc: lambda out: np.add(bank.A @ xc, drive, out=out)
-    cfg = IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
-    _, states = rk4_path(field_at, np.zeros(bank.state_dim), cfg)
-    settled = bank.C @ states[-1]
-    violation = float(np.abs(settled - dc_gain(bank) @ u2bar).max())
-    return CheckReport(name="steady_state_relation", max_violation=violation,
-                       time_of_max=t_end, tolerance=tol, passed=violation <= tol)
 
 
 # Skip rules of the check table: (applies(cfg, entries recorded so far), reason).

@@ -105,6 +105,15 @@ def dc_gain(sys: StateSpace) -> np.ndarray:
     return -sys.C @ np.linalg.solve(sys.A, sys.B) + sys.D
 
 
+def mixing_matrix(K) -> np.ndarray:
+    """K as a 2-d float array; raises ValueError unless it is square and
+    symmetric (to 1e-12)."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or not np.allclose(K, K.T, atol=1e-12):
+        raise ValueError("K must be square and symmetric")
+    return K
+
+
 def matvec(M, x) -> np.ndarray:
     """M x for each vector of the stack x (M one matrix or a stack), one
     product per vector: a batch row equals the single-vector result exactly."""
@@ -179,13 +188,11 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=((1.0,),)) -
     when R vanishes (the test is then delta-independent) and 0.0 when P
     already breaks the floor somewhere.
 
-    Given a symmetric K = U diag(lam) U^T, the level of the bank kron_ss(K,
-    sys) without forming it: its NI matrices and grid terms are M's scaled
-    block by block, lam N, lam P and lam^2 R, from one frequency response.
+    Given a symmetric K = U diag(lam) U^T, the level of the bank K (x) M(s)
+    without forming it: its NI matrices and grid terms are M's scaled block
+    by block, lam N, lam P and lam^2 R, from one frequency response.
     """
-    K = np.asarray(K, dtype=float)
-    if not np.allclose(K, K.T, atol=1e-12):
-        raise ValueError("K must be symmetric")
+    K = mixing_matrix(K)
     N, P, R = _osni_terms(sys, grid or FreqGrid.default())
     lam = np.linalg.eigvalsh(K)[:, None, None, None]
     if not _psd(lam * N):
@@ -255,19 +262,4 @@ def first_order_certificate(a: float, b: float):
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     return np.array([[a / b]]), 1.0 / a
-
-
-def kron_ss(K: np.ndarray, sys: StateSpace) -> StateSpace:
-    """State-space realisation of the transfer matrix K (x) M(s).
-
-    Uses (I (x) A, I (x) B, K (x) C, K (x) D): n identical copies of the
-    system with outputs mixed by the constant matrix K. Not minimal in
-    general (directions in the kernel of K are unobservable), which is
-    irrelevant for the frequency-domain tests.
-    """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    n = K.shape[0]
-    eye = np.eye(n)
-    return StateSpace(np.kron(eye, sys.A), np.kron(eye, sys.B),
-                      np.kron(K, sys.C), np.kron(K, sys.D))
 

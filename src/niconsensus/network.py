@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from .graph import Graph, is_connected, laplacian
-from .linsys import StateSpace, is_hurwitz
+from .linsys import StateSpace, is_hurwitz, mixing_matrix
 from .plant import NonlinearPlant, StorageFunction
 
 #: Extended-state size N' from which the loop's operators are sparse, timed
@@ -184,9 +184,7 @@ class ClosedLoop:
         if plant.m != controller.io_dim:
             raise ValueError("plant and controller input/output dimensions differ")
         self.plant, self.controller = plant, controller
-        K = np.atleast_2d(np.asarray(K, dtype=float))
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("K must be square and symmetric")
+        K = mixing_matrix(K)
         self.n_plants = n = K.shape[0]
         self.io_dim = plant.m
         self._split = n * plant.p
@@ -195,8 +193,6 @@ class ClosedLoop:
         Ac, Bc, Cc = controller.A, controller.B, controller.C
         split, nr, q = self._split, n * plant.r, n * controller.state_dim
         size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(K)
-        if not np.allclose(K[i, j], K[j, i], atol=1e-12):  # K^T = K on K's nonzeros
-            raise ValueError("K must be square and symmetric")
         self._arg, self._phi = slice(nr), slice(split, split + nr)
         # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
         major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import StateSpace, dc_gain, matvec
+from .linsys import StateSpace, dc_gain, matvec, mixing_matrix
 
 #: Newton residual tolerance and iteration limit of equilibrium solving.
 EQUILIBRIUM_TOL = 1e-10
@@ -241,13 +241,14 @@ def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),)) ->
 
 def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
     """Gain ratios u^T ybar2 / |u|^2 of the chains into K (x) M(s), one per
-    (inputs, K) case, inputs a (k, n m) array or a list of k nonzero vectors:
-    each node's equilibrium solved from rest, those of all cases in one batch,
-    its output mapped through K (x) M(0) on the nonzeros of K. Per case a
-    GammaReport, or a GammaError naming the input and first node that failed."""
+    (inputs, K) case, K square and symmetric and inputs a (k, n m) array or a
+    list of k nonzero vectors: each node's equilibrium solved from rest, those
+    of all cases in one batch, its output mapped through K (x) M(0) on the
+    nonzeros of K. Per case a GammaReport, or a GammaError naming the input and
+    first node that failed."""
     if M.io_dim != plant.m:
         raise ValueError("controller input/output dimension must equal the plant's")
-    Ks = [np.atleast_2d(np.asarray(K, dtype=float)) for _, K in cases]
+    Ks = [mixing_matrix(K) for _, K in cases]
     Us = [np.asarray(inputs, dtype=float) for inputs, _ in cases]
     if not all(U.size for U in Us):
         raise ValueError("need at least one constant input")

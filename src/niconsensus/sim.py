@@ -32,7 +32,10 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (self.step_s > 0):
+        for name in ("step_s", "t_end_s"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.step_s <= 0:
             raise ValueError("step_s must be positive")
         if self.t_end_s < self.step_s:
             raise ValueError("t_end_s must be at least one step")

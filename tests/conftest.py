@@ -58,6 +58,38 @@ def pair_traj(pair_loop):
 EXACT = math.inf
 
 
+def kron_ss(K, M: nc.StateSpace) -> nc.StateSpace:
+    """State-space realisation (I (x) A, I (x) B, K (x) C, K (x) D) of the
+    transfer matrix K (x) M(s): n identical copies of M with outputs mixed
+    by K, formed with np.kron. Not minimal in general (directions in the
+    kernel of K are unobservable), which the frequency-domain tests ignore."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    eye = np.eye(K.shape[0])
+    return nc.StateSpace(np.kron(eye, M.A), np.kron(eye, M.B),
+                         np.kron(K, M.C), np.kron(K, M.D))
+
+
+def steady_state_relation(bank: nc.StateSpace, u2bar, tol: float = 1e-6) -> nc.CheckReport:
+    """Settled output of a Hurwitz controller bank against its DC map.
+
+    Simulates the bank (for instance kron_ss(L, M)) from rest under the
+    constant input with nc.rk4_path on a plain field and compares the output
+    with dc_gain(bank) u2bar, (L (x) M(0)) u2bar for the Laplacian-mixed
+    bank. The horizon is set from the slowest mode so the transient is below
+    round-off."""
+    u2bar = np.asarray(u2bar, dtype=float).reshape(-1)
+    eigs = np.linalg.eigvals(bank.A)
+    t_end = min(60.0 / -float(np.max(eigs.real)), 1e4)
+    step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
+    drive = bank.B @ u2bar
+    field_at = lambda xc: lambda out: np.add(bank.A @ xc, drive, out=out)
+    cfg = nc.IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
+    _, states = nc.rk4_path(field_at, np.zeros(bank.state_dim), cfg)
+    violation = float(np.abs(bank.C @ states[-1] - nc.dc_gain(bank) @ u2bar).max())
+    return nc.CheckReport(name="steady_state_relation", max_violation=violation,
+                          time_of_max=t_end, tolerance=tol, passed=violation <= tol)
+
+
 def dense_plant():
     """(plant, controller): a dense plant with m = 2 and r = 2 under a
     raw-matrix controller with two inputs."""

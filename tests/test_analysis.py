@@ -275,21 +275,6 @@ def test_consensus_metric_for_vector_outputs_is_the_pairwise_maximum():
     assert edge_max.tobytes() == np.max(edges, axis=0).tobytes()
 
 
-def test_steady_state_relation_examples(four_node_graph):
-    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(A, B))
-    ones = analysis.check_steady_state_relation(net, np.ones(4), tol=1e-9)
-    assert ones.passed
-
-    two = nc.kron_ss([[1.0, -1.0], [-1.0, 1.0]], nc.first_order(A, B))
-    report = analysis.check_steady_state_relation(two, [1.0, 0.0])
-    assert report.passed
-    rng = np.random.default_rng(17)
-    report = analysis.check_steady_state_relation(net, rng.uniform(-2, 2, 4))
-    assert report.passed and report.max_violation <= 1e-6
-    with pytest.raises(ValueError, match="length"):
-        analysis.check_steady_state_relation(net, np.ones(3))
-
-
 def test_reports_are_reproducible(network_traj, pendulum):
     _, v1 = pendulum
     first = analysis.check_ni_dissipation(network_traj, v1)

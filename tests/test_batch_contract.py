@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import niconsensus as nc
-from conftest import bisect_max_delta, rhs_rows
+from conftest import bisect_max_delta, kron_ss, rhs_rows
 from niconsensus import linsys
 
 W1 = 1e5
@@ -189,7 +189,7 @@ def oracle_delta_star(terms):
 CONTROLLERS = {
     "pendulum4": nc.first_order(10.0, 10.0),
     "pendulum_pair": nc.first_order(20.0, 6.0),
-    "two_node_bank": nc.kron_ss([[1.0, -1.0], [-1.0, 1.0]], nc.first_order(10.0, 10.0)),
+    "two_node_bank": kron_ss([[1.0, -1.0], [-1.0, 1.0]], nc.first_order(10.0, 10.0)),
     "lightly_damped": lightly_damped_controller(),
 }
 

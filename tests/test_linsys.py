@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import niconsensus as nc
-from conftest import bisect_max_delta
+from conftest import bisect_max_delta, kron_ss
 from niconsensus.linsys import PSD_TOL
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -75,7 +75,7 @@ def test_osni_max_delta_first_order():
 
 def test_osni_max_delta_two_node_network():
     m = nc.first_order(10.0, 10.0)
-    assert nc.osni_max_delta(nc.kron_ss(L2, m)) == pytest.approx(0.05, abs=2e-6)
+    assert nc.osni_max_delta(kron_ss(L2, m)) == pytest.approx(0.05, abs=2e-6)
 
 
 def test_strictness_halves_for_two_node_networks():
@@ -86,7 +86,7 @@ def test_strictness_halves_for_two_node_networks():
                              [[1.0, 1.0]])]
     for sysm in systems:
         single = nc.osni_max_delta(sysm)
-        networked = nc.osni_max_delta(nc.kron_ss(L2, sysm))
+        networked = nc.osni_max_delta(kron_ss(L2, sysm))
         assert networked == pytest.approx(single / 2.0, abs=2e-6)
 
 
@@ -101,15 +101,15 @@ def test_bank_level_block_by_block_matches_the_bank(graph, controller, four_node
     M = {"lag_10_10": nc.first_order(10.0, 10.0), "lag_20_6": nc.first_order(20.0, 6.0),
          "two_state": nc.StateSpace([[-10.0, 0.0], [0.0, -2.0]], [[10.0], [5.0]],
                                     [[1.0, 1.0]])}[controller]
-    bank = nc.osni_max_delta(nc.kron_ss(L, M))
+    bank = nc.osni_max_delta(kron_ss(L, M))
     assert abs(nc.osni_max_delta(M, K=L) - bank) <= 1e-12
     assert bank == pytest.approx(nc.osni_max_delta(M) / np.linalg.eigvalsh(L).max(), abs=1e-9)
     not_ni = nc.first_order(-1.0, 1.0)
-    for sys, K in ((nc.kron_ss(L, not_ni), [[1.0]]), (not_ni, L)):
+    for sys, K in ((kron_ss(L, not_ni), [[1.0]]), (not_ni, L)):
         with pytest.raises(ValueError, match="not NI"):
             nc.osni_max_delta(sys, K=K)
     # eigvalsh would read one triangle of a non-symmetric K and return a level
-    with pytest.raises(ValueError, match="K must be symmetric"):
+    with pytest.raises(ValueError, match="K must be square and symmetric"):
         nc.osni_max_delta(M, K=L + np.triu(np.ones_like(L), 1))
 
 
@@ -128,7 +128,7 @@ def test_max_delta_is_the_supremum_osni_freq_test_accepts(lags, bank, n):
     sys = nc.StateSpace(np.diag(-b), a[:, None], np.ones((1, len(a))))
     if bank:
         M, L = sys, nc.laplacian(nc.path_graph(n))
-        sys = nc.kron_ss(L, M)
+        sys = kron_ss(L, M)
     delta = nc.osni_max_delta(sys)
     if bank:  # the same level block by block, from M's frequency response
         assert nc.osni_max_delta(M, K=L) == pytest.approx(delta, rel=1e-12)
@@ -181,7 +181,7 @@ def test_certificate_validation():
     m = nc.first_order(10.0, 10.0)
     with pytest.raises(ValueError, match="1 x 1"):
         nc.osni_certificate_check(m, np.eye(2), 0.1)
-    two = nc.kron_ss(L2, m)
+    two = kron_ss(L2, m)
     with pytest.raises(ValueError, match="symmetric"):
         nc.osni_certificate_check(two, [[1.0, 0.5], [0.0, 1.0]], 0.1)
 
@@ -202,7 +202,7 @@ def test_certificate_analytic_family(a, b):
 def test_kron_ss_matches_direct_frequency_response(four_node_graph):
     m = nc.first_order(10.0, 10.0)
     L = nc.laplacian(four_node_graph)
-    netss = nc.kron_ss(L, m)
+    netss = kron_ss(L, m)
     for w in (0.1, 1.0, 37.0):
         direct = np.kron(L, nc.freq_response(m, w))
         assert np.allclose(nc.freq_response(netss, w), direct, atol=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import niconsensus as nc
-from conftest import complete_graph, rhs_rows
+from conftest import complete_graph, kron_ss, rhs_rows, steady_state_relation
 from niconsensus import analysis, network
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -17,7 +17,7 @@ L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def test_two_node_network_matches_explicit_block_realization():
     """Driven responses of the monolithic bank kron_ss(L2, M) and of two
     separately integrated lags with outputs mixed afterwards agree."""
-    bank = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
+    bank = kron_ss(L2, nc.first_order(10.0, 10.0))
     assert np.array_equal(bank.A, [[-10.0, 0.0], [0.0, -10.0]])
     assert np.array_equal(bank.C, L2)
 
@@ -47,7 +47,7 @@ def test_two_node_network_matches_explicit_block_realization():
 
 
 def test_edgeless_network_zero_output():
-    bank = nc.kron_ss(nc.laplacian(nc.Graph(3)), nc.first_order(10.0, 10.0))
+    bank = kron_ss(nc.laplacian(nc.Graph(3)), nc.first_order(10.0, 10.0))
     rng = np.random.default_rng(0)
     for _ in range(5):
         assert np.array_equal(bank.C @ rng.normal(size=3), np.zeros(3))
@@ -65,16 +65,12 @@ def test_network_requires_hurwitz_and_strictly_proper(pendulum):
             nc.pair_interconnect(plant, ctrl)
 
 
-def test_network_dc_relation_steady_state(four_node_graph):
-    net = nc.kron_ss(nc.laplacian(four_node_graph), nc.first_order(10.0, 10.0))
-    ones = nc.check_steady_state_relation(net, np.ones(4), tol=1e-9)
-    assert ones.passed and ones.max_violation <= 1e-9
-    two = nc.kron_ss(L2, nc.first_order(10.0, 10.0))
-    report = nc.check_steady_state_relation(two, [1.0, 0.0])
-    assert report.passed
-    # settle it directly and compare against the hand value M(0) L2 (1,0)
-    rng = np.random.default_rng(1)
-    report = nc.check_steady_state_relation(net, rng.uniform(-1, 1, 4))
+def test_network_dc_relation_steady_state():
+    """The two-node bank settled from rest under the input (1, 0) matches its
+    DC map, the hand value (L2 (x) M(0)) (1, 0) = (1, -1) for M(0) = 1."""
+    two = kron_ss(L2, nc.first_order(10.0, 10.0))
+    assert np.array_equal(nc.dc_gain(two) @ [1.0, 0.0], [1.0, -1.0])
+    report = steady_state_relation(two, [1.0, 0.0])
     assert report.passed and report.max_violation <= 1e-6
 
 

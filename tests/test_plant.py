@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import niconsensus as nc
+from conftest import kron_ss
 from niconsensus.linsys import matvec
 
 PARAMS = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
@@ -178,7 +179,7 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
     single = [nc.gamma_estimate(plant, M, u[None], K).ratios[0] for u in inputs]
     assert np.array_equal(report.ratios, single)
     n = inputs.shape[1]
-    dc = nc.dc_gain(nc.kron_ss(K, M))
+    dc = nc.dc_gain(kron_ss(K, M))
     loop = []
     for u in inputs:
         x = nc.equilibrium_solve(plant, u.reshape(n, 1), np.zeros((n, 2)))
@@ -250,6 +251,20 @@ def test_gamma_input_validation(pendulum):
         nc.gamma_estimate(hopeless, nc.first_order(10.0, 10.0), [np.array([3.0])])
 
 
+def test_gamma_refuses_a_k_that_is_not_square_and_symmetric(pendulum):
+    """gamma_estimate, osni_max_delta and ClosedLoop refuse a non-symmetric
+    and a non-square K with one message: the theory mixes identical nodes by
+    an undirected graph's Laplacian, and a non-square K cannot map n node
+    outputs to n node inputs."""
+    plant, _ = pendulum
+    lag = nc.first_order(10.0, 10.0)
+    for K in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, -1.0]]):
+        for refuse in (lambda: nc.gamma_estimate(plant, lag, [[1.0, 2.0]], K=K),
+                       lambda: nc.osni_max_delta(lag, K=K), lambda: nc.ClosedLoop(plant, lag, K)):
+            with pytest.raises(ValueError, match="K must be square and symmetric"):
+                refuse()
+
+
 def test_phi_that_ignores_out_is_refused():
     """The integrator refills its phi block with phi(x, out): a phi that
     returns phi(x) but leaves out alone would keep the block stale in every
@@ -277,8 +292,8 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
         gain(np.array([[0.5, 0.1, 3.0, -1.5], [2.0, -2.0, 0.2, 4.0]]))
     # a bank passed as M, the form before K was an argument, is refused
     with pytest.raises(ValueError, match="must equal the plant's"):
-        nc.gamma_estimate(saturating, nc.kron_ss(nc.laplacian(four_node_graph),
-                                                 nc.first_order(10.0, 10.0)), np.ones((1, 4)))
+        nc.gamma_estimate(saturating, kron_ss(nc.laplacian(four_node_graph),
+                                              nc.first_order(10.0, 10.0)), np.ones((1, 4)))
 
 
 def test_constant_output_implies_constant_state_on_trajectories(pair_loop):

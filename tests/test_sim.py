@@ -481,6 +481,12 @@ def test_integrator_config_validation():
         nc.IntegratorConfig(step_s=0.1, t_end_s=0.05)
     with pytest.raises(ValueError):
         nc.IntegratorConfig(step_s=0.1, t_end_s=1.0, record_every=0)
+    # a NaN or infinite time is refused by name here, not where rk4_path
+    # derives its step count from it
+    for field in ("step_s", "t_end_s"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                nc.IntegratorConfig(**{"step_s": 1e-3, "t_end_s": 1.0, field: value})
 
 
 def test_integrate_validates_state_length(network_loop):
