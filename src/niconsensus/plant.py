@@ -19,6 +19,7 @@ state equation), a documented precondition of the steady-state arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,6 +30,20 @@ EQUILIBRIUM_TOL = 1e-10
 EQUILIBRIUM_MAX_ITER = 100
 #: Range and point count of the scalar constant-input grid of gamma_input_grid.
 GAMMA_INPUT_LO, GAMMA_INPUT_HI, GAMMA_INPUT_COUNT = -25.0, 25.0, 201
+
+
+def _nonzeros(M):
+    """The nonzero entries (i, j, M[i, j]) of a matrix, row by row."""
+    return [(i, j, w) for i, row in enumerate(np.asarray(M).tolist())
+            for j, w in enumerate(row) if w]
+
+
+def _sum_terms(terms, cols, out):
+    """out[..., i] += w * cols[j] over terms (i, j, w) in their order: exact
+    per batch row, with no per-row product."""
+    for i, j, w in terms:
+        out[..., i] += w * cols[j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,9 +76,7 @@ class NonlinearPlant:
         self.phi(x, out)
         if not np.array_equal(out, self.phi(x)):
             raise ValueError("phi(x, out) must write phi(x), of shape (..., r), into out")
-        rows = np.hstack((self.A, self.E, self.B)).tolist()
-        object.__setattr__(self, "_terms", [(i, j, w) for i, row in enumerate(rows)
-                                            for j, w in enumerate(row) if w])
+        object.__setattr__(self, "_terms", _nonzeros(np.hstack((self.A, self.E, self.B))))
 
     p = property(lambda self: self.A.shape[0], doc="state dimension")
     m = property(lambda self: self.B.shape[1], doc="input/output dimension")
@@ -75,10 +88,7 @@ class NonlinearPlant:
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
         cols = [v[..., j] for v in (x, self.phi(x[..., :self.r]), u)
                 for j in range(v.shape[-1])]
-        dx = np.zeros_like(x)
-        for i, j, w in self._terms:
-            dx[..., i] += w * cols[j]
-        return dx
+        return _sum_terms(self._terms, cols, np.zeros_like(x))
 
     def h(self, x):
         return matvec(self.C, np.asarray(x, dtype=float))
@@ -153,54 +163,125 @@ class EquilibriumError(RuntimeError):
 
 
 def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
-    """Solve f(x, ubar) = 0 by damped Newton iteration from the guess x0.
+    """Solve f(x, ubar) = 0 by damped Newton iteration in theta = x[..., :r],
+    the coordinates phi reads, from the guess x0.
 
     x0 is one state (p,) with ubar (m,), or a batch (..., p) with ubar
     (..., m) whose members are solved independently: a returned member took
-    the steps it would take alone. The Jacobian is a forward difference with step
-    1e-7 (1 + |x_j|), its p columns from one plant call; steps are halved
-    until the residual decreases. Converged when the residual max-norm drops
-    below 1e-10 within 100 steps. Raises EquilibriumError naming the first
-    member that fails.
+    the steps it would take alone. The other coordinates w = x[..., r:] enter
+    f = g(theta) + A[:, r:] w, g(theta) = A[:, :r] theta + E phi(theta) + B ubar,
+    only linearly. With A[:, r:] = [Q1 Q2] [R1; 0] (one QR per call), f = 0
+    is G(theta) = Q2^T g(theta) = 0 with w = -R1^-1 Q1^T g(theta), and there
+    f(x) = Q2 G(theta). Newton runs on G from theta0 = x0[..., :r]: the r x r
+    Jacobian is a forward difference with step 1e-7 (1 + |theta_j|), its r
+    columns from one phi call, and steps are halved, down to 1e-6, until the
+    residual max|Q2 G| decreases. Converged when it drops below 1e-10 within
+    100 steps. Raises EquilibriumError naming the first member that fails;
+    when A[:, r:] is rank-deficient no equilibrium is isolated and every
+    member fails. Raises ValueError when the shapes of x0 and ubar disagree.
     """
-    p = plant.p
-    shape = np.shape(x0)
+    p, r, m = plant.p, plant.r, plant.m
+    shape, ushape = np.shape(x0), np.shape(ubar)
+    if shape[-1:] != (p,) or ushape != shape[:-1] + (m,):
+        raise ValueError(f"x0 of shape {shape} and ubar of shape {ushape} do not match: "
+                         f"need (..., {p}) and (..., {m}) on the same leading axes")
     x = np.array(x0, dtype=float).reshape(-1, p)
-    u = np.asarray(ubar, dtype=float).reshape(x.shape[0], plant.m)
-    fx = plant.f(x, u)
-    res = np.abs(fx).max(axis=1)  # residual max-norm; NaN marks a failed member
-    diag = np.arange(p)
-    for _ in range(EQUILIBRIUM_MAX_ITER):
-        todo = np.flatnonzero(res >= EQUILIBRIUM_TOL)
-        if not todo.size:
-            break
-        xa, ua, fa = x[todo], u[todo], fx[todo]
-        step = 1e-7 * (1.0 + np.abs(xa))
-        probes = np.repeat(xa[:, None, :], p, axis=1)
-        probes[:, diag, diag] += step
-        J = ((plant.f(probes, ua[:, None, :]) - fa[:, None, :])
-             / step[:, :, None]).swapaxes(1, 2)
-        try:
-            d = np.linalg.solve(J, -fa[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            res[todo[np.linalg.det(J) == 0]] = np.nan
-            continue
-        t, left = 1.0, np.arange(todo.size)
-        while left.size and t > 1e-6:
-            trial = xa[left] + t * d[left]
-            f_trial = plant.f(trial, ua[left])
-            r_trial = np.abs(f_trial).max(axis=1)
-            ok = r_trial < res[todo[left]]
-            won = todo[left[ok]]
-            x[won], fx[won], res[won] = trial[ok], f_trial[ok], r_trial[ok]
-            left = left[~ok]
-            t *= 0.5
-        res[todo[left]] = np.nan
+    u = np.asarray(ubar, dtype=float).reshape(-1, m)
+    res = np.full(len(x), np.nan)  # residual max|f(x)|; NaN marks a failed member
+    if r == p or np.linalg.matrix_rank(plant.A[:, r:]) == p - r:
+        Q, R = np.linalg.qr(plant.A[:, r:], mode="complete")
+        Q1, Q2 = Q[:, :p - r], Q[:, p - r:]
+        Z = np.hstack((plant.A[:, :r], plant.E, plant.B))
+        g_terms = _nonzeros(Q2.T @ Z[:, :2 * r])
+        q_nonzero = Q2[Q2.any(axis=1)]  # a zero row of Q2 adds |0| to max|Q2 g|
+        q_terms, k = _nonzeros(q_nonzero), len(q_nonzero)
+
+        def G(th, c):
+            """Q2^T g(theta), summed in f's column order theta, phi(theta), u;
+            c holds the u part Q2^T B ubar, which no step changes."""
+            ph = plant.phi(th)
+            cols = [th[..., j] for j in range(r)] + [ph[..., j] for j in range(r)]
+            return _sum_terms(g_terms, cols, np.zeros_like(th)) + c
+
+        def residual(g):
+            qg = np.abs(_sum_terms(q_terms, [g[..., j] for j in range(r)],
+                                   np.zeros(g.shape[:-1] + (k,))))
+            return reduce(np.maximum, [qg[..., i] for i in range(k)], np.zeros(g.shape[:-1]))
+
+        c = _sum_terms(_nonzeros(Q2.T @ plant.B), u.T, np.zeros((len(x), r)))
+        x[:, :r], res[:] = _damped_newton(G, residual, x[:, :r], c)
+        cols = [*x[:, :r].T, *plant.phi(x[:, :r]).T, *u.T]
+        x[:, r:] = _sum_terms(_nonzeros(-np.linalg.solve(R[:p - r], Q1.T @ Z)), cols,
+                              np.zeros((len(x), p - r)))
     bad = np.flatnonzero(~(res < EQUILIBRIUM_TOL))
     x[bad] = np.nan
     if bad.size:
         raise EquilibriumError(int(bad[0]), x.reshape(shape))
     return x.reshape(shape)
+
+
+def _damped_newton(G, residual, th, c):
+    """(theta, residual) after damped Newton iteration on G(theta, c) = 0 from
+    theta, one member per row, with residual(G) the norm it decreases; the
+    residual is NaN where a member failed."""
+    r = th.shape[1]
+    th, res = th.copy(), np.full(len(th), np.nan)
+    # the members still iterating, compacted: their indices, theta, c, G and residual
+    idx, ta, ca = np.arange(len(th)), th.copy(), c
+    ga = G(ta, ca)
+    ra = residual(ga)
+    for it in range(EQUILIBRIUM_MAX_ITER + 1):
+        # retire the converged members and those that failed (NaN)
+        done = ~(ra >= EQUILIBRIUM_TOL)
+        if done.any():
+            i = np.flatnonzero(done)
+            th[idx[i]], res[idx[i]] = ta[i], ra[i]
+            i = np.flatnonzero(~done)
+            idx, ta, ca, ga, ra = (v.take(i, axis=0) for v in (idx, ta, ca, ga, ra))
+        if not idx.size or it == EQUILIBRIUM_MAX_ITER:
+            return th, res
+        step = 1e-7 * (1.0 + np.abs(ta))
+        probes = np.empty((len(idx), r, r))
+        probes[...] = ta[:, None, :]
+        probes.reshape(len(idx), r * r)[:, ::r + 1] += step
+        J = ((G(probes, ca[:, None, :]) - ga[:, None, :]) / step[:, :, None]).swapaxes(1, 2)
+        d = _newton_steps(J, ga)
+        finite = np.isfinite(d).all(axis=1)
+        if not finite.all():  # a singular Jacobian: that member fails
+            d[~finite], ra[~finite] = 0.0, np.nan
+        # every member tries its full step at once; those it leaves no better halve it
+        trial = ta + d
+        g_trial = G(trial, ca)
+        r_trial = residual(g_trial)
+        ok = r_trial < ra
+        np.copyto(ta, trial, where=ok[:, None])
+        np.copyto(ga, g_trial, where=ok[:, None])
+        np.copyto(ra, r_trial, where=ok)
+        left, t = np.flatnonzero(~ok & finite), 0.5
+        while left.size and t > 1e-6:
+            trial = ta[left] + t * d[left]
+            g_trial = G(trial, ca[left])
+            r_trial = residual(g_trial)
+            ok = r_trial < ra[left]
+            won = left[ok]
+            ta[won], ga[won], ra[won] = trial[ok], g_trial[ok], r_trial[ok]
+            left = left[~ok]
+            t *= 0.5
+        ra[left] = np.nan
+
+
+def _newton_steps(J, g):
+    """Newton steps -J^-1 g of a (k, r, r) stack of Jacobians, NaN or
+    infinite where a Jacobian is singular."""
+    if J.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return -g / J[:, :, 0]
+    try:
+        return np.linalg.solve(J, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        d, ok = np.full_like(g, np.nan), np.linalg.det(J) != 0
+        d[ok] = np.linalg.solve(J[ok], -g[ok, :, None])[:, :, 0]
+        return d
 
 
 class GammaError(RuntimeError):
@@ -242,10 +323,10 @@ def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),)) ->
 def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
     """Gain ratios u^T ybar2 / |u|^2 of the chains into K (x) M(s), one per
     (inputs, K) case, K square and symmetric and inputs a (k, n m) array or a
-    list of k nonzero vectors: each node's equilibrium solved from rest, those
-    of all cases in one batch, its output mapped through K (x) M(0) on the
-    nonzeros of K. Per case a GammaReport, or a GammaError naming the input and
-    first node that failed."""
+    list of k finite nonzero vectors: each node's equilibrium solved from
+    rest, those of all cases in one batch, its output mapped through
+    K (x) M(0) on the nonzeros of K. Per case a GammaReport, or a GammaError
+    naming the input and first node that failed."""
     if M.io_dim != plant.m:
         raise ValueError("controller input/output dimension must equal the plant's")
     Ks = [mixing_matrix(K) for _, K in cases]
@@ -253,6 +334,8 @@ def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
     if not all(U.size for U in Us):
         raise ValueError("need at least one constant input")
     Us = [U.reshape(len(U), len(K) * plant.m) for U, K in zip(Us, Ks)]
+    if not all(np.isfinite(U).all() for U in Us):
+        raise ValueError("constant inputs must be finite")
     if any(np.any(np.linalg.norm(U, axis=1) <= 1e-300) for U in Us):
         raise ValueError("constant inputs must be nonzero")
     nodes = np.concatenate([U.reshape(-1, plant.m) for U in Us])

@@ -39,7 +39,10 @@ class IntegratorConfig:
             raise ValueError("step_s must be positive")
         if self.t_end_s < self.step_s:
             raise ValueError("t_end_s must be at least one step")
-        if self.record_every < 1:
+        # a float or a bool would pass the range test, then fail or mislead
+        # where integrate slices the record by it
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError("record_every must be a positive integer")
 
 

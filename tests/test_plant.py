@@ -1,11 +1,12 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, root
 
 import niconsensus as nc
 from conftest import kron_ss
@@ -133,6 +134,109 @@ def test_equilibrium_failure_reports():
         nc.equilibrium_solve(hopeless, [0.0], [0.0])
 
 
+def coupled_pendulums(inertia, stiffness, mgl):
+    """Two pendulums coupled by a torsional spring, M q'' = -K q - g(q) + u
+    with g_i = mgl_i sin q_i and y = q: p = 4, m = 2 and phi = sin on the
+    r = 2 angles."""
+    Minv, K = np.diag(1.0 / np.asarray(inertia)), np.asarray(stiffness)
+    Z, I = np.zeros((2, 2)), np.eye(2)
+    return nc.NonlinearPlant(A=np.block([[Z, I], [-Minv @ K, Z]]), B=np.vstack((Z, Minv)),
+                             C=np.hstack((I, Z)), E=np.vstack((Z, -Minv @ np.diag(mgl))),
+                             phi=np.sin)
+
+
+def test_equilibrium_of_coupled_pendulums_matches_scipy_root():
+    """With K - diag(mgl) positive definite, K q + diag(mgl) sin q = u has one
+    root, so Newton on the r = 2 angles from rest and scipy's root find the
+    same one; the rates are zero. The batch (a LAPACK solve per Jacobian)
+    keeps each member's own steps."""
+    mgl = np.array([4.9, 2.0])
+    K = np.array([[9.0, -2.0], [-2.0, 6.0]])
+    plant = coupled_pendulums([0.25, 0.5], K, mgl)
+    assert (plant.p, plant.m, plant.r) == (4, 2, 2)
+    u = np.random.default_rng(3).uniform(-25.0, 25.0, (40, 2))
+    x = nc.equilibrium_solve(plant, u, np.zeros((40, 4)))
+    assert np.array_equal(x[:, 2:], np.zeros((40, 2)))
+    for ui, xi in zip(u, x):
+        sol = root(lambda q: K @ q + mgl * np.sin(q) - ui, np.zeros(2),
+                   jac=lambda q: K + np.diag(mgl * np.cos(q)), tol=1e-12)
+        assert sol.success and np.abs(sol.fun).max() <= 1e-12
+        assert np.abs(xi[:2] - sol.x).max() <= 1e-9
+        assert np.array_equal(xi, nc.equilibrium_solve(plant, ui, np.zeros(4)))
+
+
+def test_equilibrium_with_a_singular_jacobian_fails_that_member_alone():
+    """phi of the second coordinate has no weight in f, so every Jacobian of
+    G is singular: a member already at rest converges with no step, the
+    others fail, as each would alone, with no numpy warning."""
+    plant = nc.NonlinearPlant(A=[[-1.0, 0.0], [0.0, 0.0]], B=np.eye(2), C=np.eye(2),
+                              E=np.zeros((2, 2)), phi=np.tanh)
+    u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nc.plant.EquilibriumError) as info:
+            nc.equilibrium_solve(plant, u, np.zeros((3, 2)))
+    assert info.value.member == 0
+    assert np.isnan(info.value.x[[0, 2]]).all()
+    assert np.array_equal(info.value.x[1], nc.equilibrium_solve(plant, u[1], np.zeros(2)))
+    for i in (0, 2):
+        with pytest.raises(nc.plant.EquilibriumError):
+            nc.equilibrium_solve(plant, u[i], np.zeros(2))
+
+
+def test_equilibrium_of_a_rank_deficient_plant_fails_every_member():
+    """A[:, r:] of rank 1 < p - r = 2: the equilibria, where there are any,
+    form a line, so no member has an isolated one. Every member fails at
+    once, member 0 is named, and numpy warns of nothing."""
+    plant = nc.NonlinearPlant(A=[[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 2.0]],
+                              B=[[0.0], [1.0], [0.0]], C=[[1.0, 0.0, 0.0]],
+                              E=[[0.0], [-1.0], [0.0]], phi=np.sin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nc.plant.EquilibriumError) as info:
+            nc.equilibrium_solve(plant, [[0.5], [0.0], [-2.0]], np.zeros((3, 3)))
+    assert info.value.member == 0
+    assert info.value.x.shape == (3, 3) and np.isnan(info.value.x).all()
+
+
+def test_equilibrium_of_a_linear_plant_is_minus_a_inverse_b_u():
+    """r = 0: no Newton step is taken, and xbar = -A^-1 B u from the QR of A."""
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(3, 3)) - 3.0 * np.eye(3)
+    B = rng.normal(size=(3, 2))
+    plant = nc.NonlinearPlant(A=A, B=B, C=rng.normal(size=(2, 3)), E=np.zeros((3, 0)),
+                              phi=lambda x, out=None: x[..., :0])
+    u = rng.uniform(-5.0, 5.0, (6, 2))
+    x = nc.equilibrium_solve(plant, u, rng.normal(size=(6, 3)))
+    assert np.abs(x - np.linalg.solve(A, -(u @ B.T).T).T).max() <= 1e-12
+
+
+def test_equilibrium_refuses_mismatched_shapes(pendulum):
+    plant, _ = pendulum
+    with pytest.raises(ValueError, match=r"x0 of shape \(2,\) and ubar of shape \(2,\)"):
+        nc.equilibrium_solve(plant, [1.0, 2.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"x0 of shape \(3, 2\) and ubar of shape \(2, 1\)"):
+        nc.equilibrium_solve(plant, np.ones((2, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"x0 of shape \(1,\)"):
+        nc.equilibrium_solve(plant, [1.0], [0.0])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=st.floats(0.5, 2.0), l=st.floats(0.25, 1.0), stiffness=st.floats(1.5, 10.0),
+       inputs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
+def test_equilibrium_angles_match_bracketing_oracle(m, l, stiffness, inputs):
+    """kappa = stiffness * m g l > m g l: each member's angle is the unique
+    root the bracketing oracle finds. The residual bound 1e-10 moves the
+    angle by at most 1e-10 m l^2 / (kappa - m g l) <= 2.1e-11 here."""
+    mgl = m * 9.8 * l
+    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=stiffness * mgl, g_ms2=9.8)
+    u = np.array(inputs)[:, None]
+    x = nc.equilibrium_solve(nc.pendulum_plant(params), u, np.zeros((len(u), 2)))
+    oracle = [brentq_equilibrium(v, params.kappa, mgl) for v in inputs]
+    assert np.abs(x[:, 0] - oracle).max() <= 1e-10
+    assert np.array_equal(x[:, 1], np.zeros(len(u)))
+
+
 def brentq_equilibrium(u, kap=KAP, mgl=MGL):
     """Independent scalar oracle for the pendulum equilibrium angle."""
     return brentq(lambda x: kap * x + mgl * math.sin(x) - u, -30.0, 30.0,
@@ -245,6 +349,12 @@ def test_gamma_input_validation(pendulum):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [np.zeros(1)])
     with pytest.raises(ValueError, match="at least one"):
         nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [])
+    # a non-finite input is refused before the solve, which would warn of it
+    for bad in (math.inf, -math.inf, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="constant inputs must be finite"):
+                nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), [[1.0], [bad]])
     hopeless = nc.NonlinearPlant(A=[[0.0]], B=[[0.0]], C=[[1.0]], E=[[1.0]],
                                  phi=lambda x, out=None: np.add(x ** 2, 1.0, out=out))
     with pytest.raises(RuntimeError, match=r"failed for input \[3\."):

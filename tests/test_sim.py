@@ -481,6 +481,12 @@ def test_integrator_config_validation():
         nc.IntegratorConfig(step_s=0.1, t_end_s=0.05)
     with pytest.raises(ValueError):
         nc.IntegratorConfig(step_s=0.1, t_end_s=1.0, record_every=0)
+    # record_every slices the record: a float or a bool is refused by name,
+    # and an integer of numpy's own type is accepted
+    for every in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            nc.IntegratorConfig(step_s=0.1, t_end_s=1.0, record_every=every)
+    assert nc.IntegratorConfig(0.1, 1.0, record_every=np.int64(2)).record_every == 2
     # a NaN or infinite time is refused by name here, not where rk4_path
     # derives its step count from it
     for field in ("step_s", "t_end_s"):
