@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .network import CompositeStorage
+from .network import CompositeStorage, controller_storage, dissipation
 from .plant import StorageFunction
 from .sim import Trajectory
 
@@ -47,18 +47,12 @@ def _node_reports(name: str, violations: np.ndarray, times: np.ndarray,
     return [_report(f"{name}_node_{i}", v, times, tol) for i, v in enumerate(violations.T)]
 
 
-def _by_node(traj: Trajectory, signal: np.ndarray) -> np.ndarray:
-    """A (T, n k) signal or state block as a (T, n, k) view."""
-    return signal.reshape(traj.n_samples, traj.system.n_plants, -1)
-
-
 def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray:
     """dV/dt - u^T dy/dt of every plant node, shape (T, n) (<= 0 when NI,
     identically 0 for lossless plants)."""
-    xp, _ = traj.system.split(traj.states)
-    dxp, _ = traj.system.split(traj.dstate)
-    u1, y1dot = _by_node(traj, traj.u1), _by_node(traj, traj.y1dot)
-    return np.sum(v.grad(xp) * dxp, axis=-1) - np.sum(u1 * y1dot, axis=-1)
+    cl = traj.system
+    xp, dxp = cl.split(traj.states)[0], cl.split(traj.dstate)[0]
+    return dissipation(v.grad(xp), dxp, cl.nodes(traj.u1), cl.nodes(traj.y1dot))
 
 
 def check_ni_dissipation(traj: Trajectory, v: StorageFunction, *,
@@ -75,12 +69,10 @@ def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
-    Yinv, _ = cl.storage_matrices(Y)
-    xc = _by_node(traj, cl.split(traj.states)[1])
-    dxc = _by_node(traj, cl.split(traj.dstate)[1])
-    u2, ycdot = _by_node(traj, traj.y1), _by_node(traj, traj.ycdot)
-    rate = np.sum((xc @ Yinv) * dxc, axis=-1)
-    return rate - np.sum(u2 * ycdot, axis=-1) + delta * np.sum(ycdot * ycdot, axis=-1)
+    v2, ycdot = controller_storage(cl.controller, Y), cl.nodes(traj.ycdot)
+    xc, dxc = cl.nodes(cl.split(traj.states)[1]), cl.nodes(cl.split(traj.dstate)[1])
+    return (dissipation(v2.grad(xc), dxc, cl.nodes(traj.y1), ycdot)
+            + delta * np.sum(ycdot * ycdot, axis=-1))
 
 
 def check_osni_dissipation(traj: Trajectory, Y, delta: float, *,
@@ -100,15 +92,13 @@ def _strictness_form(traj: Trajectory) -> np.ndarray:
 
 def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
     """d/dt [(1/2) xc^T (K (x) Y^-1) xc] - U2^T dY2/dt
-    + delta ycdot^T (K (x) I) ycdot along the whole controller bank."""
+    + delta ycdot^T (K (x) I) ycdot: the bank's residual with U2 = y1, Y2 = y2."""
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
     cl = traj.system
     xc, dxc = cl.split(traj.states)[1], cl.split(traj.dstate)[1]
-    _, P = cl.storage_matrices(Y)
-    storage_rate = np.sum(P.apply(xc) * dxc, axis=1)
-    supply = np.sum(traj.y1 * traj.y2dot, axis=1)
-    return storage_rate - (supply - delta * _strictness_form(traj))
+    P = cl.mixed(controller_storage(cl.controller, Y).Q)
+    return dissipation(P.apply(xc), dxc, traj.y1, traj.y2dot) + delta * _strictness_form(traj)
 
 
 def check_osni_like_network(traj: Trajectory, Y, delta: float,
@@ -136,11 +126,9 @@ def check_pair_identities(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
     cl = traj.system
     if cl.n_plants != 2:
         raise ValueError("pair identities need a 2-node network trajectory")
-    m = cl.io_dim
-    u2 = traj.y1
-    du = u2[:, :m] - u2[:, m:]
-    dycdot = traj.ycdot[:, :m] - traj.ycdot[:, m:]
-    lhs1 = np.sum(u2 * traj.y2dot, axis=1)
+    u2, ycdot = cl.nodes(traj.y1), cl.nodes(traj.ycdot)
+    du, dycdot = u2[:, 0] - u2[:, 1], ycdot[:, 0] - ycdot[:, 1]
+    lhs1 = np.sum(traj.y1 * traj.y2dot, axis=1)
     rhs1 = np.sum(du * dycdot, axis=1)
     lhs2 = np.sum(traj.y2dot ** 2, axis=1)
     rhs2 = 2.0 * np.sum(dycdot ** 2, axis=1)
@@ -180,7 +168,7 @@ def consensus_metric(traj: Trajectory):
     cl = traj.system
     if cl.n_plants < 2:
         raise ValueError("needs a loop with at least two nodes")
-    y1 = _by_node(traj, traj.y1)
+    y1 = cl.nodes(traj.y1)
 
     def max_dist(i, j):
         return np.linalg.norm(y1[:, i, :] - y1[:, j, :], axis=2).max(axis=1)

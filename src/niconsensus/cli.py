@@ -125,7 +125,8 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         _say(quiet, f"simulation diverged: {err}")
         summary = {"status": "diverged", "error": str(err)}
     else:
-        results = _run_table(analysis.CHECKS, cfg.checks, cfg, traj, {})
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed runs fail as NaN
+            results = _run_table(analysis.CHECKS, cfg.checks, cfg, traj, {})
         extra_cols = []
         for entry in results.values():
             extra_cols += entry.pop("columns", ())
@@ -133,7 +134,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         csv_path = out_dir / "trajectory.csv"
         traj.write_csv(csv_path, extra_columns=extra_cols)
         svg_path = out_dir / "outputs.svg"
-        curves = traj.y1.reshape(traj.n_samples, loop.n_plants, loop.io_dim)[:, :, 0].T
+        curves = loop.nodes(traj.y1)[:, :, 0].T
         labels = [f"node {i + 1}" for i in range(loop.n_plants)]
         write_line_plot(svg_path, traj.times, curves, labels=labels,
                         title=cfg.label, xlabel="time (s)", ylabel="output")

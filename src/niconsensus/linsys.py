@@ -107,9 +107,10 @@ def dc_gain(sys: StateSpace) -> np.ndarray:
 
 def mixing_matrix(K) -> np.ndarray:
     """K as a 2-d float array; raises ValueError unless it is square and
-    symmetric (to 1e-12)."""
+    symmetric (to 1e-12), each nonzero compared with its mirror entry."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or not np.allclose(K, K.T, atol=1e-12):
+    square = K.ndim == 2 and K.shape[0] == K.shape[1]
+    if not square or not np.allclose(K[(ij := np.nonzero(K))], K.T[ij], atol=1e-12):
         raise ValueError("K must be square and symmetric")
     return K
 

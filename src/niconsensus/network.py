@@ -226,19 +226,11 @@ class ClosedLoop:
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
         X = np.asarray(X, dtype=float)
-        xp = X[..., :self._split].reshape(X.shape[:-1] + (self.n_plants, self.plant.p))
-        return xp, X[..., self._split:]
+        return self.nodes(X[..., :self._split]), X[..., self._split:]
 
-    def storage_matrices(self, Y):
-        """(Y^-1, K (x) Y^-1): the matrix of the controller storage
-        (1/2) x^T Y^-1 x of the OSNI certificate Y and the operator of the
-        bank storage (1/2) xc^T (K (x) Y^-1) xc."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        q = self.controller.state_dim
-        if Y.shape != (q, q):
-            raise ValueError(f"controller certificate Y must be {q} x {q}")
-        Yinv = np.linalg.inv(Y)
-        return Yinv, self.mixed(Yinv)
+    def nodes(self, a):
+        """A signal or state block of shape (..., n*k) as (..., n, k), node by node."""
+        return a.reshape(a.shape[:-1] + (self.n_plants, a.shape[-1] // self.n_plants))
 
     def extend(self, X):
         """The extended states Z = [xp, phi, xc] of composite states X of
@@ -351,26 +343,42 @@ def network_interconnect(plant: NonlinearPlant, controller: StateSpace,
     return ClosedLoop(plant, controller, laplacian(graph))
 
 
+def dissipation(grad, dx, u, ydot):
+    """The residual of a dissipation inequality with supply rate u^T dy/dt,
+    grad . dx - u . ydot over the last axis: at most 0 for an NI system and
+    at most -delta |dy/dt|^2 for an OSNI one. Every storage check builds on it."""
+    return np.sum(grad * dx, axis=-1) - np.sum(u * ydot, axis=-1)
+
+
+def controller_storage(controller: StateSpace, Y) -> StorageFunction:
+    """V2(x) = (1/2) x^T Y^-1 x, the controller storage of the OSNI
+    certificate Y, with Q = Y^-1 and gradient x Y^-1 row by row."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    q = controller.state_dim
+    if Y.shape != (q, q):
+        raise ValueError(f"controller certificate Y must be {q} x {q}")
+    Q = np.linalg.inv(Y)
+    return StorageFunction(V=lambda x: 0.5 * np.sum((x @ Q) * x, axis=-1),
+                           grad=lambda x: x @ Q, Q=Q)
+
+
 class CompositeStorage:
     """Candidate Lyapunov function of a closed loop,
 
         W = sum_i V1(xp_i) + (1/2) xc^T (K (x) Y^-1) xc - Y1^T (K (x) C) xc,
 
-    with V2(x) = (1/2) x^T Y^-1 x the controller storage of the OSNI
-    certificate Y. For a pair this is V1 + V2 - y1 . y2; for K = L the
-    quadratic term equals the edge-wise (1/2) sum_ij a_ij V2(xc_i - xc_j).
-    ``rate`` differentiates W along the loop vector field with exact storage
-    gradients and output chain rules. For K = L, W = 0 on the whole line
-    xp = 0, xc = c 1 (L 1 = 0 kills the quadratic and the cross term): W can
-    be positive only off the controller-consensus subspace;
-    ``positivity_margin`` decides whether it is.
+    with V2 = ``controller_storage(controller, Y)`` the controller storage of
+    the OSNI certificate Y. For a pair this is V1 + V2 - y1 . y2; for K = L
+    the quadratic term equals the edge-wise (1/2) sum_ij a_ij V2(xc_i - xc_j).
+    For K = L, W = 0 on the whole line xp = 0, xc = c 1 (L 1 = 0 kills the
+    quadratic and the cross term): W can be positive only off the
+    controller-consensus subspace; ``positivity_margin`` decides whether it is.
     """
 
     def __init__(self, loop: ClosedLoop, v1: StorageFunction, Y):
-        self.loop = loop
-        self.v1 = v1
+        self.loop, self.v1 = loop, v1
         self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        _, self._P = loop.storage_matrices(self.Y)
+        self._P = loop.mixed(controller_storage(loop.controller, self.Y).Q)
 
     def value(self, X):
         """W at composite states X of shape (N,) or (..., N)."""
@@ -381,13 +389,13 @@ class CompositeStorage:
                 - np.sum(y1 * loop.mixed_C.apply(xc), axis=-1))
 
     def rate(self, X, sig: LoopSignals):
-        """dW/dt at composite states X of shape (N,) or (..., N) with signals sig at X."""
+        """dW/dt at composite states X of shape (N,) or (..., N) with signals
+        sig at X: the plant nodes' NI residuals summed plus the bank's, input
+        y1 and output y2, whose supply rates add up to d(y1 . y2)/dt as u1 = y2."""
         loop = self.loop
-        xp, xc = loop.split(X)
-        dxp, dxc = loop.split(sig.dstate)
-        return (np.sum(self.v1.grad(xp) * dxp, axis=(-2, -1))
-                + np.sum(self._P.apply(xc) * dxc, axis=-1)
-                - np.sum(sig.y1dot * sig.y2 + sig.y1 * sig.y2dot, axis=-1))
+        (xp, xc), (dxp, dxc) = loop.split(X), loop.split(sig.dstate)
+        plants = dissipation(self.v1.grad(xp), dxp, loop.nodes(sig.u1), loop.nodes(sig.y1dot))
+        return plants.sum(axis=-1) + dissipation(self._P.apply(xc), dxc, sig.y1, sig.y2dot)
 
     def positivity_margin(self) -> float:
         """lambda_min(Q - lambda_max(K) G Y G^T) with G = Cp^T Cc, for K positive

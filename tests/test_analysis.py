@@ -5,7 +5,7 @@ import pytest
 
 import niconsensus as nc
 from conftest import complete_graph, dense_plant, edge_rate_sums
-from niconsensus import analysis
+from niconsensus import analysis, network
 
 A = B = 10.0
 Y, _ = nc.first_order_certificate(A, B)
@@ -88,6 +88,92 @@ def test_osni_dissipation_residual_identity(network_traj):
             ycd = network_traj.ycdot[:, node]
             gap = np.abs(res[:, node] + (1.0 / A - delta) * ycd ** 2).max()
             assert gap < 1e-9
+
+
+def loop_at(loop, X):
+    """The trajectory record of a loop at states X, one sample per row."""
+    return nc.Trajectory(system=loop, times=np.arange(float(len(X))), states=X,
+                         **vars(loop.evaluate(X)))
+
+
+def test_lag_residual_is_exact_at_random_states(pendulum, four_node_graph):
+    """Off any trajectory too: for the lag a/(s+b) the storage V2 = (1/2)
+    (b/a) x^2 of Y = a/b gives each node the residual -(1/a - delta) ycdot^2
+    to round-off, since dV2/dt - u ycdot = -(b x - a u)^2 / a."""
+    a, b = 20.0, 6.0
+    lag = nc.first_order(a, b)
+    loop = nc.network_interconnect(pendulum[0], lag, four_node_graph)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, (300, loop.n_states))
+    traj = loop_at(loop, X)
+    Y_lag, _ = nc.first_order_certificate(a, b)
+    v2 = network.controller_storage(lag, Y_lag)
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.allclose(v2.V(x), 0.5 * (b / a) * x[:, 0] ** 2, rtol=1e-15, atol=0.0)
+    assert np.allclose(v2.grad(x), (b / a) * x, rtol=1e-15, atol=0.0)
+    xc, dxc = loop.split(X)[1], loop.split(traj.dstate)[1]
+    for delta in (0.01, 0.05):
+        res = analysis.osni_dissipation_residuals(traj, Y_lag, delta)
+        expected = -(1.0 / a - delta) * traj.ycdot ** 2
+        scale = (b / a) * np.abs(xc * dxc) + np.abs(traj.y1 * traj.ycdot) + traj.ycdot ** 2
+        assert (np.abs(res - expected) <= 8 * np.finfo(float).eps * scale).all()
+
+
+def two_state_loop(pendulum):
+    """A four-node path under a Hurwitz two-state controller, with an SPD Y
+    that is only a storage matrix here, not an OSNI certificate."""
+    ctrl = nc.StateSpace(A=[[-2.0, 1.0], [0.0, -3.0]], B=[[1.0], [2.0]], C=[[1.0, 0.5]])
+    loop = nc.network_interconnect(pendulum[0], ctrl, nc.path_graph(4))
+    return loop, np.array([[2.0, 0.3], [0.3, 1.0]])
+
+
+def test_two_state_controller_residual_is_the_inverse_form(pendulum):
+    """For q = 2 each node's OSNI residual is xc Y^-1 . dxc - u ycdot +
+    delta |ycdot|^2 formed from hand-reshaped blocks, to 1e-13; a Y of
+    another shape is refused by the residual and by the composite storage."""
+    loop, Y2 = two_state_loop(pendulum)
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, (200, loop.n_states))
+    traj = loop_at(loop, X)
+    xc = loop.split(X)[1].reshape(200, 4, 2)
+    dxc = loop.split(traj.dstate)[1].reshape(200, 4, 2)
+    u2, ycdot = traj.y1.reshape(200, 4, 1), traj.ycdot.reshape(200, 4, 1)
+    oracle = (np.sum((xc @ np.linalg.inv(Y2)) * dxc, axis=-1) - np.sum(u2 * ycdot, axis=-1)
+              + 0.05 * np.sum(ycdot * ycdot, axis=-1))
+    res = analysis.osni_dissipation_residuals(traj, Y2, 0.05)
+    assert res.shape == (200, 4) and np.abs(res - oracle).max() <= 1e-13
+    for wrong in ([[1.0]], np.eye(3)):
+        with pytest.raises(ValueError, match="controller certificate Y must be 2 x 2"):
+            analysis.osni_dissipation_residuals(traj, wrong, 0.05)
+        with pytest.raises(ValueError, match="controller certificate Y must be 2 x 2"):
+            nc.CompositeStorage(loop, pendulum[1], wrong)
+
+
+@pytest.mark.parametrize("case", ["flagship", "two_state"])
+def test_composite_rate_is_the_plant_and_bank_residuals(pendulum, network_loop, case):
+    """dW/dt at random states is the plant nodes' NI residuals summed plus
+    the bank's residual at delta = 0, and both equal the rate of W formed
+    term by term with dense Kronecker matrices, to round-off relative to
+    the sum of the absolute terms. V1 is twice the pendulum's energy, so
+    the plant residuals are u ydot rather than the lossless zero."""
+    plant, energy = pendulum
+    v1 = nc.StorageFunction(V=lambda x: 2.0 * energy.V(x), grad=lambda x: 2.0 * energy.grad(x),
+                            Q=2.0 * energy.Q)
+    loop, Yc = (network_loop, Y) if case == "flagship" else two_state_loop(pendulum)
+    X = np.random.default_rng(5).uniform(-2.0, 2.0, (300, loop.n_states))
+    traj, delta = loop_at(loop, X), 0.05
+    rate = nc.CompositeStorage(loop, v1, Yc).rate(X, traj)
+    parts = (analysis.ni_dissipation_residuals(traj, v1).sum(axis=1)
+             + analysis.osni_like_network_residuals(traj, Yc, delta)
+             - delta * analysis._strictness_form(traj))
+    (xp, xc), (dxp, dxc) = loop.split(X), loop.split(traj.dstate)
+    P, Kc = np.kron(loop.K, np.linalg.inv(Yc)), np.kron(loop.K, loop.controller.C)
+    y1, y1dot = (xp @ plant.C.T)[..., 0], (dxp @ plant.C.T)[..., 0]
+    terms = [v1.grad(xp) * dxp, (xc @ P) * dxc, -y1dot * (xc @ Kc.T), -y1 * (dxc @ Kc.T)]
+    dense = sum(t.reshape(len(X), -1).sum(axis=1) for t in terms)
+    abs_P = (np.abs(xc) @ np.abs(P)) * np.abs(dxc)
+    abs_delta = delta * (np.abs(traj.ycdot) @ np.abs(loop.K)) * np.abs(traj.ycdot)
+    scale = sum(np.abs(t).reshape(len(X), -1).sum(axis=1) for t in terms + [abs_P, abs_delta])
+    assert (np.abs(rate - parts) <= 16 * np.finfo(float).eps * scale).all()
+    assert (np.abs(rate - dense) <= 16 * np.finfo(float).eps * scale).all()
 
 
 def test_osni_like_network_levels(two_node_traj):

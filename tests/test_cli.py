@@ -136,7 +136,6 @@ def test_simulate_divergence_exit3(tmp_path):
     assert report["config"] == doc
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_run_writes_strict_json(tmp_path):
     """a = 5000, b = 1 at h = 1e-3 grows to about 1e232 without leaving the
     finite floats, so the checks overflow to NaN: report.json carries those
@@ -155,6 +154,18 @@ def test_overflowing_run_writes_strict_json(tmp_path):
     for name in doc["checks"]:
         assert report["checks"][name]["passed"] is False
         assert report["checks"][name]["max_violation"] is None
+
+
+def test_overflowing_run_fails_its_checks_without_a_warning(tmp_path, capsys):
+    """The checks of the a = 5000, b = 1 pair overflow to inf and NaN inside
+    numpy's errstate: under the suite's RuntimeWarning-as-error filter,
+    simulate exits 4 with status check_failed and writes nothing to stderr."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"]["first_order"] = {"a": 5000.0, "b": 1.0}
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(write(tmp_path, doc)), "--out", str(out), "--quiet"])
+    assert (code, capsys.readouterr().err) == (4, "")
+    assert json.loads((out / "report.json").read_text())["status"] == "check_failed"
 
 
 def test_aggregate_ranks_a_nan_violation_worst():

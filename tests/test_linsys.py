@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import bisect_max_delta, kron_ss
-from niconsensus.linsys import PSD_TOL
+from niconsensus.linsys import PSD_TOL, mixing_matrix
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -229,3 +229,29 @@ def test_statespace_validation():
         nc.StateSpace([[-1.0]], [[1.0], [2.0]], [[1.0]])
     with pytest.raises(ValueError, match="C column"):
         nc.StateSpace([[-1.0]], [[1.0]], [[1.0, 0.0]])
+
+
+def test_mixing_matrix_symmetry_on_the_nonzeros_is_the_dense_verdict():
+    """Comparing each nonzero of K with its mirror entry accepts exactly the
+    K that np.allclose(K, K.T, atol=1e-12) accepts: sparse symmetric K of
+    orders 1 to 6 with one entry kept, moved by 1e-13 to 1e-3, or set to
+    NaN, inf or zero."""
+    rng = np.random.default_rng(8)
+
+    def accepted(K):
+        try:
+            return mixing_matrix(K) is not None
+        except ValueError:
+            return False
+
+    verdicts = []
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        K = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
+        K = K + K.T
+        i, j = rng.integers(0, n, 2)
+        moved = K[i, j] + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -3)
+        K[i, j] = rng.choice([K[i, j], moved, np.nan, np.inf, 0.0])
+        verdicts.append(accepted(K))
+        assert verdicts[-1] == np.allclose(K, K.T, atol=1e-12), K
+    assert 0 < sum(verdicts) < len(verdicts)

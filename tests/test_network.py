@@ -483,8 +483,9 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
              for form in FORMS}
     dense = loops["dense"]
     eye, K, Y = np.eye(n), dense.K, np.array([[0.8]])
+    Yinv = network.controller_storage(lag, Y).Q
     for form, loop in loops.items():
-        storage = built_in(monkeypatch, form, lambda: loop.storage_matrices(Y)[1])
+        storage = built_in(monkeypatch, form, lambda: loop.mixed(Yinv))
         assert {form_of(op) for op in (loop.W, loop.mixed_C, loop.node_C, storage)} == {form}
     W = np.block([[np.kron(eye, plant.A), np.kron(eye, plant.E), np.kron(K, plant.B @ lag.C)],
                   [np.zeros((n, 4 * n))],
@@ -494,7 +495,7 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     assert np.array_equal(dense.W.dense[np.ix_(node_major, node_major)], W)
     assert np.array_equal(dense.mixed_C.dense, np.kron(K, lag.C))
     assert np.array_equal(dense.node_C.dense, np.kron(eye, lag.C))
-    assert np.array_equal(dense.storage_matrices(Y)[1].dense, np.kron(K, np.linalg.inv(Y)))
+    assert np.array_equal(dense.mixed(Yinv).dense, np.kron(K, np.linalg.inv(Y)))
     X = np.random.default_rng(n).uniform(-2.0, 2.0, (8, dense.n_states))
     scale = np.abs(dense.W.dense) @ np.abs(dense.extend(X)).T
 
