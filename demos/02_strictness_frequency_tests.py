@@ -23,9 +23,10 @@ dmax = nc.osni_max_delta(m)
 print(f"  largest passing delta: {dmax:.7f}  (analytic value 1/a = {1/a})")
 
 print("\nnetworking two copies halves the strictness level:")
-L2 = [[1.0, -1.0], [-1.0, 1.0]]
+two_nodes = nc.Graph(2, frozenset({(0, 1)}))
 print(f"  max delta of the two-node bank L2 (x) M, block by block on the "
-      f"eigenvalues {{0, 2}} of L2: {nc.osni_max_delta(m, K=L2):.7f} (= {dmax:.6f} / 2)")
+      f"eigenvalues {{0, 2}} of L2: {nc.osni_max_delta(m, graph=two_nodes):.7f} "
+      f"(= {dmax:.6f} / 2)")
 
 print("\nstate-space certificate with the closed-form Y = a/b:")
 Y, delta_star = nc.first_order_certificate(a, b)

@@ -15,7 +15,7 @@ plant = nc.pendulum_plant(params)
 v1 = nc.pendulum_storage(params)
 Y, _ = nc.first_order_certificate(a, b)   # controller storage x^T Y^-1 x / 2
 
-loop = nc.pair_interconnect(plant, nc.first_order(a, b))
+loop = nc.ClosedLoop(plant, nc.first_order(a, b))
 cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=20.0, record_every=10)
 traj = nc.integrate(loop, np.array([1.0, 0.0, 0.0]), cfg)
 

@@ -22,7 +22,7 @@ plant = nc.pendulum_plant(params)
 v1 = nc.pendulum_storage(params)
 Y, _ = nc.first_order_certificate(a, b)   # controller storage x^T Y^-1 x / 2
 
-loop = nc.network_interconnect(plant, nc.first_order(a, b), graph)
+loop = nc.ClosedLoop(plant, nc.first_order(a, b), graph)
 
 x0 = np.zeros(12)
 x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]   # initial angles, rad

@@ -40,5 +40,5 @@ print("  the ratio stays below one, which rules out nonzero steady state "
 
 print("\nnetworked version over random constant input vectors:")
 inputs = rng.uniform(-25, 25, (100, 4))  # one constant input vector per row
-rep = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs, nc.laplacian(graph))
+rep = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs, graph)
 print(f"  max ratio {rep.gamma_hat:.4f} at {np.round(rep.worst_input, 2)}")

@@ -17,7 +17,7 @@ from .graph import (Graph, fiedler_value, is_connected, laplacian,
 from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_order,
                      first_order_certificate, freq_response, is_hurwitz, ni_freq_test,
                      osni_certificate_check, osni_freq_test, osni_max_delta)
-from .network import ClosedLoop, CompositeStorage, network_interconnect, pair_interconnect
+from .network import ClosedLoop, CompositeStorage
 from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
                     equilibrium_solve, gamma_estimate, gamma_input_grid,
                     pendulum_plant, pendulum_storage)

@@ -34,7 +34,9 @@ class CheckReport:
 
 def _report(name: str, violations: np.ndarray, times: np.ndarray,
             tol: float) -> CheckReport:
-    worst = int(np.argmax(violations))
+    worst = int(np.argmax(violations))  # NaN first, then +inf: finite unless one is not
+    if not np.isfinite(violations[worst]):  # overflowed: the first non-finite sample
+        worst = int(np.flatnonzero(~np.isfinite(violations))[0])
     max_violation = float(violations[worst])
     return CheckReport(name=name, max_violation=max_violation,
                        time_of_max=float(times[worst]), tolerance=tol,
@@ -159,7 +161,7 @@ def consensus_metric(traj: Trajectory):
     """Largest plant-output disagreement per sample.
 
     Returns (edge_max, all_pairs_max): the max of |y_i - y_j| over the graph
-    edges (the off-diagonal entries of K (x) [1]) and over all node pairs.
+    edges (the off-diagonal nonzeros of the loop's K) and over all node pairs.
     For scalar outputs the farthest pair is the largest and the smallest
     output, and rounding y_i - y_j is monotone in both, so max - min is the
     all-pairs maximum exactly; otherwise it is a running maximum over one
@@ -178,7 +180,7 @@ def consensus_metric(traj: Trajectory):
     else:
         all_pairs = reduce(np.maximum, (max_dist([i], slice(i + 1, None))
                                         for i in range(cl.n_plants - 1)))
-    i, j, _ = cl.mixed([[1.0]]).entries
+    i, j, _ = cl.mix
     return max_dist(i[i < j], j[i < j]), all_pairs
 
 

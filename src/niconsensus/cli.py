@@ -22,6 +22,7 @@ import numpy as np
 from . import analysis
 from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
                      load_config, reject_constant, resolve_config)
+from .graph import Graph
 from .linsys import (is_hurwitz, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
 # perfbench's tracer wraps cli.gamma_estimate; verify's gains run through gamma_estimates
@@ -65,8 +66,10 @@ def _write_json(path: Path, doc: dict):
 
 
 def _aggregate(reports):
-    # a NaN violation is the worst; max() alone would rank it by list position
-    worst = max(reports, key=lambda r: (math.isnan(r.max_violation), r.max_violation))
+    # as in each report: the first non-finite violation in time, else the largest
+    bad = [r for r in reports if not math.isfinite(r.max_violation)]
+    worst = (min(bad, key=lambda r: r.time_of_max) if bad
+             else max(reports, key=lambda r: r.max_violation))
     return {
         "passed": all(r.passed for r in reports),
         "max_violation": worst.max_violation,
@@ -164,10 +167,10 @@ def _gamma(est) -> dict:
 
 def _gains(cfg: ExperimentConfig) -> dict:
     """gamma_pair and, on a graph, gamma_network: one solve, each its own failure."""
-    cases = {"gamma_pair": (gamma_input_grid(), np.ones((1, 1)))}
+    cases = {"gamma_pair": (gamma_input_grid(), None)}
     if cfg.graph is not None:
         cases["gamma_network"] = (np.random.default_rng(12345).uniform(
-            -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m)), cfg.K)
+            -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m)), cfg.graph)
     ests = gamma_estimates(cfg.plant, cfg.controller_ss, list(cases.values()))
     return {name: _gamma(est) for name, est in zip(cases, ests)}
 
@@ -179,7 +182,7 @@ def _certificate(cfg: ExperimentConfig) -> dict:
 
 
 def _halving(cfg: ExperimentConfig, done: dict) -> dict:
-    half = osni_max_delta(cfg.controller_ss, K=[[1.0, -1.0], [-1.0, 1.0]])
+    half = osni_max_delta(cfg.controller_ss, graph=Graph(2, {(0, 1)}))
     expected = 0.5 * done["osni_max_delta"]["value"]
     return {"passed": bool(abs(half - expected) <= HALVING_TOL), "value": half,
             "expected": expected}

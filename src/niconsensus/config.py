@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECKS
-from .graph import Graph, is_connected, laplacian
+from .graph import Graph, is_connected
 from .linsys import StateSpace, first_order, first_order_certificate
 from .network import ClosedLoop, check_controller
 from .plant import (NonlinearPlant, PendulumParams, StorageFunction, pendulum_plant,
@@ -266,13 +266,8 @@ class ExperimentConfig:
     out_dir: str | None = None
     label: str = "experiment"
 
-    @property
-    def K(self) -> np.ndarray:
-        """Mixing matrix of the controller bank: [[1]] for a pair, else L."""
-        return np.ones((1, 1)) if self.graph is None else laplacian(self.graph)
-
     def build_loop(self) -> ClosedLoop:
-        return ClosedLoop(self.plant, self.controller_ss, self.K)
+        return ClosedLoop(self.plant, self.controller_ss, self.graph)
 
 
 def graph_from_config(entry: dict) -> Graph:

@@ -48,15 +48,31 @@ def path_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
+def mixing_entries(g: Graph | None):
+    """(n, (rows, cols, vals)): the order of the mixing matrix, [[1]] for a
+    single pair (g None) or else g's Laplacian, and its nonzeros sorted by row
+    and then column, built from the edges in O(edges) with degrees from
+    np.bincount: symmetric by construction."""
+    if g is None:
+        return 1, (np.zeros(1, np.intp), np.zeros(1, np.intp), np.ones(1))
+    i, j = np.array(list(g.edges), np.intp).reshape(-1, 2).T
+    deg = np.bincount(np.concatenate((i, j)), minlength=g.n).astype(float)
+    nodes = np.flatnonzero(deg)  # an isolated node's zero diagonal is no nonzero
+    rows, cols = np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes))
+    vals = np.concatenate((np.full(2 * i.size, -1.0), deg[nodes]))
+    order = np.lexsort((cols, rows))
+    return g.n, (rows[order], cols[order], vals[order])
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian (degree matrix minus adjacency matrix).
+    """Graph Laplacian D - A as the dense matrix of ``mixing_entries(g)``.
 
     Symmetric, positive semi-definite, zero row sums.
     """
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = a[j, i] = 1.0
-    return np.diag(a.sum(axis=1)) - a
+    n, (rows, cols, vals) = mixing_entries(g)
+    L = np.zeros((n, n))
+    L[rows, cols] = vals
+    return L
 
 
 def is_connected(g: Graph) -> bool:

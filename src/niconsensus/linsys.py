@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import laplacian_eigenvalues
+
 #: Eigenvalue floor for the positive semi-definiteness tests.
 PSD_TOL = 1e-9
 #: Residual tolerance for the state-space OSNI certificate.
@@ -105,16 +107,6 @@ def dc_gain(sys: StateSpace) -> np.ndarray:
     return -sys.C @ np.linalg.solve(sys.A, sys.B) + sys.D
 
 
-def mixing_matrix(K) -> np.ndarray:
-    """K as a 2-d float array; raises ValueError unless it is square and
-    symmetric (to 1e-12), each nonzero compared with its mirror entry."""
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    square = K.ndim == 2 and K.shape[0] == K.shape[1]
-    if not square or not np.allclose(K[(ij := np.nonzero(K))], K.T[ij], atol=1e-12):
-        raise ValueError("K must be square and symmetric")
-    return K
-
-
 def matvec(M, x) -> np.ndarray:
     """M x for each vector of the stack x (M one matrix or a stack), one
     product per vector: a batch row equals the single-vector result exactly."""
@@ -180,7 +172,7 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     return _psd(P - delta * R)
 
 
-def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=((1.0,),)) -> float:
+def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) -> float:
     """Largest strictness level delta for which the OSNI test passes.
 
     With P + PSD_TOL I = L L*, P - delta R >= -PSD_TOL at one point exactly
@@ -189,13 +181,12 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, K=((1.0,),)) -
     when R vanishes (the test is then delta-independent) and 0.0 when P
     already breaks the floor somewhere.
 
-    Given a symmetric K = U diag(lam) U^T, the level of the bank K (x) M(s)
-    without forming it: its NI matrices and grid terms are M's scaled block
-    by block, lam N, lam P and lam^2 R, from one frequency response.
+    Given a graph, whose Laplacian is L = U diag(lam) U^T, the level of the
+    bank L (x) M(s) without forming it: its NI matrices and grid terms are M's
+    scaled block by block, lam N, lam P and lam^2 R, from one frequency response.
     """
-    K = mixing_matrix(K)
     N, P, R = _osni_terms(sys, grid or FreqGrid.default())
-    lam = np.linalg.eigvalsh(K)[:, None, None, None]
+    lam = (np.ones(1) if graph is None else laplacian_eigenvalues(graph))[:, None, None, None]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")
     try:

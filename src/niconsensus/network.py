@@ -2,13 +2,13 @@
 
 Every closed loop is n identical plants in positive feedback with one linear
 controller bank: n identical strictly proper controllers M = (A, B, C) whose
-outputs are mixed by a constant symmetric n x n matrix K. The bank is
-(I (x) A, I (x) B, K (x) C): controller i integrates dxc_i = A xc_i + B y1_i
-locally and plant i receives u1_i = sum_j K_ij C xc_j. The two cases of the
-paper are
+outputs are mixed by the n x n matrix K that ``graph.mixing_entries`` gives
+as nonzeros. The bank is (I (x) A, I (x) B, K (x) C): controller i integrates
+dxc_i = A xc_i + B y1_i locally and plant i receives u1_i = sum_j K_ij C xc_j.
+The two cases of the paper are
 
-* a single plant/controller pair: n = 1 and K = [[1]];
-* a network over an undirected graph: K is the graph Laplacian L, so the
+* a single plant/controller pair (no graph): n = 1 and K = [[1]];
+* a network over a connected undirected graph: K is its Laplacian L, so the
   i-th input is sum_j a_ij (C xc_i - C xc_j) and the difference states
   xc_i - xc_j are literal copies of the single-controller dynamics.
 
@@ -46,8 +46,8 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, is_connected, laplacian
-from .linsys import StateSpace, is_hurwitz, mixing_matrix
+from .graph import Graph, is_connected, mixing_entries
+from .linsys import StateSpace, is_hurwitz
 from .plant import NonlinearPlant, StorageFunction
 
 #: Extended-state size N' from which the loop's operators are sparse, timed
@@ -173,26 +173,29 @@ class LoopSignals:
 
 class ClosedLoop:
     """n copies of one plant in positive feedback with the controller bank
-    (I (x) A, I (x) B, K (x) C), where n is the order of the mixing matrix K.
+    (I (x) A, I (x) B, K (x) C): K = [[1]] for a single pair (graph None),
+    else the Laplacian of the graph, which consensus requires connected.
 
     The composite vector field is a pure function of the composite state;
     instances hold no mutable simulation state and may be shared freely.
     """
 
-    def __init__(self, plant: NonlinearPlant, controller: StateSpace, K):
+    def __init__(self, plant: NonlinearPlant, controller: StateSpace, graph: Graph | None = None):
         check_controller(controller)
         if plant.m != controller.io_dim:
             raise ValueError("plant and controller input/output dimensions differ")
+        if graph is not None and not is_connected(graph):
+            raise ValueError("consensus requires a connected graph")
         self.plant, self.controller = plant, controller
-        K = mixing_matrix(K)
-        self.n_plants = n = K.shape[0]
-        self.io_dim = plant.m
+        #: K's nonzeros (rows, cols, vals), sorted by row; n is K's order
+        n, self.mix = mixing_entries(graph)
+        self.n_plants, self.io_dim = n, plant.m
         self._split = n * plant.p
         self.n_states = self._split + n * controller.state_dim
         A, B, C, E = plant.A, plant.B, plant.C, plant.E
         Ac, Bc, Cc = controller.A, controller.B, controller.C
         split, nr, q = self._split, n * plant.r, n * controller.state_dim
-        size, nodes, (i, j) = split + nr + q, np.arange(n), np.nonzero(K)
+        size = split + nr + q
         self._arg, self._phi = slice(nr), slice(split, split + nr)
         # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
         major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()
@@ -200,10 +203,10 @@ class ClosedLoop:
                                np.arange(split + nr, size)))
         #: Z[..., _rows] is the composite state of the extended states Z
         self._rows = np.delete(perm, self._phi)
-        eye, self._mix = (nodes, nodes, np.ones(n)), (i, j, K[i, j])
+        eye = np.arange(n), np.arange(n), np.ones(n)
         self._size, self._dense = size, size < EDGE_PRODUCT_MIN
         rows, cols, vals = _kron_entries(
-            (eye, A, 0, 0), (eye, E, 0, split), (self._mix, B @ Cc, 0, split + nr),
+            (eye, A, 0, 0), (eye, E, 0, split), (self.mix, B @ Cc, 0, split + nr),
             (eye, Bc @ C, split + nr, 0), (eye, Ac, split + nr, split + nr))
         self.W = KronOperator((size, size), (perm[rows], perm[cols], vals), self._dense)
         rows, _, vals = self.W.entries
@@ -221,7 +224,7 @@ class ClosedLoop:
         """K (x) M as an operator, dense or sparse as the loop's W."""
         M = np.atleast_2d(np.asarray(M, dtype=float))
         shape = (self.n_plants * M.shape[0], self.n_plants * M.shape[1])
-        return KronOperator(shape, _kron_entries((self._mix, M, 0, 0)), self._dense)
+        return KronOperator(shape, _kron_entries((self.mix, M, 0, 0)), self._dense)
 
     def split(self, X):
         """(plant states as (..., n, p), controller states as (..., n*q))."""
@@ -328,19 +331,6 @@ def _kron_entries(*blocks):
         parts.append(((row0 + p * i[:, None] + k).ravel(), (col0 + q * j[:, None] + l).ravel(),
                       (kij[:, None] * M[k, l]).ravel()))
     return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def pair_interconnect(plant: NonlinearPlant, controller: StateSpace) -> ClosedLoop:
-    """Positive feedback pair u1 = y2, u2 = y1: the bank with K = [[1]]."""
-    return ClosedLoop(plant, controller, [[1.0]])
-
-
-def network_interconnect(plant: NonlinearPlant, controller: StateSpace,
-                         graph: Graph) -> ClosedLoop:
-    """n plant copies driven by the bank with K = L, the graph Laplacian."""
-    if not is_connected(graph):
-        raise ValueError("consensus requires a connected graph")
-    return ClosedLoop(plant, controller, laplacian(graph))
 
 
 def dissipation(grad, dx, u, ydot):

@@ -23,7 +23,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linsys import StateSpace, dc_gain, matvec, mixing_matrix
+from .graph import mixing_entries
+from .linsys import StateSpace, dc_gain, matvec
 
 #: Newton residual tolerance and iteration limit of equilibrium solving.
 EQUILIBRIUM_TOL = 1e-10
@@ -310,11 +311,11 @@ def gamma_input_grid():
     return pts[np.abs(pts) > 1e-12, None]
 
 
-def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),)) -> GammaReport:
+def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, graph=None) -> GammaReport:
     """Steady-state gain ratio of the open chain from n plant copies to the
-    bank K (x) M(s), K = [[1]] (the default) for a pair and L for a network:
-    gamma_estimates on this one case, raising its GammaError."""
-    (est,) = gamma_estimates(plant, M, [(inputs, K)])
+    bank K (x) M(s), K = [[1]] for a pair (no graph) and the graph's Laplacian
+    L for a network: gamma_estimates on this one case, raising its GammaError."""
+    (est,) = gamma_estimates(plant, M, [(inputs, graph)])
     if isinstance(est, GammaError):
         raise est
     return est
@@ -322,18 +323,18 @@ def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, K=((1.0,),)) ->
 
 def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
     """Gain ratios u^T ybar2 / |u|^2 of the chains into K (x) M(s), one per
-    (inputs, K) case, K square and symmetric and inputs a (k, n m) array or a
-    list of k finite nonzero vectors: each node's equilibrium solved from
-    rest, those of all cases in one batch, its output mapped through
-    K (x) M(0) on the nonzeros of K. Per case a GammaReport, or a GammaError
-    naming the input and first node that failed."""
+    (inputs, graph) case, K the mixing matrix of ``mixing_entries(graph)`` of
+    order n and inputs a (k, n m) array or a list of k finite nonzero vectors:
+    each node's equilibrium solved from rest, those of all cases in one batch,
+    its output mapped through K (x) M(0) on the nonzeros of K. Per case a
+    GammaReport, or a GammaError naming the input and first node that failed."""
     if M.io_dim != plant.m:
         raise ValueError("controller input/output dimension must equal the plant's")
-    Ks = [mixing_matrix(K) for _, K in cases]
+    mixes = [mixing_entries(graph) for _, graph in cases]
     Us = [np.asarray(inputs, dtype=float) for inputs, _ in cases]
     if not all(U.size for U in Us):
         raise ValueError("need at least one constant input")
-    Us = [U.reshape(len(U), len(K) * plant.m) for U, K in zip(Us, Ks)]
+    Us = [U.reshape(len(U), n * plant.m) for U, (n, _) in zip(Us, mixes)]
     if not all(np.isfinite(U).all() for U in Us):
         raise ValueError("constant inputs must be finite")
     if any(np.any(np.linalg.norm(U, axis=1) <= 1e-300) for U in Us):
@@ -343,16 +344,16 @@ def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
         xbar = equilibrium_solve(plant, nodes, np.zeros((len(nodes), plant.p)))
     except EquilibriumError as err:
         xbar = err.x
-    ends, D, out = np.cumsum([len(U) * len(K) for U, K in zip(Us, Ks)]), dc_gain(M), []
-    for U, K, x in zip(Us, Ks, np.split(xbar, ends[:-1])):
-        k, n = len(U), len(K)
+    ends, D, out = np.cumsum([len(U) * n for U, (n, _) in zip(Us, mixes)]), dc_gain(M), []
+    for U, (n, (rows, cols, vals)), x in zip(Us, mixes, np.split(xbar, ends[:-1])):
+        k = len(U)
         x = x.reshape(k, n, plant.p)
         failed = np.flatnonzero(np.isnan(x).any(axis=2))
         if failed.size:
             out.append(GammaError(U[failed[0] // n], int(failed[0] % n)))
             continue
-        rows, cols, mixed = *np.nonzero(K), np.zeros((k, n, plant.m))
-        np.add.at(mixed, (slice(None), rows), K[rows, cols, None] * plant.h(x)[:, cols])
+        mixed = np.zeros((k, n, plant.m))
+        np.add.at(mixed, (slice(None), rows), vals[:, None] * plant.h(x)[:, cols])
         ratios = np.sum(U * matvec(D, mixed).reshape(k, -1), axis=1) / np.sum(U * U, axis=1)
         worst = int(np.argmax(ratios))
         out.append(GammaReport(float(ratios[worst]), U[worst], ratios))

@@ -22,7 +22,7 @@ def pendulum():
 @pytest.fixture(scope="session")
 def network_loop(four_node_graph, pendulum):
     plant, _ = pendulum
-    return nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
+    return nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), four_node_graph)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +42,7 @@ def network_traj(network_loop, network_x0):
 @pytest.fixture(scope="session")
 def pair_loop(pendulum):
     plant, _ = pendulum
-    return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
+    return nc.ClosedLoop(plant, nc.first_order(20.0, 6.0))
 
 
 @pytest.fixture(scope="session")

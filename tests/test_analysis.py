@@ -14,8 +14,7 @@ Y, _ = nc.first_order_certificate(A, B)
 @pytest.fixture(scope="module")
 def two_node_traj(pendulum):
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(A, B),
-                                   nc.Graph(2, frozenset({(0, 1)})))
+    loop = nc.ClosedLoop(plant, nc.first_order(A, B), nc.Graph(2, frozenset({(0, 1)})))
     x0 = np.array([1.5, 0.0, -1.0, 0.0, 0.0, 0.0])
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=6.0, record_every=10)
     return nc.integrate(loop, x0, cfg)
@@ -102,7 +101,7 @@ def test_lag_residual_is_exact_at_random_states(pendulum, four_node_graph):
     to round-off, since dV2/dt - u ycdot = -(b x - a u)^2 / a."""
     a, b = 20.0, 6.0
     lag = nc.first_order(a, b)
-    loop = nc.network_interconnect(pendulum[0], lag, four_node_graph)
+    loop = nc.ClosedLoop(pendulum[0], lag, four_node_graph)
     X = np.random.default_rng(3).uniform(-2.0, 2.0, (300, loop.n_states))
     traj = loop_at(loop, X)
     Y_lag, _ = nc.first_order_certificate(a, b)
@@ -122,7 +121,7 @@ def two_state_loop(pendulum):
     """A four-node path under a Hurwitz two-state controller, with an SPD Y
     that is only a storage matrix here, not an OSNI certificate."""
     ctrl = nc.StateSpace(A=[[-2.0, 1.0], [0.0, -3.0]], B=[[1.0], [2.0]], C=[[1.0, 0.5]])
-    loop = nc.network_interconnect(pendulum[0], ctrl, nc.path_graph(4))
+    loop = nc.ClosedLoop(pendulum[0], ctrl, nc.path_graph(4))
     return loop, np.array([[2.0, 0.3], [0.3, 1.0]])
 
 
@@ -213,8 +212,7 @@ def test_pair_identities(two_node_traj):
 
 def test_pair_identities_zero_trajectory(pendulum):
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(A, B),
-                                   nc.Graph(2, frozenset({(0, 1)})))
+    loop = nc.ClosedLoop(plant, nc.first_order(A, B), nc.Graph(2, frozenset({(0, 1)})))
     traj = nc.integrate(loop, np.zeros(6), nc.IntegratorConfig(1e-2, 1.0))
     report = analysis.check_pair_identities(traj)
     assert report.max_violation == 0.0
@@ -268,7 +266,7 @@ def test_lyapunov_monotone_sign_flipped_feedback_fails(pendulum, four_node_graph
     plant, v1 = pendulum
     flipped = nc.NonlinearPlant(A=plant.A, B=-plant.B, C=plant.C, E=plant.E,
                                 phi=plant.phi)
-    loop = nc.network_interconnect(flipped, nc.first_order(A, B), four_node_graph)
+    loop = nc.ClosedLoop(flipped, nc.first_order(A, B), four_node_graph)
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 5.0, 10))
@@ -318,7 +316,7 @@ def test_consensus_all_pairs_dominates_edges(network_traj, pendulum):
     assert np.all(all_pairs >= edge_max - 1e-15)
     # equality holds on a complete graph
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(A, B), complete_graph(4))
+    loop = nc.ClosedLoop(plant, nc.first_order(A, B), complete_graph(4))
     x0 = np.zeros(12)
     x0[0:8:2] = [2.0, 1.0, -2.0, -1.0]
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 2.0, 10))
@@ -331,7 +329,7 @@ def test_consensus_metric_max_minus_min_is_the_pairwise_maximum(pendulum):
     for bit the largest norm over all node pairs, on outputs spread over 200
     decades with ties and signed zeros."""
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(A, B), nc.path_graph(7))
+    loop = nc.ClosedLoop(plant, nc.first_order(A, B), nc.path_graph(7))
     rng = np.random.default_rng(11)
     X = rng.choice([-1.0, 1.0], (500, loop.n_states)) * 10.0 ** rng.uniform(-100, 100, (500, loop.n_states))
     X[:50, 0:14:2] = X[:50, :1]
@@ -348,7 +346,7 @@ def test_consensus_metric_for_vector_outputs_is_the_pairwise_maximum():
     """For m = 2 the all-pairs series, a running maximum over one node's
     pairs at a time, and the edge series read from K (x) [1] are bit for
     bit the maxima of the norms over every node pair and every graph edge."""
-    loop = nc.network_interconnect(*dense_plant(), nc.path_graph(7))
+    loop = nc.ClosedLoop(*dense_plant(), nc.path_graph(7))
     rng = np.random.default_rng(12)
     X = rng.choice([-1.0, 1.0], (500, loop.n_states)) * 10.0 ** rng.uniform(-100, 100, (500, loop.n_states))
     traj = nc.Trajectory(system=loop, times=np.arange(500.0), states=X, **vars(loop.evaluate(X)))
@@ -375,3 +373,16 @@ def test_report_pass_invariant(network_traj, pendulum):
                analysis.check_osni_like_network(network_traj, Y, 0.05)]
     for r in reports:
         assert r.passed == (r.max_violation <= r.tolerance)
+
+
+def test_report_names_the_first_non_finite_violation():
+    """np.argmax ranks NaN above +inf, so a run whose violation turns +inf
+    before NaN would report its first NaN: the worst sample is the first
+    non-finite one when there is one, else the first largest."""
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    report = analysis._report("x", np.array([0.0, 1.0, np.inf, np.nan, 2.0]), times, 1e-6)
+    assert (report.max_violation, report.time_of_max, report.passed) == (np.inf, 0.2, False)
+    report = analysis._report("x", np.array([0.0, np.nan, np.inf, 5.0, 2.0]), times, 1e-6)
+    assert np.isnan(report.max_violation) and report.time_of_max == 0.1
+    report = analysis._report("x", np.array([0.0, 3.0, 1.0, 3.0, 2.0]), times, 1e-6)
+    assert (report.max_violation, report.time_of_max) == (3.0, 0.1)

@@ -17,13 +17,10 @@ def loops(pendulum, four_node_graph):
     """A pair, the four-node flagship graph, and 16- and 64-node paths."""
     plant, _ = pendulum
     return {
-        "pair": nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
-        "flagship4": nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
-                                             four_node_graph),
-        "path16": nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
-                                          nc.path_graph(16)),
-        "path64": nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
-                                          nc.path_graph(64)),
+        "pair": nc.ClosedLoop(plant, nc.first_order(20.0, 6.0)),
+        "flagship4": nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), four_node_graph),
+        "path16": nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), nc.path_graph(16)),
+        "path64": nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), nc.path_graph(64)),
     }
 
 

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from niconsensus import (IntegratorConfig, config, integrate, network,
-                         network_interconnect, path_graph)
+from niconsensus import ClosedLoop, IntegratorConfig, config, integrate, network, path_graph
 from niconsensus.cli import main, run_simulation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,7 +83,7 @@ def test_tracer_sees_every_field_evaluation_under_rk4_path(nodes):
     cfg = config.resolve_config(json.loads((ROOT / "configs" / "pendulum4.json").read_text()))
     loop, x0, h, steps = cfg.build_loop(), cfg.x0, cfg.integrator.step_s, 25
     if nodes:
-        loop = network_interconnect(loop.plant, loop.controller, path_graph(nodes))
+        loop = ClosedLoop(loop.plant, loop.controller, path_graph(nodes))
         x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
     assert (loop.extend(x0).size >= network.EDGE_PRODUCT_MIN) == bool(nodes)
     tracer = load_tracing().Tracer()

@@ -154,6 +154,11 @@ def test_overflowing_run_writes_strict_json(tmp_path):
     for name in doc["checks"]:
         assert report["checks"][name]["passed"] is False
         assert report["checks"][name]["max_violation"] is None
+    # each check names its first non-finite sample: the storage rate is +inf
+    # from t = 13.09 s, before the node residuals' NaN at 13.25 s
+    times = {name: report["checks"][name]["time_of_max"] for name in doc["checks"]}
+    assert times == {"ni_dissipation": 13.25, "osni_dissipation": 13.09,
+                     "lyapunov_monotone": 13.09}
 
 
 def test_overflowing_run_fails_its_checks_without_a_warning(tmp_path, capsys):
@@ -175,6 +180,19 @@ def test_aggregate_ranks_a_nan_violation_worst():
         entry = _aggregate(reports)
         assert math.isnan(entry["max_violation"]) and entry["time_of_max"] == 1.0
         assert entry["passed"] is False
+
+
+def test_aggregate_names_the_first_non_finite_node_in_time():
+    """Over the nodes as within one report: the worst is the non-finite
+    violation that comes first in time, inf or NaN alike, else the largest."""
+    finite = CheckReport("node_0", 1e3, 0.1, 1e-6, False)
+    late_nan = CheckReport("node_1", math.nan, 0.7, 1e-6, False)
+    early_inf = CheckReport("node_2", math.inf, 0.3, 1e-6, False)
+    for reports in ([finite, late_nan, early_inf], [early_inf, late_nan, finite]):
+        entry = _aggregate(reports)
+        assert (entry["max_violation"], entry["time_of_max"]) == (math.inf, 0.3)
+    small = CheckReport("node_3", 1e-3, 0.2, 1e-6, False)
+    assert _aggregate([small, finite])["time_of_max"] == 0.1
 
 
 def test_simulate_failing_check_exit4(tmp_path):
@@ -212,7 +230,7 @@ def test_verify_gamma_network_draws_one_input_per_row(tmp_path):
     cfg = load_config(PENDULUM4)
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25.0, 25.0, 4) for _ in range(100)]
-    report = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, cfg.K)
+    report = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, cfg.graph)
     assert entry["gamma_hat"] == report.gamma_hat
     assert entry["worst_input"] == report.worst_input.tolist()
 
@@ -279,12 +297,12 @@ def test_verify_names_each_gains_own_failure_through_the_shared_solve(tmp_path):
                  "--quiet"]) == 4
     checks = json.loads((out / "verify.json").read_text())["checks"]
     cfg = resolve_config(doc)
-    inputs = {"gamma_pair": (gamma_input_grid(), [[1.0]]),
+    inputs = {"gamma_pair": (gamma_input_grid(), None),
               "gamma_network": (np.random.default_rng(12345).uniform(-25.0, 25.0, (100, 4)),
-                                cfg.K)}
-    for name, (U, K) in inputs.items():
+                                cfg.graph)}
+    for name, (U, graph) in inputs.items():
         with pytest.raises(GammaError) as info:
-            gamma_estimate(cfg.plant, cfg.controller_ss, U, K)
+            gamma_estimate(cfg.plant, cfg.controller_ss, U, graph)
         assert checks[name] == {"passed": False, "error": str(info.value),
                                 "input": info.value.input.tolist(),
                                 "node": info.value.node}

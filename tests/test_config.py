@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from niconsensus.cli import main
-from niconsensus.config import SCHEMA, schema_errors
+from niconsensus.config import SCHEMA, resolve_config, schema_errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PENDULUM4 = json.loads((ROOT / "configs" / "pendulum4.json").read_text())
@@ -181,3 +182,16 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out_simulate" / "trajectory.csv").exists()
     assert (tmp_path / "out_verify" / "verify.json").exists()
+
+
+def test_a_large_path_config_resolves_and_builds_in_o_edges_memory():
+    """A 4096-node path config resolves and builds its loop without any
+    n x n array: one dense Laplacian alone would take 134 MB."""
+    doc = path_doc(4096)
+    tracemalloc.start()
+    try:
+        loop = resolve_config(doc).build_loop()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loop.n_plants == 4096 and peak < 16e6

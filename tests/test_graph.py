@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import complete_graph
+from niconsensus.graph import mixing_entries
 
 
 def random_graph(rng, n):
@@ -107,3 +110,47 @@ def test_helper_graphs():
     assert nc.path_graph(4).edges == frozenset({(0, 1), (1, 2), (2, 3)})
     assert len(complete_graph(4).edges) == 6
     assert nc.is_connected(nc.path_graph(8))
+
+
+PLANT, LAG = nc.pendulum_plant(nc.PendulumParams()), nc.first_order(10.0, 10.0)
+
+
+@st.composite
+def graphs(draw):
+    """Graphs on 1 to 12 nodes with any edge set: isolated nodes, n = 1 and
+    disconnected graphs included."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return nc.Graph(n, frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(g=graphs())
+def test_mixing_entries_are_the_nonzeros_of_the_dense_laplacian(g):
+    """The entries built from the edge list are np.nonzero of the dense
+    D - A, in row-major order and bit for bit; laplacian(g) is that matrix
+    bit for bit. ClosedLoop mixes by those entries and refuses a
+    disconnected graph."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    dense = np.diag(a.sum(axis=1)) - a
+    assert nc.laplacian(g).tobytes() == dense.tobytes()
+    n, (rows, cols, vals) = mixing_entries(g)
+    i, j = np.nonzero(dense)
+    assert n == g.n and rows.dtype == i.dtype and cols.dtype == j.dtype
+    assert np.array_equal(rows, i) and np.array_equal(cols, j)
+    assert vals.tobytes() == dense[i, j].tobytes()
+    if nc.is_connected(g):
+        loop = nc.ClosedLoop(PLANT, LAG, g)
+        assert all(map(np.array_equal, loop.mix, (rows, cols, vals)))
+    else:
+        with pytest.raises(ValueError, match="consensus requires a connected graph"):
+            nc.ClosedLoop(PLANT, LAG, g)
+
+
+def test_no_graph_is_a_single_pair_mixed_by_one():
+    n, (rows, cols, vals) = mixing_entries(None)
+    assert (n, rows.tolist(), cols.tolist(), vals.tolist()) == (1, [0], [0], [1.0])
+    assert nc.ClosedLoop(PLANT, LAG).mix[2].tolist() == [1.0]

@@ -60,9 +60,9 @@ def test_network_requires_hurwitz_and_strictly_proper(pendulum):
     proper = nc.StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.5]])
     for ctrl, match in ((unstable, "Hurwitz"), (proper, "strictly proper")):
         with pytest.raises(ValueError, match=match):
-            nc.network_interconnect(plant, ctrl, g)
+            nc.ClosedLoop(plant, ctrl, g)
         with pytest.raises(ValueError, match=match):
-            nc.pair_interconnect(plant, ctrl)
+            nc.ClosedLoop(plant, ctrl)
 
 
 def test_network_dc_relation_steady_state():
@@ -76,7 +76,7 @@ def test_network_dc_relation_steady_state():
 
 def test_pair_interconnect_structure(pendulum):
     plant, _ = pendulum
-    loop = nc.pair_interconnect(plant, nc.first_order(10.0, 10.0))
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0))
     assert loop.n_states == 3 and loop.n_plants == 1
     assert np.array_equal(loop.K, [[1.0]])
     assert np.array_equal(loop.evaluate(np.zeros(3)).dstate, np.zeros(3))
@@ -85,7 +85,7 @@ def test_pair_interconnect_structure(pendulum):
     assert sig.y1 == pytest.approx([0.3])   # controller input is the plant output
     two_io = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="dimensions differ"):
-        nc.pair_interconnect(plant, two_io)
+        nc.ClosedLoop(plant, two_io)
 
 
 def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
@@ -94,7 +94,7 @@ def test_pair_rhs_is_the_explicit_pendulum_lag_field(pendulum):
     a, b = 20.0, 6.0
     m_kg, l_m, kappa, g = 1.0, 0.5, 5.0, 9.8
     ml2, mgl = m_kg * l_m ** 2, m_kg * g * l_m
-    loop = nc.pair_interconnect(plant, nc.first_order(a, b))
+    loop = nc.ClosedLoop(plant, nc.first_order(a, b))
     rng = np.random.default_rng(11)
     for _ in range(50):
         th, om, xc = rng.uniform(-3, 3, 3)
@@ -111,7 +111,7 @@ def test_edge_product_rows_are_the_explicit_path_field(pendulum):
     plant, _ = pendulum
     a, b, n = 10.0, 10.0, 64
     kappa, ml2, mgl = 5.0, 0.25, 4.9
-    loop = nc.network_interconnect(plant, nc.first_order(a, b), nc.path_graph(n))
+    loop = nc.ClosedLoop(plant, nc.first_order(a, b), nc.path_graph(n))
     assert loop.extend(np.zeros(loop.n_states)).size >= network.EDGE_PRODUCT_MIN
     X = np.random.default_rng(12).uniform(-3.0, 3.0, loop.n_states)
     th, om, xc = X[0:2 * n:2], X[1:2 * n:2], X[2 * n:]
@@ -142,31 +142,16 @@ def test_components_are_named_like_the_csv_columns(network_loop):
         f"controller {i}, coordinate 0" for i in (1, 2, 3, 4)]
 
 
-def test_closed_loop_refuses_a_mixing_matrix_that_is_not_square_and_symmetric(pendulum):
-    """A non-square K would mix n controller outputs into another number of
-    plant inputs, and a non-symmetric one is not the undirected graph's
-    Laplacian the theory needs, while positivity_margin reads lambda_max(K)
-    from one triangle only: both are refused at build, as osni_max_delta
-    refuses them. A symmetric K with negative entries still builds."""
-    plant, _ = pendulum
-    lag = nc.first_order(10.0, 10.0)
-    for K in ([[1.0, 0.0, 0.0]], [[1.0, -1.0], [0.0, 0.0]], np.ones((2, 2, 2))):
-        with pytest.raises(ValueError, match="K must be square and symmetric"):
-            nc.ClosedLoop(plant, lag, K)
-    assert nc.ClosedLoop(plant, lag, L2).n_plants == 2
-
-
 def test_network_disconnected_graph_rejected(pendulum):
     plant, _ = pendulum
     with pytest.raises(ValueError, match="connected graph"):
-        nc.network_interconnect(plant, nc.first_order(10.0, 10.0),
-                                nc.Graph(3, frozenset({(0, 1)})))
+        nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), nc.Graph(3, frozenset({(0, 1)})))
 
 
 def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     """Identical nodes feel zero network input and evolve like free plants."""
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), four_node_graph)
     x0 = np.zeros(12)
     x0[0:8:2] = 0.9
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=8.0, record_every=20)
@@ -181,7 +166,7 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
 
 def test_single_node_network_degenerates(pendulum):
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), nc.Graph(1))
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), nc.Graph(1))
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=4.0, record_every=10)
     traj = nc.integrate(loop, np.array([1.2, 0.0, 0.0]), cfg)
     assert np.abs(traj.u1).max() == 0.0
@@ -202,7 +187,7 @@ def test_permutation_equivariance(pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=5.0, record_every=50)
 
     def run(g, xp, xc):
-        loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), g)
+        loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), g)
         return nc.integrate(loop, np.concatenate([xp.reshape(-1), xc]), cfg)
 
     t1 = run(g1, x_plants, x_ctrl)
@@ -220,7 +205,7 @@ def test_composite_storage_values(pendulum, network_loop):
     plant, v1 = pendulum
     a = b = 10.0
     Y, _ = nc.first_order_certificate(a, b)
-    pair = nc.pair_interconnect(plant, nc.first_order(a, b))
+    pair = nc.ClosedLoop(plant, nc.first_order(a, b))
     cs = nc.CompositeStorage(pair, v1, Y)
     assert cs.value(np.zeros(3)) == 0.0
     w = cs.value(np.array([math.pi, 0.0, 1.0]))
@@ -242,7 +227,7 @@ def test_network_storage_vanishes_on_controller_consensus_line(pendulum, network
     plant, v1 = pendulum
     Y, _ = nc.first_order_certificate(10.0, 10.0)
     cs_net = nc.CompositeStorage(network_loop, v1, Y)
-    cs_pair = nc.CompositeStorage(nc.pair_interconnect(plant, nc.first_order(10.0, 10.0)),
+    cs_pair = nc.CompositeStorage(nc.ClosedLoop(plant, nc.first_order(10.0, 10.0)),
                                   v1, Y)
     for c in (1.0, -3.0, 0.37):
         assert abs(cs_net.value(np.concatenate([np.zeros(8), np.full(4, c)]))) <= 1e-15
@@ -268,7 +253,7 @@ def test_quadratic_controller_storage_is_the_edge_sum(pendulum):
     rng = np.random.default_rng(21)
     for n in (2, 3, 5, 8):
         g = random_connected_graph(rng, n)
-        loop = nc.network_interconnect(plant, ctrl, g)
+        loop = nc.ClosedLoop(plant, ctrl, g)
         for _ in range(5):
             R = rng.normal(size=(2, 2))
             Y = R @ R.T + 0.1 * np.eye(2)
@@ -311,9 +296,7 @@ def margin_witness(cs, t):
 
 
 def lag_storage(plant, v1, a, b, graph=None):
-    ctrl = nc.first_order(a, b)
-    loop = (nc.pair_interconnect(plant, ctrl) if graph is None
-            else nc.network_interconnect(plant, ctrl, graph))
+    loop = nc.ClosedLoop(plant, nc.first_order(a, b), graph)
     return nc.CompositeStorage(loop, v1, nc.first_order_certificate(a, b)[0])
 
 
@@ -393,8 +376,7 @@ def test_positivity_margin_matches_the_dense_storage_matrix(p, io, q, n, seed):
     ctrl = nc.StateSpace(-np.eye(q), rng.normal(size=(q, io)), rng.normal(size=(io, q)))
     R = rng.normal(size=(q, q))
     Y = R @ R.T + 0.1 * np.eye(q)
-    loop = (nc.pair_interconnect(plant, ctrl) if n == 1
-            else nc.network_interconnect(plant, ctrl, nc.path_graph(n)))
+    loop = nc.ClosedLoop(plant, ctrl, None if n == 1 else nc.path_graph(n))
     cs = nc.CompositeStorage(loop, v1, Y)
     K, G = loop.K, plant.C.T @ ctrl.C
     H = np.block([[np.kron(np.eye(len(K)), Q), -np.kron(K, G)],
@@ -416,8 +398,7 @@ def test_positivity_margin_matches_the_dense_storage_matrix(p, io, q, n, seed):
 
 def test_positivity_margin_needs_a_positive_definite_certificate(pendulum, network_loop):
     plant, v1 = pendulum
-    two_state = nc.pair_interconnect(plant, nc.StateSpace(-np.eye(2), [[1.0], [0.0]],
-                                                          [[1.0, 0.0]]))
+    two_state = nc.ClosedLoop(plant, nc.StateSpace(-np.eye(2), [[1.0], [0.0]], [[1.0, 0.0]]))
     for loop, Y in ((network_loop, [[-1.0]]), (two_state, [[1.0, 1.0], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="symmetric positive definite"):
             nc.CompositeStorage(loop, v1, Y).positivity_margin()
@@ -479,7 +460,7 @@ def test_edge_product_matches_the_dense_loop_matrix(pendulum, monkeypatch, shape
     plant, v1 = pendulum
     lag = nc.first_order(10.0, 10.0)
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
-    loops = {form: built_in(monkeypatch, form, lambda: nc.network_interconnect(plant, lag, graph))
+    loops = {form: built_in(monkeypatch, form, lambda: nc.ClosedLoop(plant, lag, graph))
              for form in FORMS}
     dense = loops["dense"]
     eye, K, Y = np.eye(n), dense.K, np.array([[0.8]])
@@ -535,7 +516,7 @@ def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shap
     h, lag = 1e-3, nc.first_order(10.0, 10.0)
     two_state = nc.StateSpace([[-1.0, 1.0], [0.0, -2.0]], [[1.0], [0.5]], [[1.0, 0.3]])
     graph = {"path": nc.path_graph, "star": star_graph, "complete": complete_graph}[shape](n)
-    loops = {form: built_in(monkeypatch, form, lambda: nc.network_interconnect(plant, lag, graph))
+    loops = {form: built_in(monkeypatch, form, lambda: nc.ClosedLoop(plant, lag, graph))
              for form in FORMS}
     size = loops["dense"].extend(np.zeros(loops["dense"].n_states)).size
     rng = np.random.default_rng(n)
@@ -553,7 +534,7 @@ def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shap
     W = loops["dense"].W.dense
     for form, loop in loops.items():
         mixed = built_in(monkeypatch, form,
-                         lambda: nc.network_interconnect(plant, two_state, graph)).mixed_C
+                         lambda: nc.ClosedLoop(plant, two_state, graph)).mixed_C
         stages = built_in(monkeypatch, form, lambda: stage_operators(monkeypatch, loop, h))
         assert mixed.shape == (n, 2 * n)
         assert {form_of(op) for op in (loop.W, mixed, *stages)} == {form}
@@ -562,7 +543,7 @@ def test_edge_stages_match_the_dense_stage_operators(pendulum, monkeypatch, shap
         assert np.array_equal(stages[0].matrix(), np.eye(size) + h / 2 * W)
     assert np.bincount(loops["dense"].W.entries[0], minlength=size).min() == 0
     if n == 64 and shape != "complete":
-        natural = nc.network_interconnect(plant, lag, graph)
+        natural = nc.ClosedLoop(plant, lag, graph)
         ops = (natural.W, *stage_operators(monkeypatch, natural, h))
         assert {form_of(op) for op in ops} == {"slots" if shape == "path" else "segments"}
 
@@ -575,7 +556,7 @@ def test_a_controller_without_states_mixes_to_zero_in_every_form(pendulum, monke
     empty = nc.StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
     for form in FORMS:
         loop = built_in(monkeypatch, form,
-                        lambda: nc.network_interconnect(plant, empty, nc.path_graph(32)))
+                        lambda: nc.ClosedLoop(plant, empty, nc.path_graph(32)))
         sig = loop.evaluate(np.ones(loop.n_states))
         assert loop.mixed_C.shape == (32, 0) and not sig.y2.any() and not sig.yc.any()
 
@@ -587,7 +568,7 @@ def test_large_loop_is_built_without_its_dense_matrix(pendulum):
     graph = nc.path_graph(1024)
     tracemalloc.start()
     try:
-        loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), graph)
+        loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), graph)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -61,7 +61,7 @@ def test_controller_storage_values(pendulum):
     """V2(x) = (1/2) x^T Y^-1 x with the lag's certificate Y = a/b is
     (b / 2a) x^2: the composite storage with the plant at rest."""
     plant, v1 = pendulum
-    loop = nc.pair_interconnect(plant, nc.first_order(10.0, 10.0))
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0))
     cs = nc.CompositeStorage(loop, v1, nc.first_order_certificate(10.0, 10.0)[0])
     assert cs.value([0.0, 0.0, 1.0]) == pytest.approx(0.5)
     assert cs.value([0.0, 0.0, 0.0]) == 0.0
@@ -278,9 +278,9 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
         K = nc.laplacian(graph)
         inputs = np.random.default_rng(12345).uniform(-25, 25, (100, graph.n))
     else:
-        K, inputs = np.ones((1, 1)), nc.gamma_input_grid()
-    report = nc.gamma_estimate(plant, M, inputs, K)
-    single = [nc.gamma_estimate(plant, M, u[None], K).ratios[0] for u in inputs]
+        graph, K, inputs = None, np.ones((1, 1)), nc.gamma_input_grid()
+    report = nc.gamma_estimate(plant, M, inputs, graph)
+    single = [nc.gamma_estimate(plant, M, u[None], graph).ratios[0] for u in inputs]
     assert np.array_equal(report.ratios, single)
     n = inputs.shape[1]
     dc = nc.dc_gain(kron_ss(K, M))
@@ -293,7 +293,7 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
         assert np.array_equal(report.ratios, loop)
     assert np.abs(report.ratios - loop).max() <= 1e-12
     assert np.array_equal(report.worst_input, inputs[np.argmax(loop)])
-    listed = nc.gamma_estimate(plant, M, list(inputs), K)
+    listed = nc.gamma_estimate(plant, M, list(inputs), graph)
     assert np.array_equal(listed.ratios, report.ratios)
 
 
@@ -325,8 +325,7 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
     plant, _ = pendulum
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25, 25, 4) for _ in range(100)]
-    report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs,
-                               nc.laplacian(four_node_graph))
+    report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs, four_node_graph)
     assert report.gamma_hat < 1.0
     # cross-check the reported maximiser against the bracketing oracle
     u = report.worst_input
@@ -361,20 +360,6 @@ def test_gamma_input_validation(pendulum):
         nc.gamma_estimate(hopeless, nc.first_order(10.0, 10.0), [np.array([3.0])])
 
 
-def test_gamma_refuses_a_k_that_is_not_square_and_symmetric(pendulum):
-    """gamma_estimate, osni_max_delta and ClosedLoop refuse a non-symmetric
-    and a non-square K with one message: the theory mixes identical nodes by
-    an undirected graph's Laplacian, and a non-square K cannot map n node
-    outputs to n node inputs."""
-    plant, _ = pendulum
-    lag = nc.first_order(10.0, 10.0)
-    for K in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, -1.0]]):
-        for refuse in (lambda: nc.gamma_estimate(plant, lag, [[1.0, 2.0]], K=K),
-                       lambda: nc.osni_max_delta(lag, K=K), lambda: nc.ClosedLoop(plant, lag, K)):
-            with pytest.raises(ValueError, match="K must be square and symmetric"):
-                refuse()
-
-
 def test_phi_that_ignores_out_is_refused():
     """The integrator refills its phi block with phi(x, out): a phi that
     returns phi(x) but leaves out alone would keep the block stale in every
@@ -390,7 +375,7 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
     saturating = nc.NonlinearPlant(A=[[0.0]], B=[[1.0]], C=[[1.0]], E=[[-1.0]],
                                    phi=np.tanh)
     gain = partial(nc.gamma_estimate, saturating, nc.first_order(10.0, 10.0),
-                   K=nc.laplacian(four_node_graph))
+                   graph=four_node_graph)
     report = gain([np.array([0.5, -0.3, 0.2, 0.9])])
     assert np.isfinite(report.gamma_hat)
     with pytest.raises(RuntimeError, match=r"\(node 2\)"):
@@ -400,7 +385,7 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
     # two failing inputs: the first input is named, with its first failing node
     with pytest.raises(RuntimeError, match=r"input \[ 0\.5 +0\.1 +3\. +-1\.5\] \(node 2\)"):
         gain(np.array([[0.5, 0.1, 3.0, -1.5], [2.0, -2.0, 0.2, 4.0]]))
-    # a bank passed as M, the form before K was an argument, is refused
+    # a bank passed as M, the form before the graph was an argument, is refused
     with pytest.raises(ValueError, match="must equal the plant's"):
         nc.gamma_estimate(saturating, kron_ss(nc.laplacian(four_node_graph),
                                               nc.first_order(10.0, 10.0)), np.ones((1, 4)))

@@ -176,7 +176,7 @@ def test_divergence_inside_a_stage_names_the_entry_that_overflowed(pendulum):
     """From xc = 1e306 the stiff controller's first slope overflows, and the
     product with W spreads it to every entry of the next slope and so of the
     new state. The error names the controller, not entry 0."""
-    loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
+    loop = nc.ClosedLoop(pendulum[0], nc.first_order(5000.0, 5000.0))
     with pytest.raises(nc.SimulationDiverged) as err:
         nc.integrate(loop, np.array([0.0, 0.0, 1e306]), nc.IntegratorConfig(1e-3, 1e-2))
     assert err.value.step == 1 and err.value.index == 2
@@ -189,7 +189,7 @@ def test_divergence_on_the_edge_product_names_the_node_that_left(pendulum):
     product turns every row NaN (0 * inf). From a huge angle at node 41 the
     stiff controller of that node overflows first, and the error names it."""
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(5000.0, 5000.0), nc.path_graph(64))
+    loop = nc.ClosedLoop(plant, nc.first_order(5000.0, 5000.0), nc.path_graph(64))
     assert loop.extend(np.zeros(loop.n_states)).size >= network.EDGE_PRODUCT_MIN
     x0 = np.zeros(loop.n_states)
     x0[0:128:2] = 0.1
@@ -212,7 +212,7 @@ def test_divergence_reads_entries_in_composite_order():
     coordinate 1 (node by node): the error names plant 1."""
     plant = nc.NonlinearPlant(A=-1e10 * np.eye(2), B=[[0.0], [1.0]], C=[[1.0, 0.0]],
                               E=np.zeros((2, 0)), phi=np.positive)
-    loop = nc.network_interconnect(plant, nc.first_order(1.0, 1.0), nc.path_graph(2))
+    loop = nc.ClosedLoop(plant, nc.first_order(1.0, 1.0), nc.path_graph(2))
     assert loop._rows[2] < loop._rows[1]
     x0 = np.zeros(loop.n_states)
     x0[[1, 2]] = 1e300
@@ -233,9 +233,9 @@ def test_divergence_between_recorded_steps_replays_to_the_same_step(pendulum, na
     plant, _ = pendulum
     stiff = nc.first_order(5000.0, 5000.0)
     if name == "stiff_pair":
-        loop, x0 = nc.pair_interconnect(plant, stiff), np.array([1.0, 0.0, 0.0])
+        loop, x0 = nc.ClosedLoop(plant, stiff), np.array([1.0, 0.0, 0.0])
     else:
-        loop = nc.network_interconnect(plant, stiff, nc.path_graph(64))
+        loop = nc.ClosedLoop(plant, stiff, nc.path_graph(64))
         x0 = np.zeros(loop.n_states)
         x0[0:128:2] = 0.1
         x0[80] = 1e100
@@ -264,7 +264,7 @@ def test_a_diverging_loop_evaluates_its_field_only_inside_its_stages(pendulum, m
         return rhs(self, *args, **kwargs)
 
     monkeypatch.setattr(network.ClosedLoop, "rhs", counted)
-    loop = nc.pair_interconnect(pendulum[0], nc.first_order(5000.0, 5000.0))
+    loop = nc.ClosedLoop(pendulum[0], nc.first_order(5000.0, 5000.0))
     for every in (1, 7, 10**9):
         calls.clear()
         with pytest.raises(nc.SimulationDiverged) as err:
@@ -310,7 +310,7 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
 
 def dense_path3():
     """A 3-node path of the dense plant with m = 2 and r = 2."""
-    return nc.network_interconnect(*dense_plant(), nc.path_graph(3))
+    return nc.ClosedLoop(*dense_plant(), nc.path_graph(3))
 
 
 def linear_pair():
@@ -318,7 +318,7 @@ def linear_pair():
     plant = nc.NonlinearPlant(A=[[0.0, 1.0], [-4.0, -0.1]], B=[[0.0], [1.0]],
                               C=[[1.0, 0.0]], E=np.zeros((2, 0)),
                               phi=lambda x, out=None: x[..., :0])
-    return nc.pair_interconnect(plant, nc.first_order(20.0, 6.0))
+    return nc.ClosedLoop(plant, nc.first_order(20.0, 6.0))
 
 
 LOOPS = ["pair", "flagship4", "path64", "dense_path3", "linear_pair"]
@@ -327,11 +327,11 @@ LOOPS = ["pair", "flagship4", "path64", "dense_path3", "linear_pair"]
 def make_loop(pendulum, four_node_graph, name):
     plant, _ = pendulum
     lag = nc.first_order(10.0, 10.0)
-    return {"pair": lambda: nc.pair_interconnect(plant, nc.first_order(20.0, 6.0)),
-            "flagship4": lambda: nc.network_interconnect(plant, lag, four_node_graph),
-            "path64": lambda: nc.network_interconnect(plant, lag, nc.path_graph(64)),
+    return {"pair": lambda: nc.ClosedLoop(plant, nc.first_order(20.0, 6.0)),
+            "flagship4": lambda: nc.ClosedLoop(plant, lag, four_node_graph),
+            "path64": lambda: nc.ClosedLoop(plant, lag, nc.path_graph(64)),
             "dense_path3": dense_path3, "linear_pair": linear_pair,
-            "star40": lambda: nc.network_interconnect(
+            "star40": lambda: nc.ClosedLoop(
                 plant, lag, nc.Graph(40, frozenset((0, i) for i in range(1, 40))))}[name]()
 
 
@@ -410,7 +410,7 @@ def test_a_phi_of_several_coordinates_is_a_phi_of_all_p(four_node_graph):
     plant = nc.NonlinearPlant(A=[[0.0, 1.0], [-4.0, -0.5]], B=[[0.0], [1.0]],
                               C=[[1.0, 0.0]], E=[[0.0, 0.0], [-1.0, 0.0]],
                               phi=lambda v, out=None: np.multiply(v, v[..., ::-1], out=out))
-    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), four_node_graph)
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), four_node_graph)
     L = loop.K
 
     def field(X):
@@ -466,7 +466,7 @@ def test_an_edge_rk4_step_adds_one_frame_per_stage_product(pendulum):
     multiply, reduction and weighted sum are ufunc and array methods, which
     run no numpy dispatcher."""
     plant, _ = pendulum
-    loop = nc.network_interconnect(plant, nc.first_order(10.0, 10.0), nc.path_graph(64))
+    loop = nc.ClosedLoop(plant, nc.first_order(10.0, 10.0), nc.path_graph(64))
     x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
     assert loop.extend(x0).size >= network.EDGE_PRODUCT_MIN
     one, two = step_frames(loop, x0)
