@@ -213,12 +213,10 @@ def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> ConsensusRe
         columns=(("edge_max", edge_max), ("all_pairs_max", all_pairs)))
 
 
-# Skip rules of the check table: (applies(cfg, entries recorded so far), reason).
-_NEEDS_Y = (lambda cfg, done: cfg.controller_Y is None, "no closed-form controller storage")
-_NEEDS_NODES = (lambda cfg, done: cfg.graph is None or cfg.graph.n < 2,
-                "needs at least two nodes")
-_NEEDS_PAIR = (lambda cfg, done: cfg.graph is None or cfg.graph.n != 2,
-               "needs a 2-node network")
+# Skip rules of the check table: (applies(cfg, traj), reason), called as the run is.
+_NEEDS_Y = (lambda cfg, traj: cfg.controller_Y is None, "no closed-form controller storage")
+_NEEDS_NODES = (lambda cfg, traj: traj.system.n_plants < 2, "needs at least two nodes")
+_NEEDS_PAIR = (lambda cfg, traj: traj.system.n_plants != 2, "needs a 2-node network")
 
 #: The trajectory checks a config may name: name -> (run, skip rule, per node).
 #: run(cfg, traj) takes its arguments from the ExperimentConfig cfg and returns

@@ -83,11 +83,11 @@ def _aggregate(reports):
 def _run_table(table: dict, names, cfg: ExperimentConfig, arg, entries: dict) -> dict:
     """Fill `entries` with one entry per named row of a check table, a row being
     (run, skip rule[, per node]): {"skipped": reason} when the skip rule applies
-    to (cfg, entries so far), else run(cfg, arg)'s report as a dict, per-node
-    reports aggregated. A run that returns None leaves its row out."""
+    to (cfg, arg), else run(cfg, arg)'s report as a dict, per-node reports
+    aggregated. A run that returns None leaves its row out."""
     for name in names:
         run, skip, *per_node = table[name]
-        if skip and skip[0](cfg, entries):
+        if skip and skip[0](cfg, arg):
             entries[name] = {"skipped": skip[1]}
             continue
         entry = run(cfg, arg)
@@ -143,7 +143,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
                         title=cfg.label, xlabel="time (s)", ylabel="output")
         artifacts = {"trajectory_csv": str(csv_path), "outputs_svg": str(svg_path)}
 
-    report = {"label": cfg.label, "mode": "pair" if cfg.graph is None else "network",
+    report = {"label": cfg.label, "mode": cfg.raw["mode"],
               **{k: summary[k] for k in ("status", "error") if k in summary},
               "checks": results, "artifacts": artifacts, "config": cfg.raw}
     _record(out_dir / "report.json", report, quiet)

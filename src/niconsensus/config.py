@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECKS
-from .graph import Graph, is_connected
+from .graph import Graph, integral, is_connected
 from .linsys import StateSpace, first_order, first_order_certificate
 from .network import ClosedLoop, check_controller
 from .plant import (NonlinearPlant, PendulumParams, StorageFunction, pendulum_plant,
@@ -141,8 +141,7 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
+    "integer": integral,
 }
 
 
@@ -271,10 +270,14 @@ class ExperimentConfig:
 
 
 def graph_from_config(entry: dict) -> Graph:
+    """A network's graph, which consensus requires connected."""
     try:
-        return Graph(int(entry["n"]), frozenset(tuple(e) for e in entry["edges"]))
+        graph = Graph(entry["n"], frozenset(tuple(e) for e in entry["edges"]))
     except ValueError as err:
         raise ConfigError(f"graph: {err}") from err
+    if not is_connected(graph):
+        raise ConfigError("$.graph: consensus requires a connected graph")
+    return graph
 
 
 def controller_from_config(entry: dict):
@@ -314,19 +317,16 @@ def resolve_config(doc: dict) -> ExperimentConfig:
     if ("graph" in doc) != (mode == "network"):
         raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
     graph = graph_from_config(doc["graph"]) if mode == "network" else None
-    if graph is not None and not is_connected(graph):
-        raise ConfigError("$.graph: consensus requires a connected graph")
     # one bank of n nodes either way; the pair form drops the node axis
-    pair = graph is None
-    keys = ("plant", "controller") if pair else ("plants", "controllers")
+    keys, nodes = ((("plant", "controller"), ()) if graph is None
+                   else (("plants", "controllers"), (graph.n,)))
     ics = doc["initial_conditions"]
     if any(key not in ics for key in keys):
         raise ConfigError(f"$.initial_conditions: {mode} mode needs "
                           f"{keys[0]!r} and {keys[1]!r}")
     x0 = []
     for key, dim in zip(keys, (plant.p, controller.state_dim)):
-        value = np.asarray(ics[key], dtype=float)
-        shape = (dim,) if pair else (graph.n, dim)
+        value, shape = np.asarray(ics[key], dtype=float), nodes + (dim,)
         if value.shape != shape:
             raise ConfigError(f"$.initial_conditions.{key}: expected shape "
                               f"{list(shape)}, got {list(value.shape)}")

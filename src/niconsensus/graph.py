@@ -6,7 +6,7 @@ row-major semantics; no wrapper type is introduced.
 
 from __future__ import annotations
 
-from collections import deque
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,18 +17,21 @@ class Graph:
     """Unweighted undirected graph on nodes ``0 .. n-1``.
 
     Edges are stored as a frozenset of ``(i, j)`` pairs normalised to
-    ``i < j``. Self-loops and out-of-range indices are rejected; duplicate
-    edges collapse.
+    ``i < j``. The node count and each edge's two nodes must be ``integral``;
+    self-loops and out-of-range indices are rejected, duplicate edges collapse.
     """
 
     n: int
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one node")
+        if not integral(self.n) or self.n < 1:
+            raise ValueError(f"graph needs a whole number of nodes, at least one, not {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         norm = set()
         for e in self.edges:
+            if len(e) != 2 or not all(map(integral, e)):
+                raise ValueError(f"edge {tuple(e)} is not two integer node indices")
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
@@ -41,6 +44,12 @@ class Graph:
     def edge_list(self):
         """Edges as a sorted list of (i, j) with i < j."""
         return sorted(self.edges)
+
+
+def integral(value) -> bool:
+    """An integer as JSON Schema counts one: 3 or 3.0, but no bool."""
+    return not isinstance(value, bool) and (isinstance(value, numbers.Integral)
+                                            or isinstance(value, float) and value.is_integer())
 
 
 def path_graph(n: int) -> Graph:
@@ -64,38 +73,35 @@ def mixing_entries(g: Graph | None):
     return g.n, (rows[order], cols[order], vals[order])
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian D - A as the dense matrix of ``mixing_entries(g)``.
-
-    Symmetric, positive semi-definite, zero row sums.
-    """
+def laplacian(g: Graph | None) -> np.ndarray:
+    """The mixing matrix K as the dense matrix of ``mixing_entries(g)``: the
+    graph Laplacian D - A (symmetric, positive semi-definite, zero row sums),
+    or [[1]] for a single pair (g None)."""
     n, (rows, cols, vals) = mixing_entries(g)
     L = np.zeros((n, n))
     L[rows, cols] = vals
     return L
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    if g.n == 1:
+def is_connected(g: Graph | None) -> bool:
+    """Depth-first reachability of every node from node 0; no graph is one node."""
+    if g is None or g.n == 1:
         return True
-    adj = {i: [] for i in range(g.n)}
+    adj = [[] for _ in range(g.n)]
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                stack.append(v)
     return len(seen) == g.n
 
 
-def laplacian_eigenvalues(g: Graph) -> np.ndarray:
-    """Ascending eigenvalues of the graph Laplacian."""
+def laplacian_eigenvalues(g: Graph | None) -> np.ndarray:
+    """Ascending eigenvalues of ``laplacian(g)``: K's spectrum, [1] for no graph."""
     return np.linalg.eigvalsh(laplacian(g))
 
 

@@ -181,12 +181,12 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) ->
     when R vanishes (the test is then delta-independent) and 0.0 when P
     already breaks the floor somewhere.
 
-    Given a graph, whose Laplacian is L = U diag(lam) U^T, the level of the
-    bank L (x) M(s) without forming it: its NI matrices and grid terms are M's
-    scaled block by block, lam N, lam P and lam^2 R, from one frequency response.
+    The level of the bank K (x) M(s), K = laplacian(graph) = U diag(lam) U^T
+    ([[1]] with no graph), from one frequency response of M: its NI matrices
+    and grid terms are M's scaled block by block, lam N, lam P and lam^2 R.
     """
     N, P, R = _osni_terms(sys, grid or FreqGrid.default())
-    lam = (np.ones(1) if graph is None else laplacian_eigenvalues(graph))[:, None, None, None]
+    lam = laplacian_eigenvalues(graph)[:, None, None, None]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")
     try:

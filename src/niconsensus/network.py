@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, is_connected, mixing_entries
+from .graph import Graph, is_connected, laplacian, laplacian_eigenvalues, mixing_entries
 from .linsys import StateSpace, is_hurwitz
 from .plant import NonlinearPlant, StorageFunction
 
@@ -155,17 +155,15 @@ class KronOperator:
 class LoopSignals:
     """Every signal of a closed loop at composite states of shape (..., N).
 
-    Arrays of shape (..., n*m): plant inputs u1, plant outputs y1 and their
-    exact rates, per-node controller outputs yc = (I (x) C) xc and rates,
-    mixed controller outputs y2 = (K (x) C) xc and rates. The plant input u1
-    is y2 (positive feedback); for a pair K = [[1]] makes y2 equal to yc.
+    Arrays of shape (..., n*m): plant inputs u1 = y2 (positive feedback), plant
+    outputs y1 and their exact rates, per-node controller output rates ycdot =
+    (I (x) C) dxc/dt, and mixed controller outputs y2 = (K (x) C) xc and rates.
     """
 
     dstate: np.ndarray
     u1: np.ndarray
     y1: np.ndarray
     y1dot: np.ndarray
-    yc: np.ndarray
     ycdot: np.ndarray
     y2: np.ndarray
     y2dot: np.ndarray
@@ -184,18 +182,16 @@ class ClosedLoop:
         check_controller(controller)
         if plant.m != controller.io_dim:
             raise ValueError("plant and controller input/output dimensions differ")
-        if graph is not None and not is_connected(graph):
+        if not is_connected(graph):
             raise ValueError("consensus requires a connected graph")
-        self.plant, self.controller = plant, controller
+        self.plant, self.controller, self.graph = plant, controller, graph
         #: K's nonzeros (rows, cols, vals), sorted by row; n is K's order
         n, self.mix = mixing_entries(graph)
         self.n_plants, self.io_dim = n, plant.m
-        self._split = n * plant.p
-        self.n_states = self._split + n * controller.state_dim
         A, B, C, E = plant.A, plant.B, plant.C, plant.E
         Ac, Bc, Cc = controller.A, controller.B, controller.C
-        split, nr, q = self._split, n * plant.r, n * controller.state_dim
-        size = split + nr + q
+        split, nr, q = n * plant.p, n * plant.r, n * controller.state_dim
+        self._split, self.n_states, size = split, split + q, split + nr + q
         self._arg, self._phi = slice(nr), slice(split, split + nr)
         # node-major index i w + k of node i's coordinate k -> coordinate-major k n + i
         major = lambda w: np.arange(n * w).reshape(w, n).T.ravel()
@@ -217,8 +213,8 @@ class ClosedLoop:
 
     @property
     def K(self) -> np.ndarray:
-        """The mixing matrix, built from its nonzeros on each call."""
-        return self.mixed([[1.0]]).matrix()
+        """The mixing matrix dense, ``laplacian(graph)``, built on each call."""
+        return laplacian(self.graph)
 
     def mixed(self, M) -> KronOperator:
         """K (x) M as an operator, dense or sparse as the loop's W."""
@@ -309,8 +305,7 @@ class ClosedLoop:
         flat = xp.shape[:-2] + (-1,)
         return LoopSignals(dstate=dX, u1=y2, y1=self.plant.h(xp).reshape(flat),
                            y1dot=self.plant.h(dxp).reshape(flat),
-                           yc=self.node_C.apply(xc), ycdot=self.node_C.apply(dxc),
-                           y2=y2, y2dot=self.mixed_C.apply(dxc))
+                           ycdot=self.node_C.apply(dxc), y2=y2, y2dot=self.mixed_C.apply(dxc))
 
 
 def _last_stage(weights, stages, acc, product, Z, out):
@@ -398,5 +393,5 @@ class CompositeStorage:
         if not (np.array_equal(Y, Y.T) and np.linalg.eigvalsh(Y)[0] > 0):
             raise ValueError("controller certificate Y must be symmetric positive definite")
         G = loop.plant.C.T @ loop.controller.C
-        lam = np.linalg.eigvalsh(loop.K)[-1]
+        lam = laplacian_eigenvalues(loop.graph)[-1]
         return float(np.linalg.eigvalsh(self.v1.Q - lam * G @ Y @ G.T)[0])

@@ -520,6 +520,36 @@ def test_single_node_network_skips_consensus(tmp_path):
     assert checks["ni_dissipation"]["passed"]
 
 
+def two_node_doc():
+    doc = load_pendulum4()
+    doc["graph"] = {"n": 2, "edges": [[0, 1]]}
+    doc["initial_conditions"] = {"plants": [[1.0, 0.0], [-0.5, 0.0]],
+                                 "controllers": [[0.0], [0.0]]}
+    return doc
+
+
+@pytest.mark.parametrize("doc, mode, skipped", [
+    (lambda: json.loads(PENDULUM_PAIR.read_text()), "pair",
+     {"consensus": "needs at least two nodes", "pair_identities": "needs a 2-node network"}),
+    (load_pendulum4, "network", {"pair_identities": "needs a 2-node network"}),
+    (two_node_doc, "network", {}),
+], ids=["pair", "four_nodes", "two_nodes"])
+def test_skip_rules_read_the_node_count_of_the_loop(tmp_path, doc, mode, skipped):
+    """Every check named, each skip rule decides on the loop it would run
+    on: the pair is one node, so it skips both node-count checks; only a
+    2-node network runs pair_identities. Every other check runs and passes."""
+    doc = doc()
+    doc["checks"] = list(CHECKS)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["mode"] == mode and report["status"] == "ok"
+    assert list(report["checks"]) == list(CHECKS)
+    assert {k: v["skipped"] for k, v in report["checks"].items() if "skipped" in v} == skipped
+    assert all(v["passed"] for k, v in report["checks"].items() if k not in skipped)
+
+
 def test_sweep_node_count_from_pair_config(tmp_path):
     doc = json.loads(PENDULUM_PAIR.read_text())
     doc["integrator"]["t_end_s"] = 0.5

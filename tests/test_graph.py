@@ -145,12 +145,46 @@ def test_mixing_entries_are_the_nonzeros_of_the_dense_laplacian(g):
     if nc.is_connected(g):
         loop = nc.ClosedLoop(PLANT, LAG, g)
         assert all(map(np.array_equal, loop.mix, (rows, cols, vals)))
+        assert loop.graph is g and loop.K.tobytes() == dense.tobytes()
     else:
         with pytest.raises(ValueError, match="consensus requires a connected graph"):
             nc.ClosedLoop(PLANT, LAG, g)
 
 
 def test_no_graph_is_a_single_pair_mixed_by_one():
+    """The pair is the one-node loop: K = [[1]] as entries, in dense form and
+    as a spectrum, one node, connected; its loop keeps no graph."""
     n, (rows, cols, vals) = mixing_entries(None)
     assert (n, rows.tolist(), cols.tolist(), vals.tolist()) == (1, [0], [0], [1.0])
-    assert nc.ClosedLoop(PLANT, LAG).mix[2].tolist() == [1.0]
+    assert nc.laplacian(None).tolist() == [[1.0]]
+    assert nc.laplacian_eigenvalues(None).tolist() == [1.0]
+    assert nc.is_connected(None)
+    loop = nc.ClosedLoop(PLANT, LAG)
+    assert loop.mix[2].tolist() == [1.0]
+    assert loop.graph is None and loop.K.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, {(0.5, 1.7)}),  # not node indices
+    (3, {(0, 1, 2)}),  # an edge of three nodes
+    (3, {(0,)}),
+    (2.5, {(0, 1)}),  # a fractional node count
+    (True, set()),  # bools are no counts or indices
+    (3, {(True, 2)}),
+    (3, {(0, "1")}),
+    (float("inf"), set()),
+    (float("nan"), set()),
+    ("3", set()),
+])
+def test_graph_refuses_what_is_not_integer_nodes_in_pairs(n, edges):
+    with pytest.raises(ValueError):
+        nc.Graph(n, frozenset(edges))
+
+
+def test_graph_takes_integral_floats_and_numpy_integers_as_ints():
+    """1.0 is a JSON Schema integer, so a config may give one; it and numpy
+    integers build the graph of the ints, whose loop builds."""
+    g = nc.Graph(3.0, frozenset({(0.0, np.int64(2)), (np.int32(1), 2)}))
+    assert type(g.n) is int and g == nc.Graph(3, frozenset({(0, 2), (1, 2)}))
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert nc.ClosedLoop(PLANT, LAG, g).n_plants == 3

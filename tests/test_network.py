@@ -558,7 +558,7 @@ def test_a_controller_without_states_mixes_to_zero_in_every_form(pendulum, monke
         loop = built_in(monkeypatch, form,
                         lambda: nc.ClosedLoop(plant, empty, nc.path_graph(32)))
         sig = loop.evaluate(np.ones(loop.n_states))
-        assert loop.mixed_C.shape == (32, 0) and not sig.y2.any() and not sig.yc.any()
+        assert loop.mixed_C.shape == (32, 0) and not sig.y2.any() and not sig.ycdot.any()
 
 
 def test_large_loop_is_built_without_its_dense_matrix(pendulum):

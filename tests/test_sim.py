@@ -506,9 +506,10 @@ def test_trajectory_columns_and_csv(tmp_path, network_loop, network_x0):
     traj = nc.integrate(network_loop, network_x0, cfg)
     # closed loop: plant inputs are the mixed controller outputs
     assert np.array_equal(traj.u1, traj.y2)
-    # mixed outputs are the Laplacian image of the per-node outputs
-    L = network_loop.K
-    assert np.allclose(traj.y2, traj.yc @ L.T, atol=1e-12)
+    # mixed outputs are y2 = (K (x) C) xc, K the Laplacian
+    xc = network_loop.split(traj.states)[1]
+    KC = np.kron(network_loop.K, network_loop.controller.C)
+    assert np.allclose(traj.y2, xc @ KC.T, atol=1e-12)
     path = tmp_path / "traj.csv"
     traj.write_csv(path, extra_columns=[("edge_max", np.zeros(traj.n_samples))])
     lines = path.read_text().strip().splitlines()
@@ -549,6 +550,8 @@ def test_csv_blocks_are_the_bytes_of_savetxt(tmp_path, request, monkeypatch, tra
 
 
 def test_pair_trajectory_signals(pair_traj):
-    # with K = [[1]] the controller output is the plant input
+    # with K = [[1]] the controller output C xc is the plant input
+    loop = pair_traj.system
     assert np.array_equal(pair_traj.u1, pair_traj.y2)
-    assert np.array_equal(pair_traj.yc, pair_traj.y2)
+    assert np.array_equal(loop.K, [[1.0]])
+    assert np.array_equal(pair_traj.y2, loop.split(pair_traj.states)[1] @ loop.controller.C.T)
