@@ -4,7 +4,7 @@ Every check follows one convention: a residual series lhs - rhs is formed at
 each recorded sample from exact gradients and the state derivatives the
 trajectory recorded in ``dstate``, the violation is max(0, lhs - rhs), and
 the check passes when the largest violation stays below its tolerance. The
-default tolerance of 1e-6 absorbs floating-point accumulation only; there is
+tolerance DEFAULT_TOL = 1e-6 absorbs floating-point accumulation only; there is
 no differentiation noise to absorb because no sampled signal is ever
 differenced.
 """
@@ -57,11 +57,11 @@ def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray
     return dissipation(v.grad(xp), dxp, cl.nodes(traj.u1), cl.nodes(traj.y1dot))
 
 
-def check_ni_dissipation(traj: Trajectory, v: StorageFunction, *,
-                         tol: float = DEFAULT_TOL) -> list:
+def check_ni_dissipation(traj: Trajectory, v: StorageFunction) -> list:
     """One report per plant node, ni_dissipation_node_i."""
     residuals = ni_dissipation_residuals(traj, v)
-    return _node_reports("ni_dissipation", np.maximum(residuals, 0.0), traj.times, tol)
+    return _node_reports("ni_dissipation", np.maximum(residuals, 0.0), traj.times,
+                         DEFAULT_TOL)
 
 
 def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
@@ -77,11 +77,11 @@ def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
             + delta * np.sum(ycdot * ycdot, axis=-1))
 
 
-def check_osni_dissipation(traj: Trajectory, Y, delta: float, *,
-                           tol: float = DEFAULT_TOL) -> list:
+def check_osni_dissipation(traj: Trajectory, Y, delta: float) -> list:
     """One report per controller node, osni_dissipation_node_i."""
     residuals = osni_dissipation_residuals(traj, Y, delta)
-    return _node_reports("osni_dissipation", np.maximum(residuals, 0.0), traj.times, tol)
+    return _node_reports("osni_dissipation", np.maximum(residuals, 0.0), traj.times,
+                         DEFAULT_TOL)
 
 
 def _strictness_form(traj: Trajectory) -> np.ndarray:
@@ -103,8 +103,7 @@ def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray
     return dissipation(P.apply(xc), dxc, traj.y1, traj.y2dot) + delta * _strictness_form(traj)
 
 
-def check_osni_like_network(traj: Trajectory, Y, delta: float,
-                            tol: float = DEFAULT_TOL) -> CheckReport:
+def check_osni_like_network(traj: Trajectory, Y, delta: float) -> CheckReport:
     """Output strictness of the controller bank with storage
     (1/2) xc^T (K (x) Y^-1) xc.
 
@@ -114,16 +113,16 @@ def check_osni_like_network(traj: Trajectory, Y, delta: float,
     for a pair (K = [[1]]) it is the OSNI inequality of the one controller.
     """
     residuals = osni_like_network_residuals(traj, Y, delta)
-    return _report("osni_like_network", np.maximum(residuals, 0.0), traj.times, tol)
+    return _report("osni_like_network", np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
 
 
-def check_pair_identities(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
+def check_pair_identities(traj: Trajectory) -> CheckReport:
     """Algebraic identities of a two-node controller bank.
 
     With inputs (u_1, u_2) and mixed outputs (yc_1 - yc_2, yc_2 - yc_1):
         U2 . dY2/dt = (u_1 - u_2) . d(yc_1 - yc_2)/dt
         |dY2/dt|^2  = 2 |d(yc_1 - yc_2)/dt|^2
-    Checked against the stored trajectory columns at every sample.
+    Checked against the stored trajectory columns at every sample, to 1e-12.
     """
     cl = traj.system
     if cl.n_plants != 2:
@@ -135,18 +134,17 @@ def check_pair_identities(traj: Trajectory, tol: float = 1e-12) -> CheckReport:
     lhs2 = np.sum(traj.y2dot ** 2, axis=1)
     rhs2 = 2.0 * np.sum(dycdot ** 2, axis=1)
     violations = np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))
-    return _report("pair_identities", violations, traj.times, tol)
+    return _report("pair_identities", violations, traj.times, 1e-12)
 
 
-def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
-                            tol: float = DEFAULT_TOL) -> CheckReport:
+def check_lyapunov_monotone(traj: Trajectory, cs, delta: float) -> CheckReport:
     """Decay of the composite storage W along the trajectory.
 
     Verifies the rate bound at every sample
         dW/dt <= -delta ycdot^T (K (x) I) ycdot
     (-delta |dy2/dt|^2 for a pair, -(delta/2) sum_ij a_ij
     |d(yc_i - yc_j)/dt|^2 for K = L) and monotonicity
-    W(t_{k+1}) <= W(t_k) + tol across samples, with dW/dt from exact
+    W(t_{k+1}) <= W(t_k) + DEFAULT_TOL across samples, with dW/dt from exact
     gradients.
     """
     values = cs.value(traj.states)
@@ -154,7 +152,7 @@ def check_lyapunov_monotone(traj: Trajectory, cs, delta: float,
     rate_violation = np.maximum(rates + delta * _strictness_form(traj), 0.0)
     mono_violation = np.concatenate([[0.0], np.maximum(np.diff(values), 0.0)])
     return _report("lyapunov_monotone",
-                   np.maximum(rate_violation, mono_violation), traj.times, tol)
+                   np.maximum(rate_violation, mono_violation), traj.times, DEFAULT_TOL)
 
 
 def consensus_metric(traj: Trajectory):

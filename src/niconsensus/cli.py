@@ -80,21 +80,19 @@ def _aggregate(reports):
     }
 
 
-def _run_table(table: dict, names, cfg: ExperimentConfig, arg, entries: dict) -> dict:
-    """Fill `entries` with one entry per named row of a check table, a row being
-    (run, skip rule[, per node]): {"skipped": reason} when the skip rule applies
-    to (cfg, arg), else run(cfg, arg)'s report as a dict, per-node reports
-    aggregated. A run that returns None leaves its row out."""
-    for name in names:
-        run, skip, *per_node = table[name]
-        if skip and skip[0](cfg, arg):
+def _run_table(cfg: ExperimentConfig, traj) -> dict:
+    """One entry per check cfg names, from its row (run, skip rule, per node)
+    of analysis.CHECKS: {"skipped": reason} when the skip rule applies to
+    (cfg, traj), else run(cfg, traj)'s report as a dict, per-node reports
+    aggregated."""
+    entries = {}
+    for name in cfg.checks:
+        run, skip, per_node = analysis.CHECKS[name]
+        if skip and skip[0](cfg, traj):
             entries[name] = {"skipped": skip[1]}
-            continue
-        entry = run(cfg, arg)
-        if per_node:
-            entry = _aggregate(entry) if per_node[0] else asdict(entry)
-        if entry is not None:
-            entries[name] = entry
+        else:
+            report = run(cfg, traj)
+            entries[name] = _aggregate(report) if per_node else asdict(report)
     return entries
 
 
@@ -129,7 +127,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         summary = {"status": "diverged", "error": str(err)}
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed runs fail as NaN
-            results = _run_table(analysis.CHECKS, cfg.checks, cfg, traj, {})
+            results = _run_table(cfg, traj)
         extra_cols = []
         for entry in results.values():
             extra_cols += entry.pop("columns", ())
@@ -158,13 +156,6 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _gamma(est) -> dict:
-    if isinstance(est, GammaError):
-        return {"passed": False, "error": str(est), "input": est.input.tolist(), "node": est.node}
-    return {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
-            "worst_input": est.worst_input.tolist()}
-
-
 def _gains(cfg: ExperimentConfig) -> dict:
     """gamma_pair and, on a graph, gamma_network: one solve, each its own failure."""
     cases = {"gamma_pair": (gamma_input_grid(), None)}
@@ -172,50 +163,42 @@ def _gains(cfg: ExperimentConfig) -> dict:
         cases["gamma_network"] = (np.random.default_rng(12345).uniform(
             -25.0, 25.0, (100, cfg.graph.n * cfg.plant.m)), cfg.graph)
     ests = gamma_estimates(cfg.plant, cfg.controller_ss, list(cases.values()))
-    return {name: _gamma(est) for name, est in zip(cases, ests)}
-
-
-def _certificate(cfg: ExperimentConfig) -> dict:
-    cert = osni_certificate_check(cfg.controller_ss, cfg.controller_Y, cfg.delta)
-    return {"passed": bool(cert.passed), "inequality_residual": cert.inequality_residual,
-            "b_equation_residual": cert.b_equation_residual}
-
-
-def _halving(cfg: ExperimentConfig, done: dict) -> dict:
-    half = osni_max_delta(cfg.controller_ss, graph=Graph(2, {(0, 1)}))
-    expected = 0.5 * done["osni_max_delta"]["value"]
-    return {"passed": bool(abs(half - expected) <= HALVING_TOL), "value": half,
-            "expected": expected}
-
-
-_NOT_NI = (lambda cfg, done: not done["ni_freq_test"]["passed"], "controller is not NI")
-
-#: verify's certificates in report order, then _gains: name -> (run(cfg, entries
-#: so far), skip rule), on the default frequency grid. A run looks its function
-#: up in this module when it runs, so a wrapper set on the module attribute sees it.
-CERTIFICATES = {
-    # resolve_config has already rejected a controller that is not Hurwitz
-    "is_hurwitz": (lambda cfg, done: {"passed": is_hurwitz(cfg.controller_ss)}, None),
-    "ni_freq_test": (lambda cfg, done: {"passed": ni_freq_test(cfg.controller_ss)}, None),
-    "osni_freq_test": (lambda cfg, done: {
-        "passed": osni_freq_test(cfg.controller_ss, cfg.delta), "delta": cfg.delta}, _NOT_NI),
-    # P - delta R falls monotonically in delta (R >= 0), so the test at the
-    # configured delta decides "delta <= delta*" on the grid; the value is
-    # the grid supremum delta* itself.
-    "osni_max_delta": (lambda cfg, done: {"passed": done["osni_freq_test"]["passed"],
-                                          "value": osni_max_delta(cfg.controller_ss)},
-                       _NOT_NI),
-    "pair_network_strictness_halving": (_halving, _NOT_NI),
-    "osni_certificate": (lambda cfg, done: None if cfg.controller_Y is None
-                         else _certificate(cfg), None),
-}
+    return {name: ({"passed": False, "error": str(est), "input": est.input.tolist(),
+                    "node": est.node} if isinstance(est, GammaError)
+                   else {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
+                         "worst_input": est.worst_input.tolist()})
+            for name, est in zip(cases, ests)}
 
 
 def cmd_verify(args) -> int:
+    """Run the certificates in report order on the default frequency grid, then
+    _gains; each function is a module global read at call time, so a wrapper sees it."""
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "out")
-    checks = {}
-    _run_table(CERTIFICATES, CERTIFICATES, cfg, checks, checks)
+    ctrl = cfg.controller_ss
+    # resolve_config has already rejected a controller that is not Hurwitz
+    checks = {"is_hurwitz": {"passed": is_hurwitz(ctrl)},
+              "ni_freq_test": {"passed": ni_freq_test(ctrl)}}
+    if checks["ni_freq_test"]["passed"]:
+        # P - delta R falls monotonically in delta (R >= 0), so the test at the
+        # configured delta decides "delta <= delta*" on the grid; the value is
+        # the grid supremum delta* itself.
+        passed = osni_freq_test(ctrl, cfg.delta)
+        delta_star = osni_max_delta(ctrl)
+        half = osni_max_delta(ctrl, graph=Graph(2, {(0, 1)}))
+        checks["osni_freq_test"] = {"passed": passed, "delta": cfg.delta}
+        checks["osni_max_delta"] = {"passed": passed, "value": delta_star}
+        checks["pair_network_strictness_halving"] = {
+            "passed": bool(abs(half - 0.5 * delta_star) <= HALVING_TOL), "value": half,
+            "expected": 0.5 * delta_star}
+    else:
+        checks.update({name: {"skipped": "controller is not NI"} for name in
+                       ("osni_freq_test", "osni_max_delta", "pair_network_strictness_halving")})
+    if cfg.controller_Y is not None:
+        cert = osni_certificate_check(ctrl, cfg.controller_Y, cfg.delta)
+        checks["osni_certificate"] = {"passed": bool(cert.passed),
+                                      "inequality_residual": cert.inequality_residual,
+                                      "b_equation_residual": cert.b_equation_residual}
     checks.update(_gains(cfg))
     doc = {"label": cfg.label, "checks": checks, "config": cfg.raw}
     failed = _record(out_dir / "verify.json", doc, args.quiet)

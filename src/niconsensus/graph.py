@@ -105,12 +105,13 @@ def laplacian_eigenvalues(g: Graph | None) -> np.ndarray:
     return np.linalg.eigvalsh(laplacian(g))
 
 
-def fiedler_value(g: Graph) -> float:
+def fiedler_value(g: Graph | None) -> float:
     """Second-smallest Laplacian eigenvalue (algebraic connectivity).
 
-    Positive iff the graph is connected, for n >= 2.
+    Positive iff the graph is connected, for n >= 2; no graph is one node.
     """
-    if g.n < 2:
+    lam = laplacian_eigenvalues(g)
+    if lam.size < 2:
         raise ValueError("fiedler value needs at least two nodes")
-    return float(laplacian_eigenvalues(g)[1])
+    return float(lam[1])
 

@@ -125,13 +125,6 @@ def freq_response(sys: StateSpace, w) -> np.ndarray:
     return sys.C @ resolvent + sys.D
 
 
-def _check_osni_preconditions(sys: StateSpace):
-    if not is_hurwitz(sys):
-        raise ValueError("frequency-domain NI tests require a Hurwitz A")
-    if not np.allclose(sys.D, sys.D.T, atol=1e-12):
-        raise ValueError("OSNI tests require symmetric D")
-
-
 def _psd(H: np.ndarray) -> bool:
     """True when every Hermitian matrix of the stack H is positive
     semi-definite down to the eigenvalue floor; one stacked eigvalsh call."""
@@ -142,7 +135,10 @@ def _osni_terms(sys: StateSpace, grid: FreqGrid):
     """Stacks (N, P, R) of one frequency response: N = j [M - M*], P = jw N and
     R = 2 w^2 Mc* Mc per grid frequency, P and R with a last entry holding the
     analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
-    _check_osni_preconditions(sys)
+    if not is_hurwitz(sys):
+        raise ValueError("frequency-domain NI tests require a Hurwitz A")
+    if not np.allclose(sys.D, sys.D.T, atol=1e-12):
+        raise ValueError("OSNI tests require symmetric D")
     w = grid.points[:, None, None]
     M = freq_response(sys, grid.points)
     skew, Mc = M - M.conj().swapaxes(1, 2), M - sys.D
@@ -155,9 +151,8 @@ def _osni_terms(sys: StateSpace, grid: FreqGrid):
 
 def ni_freq_test(sys: StateSpace, grid: FreqGrid | None = None) -> bool:
     """Negative-imaginary test: j [M(jw) - M(jw)*] >= 0 on the whole grid."""
-    _check_osni_preconditions(sys)
-    M = freq_response(sys, (grid or FreqGrid.default()).points)
-    return _psd(1j * (M - M.conj().swapaxes(1, 2)))
+    N, _, _ = _osni_terms(sys, grid or FreqGrid.default())
+    return _psd(N)
 
 
 def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) -> bool:

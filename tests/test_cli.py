@@ -211,6 +211,9 @@ def test_verify_bundled_config(tmp_path):
     assert code == 0
     report = json.loads((out / "verify.json").read_text())
     checks = report["checks"]
+    assert list(checks) == ["is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
+                            "pair_network_strictness_halving", "osni_certificate",
+                            "gamma_pair", "gamma_network"]
     assert checks["osni_max_delta"]["value"] == pytest.approx(0.1, abs=1e-6)
     assert checks["pair_network_strictness_halving"]["value"] == pytest.approx(
         0.05, abs=2e-6)
@@ -280,9 +283,9 @@ def test_verify_records_a_failed_equilibrium_solve(tmp_path, capsys):
     assert checks["gamma_pair"] == {
         "passed": False, "error": "equilibrium solve failed for input [-24.75] (node 0)",
         "input": [-24.75], "node": 0}
-    assert set(checks) == {"is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
-                           "pair_network_strictness_halving", "osni_certificate",
-                           "gamma_pair"}
+    assert list(checks) == ["is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
+                            "pair_network_strictness_halving", "osni_certificate",
+                            "gamma_pair"]
     assert all(checks[name]["passed"] for name in checks if name != "gamma_pair")
 
 
@@ -393,8 +396,8 @@ def test_verify_controller_that_is_not_ni(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verification failed: ni_freq_test failed" in captured.err
     checks = json.loads((out / "verify.json").read_text())["checks"]
-    assert set(checks) == {"is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
-                           "pair_network_strictness_halving", "gamma_pair"}
+    assert list(checks) == ["is_hurwitz", "ni_freq_test", "osni_freq_test", "osni_max_delta",
+                            "pair_network_strictness_halving", "gamma_pair"]
     assert checks["ni_freq_test"] == {"passed": False}
     skipped = ("osni_freq_test", "osni_max_delta", "pair_network_strictness_halving")
     for name in skipped:

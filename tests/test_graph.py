@@ -102,8 +102,9 @@ def test_graph_validation():
         nc.Graph(0)
     g = nc.Graph(3, frozenset({(0, 1), (1, 0)}))
     assert g.edges == frozenset({(0, 1)})
-    with pytest.raises(ValueError):
-        nc.fiedler_value(nc.Graph(1))
+    for one_node in (nc.Graph(1), None):  # no graph is the one-node loop
+        with pytest.raises(ValueError, match="at least two nodes"):
+            nc.fiedler_value(one_node)
 
 
 def test_helper_graphs():
