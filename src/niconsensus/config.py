@@ -361,11 +361,11 @@ def resolve_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
                             parse_int=finite_int)
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {path}") from err
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     return resolve_config(doc)

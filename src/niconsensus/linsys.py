@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -65,6 +66,14 @@ class StateSpace:
     def io_dim(self) -> int:
         return self.B.shape[1]
 
+    @cached_property
+    def _default_terms(self):
+        """_osni_terms on the default grid, formed at first use, read-only."""
+        terms = _osni_terms(self, FreqGrid.default())
+        for T in terms:
+            T.setflags(write=False)
+        return terms
+
 
 def first_order(a: float, b: float) -> StateSpace:
     """SISO lag a/(s+b) realised as (A, B, C, D) = (-b, a, 1, 0)."""
@@ -89,9 +98,10 @@ class FreqGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
+    @cache
     def default(cls) -> "FreqGrid":
-        """400 log-spaced points over [1e-3, 1e4] rad/s; the w -> inf limit is
-        handled analytically by the tests themselves."""
+        """400 log-spaced points over [1e-3, 1e4] rad/s, built once; the w -> inf
+        limit is handled analytically by the tests themselves."""
         return cls(np.logspace(-3.0, 4.0, 400))
 
 
@@ -131,10 +141,13 @@ def _psd(H: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvalsh(H) >= -PSD_TOL))
 
 
-def _osni_terms(sys: StateSpace, grid: FreqGrid):
+def _osni_terms(sys: StateSpace, grid: FreqGrid | None = None):
     """Stacks (N, P, R) of one frequency response: N = j [M - M*], P = jw N and
     R = 2 w^2 Mc* Mc per grid frequency, P and R with a last entry holding the
-    analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
+    analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB). With no grid,
+    the default grid's stacks, which the grid tests of one realisation share."""
+    if grid is None:
+        return sys._default_terms
     if not is_hurwitz(sys):
         raise ValueError("frequency-domain NI tests require a Hurwitz A")
     if not np.allclose(sys.D, sys.D.T, atol=1e-12):
@@ -151,7 +164,7 @@ def _osni_terms(sys: StateSpace, grid: FreqGrid):
 
 def ni_freq_test(sys: StateSpace, grid: FreqGrid | None = None) -> bool:
     """Negative-imaginary test: j [M(jw) - M(jw)*] >= 0 on the whole grid."""
-    N, _, _ = _osni_terms(sys, grid or FreqGrid.default())
+    N, _, _ = _osni_terms(sys, grid)
     return _psd(N)
 
 
@@ -163,7 +176,7 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     """
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
-    _, P, R = _osni_terms(sys, grid or FreqGrid.default())
+    _, P, R = _osni_terms(sys, grid)
     return _psd(P - delta * R)
 
 
@@ -180,7 +193,7 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) ->
     ([[1]] with no graph), from one frequency response of M: its NI matrices
     and grid terms are M's scaled block by block, lam N, lam P and lam^2 R.
     """
-    N, P, R = _osni_terms(sys, grid or FreqGrid.default())
+    N, P, R = _osni_terms(sys, grid)
     lam = laplacian_eigenvalues(graph)[:, None, None, None]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")

@@ -96,5 +96,5 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
         parts.append(f'<text x="20" y="{_MT + ph / 2}" text-anchor="middle" '
                      f'transform="rotate(-90 20 {_MT + ph / 2})">{ylabel.translate(_ESC)}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:  # no XML declaration: UTF-8
         fh.write("\n".join(parts) + "\n")

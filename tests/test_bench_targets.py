@@ -52,9 +52,10 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
 def test_tracer_sees_each_verify_certificate_function(tmp_path):
     """verify runs each certificate function a fixed number of times: δ* is
     computed once for the controller and once, block by block, for the
-    two-node bank (the halving compares the two); each test forms one
-    frequency response and osni_max_delta reads its NI precondition from its
-    own, so ni_freq_test runs once; both gains are one gamma_estimates call
+    two-node bank (the halving compares the two); the four grid tests of the
+    controller share its one frequency response on the default grid, and
+    osni_max_delta reads its NI precondition from it, so ni_freq_test runs
+    once; both gains are one gamma_estimates call
     and share one equilibrium solve, so the traced gamma_estimate, the
     one-gain form, does not run. A table run holding a function taken at
     import would hide it."""
@@ -68,7 +69,7 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
     assert code == 0
     spans = tracer.take()
     counts = {"linsys.ni_freq_test": 1, "linsys.osni_freq_test": 1,
-              "linsys.osni_max_delta": 2, "linsys.freq_response": 4,
+              "linsys.osni_max_delta": 2, "linsys.freq_response": 1,
               "linsys.certificate": 1, "plant.gamma_estimate": 0,
               "plant.equilibrium_solve": 1}
     assert {name: spans.count(name) for name in counts} == counts

@@ -43,13 +43,17 @@ POOL_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] == 'multiproce
                 "or m == 'concurrent.futures.process')")
 
 
+def src_env(**extra) -> dict:
+    """This process's environment with src/ first on PYTHONPATH, updated by extra."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra}
+
+
 def fresh_python(code: str) -> str:
     """The stripped stdout of code run by a fresh interpreter that imports
     the package from src/, which must exit 0."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -84,6 +88,40 @@ def test_simulate_pair_config(tmp_path):
 def test_simulate_missing_config_exit2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_naming_a_directory_exit2(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exit2(tmp_path, capsys):
+    """JSON text is UTF-8: a UTF-16 file (it starts ff fe) is refused as a config error."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(PENDULUM_PAIR.read_text().encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf8_label", "escaped_label"])
+def test_non_ascii_label_under_the_c_locale(tmp_path, ensure_ascii):
+    """Configs are read and outputs.svg written as UTF-8 whatever the locale:
+    in the C locale without UTF-8 mode, simulate and verify exit 0 on a label
+    that is not ASCII, written raw or as JSON escapes, and every record is written."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["label"] = "pair, \u03b4 = 0.05"
+    doc["integrator"] = {"step_s": 1e-3, "t_end_s": 0.5, "record_every": 10}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc, ensure_ascii=ensure_ascii), encoding="utf-8")
+    env = src_env(LC_ALL="C", PYTHONUTF8="0")
+    for cmd, record in (("simulate", "report.json"), ("verify", "verify.json")):
+        proc = subprocess.run([sys.executable, "-m", "niconsensus", cmd, "--config", str(cfg),
+                               "--out", str(tmp_path / cmd), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / cmd / record).read_text())["label"] == doc["label"]
+    assert doc["label"] in (tmp_path / "simulate" / "outputs.svg").read_bytes().decode("utf-8")
 
 
 def test_simulate_disconnected_graph_exit2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,3 +229,60 @@ def test_statespace_validation():
         nc.StateSpace([[-1.0]], [[1.0], [2.0]], [[1.0]])
     with pytest.raises(ValueError, match="C column"):
         nc.StateSpace([[-1.0]], [[1.0]], [[1.0, 0.0]])
+
+
+@pytest.fixture
+def freq_calls(monkeypatch):
+    """The id of the realisation of every linsys.freq_response call, in order."""
+    calls, original = [], nc.linsys.freq_response
+
+    def counting(sys, w):
+        calls.append(id(sys))
+        return original(sys, w)
+
+    monkeypatch.setattr(nc.linsys, "freq_response", counting)
+    return calls
+
+
+def test_grid_tests_of_one_realisation_share_one_frequency_response(freq_calls):
+    m = nc.first_order(10.0, 10.0)
+    assert nc.ni_freq_test(m) and nc.osni_freq_test(m, 0.05)
+    assert nc.osni_max_delta(m) == pytest.approx(0.1)
+    assert nc.osni_max_delta(m, graph=nc.Graph(2, {(0, 1)})) == pytest.approx(0.05)
+    assert freq_calls == [id(m)]
+
+
+def test_each_realisation_and_each_explicit_grid_forms_its_own_response(freq_calls):
+    first, second = nc.first_order(10.0, 10.0), nc.first_order(10.0, 10.0)
+    nc.ni_freq_test(first)
+    nc.ni_freq_test(second)
+    assert freq_calls == [id(first), id(second)]
+    grid = nc.FreqGrid(np.logspace(-3.0, 4.0, 400))
+    nc.ni_freq_test(first, grid)
+    nc.osni_max_delta(first, grid)
+    assert len(freq_calls) == 4
+
+
+def test_two_loaded_configs_share_no_frequency_response(freq_calls):
+    path = Path(__file__).resolve().parent.parent / "configs" / "pendulum_pair.json"
+    for _ in range(2):
+        assert nc.ni_freq_test(nc.load_config(path).controller_ss)
+    assert len(freq_calls) == 2
+
+
+def test_shared_terms_are_read_only_and_equal_a_fresh_grids():
+    m = nc.StateSpace([[-1.0, 0.5], [0.0, -3.0]], [[1.0], [2.0]], [[1.0, 1.0]])
+    shared = nc.linsys._osni_terms(m)
+    fresh = nc.linsys._osni_terms(m, nc.FreqGrid(np.logspace(-3, 4, 400)))
+    for S, F in zip(shared, fresh, strict=True):
+        assert not S.flags.writeable
+        assert np.array_equal(S, F)
+    assert nc.linsys._osni_terms(m) is shared
+
+
+def test_a_realisation_that_is_not_hurwitz_raises_on_every_call(freq_calls):
+    m = nc.StateSpace([[0.0]], [[1.0]], [[1.0]])
+    for test in (nc.ni_freq_test, lambda s: nc.osni_freq_test(s, 0.1), nc.osni_max_delta) * 2:
+        with pytest.raises(ValueError, match="^frequency-domain NI tests require a Hurwitz A$"):
+            test(m)
+    assert freq_calls == []
