@@ -11,11 +11,11 @@ differenced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from .graph import Frozen
 from .network import CompositeStorage, controller_storage, dissipation
 from .plant import StorageFunction
 from .sim import Trajectory
@@ -23,13 +23,11 @@ from .sim import Trajectory
 DEFAULT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    max_violation: float
-    time_of_max: float
-    tolerance: float
-    passed: bool
+class CheckReport(Frozen):
+    def __init__(self, name: str, max_violation: float, time_of_max: float, tolerance: float,
+                 passed: bool):
+        self._set(name=name, max_violation=max_violation, time_of_max=time_of_max,
+                  tolerance=tolerance, passed=passed)
 
 
 def _report(name: str, violations: np.ndarray, times: np.ndarray,
@@ -182,19 +180,16 @@ def consensus_metric(traj: Trajectory):
     return max_dist(i[i < j], j[i < j]), all_pairs
 
 
-@dataclass(frozen=True)
-class ConsensusReport:
+class ConsensusReport(Frozen):
     """Plant-output disagreement over the graph edges at the start and the
     end of a run; ``columns`` holds the per-sample series as (name, series)."""
 
-    initial_edge_max: float
-    final_edge_max: float
-    final_all_pairs_max: float
-    rel_threshold: float
-    abs_threshold: float
-    outcome: str
-    passed: bool
-    columns: tuple = ()
+    def __init__(self, initial_edge_max: float, final_edge_max: float,
+                 final_all_pairs_max: float, rel_threshold: float, abs_threshold: float,
+                 outcome: str, passed: bool, columns: tuple = ()):
+        self._set(initial_edge_max=initial_edge_max, final_edge_max=final_edge_max,
+                  final_all_pairs_max=final_all_pairs_max, rel_threshold=rel_threshold,
+                  abs_threshold=abs_threshold, outcome=outcome, passed=passed, columns=columns)
 
 
 def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> ConsensusReport:

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from copy import deepcopy
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +74,6 @@ def _aggregate(reports):
         "max_violation": worst.max_violation,
         "time_of_max": worst.time_of_max,
         "tolerance": worst.tolerance,
-        # the reports are flat: a copy of the fields, not asdict's deep copy
         "per_node": [dict(vars(r)) for r in reports],
     }
 
@@ -92,7 +90,7 @@ def _run_table(cfg: ExperimentConfig, traj) -> dict:
             entries[name] = {"skipped": skip[1]}
         else:
             report = run(cfg, traj)
-            entries[name] = _aggregate(report) if per_node else asdict(report)
+            entries[name] = _aggregate(report) if per_node else dict(vars(report))
     return entries
 
 
@@ -282,7 +280,8 @@ def cmd_sweep(args) -> int:
     outcomes = _run_variants(tasks)
     out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep.csv"
-    with open(table, "w") as fh:
+    # the out_dir column carries each run directory's own bytes, in any locale
+    with open(table, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(",".join(("param", "value", "status", *SWEEP_FIGURES, "out_dir")) + "\n")
         for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
             if outcome["status"] == "error":  # a rejected variant: say why

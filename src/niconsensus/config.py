@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,7 +240,6 @@ DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
                   "lyapunov_monotone", "consensus"]
 
 
-@dataclass
 class ExperimentConfig:
     """Fully resolved experiment: systems built, dimensions checked.
 
@@ -250,20 +248,17 @@ class ExperimentConfig:
     checks use; None when the controller has no closed-form certificate.
     """
 
-    raw: dict
-    graph: Graph | None
-    plant: NonlinearPlant
-    plant_storage: StorageFunction | None
-    controller_ss: StateSpace
-    controller_Y: np.ndarray | None
-    delta: float
-    x0: np.ndarray
-    integrator: IntegratorConfig
-    checks: list
-    consensus_rel: float = 0.02
-    consensus_abs: float = 0.05
-    out_dir: str | None = None
-    label: str = "experiment"
+    def __init__(self, raw: dict, graph: Graph | None, plant: NonlinearPlant,
+                 plant_storage: StorageFunction | None, controller_ss: StateSpace,
+                 controller_Y: np.ndarray | None, delta: float, x0: np.ndarray,
+                 integrator: IntegratorConfig, checks: list, consensus_rel: float = 0.02,
+                 consensus_abs: float = 0.05, out_dir: str | None = None,
+                 label: str = "experiment"):
+        self.raw, self.graph, self.plant, self.plant_storage = raw, graph, plant, plant_storage
+        self.controller_ss, self.controller_Y, self.delta = controller_ss, controller_Y, delta
+        self.x0, self.integrator, self.checks = x0, integrator, checks
+        self.consensus_rel, self.consensus_abs = consensus_rel, consensus_abs
+        self.out_dir, self.label = out_dir, label
 
     def build_loop(self) -> ClosedLoop:
         return ClosedLoop(self.plant, self.controller_ss, self.graph)

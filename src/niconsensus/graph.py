@@ -7,13 +7,38 @@ row-major semantics; no wrapper type is introduced.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """A value: __init__ sets its fields once, in order, with _set, so vars()
+    yields them; setting or deleting one afterwards raises AttributeError, and
+    two values of one class are equal, and hash alike, when their fields are."""
+
+    def _set(self, **fields):
+        # object.__setattr__ keeps the fields in the instance's inline values,
+        # where attribute reads are fastest; a dict made by vars(self) slows them
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = (f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Graph(Frozen):
     """Unweighted undirected graph on nodes ``0 .. n-1``.
 
     Edges are stored as a frozenset of ``(i, j)`` pairs normalised to
@@ -21,24 +46,21 @@ class Graph:
     self-loops and out-of-range indices are rejected, duplicate edges collapse.
     """
 
-    n: int
-    edges: frozenset = frozenset()
-
-    def __post_init__(self):
-        if not integral(self.n) or self.n < 1:
-            raise ValueError(f"graph needs a whole number of nodes, at least one, not {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+    def __init__(self, n: int, edges: frozenset = frozenset()):
+        if not integral(n) or n < 1:
+            raise ValueError(f"graph needs a whole number of nodes, at least one, not {n!r}")
+        n = int(n)
         norm = set()
-        for e in self.edges:
+        for e in edges:
             if len(e) != 2 or not all(map(integral, e)):
                 raise ValueError(f"edge {tuple(e)} is not two integer node indices")
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        self._set(n=n, edges=frozenset(norm))
 
     @property
     def edge_list(self):

@@ -15,12 +15,11 @@ floor of -1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from .graph import laplacian_eigenvalues
+from .graph import Frozen, laplacian_eigenvalues
 
 #: Eigenvalue floor for the positive semi-definiteness tests.
 PSD_TOL = 1e-9
@@ -28,19 +27,13 @@ PSD_TOL = 1e-9
 CERT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Frozen):
     """Real state-space realisation (A, B, C, D) with square input/output."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray = None
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray = None):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        C = np.atleast_2d(np.asarray(C, dtype=float))
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         q = A.shape[0]
@@ -51,12 +44,12 @@ class StateSpace:
         m = B.shape[1]
         if C.shape[0] != m:
             raise ValueError("system must be square (C rows == B columns)")
-        D = np.zeros((m, m)) if self.D is None else np.atleast_2d(np.asarray(self.D, dtype=float))
+        D = np.zeros((m, m)) if D is None else np.atleast_2d(np.asarray(D, dtype=float))
         if D.shape != (m, m):
             raise ValueError("D must be m x m")
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for M in (A, B, C, D):
             M.setflags(write=False)
-            object.__setattr__(self, name, M)
+        self._set(A=A, B=B, C=C, D=D)
 
     @property
     def state_dim(self) -> int:
@@ -80,14 +73,11 @@ def first_order(a: float, b: float) -> StateSpace:
     return StateSpace([[-b]], [[a]], [[1.0]], [[0.0]])
 
 
-@dataclass(frozen=True)
-class FreqGrid:
+class FreqGrid(Frozen):
     """Strictly increasing positive angular frequencies (rad/s)."""
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points: np.ndarray):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid must be a non-empty 1-d array")
         if not np.all(np.isfinite(pts)) or np.any(pts <= 0):
@@ -95,7 +85,7 @@ class FreqGrid:
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        self._set(points=pts)
 
     @classmethod
     @cache
@@ -206,15 +196,14 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) ->
     return float(1.0 / top) if top > 0 else math.inf
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Frozen):
     """Outcome of the state-space OSNI certificate check."""
 
-    y_positive_definite: bool
-    inequality_ok: bool
-    b_equation_ok: bool
-    inequality_residual: float
-    b_equation_residual: float
+    def __init__(self, y_positive_definite: bool, inequality_ok: bool, b_equation_ok: bool,
+                 inequality_residual: float, b_equation_residual: float):
+        self._set(y_positive_definite=y_positive_definite, inequality_ok=inequality_ok,
+                  b_equation_ok=b_equation_ok, inequality_residual=inequality_residual,
+                  b_equation_residual=b_equation_residual)
 
     @property
     def passed(self) -> bool:

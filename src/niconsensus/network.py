@@ -41,12 +41,11 @@ hand-written order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .graph import Graph, is_connected, laplacian, laplacian_eigenvalues, mixing_entries
+from .graph import Frozen, Graph, is_connected, laplacian, laplacian_eigenvalues, mixing_entries
 from .linsys import StateSpace, is_hurwitz
 from .plant import NonlinearPlant, StorageFunction
 
@@ -151,8 +150,7 @@ class KronOperator:
             out[self._empty] = 0.0
 
 
-@dataclass(frozen=True)
-class LoopSignals:
+class LoopSignals(Frozen):
     """Every signal of a closed loop at composite states of shape (..., N).
 
     Arrays of shape (..., n*m): plant inputs u1 = y2 (positive feedback), plant
@@ -160,13 +158,9 @@ class LoopSignals:
     (I (x) C) dxc/dt, and mixed controller outputs y2 = (K (x) C) xc and rates.
     """
 
-    dstate: np.ndarray
-    u1: np.ndarray
-    y1: np.ndarray
-    y1dot: np.ndarray
-    ycdot: np.ndarray
-    y2: np.ndarray
-    y2dot: np.ndarray
+    def __init__(self, dstate: np.ndarray, u1: np.ndarray, y1: np.ndarray, y1dot: np.ndarray,
+                 ycdot: np.ndarray, y2: np.ndarray, y2dot: np.ndarray):
+        self._set(dstate=dstate, u1=u1, y1=y1, y1dot=y1dot, ycdot=ycdot, y2=y2, y2dot=y2dot)
 
 
 class ClosedLoop:

@@ -18,12 +18,11 @@ state equation), a documented precondition of the steady-state arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .graph import mixing_entries
+from .graph import Frozen, mixing_entries
 from .linsys import StateSpace, dc_gain, matvec
 
 #: Newton residual tolerance and iteration limit of equilibrium solving.
@@ -47,25 +46,19 @@ def _sum_terms(terms, cols, out):
     return out
 
 
-@dataclass(frozen=True)
-class NonlinearPlant:
+class NonlinearPlant(Frozen):
     """dx/dt = A x + B u + E phi(x[..., :r]), y = C x with A p x p, B p x m,
     C m x p, E p x r and r <= p: phi maps the first r state coordinates,
     phi: (..., r) -> (..., r), and f: (..., p), (..., m) -> (..., p) and
     h: (..., p) -> (..., m) act row-wise on leading batch axes. phi(x, out)
     writes phi(x) into out like a ufunc; one probe at construction checks it."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    phi: callable  # (..., r), out=None -> (..., r)
-
-    def __post_init__(self):
-        for name in "ABCE":
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+    def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, E: np.ndarray,
+                 phi: callable):  # phi: (..., r), out=None -> (..., r)
+        A, B, C, E = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, E))
+        for M in (A, B, C, E):
             M.setflags(write=False)
-            object.__setattr__(self, name, M)
+        self._set(A=A, B=B, C=C, E=E, phi=phi)
         p, m = self.B.shape
         r = self.E.shape[1]
         if (self.A.shape, self.C.shape, self.E.shape[0]) != ((p, p), (m, p), p) or r > p:
@@ -77,7 +70,7 @@ class NonlinearPlant:
         self.phi(x, out)
         if not np.array_equal(out, self.phi(x)):
             raise ValueError("phi(x, out) must write phi(x), of shape (..., r), into out")
-        object.__setattr__(self, "_terms", _nonzeros(np.hstack((self.A, self.E, self.B))))
+        self._set(_terms=_nonzeros(np.hstack((self.A, self.E, self.B))))
 
     p = property(lambda self: self.A.shape[0], doc="state dimension")
     m = property(lambda self: self.B.shape[1], doc="input/output dimension")
@@ -95,31 +88,25 @@ class NonlinearPlant:
         return matvec(self.C, np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class StorageFunction:
+class StorageFunction(Frozen):
     """Positive definite energy function V with its exact gradient, acting
     row-wise on leading batch axes: V: (..., p) -> (...) and
     grad: (..., p) -> (..., p). Q is a symmetric p x p matrix such that
     V(x) - (1/2) x^T Q x lies in [0, c] for some constant c."""
 
-    V: callable  # x -> energy
-    grad: callable  # x -> gradient
-    Q: np.ndarray
+    def __init__(self, V: callable, grad: callable, Q: np.ndarray):  # x -> energy, gradient
+        self._set(V=V, grad=grad, Q=Q)
 
 
-@dataclass(frozen=True)
-class PendulumParams:
+class PendulumParams(Frozen):
     """Torsional-spring pendulum: bob mass (kg), rod length (m), spring
     constant (N m/rad), gravitational acceleration (m/s^2)."""
 
-    m_kg: float = 1.0
-    l_m: float = 0.5
-    kappa: float = 5.0
-    g_ms2: float = 9.8
-
-    def __post_init__(self):
-        if min(self.m_kg, self.l_m, self.kappa, self.g_ms2) <= 0:
+    def __init__(self, m_kg: float = 1.0, l_m: float = 0.5, kappa: float = 5.0,
+                 g_ms2: float = 9.8):
+        if min(m_kg, l_m, kappa, g_ms2) <= 0:
             raise ValueError("pendulum parameters must be strictly positive")
+        self._set(m_kg=m_kg, l_m=l_m, kappa=kappa, g_ms2=g_ms2)
 
 
 def _pendulum_constants(params: PendulumParams):
@@ -294,14 +281,12 @@ class GammaError(RuntimeError):
         self.input, self.node = u, node
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(Frozen):
     """Largest steady-state ratio u^T ybar2 / |u|^2 over a grid of constant
     inputs, with the input attaining it."""
 
-    gamma_hat: float
-    worst_input: np.ndarray
-    ratios: np.ndarray
+    def __init__(self, gamma_hat: float, worst_input: np.ndarray, ratios: np.ndarray):
+        self._set(gamma_hat=gamma_hat, worst_input=worst_input, ratios=ratios)
 
 
 def gamma_input_grid():

@@ -16,34 +16,30 @@ stage rows it has just filled, in either form, without running it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 
 import numpy as np
 
+from .graph import Frozen
 from .network import LoopSignals
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    step_s: float
-    t_end_s: float
-    record_every: int = 1
-
-    def __post_init__(self):
-        for name in ("step_s", "t_end_s"):
-            if not isfinite(getattr(self, name)):
+class IntegratorConfig(Frozen):
+    def __init__(self, step_s: float, t_end_s: float, record_every: int = 1):
+        for name, value in (("step_s", step_s), ("t_end_s", t_end_s)):
+            if not isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.step_s <= 0:
+        if step_s <= 0:
             raise ValueError("step_s must be positive")
-        if self.t_end_s < self.step_s:
+        if t_end_s < step_s:
             raise ValueError("t_end_s must be at least one step")
         # a float or a bool would pass the range test, then fail or mislead
         # where integrate slices the record by it
-        every = self.record_every
+        every = record_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
             raise ValueError("record_every must be a positive integer")
+        self._set(step_s=step_s, t_end_s=t_end_s, record_every=record_every)
 
 
 #: Table entries per block of ``Trajectory.write_csv``, rounded down to whole
@@ -190,15 +186,16 @@ def _replay(h, bound, buffers, start, state, stop, probe, order):
                                      _diverged_entry(P[1:], new, order))
 
 
-@dataclass(frozen=True)
 class Trajectory(LoopSignals):
     """Recorded closed-loop run: the loop signals of the recorded composite
     states, derivative ``dstate`` included, with their uniform sample
     instants and the loop that produced them."""
 
-    system: object
-    times: np.ndarray
-    states: np.ndarray
+    def __init__(self, dstate: np.ndarray, u1: np.ndarray, y1: np.ndarray,
+                 y1dot: np.ndarray, ycdot: np.ndarray, y2: np.ndarray, y2dot: np.ndarray,
+                 system: object, times: np.ndarray, states: np.ndarray):
+        super().__init__(dstate, u1, y1, y1dot, ycdot, y2, y2dot)
+        self._set(system=system, times=times, states=states)
 
     @property
     def n_samples(self) -> int:

@@ -124,6 +124,24 @@ def test_non_ascii_label_under_the_c_locale(tmp_path, ensure_ascii):
     assert doc["label"] in (tmp_path / "simulate" / "outputs.svg").read_bytes().decode("utf-8")
 
 
+def test_sweep_table_under_the_c_locale(tmp_path):
+    """In the C locale without UTF-8 mode, an --out path that is not ASCII
+    reaches the process as surrogate escapes: sweep exits 0, and the out_dir
+    cell of sweep.csv holds the run directory's own (UTF-8) bytes."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    out = tmp_path / "sw-\u03b4"
+    proc = subprocess.run([sys.executable, "-m", "niconsensus", "sweep", "--config",
+                           str(write(tmp_path, doc)), "--out", str(out), "--param", "a",
+                           "--values", "10", "--quiet"],
+                          env=src_env(LC_ALL="C", PYTHONUTF8="0"), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = (out / "sweep.csv").read_bytes().splitlines()
+    assert header.endswith(b",out_dir") and row.startswith(b"a,10,ok,")
+    assert row.rsplit(b",", 1)[1] == str(out / "run_a=10").encode("utf-8")
+
+
 def test_simulate_disconnected_graph_exit2(tmp_path, capsys):
     doc = short_network_doc()
     doc["graph"] = {"n": 4, "edges": [[0, 1]]}
@@ -649,6 +667,14 @@ def test_package_imports_without_scipy():
     assert fresh_python("import sys, niconsensus, niconsensus.cli; "
                         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
                         "('scipy', 'jsonschema', 'referencing')))") == "[]"
+
+
+def test_package_imports_neither_dataclasses_nor_numpy_random():
+    """Every command starts a fresh interpreter: importing the package and its
+    CLI must load no dataclasses, whose generated methods compile on every
+    import, and no numpy.random, which only verify's network gain draws need."""
+    assert fresh_python("import sys, niconsensus, niconsensus.cli; print([m for m in "
+                        "('dataclasses', 'numpy.random') if m in sys.modules])") == "[]"
 
 
 def test_cli_imports_the_process_pool_only_for_sweep():

@@ -189,3 +189,33 @@ def test_graph_takes_integral_floats_and_numpy_integers_as_ints():
     assert type(g.n) is int and g == nc.Graph(3, frozenset({(0, 2), (1, 2)}))
     assert all(type(v) is int for e in g.edges for v in e)
     assert nc.ClosedLoop(PLANT, LAG, g).n_plants == 3
+
+
+def test_graphs_equal_and_hash_alike_by_nodes_and_edges():
+    """An edge is an unordered pair: a graph equals, and hashes like, the same
+    graph given with its edges reversed, and no graph of other nodes or edges."""
+    g, reversed_edges = nc.Graph(3, {(0, 2), (1, 2)}), nc.Graph(3, {(2, 0), (2, 1)})
+    assert g == reversed_edges and hash(g) == hash(reversed_edges)
+    assert len({g, reversed_edges}) == 1
+    assert g != nc.Graph(3, {(0, 1), (1, 2)}) and g != nc.Graph(4, {(0, 2), (1, 2)})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: nc.path_graph(3), "edges"),
+    (lambda: nc.first_order(10.0, 10.0), "A"),
+    (nc.FreqGrid.default, "points"),
+    (lambda: nc.pendulum_plant(nc.PendulumParams()), "phi"),
+    (lambda: nc.pendulum_storage(nc.PendulumParams()), "Q"),
+    (nc.PendulumParams, "kappa"),
+    (lambda: nc.IntegratorConfig(1e-3, 1.0), "record_every"),
+], ids=["Graph", "StateSpace", "FreqGrid", "NonlinearPlant", "StorageFunction",
+        "PendulumParams", "IntegratorConfig"])
+def test_value_types_refuse_assigning_and_deleting_a_field(make, field):
+    """Loops, caches and configs share these values, so none may change once built."""
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
