@@ -48,6 +48,13 @@ def _say(quiet, *args):
         print(*args)
 
 
+def _make_dir(path: Path):
+    try:  # an OSError, as where path names a file, is a config error naming path
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot write output to {path}: {err.strerror or err}") from None
+
+
 def _write_json(path: Path, doc: dict):
     """Write doc as strict JSON, creating its directory: non-finite floats
     become null, since NaN and Infinity tokens are rejected by strict parsers."""
@@ -60,7 +67,7 @@ def _write_json(path: Path, doc: dict):
             return [finite(v) for v in value]
         return value
 
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     path.write_text(json.dumps(finite(doc), indent=2, allow_nan=False) + "\n")
 
 
@@ -114,7 +121,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     """Integrate one experiment, run its checks, write the artifacts, and
     write report.json on every path: "status" is "ok", "check_failed" or
     "diverged" (with "error"). Returns (exit_code, summary dict)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     loop = cfg.build_loop()
     summary = {"status": "ok"}
     results, artifacts = {}, {}
@@ -277,8 +284,8 @@ def cmd_sweep(args) -> int:
                               f"share {run_dir}")
     tasks = [(_sweep_variant(base, args.param, v), run_dir)
              for v, run_dir in zip(parsed, run_dirs)]
+    _make_dir(out_root)
     outcomes = _run_variants(tasks)
-    out_root.mkdir(parents=True, exist_ok=True)
     table = out_root / "sweep.csv"
     # the out_dir column carries each run directory's own bytes, in any locale
     with open(table, "w", encoding="utf-8", errors="surrogateescape") as fh:
@@ -287,7 +294,10 @@ def cmd_sweep(args) -> int:
             if outcome["status"] == "error":  # a rejected variant: say why
                 print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
                 report = {"status": "error", "error": outcome["error"], "config": doc}
-                _write_json(Path(run_dir) / "report.json", report)
+                try:
+                    _write_json(Path(run_dir) / "report.json", report)
+                except ConfigError:  # the run directory itself cannot be made
+                    pass
             fh.write(",".join([
                 args.param, json.dumps(v), outcome["status"],
                 *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir,

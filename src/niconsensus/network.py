@@ -330,12 +330,14 @@ def dissipation(grad, dx, u, ydot):
 
 
 def controller_storage(controller: StateSpace, Y) -> StorageFunction:
-    """V2(x) = (1/2) x^T Y^-1 x, the controller storage of the OSNI
-    certificate Y, with Q = Y^-1 and gradient x Y^-1 row by row."""
+    """V2(x) = (1/2) x^T Y^-1 x with Q = Y^-1 and gradient x Y^-1 row by row,
+    the controller storage of the OSNI certificate Y, symmetric positive definite."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     q = controller.state_dim
     if Y.shape != (q, q):
         raise ValueError(f"controller certificate Y must be {q} x {q}")
+    if not (np.allclose(Y, Y.T, atol=1e-12) and np.linalg.eigvalsh(Y)[0] > 0):
+        raise ValueError("controller certificate Y must be symmetric positive definite")
     Q = np.linalg.inv(Y)
     return StorageFunction(V=lambda x: 0.5 * np.sum((x @ Q) * x, axis=-1),
                            grad=lambda x: x @ Q, Q=Q)
@@ -381,11 +383,8 @@ class CompositeStorage:
         semidefinite. V1 replaced by x^T Q x / 2 makes W a quadratic form within
         n c of W, and a Schur complement reduces its blocks, one per eigenvalue
         of K, to this matrix. A positive margin makes W positive off {xp = 0,
-        xc in ker K (x) R^q}, a negative one unbounded below. Raises ValueError
-        unless Y is symmetric positive definite."""
+        xc in ker K (x) R^q}, a negative one unbounded below."""
         Y, loop = self.Y, self.loop
-        if not (np.array_equal(Y, Y.T) and np.linalg.eigvalsh(Y)[0] > 0):
-            raise ValueError("controller certificate Y must be symmetric positive definite")
         G = loop.plant.C.T @ loop.controller.C
         lam = laplacian_eigenvalues(loop.graph)[-1]
         return float(np.linalg.eigvalsh(self.v1.Q - lam * G @ Y @ G.T)[0])

@@ -109,18 +109,12 @@ class PendulumParams(Frozen):
         self._set(m_kg=m_kg, l_m=l_m, kappa=kappa, g_ms2=g_ms2)
 
 
-def _pendulum_constants(params: PendulumParams):
-    """(m l^2, m g l, kappa) as 0-d arrays, which numpy multiplies fastest."""
-    return (np.array(params.m_kg * params.l_m ** 2),
-            np.array(params.m_kg * params.g_ms2 * params.l_m), np.array(params.kappa))
-
-
 def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
     """Pendulum with angle x1 from the downward position and rate x2: dx1 = x2,
     dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2), y = x1; r = 1 and phi = sin,
     the ufunc itself."""
-    ml2, mgl, kap = _pendulum_constants(params)
-    return NonlinearPlant(A=[[0.0, 1.0], [-kap / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
+    ml2, mgl = params.m_kg * params.l_m ** 2, params.m_kg * params.g_ms2 * params.l_m
+    return NonlinearPlant(A=[[0.0, 1.0], [-params.kappa / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
                           C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]],
                           phi=np.sin)
 
@@ -128,7 +122,8 @@ def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
 def pendulum_storage(params: PendulumParams) -> StorageFunction:
     """Total pendulum energy: spring + kinetic + gravitational terms, with
     Q = diag(kappa, m l^2) and c = 2 m g l."""
-    ml2, mgl, kap = _pendulum_constants(params)
+    ml2, mgl, kap = (params.m_kg * params.l_m ** 2, params.m_kg * params.g_ms2 * params.l_m,
+                     params.kappa)
 
     def V(x):
         x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
@@ -259,17 +254,14 @@ def _damped_newton(G, residual, th, c):
 
 
 def _newton_steps(J, g):
-    """Newton steps -J^-1 g of a (k, r, r) stack of Jacobians, NaN or
-    infinite where a Jacobian is singular."""
-    if J.shape[-1] == 1:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    """Newton steps -J^-1 g of a (k, r, r) stack of Jacobians, NaN or infinite
+    where one is singular: where slogdet's sign is 0, as det's product can underflow."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if J.shape[-1] == 1:
             return -g / J[:, :, 0]
-    try:
-        return np.linalg.solve(J, -g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        d, ok = np.full_like(g, np.nan), np.linalg.det(J) != 0
-        d[ok] = np.linalg.solve(J[ok], -g[ok, :, None])[:, :, 0]
-        return d
+        d, ok = np.full_like(g, np.nan), np.linalg.slogdet(J)[0] != 0  # NaN J: NaN step, unwarned
+    d[ok] = np.linalg.solve(J[ok], -g[ok, :, None])[:, :, 0]
+    return d
 
 
 class GammaError(RuntimeError):

@@ -124,27 +124,27 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     as x' nears the largest float over scale, and a state that passes has
     every |x'_i| below twice that (a fused multiply-add can absorb one
     product up to twice the largest float). The test runs on the recorded
-    states only. When one fails, the steps since the last recorded state
-    run again from it with the test on every step (``_replay``), and the
-    first step that fails raises SimulationDiverged, with the state before
-    it and the entry that left first (``_diverged_entry``) read in order.
-    Every stage carries the state itself (x' = x + ...), so a state that
-    leaves the finite floats never returns to them; a finite state beyond
-    the range that is back in it by the next recorded step passes. Returns
-    (times, states) at the recorded samples: t = 0, every record_every-th
-    step, and the final step."""
+    states only. When one fails at the first step since the last recorded
+    state, that step raises SimulationDiverged, with the state before it and
+    the entry that left first (``_diverged_entry`` of the rows it filled)
+    read in order. Otherwise rk4_path runs the window again from the last
+    recorded state, recording every step, and re-raises its error at the
+    step and time counted from the start. Every stage carries the state
+    itself (x' = x + ...), so a state that leaves the finite floats never
+    returns to them; a finite state beyond the range that is back in it by
+    the next recorded step passes. Returns (times, states) at the recorded
+    samples: t = 0, every record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
     n_rec = n_steps // cfg.record_every + 1 + (1 if n_steps % cfg.record_every else 0)
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, x.size))
+    times, states = np.empty(n_rec), np.empty((n_rec, x.size))
     times[0], states[0] = 0.0, x
     rec, every = 1, cfg.record_every
     P, Q = np.zeros((5, x.size)), np.zeros((5, x.size))
     P[0] = x
     bind = stages_at or slope_stages(field_at, h)
-    here, there = bound = bind(P, Q), bind(Q, P)
+    here, there = bind(P, Q), bind(Q, P)
     x, new = P[0], Q[0]
     # 0 * v is +-0 for finite v and NaN for +-inf or NaN, so with scale 0 the
     # probe's dot is finite iff x is
@@ -161,29 +161,20 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
             x, new, here, there = new, x, there, here
             if k % every == 0 or k == n_steps:
                 if not isfinite(probe.dot(x)):
-                    _replay(h, bound, (P, Q), (rec - 1) * every, states[rec - 1], k,
-                            probe, order)
+                    start, before = (rec - 1) * every, (P, Q)[(k - 1) % 2]
+                    if k - start == 1:  # step k ran on the rows of the state before it
+                        raise SimulationDiverged(k * h, k, before[0][order],
+                                                 _diverged_entry(before[1:], x, order))
+                    try:  # the window again, each step recorded, so its failure is a first step
+                        rk4_path(field_at, states[rec - 1], IntegratorConfig(h, (k - start) * h),
+                                 stages_at, scale, order)
+                    except SimulationDiverged as err:
+                        raise SimulationDiverged((start + err.step) * h, start + err.step,
+                                                 err.last_state, err.index) from None
                 times[rec] = k * h
                 states[rec] = x
                 rec += 1
     return times[:rec], states[:rec]
-
-
-def _replay(h, bound, buffers, start, state, stop, probe, order):
-    """Run steps start + 1 .. stop of ``rk4_path`` again from the state
-    recorded at step start, testing each new state, and raise
-    SimulationDiverged at the first that fails (at stop, which failed the
-    recorded test, at the latest). After step j the state is row 0 of the
-    stage buffer buffers[j % 2], and step j + 1 runs the stages bound[j % 2]
-    on that buffer's rows 1-4, which name the entry if it fails."""
-    np.copyto(buffers[start % 2][0], state)
-    for j in range(start, stop):
-        for stage in bound[j % 2]:
-            stage()
-        P, new = buffers[j % 2], buffers[(j + 1) % 2][0]
-        if j + 1 == stop or not isfinite(probe.dot(new)):
-            raise SimulationDiverged((j + 1) * h, j + 1, P[0][order],
-                                     _diverged_entry(P[1:], new, order))
 
 
 class Trajectory(LoopSignals):

@@ -137,6 +137,19 @@ def test_equilibrium_batch_names_first_failing_member():
         assert np.array_equal(info.value.x[i], nc.equilibrium_solve(saturating, ubar[i], [0.0]))
 
 
+def test_newton_steps_solve_each_member_as_alone():
+    """det(1e-170 I) underflows to 0 on a solvable Jacobian: its member still
+    takes the step np.linalg.solve gives it alone, and only the singular
+    member gets NaN."""
+    J = np.stack([1e-170 * np.eye(2), np.eye(2), np.zeros((2, 2))])
+    g = np.array([[1e-170, 2e-170], [1.0, 2.0], [1.0, 1.0]])
+    assert np.linalg.det(J[0]) == 0.0
+    d = nc.plant._newton_steps(J, g)
+    for i in (0, 1):
+        assert np.array_equal(d[i], np.linalg.solve(J[i], -g[i]))
+    assert np.array_equal(d[0], [-1.0, -2.0]) and np.isnan(d[2]).all()
+
+
 def lightly_damped_controller():
     """M(s) = 1/(s+1) - 1e-3 w1^2 / (s^2 + 0.02 w1 s + w1^2) with w1 = 1e5:
     not NI, since j(M - M*) = -0.1 at w1, beyond the default grid."""

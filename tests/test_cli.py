@@ -95,6 +95,39 @@ def test_config_naming_a_directory_exit2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_an_out_that_names_a_file_exit2(tmp_path, capsys, command):
+    """An --out that cannot be created as a directory is a config error that
+    names it (exit 2), not a traceback, for every command."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = [command, "--config", str(write(tmp_path, doc)), "--out", str(out), "--quiet"]
+    assert main(argv + (["--param", "a", "--values", "10"] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output to {out}: ")
+    assert out.read_text() == ""
+
+
+def test_sweep_variant_whose_directory_is_a_file_is_an_error_row(tmp_path, capsys):
+    """A run directory that cannot be made fails its variant alone: sweep.csv
+    is written in full, with an error row for it, and the sweep exits 1."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "run_a=10").write_text("")
+    code = main(["sweep", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--param", "a", "--values", "10,20", "--quiet"])
+    assert code == 1
+    assert f"a=10: cannot write output to {out / 'run_a=10'}: " in capsys.readouterr().err
+    _, bad, good = (out / "sweep.csv").read_text().splitlines()
+    assert bad == f"a,10,error,,,,{out / 'run_a=10'}"
+    assert good.startswith("a,20,ok,")
+    assert (out / "run_a=10").read_text() == ""
+
+
 def test_config_that_is_not_utf8_exit2(tmp_path, capsys):
     """JSON text is UTF-8: a UTF-16 file (it starts ff fe) is refused as a config error."""
     path = tmp_path / "cfg.json"

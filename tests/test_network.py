@@ -404,6 +404,22 @@ def test_positivity_margin_needs_a_positive_definite_certificate(pendulum, netwo
             nc.CompositeStorage(loop, v1, Y).positivity_margin()
 
 
+def test_controller_storage_refuses_a_certificate_that_is_not_symmetric_positive_definite():
+    """x Y^-1 is V2's gradient only for a symmetric Y: with Y = [[1, 0.3], [0, 0.5]]
+    it differs from a central difference of V2 by about 0.2. Such a Y, or a
+    symmetric one that is not positive definite, is refused when the storage
+    is built; a Y within 1e-12 of symmetric is accepted, as by
+    osni_certificate_check."""
+    ctrl = nc.StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]])
+    for Y in ([[1.0, 0.3], [0.0, 0.5]], [[1.0, 0.0], [0.0, -0.5]], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            network.controller_storage(ctrl, Y)
+    v2 = network.controller_storage(ctrl, [[1.0, 0.3], [0.3 + 1e-13, 0.5]])
+    x, e = np.array([0.7, -0.4]), 1e-6
+    diff = [(v2.V(x + e * u) - v2.V(x - e * u)) / (2 * e) for u in np.eye(2)]
+    assert np.allclose(v2.grad(x), diff, atol=1e-6)
+
+
 def star_graph(n):
     return nc.Graph(n, frozenset((0, i) for i in range(1, n)))
 

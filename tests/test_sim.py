@@ -90,12 +90,15 @@ def test_divergence_raises():
         rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
 
 
-def test_divergence_reports_the_step_and_the_last_finite_state():
+@pytest.mark.parametrize("every", [1, 7, 10**9])
+def test_divergence_reports_the_step_and_the_last_finite_state(every):
     """dx/dt = x^2 from 1 blows up at t = 1. The error names the first step
     whose result is not finite and the state before it, stepped by hand here,
-    not the last recorded state; the allocating oracle stops at the same step."""
+    not the last recorded state; the allocating oracle stops at the same step.
+    Recording every step, the failed step is named from its own slopes; else
+    rk4_path steps the window since the last record again through field_at."""
     h = 0.01
-    cfg = nc.IntegratorConfig(step_s=h, t_end_s=3.0, record_every=7)
+    cfg = nc.IntegratorConfig(step_s=h, t_end_s=3.0, record_every=every)
     with pytest.raises(nc.SimulationDiverged, match="divergence at t=") as err:
         rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
     x, step = np.array([1.0]), 0
@@ -110,7 +113,7 @@ def test_divergence_reports_the_step_and_the_last_finite_state():
             if not np.isfinite(new).all():
                 break
             x = new
-    assert (step - 1) % cfg.record_every != 0
+    assert ((step - 1) % every == 0) == (every == 1)
     assert err.value.step == step and err.value.t == step * h
     assert np.array_equal(err.value.last_state, x)
     with pytest.raises(nc.SimulationDiverged) as ref:
@@ -253,10 +256,11 @@ def test_divergence_between_recorded_steps_replays_to_the_same_step(pendulum, na
 
 
 def test_a_diverging_loop_evaluates_its_field_only_inside_its_stages(pendulum, monkeypatch):
-    """A failed step is named from the stage rows its replay filled, not by
-    running it again in another form: the stiff pair, which diverges at step
-    268, calls ClosedLoop.rhs four times per step the loop runs or replays,
-    whether every step, every 7th or only the final one is recorded."""
+    """A failed step is named from the stage rows it filled, not by running
+    it again in another form: the stiff pair, which diverges at step 268,
+    calls ClosedLoop.rhs four times per step the loop runs or replays,
+    whether every step, every 7th or only the final one is recorded. A failed
+    step that is the first since the last recorded pass replays nothing."""
     calls, rhs = [], network.ClosedLoop.rhs
 
     def counted(self, *args, **kwargs):
@@ -272,7 +276,8 @@ def test_a_diverging_loop_evaluates_its_field_only_inside_its_stages(pendulum, m
                          nc.IntegratorConfig(1e-3, 1.0, record_every=every))
         stop = err.value.step
         stepped = min(-(-stop // every) * every, 1000)  # to the first recorded failure
-        replayed = stop - (stop - 1) // every * every  # from the last recorded pass
+        start = (stop - 1) // every * every  # the last recorded pass
+        replayed = 0 if stop - start == 1 else stop - start
         assert stop == 268 and len(calls) == 4 * (stepped + replayed)
 
 
