@@ -14,7 +14,7 @@ from .analysis import (CheckReport, check_lyapunov_monotone, check_ni_dissipatio
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .graph import (Graph, fiedler_value, is_connected, laplacian,
                     laplacian_eigenvalues, path_graph)
-from .linsys import (CertificateReport, FreqGrid, StateSpace, dc_gain, first_order,
+from .linsys import (CertificateReport, StateSpace, dc_gain, first_order,
                      first_order_certificate, freq_response, is_hurwitz, ni_freq_test,
                      osni_certificate_check, osni_freq_test, osni_max_delta)
 from .network import ClosedLoop, CompositeStorage

@@ -48,9 +48,11 @@ def _say(quiet, *args):
         print(*args)
 
 
-def _make_dir(path: Path):
-    try:  # an OSError, as where path names a file, is a config error naming path
-        path.mkdir(parents=True, exist_ok=True)
+def _output(path: Path, write, *args, **kwargs):
+    """write(path, *args, **kwargs), as Path.mkdir or an artifact's writer: an
+    OSError, as where path names a file or a directory, is a config error naming path."""
+    try:
+        write(path, *args, **kwargs)
     except OSError as err:
         raise ConfigError(f"cannot write output to {path}: {err.strerror or err}") from None
 
@@ -67,8 +69,8 @@ def _write_json(path: Path, doc: dict):
             return [finite(v) for v in value]
         return value
 
-    _make_dir(path.parent)
-    path.write_text(json.dumps(finite(doc), indent=2, allow_nan=False) + "\n")
+    _output(path.parent, Path.mkdir, parents=True, exist_ok=True)
+    _output(path, Path.write_text, json.dumps(finite(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _aggregate(reports):
@@ -121,7 +123,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     """Integrate one experiment, run its checks, write the artifacts, and
     write report.json on every path: "status" is "ok", "check_failed" or
     "diverged" (with "error"). Returns (exit_code, summary dict)."""
-    _make_dir(out_dir)
+    _output(out_dir, Path.mkdir, parents=True, exist_ok=True)
     loop = cfg.build_loop()
     summary = {"status": "ok"}
     results, artifacts = {}, {}
@@ -138,12 +140,12 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
             extra_cols += entry.pop("columns", ())
             summary.update({k: entry[k] for k in SWEEP_FIGURES if k in entry})
         csv_path = out_dir / "trajectory.csv"
-        traj.write_csv(csv_path, extra_columns=extra_cols)
+        _output(csv_path, traj.write_csv, extra_columns=extra_cols)
         svg_path = out_dir / "outputs.svg"
         curves = loop.nodes(traj.y1)[:, :, 0].T
         labels = [f"node {i + 1}" for i in range(loop.n_plants)]
-        write_line_plot(svg_path, traj.times, curves, labels=labels,
-                        title=cfg.label, xlabel="time (s)", ylabel="output")
+        _output(svg_path, write_line_plot, traj.times, curves, labels=labels,
+                title=cfg.label, xlabel="time (s)", ylabel="output")
         artifacts = {"trajectory_csv": str(csv_path), "outputs_svg": str(svg_path)}
 
     report = {"label": cfg.label, "mode": cfg.raw["mode"],
@@ -176,7 +178,7 @@ def _gains(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_verify(args) -> int:
-    """Run the certificates in report order on the default frequency grid, then
+    """Run the certificates in report order on the frequency grid linsys.GRID, then
     _gains; each function is a module global read at call time, so a wrapper sees it."""
     cfg = load_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "out")
@@ -284,24 +286,23 @@ def cmd_sweep(args) -> int:
                               f"share {run_dir}")
     tasks = [(_sweep_variant(base, args.param, v), run_dir)
              for v, run_dir in zip(parsed, run_dirs)]
-    _make_dir(out_root)
+    _output(out_root, Path.mkdir, parents=True, exist_ok=True)
     outcomes = _run_variants(tasks)
+    rows = [("param", "value", "status", *SWEEP_FIGURES, "out_dir")]
+    for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
+        if outcome["status"] == "error":  # a rejected variant: say why
+            print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
+            report = {"status": "error", "error": outcome["error"], "config": doc}
+            try:
+                _write_json(Path(run_dir) / "report.json", report)
+            except ConfigError:  # its run directory or report.json cannot be written
+                pass
+        rows.append((args.param, json.dumps(v), outcome["status"],
+                     *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir))
     table = out_root / "sweep.csv"
     # the out_dir column carries each run directory's own bytes, in any locale
-    with open(table, "w", encoding="utf-8", errors="surrogateescape") as fh:
-        fh.write(",".join(("param", "value", "status", *SWEEP_FIGURES, "out_dir")) + "\n")
-        for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
-            if outcome["status"] == "error":  # a rejected variant: say why
-                print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
-                report = {"status": "error", "error": outcome["error"], "config": doc}
-                try:
-                    _write_json(Path(run_dir) / "report.json", report)
-                except ConfigError:  # the run directory itself cannot be made
-                    pass
-            fh.write(",".join([
-                args.param, json.dumps(v), outcome["status"],
-                *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir,
-            ]) + "\n")
+    _output(table, Path.write_text, "".join(",".join(row) + "\n" for row in rows),
+            encoding="utf-8", errors="surrogateescape")
     _say(args.quiet, f"sweep table written to {table}")
     bad = [o for o in outcomes if o.get("exit_code", EXIT_OK) != EXIT_OK]
     return EXIT_SWEEP_FAILED if bad else EXIT_OK

@@ -7,15 +7,16 @@ A square transfer matrix M(s) = C (sI - A)^-1 B + D realised by a Hurwitz A is
   when jw [M(jw) - M(jw)*] - 2 delta w^2 Mc(jw)* Mc(jw) >= 0 for all
   w in (0, inf], where Mc(jw) = M(jw) - D is the strictly proper part.
 
-Both tests are evaluated on a finite frequency grid plus the analytic
-w -> inf limit; positive semi-definiteness is accepted down to an eigenvalue
-floor of -1e-9.
+Both tests are evaluated on one fixed frequency grid, GRID, plus the
+analytic w -> inf limit; positive semi-definiteness is accepted down to an
+eigenvalue floor of -1e-9. The grid ends at 1e4 rad/s, so a resonance above
+it is not seen: a lightly damped mode that breaks NI only there passes.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .graph import Frozen, laplacian_eigenvalues
 PSD_TOL = 1e-9
 #: Residual tolerance for the state-space OSNI certificate.
 CERT_TOL = 1e-9
+#: Frequencies (rad/s) of the NI/OSNI tests: 400 log-spaced points over
+#: [1e-3, 1e4], read-only; the w -> inf limit is handled analytically.
+GRID = np.logspace(-3.0, 4.0, 400)
+GRID.setflags(write=False)
 
 
 class StateSpace(Frozen):
@@ -60,9 +65,23 @@ class StateSpace(Frozen):
         return self.B.shape[1]
 
     @cached_property
-    def _default_terms(self):
-        """_osni_terms on the default grid, formed at first use, read-only."""
-        terms = _osni_terms(self, FreqGrid.default())
+    def _terms(self):
+        """Stacks (N, P, R) of one frequency response on GRID, formed at first
+        use and read-only: N = j [M - M*], P = jw N and R = 2 w^2 Mc* Mc per
+        grid frequency, P and R with a last entry holding the analytic
+        w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB)."""
+        if not is_hurwitz(self):
+            raise ValueError("frequency-domain NI tests require a Hurwitz A")
+        if not np.allclose(self.D, self.D.T, atol=1e-12):
+            raise ValueError("OSNI tests require symmetric D")
+        w = GRID[:, None, None]
+        M = freq_response(self, GRID)
+        skew, Mc = M - M.conj().swapaxes(1, 2), M - self.D
+        CB = self.C @ self.B
+        terms = (1j * skew,
+                 np.concatenate([1j * w * skew, [CB + CB.T + 0j]]),
+                 np.concatenate([2.0 * w * w * (Mc.conj().swapaxes(1, 2) @ Mc),
+                                 [2.0 * (CB.T @ CB) + 0j]]))
         for T in terms:
             T.setflags(write=False)
         return terms
@@ -71,28 +90,6 @@ class StateSpace(Frozen):
 def first_order(a: float, b: float) -> StateSpace:
     """SISO lag a/(s+b) realised as (A, B, C, D) = (-b, a, 1, 0)."""
     return StateSpace([[-b]], [[a]], [[1.0]], [[0.0]])
-
-
-class FreqGrid(Frozen):
-    """Strictly increasing positive angular frequencies (rad/s)."""
-
-    def __init__(self, points: np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(pts)) or np.any(pts <= 0):
-            raise ValueError("grid points must be finite and positive")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        pts.setflags(write=False)
-        self._set(points=pts)
-
-    @classmethod
-    @cache
-    def default(cls) -> "FreqGrid":
-        """400 log-spaced points over [1e-3, 1e4] rad/s, built once; the w -> inf
-        limit is handled analytically by the tests themselves."""
-        return cls(np.logspace(-3.0, 4.0, 400))
 
 
 def is_hurwitz(sys: StateSpace) -> bool:
@@ -131,34 +128,13 @@ def _psd(H: np.ndarray) -> bool:
     return bool(np.all(np.linalg.eigvalsh(H) >= -PSD_TOL))
 
 
-def _osni_terms(sys: StateSpace, grid: FreqGrid | None = None):
-    """Stacks (N, P, R) of one frequency response: N = j [M - M*], P = jw N and
-    R = 2 w^2 Mc* Mc per grid frequency, P and R with a last entry holding the
-    analytic w -> inf limits P = CB + (CB)^T, R = 2 (CB)^T (CB). With no grid,
-    the default grid's stacks, which the grid tests of one realisation share."""
-    if grid is None:
-        return sys._default_terms
-    if not is_hurwitz(sys):
-        raise ValueError("frequency-domain NI tests require a Hurwitz A")
-    if not np.allclose(sys.D, sys.D.T, atol=1e-12):
-        raise ValueError("OSNI tests require symmetric D")
-    w = grid.points[:, None, None]
-    M = freq_response(sys, grid.points)
-    skew, Mc = M - M.conj().swapaxes(1, 2), M - sys.D
-    CB = sys.C @ sys.B
-    P = np.concatenate([1j * w * skew, [CB + CB.T + 0j]])
-    R = np.concatenate([2.0 * w * w * (Mc.conj().swapaxes(1, 2) @ Mc),
-                        [2.0 * (CB.T @ CB) + 0j]])
-    return 1j * skew, P, R
-
-
-def ni_freq_test(sys: StateSpace, grid: FreqGrid | None = None) -> bool:
+def ni_freq_test(sys: StateSpace) -> bool:
     """Negative-imaginary test: j [M(jw) - M(jw)*] >= 0 on the whole grid."""
-    N, _, _ = _osni_terms(sys, grid)
+    N, _, _ = sys._terms
     return _psd(N)
 
 
-def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) -> bool:
+def osni_freq_test(sys: StateSpace, delta: float) -> bool:
     """Output-strictness test at level delta > 0.
 
     Requires jw [M - M*] - 2 delta w^2 Mc* Mc >= 0 at every grid point and at
@@ -166,11 +142,11 @@ def osni_freq_test(sys: StateSpace, delta: float, grid: FreqGrid | None = None) 
     """
     if delta <= 0:
         raise ValueError("strictness level delta must be positive")
-    _, P, R = _osni_terms(sys, grid)
+    _, P, R = sys._terms
     return _psd(P - delta * R)
 
 
-def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) -> float:
+def osni_max_delta(sys: StateSpace, graph=None) -> float:
     """Largest strictness level delta for which the OSNI test passes.
 
     With P + PSD_TOL I = L L*, P - delta R >= -PSD_TOL at one point exactly
@@ -183,7 +159,7 @@ def osni_max_delta(sys: StateSpace, grid: FreqGrid | None = None, graph=None) ->
     ([[1]] with no graph), from one frequency response of M: its NI matrices
     and grid terms are M's scaled block by block, lam N, lam P and lam^2 R.
     """
-    N, P, R = _osni_terms(sys, grid)
+    N, P, R = sys._terms
     lam = laplacian_eigenvalues(graph)[:, None, None, None]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")

@@ -152,15 +152,15 @@ def test_newton_steps_solve_each_member_as_alone():
 
 def lightly_damped_controller():
     """M(s) = 1/(s+1) - 1e-3 w1^2 / (s^2 + 0.02 w1 s + w1^2) with w1 = 1e5:
-    not NI, since j(M - M*) = -0.1 at w1, beyond the default grid."""
+    not NI, since j(M - M*) = -0.1 at w1, beyond linsys.GRID."""
     A = [[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -W1 ** 2, -0.02 * W1]]
     return nc.StateSpace(A, [[1.0], [0.0], [1.0]], [[1.0, -1e-3 * W1 ** 2, 0.0]])
 
 
 def oracle_terms(sys, grid):
-    """Per-frequency (P, R) pairs, one freq_response call each."""
+    """Per-frequency (P, R) pairs over the array grid, one freq_response call each."""
     terms = []
-    for w in grid.points:
+    for w in grid:
         M = nc.freq_response(sys, w)
         Mc = M - sys.D
         terms.append((1j * w * (M - M.conj().T), 2.0 * w * w * (Mc.conj().T @ Mc)))
@@ -170,7 +170,7 @@ def oracle_terms(sys, grid):
 
 
 def oracle_ni(sys, grid):
-    for w in grid.points:
+    for w in grid:
         M = nc.freq_response(sys, w)
         if np.linalg.eigvalsh(1j * (M - M.conj().T)).min() < -linsys.PSD_TOL:
             return False
@@ -207,25 +207,28 @@ CONTROLLERS = {
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_stacked_frequency_tests_match_per_frequency_oracle(name):
     sys = CONTROLLERS[name]
-    grid = nc.FreqGrid.default()
-    assert nc.ni_freq_test(sys, grid) == oracle_ni(sys, grid)
-    terms = oracle_terms(sys, grid)
+    assert nc.ni_freq_test(sys) == oracle_ni(sys, linsys.GRID)
+    terms = oracle_terms(sys, linsys.GRID)
     for delta in (1e-3, 0.0095, 0.05, 0.0999, 0.1, 0.2, 1.0):
-        assert nc.osni_freq_test(sys, delta, grid) == oracle_passes(terms, delta)
-    if oracle_ni(sys, grid):
-        value = nc.osni_max_delta(sys, grid)
+        assert nc.osni_freq_test(sys, delta) == oracle_passes(terms, delta)
+    if oracle_ni(sys, linsys.GRID):
+        value = nc.osni_max_delta(sys)
         assert value == oracle_delta_star(terms)
         oracle = bisect_max_delta(lambda delta: oracle_passes(terms, delta), 1e-6)
         assert oracle <= value < oracle + 1e-6
 
 
 def test_stacked_tests_on_a_grid_that_reaches_the_resonance():
-    sys = lightly_damped_controller()
-    grid = nc.FreqGrid(np.logspace(-3.0, 6.0, 2001))
-    assert not oracle_ni(sys, grid)
-    assert not nc.ni_freq_test(sys, grid)
-    with pytest.raises(ValueError, match="not NI"):
-        nc.osni_max_delta(sys, grid)
+    """The per-frequency oracle on a grid up to 1e6 rad/s sees the resonance
+    at w1 = 1e5 that linsys.GRID, ending at 1e4, misses."""
+    assert not oracle_ni(lightly_damped_controller(), np.logspace(-3.0, 6.0, 2001))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_ni_freq_test_sees_a_resonance_beyond_the_grid():
+    """The known blind spot of the fixed grid: an exact imaginary-axis test
+    rejects the lightly damped controller, the grid test passes it."""
+    assert nc.ni_freq_test(lightly_damped_controller()) is False
 
 
 def test_freq_response_stacks_over_frequencies():

@@ -128,6 +128,54 @@ def test_sweep_variant_whose_directory_is_a_file_is_an_error_row(tmp_path, capsy
     assert (out / "run_a=10").read_text() == ""
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "trajectory.csv"), ("simulate", "outputs.svg"), ("simulate", "report.json"),
+    ("verify", "verify.json"), ("sweep", "sweep.csv")])
+def test_an_artifact_that_names_a_directory_exit2(tmp_path, capsys, command, artifact):
+    """An artifact that cannot be written, here because its path is a
+    directory, is a config error that names it (exit 2), not a traceback."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    argv = [command, "--config", str(write(tmp_path, doc)), "--out", str(out), "--quiet"]
+    assert main(argv + (["--param", "a", "--values", "10"] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output to {out / artifact}: ")
+    assert (out / artifact).is_dir()
+
+
+def test_sweep_variant_whose_artifact_is_a_directory_is_an_error_row(tmp_path, capsys):
+    """A variant whose trajectory.csv cannot be written fails alone: sweep.csv
+    is written in full, with an error row for it, and the sweep exits 1."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["integrator"]["t_end_s"] = 0.2
+    out = tmp_path / "sweep"
+    (out / "run_a=10" / "trajectory.csv").mkdir(parents=True)
+    code = main(["sweep", "--config", str(write(tmp_path, doc)), "--out", str(out),
+                 "--param", "a", "--values", "10,20", "--quiet"])
+    assert code == 1
+    csv_path = out / "run_a=10" / "trajectory.csv"
+    assert f"a=10: cannot write output to {csv_path}: " in capsys.readouterr().err
+    _, bad, good = (out / "sweep.csv").read_text().splitlines()
+    assert bad == f"a,10,error,,,,{out / 'run_a=10'}"
+    assert good.startswith("a,20,ok,")
+    report = json.loads((out / "run_a=10" / "report.json").read_text())
+    assert report["status"] == "error" and str(csv_path) in report["error"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: gamma_pair is a sampled lower bound")
+def test_verify_fails_a_pair_whose_gain_sup_exceeds_one(tmp_path):
+    """Defect C's first reproduction: kappa = 10, a/(s+b) = 18/(s+2) has the
+    pair gain sup 9 / (10 - 0.2172336 * 4.9) = 1.00721 > 1, yet the sampled
+    gamma_hat reads 0.7451 and verify exits 0."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["plant"]["pendulum"]["kappa"] = 10.0
+    doc["controller"]["first_order"] = {"a": 18.0, "b": 2.0}
+    argv = ["verify", "--config", str(write(tmp_path, doc)), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--quiet"]) == 4
+
+
 def test_config_that_is_not_utf8_exit2(tmp_path, capsys):
     """JSON text is UTF-8: a UTF-16 file (it starts ff fe) is refused as a config error."""
     path = tmp_path / "cfg.json"

@@ -203,12 +203,11 @@ def test_graphs_equal_and_hash_alike_by_nodes_and_edges():
 @pytest.mark.parametrize("make, field", [
     (lambda: nc.path_graph(3), "edges"),
     (lambda: nc.first_order(10.0, 10.0), "A"),
-    (nc.FreqGrid.default, "points"),
     (lambda: nc.pendulum_plant(nc.PendulumParams()), "phi"),
     (lambda: nc.pendulum_storage(nc.PendulumParams()), "Q"),
     (nc.PendulumParams, "kappa"),
     (lambda: nc.IntegratorConfig(1e-3, 1.0), "record_every"),
-], ids=["Graph", "StateSpace", "FreqGrid", "NonlinearPlant", "StorageFunction",
+], ids=["Graph", "StateSpace", "NonlinearPlant", "StorageFunction",
         "PendulumParams", "IntegratorConfig"])
 def test_value_types_refuse_assigning_and_deleting_a_field(make, field):
     """Loops, caches and configs share these values, so none may change once built."""

@@ -209,17 +209,12 @@ def test_kron_ss_matches_direct_frequency_response(four_node_graph):
     assert np.allclose(nc.dc_gain(netss), np.kron(L, nc.dc_gain(m)), atol=1e-12)
 
 
-def test_freq_grid_validation():
-    with pytest.raises(ValueError):
-        nc.FreqGrid(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        nc.FreqGrid(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        nc.FreqGrid(np.array([]))
-    grid = nc.FreqGrid.default()
-    assert grid.points.size == 400
-    assert grid.points[0] == pytest.approx(1e-3)
-    assert grid.points[-1] == pytest.approx(1e4)
+def test_the_grid_is_400_read_only_points_over_1e_3_to_1e4():
+    grid = nc.linsys.GRID
+    assert grid.shape == (400,) and not grid.flags.writeable
+    assert np.array_equal(grid, np.logspace(-3.0, 4.0, 400))
+    assert grid[0] == pytest.approx(1e-3)
+    assert grid[-1] == pytest.approx(1e4)
 
 
 def test_statespace_validation():
@@ -252,15 +247,11 @@ def test_grid_tests_of_one_realisation_share_one_frequency_response(freq_calls):
     assert freq_calls == [id(m)]
 
 
-def test_each_realisation_and_each_explicit_grid_forms_its_own_response(freq_calls):
+def test_each_realisation_forms_its_own_response(freq_calls):
     first, second = nc.first_order(10.0, 10.0), nc.first_order(10.0, 10.0)
     nc.ni_freq_test(first)
     nc.ni_freq_test(second)
     assert freq_calls == [id(first), id(second)]
-    grid = nc.FreqGrid(np.logspace(-3.0, 4.0, 400))
-    nc.ni_freq_test(first, grid)
-    nc.osni_max_delta(first, grid)
-    assert len(freq_calls) == 4
 
 
 def test_two_loaded_configs_share_no_frequency_response(freq_calls):
@@ -270,14 +261,19 @@ def test_two_loaded_configs_share_no_frequency_response(freq_calls):
     assert len(freq_calls) == 2
 
 
-def test_shared_terms_are_read_only_and_equal_a_fresh_grids():
-    m = nc.StateSpace([[-1.0, 0.5], [0.0, -3.0]], [[1.0], [2.0]], [[1.0, 1.0]])
-    shared = nc.linsys._osni_terms(m)
-    fresh = nc.linsys._osni_terms(m, nc.FreqGrid(np.logspace(-3, 4, 400)))
-    for S, F in zip(shared, fresh, strict=True):
-        assert not S.flags.writeable
-        assert np.array_equal(S, F)
-    assert nc.linsys._osni_terms(m) is shared
+def test_equal_realisations_form_equal_distinct_read_only_terms(freq_calls):
+    """Two realisations with equal matrices form equal terms, each its own
+    and read-only; one realisation reuses its own terms."""
+    def make():
+        return nc.StateSpace([[-1.0, 0.5], [0.0, -3.0]], [[1.0], [2.0]], [[1.0, 1.0]])
+
+    first, second = make(), make()
+    terms = first._terms
+    for F, S in zip(terms, second._terms, strict=True):
+        assert F is not S and np.array_equal(F, S)
+        assert not F.flags.writeable and not S.flags.writeable
+    assert first._terms is terms
+    assert freq_calls == [id(first), id(second)]
 
 
 def test_a_realisation_that_is_not_hurwitz_raises_on_every_call(freq_calls):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,26 @@ def test_gamma_pair_grid_matches_bracketing_oracle(pendulum):
     assert report.gamma_hat < 1.0
     # the ratio peaks near the positive root of tan(x) = x (about 4.4934)
     assert abs(brentq_equilibrium(abs(report.worst_input[0])) - 4.4934) < 0.15
+
+
+#: sin(t)/t at its minimum t* > 0, where tan(t*) = t* (t* about 4.4934).
+THETA_STAR = brentq(lambda t: math.sin(t) - t * math.cos(t), math.pi, 1.5 * math.pi,
+                    xtol=1e-15)
+S_MIN = math.sin(THETA_STAR) / THETA_STAR
+
+
+@pytest.mark.parametrize("name", ["pendulum4", "pendulum_pair"])
+def test_sampled_gamma_pair_is_below_and_near_the_closed_form(name):
+    """The pendulum's pair gain u ybar2 / u^2 = M(0) / (kappa + mgl sin(t)/t)
+    at the equilibrium angle t peaks at M(0) / (kappa + S_MIN mgl): the
+    sampled gamma_hat never exceeds that sup and, on the bundled configs,
+    comes within 1e-4 of it."""
+    cfg = nc.load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    p = cfg.raw["plant"]["pendulum"]
+    closed = nc.dc_gain(cfg.controller_ss)[0, 0] / (p["kappa"] + S_MIN * p["m"] * p["g"] * p["l"])
+    gamma_hat = nc.gamma_estimate(cfg.plant, cfg.controller_ss, nc.gamma_input_grid()).gamma_hat
+    assert S_MIN == pytest.approx(-0.2172336, abs=1e-7)
+    assert closed - 1e-4 < gamma_hat <= closed
 
 
 def test_gamma_input_grid_is_one_input_per_row():
