@@ -30,14 +30,19 @@ class CheckReport(Frozen):
                   tolerance=tolerance, passed=passed)
 
 
+def worst(violations, times) -> int:
+    """The index of the worst of violations sampled at times: the first
+    non-finite one in time (an overflowed run's), else the largest."""
+    bad = ~np.isfinite(violations)
+    return int(np.argmin(np.where(bad, times, np.inf)) if bad.any() else np.argmax(violations))
+
+
 def _report(name: str, violations: np.ndarray, times: np.ndarray,
             tol: float) -> CheckReport:
-    worst = int(np.argmax(violations))  # NaN first, then +inf: finite unless one is not
-    if not np.isfinite(violations[worst]):  # overflowed: the first non-finite sample
-        worst = int(np.flatnonzero(~np.isfinite(violations))[0])
-    max_violation = float(violations[worst])
+    k = worst(violations, times)
+    max_violation = float(violations[k])
     return CheckReport(name=name, max_violation=max_violation,
-                       time_of_max=float(times[worst]), tolerance=tol,
+                       time_of_max=float(times[k]), tolerance=tol,
                        passed=max_violation <= tol)
 
 

@@ -74,10 +74,8 @@ def _write_json(path: Path, doc: dict):
 
 
 def _aggregate(reports):
-    # as in each report: the first non-finite violation in time, else the largest
-    bad = [r for r in reports if not math.isfinite(r.max_violation)]
-    worst = (min(bad, key=lambda r: r.time_of_max) if bad
-             else max(reports, key=lambda r: r.max_violation))
+    worst = reports[analysis.worst([r.max_violation for r in reports],
+                                   [r.time_of_max for r in reports])]
     return {
         "passed": all(r.passed for r in reports),
         "max_violation": worst.max_violation,

@@ -12,8 +12,7 @@ from .analysis import CHECKS
 from .graph import Graph, integral, is_connected
 from .linsys import StateSpace, first_order, first_order_certificate
 from .network import ClosedLoop, check_controller
-from .plant import (NonlinearPlant, PendulumParams, StorageFunction, pendulum_plant,
-                    pendulum_storage)
+from .plant import PendulumParams, pendulum_plant, pendulum_storage
 from .sim import IntegratorConfig
 
 
@@ -240,30 +239,6 @@ DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
                   "lyapunov_monotone", "consensus"]
 
 
-class ExperimentConfig:
-    """Fully resolved experiment: systems built, dimensions checked.
-
-    ``graph`` is None for a single plant/controller pair. ``controller_Y`` is
-    the OSNI certificate Y whose storage (1/2) x^T Y^-1 x the trajectory
-    checks use; None when the controller has no closed-form certificate.
-    """
-
-    def __init__(self, raw: dict, graph: Graph | None, plant: NonlinearPlant,
-                 plant_storage: StorageFunction | None, controller_ss: StateSpace,
-                 controller_Y: np.ndarray | None, delta: float, x0: np.ndarray,
-                 integrator: IntegratorConfig, checks: list, consensus_rel: float = 0.02,
-                 consensus_abs: float = 0.05, out_dir: str | None = None,
-                 label: str = "experiment"):
-        self.raw, self.graph, self.plant, self.plant_storage = raw, graph, plant, plant_storage
-        self.controller_ss, self.controller_Y, self.delta = controller_ss, controller_Y, delta
-        self.x0, self.integrator, self.checks = x0, integrator, checks
-        self.consensus_rel, self.consensus_abs = consensus_rel, consensus_abs
-        self.out_dir, self.label = out_dir, label
-
-    def build_loop(self) -> ClosedLoop:
-        return ClosedLoop(self.plant, self.controller_ss, self.graph)
-
-
 def graph_from_config(entry: dict) -> Graph:
     """A network's graph, which consensus requires connected."""
     try:
@@ -287,71 +262,79 @@ def controller_from_config(entry: dict):
         raise ConfigError(f"controller: {err}") from err
 
 
-def plant_from_config(entry: dict):
-    params = entry["pendulum"]
-    pp = PendulumParams(m_kg=params["m"], l_m=params["l"],
-                        kappa=params["kappa"], g_ms2=params["g"])
-    return pendulum_plant(pp), pendulum_storage(pp)
+class ExperimentConfig:
+    """A parsed JSON document, validated and resolved: systems built,
+    dimensions checked. ExperimentConfig(doc) raises ConfigError on the first
+    rule doc breaks, in the order schema, controller, I/O dimension,
+    mode/graph, connectivity, initial conditions, integrator.
+
+    ``graph`` is None for a single plant/controller pair. ``controller_Y`` is
+    the OSNI certificate Y whose storage (1/2) x^T Y^-1 x the trajectory
+    checks use; None when the controller has no closed-form certificate.
+    """
+
+    def __init__(self, doc: dict):
+        error = min(schema_errors(SCHEMA, doc), key=lambda e: e[0], default=None)
+        if error is not None:
+            raise ConfigError("{}: {}".format(*error))
+        self.raw, mode = doc, doc["mode"]
+        params = doc["plant"]["pendulum"]
+        pp = PendulumParams(m_kg=params["m"], l_m=params["l"], kappa=params["kappa"],
+                            g_ms2=params["g"])
+        self.plant, self.plant_storage = pendulum_plant(pp), pendulum_storage(pp)
+        self.controller_ss, self.controller_Y = controller_from_config(doc["controller"])
+        try:
+            check_controller(self.controller_ss)
+        except ValueError as err:
+            raise ConfigError(f"$.controller: {err}") from err
+        if self.controller_ss.io_dim != self.plant.m:
+            raise ConfigError(f"$.controller: input/output dimension "
+                              f"{self.controller_ss.io_dim} differs from the plant's {self.plant.m}")
+        if ("graph" in doc) != (mode == "network"):
+            raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
+        self.graph = graph_from_config(doc["graph"]) if mode == "network" else None
+        # one bank of n nodes either way; the pair form drops the node axis
+        keys, nodes = ((("plant", "controller"), ()) if self.graph is None
+                       else (("plants", "controllers"), (self.graph.n,)))
+        ics = doc["initial_conditions"]
+        if any(key not in ics for key in keys):
+            raise ConfigError(f"$.initial_conditions: {mode} mode needs "
+                              f"{keys[0]!r} and {keys[1]!r}")
+        stray = sorted(set(ics) - set(keys))
+        if stray:
+            raise ConfigError(f"$.initial_conditions: {mode} mode takes only {keys[0]!r} "
+                              f"and {keys[1]!r}, not {', '.join(map(repr, stray))}")
+        x0 = []
+        for key, dim in zip(keys, (self.plant.p, self.controller_ss.state_dim)):
+            value, shape = np.asarray(ics[key], dtype=float), nodes + (dim,)
+            if value.shape != shape:
+                raise ConfigError(f"$.initial_conditions.{key}: expected shape "
+                                  f"{list(shape)}, got {list(value.shape)}")
+            x0.append(value.reshape(-1))
+        self.x0 = np.concatenate(x0)
+        # the schema's integrator keys are IntegratorConfig's fields; a schema
+        # integer may be an integral float (10.0), which the integrator cannot step by
+        fields = dict(doc["integrator"])
+        if "record_every" in fields:
+            fields["record_every"] = int(fields["record_every"])
+        try:
+            self.integrator = IntegratorConfig(**fields)
+        except ValueError as err:
+            raise ConfigError(f"$.integrator: {err}") from err
+        self.delta = float(doc["delta"])
+        self.checks = list(doc.get("checks", DEFAULT_CHECKS))
+        consensus = doc.get("consensus", {})
+        self.consensus_rel = float(consensus.get("rel", 0.02))
+        self.consensus_abs = float(consensus.get("abs", 0.05))
+        self.out_dir = doc.get("output", {}).get("dir")
+        self.label = doc.get("label", "experiment")
+
+    def build_loop(self) -> ClosedLoop:
+        return ClosedLoop(self.plant, self.controller_ss, self.graph)
 
 
-def resolve_config(doc: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document and build every referenced object."""
-    error = min(schema_errors(SCHEMA, doc), key=lambda e: e[0], default=None)
-    if error is not None:
-        raise ConfigError("{}: {}".format(*error))
-    mode = doc["mode"]
-    plant, plant_storage = plant_from_config(doc["plant"])
-    controller, controller_Y = controller_from_config(doc["controller"])
-    try:
-        check_controller(controller)
-    except ValueError as err:
-        raise ConfigError(f"$.controller: {err}") from err
-    if controller.io_dim != plant.m:
-        raise ConfigError(f"$.controller: input/output dimension {controller.io_dim} "
-                          f"differs from the plant's {plant.m}")
-    if ("graph" in doc) != (mode == "network"):
-        raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
-    graph = graph_from_config(doc["graph"]) if mode == "network" else None
-    # one bank of n nodes either way; the pair form drops the node axis
-    keys, nodes = ((("plant", "controller"), ()) if graph is None
-                   else (("plants", "controllers"), (graph.n,)))
-    ics = doc["initial_conditions"]
-    if any(key not in ics for key in keys):
-        raise ConfigError(f"$.initial_conditions: {mode} mode needs "
-                          f"{keys[0]!r} and {keys[1]!r}")
-    x0 = []
-    for key, dim in zip(keys, (plant.p, controller.state_dim)):
-        value, shape = np.asarray(ics[key], dtype=float), nodes + (dim,)
-        if value.shape != shape:
-            raise ConfigError(f"$.initial_conditions.{key}: expected shape "
-                              f"{list(shape)}, got {list(value.shape)}")
-        x0.append(value.reshape(-1))
-    # the schema's integrator keys are IntegratorConfig's fields; a schema
-    # integer may be an integral float (10.0), which the integrator cannot step by
-    fields = dict(doc["integrator"])
-    if "record_every" in fields:
-        fields["record_every"] = int(fields["record_every"])
-    try:
-        integrator = IntegratorConfig(**fields)
-    except ValueError as err:
-        raise ConfigError(f"$.integrator: {err}") from err
-    consensus = doc.get("consensus", {})
-    return ExperimentConfig(
-        raw=doc,
-        graph=graph,
-        plant=plant,
-        plant_storage=plant_storage,
-        controller_ss=controller,
-        controller_Y=controller_Y,
-        delta=float(doc["delta"]),
-        x0=np.concatenate(x0),
-        integrator=integrator,
-        checks=list(doc.get("checks", DEFAULT_CHECKS)),
-        consensus_rel=float(consensus.get("rel", 0.02)),
-        consensus_abs=float(consensus.get("abs", 0.05)),
-        out_dir=doc.get("output", {}).get("dir"),
-        label=doc.get("label", "experiment"),
-    )
+#: Validate a parsed JSON document and build every referenced object.
+resolve_config = ExperimentConfig
 
 
 def load_config(path) -> ExperimentConfig:

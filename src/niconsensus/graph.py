@@ -14,7 +14,7 @@ import numpy as np
 class Frozen:
     """A value: __init__ sets its fields once, in order, with _set, so vars()
     yields them; setting or deleting one afterwards raises AttributeError, and
-    two values of one class are equal, and hash alike, when their fields are."""
+    two values of one class are equal, and hash alike, when their public fields are."""
 
     def _set(self, **fields):
         # object.__setattr__ keeps the fields in the instance's inline values,
@@ -28,14 +28,25 @@ class Frozen:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        return _value(self) == _value(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(_value(self))
 
     def __repr__(self):
         fields = (f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
         return f"{type(self).__name__}({', '.join(fields)})"
+
+
+def _value(field):
+    """field as == and hash read it: a Frozen by its public fields (a private
+    one, such as StateSpace._terms, is a cache), a tuple item by item, an
+    array by its shape, dtype and bytes."""
+    if isinstance(field, Frozen):
+        field = tuple(v for k, v in vars(field).items() if not k.startswith("_"))
+    if isinstance(field, tuple):
+        return tuple(map(_value, field))
+    return (field.shape, field.dtype.str, field.tobytes()) if isinstance(field, np.ndarray) else field
 
 
 class Graph(Frozen):

@@ -928,3 +928,55 @@ def test_controller_of_another_io_dimension_exit2(tmp_path, capsys, command):
     assert code == 2
     assert ("$.controller: input/output dimension 2 differs from the plant's 1"
             in capsys.readouterr().err)
+
+
+
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+#: One edit per resolve rule of pendulum4, in the order the rules run, with
+#: the message of the rule it breaks.
+RESOLVE_RULES = [
+    ("schema", lambda d: d.pop("delta"), "$: 'delta' is a required property"),
+    ("controller", lambda d: d.update(controller={"A": _EYE2, "B": _EYE2, "C": _EYE2}),
+     "$.controller: the controller must be Hurwitz"),
+    ("io_dimension", lambda d: d.update(controller={
+        "A": [[-1.0, 0.0], [0.0, -1.0]], "B": _EYE2, "C": _EYE2}),
+     "$.controller: input/output dimension 2 differs from the plant's 1"),
+    ("mode", lambda d: d.update(mode="pair"),
+     "$.graph: network mode requires a graph and pair mode takes none"),
+    ("connectivity", lambda d: d["graph"].update(edges=[[0, 1]]),
+     "$.graph: consensus requires a connected graph"),
+    ("initial_conditions", lambda d: d["initial_conditions"].update(plants=[[1.0, 0.0]] * 3),
+     "$.initial_conditions.plants: expected shape [4, 2], got [3, 2]"),
+    ("integrator", lambda d: d["integrator"].update(t_end_s=1e-4),
+     "$.integrator: t_end_s must be at least one step"),
+]
+
+
+def _break_from(k):
+    """An edit breaking rule k and every later one: the edits run from the
+    last rule back to k, so an earlier rule's edit is the one that stays."""
+    return lambda doc: [edit(doc) for _, edit, _ in reversed(RESOLVE_RULES[k:])]
+
+
+@pytest.mark.parametrize("base, edit, message", [
+    *((PENDULUM4, _break_from(k), message) for k, (_, _, message) in enumerate(RESOLVE_RULES)),
+    (PENDULUM4, lambda d: d["initial_conditions"].pop("controllers"),
+     "$.initial_conditions: network mode needs 'plants' and 'controllers'"),
+    (PENDULUM_PAIR, lambda d: d["initial_conditions"].update(plants=[[1.0, 2.0, 3.0]]),
+     "$.initial_conditions: pair mode takes only 'plant' and 'controller', not 'plants'"),
+    (PENDULUM4, lambda d: d["initial_conditions"].update(plant=[1.0, 0.0], controller=[0.0]),
+     "$.initial_conditions: network mode takes only 'plants' and 'controllers', "
+     "not 'controller', 'plant'"),
+], ids=[*(f"{name}_and_later" for name, _, _ in RESOLVE_RULES), "network_needs_both_banks",
+        "pair_with_a_plants_key", "network_with_pair_keys"])
+def test_resolve_reports_the_first_broken_rule_exit2(tmp_path, capsys, base, edit, message):
+    """Resolution runs its rules in order (schema, controller, I/O dimension,
+    mode/graph, connectivity, initial conditions, integrator) and stops at
+    the first a config breaks; a mode's initial conditions take only its own
+    two keys."""
+    doc = json.loads(base.read_text())
+    edit(doc)
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
+    assert not (tmp_path / "o").exists()

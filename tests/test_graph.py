@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import complete_graph
+from niconsensus.analysis import check_consensus
 from niconsensus.graph import mixing_entries
 
 
@@ -198,6 +199,25 @@ def test_graphs_equal_and_hash_alike_by_nodes_and_edges():
     assert g == reversed_edges and hash(g) == hash(reversed_edges)
     assert len({g, reversed_edges}) == 1
     assert g != nc.Graph(3, {(0, 1), (1, 2)}) and g != nc.Graph(4, {(0, 2), (1, 2)})
+
+
+def test_value_types_compare_and_hash_by_their_public_fields():
+    """== returns a bool and hash a number for values holding arrays, and a
+    cache a value fills on first use (StateSpace._terms) is no part of it."""
+    lag, same = nc.first_order(1.0, 1.0), nc.first_order(1.0, 1.0)
+    nc.ni_freq_test(lag)
+    assert lag == same and hash(lag) == hash(same) and lag != nc.first_order(1.0, 2.0)
+    two = nc.StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    assert two == nc.StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    assert two != nc.StateSpace(-2.0 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+    params = nc.PendulumParams()
+    assert nc.pendulum_plant(params) == nc.pendulum_plant(params)
+    storage = nc.pendulum_storage(params)
+    assert storage == storage and hash(storage) == hash(storage)
+    traj = nc.integrate(nc.ClosedLoop(PLANT, LAG, nc.path_graph(2)), np.ones(6),
+                        nc.IntegratorConfig(1e-3, 0.01))
+    first, second = (check_consensus(traj, 0.02, 0.05) for _ in range(2))  # columns hold arrays
+    assert first == second and hash(first) == hash(second)
 
 
 @pytest.mark.parametrize("make, field", [
