@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
-                     load_config, reject_constant, resolve_config)
+                     load_config, reject_constant, resolve_config, resolved)
 from .graph import Graph
 from .linsys import (is_hurwitz, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
@@ -274,8 +274,8 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     base = load_config(args.config)
-    parsed = [json.loads(v, parse_constant=reject_constant, parse_float=finite_float,
-                         parse_int=finite_int) for v in values]
+    parsed = [resolved(f"sweep value {v}", json.loads, v, parse_constant=reject_constant,
+                       parse_float=finite_float, parse_int=finite_int) for v in values]
     out_root = Path(args.out or base.out_dir or "out")
     run_dirs = [str(out_root / f"run_{args.param}={v}") for v in parsed]
     for v, run_dir in zip(parsed, run_dirs):
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, json.JSONDecodeError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -239,27 +239,12 @@ DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
                   "lyapunov_monotone", "consensus"]
 
 
-def graph_from_config(entry: dict) -> Graph:
-    """A network's graph, which consensus requires connected."""
+def resolved(path, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported as a ConfigError on path."""
     try:
-        graph = Graph(entry["n"], frozenset(tuple(e) for e in entry["edges"]))
+        return build(*args, **kwargs)
     except ValueError as err:
-        raise ConfigError(f"graph: {err}") from err
-    if not is_connected(graph):
-        raise ConfigError("$.graph: consensus requires a connected graph")
-    return graph
-
-
-def controller_from_config(entry: dict):
-    """(M, Y): the controller and its closed-form OSNI certificate Y, None for
-    a general realisation."""
-    try:
-        if "first_order" in entry:
-            a, b = entry["first_order"]["a"], entry["first_order"]["b"]
-            return first_order(a, b), first_order_certificate(a, b)[0]
-        return StateSpace(entry["A"], entry["B"], entry["C"], entry.get("D")), None
-    except ValueError as err:
-        raise ConfigError(f"controller: {err}") from err
+        raise ConfigError(f"{path}: {err}") from err
 
 
 class ExperimentConfig:
@@ -282,17 +267,21 @@ class ExperimentConfig:
         pp = PendulumParams(m_kg=params["m"], l_m=params["l"], kappa=params["kappa"],
                             g_ms2=params["g"])
         self.plant, self.plant_storage = pendulum_plant(pp), pendulum_storage(pp)
-        self.controller_ss, self.controller_Y = controller_from_config(doc["controller"])
-        try:
-            check_controller(self.controller_ss)
-        except ValueError as err:
-            raise ConfigError(f"$.controller: {err}") from err
-        if self.controller_ss.io_dim != self.plant.m:
-            raise ConfigError(f"$.controller: input/output dimension "
-                              f"{self.controller_ss.io_dim} differs from the plant's {self.plant.m}")
+        entry, self.controller_Y = doc["controller"], None
+        if "first_order" in entry:
+            a, b = entry["first_order"]["a"], entry["first_order"]["b"]
+            self.controller_ss = resolved("$.controller", first_order, a, b)
+            self.controller_Y = first_order_certificate(a, b)[0]
+        else:
+            self.controller_ss = resolved("$.controller", StateSpace, entry["A"], entry["B"],
+                                          entry["C"], entry.get("D"))
+        resolved("$.controller", check_controller, self.controller_ss, self.plant)
         if ("graph" in doc) != (mode == "network"):
             raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
-        self.graph = graph_from_config(doc["graph"]) if mode == "network" else None
+        self.graph = (resolved("$.graph", Graph, doc["graph"]["n"], doc["graph"]["edges"])
+                      if mode == "network" else None)
+        if not is_connected(self.graph):
+            raise ConfigError("$.graph: consensus requires a connected graph")
         # one bank of n nodes either way; the pair form drops the node axis
         keys, nodes = ((("plant", "controller"), ()) if self.graph is None
                        else (("plants", "controllers"), (self.graph.n,)))
@@ -317,10 +306,7 @@ class ExperimentConfig:
         fields = dict(doc["integrator"])
         if "record_every" in fields:
             fields["record_every"] = int(fields["record_every"])
-        try:
-            self.integrator = IntegratorConfig(**fields)
-        except ValueError as err:
-            raise ConfigError(f"$.integrator: {err}") from err
+        self.integrator = resolved("$.integrator", IntegratorConfig, **fields)
         self.delta = float(doc["delta"])
         self.checks = list(doc.get("checks", DEFAULT_CHECKS))
         consensus = doc.get("consensus", {})

@@ -157,10 +157,13 @@ def osni_max_delta(sys: StateSpace, graph=None) -> float:
 
     The level of the bank K (x) M(s), K = laplacian(graph) = U diag(lam) U^T
     ([[1]] with no graph), from one frequency response of M: its NI matrices
-    and grid terms are M's scaled block by block, lam N, lam P and lam^2 R.
+    and grid terms are M's scaled block by block, lam N, lam P and lam^2 R,
+    and lam_max(K)'s block alone decides: the NI floor and the Cholesky are
+    hardest there, lam^2 v*Rv / v*(lam P + PSD_TOL I)v grows with lam where
+    v*Rv > 0, and lam = 0 gives the block 0.
     """
     N, P, R = sys._terms
-    lam = laplacian_eigenvalues(graph)[:, None, None, None]
+    lam = laplacian_eigenvalues(graph)[-1]
     if not _psd(lam * N):
         raise ValueError("not NI, no strictness level exists")
     try:

@@ -64,13 +64,17 @@ EDGE_PRODUCT_MIN = 96
 PADDING_MAX = 3
 
 
-def check_controller(sys: StateSpace):
-    """Raise ValueError unless the controller is Hurwitz and strictly proper,
-    the two conditions every interconnection relies on."""
-    if not is_hurwitz(sys):
+def check_controller(controller: StateSpace, plant: NonlinearPlant):
+    """Raise ValueError unless the controller is Hurwitz, strictly proper and
+    of the plant's input/output dimension, the conditions every
+    interconnection relies on."""
+    if not is_hurwitz(controller):
         raise ValueError("the controller must be Hurwitz")
-    if np.any(sys.D != 0):
+    if np.any(controller.D != 0):
         raise ValueError("the controller must be strictly proper (D = 0)")
+    if controller.io_dim != plant.m:
+        raise ValueError(f"input/output dimension {controller.io_dim} differs from "
+                         f"the plant's {plant.m}")
 
 
 class KronOperator:
@@ -111,10 +115,10 @@ class KronOperator:
         np.add.at(M, self.entries[:2], self.entries[2])
         return M
 
-    def apply(self, Z, out=None):
-        """The product with each vector of Z, shape (..., columns), into out
-        if given: padded slots add one pass per slot into a zeroed out."""
-        out = np.empty(Z.shape[:-1] + self.shape[:1]) if out is None else out
+    def apply(self, Z):
+        """The product with each vector of Z, shape (..., columns): padded
+        slots add one pass per slot into a zeroed result."""
+        out = np.empty(Z.shape[:-1] + self.shape[:1])
         if self.dense is not None:
             return np.matmul(self.dense, Z[..., None], out=out[..., None])[..., 0]
         if self._starts is not None:
@@ -173,9 +177,7 @@ class ClosedLoop:
     """
 
     def __init__(self, plant: NonlinearPlant, controller: StateSpace, graph: Graph | None = None):
-        check_controller(controller)
-        if plant.m != controller.io_dim:
-            raise ValueError("plant and controller input/output dimensions differ")
+        check_controller(controller, plant)
         if not is_connected(graph):
             raise ValueError("consensus requires a connected graph")
         self.plant, self.controller, self.graph = plant, controller, graph

@@ -980,3 +980,39 @@ def test_resolve_reports_the_first_broken_rule_exit2(tmp_path, capsys, base, edi
                  "--out", str(tmp_path / "o"), "--quiet"])
     assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("base, edit, extra, message", [
+    (PENDULUM4, lambda d: d["graph"]["edges"].append([0, 0]), [],
+     "$.graph: self-loop at node 0"),
+    (PENDULUM4, lambda d: d["graph"]["edges"].append([2, 7]), [],
+     "$.graph: edge (2, 7) out of range for n=4"),
+    (PENDULUM_PAIR, lambda d: d.update(controller={"A": [[-1.0, 0.0]], "B": [[1.0]],
+                                                   "C": [[1.0]]}),
+     [], "$.controller: A must be square"),
+    (PENDULUM_PAIR, None, ["--param", "a", "--values", "10,abc"],
+     "sweep value abc: Expecting value: line 1 column 1 (char 0)"),
+    (PENDULUM_PAIR, None, ["--param", "a", "--values", "1e999"],
+     "sweep value 1e999: number 1e999 overflows a float"),
+    (None, None, [], "{path}:2:10: Expecting value"),
+], ids=["self_loop", "edge_out_of_range", "controller_not_square", "sweep_value_not_json",
+        "sweep_value_overflows", "config_not_json"])
+def test_library_refusals_name_their_document_path_exit2(tmp_path, capsys, base, edit,
+                                                         extra, message):
+    """A rule the library owns (Graph's, StateSpace's, the JSON parser's)
+    refuses a config on the path of what it refused: the config key, or the
+    sweep value by its text."""
+    path = tmp_path / "cfg.json"
+    if base is None:
+        path.write_text('{\n"schema":,\n}')
+    else:
+        doc = json.loads(base.read_text())
+        if edit is not None:
+            edit(doc)
+        path.write_text(json.dumps(doc))
+    command = "sweep" if extra else "simulate"
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet",
+                 *extra])
+    expected = f"config error: {message.format(path=path)}\n"
+    assert (code, capsys.readouterr().err) == (2, expected)
+    assert not (tmp_path / "o").exists()

@@ -113,6 +113,29 @@ def test_bank_level_block_by_block_matches_the_bank(graph, controller, four_node
             nc.osni_max_delta(sys, graph=bank_graph)
 
 
+def _random_connected_graph(rng, n):
+    """A random spanning tree on n nodes, each other pair joined with probability 0.3."""
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return nc.Graph(n, edges)
+
+
+@pytest.mark.parametrize("controller", ["lag_10_10", "two_state"])
+def test_bank_level_is_the_worst_eigenvalue_block(controller):
+    """osni_max_delta(M, graph=g) reads the Laplacian's largest eigenvalue
+    alone; it equals the smallest level of the eigenvalue blocks lam M, one
+    per eigenvalue of g's Laplacian, on random connected graphs."""
+    M = {"lag_10_10": nc.first_order(10.0, 10.0),
+         "two_state": nc.StateSpace([[-10.0, 0.0], [0.0, -2.0]], [[10.0], [5.0]],
+                                    [[1.0, 1.0]])}[controller]
+    rng = np.random.default_rng(35)
+    for n in rng.integers(2, 11, size=20):
+        g = _random_connected_graph(rng, int(n))
+        blocks = [nc.osni_max_delta(nc.StateSpace(M.A, lam * M.B, M.C))
+                  for lam in nc.laplacian_eigenvalues(g)]
+        assert nc.osni_max_delta(M, graph=g) == pytest.approx(min(blocks), rel=1e-12, abs=0.0)
+
+
 #: One positive lag a/(s+b) as (log10 a, log10 b).
 LOG_LAG = st.tuples(st.floats(-2.0, 1.5), st.floats(-1.5, 2.0))
 

@@ -84,7 +84,7 @@ def test_pair_interconnect_structure(pendulum):
     assert sig.u1 == pytest.approx([0.7])   # plant input is the controller output
     assert sig.y1 == pytest.approx([0.3])   # controller input is the plant output
     two_io = nc.StateSpace(-np.eye(2), np.eye(2), np.eye(2))
-    with pytest.raises(ValueError, match="dimensions differ"):
+    with pytest.raises(ValueError, match="input/output dimension 2 differs from the plant's 1"):
         nc.ClosedLoop(plant, two_io)
 
 
