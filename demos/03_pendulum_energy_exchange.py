@@ -5,7 +5,6 @@ rate u * dy/dt: no margin, no dissipation. The demo integrates a driven
 swing and tracks the energy balance to round-off.
 """
 import math
-from functools import partial
 
 import numpy as np
 
@@ -29,14 +28,13 @@ print("\ndriven swing with u(t) = 2 sin(3t):")
 h, t_end = 1e-3, 8.0
 
 
-def forced(x, out):
+def forced(x):
     # append time as an extra state so the drive is part of the field
     u = np.array([2.0 * math.sin(3.0 * x[2])])
-    out[:2] = plant.f(x[:2], u)
-    out[2] = 1.0
+    return np.append(plant.f(x[:2], u), 1.0)
 
 
-times, states = rk4_path(lambda x: partial(forced, x), np.array([1.0, 0.0, 0.0]),
+times, states = rk4_path(forced, np.array([1.0, 0.0, 0.0]),
                          nc.IntegratorConfig(h, t_end, record_every=100))
 xs, drive = states[:, :2], 2.0 * np.sin(3.0 * states[:, 2:])
 supply = np.sum(drive * plant.h(plant.f(xs, drive)), axis=1)

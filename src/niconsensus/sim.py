@@ -16,7 +16,6 @@ stage rows it has just filled, in either form, without running it again.
 
 from __future__ import annotations
 
-from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -76,48 +75,34 @@ def _diverged_entry(stages, new, order) -> int:
     return int(np.argmax(np.abs(new[order])))
 
 
-def slope_stages(field_at, h):
+def slope_stages(f, h):
     """The stages_at of ``rk4_path`` for a plain field dx/dt = f(x): the
-    classical RK4 slopes k1..k4 in rows 1-4 of the stage buffer, the stage
-    state and a scratch array beside them, and the new state
-    x + h/6 (k1 + 2 (k2 + k3) + k4) written in place."""
-    # 0-d arrays: a ufunc takes them without converting a Python float per call
-    half, step, two, sixth = (np.array(v) for v in (0.5 * h, h, 2.0, h / 6.0))
-    add, mul = np.add, np.multiply
+    classical RK4 slopes k1..k4 in rows 1-4 of the stage buffer, and the new
+    state x + h/6 (k1 + 2 (k2 + k3) + k4)."""
 
     def stages(P, Q):
         x, (k1, k2, k3, k4), new = P[0], P[1:], Q[0]
-        s, t = np.empty_like(x), np.empty_like(x)
-        fx, fs = field_at(x), field_at(s)
-
-        def stage(f, k, c):  # slope k at the stage state, then the next: s = x + c k
-            f(k)
-            add(x, mul(c, k, out=t), out=s)
 
         def last():
-            fs(k4)
-            mul(two, add(k2, k3, out=t), out=t)
-            mul(sixth, add(add(k1, t, out=t), k4, out=t), out=t)
-            add(x, t, out=new)
+            np.copyto(k4, f(x + h * k3))
+            np.copyto(new, x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
 
-        return (partial(stage, fx, k1, half), partial(stage, fs, k2, half),
-                partial(stage, fs, k3, step), last)
+        return (lambda: np.copyto(k1, f(x)), lambda: np.copyto(k2, f(x + 0.5 * h * k1)),
+                lambda: np.copyto(k3, f(x + 0.5 * h * k2)), last)
 
     return stages
 
 
-def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, order=None):
+def rk4_path(f, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, order=None):
     """Integrate dx/dt = f(x) with fixed-step RK4 in stage buffers allocated once.
 
-    field_at(z) binds f to one state buffer z: it returns a function of one
-    argument, out, that writes f at z's current value into out. A step runs
-    in two (5, N) stage buffers P and Q: stages_at(P, Q) returns its four
+    f(x) returns dx/dt at the state x. A step runs in two (5, N) stage
+    buffers P and Q, zeros at the start: stages_at(P, Q) returns its four
     stage calls, functions of no argument that together write the state
-    that follows P[0] into Q[0], using rows 1-4 of P as they like. The loop
-    binds P to Q and Q to P once each and alternates the two. By default
-    the stages are ``slope_stages(field_at, h)``; with stages_at given (the
-    folded stages of ``ClosedLoop.rk4_stages``) field_at is not read. P and
-    Q start as zeros, so a row the stages never write reads as finite.
+    that follows P[0] into Q[0], using rows 1-4 of P as they like, and the
+    loop binds P to Q and Q to P once each and alternates the two. By
+    default the stages are ``slope_stages(f, h)``; with stages_at given (the
+    folded stages of ``ClosedLoop.rk4_stages``) f is not read.
 
     A state x' diverges when scale * sum(x'), one dot product, is not
     finite: with scale 0, exactly when x' is not finite; with scale > 0 also
@@ -125,15 +110,16 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     every |x'_i| below twice that (a fused multiply-add can absorb one
     product up to twice the largest float). The test runs on the recorded
     states only. When one fails at the first step since the last recorded
-    state, that step raises SimulationDiverged, with the state before it and
-    the entry that left first (``_diverged_entry`` of the rows it filled)
-    read in order. Otherwise rk4_path runs the window again from the last
-    recorded state, recording every step, and re-raises its error at the
-    step and time counted from the start. Every stage carries the state
-    itself (x' = x + ...), so a state that leaves the finite floats never
-    returns to them; a finite state beyond the range that is back in it by
-    the next recorded step passes. Returns (times, states) at the recorded
-    samples: t = 0, every record_every-th step, and the final step."""
+    state, that step raises SimulationDiverged with the state before it and
+    the entry that left first (``_diverged_entry`` of the rows it filled),
+    both read in order, the state's indices in reading order. Otherwise
+    rk4_path runs the window again from the last recorded state, recording
+    every step, and re-raises its error at the step and time counted from
+    the start. Every stage carries the state itself (x' = x + ...), so a
+    state that leaves the finite floats never returns to them; a finite
+    state beyond the range that is back in it by the next recorded step
+    passes. Returns (times, states) at the recorded samples: t = 0, every
+    record_every-th step, and the final step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))
     x = np.array(x0, dtype=float)
@@ -143,7 +129,7 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
     rec, every = 1, cfg.record_every
     P, Q = np.zeros((5, x.size)), np.zeros((5, x.size))
     P[0] = x
-    bind = stages_at or slope_stages(field_at, h)
+    bind = stages_at or slope_stages(f, h)
     here, there = bind(P, Q), bind(Q, P)
     x, new = P[0], Q[0]
     # 0 * v is +-0 for finite v and NaN for +-inf or NaN, so with scale 0 the
@@ -166,7 +152,7 @@ def rk4_path(field_at, x0, cfg: IntegratorConfig, stages_at=None, scale=0.0, ord
                         raise SimulationDiverged(k * h, k, before[0][order],
                                                  _diverged_entry(before[1:], x, order))
                     try:  # the window again, each step recorded, so its failure is a first step
-                        rk4_path(field_at, states[rec - 1], IntegratorConfig(h, (k - start) * h),
+                        rk4_path(f, states[rec - 1], IntegratorConfig(h, (k - start) * h),
                                  stages_at, scale, order)
                     except SimulationDiverged as err:
                         raise SimulationDiverged((start + err.step) * h, start + err.step,

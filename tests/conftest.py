@@ -82,9 +82,8 @@ def steady_state_relation(bank: nc.StateSpace, u2bar, tol: float = 1e-6) -> nc.C
     t_end = min(60.0 / -float(np.max(eigs.real)), 1e4)
     step = min(0.5 / float(np.max(np.abs(eigs))), t_end / 50.0)
     drive = bank.B @ u2bar
-    field_at = lambda xc: lambda out: np.add(bank.A @ xc, drive, out=out)
     cfg = nc.IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
-    _, states = nc.rk4_path(field_at, np.zeros(bank.state_dim), cfg)
+    _, states = nc.rk4_path(lambda xc: bank.A @ xc + drive, np.zeros(bank.state_dim), cfg)
     violation = float(np.abs(bank.C @ states[-1] - nc.dc_gain(bank) @ u2bar).max())
     return nc.CheckReport(name="steady_state_relation", max_violation=violation,
                           time_of_max=t_end, tolerance=tol, passed=violation <= tol)
@@ -116,10 +115,10 @@ def edge_rate_sums(traj) -> np.ndarray:
 def convergence_order(system, x0, cfg: nc.IntegratorConfig):
     """Observed order of accuracy by Richardson extrapolation.
 
-    Integrates a ClosedLoop, or a field_at of nc.rk4_path, at steps h, h/2
-    and h/4 and compares terminal states; returns log2 of the ratio of
-    successive differences (about 4 for smooth fields) or EXACT when the
-    differences are at round-off.
+    Integrates a ClosedLoop, or a field dx/dt = f(x) by nc.rk4_path, at
+    steps h, h/2 and h/4 and compares terminal states; returns log2 of the
+    ratio of successive differences (about 4 for smooth fields) or EXACT
+    when the differences are at round-off.
     """
     terminal = []
     for div in (1, 2, 4):
@@ -169,8 +168,8 @@ def rhs_rows(loop, X):
 
 def rk4_path_oracle(field, x0, cfg: nc.IntegratorConfig):
     """Fixed-step RK4 with a pure field dx/dt = field(x), allocating every
-    stage: the integrator as it was before its stages ran in place. Returns
-    (times, states) at the same samples as nc.rk4_path and raises
+    stage, in one loop with no stage buffers. Returns (times, states) at the
+    same samples as nc.rk4_path, bit for bit, and raises
     nc.SimulationDiverged at the same step."""
     h = cfg.step_s
     n_steps = max(1, round(cfg.t_end_s / h))

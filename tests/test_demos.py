@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion.
+"""Smoke test: every script in demos/ runs to completion, with numpy's
+RuntimeWarnings as errors.
 
 Each demo is copied to a temporary directory first, so a demo that writes
 files next to itself leaves the source tree untouched.
@@ -23,6 +24,6 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -157,9 +157,8 @@ def test_identical_initial_states_stay_uncoupled(pendulum, four_node_graph):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=8.0, record_every=20)
     traj = nc.integrate(loop, x0, cfg)
     assert np.abs(traj.u1).max() < 1e-9
-    free_times, free_states = nc.rk4_path(
-        lambda x: lambda out: np.copyto(out, plant.f(x, np.zeros(1))),
-        np.array([0.9, 0.0]), cfg)
+    free_times, free_states = nc.rk4_path(lambda x: plant.f(x, np.zeros(1)),
+                                          np.array([0.9, 0.0]), cfg)
     for i in range(4):
         assert np.allclose(loop.split(traj.states)[0][:, i], free_states, atol=1e-9)
 
@@ -170,8 +169,7 @@ def test_single_node_network_degenerates(pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=4.0, record_every=10)
     traj = nc.integrate(loop, np.array([1.2, 0.0, 0.0]), cfg)
     assert np.abs(traj.u1).max() == 0.0
-    _, free_states = nc.rk4_path(lambda x: lambda out: np.copyto(out, plant.f(x, np.zeros(1))),
-                                 np.array([1.2, 0.0]), cfg)
+    _, free_states = nc.rk4_path(lambda x: plant.f(x, np.zeros(1)), np.array([1.2, 0.0]), cfg)
     assert np.allclose(loop.split(traj.states)[0][:, 0], free_states, atol=1e-12)
 
 

@@ -355,6 +355,41 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
     assert report.gamma_hat == pytest.approx(float(u @ (L @ y1) / (u @ u)), abs=1e-9)
 
 
+# the lossless spring x'' = -2 x + u, y = x (P(0) = 1/2), on the 4-cycle
+# (lambda_max(L) = 4) under a/(s + 1): the linear theory's gain is exactly
+# gamma = lambda_max(L) P(0) M(0) = 2a, and the ring reaches consensus
+# exactly when gamma < 1
+SPRING = nc.NonlinearPlant(A=[[0.0, 1.0], [-2.0, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                           E=np.zeros((2, 0)), phi=lambda x, out=None: x[..., :0])
+RING = nc.Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_gamma_estimate_reaches_one_on_a_spring_ring_whose_gain_exceeds_one():
+    """Defect C on an exact loop: a = 0.501 gives gamma = 1.002, yet on
+    verify's own 100 draws the sampled estimate reads 0.99975."""
+    inputs = np.random.default_rng(12345).uniform(-25, 25, (100, 4))
+    assert nc.gamma_estimate(SPRING, nc.first_order(0.501, 1.0), inputs, RING).gamma_hat >= 1.0
+
+
+@pytest.mark.parametrize("a", [0.49, 0.501])
+def test_spring_ring_reaches_consensus_exactly_when_its_gain_is_below_one(a):
+    """From the lambda = 4 mode (alternating angles, controllers at rest) the
+    output spread max_i |y_i - mean(y)| shrinks at every recorded second
+    from 80 s to 400 s for gamma = 0.98, to under 1% of its 80 s value, and
+    grows at every one for gamma = 1.002, to over 1.5 times it."""
+    loop = nc.ClosedLoop(SPRING, nc.first_order(a, 1.0), RING)
+    x0 = np.zeros(loop.n_states)
+    x0[0:8:2] = 0.1 * np.array([1.0, -1.0, 1.0, -1.0])
+    traj = nc.integrate(loop, x0, nc.IntegratorConfig(0.01, 400.0, record_every=100))
+    spread = np.abs(traj.y1 - traj.y1.mean(axis=1, keepdims=True)).max(axis=1)
+    late = spread[traj.times >= 80.0]
+    if 2.0 * a < 1.0:
+        assert (np.diff(late) < 0).all() and late[-1] < 0.01 * late[0]
+    else:
+        assert (np.diff(late) > 0).all() and late[-1] > 1.5 * late[0]
+
+
 def test_gamma_zero_output_plant():
     silent = nc.NonlinearPlant(A=[[-1.0]], B=[[1.0]], C=[[0.0]], E=np.zeros((1, 0)),
                                phi=lambda x, out=None: x[..., :0])

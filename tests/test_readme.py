@@ -30,7 +30,7 @@ def test_readme_custom_plant_example_passes_its_check():
 
 def test_readme_field_example_runs():
     blocks = python_blocks()
-    field = [b for b in blocks if "def damped(x, out)" in b]
+    field = [b for b in blocks if "def damped(x)" in b]
     assert len(field) == 1
     namespace = {}
     exec(compile(blocks[0], "README quick start", "exec"), namespace)

@@ -20,30 +20,55 @@ PENDULUM_PAIR = Path(__file__).resolve().parent.parent / "configs" / "pendulum_p
 
 def test_exponential_decay():
     cfg = nc.IntegratorConfig(step_s=0.01, t_end_s=1.0)
-    times, states = rk4_path(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
+    times, states = rk4_path(np.negative, np.array([1.0]), cfg)
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
     assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_constant_field():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=2.0)
-    _, states = rk4_path(lambda x: lambda out: out.fill(0.0), np.array([3.0, -1.0]), cfg)
+    _, states = rk4_path(np.zeros_like, np.array([3.0, -1.0]), cfg)
     assert np.array_equal(states, np.tile([3.0, -1.0], (states.shape[0], 1)))
 
 
 def test_harmonic_oscillator_energy_drift():
-    field_at = lambda x: lambda out: np.copyto(out, [x[1], -x[0]])
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=10.0, record_every=10)
-    _, states = rk4_path(field_at, np.array([1.0, 0.0]), cfg)
+    _, states = rk4_path(lambda x: np.array([x[1], -x[0]]), np.array([1.0, 0.0]), cfg)
     energy = 0.5 * (states[:, 0] ** 2 + states[:, 1] ** 2)
     assert np.abs(energy - energy[0]).max() < 1e-9
 
 
 def test_recording_includes_both_endpoints():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.05, record_every=4)
-    times, states = rk4_path(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
+    times, states = rk4_path(np.negative, np.array([1.0]), cfg)
     # 10 steps of 0.1 (nearest to 1.05): records at 0, 0.4, 0.8 and the end
     assert times == pytest.approx([0.0, 0.4, 0.8, 1.0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_plain_field_path_is_the_oracle_bit_for_bit(seed):
+    """A plain field's slopes run the oracle's arithmetic: on a random smooth
+    field, step, horizon and record interval the times and states are the
+    oracle's bit for bit, and on x' = x^2, which blows up at t = 1/x0, so
+    are the divergence step, time and last state."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    A, B, c = rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=n)
+    h = float(rng.uniform(1e-3, 0.2))
+    cfg = nc.IntegratorConfig(h, float(rng.uniform(h, 5.0)), int(rng.integers(1, 30)))
+    x0 = rng.normal(size=n)
+    field = lambda x: np.tanh(A @ x) + B @ np.sin(x) - 0.3 * x + c
+    times, states = rk4_path(field, x0, cfg)
+    ref_times, ref_states = rk4_path_oracle(field, x0, cfg)
+    assert np.array_equal(times, ref_times) and np.array_equal(states, ref_states)
+    x0 = rng.uniform(0.5, 2.0, n)
+    cfg = nc.IntegratorConfig(h, 3.0 / x0.min() + h, cfg.record_every)
+    with pytest.raises(nc.SimulationDiverged) as err:
+        rk4_path(lambda x: x * x, x0, cfg)
+    with pytest.raises(nc.SimulationDiverged) as ref:
+        rk4_path_oracle(lambda x: x * x, x0, cfg)
+    assert (err.value.step, err.value.t) == (ref.value.step, ref.value.t)
+    assert np.array_equal(err.value.last_state, ref.value.last_state)
 
 
 def test_determinism_bit_identical(network_loop, network_x0):
@@ -69,17 +94,16 @@ def test_step_halving_error_ratio(network_loop, network_x0):
 
 def test_convergence_order_linear_field():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = convergence_order(lambda x: lambda out: np.negative(x, out=out), np.array([1.0]), cfg)
+    order = convergence_order(np.negative, np.array([1.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
     sysm = np.array([[0.0, 1.0], [-4.0, -0.4]])
-    order = convergence_order(lambda x: lambda out: np.dot(sysm, x, out=out),
-                              np.array([1.0, 0.0]), cfg)
+    order = convergence_order(lambda x: sysm @ x, np.array([1.0, 0.0]), cfg)
     assert order == pytest.approx(4.0, abs=0.2)
 
 
 def test_convergence_order_exact_sentinel():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=1.0)
-    order = convergence_order(lambda x: lambda out: out.fill(0.0), np.array([2.0]), cfg)
+    order = convergence_order(np.zeros_like, np.array([2.0]), cfg)
     assert order == EXACT
 
 
@@ -87,7 +111,7 @@ def test_divergence_raises():
     # finite-time blow-up of dx/dt = x^2 overflows to inf
     cfg = nc.IntegratorConfig(step_s=0.01, t_end_s=3.0)
     with pytest.raises(nc.SimulationDiverged, match="divergence at t="):
-        rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
+        rk4_path(lambda x: x * x, np.array([1.0]), cfg)
 
 
 @pytest.mark.parametrize("every", [1, 7, 10**9])
@@ -96,11 +120,11 @@ def test_divergence_reports_the_step_and_the_last_finite_state(every):
     whose result is not finite and the state before it, stepped by hand here,
     not the last recorded state; the allocating oracle stops at the same step.
     Recording every step, the failed step is named from its own slopes; else
-    rk4_path steps the window since the last record again through field_at."""
+    rk4_path steps the window since the last record again through the field."""
     h = 0.01
     cfg = nc.IntegratorConfig(step_s=h, t_end_s=3.0, record_every=every)
     with pytest.raises(nc.SimulationDiverged, match="divergence at t=") as err:
-        rk4_path(lambda x: lambda out: np.multiply(x, x, out=out), np.array([1.0]), cfg)
+        rk4_path(lambda x: x * x, np.array([1.0]), cfg)
     x, step = np.array([1.0]), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -170,8 +194,7 @@ def test_a_run_that_ends_where_the_field_overflows_diverges(tmp_path, t_end_s, x
 def test_divergence_names_the_first_non_finite_entry():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
     with pytest.raises(nc.SimulationDiverged) as err:
-        rk4_path(lambda x: lambda out: out.fill(0.0),
-                 np.array([1.0, 2.0, np.nan, 3.0, np.inf, -np.inf]), cfg)
+        rk4_path(np.zeros_like, np.array([1.0, 2.0, np.nan, 3.0, np.inf, -np.inf]), cfg)
     assert err.value.index == 2
 
 
@@ -289,7 +312,7 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
     sum): the step's first slope names entry i, where the new state would
     name entry 0."""
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
-    still = lambda x: lambda out: out.fill(0.0)
+    still = np.zeros_like
     huge = 1e300 * (-1.0) ** np.arange(size)
     _, states = rk4_path(still, huge, cfg)
     assert np.array_equal(states[-1], huge)
@@ -305,7 +328,7 @@ def test_one_non_finite_entry_diverges_and_huge_entries_do_not(size):
         gain[i] = 1e10
         spill = lambda x: gain * x + 0.0 * x.sum()
         with pytest.raises(nc.SimulationDiverged) as err:
-            rk4_path(lambda x: lambda out: np.copyto(out, spill(x)), huge, cfg)
+            rk4_path(spill, huge, cfg)
         assert (err.value.step, err.value.index) == (1, i)
         assert np.array_equal(err.value.last_state, huge)
         with pytest.raises(nc.SimulationDiverged) as ref:
