@@ -153,7 +153,7 @@ def osni_max_delta(sys: StateSpace, graph=None) -> float:
     when delta lambda_max(L^-1 R L^-*) <= 1, so the supremum over the grid
     and the w -> inf limit is 1 / the largest such eigenvalue. Returns inf
     when R vanishes (the test is then delta-independent) and 0.0 when P
-    already breaks the floor somewhere.
+    already breaks the floor somewhere. The lag a/(s+b) has 1/a + PSD_TOL/(2 a^2).
 
     The level of the bank K (x) M(s), K = laplacian(graph) = U diag(lam) U^T
     ([[1]] with no graph), from one frequency response of M: its NI matrices

@@ -385,7 +385,8 @@ class CompositeStorage:
         semidefinite. V1 replaced by x^T Q x / 2 makes W a quadratic form within
         n c of W, and a Schur complement reduces its blocks, one per eigenvalue
         of K, to this matrix. A positive margin makes W positive off {xp = 0,
-        xc in ker K (x) R^q}, a negative one unbounded below."""
+        xc in ker K (x) R^q}, a negative one unbounded below. The first needs
+        only V1 - x^T Q x / 2 >= 0: with an unbounded remainder, a negative one proves nothing."""
         Y, loop = self.Y, self.loop
         G = loop.plant.C.T @ loop.controller.C
         lam = laplacian_eigenvalues(loop.graph)[-1]

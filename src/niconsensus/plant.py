@@ -18,8 +18,6 @@ state equation), a documented precondition of the steady-state arguments.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .graph import Frozen, mixing_entries
@@ -51,7 +49,8 @@ class NonlinearPlant(Frozen):
     C m x p, E p x r and r <= p: phi maps the first r state coordinates,
     phi: (..., r) -> (..., r), and f: (..., p), (..., m) -> (..., p) and
     h: (..., p) -> (..., m) act row-wise on leading batch axes. phi(x, out)
-    writes phi(x) into out like a ufunc; one probe at construction checks it."""
+    writes phi(x) into out like a ufunc; one probe at construction checks it.
+    A linear plant has r = 0, E = np.zeros((p, 0)) and any ufunc as phi."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, E: np.ndarray,
                  phi: callable):  # phi: (..., r), out=None -> (..., r)
@@ -187,9 +186,8 @@ def equilibrium_solve(plant: NonlinearPlant, ubar, x0) -> np.ndarray:
             return _sum_terms(g_terms, cols, np.zeros_like(th)) + c
 
         def residual(g):
-            qg = np.abs(_sum_terms(q_terms, [g[..., j] for j in range(r)],
-                                   np.zeros(g.shape[:-1] + (k,))))
-            return reduce(np.maximum, [qg[..., i] for i in range(k)], np.zeros(g.shape[:-1]))
+            return np.abs(_sum_terms(q_terms, [g[..., j] for j in range(r)],
+                                     np.zeros(g.shape[:-1] + (k,)))).max(axis=-1, initial=0.0)
 
         c = _sum_terms(_nonzeros(Q2.T @ plant.B), u.T, np.zeros((len(x), r)))
         x[:, :r], res[:] = _damped_newton(G, residual, x[:, :r], c)
