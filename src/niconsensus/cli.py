@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import (ConfigError, ExperimentConfig, finite_float, finite_int,
-                     load_config, reject_constant, resolve_config, resolved)
+from .config import (ConfigError, ExperimentConfig, load_config, resolve_config, resolved,
+                     strict_json)
 from .graph import Graph
 from .linsys import (is_hurwitz, ni_freq_test, osni_certificate_check, osni_freq_test,
                      osni_max_delta)
@@ -120,7 +120,8 @@ def _record(path: Path, doc: dict, quiet: bool) -> list:
 def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     """Integrate one experiment, run its checks, write the artifacts, and
     write report.json on every path: "status" is "ok", "check_failed" or
-    "diverged" (with "error"). Returns (exit_code, summary dict)."""
+    "diverged". Returns (exit_code, summary dict), with an "error" naming the
+    divergence or the failed checks when the run is not ok."""
     _output(out_dir, Path.mkdir, parents=True, exist_ok=True)
     loop = cfg.build_loop()
     summary = {"status": "ok"}
@@ -149,8 +150,10 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     report = {"label": cfg.label, "mode": cfg.raw["mode"],
               **{k: summary[k] for k in ("status", "error") if k in summary},
               "checks": results, "artifacts": artifacts, "config": cfg.raw}
-    _record(out_dir / "report.json", report, quiet)
+    failed = _record(out_dir / "report.json", report, quiet)
     summary["status"] = report["status"]
+    if failed:
+        summary["error"] = f"{', '.join(failed)} failed"
     _say(quiet, f"artifacts in {out_dir}")
     return EXIT_BY_STATUS[summary["status"]], summary
 
@@ -250,7 +253,7 @@ def _sweep_worker(task):
         code, summary = run_simulation(cfg, Path(out_dir), quiet=True)
         summary["exit_code"] = code
         return summary
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # a ConfigError too
         return {"status": "error", "error": str(err), "exit_code": EXIT_CONFIG}
 
 
@@ -274,8 +277,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
     base = load_config(args.config)
-    parsed = [resolved(f"sweep value {v}", json.loads, v, parse_constant=reject_constant,
-                       parse_float=finite_float, parse_int=finite_int) for v in values]
+    parsed = [resolved(f"sweep value {v}", strict_json, v) for v in values]
     out_root = Path(args.out or base.out_dir or "out")
     run_dirs = [str(out_root / f"run_{args.param}={v}") for v in parsed]
     for v, run_dir in zip(parsed, run_dirs):
@@ -288,8 +290,9 @@ def cmd_sweep(args) -> int:
     outcomes = _run_variants(tasks)
     rows = [("param", "value", "status", *SWEEP_FIGURES, "out_dir")]
     for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
-        if outcome["status"] == "error":  # a rejected variant: say why
+        if outcome["status"] != "ok":  # a failed variant: say why
             print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
+        if outcome["status"] == "error":  # a rejected variant has no report of its own
             report = {"status": "error", "error": outcome["error"], "config": doc}
             try:
                 _write_json(Path(run_dir) / "report.json", report)

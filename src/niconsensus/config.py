@@ -20,28 +20,26 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries field diagnostics."""
 
 
-def reject_constant(token):
-    """json's parse_constant hook for outside input: Python's json accepts the
-    NaN and Infinity tokens, which are not JSON and no experiment value."""
-    raise ConfigError(f"non-finite number {token} is not valid JSON")
+def strict_json(text: str):
+    """Parse outside input, a config file or a sweep value, as JSON. The NaN
+    and Infinity tokens Python's json accepts are not JSON, and a number
+    literal beyond the floats (1e999, or an integer past Python's 4300-digit
+    limit) would parse as inf or overflow later: each is a ConfigError here."""
+    def reject_constant(token):
+        raise ConfigError(f"non-finite number {token} is not valid JSON")
 
+    def finite_float(literal):
+        value = float(literal)
+        if math.isinf(value):
+            raise ConfigError(f"number {literal} overflows a float")
+        return value
 
-def finite_float(literal):
-    """json's parse_float hook for outside input: a literal beyond the floats,
-    such as 1e999, would otherwise parse as inf without calling
-    ``reject_constant``."""
-    value = float(literal)
-    if math.isinf(value):
-        raise ConfigError(f"number {literal} overflows a float")
-    return value
+    def finite_int(literal):
+        finite_float(literal)
+        return int(literal)
 
-
-def finite_int(literal):
-    """json's parse_int hook for outside input: an integer literal beyond the
-    floats would otherwise parse, then overflow where it meets a float (or
-    exceed Python's 4300-digit conversion limit first)."""
-    finite_float(literal)
-    return int(literal)
+    return json.loads(text, parse_constant=reject_constant, parse_float=finite_float,
+                      parse_int=finite_int)
 
 
 _NUMBER = {"type": "number"}
@@ -326,8 +324,7 @@ resolve_config = ExperimentConfig
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
-            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
-                            parse_int=finite_int)
+            doc = strict_json(fh.read())
     except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -1,10 +1,14 @@
+import importlib.util
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import niconsensus as nc
 
+ROOT = Path(__file__).resolve().parent.parent
 FOUR_NODE_EDGES = frozenset({(0, 1), (0, 2), (0, 3), (1, 2)})
 
 
@@ -49,6 +53,24 @@ def pair_loop(pendulum):
 def pair_traj(pair_loop):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=20.0, record_every=10)
     return nc.integrate(pair_loop, np.array([1.0, 0.0, 0.0]), cfg)
+
+
+def package_env(**extra) -> dict:
+    """This process's environment, updated by extra, with the directory this
+    process imported niconsensus from first on PYTHONPATH: a fresh interpreter
+    started with it tests the same package, src/ or an installed copy."""
+    home = str(Path(nc.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [home, os.environ.get("PYTHONPATH")])), **extra}
+
+
+def perfbench(name: str):
+    """The module perfbench/<name>.py of the checkout, loaded afresh."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- oracles shared by several test modules ---------------------------------

@@ -2,29 +2,18 @@
 a refactor that moves or renames one of them, or calls them by a reference
 taken at import, must fail here, not in the benchmark."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ROOT, perfbench
 from niconsensus import ClosedLoop, IntegratorConfig, config, integrate, network, path_graph
 from niconsensus.cli import main, run_simulation
 
-ROOT = Path(__file__).resolve().parent.parent
-TRACING = ROOT / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
 
 def test_traced_targets_exist_and_are_callable():
-    targets = load_tracing().targets()
+    targets = perfbench("tracing").targets()
     assert targets
     for owner, attr, span in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} ({span}) is gone"
@@ -36,7 +25,7 @@ def test_tracer_sees_one_span_per_configured_check(tmp_path):
     doc["integrator"] = {"step_s": 1e-3, "t_end_s": 0.5, "record_every": 10}
     doc["consensus"] = {"rel": 1.0, "abs": 10.0}
     cfg = config.resolve_config(doc)
-    tracer = load_tracing().Tracer()
+    tracer = perfbench("tracing").Tracer()
     tracer.install()
     try:
         code, _ = run_simulation(cfg, tmp_path, quiet=True)
@@ -59,7 +48,7 @@ def test_tracer_sees_each_verify_certificate_function(tmp_path):
     and share one equilibrium solve, so the traced gamma_estimate, the
     one-gain form, does not run. A table run holding a function taken at
     import would hide it."""
-    tracer = load_tracing().Tracer()
+    tracer = perfbench("tracing").Tracer()
     tracer.install()
     try:
         code = main(["verify", "--config", str(ROOT / "configs" / "pendulum4.json"),
@@ -87,7 +76,7 @@ def test_tracer_sees_every_field_evaluation_under_rk4_path(nodes):
         loop = ClosedLoop(loop.plant, loop.controller, path_graph(nodes))
         x0 = np.random.default_rng(1).uniform(-2.0, 2.0, loop.n_states)
     assert (loop.extend(x0).size >= network.EDGE_PRODUCT_MIN) == bool(nodes)
-    tracer = load_tracing().Tracer()
+    tracer = perfbench("tracing").Tracer()
     tracer.install()
     try:
         integrate(loop, x0, IntegratorConfig(h, steps * h, record_every=10))
@@ -101,10 +90,7 @@ def test_tracer_sees_every_field_evaluation_under_rk4_path(nodes):
 def test_pendulum4_final_state_matches_benchmark_oracle():
     """The flagship run against the benchmark's independent RK4 integration
     of the hand-written pendulum/lag field."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench("workloads")
     doc = json.loads((ROOT / "configs" / "pendulum4.json").read_text())
     cfg = config.resolve_config(doc)
     traj = integrate(cfg.build_loop(), cfg.x0, cfg.integrator)

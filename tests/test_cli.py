@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import niconsensus
+from conftest import ROOT, package_env, perfbench
 from niconsensus import gamma_estimate, load_config
 from niconsensus.analysis import CHECKS, CheckReport
 from niconsensus.cli import SWEEP_FIGURES, _aggregate, main, run_simulation
 from niconsensus.config import DEFAULT_CHECKS, resolve_config
 from niconsensus.plant import GammaError, gamma_input_grid
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DIR = ROOT / "configs"
 PENDULUM4 = CONFIG_DIR / "pendulum4.json"
 PENDULUM_PAIR = CONFIG_DIR / "pendulum_pair.json"
 
@@ -43,17 +44,10 @@ POOL_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] == 'multiproce
                 "or m == 'concurrent.futures.process')")
 
 
-def src_env(**extra) -> dict:
-    """This process's environment with src/ first on PYTHONPATH, updated by extra."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra}
-
-
 def fresh_python(code: str) -> str:
     """The stripped stdout of code run by a fresh interpreter that imports
-    the package from src/, which must exit 0."""
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+    this process's package, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -195,7 +189,7 @@ def test_non_ascii_label_under_the_c_locale(tmp_path, ensure_ascii):
     doc["integrator"] = {"step_s": 1e-3, "t_end_s": 0.5, "record_every": 10}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc, ensure_ascii=ensure_ascii), encoding="utf-8")
-    env = src_env(LC_ALL="C", PYTHONUTF8="0")
+    env = package_env(LC_ALL="C", PYTHONUTF8="0")
     for cmd, record in (("simulate", "report.json"), ("verify", "verify.json")):
         proc = subprocess.run([sys.executable, "-m", "niconsensus", cmd, "--config", str(cfg),
                                "--out", str(tmp_path / cmd), "--quiet"],
@@ -215,7 +209,7 @@ def test_sweep_table_under_the_c_locale(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "niconsensus", "sweep", "--config",
                            str(write(tmp_path, doc)), "--out", str(out), "--param", "a",
                            "--values", "10", "--quiet"],
-                          env=src_env(LC_ALL="C", PYTHONUTF8="0"), capture_output=True,
+                          env=package_env(LC_ALL="C", PYTHONUTF8="0"), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     header, row = (out / "sweep.csv").read_bytes().splitlines()
@@ -552,12 +546,12 @@ def test_verify_inadmissible_delta_exit4(tmp_path, capsys):
     assert "osni_freq_test failed" in capsys.readouterr().err
 
 
-def test_sweep_controller_gain(tmp_path):
+def test_sweep_controller_gain(tmp_path, capsys):
     cfg = write(tmp_path, short_network_doc(), "base.json")
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--param", "a", "--values", "1,5,10", "--quiet"])
-    assert code == 0
+    assert (code, capsys.readouterr().err) == (0, "")
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert rows[0].startswith("param,value,status")
     assert len(rows) == 4
@@ -736,9 +730,16 @@ def test_module_entrypoint(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "niconsensus", "simulate", "--config", str(cfg),
          "--out", str(tmp_path / "o"), "--quiet"],
-        capture_output=True, text=True)
+        env=package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_a_fresh_interpreter_imports_this_package():
+    """package_env reaches the package this process imported, from src/ or
+    installed: a fresh interpreter started with it imports the same file."""
+    path = fresh_python("import niconsensus; print(niconsensus.__file__)")
+    assert Path(path).resolve() == Path(niconsensus.__file__).resolve()
 
 
 def test_package_imports_without_scipy():
@@ -797,6 +798,34 @@ def test_sweep_rejected_variant_keeps_its_reason(tmp_path, capsys):
         report = json.loads((run_dir / "report.json").read_text())
         assert report["status"] == "error" and "minimum of 0" in report["error"]
         assert report["config"]["delta"] == -1
+
+
+def pair_doc(**gains):
+    """pendulum_pair.json with its controller's first_order gains updated."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["controller"]["first_order"].update(gains)
+    return doc
+
+
+@pytest.mark.parametrize("doc, values, statuses, err", [
+    (lambda: pair_doc(a=5000.0), ["--param", "b", "--values", "1,5000"],
+     ["check_failed", "diverged"],
+     "b=1: ni_dissipation, osni_dissipation, lyapunov_monotone failed\n"
+     "b=5000: divergence at t=0.268 in controller 1, coordinate 0\n"),
+    (lambda: short_network_doc() | {"checks": ["consensus"]},
+     ["--param", "a", "--values", "1"], ["check_failed"], "a=1: consensus failed\n"),
+], ids=["overflow_and_divergence", "consensus"])
+def test_sweep_names_why_each_failed_variant_failed(tmp_path, capsys, doc, values, statuses,
+                                                    err):
+    """Each variant that is not ok, on the pool or in this process, prints
+    one stderr line even under --quiet: its divergence, or its failed checks
+    in report order. sweep.csv holds only the statuses."""
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write(tmp_path, doc())), "--out", str(out),
+                 "--quiet", *values])
+    assert (code, capsys.readouterr().err) == (1, err)
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == statuses
 
 
 def sweep_modules(tmp_path, values):
@@ -1016,3 +1045,37 @@ def test_library_refusals_name_their_document_path_exit2(tmp_path, capsys, base,
     expected = f"config error: {message.format(path=path)}\n"
     assert (code, capsys.readouterr().err) == (2, expected)
     assert not (tmp_path / "o").exists()
+
+
+def test_path64_runs_through_the_cli(tmp_path):
+    """The benchmark's 64-node path is above network.EDGE_PRODUCT_MIN, unlike
+    both bundled configs: simulate and verify run its sparse operator forms
+    and exit 0 with numpy's RuntimeWarnings as errors."""
+    cfg = write(tmp_path, perfbench("workloads").path64_config(1))
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command),
+                     "--quiet"]) == 0
+
+
+def test_an_8192_node_path_runs_in_bounded_memory(tmp_path):
+    """path64's config on an 8192-node path for 0.01 s: the loop and the
+    gains read the Laplacian's nonzeros, built from the edges, so simulate
+    and verify, each in a fresh interpreter, exit 0 under 400 MB peak RSS
+    (a dense 8192 x 8192 Laplacian alone takes 537 MB)."""
+    doc, n = perfbench("workloads").path64_config(1), 8192
+    doc["graph"] = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    angles = np.random.default_rng(1).uniform(-2.0, 2.0, n)
+    doc["initial_conditions"] = {"plants": [[a, 0.0] for a in angles.tolist()],
+                                 "controllers": [[0.0]] * n}
+    doc["integrator"]["t_end_s"] = 0.01
+    cfg = write(tmp_path, doc)
+    # ru_maxrss counts KB on Linux and bytes on macOS
+    probe = ("import resource, sys; from niconsensus.cli import main; "
+             "code = main(sys.argv[1:]); kb = resource.getrusage(resource.RUSAGE_SELF)."
+             "ru_maxrss // (1024 if sys.platform == 'darwin' else 1); print(kb); sys.exit(code)")
+    for command in ("simulate", "verify"):
+        proc = subprocess.run([sys.executable, "-c", probe, command, "--config", str(cfg),
+                               "--out", str(tmp_path / command), "--quiet"],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 400 * 1024, f"{command}: {int(proc.stdout) // 1024} MB"

@@ -7,7 +7,6 @@ jsonschema's Draft 2020-12 verdicts, keyword order and messages.
 
 import copy
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+from conftest import package_env
 from niconsensus.cli import main
 from niconsensus.config import SCHEMA, resolve_config, schema_errors
 
@@ -171,14 +171,12 @@ def test_cli_runs_without_jsonschema(tmp_path):
     doc["integrator"]["t_end_s"] = 0.5
     cfg = tmp_path / "pair.json"
     cfg.write_text(json.dumps(doc))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     probe = ("import sys; sys.modules['jsonschema'] = None; "
              "from niconsensus.cli import main; "
              "sys.exit(max(main([cmd, '--config', sys.argv[1], '--out', sys.argv[2] + cmd, "
              "'--quiet']) for cmd in ('simulate', 'verify')))")
     proc = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out_")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out_simulate" / "trajectory.csv").exists()
     assert (tmp_path / "out_verify" / "verify.json").exists()

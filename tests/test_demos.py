@@ -5,15 +5,14 @@ Each demo is copied to a temporary directory first, so a demo that writes
 files next to itself leaves the source tree untouched.
 """
 
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, package_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -21,9 +20,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+                          cwd=tmp_path, env=package_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -107,7 +107,7 @@ def resolve(dotted):
     return obj
 
 
-MODULES = sorted(p.stem for p in (ROOT / "src" / "niconsensus").glob("*.py")
+MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
                  if not p.stem.startswith("_"))
 NAME = re.compile(rf"(?<![\w.$/])(?:nc|niconsensus|{'|'.join(MODULES)})(?:\.\w+)+")
 
