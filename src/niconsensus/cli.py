@@ -57,20 +57,39 @@ def _output(path: Path, write, *args, **kwargs):
         raise ConfigError(f"cannot write output to {path}: {err.strerror or err}") from None
 
 
-def _write_json(path: Path, doc: dict):
-    """Write doc as strict JSON, creating its directory: non-finite floats
-    become null, since NaN and Infinity tokens are rejected by strict parsers."""
-    def finite(value):
-        if isinstance(value, float):
-            return value if math.isfinite(value) else None
-        if isinstance(value, dict):
-            return {k: finite(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [finite(v) for v in value]
-        return value
+def finite(value):
+    """value with each non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite(v) for v in value]
+    return value
 
+
+def _compact(value) -> str:
+    """value as one line of strict JSON by json's C encoder: non-finite floats
+    become null, since NaN and Infinity tokens are rejected by strict parsers.
+    A finite value is encoded once and never walked in Python."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:  # a non-finite float
+        return json.dumps(finite(value), allow_nan=False)
+
+
+def _write_json(path: Path, doc: dict):
+    """Write doc as strict JSON, creating its directory: each top-level key on
+    its own line, each entry of a "checks" object too, and every value compact."""
+    lines = []
+    for key, value in doc.items():
+        if key == "checks" and isinstance(value, dict) and value:
+            entries = ",".join(f"\n    {json.dumps(k)}: {_compact(v)}" for k, v in value.items())
+            lines.append(f"\n  {json.dumps(key)}: {{{entries}\n  }}")
+        else:
+            lines.append(f"\n  {json.dumps(key)}: {_compact(value)}")
     _output(path.parent, Path.mkdir, parents=True, exist_ok=True)
-    _output(path, Path.write_text, json.dumps(finite(doc), indent=2, allow_nan=False) + "\n")
+    _output(path, Path.write_text, "{" + ",".join(lines) + "\n}\n")
 
 
 def _aggregate(reports):
@@ -278,27 +297,27 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a non-empty --values list")
     base = load_config(args.config)
     parsed = [resolved(f"sweep value {v}", strict_json, v) for v in values]
+    names = [json.dumps(v) for v in parsed]  # a value's name in sweep.csv, run dir and stderr
     out_root = Path(args.out or base.out_dir or "out")
-    run_dirs = [str(out_root / f"run_{args.param}={v}") for v in parsed]
-    for v, run_dir in zip(parsed, run_dirs):
+    run_dirs = [str(out_root / f"run_{args.param}={name}") for name in names]
+    for name, run_dir in zip(names, run_dirs):
         if run_dirs.count(run_dir) > 1:  # two pool workers would write one directory
-            raise ConfigError(f"sweep value {json.dumps(v)} repeats: two runs would "
-                              f"share {run_dir}")
+            raise ConfigError(f"sweep value {name} repeats: two runs would share {run_dir}")
     tasks = [(_sweep_variant(base, args.param, v), run_dir)
              for v, run_dir in zip(parsed, run_dirs)]
     _output(out_root, Path.mkdir, parents=True, exist_ok=True)
     outcomes = _run_variants(tasks)
     rows = [("param", "value", "status", *SWEEP_FIGURES, "out_dir")]
-    for v, (doc, run_dir), outcome in zip(parsed, tasks, outcomes):
+    for name, (doc, run_dir), outcome in zip(names, tasks, outcomes):
         if outcome["status"] != "ok":  # a failed variant: say why
-            print(f"{args.param}={v}: {outcome['error']}", file=sys.stderr)
+            print(f"{args.param}={name}: {outcome['error']}", file=sys.stderr)
         if outcome["status"] == "error":  # a rejected variant has no report of its own
             report = {"status": "error", "error": outcome["error"], "config": doc}
             try:
                 _write_json(Path(run_dir) / "report.json", report)
             except ConfigError:  # its run directory or report.json cannot be written
                 pass
-        rows.append((args.param, json.dumps(v), outcome["status"],
+        rows.append((args.param, name, outcome["status"],
                      *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir))
     table = out_root / "sweep.csv"
     # the out_dir column carries each run directory's own bytes, in any locale

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -165,6 +166,26 @@ def _unique(items):
     return not any(_equal(a, b) for a, b in pairs)
 
 
+#: The Python types a JSON parser gives that meet a scalar type on sight.
+_EXACT = {"number": {int, float}, "integer": {int}}
+
+
+def _rows_meet(schema, rows) -> bool:
+    """True when schema is an array of numbers or integers, with at most
+    length bounds, and every row is a list of a length it allows, each value's
+    type in _EXACT: one pass, with no message. False sends the caller to the
+    item-by-item walk, which may still pass the rows (3.0 is an integer)."""
+    exact = _EXACT.get(schema.get("items", {}).get("type"))
+    if (exact is None or schema["items"].keys() != {"type"} or schema.get("type") != "array"
+            or not schema.keys() <= {"type", "items", "minItems", "maxItems"}
+            or not {*map(type, rows)} <= {list}):
+        return False
+    lengths = {*map(len, rows)}
+    return (min(lengths, default=0) >= schema.get("minItems", 0)
+            and max(lengths, default=0) <= schema.get("maxItems", math.inf)
+            and {*map(type, chain.from_iterable(rows))} <= exact)
+
+
 def schema_errors(schema, value, path="$"):
     """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``,
     in the keyword order and wording of jsonschema's Draft 2020-12 validator.
@@ -192,7 +213,7 @@ def schema_errors(schema, value, path="$"):
             if _TYPES["number"](value) and value <= arg:
                 yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
         elif key == "items":
-            if isinstance(value, list):
+            if isinstance(value, list) and not _rows_meet(arg, value):
                 for i, item in enumerate(value):
                     yield from schema_errors(arg, item, f"{path}[{i}]")
         elif key == "minItems":

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from conftest import package_env
+from niconsensus import config
 from niconsensus.cli import main
 from niconsensus.config import SCHEMA, resolve_config, schema_errors
 
@@ -102,6 +103,47 @@ def test_schema_errors_match_jsonschema(doc):
     errors = list(schema_errors(SCHEMA, doc))
     assert errors == expected
     assert first_error(errors) == first_error(expected)
+
+
+@pytest.mark.parametrize("key", ["plants", "controllers", "edges", "A"])
+@pytest.mark.parametrize("at", [0, 31, -1])
+@pytest.mark.parametrize("bad", [True, "1", None, [0.0], 3.5, 3.0, [], [1, 2, 3]], ids=repr)
+def test_schema_errors_of_a_long_array_are_jsonschema_s(key, at, bad):
+    """A value the one-pass check of an array of rows refuses on sight, as a
+    row or inside one, at the first, a middle or the last row of the plants,
+    controllers, edges or a controller matrix: the item walk that follows
+    yields jsonschema's errors, in order (none for 3.0, which is a number and
+    an integer edge index)."""
+    for inside in (False, True):
+        doc = path_doc(64)
+        if key == "A":
+            doc["controller"] = {"A": [[-1.0] for _ in range(64)], "B": [[1.0]], "C": [[1.0]]}
+            rows = doc["controller"]["A"]
+        else:
+            rows = doc["graph" if key == "edges" else "initial_conditions"][key]
+        if inside:
+            rows[at][0] = bad
+        else:
+            rows[at] = bad
+        assert list(schema_errors(SCHEMA, doc)) == oracle_errors(doc)
+
+
+def test_a_valid_array_of_rows_is_checked_in_one_pass(monkeypatch):
+    """The walk over a valid path config takes as many steps at 4096 nodes
+    as at 64: no row of plants, controllers or edges is walked."""
+    def steps(doc):
+        calls = []
+
+        def counted(schema, value, path="$"):
+            calls.append(path)
+            return walk(schema, value, path)
+
+        monkeypatch.setattr(config, "schema_errors", counted)
+        assert list(counted(SCHEMA, doc)) == []
+        return len(calls)
+
+    walk = config.schema_errors
+    assert steps(path_doc(4096)) == steps(path_doc(64))
 
 
 @pytest.mark.parametrize("edit,expected", [
