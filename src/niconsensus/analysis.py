@@ -30,26 +30,22 @@ class CheckReport(Frozen):
                   tolerance=tolerance, passed=passed)
 
 
-def worst(violations, times) -> int:
-    """The index of the worst of violations sampled at times: the first
-    non-finite one in time (an overflowed run's), else the largest."""
-    bad = ~np.isfinite(violations)
-    return int(np.argmin(np.where(bad, times, np.inf)) if bad.any() else np.argmax(violations))
+def worst(violations, times):
+    """The index along axis 0 of the worst of violations sampled at times,
+    per column when violations is (T, n): the first non-finite one in time
+    (an overflowed run's), else the largest."""
+    bad = ~np.isfinite(violations).T
+    first_bad = np.argmin(np.where(bad, times, np.inf), axis=-1)
+    return np.where(bad.any(axis=-1), first_bad, np.argmax(np.asarray(violations).T, axis=-1))
 
 
-def _report(name: str, violations: np.ndarray, times: np.ndarray,
-            tol: float) -> CheckReport:
+def _reports(names, violations: np.ndarray, times: np.ndarray, tol: float) -> list:
+    """One report per column of the (T, n) violations, named by names."""
     k = worst(violations, times)
-    max_violation = float(violations[k])
-    return CheckReport(name=name, max_violation=max_violation,
-                       time_of_max=float(times[k]), tolerance=tol,
-                       passed=max_violation <= tol)
-
-
-def _node_reports(name: str, violations: np.ndarray, times: np.ndarray,
-                  tol: float) -> list:
-    """One report per column of the (T, n) violations, named name_node_i."""
-    return [_report(f"{name}_node_{i}", v, times, tol) for i, v in enumerate(violations.T)]
+    maxima = violations[k, np.arange(violations.shape[1])].tolist()
+    return [CheckReport(name=name, max_violation=m, time_of_max=t, tolerance=tol,
+                        passed=m <= tol)
+            for name, m, t in zip(names, maxima, times[k].tolist())]
 
 
 def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray:
@@ -63,8 +59,8 @@ def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray
 def check_ni_dissipation(traj: Trajectory, v: StorageFunction) -> list:
     """One report per plant node, ni_dissipation_node_i."""
     residuals = ni_dissipation_residuals(traj, v)
-    return _node_reports("ni_dissipation", np.maximum(residuals, 0.0), traj.times,
-                         DEFAULT_TOL)
+    return _reports([f"ni_dissipation_node_{i}" for i in range(residuals.shape[1])],
+                    np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
 
 
 def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
@@ -83,8 +79,8 @@ def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
 def check_osni_dissipation(traj: Trajectory, Y, delta: float) -> list:
     """One report per controller node, osni_dissipation_node_i."""
     residuals = osni_dissipation_residuals(traj, Y, delta)
-    return _node_reports("osni_dissipation", np.maximum(residuals, 0.0), traj.times,
-                         DEFAULT_TOL)
+    return _reports([f"osni_dissipation_node_{i}" for i in range(residuals.shape[1])],
+                    np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
 
 
 def _strictness_form(traj: Trajectory) -> np.ndarray:
@@ -114,8 +110,8 @@ def check_osni_like_network(traj: Trajectory, Y, delta: float) -> CheckReport:
              <= U2^T dY2/dt - (delta/2) sum_ij a_ij |d(yc_i - yc_j)/dt|^2;
     for a pair (K = [[1]]) it is the OSNI inequality of the one controller.
     """
-    residuals = osni_like_network_residuals(traj, Y, delta)
-    return _report("osni_like_network", np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
+    violations = np.maximum(osni_like_network_residuals(traj, Y, delta), 0.0)[:, None]
+    return _reports(["osni_like_network"], violations, traj.times, DEFAULT_TOL)[0]
 
 
 def check_pair_identities(traj: Trajectory) -> CheckReport:
@@ -136,7 +132,7 @@ def check_pair_identities(traj: Trajectory) -> CheckReport:
     lhs2 = np.sum(traj.y2dot ** 2, axis=1)
     rhs2 = 2.0 * np.sum(dycdot ** 2, axis=1)
     violations = np.maximum(np.abs(lhs1 - rhs1), np.abs(lhs2 - rhs2))
-    return _report("pair_identities", violations, traj.times, 1e-12)
+    return _reports(["pair_identities"], violations[:, None], traj.times, 1e-12)[0]
 
 
 def check_lyapunov_monotone(traj: Trajectory, cs, delta: float) -> CheckReport:
@@ -153,8 +149,8 @@ def check_lyapunov_monotone(traj: Trajectory, cs, delta: float) -> CheckReport:
     rates = cs.rate(traj.states, traj)
     rate_violation = np.maximum(rates + delta * _strictness_form(traj), 0.0)
     mono_violation = np.concatenate([[0.0], np.maximum(np.diff(values), 0.0)])
-    return _report("lyapunov_monotone",
-                   np.maximum(rate_violation, mono_violation), traj.times, DEFAULT_TOL)
+    violations = np.maximum(rate_violation, mono_violation)[:, None]
+    return _reports(["lyapunov_monotone"], violations, traj.times, DEFAULT_TOL)[0]
 
 
 def consensus_metric(traj: Trajectory):

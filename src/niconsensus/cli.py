@@ -37,7 +37,7 @@ EXIT_CHECK_FAILED = 4
 EXIT_BY_STATUS = {"ok": EXIT_OK, "check_failed": EXIT_CHECK_FAILED,
                   "diverged": EXIT_DIVERGED}
 
-#: Consensus figures a run's summary carries into its row of sweep.csv.
+#: Figures of a run's consensus check that its row of sweep.csv carries.
 SWEEP_FIGURES = ("initial_edge_max", "final_edge_max", "final_all_pairs_max")
 #: Accepted gap between the two-node bank's delta* and half the controller's.
 HALVING_TOL = 2e-6
@@ -120,43 +120,40 @@ def _run_table(cfg: ExperimentConfig, traj) -> dict:
     return entries
 
 
-def _record(path: Path, doc: dict, quiet: bool) -> list:
-    """Write doc to path, print one line per entry of its "checks" and return
-    the names of the failed ones; a doc whose "status" is "ok" turns
-    "check_failed" when one failed."""
-    failed = [name for name, entry in doc["checks"].items() if entry.get("passed") is False]
-    if failed and doc.get("status") == "ok":
-        doc["status"] = "check_failed"
+def _failed(checks: dict) -> list:
+    """The names of the failed entries of checks."""
+    return [name for name, entry in checks.items() if entry.get("passed") is False]
+
+
+def _record(path: Path, doc: dict, quiet: bool):
+    """Write doc to path and print one line per entry of its "checks"."""
     _write_json(path, doc)
     for name, entry in doc["checks"].items():
         if "skipped" in entry:
             _say(quiet, f"  [skip] {name}: {entry['skipped']}")
         else:
             _say(quiet, f"  [{'pass' if entry['passed'] else 'FAIL'}] {name}")
-    return failed
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
     """Integrate one experiment, run its checks, write the artifacts, and
     write report.json on every path: "status" is "ok", "check_failed" or
-    "diverged". Returns (exit_code, summary dict), with an "error" naming the
-    divergence or the failed checks when the run is not ok."""
+    "diverged", with an "error" naming a divergence. Returns (exit_code,
+    report), the dict written."""
     _output(out_dir, Path.mkdir, parents=True, exist_ok=True)
     loop = cfg.build_loop()
-    summary = {"status": "ok"}
-    results, artifacts = {}, {}
+    outcome, results, artifacts = {"status": "ok"}, {}, {}
     try:
         traj = integrate(loop, cfg.x0, cfg.integrator)
     except SimulationDiverged as err:
         _say(quiet, f"simulation diverged: {err}")
-        summary = {"status": "diverged", "error": str(err)}
+        outcome = {"status": "diverged", "error": str(err)}
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed runs fail as NaN
             results = _run_table(cfg, traj)
-        extra_cols = []
-        for entry in results.values():
-            extra_cols += entry.pop("columns", ())
-            summary.update({k: entry[k] for k in SWEEP_FIGURES if k in entry})
+        if _failed(results):
+            outcome = {"status": "check_failed"}
+        extra_cols = [col for entry in results.values() for col in entry.pop("columns", ())]
         csv_path = out_dir / "trajectory.csv"
         _output(csv_path, traj.write_csv, extra_columns=extra_cols)
         svg_path = out_dir / "outputs.svg"
@@ -166,15 +163,11 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
                 title=cfg.label, xlabel="time (s)", ylabel="output")
         artifacts = {"trajectory_csv": str(csv_path), "outputs_svg": str(svg_path)}
 
-    report = {"label": cfg.label, "mode": cfg.raw["mode"],
-              **{k: summary[k] for k in ("status", "error") if k in summary},
+    report = {"label": cfg.label, "mode": cfg.raw["mode"], **outcome,
               "checks": results, "artifacts": artifacts, "config": cfg.raw}
-    failed = _record(out_dir / "report.json", report, quiet)
-    summary["status"] = report["status"]
-    if failed:
-        summary["error"] = f"{', '.join(failed)} failed"
+    _record(out_dir / "report.json", report, quiet)
     _say(quiet, f"artifacts in {out_dir}")
-    return EXIT_BY_STATUS[summary["status"]], summary
+    return EXIT_BY_STATUS[report["status"]], report
 
 
 def cmd_simulate(args) -> int:
@@ -227,8 +220,9 @@ def cmd_verify(args) -> int:
                                       "inequality_residual": cert.inequality_residual,
                                       "b_equation_residual": cert.b_equation_residual}
     checks.update(_gains(cfg))
-    doc = {"label": cfg.label, "checks": checks, "config": cfg.raw}
-    failed = _record(out_dir / "verify.json", doc, args.quiet)
+    failed = _failed(checks)
+    _record(out_dir / "verify.json", {"label": cfg.label, "checks": checks, "config": cfg.raw},
+            args.quiet)
     if failed:
         print(f"verification failed: {failed[0]} failed", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -266,14 +260,18 @@ def _sweep_variant(base: ExperimentConfig, param: str, value):
 
 
 def _sweep_worker(task):
+    """(exit_code, report) of one sweep variant: a variant its config rejects
+    gets a report.json of its own holding the error, where it can be written."""
     doc, out_dir = task
     try:
-        cfg = resolve_config(doc)
-        code, summary = run_simulation(cfg, Path(out_dir), quiet=True)
-        summary["exit_code"] = code
-        return summary
+        return run_simulation(resolve_config(doc), Path(out_dir), quiet=True)
     except ValueError as err:  # a ConfigError too
-        return {"status": "error", "error": str(err), "exit_code": EXIT_CONFIG}
+        report = {"status": "error", "error": str(err), "config": doc}
+        try:
+            _write_json(Path(out_dir) / "report.json", report)
+        except ConfigError:  # its run directory or report.json cannot be written
+            pass
+        return EXIT_CONFIG, report
 
 
 def _run_variants(tasks) -> list:
@@ -308,27 +306,23 @@ def cmd_sweep(args) -> int:
     _output(out_root, Path.mkdir, parents=True, exist_ok=True)
     outcomes = _run_variants(tasks)
     rows = [("param", "value", "status", *SWEEP_FIGURES, "out_dir")]
-    for name, (doc, run_dir), outcome in zip(names, tasks, outcomes):
-        if outcome["status"] != "ok":  # a failed variant: say why
-            print(f"{args.param}={name}: {outcome['error']}", file=sys.stderr)
-        if outcome["status"] == "error":  # a rejected variant has no report of its own
-            report = {"status": "error", "error": outcome["error"], "config": doc}
-            try:
-                _write_json(Path(run_dir) / "report.json", report)
-            except ConfigError:  # its run directory or report.json cannot be written
-                pass
-        rows.append((args.param, name, outcome["status"],
-                     *(str(outcome.get(k, "")) for k in SWEEP_FIGURES), run_dir))
+    for name, run_dir, (code, report) in zip(names, run_dirs, outcomes):
+        if code != EXIT_OK:  # a failed variant: say why
+            reason = (report["error"] if "error" in report
+                      else f"{', '.join(_failed(report['checks']))} failed")
+            print(f"{args.param}={name}: {reason}", file=sys.stderr)
+        consensus = report.get("checks", {}).get("consensus", {})
+        rows.append((args.param, name, report["status"],
+                     *(str(consensus.get(k, "")) for k in SWEEP_FIGURES), run_dir))
     table = out_root / "sweep.csv"
     # the out_dir column carries each run directory's own bytes, in any locale
     _output(table, Path.write_text, "".join(",".join(row) + "\n" for row in rows),
             encoding="utf-8", errors="surrogateescape")
     _say(args.quiet, f"sweep table written to {table}")
-    bad = [o for o in outcomes if o.get("exit_code", EXIT_OK) != EXIT_OK]
-    return EXIT_SWEEP_FAILED if bad else EXIT_OK
+    return EXIT_SWEEP_FAILED if any(code for code, _ in outcomes) else EXIT_OK
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="niconsensus", allow_abbrev=False,
         description="Simulate and verify output-feedback consensus experiments.")
@@ -345,11 +339,18 @@ def main(argv=None) -> int:
                            help="config path to vary (e.g. a, delta, n, "
                                 "integrator.step_s)")
             p.add_argument("--values", help="comma-separated values")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--values" in argv[:-1]:  # else argparse reads a list like -1,0.05 as an option
         k = argv.index("--values")
         argv[k:k + 2] = ["--values=" + argv[k + 1]]
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as err:
@@ -358,8 +359,4 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -178,15 +178,9 @@ def osni_max_delta(sys: StateSpace, graph=None) -> float:
 class CertificateReport(Frozen):
     """Outcome of the state-space OSNI certificate check."""
 
-    def __init__(self, y_positive_definite: bool, inequality_ok: bool, b_equation_ok: bool,
-                 inequality_residual: float, b_equation_residual: float):
-        self._set(y_positive_definite=y_positive_definite, inequality_ok=inequality_ok,
-                  b_equation_ok=b_equation_ok, inequality_residual=inequality_residual,
+    def __init__(self, passed: bool, inequality_residual: float, b_equation_residual: float):
+        self._set(passed=passed, inequality_residual=inequality_residual,
                   b_equation_residual=b_equation_residual)
-
-    @property
-    def passed(self) -> bool:
-        return self.y_positive_definite and self.inequality_ok and self.b_equation_ok
 
 
 def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> CertificateReport:
@@ -213,12 +207,8 @@ def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> Cert
     ineq_residual = float(np.linalg.eigvalsh(lhs).max())
     beq_residual = float(np.abs(sys.B + sys.A @ Y @ sys.C.T).max())
     return CertificateReport(
-        y_positive_definite=y_pd,
-        inequality_ok=ineq_residual <= CERT_TOL,
-        b_equation_ok=beq_residual <= CERT_TOL,
-        inequality_residual=ineq_residual,
-        b_equation_residual=beq_residual,
-    )
+        passed=y_pd and ineq_residual <= CERT_TOL and beq_residual <= CERT_TOL,
+        inequality_residual=ineq_residual, b_equation_residual=beq_residual)
 
 
 def first_order_certificate(a: float, b: float):

@@ -18,8 +18,6 @@ _ML, _MR, _MT, _MB = 70, 160, 46, 56
 
 
 def _ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -46,6 +44,8 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
     ys = np.atleast_2d(np.asarray(series, dtype=float))
     labels = labels or [f"series {i + 1}" for i in range(ys.shape[0])]
     x_lo, x_hi = float(x.min()), float(x.max())
+    if x_hi - x_lo < 1e-12:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import niconsensus as nc
 from conftest import complete_graph, dense_plant, edge_rate_sums
@@ -222,6 +225,19 @@ def test_pair_identities_broken_antisymmetry(two_node_traj):
     assert not analysis.check_pair_identities(tampered).passed
 
 
+@pytest.mark.parametrize("refused,match", [
+    (lambda traj: analysis.osni_dissipation_residuals(traj, Y, 0.0), "delta must be positive"),
+    (lambda traj: analysis.osni_like_network_residuals(traj, Y, -0.05),
+     "delta must be positive"),
+    (analysis.consensus_metric, "at least two nodes"),
+], ids=["osni_dissipation-delta-0", "osni_like_network-delta-negative", "consensus"])
+def test_one_node_loop_refusals(pair_traj, refused, match):
+    """A strictness level delta <= 0 is refused, and so is a consensus
+    metric on the one-node loop, which has no pair of outputs."""
+    with pytest.raises(ValueError, match=match):
+        refused(pair_traj)
+
+
 def test_pair_identities_need_two_nodes(network_traj):
     with pytest.raises(ValueError, match="2-node"):
         analysis.check_pair_identities(network_traj)
@@ -375,11 +391,44 @@ def test_report_pass_invariant(network_traj, pendulum):
 def test_report_names_the_first_non_finite_violation():
     """np.argmax ranks NaN above +inf, so a run whose violation turns +inf
     before NaN would report its first NaN: the worst sample is the first
-    non-finite one when there is one, else the first largest."""
+    non-finite one when there is one, else the first largest, column by column."""
     times = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
-    report = analysis._report("x", np.array([0.0, 1.0, np.inf, np.nan, 2.0]), times, 1e-6)
-    assert (report.max_violation, report.time_of_max, report.passed) == (np.inf, 0.2, False)
-    report = analysis._report("x", np.array([0.0, np.nan, np.inf, 5.0, 2.0]), times, 1e-6)
-    assert np.isnan(report.max_violation) and report.time_of_max == 0.1
-    report = analysis._report("x", np.array([0.0, 3.0, 1.0, 3.0, 2.0]), times, 1e-6)
-    assert (report.max_violation, report.time_of_max) == (3.0, 0.1)
+    violations = np.array([[0.0, 1.0, np.inf, np.nan, 2.0],
+                           [0.0, np.nan, np.inf, 5.0, 2.0],
+                           [0.0, 3.0, 1.0, 3.0, 2.0]]).T
+    inf, nan, big = analysis._reports(["a", "b", "c"], violations, times, 1e-6)
+    assert (inf.name, inf.max_violation, inf.time_of_max, inf.passed) == ("a", np.inf, 0.2, False)
+    assert np.isnan(nan.max_violation) and nan.time_of_max == 0.1
+    assert (big.max_violation, big.time_of_max) == (3.0, 0.1)
+
+
+def column_report(name, v, times, tol):
+    """The oracle: the report of one column of violations, found on that column alone."""
+    bad = ~np.isfinite(v)
+    k = int(np.argmin(np.where(bad, times, np.inf)) if bad.any() else np.argmax(v))
+    return analysis.CheckReport(name=name, max_violation=float(v[k]),
+                                time_of_max=float(times[k]), tolerance=tol,
+                                passed=float(v[k]) <= tol)
+
+
+#: Violations are nonnegative; the few fixed values make ties and the tolerance likely.
+VIOLATION = st.sampled_from([0.0, 1e-6, 2.0, np.nan, np.inf]) | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_reports_reduce_every_column_by_the_per_column_rule(data):
+    """_reports over a (T, n) array of violations, with NaN and +inf planted,
+    gives each column the report the rule gives that column alone: every
+    field, the time of a tied maximum and the type of each value included.
+    Times may repeat and need not be sorted."""
+    violations = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                                   max_side=6),
+                                      elements=VIOLATION))
+    times = data.draw(hnp.arrays(np.float64, violations.shape[0],
+                                 elements=st.sampled_from([0.0, 0.1, 0.2]) | st.floats(0.0, 10.0)))
+    names = [f"x_node_{i}" for i in range(violations.shape[1])]
+    reports = analysis._reports(names, violations, times, 1e-6)
+    oracle = [column_report(name, v, times, 1e-6) for name, v in zip(names, violations.T)]
+    # repr shows every field exactly, NaN and each value's type included
+    assert list(map(repr, reports)) == list(map(repr, oracle))

@@ -870,8 +870,9 @@ def test_sweep_artifacts_are_the_bytes_of_solo_runs(tmp_path, values):
     """A sweep's first variant runs in this process and the others on the
     pool: every run directory holds the bytes of the variant run alone
     through run_simulation (paths aside), and sweep.csv has each run's
-    status and figures in --values order. The network base adds consensus
-    figures to sweep.csv."""
+    status and figures in --values order, as the report run_simulation
+    returns and writes holds them. The network base adds consensus figures
+    to sweep.csv."""
     for name, doc in (("pair", json.loads(PENDULUM_PAIR.read_text())),
                       ("network", short_network_doc())):
         doc["integrator"]["t_end_s"] = 1.0
@@ -885,10 +886,13 @@ def test_sweep_artifacts_are_the_bytes_of_solo_runs(tmp_path, values):
         codes = []
         for v in values.split(","):
             doc["controller"]["first_order"]["a"] = int(v)
-            code, summary = run_simulation(resolve_config(doc), solo / f"run_a={v}", quiet=True)
+            code, report = run_simulation(resolve_config(doc), solo / f"run_a={v}", quiet=True)
             codes.append(code)
-            figures = [str(summary.get(k, "")) for k in SWEEP_FIGURES]
-            rows.append(",".join(["a", v, summary["status"], *figures, str(out / f"run_a={v}")]))
+            written = (solo / f"run_a={v}" / "report.json").read_text()
+            assert json.loads(written) == json.loads(json.dumps(report))
+            consensus = report["checks"].get("consensus", {})
+            figures = [str(consensus.get(k, "")) for k in SWEEP_FIGURES]
+            rows.append(",".join(["a", v, report["status"], *figures, str(out / f"run_a={v}")]))
             for path in sorted((solo / f"run_a={v}").iterdir()):
                 swept = (out / f"run_a={v}" / path.name).read_text()
                 assert swept == path.read_text().replace(str(solo), str(out)), path

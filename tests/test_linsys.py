@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import niconsensus as nc
 from conftest import bisect_max_delta, kron_ss
-from niconsensus.linsys import PSD_TOL
+from niconsensus.linsys import CERT_TOL, PSD_TOL
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -36,6 +36,9 @@ def test_freq_response():
     assert np.abs(near_dc - dc).max() <= 1e-6 * np.abs(dc).max()
     # continuity down at 1e-8 as well
     assert np.abs(nc.freq_response(m, 1e-8).real - dc).max() <= 1e-6 * np.abs(dc).max()
+    oscillator = nc.StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="singular resolvent at w=1.0"):
+        nc.freq_response(oscillator, 1.0)  # its poles are +-j
 
 
 def test_ni_freq_test():
@@ -196,7 +199,7 @@ def test_certificate_examples():
     assert report.inequality_residual == pytest.approx(20.0, abs=1e-9)
 
     report = nc.osni_certificate_check(m, [[2.0]], 0.1)
-    assert not report.b_equation_ok
+    assert report.b_equation_residual > CERT_TOL
     assert report.b_equation_residual == pytest.approx(10.0, abs=1e-12)
 
 
@@ -247,6 +250,10 @@ def test_statespace_validation():
         nc.StateSpace([[-1.0]], [[1.0], [2.0]], [[1.0]])
     with pytest.raises(ValueError, match="C column"):
         nc.StateSpace([[-1.0]], [[1.0]], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"square \(C rows == B columns\)"):
+        nc.StateSpace([[-1.0]], [[1.0]], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="D must be m x m"):
+        nc.StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0, 0.0]])
 
 
 @pytest.fixture

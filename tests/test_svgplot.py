@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,13 @@ def test_plot_is_the_bytes_of_the_per_point_formatter(tmp_path, monkeypatch, cas
     monkeypatch.setattr(svgplot, "_polyline_points", per_point_points)
     write_line_plot(tmp_path / "old.svg", t, series, title="t", xlabel="x", ylabel="y")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+def test_a_one_sample_plot_is_finite(tmp_path):
+    """One sample has a zero x range, widened as a zero y range is: its point
+    sits mid-plot, and no nan is written and no warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_line_plot(tmp_path / "one.svg", [0.0], [[1.0]])
+    svg = (tmp_path / "one.svg").read_text()
+    assert "nan" not in svg and 'points="395.00,255.00"' in svg
