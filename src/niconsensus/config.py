@@ -1,4 +1,5 @@
-"""Experiment configuration: versioned JSON schema, validation, builders."""
+"""Experiment configuration: a versioned JSON document, read by typed readers
+that refuse on a `$.` path in the words of jsonschema's Draft 2020-12 validator."""
 
 from __future__ import annotations
 
@@ -43,219 +44,92 @@ def strict_json(text: str):
                       parse_int=finite_int)
 
 
-_NUMBER = {"type": "number"}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 1},
-           "minItems": 1}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "mode", "plant", "controller", "delta",
-                 "initial_conditions", "integrator"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": 1},
-        "label": {"type": "string"},
-        "mode": {"enum": ["pair", "network"]},
-        "graph": {
-            "type": "object",
-            "required": ["n", "edges"],
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "edges": {"type": "array",
-                          "items": {"type": "array", "items": {"type": "integer"},
-                                    "minItems": 2, "maxItems": 2}},
-            },
-        },
-        "plant": {
-            "type": "object",
-            "required": ["pendulum"],
-            "additionalProperties": False,
-            "properties": {
-                "pendulum": {
-                    "type": "object",
-                    "required": ["m", "l", "kappa", "g"],
-                    "additionalProperties": False,
-                    "properties": {"m": {"type": "number", "exclusiveMinimum": 0},
-                                   "l": {"type": "number", "exclusiveMinimum": 0},
-                                   "kappa": {"type": "number", "exclusiveMinimum": 0},
-                                   "g": {"type": "number", "exclusiveMinimum": 0}},
-                },
-            },
-        },
-        "controller": {
-            "type": "object",
-            "oneOf": [
-                {"required": ["first_order"], "additionalProperties": False,
-                 "properties": {"first_order": {
-                     "type": "object", "required": ["a", "b"],
-                     "additionalProperties": False,
-                     "properties": {"a": {"type": "number", "exclusiveMinimum": 0},
-                                    "b": {"type": "number", "exclusiveMinimum": 0}}}}},
-                {"required": ["A", "B", "C"], "additionalProperties": False,
-                 "properties": {"A": _MATRIX, "B": _MATRIX, "C": _MATRIX, "D": _MATRIX}},
-            ],
-        },
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-        "initial_conditions": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "plants": {"type": "array", "items": {"type": "array", "items": _NUMBER}},
-                "controllers": {"type": "array", "items": {"type": "array", "items": _NUMBER}},
-                "plant": {"type": "array", "items": _NUMBER},
-                "controller": {"type": "array", "items": _NUMBER},
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "required": ["step_s", "t_end_s"],
-            "additionalProperties": False,
-            "properties": {"step_s": {"type": "number", "exclusiveMinimum": 0},
-                           "t_end_s": {"type": "number", "exclusiveMinimum": 0},
-                           "record_every": {"type": "integer", "minimum": 1}},
-        },
-        "checks": {"type": "array", "items": {"enum": list(CHECKS)}, "uniqueItems": True},
-        "consensus": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"rel": {"type": "number", "exclusiveMinimum": 0},
-                           "abs": {"type": "number", "exclusiveMinimum": 0}},
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
-    },
-}
-
-#: JSON Schema's types as jsonschema decides them: a bool is no number, and an
-#: integral float such as 10.0 is an integer.
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
-    "integer": integral,
-}
+def _object(path, value, required, optional=()):
+    """value, a JSON object with every key of required and no key outside required and optional."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: {value!r} is not of type 'object'")
+    for name in required:
+        if name not in value:
+            raise ConfigError(f"{path}: {name!r} is a required property")
+    extras = sorted((k for k in value if k not in required and k not in optional), key=str)
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        raise ConfigError(f"{path}: Additional properties are not allowed "
+                          f"({', '.join(map(repr, extras))} {verb} unexpected)")
+    return value
 
 
-def _equal(a, b):
-    """jsonschema's equality of JSON values: True is not 1, inside arrays and
-    objects too."""
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
-    return a is b or isinstance(a, bool) == isinstance(b, bool) and a == b
-
-
-def _unique(items):
-    """jsonschema's uniqueness test: no equal neighbours once sorted, or no
-    equal pair when the items do not sort (a bool among them, mixed types,
-    objects). Unhashable items such as lists are fine."""
+def _number(path, value, positive=False):
+    """value, a real number (no bool) whose float is finite, and > 0 if positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: {value!r} is not of type 'number'")
     try:
-        if any(isinstance(v, bool) for v in items):
-            raise TypeError("bools are compared pairwise")
-        ordered = sorted(items)
-        pairs = zip(ordered, ordered[1:])
-    except TypeError:
-        pairs = ((a, b) for k, b in enumerate(items) for a in items[:k])
-    return not any(_equal(a, b) for a, b in pairs)
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the floats, such as the dict API's 10**400
+        raise ConfigError(f"{path}: an integer that overflows a float") from None
+    if not finite:
+        raise ConfigError(f"{path}: {value!r} is not finite")
+    if positive and value <= 0:
+        raise ConfigError(f"{path}: {value!r} is less than or equal to the minimum of 0")
+    return value
 
 
-#: The Python types a JSON parser gives that meet a scalar type on sight.
-_EXACT = {"number": {int, float}, "integer": {int}}
+def _integer(path, value, least=-math.inf):
+    """value, an integer as graph.integral decides (10.0 is one), at least least."""
+    if not integral(value):
+        raise ConfigError(f"{path}: {value!r} is not of type 'integer'")
+    if value < least:
+        raise ConfigError(f"{path}: {value!r} is less than the minimum of {least!r}")
+    return int(value)
 
 
-def _rows_meet(schema, rows) -> bool:
-    """True when schema is an array of numbers or integers, with at most
-    length bounds, and every row is a list of a length it allows, each value's
-    type in _EXACT: one pass, with no message. False sends the caller to the
-    item-by-item walk, which may still pass the rows (3.0 is an integer)."""
-    exact = _EXACT.get(schema.get("items", {}).get("type"))
-    if (exact is None or schema["items"].keys() != {"type"} or schema.get("type") != "array"
-            or not schema.keys() <= {"type", "items", "minItems", "maxItems"}
-            or not {*map(type, rows)} <= {list}):
-        return False
-    lengths = {*map(len, rows)}
-    return (min(lengths, default=0) >= schema.get("minItems", 0)
-            and max(lengths, default=0) <= schema.get("maxItems", math.inf)
-            and {*map(type, chain.from_iterable(rows))} <= exact)
+def _string(path, value, choices=None):
+    """value, a string, and one of choices unless they are None."""
+    if not isinstance(value, str) or choices is not None and value not in choices:
+        raise ConfigError(f"{path}: {value!r} " + ("is not of type 'string'" if choices is None
+                                                   else f"is not one of {list(choices)!r}"))
+    return value
 
 
-def schema_errors(schema, value, path="$"):
-    """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``,
-    in the keyword order and wording of jsonschema's Draft 2020-12 validator.
-
-    Only the keywords SCHEMA uses are implemented (``additionalProperties``
-    only as false, ``type`` only as one name); any other keyword raises
-    NotImplementedError instead of being skipped.
-    """
-    for key, arg in schema.items():
-        if key == "$schema":
-            continue
-        if key == "type":
-            if not _TYPES[arg](value):
-                yield path, f"{value!r} is not of type {arg!r}"
-        elif key == "const":
-            if not _equal(value, arg):
-                yield path, f"{arg!r} was expected"
-        elif key == "enum":
-            if not any(_equal(each, value) for each in arg):
-                yield path, f"{value!r} is not one of {arg!r}"
-        elif key == "minimum":
-            if _TYPES["number"](value) and value < arg:
-                yield path, f"{value!r} is less than the minimum of {arg!r}"
-        elif key == "exclusiveMinimum":
-            if _TYPES["number"](value) and value <= arg:
-                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
-        elif key == "items":
-            if isinstance(value, list) and not _rows_meet(arg, value):
-                for i, item in enumerate(value):
-                    yield from schema_errors(arg, item, f"{path}[{i}]")
-        elif key == "minItems":
-            if isinstance(value, list) and len(value) < arg:
-                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
-        elif key == "maxItems":
-            if isinstance(value, list) and len(value) > arg:
-                yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
-        elif key == "uniqueItems":
-            if arg and isinstance(value, list) and not _unique(value):
-                yield path, f"{value!r} has non-unique elements"
-        elif key == "required":
-            if isinstance(value, dict):
-                for name in arg:
-                    if name not in value:
-                        yield path, f"{name!r} is a required property"
-        elif key == "properties":
-            if isinstance(value, dict):
-                for name, sub in arg.items():
-                    if name in value:
-                        yield from schema_errors(sub, value[name], f"{path}.{name}")
-        elif key == "additionalProperties" and arg is False:
-            if isinstance(value, dict):
-                known = schema.get("properties", {})
-                extras = sorted((name for name in value if name not in known), key=str)
-                if extras:
-                    verb = "was" if len(extras) == 1 else "were"
-                    yield path, (f"Additional properties are not allowed "
-                                 f"({', '.join(map(repr, extras))} {verb} unexpected)")
-        elif key == "oneOf":
-            valid = [sub for sub in arg if next(schema_errors(sub, value, path), None) is None]
-            if not valid:
-                yield path, f"{value!r} is not valid under any of the given schemas"
-            elif len(valid) > 1:  # jsonschema names the first valid one last
-                yield path, (f"{value!r} is valid under each of "
-                             f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
-        else:
-            raise NotImplementedError(f"schema keyword {key!r}: {arg!r}")
+def _row(path, value, read, least=0, most=math.inf):
+    """value, a JSON array of least to most items, each read by read(path, item)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {value!r} is not of type 'array'")
+    for i, item in enumerate(value):
+        read(f"{path}[{i}]", item)
+    if not least <= len(value) <= most:
+        raise ConfigError(f"{path}: {value!r} " + ("is too long" if len(value) > most else
+                          "should be non-empty" if least == 1 else "is too short"))
+    return value
 
 
-DEFAULT_CHECKS = ["ni_dissipation", "osni_dissipation", "osni_like_network",
-                  "lyapunov_monotone", "consensus"]
+def _rows(path, value, read, least=0, most=math.inf, min_rows=0):
+    """value, at least min_rows rows as _row reads them with read _number or _integer:
+    in one pass over types and lengths, or item by item to name the first bad one."""
+    if isinstance(value, list) and {*map(type, value)} <= {list}:
+        lengths, exact = {*map(len, value)}, {int, float} if read is _number else {int}
+        if (len(value) >= min_rows and least <= min(lengths, default=least)
+                and max(lengths, default=least) <= most
+                and {*map(type, chain.from_iterable(value))} <= exact):
+            return value
+    return _row(path, value, lambda at, row: _row(at, row, read, least, most), min_rows)
+
+
+def _array(path, rows):
+    """rows, as read, as a float array; ragged rows, and an entry beyond the finite
+    floats (only the dict API gives one, and _rows' one pass lets it by), are refused on path."""
+    try:
+        value = np.array(rows, dtype=float)
+    except ValueError as err:  # numpy's "inhomogeneous shape"
+        raise ConfigError(f"{path}: rows differ in length") from err
+    except OverflowError:  # an int beyond the floats
+        value = np.array(math.inf)
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{path}: entries must be finite numbers")
+    return value
+
+
+DEFAULT_CHECKS = [name for name in CHECKS if name != "pair_identities"]
 
 
 def resolved(path, build, *args, **kwargs):
@@ -267,10 +141,10 @@ def resolved(path, build, *args, **kwargs):
 
 
 class ExperimentConfig:
-    """A parsed JSON document, validated and resolved: systems built,
-    dimensions checked. ExperimentConfig(doc) raises ConfigError on the first
-    rule doc breaks, in the order schema, controller, I/O dimension,
-    mode/graph, connectivity, initial conditions, integrator.
+    """A parsed JSON document, read and resolved: ExperimentConfig(doc) reads each
+    field once, then runs its rules, and raises ConfigError on the first field it
+    cannot read or else the first rule broken, in the order controller, I/O
+    dimension, mode/graph, connectivity, initial conditions, integrator.
 
     ``graph`` is None for a single plant/controller pair. ``controller_Y`` is
     the OSNI certificate Y whose storage (1/2) x^T Y^-1 x the trajectory
@@ -278,33 +152,66 @@ class ExperimentConfig:
     """
 
     def __init__(self, doc: dict):
-        error = min(schema_errors(SCHEMA, doc), key=lambda e: e[0], default=None)
-        if error is not None:
-            raise ConfigError("{}: {}".format(*error))
-        self.raw, mode = doc, doc["mode"]
-        params = doc["plant"]["pendulum"]
-        pp = PendulumParams(m_kg=params["m"], l_m=params["l"], kappa=params["kappa"],
-                            g_ms2=params["g"])
+        _object("$", doc, ("schema", "mode", "plant", "controller", "delta",
+                           "initial_conditions", "integrator"),
+                ("label", "graph", "checks", "consensus", "output"))
+        if isinstance(doc["schema"], bool) or doc["schema"] != 1:
+            raise ConfigError("$.schema: 1 was expected")
+        self.raw, self.label = doc, _string("$.label", doc.get("label", "experiment"))
+        mode = _string("$.mode", doc["mode"], ("pair", "network"))
+        if "graph" in doc:
+            graph = _object("$.graph", doc["graph"], ("n", "edges"))
+            _integer("$.graph.n", graph["n"], 1)
+            _rows("$.graph.edges", graph["edges"], _integer, 2, 2)
+        plant = _object("$.plant", doc["plant"], ("pendulum",))
+        params = _object("$.plant.pendulum", plant["pendulum"], ("m", "l", "kappa", "g"))
+        pp = PendulumParams(*(_number(f"$.plant.pendulum.{k}", params[k], True)
+                              for k in ("m", "l", "kappa", "g")))
         self.plant, self.plant_storage = pendulum_plant(pp), pendulum_storage(pp)
         entry, self.controller_Y = doc["controller"], None
-        if "first_order" in entry:
-            a, b = entry["first_order"]["a"], entry["first_order"]["b"]
-            self.controller_ss = resolved("$.controller", first_order, a, b)
+        lag = isinstance(entry, dict) and "first_order" in entry
+        if isinstance(entry, dict) and not lag and not entry.keys() & {"A", "B", "C", "D"}:
+            raise ConfigError(f"$.controller: {entry!r} is neither 'first_order' nor 'A', 'B', 'C'")
+        _object("$.controller", entry, ("first_order",) if lag else ("A", "B", "C"),
+                () if lag else ("D",))
+        if lag:
+            ab = _object("$.controller.first_order", entry["first_order"], ("a", "b"))
+            a, b = (_number(f"$.controller.first_order.{k}", ab[k], True) for k in "ab")
+            self.controller_ss = first_order(a, b)
             self.controller_Y = first_order_certificate(a, b)[0]
-        else:
-            self.controller_ss = resolved("$.controller", StateSpace, entry["A"], entry["B"],
-                                          entry["C"], entry.get("D"))
+        for name, rows in entry.items() if not lag else ():
+            _rows(f"$.controller.{name}", rows, _number, 1, min_rows=1)
+        self.delta = float(_number("$.delta", doc["delta"], True))
+        ics = _object("$.initial_conditions", doc["initial_conditions"], (),
+                      ("plants", "controllers", "plant", "controller"))
+        for key, rows in ics.items():  # a bank of rows, or one pair's row
+            (_rows if key.endswith("s") else _row)(f"$.initial_conditions.{key}", rows, _number)
+        steps = _object("$.integrator", doc["integrator"], ("step_s", "t_end_s"), ("record_every",))
+        step_s, t_end_s = (_number(f"$.integrator.{k}", steps[k], True)
+                           for k in ("step_s", "t_end_s"))
+        every = _integer("$.integrator.record_every", steps.get("record_every", 1), 1)
+        self.checks = list(_row("$.checks", doc.get("checks", DEFAULT_CHECKS),
+                                lambda at, name: _string(at, name, CHECKS)))
+        if len(set(self.checks)) < len(self.checks):
+            raise ConfigError(f"$.checks: {self.checks!r} has non-unique elements")
+        consensus = _object("$.consensus", doc.get("consensus", {}), (), ("rel", "abs"))
+        self.consensus_rel = float(_number("$.consensus.rel", consensus.get("rel", 0.02), True))
+        self.consensus_abs = float(_number("$.consensus.abs", consensus.get("abs", 0.05), True))
+        output = _object("$.output", doc.get("output", {}), (), ("dir",))
+        self.out_dir = _string("$.output.dir", output["dir"]) if "dir" in output else None
+        # every field is read: the rules, in order
+        if not lag:
+            self.controller_ss = resolved("$.controller", StateSpace, *(
+                _array(f"$.controller.{k}", entry[k]) if k in entry else None for k in "ABCD"))
         resolved("$.controller", check_controller, self.controller_ss, self.plant)
         if ("graph" in doc) != (mode == "network"):
             raise ConfigError("$.graph: network mode requires a graph and pair mode takes none")
-        self.graph = (resolved("$.graph", Graph, doc["graph"]["n"], doc["graph"]["edges"])
-                      if mode == "network" else None)
+        self.graph = resolved("$.graph", Graph, **graph) if "graph" in doc else None
         if not is_connected(self.graph):
             raise ConfigError("$.graph: consensus requires a connected graph")
         # one bank of n nodes either way; the pair form drops the node axis
         keys, nodes = ((("plant", "controller"), ()) if self.graph is None
                        else (("plants", "controllers"), (self.graph.n,)))
-        ics = doc["initial_conditions"]
         if any(key not in ics for key in keys):
             raise ConfigError(f"$.initial_conditions: {mode} mode needs "
                               f"{keys[0]!r} and {keys[1]!r}")
@@ -314,31 +221,19 @@ class ExperimentConfig:
                               f"and {keys[1]!r}, not {', '.join(map(repr, stray))}")
         x0 = []
         for key, dim in zip(keys, (self.plant.p, self.controller_ss.state_dim)):
-            value, shape = np.asarray(ics[key], dtype=float), nodes + (dim,)
+            value, shape = _array(f"$.initial_conditions.{key}", ics[key]), nodes + (dim,)
             if value.shape != shape:
                 raise ConfigError(f"$.initial_conditions.{key}: expected shape "
                                   f"{list(shape)}, got {list(value.shape)}")
             x0.append(value.reshape(-1))
         self.x0 = np.concatenate(x0)
-        # the schema's integrator keys are IntegratorConfig's fields; a schema
-        # integer may be an integral float (10.0), which the integrator cannot step by
-        fields = dict(doc["integrator"])
-        if "record_every" in fields:
-            fields["record_every"] = int(fields["record_every"])
-        self.integrator = resolved("$.integrator", IntegratorConfig, **fields)
-        self.delta = float(doc["delta"])
-        self.checks = list(doc.get("checks", DEFAULT_CHECKS))
-        consensus = doc.get("consensus", {})
-        self.consensus_rel = float(consensus.get("rel", 0.02))
-        self.consensus_abs = float(consensus.get("abs", 0.05))
-        self.out_dir = doc.get("output", {}).get("dir")
-        self.label = doc.get("label", "experiment")
+        self.integrator = resolved("$.integrator", IntegratorConfig, step_s, t_end_s, every)
 
     def build_loop(self) -> ClosedLoop:
         return ClosedLoop(self.plant, self.controller_ss, self.graph)
 
 
-#: Validate a parsed JSON document and build every referenced object.
+#: Read a parsed JSON document and build every object it names.
 resolve_config = ExperimentConfig
 
 

@@ -120,6 +120,8 @@ def is_connected(g: Graph | None) -> bool:
     """Depth-first reachability of every node from node 0; no graph is one node."""
     if g is None or g.n == 1:
         return True
+    if len(g.edges) < g.n - 1:  # too few to connect n nodes: no O(n) list
+        return False
     adj = [[] for _ in range(g.n)]
     for i, j in g.edges:
         adj[i].append(j)

@@ -43,12 +43,14 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
     x = np.asarray(x, dtype=float)
     ys = np.atleast_2d(np.asarray(series, dtype=float))
     labels = labels or [f"series {i + 1}" for i in range(ys.shape[0])]
-    x_lo, x_hi = float(x.min()), float(x.max())
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    spans = []
+    for v in (x, ys):  # a zero range widens by 1, or by 1e-6 of its magnitude where 1 is lost
+        lo, hi = float(v.min()), float(v.max())
+        if hi - lo < 1e-12:
+            pad = max(1.0, 1e-6 * abs(lo))
+            lo, hi = lo - pad, hi + pad
+        spans += [lo, hi]
+    x_lo, x_hi, y_lo, y_hi = spans
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     pw, ph = _W - _ML - _MR, _H - _MT - _MB

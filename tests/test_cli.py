@@ -1032,6 +1032,23 @@ def test_resolve_reports_the_first_broken_rule_exit2(tmp_path, capsys, base, edi
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("base, edit, message", [
+    (PENDULUM4, lambda d: d["initial_conditions"]["plants"].__setitem__(1, [0.0]),
+     "$.initial_conditions.plants: rows differ in length"),
+    (PENDULUM_PAIR, lambda d: d.update(controller={"A": [[-1.0, 0.0], [0.0]], "B": [[1.0], [0.0]],
+                                                   "C": [[1.0, 0.0]]}),
+     "$.controller.A: rows differ in length"),
+], ids=["initial_conditions", "controller_matrix"])
+def test_ragged_rows_exit2(tmp_path, capsys, base, edit, message):
+    """Rows of unequal length are refused on their document path; numpy's
+    inhomogeneous-shape ValueError ended simulate in a traceback."""
+    doc = json.loads(base.read_text())
+    edit(doc)
+    code = main(["simulate", "--config", str(write(tmp_path, doc)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("base, edit, extra, message", [
     (PENDULUM4, lambda d: d["graph"]["edges"].append([0, 0]), [],
      "$.graph: self-loop at node 0"),

@@ -1,15 +1,18 @@
-"""Config validation: ``config.schema_errors`` against jsonschema as oracle.
-
-jsonschema is a test-only dependency. The package validates configs with its
-own walker over ``config.SCHEMA``; these tests hold the walker to
-jsonschema's Draft 2020-12 verdicts, keyword order and messages.
+"""Config reading: ``ExperimentConfig``'s typed readers against jsonschema's Draft
+2020-12 validator over ``SCHEMA``, the config's JSON Schema, which lives here as
+the oracle: jsonschema is a test-only dependency. The readers must keep its
+verdicts, its paths and, outside ``$.controller``, its messages.
 """
 
 import copy
 import json
+import math
+import operator
+import re
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -19,12 +22,52 @@ from jsonschema import Draft202012Validator
 
 from conftest import package_env
 from niconsensus import config
+from niconsensus.analysis import CHECKS
 from niconsensus.cli import main
-from niconsensus.config import SCHEMA, resolve_config, schema_errors
+from niconsensus.config import ConfigError, resolve_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PENDULUM4 = json.loads((ROOT / "configs" / "pendulum4.json").read_text())
 PENDULUM_PAIR = json.loads((ROOT / "configs" / "pendulum_pair.json").read_text())
+
+_NUMBER, _POSITIVE = {"type": "number"}, {"type": "number", "exclusiveMinimum": 0}
+_LIST = {"type": "array", "items": _NUMBER}
+_MATRIX = {"type": "array", "items": {**_LIST, "minItems": 1}, "minItems": 1}
+
+
+def closed(properties, required=()):
+    """An object schema: the required properties, and no others than these."""
+    return {"type": "object", "required": list(required), "additionalProperties": False,
+            "properties": properties}
+
+
+#: The config document's JSON Schema, the contract the readers keep.
+SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema", **closed({
+    "schema": {"const": 1},
+    "label": {"type": "string"},
+    "mode": {"enum": ["pair", "network"]},
+    "graph": closed({"n": {"type": "integer", "minimum": 1},
+                     "edges": {"type": "array", "items": {"type": "array", "items": {
+                         "type": "integer"}, "minItems": 2, "maxItems": 2}}}, ["n", "edges"]),
+    "plant": closed({"pendulum": closed(dict.fromkeys(["m", "l", "kappa", "g"], _POSITIVE),
+                                        ["m", "l", "kappa", "g"])}, ["pendulum"]),
+    "controller": {"type": "object", "oneOf": [
+        {"required": ["first_order"], "additionalProperties": False,
+         "properties": {"first_order": closed({"a": _POSITIVE, "b": _POSITIVE}, ["a", "b"])}},
+        {"required": ["A", "B", "C"], "additionalProperties": False,
+         "properties": dict.fromkeys(["A", "B", "C", "D"], _MATRIX)},
+    ]},
+    "delta": _POSITIVE,
+    "initial_conditions": closed({"plants": {"type": "array", "items": _LIST},
+                                  "controllers": {"type": "array", "items": _LIST},
+                                  "plant": _LIST, "controller": _LIST}),
+    "integrator": closed({"step_s": _POSITIVE, "t_end_s": _POSITIVE,
+                          "record_every": {"type": "integer", "minimum": 1}},
+                         ["step_s", "t_end_s"]),
+    "checks": {"type": "array", "items": {"enum": list(CHECKS)}, "uniqueItems": True},
+    "consensus": closed({"rel": _POSITIVE, "abs": _POSITIVE}),
+    "output": closed({"dir": {"type": "string"}}),
+}, ["schema", "mode", "plant", "controller", "delta", "initial_conditions", "integrator"])}
 
 
 def path_doc(n=64):
@@ -43,10 +86,33 @@ def oracle_errors(doc):
     return [(e.json_path, e.message) for e in Draft202012Validator(SCHEMA).iter_errors(doc)]
 
 
-def first_error(errors):
-    """The error ``resolve_config`` reports: the least json path, first
-    produced among equals."""
-    return min(errors, key=lambda e: e[0], default=None)
+def config_error(doc):
+    """(path, message) of the ConfigError ExperimentConfig(doc) raises, or None."""
+    try:
+        resolve_config(doc)
+    except ConfigError as err:
+        return tuple(str(err).split(": ", 1))
+
+
+#: The wordings of a reader's refusal; a resolve rule's message has none.
+READING = re.compile(r"is not of type|is a required property|Additional properties|is less than|"
+                     r"was expected|is not one of|non-unique|should be non-empty|is too short|"
+                     r"is too long|is neither 'first_order'|is not finite|overflows a float")
+
+
+def assert_agrees(doc):
+    """ExperimentConfig refuses doc exactly when jsonschema does, on one of its
+    paths or under one, in its words outside $.controller (whose oneOf message
+    gives way to the chosen form's first error); else doc resolves or breaks a rule."""
+    expected, error = oracle_errors(doc), config_error(doc)
+    if not expected:
+        assert error is None or not READING.search(error[1]), error
+        return
+    assert error is not None, expected
+    path = error[0]
+    assert any(path == at or path.startswith((at + ".", at + "[")) for at, _ in expected), (
+        error, expected)
+    assert path.startswith("$.controller") or error in expected, (error, expected)
 
 
 def locations(value, at=()):
@@ -97,23 +163,17 @@ def mutated_docs(draw):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(mutated_docs())
-def test_schema_errors_match_jsonschema(doc):
-    """Every error, in order, so the least path and its message agree too."""
-    expected = oracle_errors(doc)
-    errors = list(schema_errors(SCHEMA, doc))
-    assert errors == expected
-    assert first_error(errors) == first_error(expected)
+def test_readers_agree_with_jsonschema(doc):
+    assert_agrees(doc)
 
 
 @pytest.mark.parametrize("key", ["plants", "controllers", "edges", "A"])
 @pytest.mark.parametrize("at", [0, 31, -1])
 @pytest.mark.parametrize("bad", [True, "1", None, [0.0], 3.5, 3.0, [], [1, 2, 3]], ids=repr)
 def test_schema_errors_of_a_long_array_are_jsonschema_s(key, at, bad):
-    """A value the one-pass check of an array of rows refuses on sight, as a
-    row or inside one, at the first, a middle or the last row of the plants,
-    controllers, edges or a controller matrix: the item walk that follows
-    yields jsonschema's errors, in order (none for 3.0, which is a number and
-    an integer edge index)."""
+    """A value the one-pass read refuses, as a row or in one, at the first, a
+    middle or the last row of the plants, controllers, edges or a controller
+    matrix: the item walk names one of jsonschema's errors (none for 3.0)."""
     for inside in (False, True):
         doc = path_doc(64)
         if key == "A":
@@ -125,25 +185,28 @@ def test_schema_errors_of_a_long_array_are_jsonschema_s(key, at, bad):
             rows[at][0] = bad
         else:
             rows[at] = bad
-        assert list(schema_errors(SCHEMA, doc)) == oracle_errors(doc)
+        assert_agrees(doc)
 
 
 def test_a_valid_array_of_rows_is_checked_in_one_pass(monkeypatch):
-    """The walk over a valid path config takes as many steps at 4096 nodes
-    as at 64: no row of plants, controllers or edges is walked."""
-    def steps(doc):
+    """Resolving a valid 4096-node path config walks no row of its plants,
+    controllers or edges item by item: as at 64 nodes, it walks only the checks."""
+    def walked(doc):
         calls = []
 
-        def counted(schema, value, path="$"):
+        def counted(path, *args):
             calls.append(path)
-            return walk(schema, value, path)
+            return walk(path, *args)
 
-        monkeypatch.setattr(config, "schema_errors", counted)
-        assert list(counted(SCHEMA, doc)) == []
-        return len(calls)
+        monkeypatch.setattr(config, "_row", counted)
+        resolve_config(doc)
+        return calls
 
-    walk = config.schema_errors
-    assert steps(path_doc(4096)) == steps(path_doc(64))
+    walk = config._row
+    assert walked(path_doc(4096)) == walked(path_doc(64)) == ["$.checks"]
+
+
+_IN_CHECKS = "is not one of " + repr(list(CHECKS))
 
 
 @pytest.mark.parametrize("edit,expected", [
@@ -153,44 +216,50 @@ def test_a_valid_array_of_rows_is_checked_in_one_pass(monkeypatch):
     (("integrator", {"step_s": 1e-3, "t_end_s": 1.0, "record_every": 1.5}),
      ("$.integrator.record_every", "1.5 is not of type 'integer'")),
     (("schema", True), ("$.schema", "1 was expected")),
-    # uniqueness over unhashable items, and True is not 1 inside them
-    (("checks", [[1], [1]]), ("$.checks", "[[1], [1]] has non-unique elements")),
-    (("checks", [[1], [True]]), ("$.checks[0]", "[1] is not one of " + repr(
-        SCHEMA["properties"]["checks"]["items"]["enum"]))),
-    (("checks", [{"a": 1}, {"a": 1}]),
-     ("$.checks", "[{'a': 1}, {'a': 1}] has non-unique elements")),
+    (("delta", 0), ("$.delta", "0 is less than or equal to the minimum of 0")),
+    (("mode", "x"), ("$.mode", "'x' is not one of ['pair', 'network']")),
+    (("checks", ["consensus"] * 2),
+     ("$.checks", "['consensus', 'consensus'] has non-unique elements")),
+    # each name is read before the list is checked for repeats, so an
+    # unhashable item, or True inside one, is refused as no check's name
+    (("checks", [[1], [1]]), ("$.checks[0]", "[1] " + _IN_CHECKS)),
+    (("checks", [[1], [True]]), ("$.checks[0]", "[1] " + _IN_CHECKS)),
+    (("checks", [{"a": 1}, {"a": 1}]), ("$.checks[0]", "{'a': 1} " + _IN_CHECKS)),
+    # jsonschema's oneOf says only that neither controller form fits: the
+    # readers pick the form by its keys and name its first error, or both forms
+    (("controller", {}), ("$.controller", "{} is neither 'first_order' nor 'A', 'B', 'C'")),
+    (("controller", {"first_order": {"a": True, "b": 6.0}}),
+     ("$.controller.first_order.a", "True is not of type 'number'")),
+    (("controller", {"first_order": {"a": 20.0, "b": 6.0}, "A": [[-1.0]]}),
+     ("$.controller", "Additional properties are not allowed ('A' was unexpected)")),
+    (("controller", {"A": [[-1.0]], "B": [[1.0]]}), ("$.controller", "'C' is a required property")),
+    (("controller", {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": []}),
+     ("$.controller.D", "[] should be non-empty")),
 ])
 def test_schema_errors_edge_cases(edit, expected):
     doc = copy.deepcopy(PENDULUM_PAIR)
     doc[edit[0]] = edit[1]
-    assert first_error(oracle_errors(doc)) == expected
-    assert first_error(schema_errors(SCHEMA, doc)) == expected
+    assert config_error(doc) == expected
+    assert_agrees(doc)
+
+
+@pytest.mark.parametrize("field", ["delta", "plant.pendulum.m", "consensus.rel",
+                                   "controller.first_order.a", "initial_conditions.plants.1.0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=repr)
+def test_a_number_beyond_the_finite_floats_is_refused_on_its_path(field, value):
+    """JSON text cannot hold these (strict_json refuses them), but a dict can:
+    the number reader refuses each on its field's path, and a row's entry is
+    refused on its array's path when the array is built."""
+    doc = copy.deepcopy(PENDULUM4)
+    *parents, leaf = [int(k) if k.isdigit() else k for k in field.split(".")]
+    reduce(operator.getitem, parents, doc)[leaf] = value
+    message = ("entries must be finite numbers" if isinstance(leaf, int) else "an integer that "
+               "overflows a float" if isinstance(value, int) else f"{value!r} is not finite")
+    assert config_error(doc) == (re.sub(r"(\.\d+)+$", "", f"$.{field}"), message)
 
 
 def test_schema_is_a_valid_draft_2020_12_schema():
     Draft202012Validator.check_schema(SCHEMA)
-
-
-def schema_keywords(schema):
-    """Every (keyword, argument) of a schema and its subschemas."""
-    for key, arg in schema.items():
-        yield key, arg
-        subschemas = arg.values() if key == "properties" else arg if key == "oneOf" else (
-            [arg] if key == "items" else [])
-        for sub in subschemas:
-            yield from schema_keywords(sub)
-
-
-def test_walker_implements_every_keyword_schema_uses():
-    """A keyword the walker lacks raises; it is never skipped as jsonschema
-    skips the keywords it does not know."""
-    for key, arg in schema_keywords(SCHEMA):
-        for probe in (None, 0, [], {}):
-            list(schema_errors({key: arg}, probe))
-    for unknown in ({"maximum": 1}, {"additionalProperties": {"type": "number"}},
-                    {"prefixItems": [{"type": "number"}]}):
-        with pytest.raises(NotImplementedError):
-            list(schema_errors(unknown, 2))
 
 
 def test_integral_float_record_every_runs_as_the_integer(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,15 @@ def test_is_connected_examples(four_node_graph):
     g = nc.Graph(3, frozenset({(0, 1)}))
     assert not nc.is_connected(g)
     assert reachable_from_zero(g) == {0, 1}
+
+
+def test_is_connected_rejects_too_few_edges_before_allocating():
+    """10**6 nodes, one edge: False with no per-node list (the search took 64 MB)."""
+    g = nc.Graph(10**6, {(0, 1)})
+    tracemalloc.start()
+    connected, peak = nc.is_connected(g), tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert not connected and peak < 1e6
 
 
 def test_fiedler_examples(four_node_graph):

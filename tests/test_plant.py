@@ -13,7 +13,6 @@ import niconsensus as nc
 from conftest import kron_ss
 from niconsensus.linsys import matvec
 
-PARAMS = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
 ML2, MGL, KAP = 0.25, 4.9, 5.0
 
 

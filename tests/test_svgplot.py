@@ -38,9 +38,13 @@ def test_plot_is_the_bytes_of_the_per_point_formatter(tmp_path, monkeypatch, cas
 
 def test_a_one_sample_plot_is_finite(tmp_path):
     """One sample has a zero x range, widened as a zero y range is: its point
-    sits mid-plot, and no nan is written and no warning raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        write_line_plot(tmp_path / "one.svg", [0.0], [[1.0]])
-    svg = (tmp_path / "one.svg").read_text()
-    assert "nan" not in svg and 'points="395.00,255.00"' in svg
+    sits mid-plot, with no nan and no warning. So do a flat series and a flat
+    x range near 1e17, where a widening by 1 is lost to rounding."""
+    for x, series, points in (([0.0], [[1.0]], "395.00,255.00"),
+                              ([0.0, 1.0], [[1e17, 1e17]], "70.00,255.00 720.00,255.00"),
+                              ([1e17, 1e17], [[0.0, 1.0]], "395.00,445.00 395.00,65.00")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_line_plot(tmp_path / "one.svg", x, series)
+        svg = (tmp_path / "one.svg").read_text()
+        assert "nan" not in svg and f'points="{points}"' in svg
