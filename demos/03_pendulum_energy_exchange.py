@@ -11,15 +11,13 @@ import numpy as np
 import niconsensus as nc
 from niconsensus.sim import rk4_path
 
-params = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
-plant = nc.pendulum_plant(params)
-storage = nc.pendulum_storage(params)
+m, l, kappa, g = 1.0, 0.5, 5.0, 9.8
+plant, storage = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=g)
 
 print("pendulum: m=1 kg, l=0.5 m, kappa=5 N m/rad, g=9.8 m/s^2")
 print("equilibria under constant torque (solved by Newton iteration):")
 for target in (0.0, 0.1, math.pi / 2):
-    torque = params.kappa * target + params.m_kg * params.g_ms2 * params.l_m \
-        * math.sin(target)
+    torque = kappa * target + m * g * l * math.sin(target)
     xbar = nc.equilibrium_solve(plant, [torque], [target + 0.3, 0.0])
     print(f"  torque {torque:8.4f} N m -> angle {xbar[0]:8.5f} rad "
           f"(target {target:.5f})")

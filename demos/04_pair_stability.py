@@ -10,9 +10,7 @@ import niconsensus as nc
 from niconsensus import analysis
 
 a, b, delta = 20.0, 6.0, 0.05
-params = nc.PendulumParams()
-plant = nc.pendulum_plant(params)
-v1 = nc.pendulum_storage(params)
+plant, v1 = nc.pendulum()
 Y, _ = nc.first_order_certificate(a, b)   # controller storage x^T Y^-1 x / 2
 
 loop = nc.ClosedLoop(plant, nc.first_order(a, b))

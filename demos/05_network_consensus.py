@@ -17,9 +17,7 @@ from niconsensus.svgplot import write_line_plot
 a = b = 10.0
 delta = 0.05
 graph = nc.Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2)}))
-params = nc.PendulumParams()
-plant = nc.pendulum_plant(params)
-v1 = nc.pendulum_storage(params)
+plant, v1 = nc.pendulum()
 Y, _ = nc.first_order_certificate(a, b)   # controller storage x^T Y^-1 x / 2
 
 loop = nc.ClosedLoop(plant, nc.first_order(a, b), graph)

@@ -24,14 +24,14 @@ for label, u2 in (("consensus direction 1n", np.ones(4)),
     gap = np.abs(C @ states[-1] - dc_map @ u2).max()
     print(f"  {label}: gap {gap:.2e}")
 
-params = nc.PendulumParams()
-plant = nc.pendulum_plant(params)
+m, l, kappa, g = 1.0, 0.5, 5.0, 9.8
+plant, _ = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=g)
 print("\nsteady-state ratio of the pendulum-to-controller chain, M(0) = 1:")
 grid = nc.gamma_input_grid()
 report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), grid)
 small = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array([[1e-3]]))
 print(f"  small-torque limit: {small.gamma_hat:.6f} "
-      f"(linearisation 1/(kappa + m g l) = {1/9.9:.6f})")
+      f"(linearisation 1/(kappa + m g l) = {1 / (kappa + m * g * l):.6f})")
 print(f"  grid maximum: {report.gamma_hat:.6f} at torque "
       f"{report.worst_input[0]:+.2f} N m")
 print("  the ratio stays below one, which rules out nonzero steady state "

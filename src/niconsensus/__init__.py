@@ -18,9 +18,8 @@ from .linsys import (CertificateReport, StateSpace, dc_gain, first_order,
                      first_order_certificate, freq_response, is_hurwitz, ni_freq_test,
                      osni_certificate_check, osni_freq_test, osni_max_delta)
 from .network import ClosedLoop, CompositeStorage
-from .plant import (GammaReport, NonlinearPlant, PendulumParams, StorageFunction,
-                    equilibrium_solve, gamma_estimate, gamma_input_grid,
-                    pendulum_plant, pendulum_storage)
+from .plant import (GammaReport, NonlinearPlant, StorageFunction, equilibrium_solve,
+                    gamma_estimate, gamma_input_grid, pendulum)
 from .sim import IntegratorConfig, SimulationDiverged, Trajectory, integrate, rk4_path
 
 __version__ = "0.1.0"

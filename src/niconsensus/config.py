@@ -14,7 +14,7 @@ from .analysis import CHECKS
 from .graph import Graph, integral, is_connected
 from .linsys import StateSpace, first_order, first_order_certificate
 from .network import ClosedLoop, check_controller
-from .plant import PendulumParams, pendulum_plant, pendulum_storage
+from .plant import pendulum
 from .sim import IntegratorConfig
 
 
@@ -165,9 +165,8 @@ class ExperimentConfig:
             _rows("$.graph.edges", graph["edges"], _integer, 2, 2)
         plant = _object("$.plant", doc["plant"], ("pendulum",))
         params = _object("$.plant.pendulum", plant["pendulum"], ("m", "l", "kappa", "g"))
-        pp = PendulumParams(*(_number(f"$.plant.pendulum.{k}", params[k], True)
-                              for k in ("m", "l", "kappa", "g")))
-        self.plant, self.plant_storage = pendulum_plant(pp), pendulum_storage(pp)
+        self.plant, self.plant_storage = pendulum(
+            *(_number(f"$.plant.pendulum.{k}", params[k], True) for k in ("m", "l", "kappa", "g")))
         entry, self.controller_Y = doc["controller"], None
         lag = isinstance(entry, dict) and "first_order" in entry
         if isinstance(entry, dict) and not lag and not entry.keys() & {"A", "B", "C", "D"}:

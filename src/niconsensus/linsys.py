@@ -53,6 +53,8 @@ class StateSpace(Frozen):
         if D.shape != (m, m):
             raise ValueError("D must be m x m")
         for M in (A, B, C, D):
+            if not np.isfinite(M).all():
+                raise ValueError("state-space matrices must be finite")
             M.setflags(write=False)
         self._set(A=A, B=B, C=C, D=D)
 
@@ -199,8 +201,8 @@ def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> Cert
     q = sys.state_dim
     if Y.shape != (q, q):
         raise ValueError(f"Y must be {q} x {q}")
-    if not np.allclose(Y, Y.T, atol=1e-12):
-        raise ValueError("Y must be symmetric")
+    if not (np.isfinite(Y).all() and np.allclose(Y, Y.T, atol=1e-12)):
+        raise ValueError("Y must be finite and symmetric")
     y_pd = bool(np.linalg.eigvalsh(Y).min() > 0)
     CAY = sys.C @ sys.A @ Y
     lhs = sys.A @ Y + Y @ sys.A.T + 2.0 * delta * (CAY.T @ CAY)
@@ -217,7 +219,7 @@ def first_order_certificate(a: float, b: float):
     Y solves the B-equation exactly and the inequality residual vanishes at
     delta = 1/a, the supremal strictness level of this family.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("a and b must be positive and finite")
     return np.array([[a / b]]), 1.0 / a
 

@@ -338,8 +338,9 @@ def controller_storage(controller: StateSpace, Y) -> StorageFunction:
     q = controller.state_dim
     if Y.shape != (q, q):
         raise ValueError(f"controller certificate Y must be {q} x {q}")
-    if not (np.allclose(Y, Y.T, atol=1e-12) and np.linalg.eigvalsh(Y)[0] > 0):
-        raise ValueError("controller certificate Y must be symmetric positive definite")
+    if not (np.isfinite(Y).all() and np.allclose(Y, Y.T, atol=1e-12)
+            and np.linalg.eigvalsh(Y)[0] > 0):
+        raise ValueError("controller certificate Y must be finite, symmetric positive definite")
     Q = np.linalg.inv(Y)
     return StorageFunction(V=lambda x: 0.5 * np.sum((x @ Q) * x, axis=-1),
                            grad=lambda x: x @ Q, Q=Q)

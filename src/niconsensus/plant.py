@@ -56,6 +56,8 @@ class NonlinearPlant(Frozen):
                  phi: callable):  # phi: (..., r), out=None -> (..., r)
         A, B, C, E = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, E))
         for M in (A, B, C, E):
+            if not np.isfinite(M).all():
+                raise ValueError("plant matrices must be finite")
             M.setflags(write=False)
         self._set(A=A, B=B, C=C, E=E, phi=phi)
         p, m = self.B.shape
@@ -97,42 +99,29 @@ class StorageFunction(Frozen):
         self._set(V=V, grad=grad, Q=Q)
 
 
-class PendulumParams(Frozen):
-    """Torsional-spring pendulum: bob mass (kg), rod length (m), spring
-    constant (N m/rad), gravitational acceleration (m/s^2)."""
-
-    def __init__(self, m_kg: float = 1.0, l_m: float = 0.5, kappa: float = 5.0,
-                 g_ms2: float = 9.8):
-        if min(m_kg, l_m, kappa, g_ms2) <= 0:
-            raise ValueError("pendulum parameters must be strictly positive")
-        self._set(m_kg=m_kg, l_m=l_m, kappa=kappa, g_ms2=g_ms2)
-
-
-def pendulum_plant(params: PendulumParams) -> NonlinearPlant:
-    """Pendulum with angle x1 from the downward position and rate x2: dx1 = x2,
-    dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2), y = x1; r = 1 and phi = sin,
-    the ufunc itself."""
-    ml2, mgl = params.m_kg * params.l_m ** 2, params.m_kg * params.g_ms2 * params.l_m
-    return NonlinearPlant(A=[[0.0, 1.0], [-params.kappa / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
-                          C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]],
-                          phi=np.sin)
-
-
-def pendulum_storage(params: PendulumParams) -> StorageFunction:
-    """Total pendulum energy: spring + kinetic + gravitational terms, with
-    Q = diag(kappa, m l^2) and c = 2 m g l."""
-    ml2, mgl, kap = (params.m_kg * params.l_m ** 2, params.m_kg * params.g_ms2 * params.l_m,
-                     params.kappa)
+def pendulum(m_kg: float = 1.0, l_m: float = 0.5, kappa: float = 5.0,
+             g_ms2: float = 9.8) -> tuple:
+    """(plant, storage) of the torsional-spring pendulum of bob mass m_kg (kg), rod
+    length l_m (m), spring constant kappa (N m/rad) and gravity g_ms2 (m/s^2),
+    each positive and finite. The plant has angle x1 from the downward position
+    and rate x2: dx1 = x2, dx2 = (-kappa x1 - m g l sin x1 + u) / (m l^2),
+    y = x1; r = 1 and phi = sin, the ufunc itself. The storage is its total
+    energy, spring + kinetic + gravitational, with Q = diag(kappa, m l^2) and c = 2 m g l."""
+    if not all(0 < v < np.inf for v in (m_kg, l_m, kappa, g_ms2)):
+        raise ValueError("pendulum parameters must be positive and finite")
+    ml2, mgl = m_kg * l_m ** 2, m_kg * g_ms2 * l_m
 
     def V(x):
         x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-        return 0.5 * kap * x1 * x1 + 0.5 * ml2 * x2 * x2 + mgl * (1.0 - np.cos(x1))
+        return 0.5 * kappa * x1 * x1 + 0.5 * ml2 * x2 * x2 + mgl * (1.0 - np.cos(x1))
 
     def grad(x):
         x1, x2 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-        return np.stack([kap * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1)
+        return np.stack([kappa * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1)
 
-    return StorageFunction(V=V, grad=grad, Q=np.diag([kap, ml2]))
+    return (NonlinearPlant(A=[[0.0, 1.0], [-kappa / ml2, 0.0]], B=[[0.0], [1.0 / ml2]],
+                           C=[[1.0, 0.0]], E=[[0.0], [-mgl / ml2]], phi=np.sin),
+            StorageFunction(V=V, grad=grad, Q=np.diag([kappa, ml2])))
 
 
 class EquilibriumError(RuntimeError):

@@ -19,8 +19,7 @@ def four_node_graph():
 
 @pytest.fixture(scope="session")
 def pendulum():
-    params = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
-    return nc.pendulum_plant(params), nc.pendulum_storage(params)
+    return nc.pendulum(m_kg=1.0, l_m=0.5, kappa=5.0, g_ms2=9.8)
 
 
 @pytest.fixture(scope="session")

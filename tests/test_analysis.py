@@ -62,8 +62,7 @@ def test_ni_dissipation_zero_trajectory(network_loop, pendulum):
 
 
 def test_ni_dissipation_corrupted_storage_fails(network_traj):
-    params = nc.PendulumParams()
-    honest = nc.pendulum_storage(params)
+    _, honest = nc.pendulum()
     doubled_kinetic = nc.StorageFunction(
         V=lambda x: honest.V(x) + 0.5 * 0.25 * x[..., 1] ** 2,
         grad=lambda x: honest.grad(x) + np.stack([0.0 * x[..., 1], 0.25 * x[..., 1]],

@@ -125,7 +125,7 @@ def test_helper_graphs():
     assert nc.is_connected(nc.path_graph(8))
 
 
-PLANT, LAG = nc.pendulum_plant(nc.PendulumParams()), nc.first_order(10.0, 10.0)
+(PLANT, _), LAG = nc.pendulum(), nc.first_order(10.0, 10.0)
 
 
 @st.composite
@@ -221,9 +221,8 @@ def test_value_types_compare_and_hash_by_their_public_fields():
     two = nc.StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
     assert two == nc.StateSpace(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
     assert two != nc.StateSpace(-2.0 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
-    params = nc.PendulumParams()
-    assert nc.pendulum_plant(params) == nc.pendulum_plant(params)
-    storage = nc.pendulum_storage(params)
+    assert nc.pendulum()[0] == nc.pendulum()[0]
+    storage = nc.pendulum()[1]
     assert storage == storage and hash(storage) == hash(storage)
     traj = nc.integrate(nc.ClosedLoop(PLANT, LAG, nc.path_graph(2)), np.ones(6),
                         nc.IntegratorConfig(1e-3, 0.01))
@@ -234,12 +233,10 @@ def test_value_types_compare_and_hash_by_their_public_fields():
 @pytest.mark.parametrize("make, field", [
     (lambda: nc.path_graph(3), "edges"),
     (lambda: nc.first_order(10.0, 10.0), "A"),
-    (lambda: nc.pendulum_plant(nc.PendulumParams()), "phi"),
-    (lambda: nc.pendulum_storage(nc.PendulumParams()), "Q"),
-    (nc.PendulumParams, "kappa"),
+    (lambda: nc.pendulum()[0], "phi"),
+    (lambda: nc.pendulum()[1], "Q"),
     (lambda: nc.IntegratorConfig(1e-3, 1.0), "record_every"),
-], ids=["Graph", "StateSpace", "NonlinearPlant", "StorageFunction",
-        "PendulumParams", "IntegratorConfig"])
+], ids=["Graph", "StateSpace", "NonlinearPlant", "StorageFunction", "IntegratorConfig"])
 def test_value_types_refuse_assigning_and_deleting_a_field(make, field):
     """Loops, caches and configs share these values, so none may change once built."""
     value = make()

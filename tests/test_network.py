@@ -310,9 +310,8 @@ def test_positivity_margin(pendulum, four_node_graph):
 
 def test_positivity_margin_quadratic_dominates(four_node_graph):
     # stiff-spring limit: the quadratic plant energy dwarfs the cross term
-    params = nc.PendulumParams(m_kg=1.0, l_m=0.5, kappa=500.0, g_ms2=9.8)
-    cs = lag_storage(nc.pendulum_plant(params), nc.pendulum_storage(params), 10.0, 10.0,
-                     four_node_graph)
+    plant, v1 = nc.pendulum(m_kg=1.0, l_m=0.5, kappa=500.0, g_ms2=9.8)
+    cs = lag_storage(plant, v1, 10.0, 10.0, four_node_graph)
     assert cs.positivity_margin() > 0
 
 
@@ -343,10 +342,9 @@ def test_positivity_margin_decides_the_sign_of_the_storage(m, l, kappa, g, a, b,
     """A positive margin: W >= 0 at random states. A negative one: W < 0 at
     the witness for t = 100, whenever the bound W <= n c + (1/2) t^2 margin,
     c = 2 m g l, is negative there."""
-    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=kappa, g_ms2=g)
     graph = {"pair": None, "path": nc.path_graph(n),
              "complete": nc.Graph(n, frozenset(itertools.combinations(range(n), 2)))}[shape]
-    cs = lag_storage(nc.pendulum_plant(params), nc.pendulum_storage(params), a, b, graph)
+    cs = lag_storage(*nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=g), a, b, graph)
     margin = cs.positivity_margin()
     if margin > 0:
         X = np.random.default_rng(seed).uniform(-10.0, 10.0, (200, cs.loop.n_states))

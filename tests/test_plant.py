@@ -28,6 +28,27 @@ def test_pendulum_plant_examples(pendulum):
     assert np.array_equal(plant.C, [[1.0, 0.0]])
 
 
+def test_pendulum_is_bit_for_bit_its_matrices_and_energy():
+    """A, B and E are the divisions by ml2 = m l^2 and mgl = m g l, each formed
+    once, and V and grad the hand-written energy: every record of the
+    pendulum configs rests on these bits."""
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-4.0, 4.0, (16, 2))
+    x1, x2 = x.T
+    for m, l, kappa, g in (10.0 ** rng.uniform(-2.0, 2.0, (50, 4))).tolist():
+        plant, storage = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=g)
+        ml2, mgl = m * l ** 2, m * g * l
+        assert np.array_equal(plant.A, [[0.0, 1.0], [-kappa / ml2, 0.0]])
+        assert np.array_equal(plant.B, [[0.0], [1.0 / ml2]])
+        assert np.array_equal(plant.C, [[1.0, 0.0]])
+        assert np.array_equal(plant.E, [[0.0], [-mgl / ml2]]) and plant.phi is np.sin
+        assert np.array_equal(storage.V(x), 0.5 * kappa * x1 * x1 + 0.5 * ml2 * x2 * x2
+                              + mgl * (1.0 - np.cos(x1)))
+        assert np.array_equal(storage.grad(x),
+                              np.stack([kappa * x1 + mgl * np.sin(x1), ml2 * x2], axis=-1))
+        assert np.array_equal(storage.Q, np.diag([kappa, ml2]))
+
+
 def test_pendulum_jacobian_matches_finite_differences(pendulum):
     plant, _ = pendulum
     rng = np.random.default_rng(2)
@@ -229,10 +250,11 @@ def test_equilibrium_angles_match_bracketing_oracle(m, l, stiffness, inputs):
     root the bracketing oracle finds. The residual bound 1e-10 moves the
     angle by at most 1e-10 m l^2 / (kappa - m g l) <= 2.1e-11 here."""
     mgl = m * 9.8 * l
-    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=stiffness * mgl, g_ms2=9.8)
+    kappa = stiffness * mgl
+    plant, _ = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=9.8)
     u = np.array(inputs)[:, None]
-    x = nc.equilibrium_solve(nc.pendulum_plant(params), u, np.zeros((len(u), 2)))
-    oracle = [brentq_equilibrium(v, params.kappa, mgl) for v in inputs]
+    x = nc.equilibrium_solve(plant, u, np.zeros((len(u), 2)))
+    oracle = [brentq_equilibrium(v, kappa, mgl) for v in inputs]
     assert np.abs(x[:, 0] - oracle).max() <= 1e-10
     assert np.array_equal(x[:, 1], np.zeros(len(u)))
 
@@ -327,10 +349,10 @@ def test_gamma_matches_bracketing_oracle_on_random_pendulums(m, l, stiffness, in
     Newton residual bound 1e-10 moves an angle by at most
     1e-10 m l^2 / (kappa - m g l) < 4e-10 here, and |u| >= 1."""
     mgl = m * 9.8 * l
-    params = nc.PendulumParams(m_kg=m, l_m=l, kappa=stiffness * mgl, g_ms2=9.8)
-    report = nc.gamma_estimate(nc.pendulum_plant(params), nc.first_order(10.0, 10.0),
-                               np.array(inputs)[:, None])
-    oracle = max(brentq_equilibrium(u, params.kappa, mgl) / u for u in inputs)
+    kappa = stiffness * mgl
+    plant, _ = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=9.8)
+    report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array(inputs)[:, None])
+    oracle = max(brentq_equilibrium(u, kappa, mgl) / u for u in inputs)
     assert report.gamma_hat == pytest.approx(oracle, abs=1e-9)
 
 
@@ -473,6 +495,8 @@ def test_constant_output_implies_constant_state_on_trajectories(pair_loop):
     assert max(probe) <= 1.5 * fitted
 
 
-def test_pendulum_params_validation():
-    with pytest.raises(ValueError):
-        nc.PendulumParams(m_kg=0.0)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["m_kg", "l_m", "kappa", "g_ms2"])
+def test_pendulum_refuses_a_parameter_unless_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        nc.pendulum(**{name: value})

@@ -191,6 +191,26 @@ def test_a_run_that_ends_where_the_field_overflows_diverges(tmp_path, t_end_s, x
     assert report["error"].endswith(" in controller 1, coordinate 0")
 
 
+LAG = nc.first_order(10.0, 10.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nc.StateSpace([[-1.0]], [[1.0]], [[np.inf]]),
+    lambda: nc.first_order(np.nan, 10.0),
+    lambda: nc.NonlinearPlant([[-1.0]], [[1.0]], [[1.0]], [[np.nan]], np.sin),
+    lambda: network.controller_storage(LAG, [[np.inf]]),
+    lambda: nc.osni_certificate_check(LAG, [[np.inf]], 0.1),
+    lambda: nc.first_order_certificate(np.nan, 1.0),
+    lambda: nc.first_order_certificate(1.0, np.inf),
+], ids=["state_space", "first_order", "plant", "controller_storage", "certificate_check",
+        "certificate_a", "certificate_b"])
+def test_non_finite_model_inputs_are_refused_before_any_run(build):
+    """A NaN or inf in a model would otherwise surface only as a divergence
+    blamed on the first step of a run, or as a NaN or zero certificate."""
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_divergence_names_the_first_non_finite_entry():
     cfg = nc.IntegratorConfig(step_s=0.1, t_end_s=0.1)
     with pytest.raises(nc.SimulationDiverged) as err:
