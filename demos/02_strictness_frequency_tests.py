@@ -32,9 +32,9 @@ print("\nstate-space certificate with the closed-form Y = a/b:")
 Y, delta_star = nc.first_order_certificate(a, b)
 for delta in (0.05, delta_star, 0.2):
     rep = nc.osni_certificate_check(m, Y, delta)
-    print(f"  delta={delta:g}: passed={rep.passed} "
-          f"inequality residual={rep.inequality_residual:+.3e} "
-          f"B-equation residual={rep.b_equation_residual:.1e}")
+    print(f"  delta={delta:g}: passed={rep['passed']} "
+          f"inequality residual={rep['inequality_residual']:+.3e} "
+          f"B-equation residual={rep['b_equation_residual']:.1e}")
 
 print("\ndissipation view of the same property along a driven run:")
 # controller storage V2(x) = x^T Y^-1 x / 2, so dV2/dt = x^T Y^-1 dx/dt

@@ -19,7 +19,7 @@ traj = nc.integrate(loop, np.array([1.0, 0.0, 0.0]), cfg)
 
 print(f"controller {a:g}/(s+{b:g}), strictness level delta={delta}")
 print(f"gamma bound of the steady-state chain: "
-      f"{nc.gamma_estimate(plant, nc.first_order(a, b), nc.gamma_input_grid()).gamma_hat:.4f}"
+      f"{nc.gamma_estimate(plant, nc.first_order(a, b), nc.gamma_input_grid())['gamma_hat']:.4f}"
       " (< 1 as required)")
 
 cs = nc.CompositeStorage(loop, v1, Y)
@@ -30,11 +30,11 @@ for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
     x = traj.states[k]
     print(f"  t={t:5.1f} s  |x|={np.linalg.norm(x):.3e}  W={values[k]:.3e}")
 
-[rep_ni] = analysis.check_ni_dissipation(traj, v1)
-[rep_osni] = analysis.check_osni_dissipation(traj, Y, delta)
+[rep_ni] = analysis.check_ni_dissipation(traj, v1)["per_node"]
+[rep_osni] = analysis.check_osni_dissipation(traj, Y, delta)["per_node"]
 rep_w = analysis.check_lyapunov_monotone(traj, cs, delta)
 print("\nchecks:")
 for rep in (rep_ni, rep_osni, rep_w):
-    print(f"  {rep.name}: passed={rep.passed} "
-          f"max violation={rep.max_violation:.2e}")
+    print(f"  {rep['name']}: passed={rep['passed']} "
+          f"max violation={rep['max_violation']:.2e}")
 print(f"\nfinal |x(20 s)| = {np.linalg.norm(traj.states[-1]):.2e}")

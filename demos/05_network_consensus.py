@@ -36,13 +36,13 @@ for t in (0.0, 2.0, 5.0, 10.0, 15.0, 20.0):
           f"all pairs {all_pairs[k]:.5f} rad")
 
 print("\ndissipation checks along the run:")
-for rep in analysis.check_ni_dissipation(traj, v1):
-    print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
+for rep in analysis.check_ni_dissipation(traj, v1)["per_node"]:
+    print(f"  {rep['name']}: passed={rep['passed']} (worst {rep['max_violation']:.1e})")
 rep = analysis.check_osni_like_network(traj, Y, delta)
-print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
+print(f"  {rep['name']}: passed={rep['passed']} (worst {rep['max_violation']:.1e})")
 cs = nc.CompositeStorage(loop, v1, Y)
 rep = analysis.check_lyapunov_monotone(traj, cs, delta)
-print(f"  {rep.name}: passed={rep.passed} (worst {rep.max_violation:.1e})")
+print(f"  {rep['name']}: passed={rep['passed']} (worst {rep['max_violation']:.1e})")
 
 # positive: W > 0 off the controller-consensus subspace, for every state
 print(f"  storage positivity margin: {cs.positivity_margin():.3f}")

@@ -30,14 +30,14 @@ print("\nsteady-state ratio of the pendulum-to-controller chain, M(0) = 1:")
 grid = nc.gamma_input_grid()
 report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), grid)
 small = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array([[1e-3]]))
-print(f"  small-torque limit: {small.gamma_hat:.6f} "
+print(f"  small-torque limit: {small['gamma_hat']:.6f} "
       f"(linearisation 1/(kappa + m g l) = {1 / (kappa + m * g * l):.6f})")
-print(f"  grid maximum: {report.gamma_hat:.6f} at torque "
-      f"{report.worst_input[0]:+.2f} N m")
+print(f"  grid maximum: {report['gamma_hat']:.6f} at torque "
+      f"{report['worst_input'][0]:+.2f} N m")
 print("  the ratio stays below one, which rules out nonzero steady state "
       "in closed loop")
 
 print("\nnetworked version over random constant input vectors:")
 inputs = rng.uniform(-25, 25, (100, 4))  # one constant input vector per row
 rep = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs, graph)
-print(f"  max ratio {rep.gamma_hat:.4f} at {np.round(rep.worst_input, 2)}")
+print(f"  max ratio {rep['gamma_hat']:.4f} at {np.round(rep['worst_input'], 2)}")

@@ -8,18 +8,17 @@ tests, state-space strictness certificates, storage-function decay along
 trajectories, steady-state gain conditions, and the output consensus metric.
 """
 
-from .analysis import (CheckReport, check_lyapunov_monotone, check_ni_dissipation,
-                       check_osni_dissipation, check_osni_like_network,
-                       check_pair_identities, consensus_metric)
+from .analysis import (check_lyapunov_monotone, check_ni_dissipation, check_osni_dissipation,
+                       check_osni_like_network, check_pair_identities, consensus_metric)
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .graph import (Graph, fiedler_value, is_connected, laplacian,
                     laplacian_eigenvalues, path_graph)
-from .linsys import (CertificateReport, StateSpace, dc_gain, first_order,
-                     first_order_certificate, freq_response, is_hurwitz, ni_freq_test,
-                     osni_certificate_check, osni_freq_test, osni_max_delta)
+from .linsys import (StateSpace, dc_gain, first_order, first_order_certificate,
+                     freq_response, is_hurwitz, ni_freq_test, osni_certificate_check,
+                     osni_freq_test, osni_max_delta)
 from .network import ClosedLoop, CompositeStorage
-from .plant import (GammaReport, NonlinearPlant, StorageFunction, equilibrium_solve,
-                    gamma_estimate, gamma_input_grid, pendulum)
+from .plant import (NonlinearPlant, StorageFunction, equilibrium_solve, gamma_estimate,
+                    gamma_input_grid, pendulum)
 from .sim import IntegratorConfig, SimulationDiverged, Trajectory, integrate, rk4_path
 
 __version__ = "0.1.0"

@@ -7,6 +7,8 @@ the check passes when the largest violation stays below its tolerance. The
 tolerance DEFAULT_TOL = 1e-6 absorbs floating-point accumulation only; there is
 no differentiation noise to absorb because no sampled signal is ever
 differenced.
+A check returns its report.json entry as a dict, {name, max_violation, time_of_max, tolerance,
+passed}; a per-node check's holds its worst node's figures and every node's under "per_node".
 """
 
 from __future__ import annotations
@@ -15,19 +17,12 @@ from functools import reduce
 
 import numpy as np
 
-from .graph import Frozen
+from .linsys import require_level
 from .network import CompositeStorage, controller_storage, dissipation
 from .plant import StorageFunction
 from .sim import Trajectory
 
 DEFAULT_TOL = 1e-6
-
-
-class CheckReport(Frozen):
-    def __init__(self, name: str, max_violation: float, time_of_max: float, tolerance: float,
-                 passed: bool):
-        self._set(name=name, max_violation=max_violation, time_of_max=time_of_max,
-                  tolerance=tolerance, passed=passed)
 
 
 def worst(violations, times):
@@ -40,12 +35,18 @@ def worst(violations, times):
 
 
 def _reports(names, violations: np.ndarray, times: np.ndarray, tol: float) -> list:
-    """One report per column of the (T, n) violations, named by names."""
+    """One entry per column of the (T, n) violations, named by names."""
     k = worst(violations, times)
     maxima = violations[k, np.arange(violations.shape[1])].tolist()
-    return [CheckReport(name=name, max_violation=m, time_of_max=t, tolerance=tol,
-                        passed=m <= tol)
-            for name, m, t in zip(names, maxima, times[k].tolist())]
+    return [{"name": name, "max_violation": m, "time_of_max": t, "tolerance": tol,
+             "passed": m <= tol} for name, m, t in zip(names, maxima, times[k].tolist())]
+
+
+def per_node(reports: list) -> dict:
+    """The entry of a per-node check: the worst node's figures, every node's under "per_node"."""
+    w = reports[worst([r["max_violation"] for r in reports], [r["time_of_max"] for r in reports])]
+    return {"passed": all(r["passed"] for r in reports), "max_violation": w["max_violation"],
+            "time_of_max": w["time_of_max"], "tolerance": w["tolerance"], "per_node": reports}
 
 
 def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray:
@@ -56,19 +57,18 @@ def ni_dissipation_residuals(traj: Trajectory, v: StorageFunction) -> np.ndarray
     return dissipation(v.grad(xp), dxp, cl.nodes(traj.u1), cl.nodes(traj.y1dot))
 
 
-def check_ni_dissipation(traj: Trajectory, v: StorageFunction) -> list:
-    """One report per plant node, ni_dissipation_node_i."""
+def check_ni_dissipation(traj: Trajectory, v: StorageFunction) -> dict:
+    """The per-node entry over the plant nodes, named ni_dissipation_node_i."""
     residuals = ni_dissipation_residuals(traj, v)
-    return _reports([f"ni_dissipation_node_{i}" for i in range(residuals.shape[1])],
-                    np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
+    return per_node(_reports([f"ni_dissipation_node_{i}" for i in range(residuals.shape[1])],
+                             np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL))
 
 
 def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
     """dV2/dt - u^T dy/dt + delta |dy/dt|^2 of every controller node, shape
     (T, n), with V2(x) = (1/2) x^T Y^-1 x. For the lag a/(s+b) with its
     certificate Y = a/b this equals -(1/a - delta) |dy/dt|^2 identically."""
-    if delta <= 0:
-        raise ValueError("strictness level delta must be positive")
+    require_level(delta)
     cl = traj.system
     v2, ycdot = controller_storage(cl.controller, Y), cl.nodes(traj.ycdot)
     xc, dxc = cl.nodes(cl.split(traj.states)[1]), cl.nodes(cl.split(traj.dstate)[1])
@@ -76,11 +76,11 @@ def osni_dissipation_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
             + delta * np.sum(ycdot * ycdot, axis=-1))
 
 
-def check_osni_dissipation(traj: Trajectory, Y, delta: float) -> list:
-    """One report per controller node, osni_dissipation_node_i."""
+def check_osni_dissipation(traj: Trajectory, Y, delta: float) -> dict:
+    """The per-node entry over the controller nodes, named osni_dissipation_node_i."""
     residuals = osni_dissipation_residuals(traj, Y, delta)
-    return _reports([f"osni_dissipation_node_{i}" for i in range(residuals.shape[1])],
-                    np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL)
+    return per_node(_reports([f"osni_dissipation_node_{i}" for i in range(residuals.shape[1])],
+                             np.maximum(residuals, 0.0), traj.times, DEFAULT_TOL))
 
 
 def _strictness_form(traj: Trajectory) -> np.ndarray:
@@ -93,15 +93,14 @@ def _strictness_form(traj: Trajectory) -> np.ndarray:
 def osni_like_network_residuals(traj: Trajectory, Y, delta: float) -> np.ndarray:
     """d/dt [(1/2) xc^T (K (x) Y^-1) xc] - U2^T dY2/dt
     + delta ycdot^T (K (x) I) ycdot: the bank's residual with U2 = y1, Y2 = y2."""
-    if delta <= 0:
-        raise ValueError("strictness level delta must be positive")
+    require_level(delta)
     cl = traj.system
     xc, dxc = cl.split(traj.states)[1], cl.split(traj.dstate)[1]
     P = cl.mixed(controller_storage(cl.controller, Y).Q)
     return dissipation(P.apply(xc), dxc, traj.y1, traj.y2dot) + delta * _strictness_form(traj)
 
 
-def check_osni_like_network(traj: Trajectory, Y, delta: float) -> CheckReport:
+def check_osni_like_network(traj: Trajectory, Y, delta: float) -> dict:
     """Output strictness of the controller bank with storage
     (1/2) xc^T (K (x) Y^-1) xc.
 
@@ -114,7 +113,7 @@ def check_osni_like_network(traj: Trajectory, Y, delta: float) -> CheckReport:
     return _reports(["osni_like_network"], violations, traj.times, DEFAULT_TOL)[0]
 
 
-def check_pair_identities(traj: Trajectory) -> CheckReport:
+def check_pair_identities(traj: Trajectory) -> dict:
     """Algebraic identities of a two-node controller bank.
 
     With inputs (u_1, u_2) and mixed outputs (yc_1 - yc_2, yc_2 - yc_1):
@@ -135,7 +134,7 @@ def check_pair_identities(traj: Trajectory) -> CheckReport:
     return _reports(["pair_identities"], violations[:, None], traj.times, 1e-12)[0]
 
 
-def check_lyapunov_monotone(traj: Trajectory, cs, delta: float) -> CheckReport:
+def check_lyapunov_monotone(traj: Trajectory, cs, delta: float) -> dict:
     """Decay of the composite storage W along the trajectory.
 
     Verifies the rate bound at every sample
@@ -180,52 +179,45 @@ def consensus_metric(traj: Trajectory):
     return max_dist(i[i < j], j[i < j]), all_pairs
 
 
-class ConsensusReport(Frozen):
-    """Plant-output disagreement over the graph edges at the start and the
-    end of a run; ``columns`` holds the per-sample series as (name, series)."""
-
-    def __init__(self, initial_edge_max: float, final_edge_max: float,
-                 final_all_pairs_max: float, rel_threshold: float, abs_threshold: float,
-                 outcome: str, passed: bool, columns: tuple = ()):
-        self._set(initial_edge_max=initial_edge_max, final_edge_max=final_edge_max,
-                  final_all_pairs_max=final_all_pairs_max, rel_threshold=rel_threshold,
-                  abs_threshold=abs_threshold, outcome=outcome, passed=passed, columns=columns)
-
-
-def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> ConsensusReport:
-    """Passes when the final edge disagreement is at most rel times the
-    initial one and at most abs_tol. The outcome is "zero_convergence" when
-    every plant state ends below 1e-3, else "consensus"."""
+def check_consensus(traj: Trajectory, rel: float, abs_tol: float) -> dict:
+    """Edge disagreement at a run's start and end; passes when the final one is at most
+    rel times the initial one and at most abs_tol. "outcome" is "zero_convergence" when
+    every plant state ends below 1e-3, else "consensus"; "columns" holds the series."""
     edge_max, all_pairs = consensus_metric(traj)
-    final_plant_norm = float(np.abs(traj.system.split(traj.states[-1])[0]).max())
-    return ConsensusReport(
-        initial_edge_max=float(edge_max[0]), final_edge_max=float(edge_max[-1]),
-        final_all_pairs_max=float(all_pairs[-1]), rel_threshold=rel, abs_threshold=abs_tol,
-        outcome="zero_convergence" if final_plant_norm < 1e-3 else "consensus",
-        passed=bool(edge_max[-1] <= rel * edge_max[0] and edge_max[-1] <= abs_tol),
-        columns=(("edge_max", edge_max), ("all_pairs_max", all_pairs)))
+    settled = np.abs(traj.system.split(traj.states[-1])[0]).max() < 1e-3
+    return {"initial_edge_max": float(edge_max[0]), "final_edge_max": float(edge_max[-1]),
+            "final_all_pairs_max": float(all_pairs[-1]), "rel_threshold": rel,
+            "abs_threshold": abs_tol, "outcome": "zero_convergence" if settled else "consensus",
+            "passed": bool(edge_max[-1] <= rel * edge_max[0] and edge_max[-1] <= abs_tol),
+            "columns": (("edge_max", edge_max), ("all_pairs_max", all_pairs))}
 
 
-# Skip rules of the check table: (applies(cfg, traj), reason), called as the run is.
 _NEEDS_Y = (lambda cfg, traj: cfg.controller_Y is None, "no closed-form controller storage")
 _NEEDS_NODES = (lambda cfg, traj: traj.system.n_plants < 2, "needs at least two nodes")
 _NEEDS_PAIR = (lambda cfg, traj: traj.system.n_plants != 2, "needs a 2-node network")
 
-#: The trajectory checks a config may name: name -> (run, skip rule, per node).
-#: run(cfg, traj) takes its arguments from the ExperimentConfig cfg and returns
-#: one report, or one per node when the flag is set. It looks its check up in
-#: this module when it runs, so a wrapper set on the module attribute sees it.
+#: The trajectory checks a config may name: name -> (run, skip), skip None or a rule
+#: (applies(cfg, traj), reason). run(cfg, traj) returns the check's report.json entry,
+#: looking the check up in this module when it runs, so a module-level wrapper sees it.
 CHECKS = {
-    "ni_dissipation": (lambda cfg, traj: check_ni_dissipation(traj, cfg.plant_storage),
-                       None, True),
+    "ni_dissipation": (lambda cfg, traj: check_ni_dissipation(traj, cfg.plant_storage), None),
     "osni_dissipation": (lambda cfg, traj: check_osni_dissipation(
-        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y, True),
+        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y),
     "osni_like_network": (lambda cfg, traj: check_osni_like_network(
-        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y, False),
-    "pair_identities": (lambda cfg, traj: check_pair_identities(traj), _NEEDS_PAIR, False),
+        traj, cfg.controller_Y, cfg.delta), _NEEDS_Y),
+    "pair_identities": (lambda cfg, traj: check_pair_identities(traj), _NEEDS_PAIR),
     "lyapunov_monotone": (lambda cfg, traj: check_lyapunov_monotone(
         traj, CompositeStorage(traj.system, cfg.plant_storage, cfg.controller_Y), cfg.delta),
-        _NEEDS_Y, False),
+        _NEEDS_Y),
     "consensus": (lambda cfg, traj: check_consensus(
-        traj, cfg.consensus_rel, cfg.consensus_abs), _NEEDS_NODES, False),
+        traj, cfg.consensus_rel, cfg.consensus_abs), _NEEDS_NODES),
 }
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed run fails its checks as NaN
+def run_checks(cfg, traj) -> dict:
+    """The entry of each check the ExperimentConfig cfg names, by its row (run, skip) of
+    CHECKS: {"skipped": reason} where skip applies to (cfg, traj), else run(cfg, traj)."""
+    rows = {name: CHECKS[name] for name in cfg.checks}
+    return {name: {"skipped": skip[1]} if skip and skip[0](cfg, traj) else run(cfg, traj)
+            for name, (run, skip) in rows.items()}

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from .analysis import run_checks
 from .config import (ConfigError, ExperimentConfig, load_config, resolve_config, resolved,
                      strict_json)
 from .graph import Graph
@@ -92,34 +92,6 @@ def _write_json(path: Path, doc: dict):
     _output(path, Path.write_text, "{" + ",".join(lines) + "\n}\n")
 
 
-def _aggregate(reports):
-    worst = reports[analysis.worst([r.max_violation for r in reports],
-                                   [r.time_of_max for r in reports])]
-    return {
-        "passed": all(r.passed for r in reports),
-        "max_violation": worst.max_violation,
-        "time_of_max": worst.time_of_max,
-        "tolerance": worst.tolerance,
-        "per_node": [dict(vars(r)) for r in reports],
-    }
-
-
-def _run_table(cfg: ExperimentConfig, traj) -> dict:
-    """One entry per check cfg names, from its row (run, skip rule, per node)
-    of analysis.CHECKS: {"skipped": reason} when the skip rule applies to
-    (cfg, traj), else run(cfg, traj)'s report as a dict, per-node reports
-    aggregated."""
-    entries = {}
-    for name in cfg.checks:
-        run, skip, per_node = analysis.CHECKS[name]
-        if skip and skip[0](cfg, traj):
-            entries[name] = {"skipped": skip[1]}
-        else:
-            report = run(cfg, traj)
-            entries[name] = _aggregate(report) if per_node else dict(vars(report))
-    return entries
-
-
 def _failed(checks: dict) -> list:
     """The names of the failed entries of checks."""
     return [name for name, entry in checks.items() if entry.get("passed") is False]
@@ -149,8 +121,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False):
         _say(quiet, f"simulation diverged: {err}")
         outcome = {"status": "diverged", "error": str(err)}
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowed runs fail as NaN
-            results = _run_table(cfg, traj)
+        results = run_checks(cfg, traj)
         if _failed(results):
             outcome = {"status": "check_failed"}
         extra_cols = [col for entry in results.values() for col in entry.pop("columns", ())]
@@ -185,8 +156,8 @@ def _gains(cfg: ExperimentConfig) -> dict:
     ests = gamma_estimates(cfg.plant, cfg.controller_ss, list(cases.values()))
     return {name: ({"passed": False, "error": str(est), "input": est.input.tolist(),
                     "node": est.node} if isinstance(est, GammaError)
-                   else {"passed": bool(est.gamma_hat < 1.0), "gamma_hat": est.gamma_hat,
-                         "worst_input": est.worst_input.tolist()})
+                   else {"passed": bool(est["gamma_hat"] < 1.0), "gamma_hat": est["gamma_hat"],
+                         "worst_input": est["worst_input"].tolist()})
             for name, est in zip(cases, ests)}
 
 
@@ -215,10 +186,7 @@ def cmd_verify(args) -> int:
         checks.update({name: {"skipped": "controller is not NI"} for name in
                        ("osni_freq_test", "osni_max_delta", "pair_network_strictness_halving")})
     if cfg.controller_Y is not None:
-        cert = osni_certificate_check(ctrl, cfg.controller_Y, cfg.delta)
-        checks["osni_certificate"] = {"passed": bool(cert.passed),
-                                      "inequality_residual": cert.inequality_residual,
-                                      "b_equation_residual": cert.b_equation_residual}
+        checks["osni_certificate"] = osni_certificate_check(ctrl, cfg.controller_Y, cfg.delta)
     checks.update(_gains(cfg))
     failed = _failed(checks)
     _record(out_dir / "verify.json", {"label": cfg.label, "checks": checks, "config": cfg.raw},

@@ -39,13 +39,11 @@ class Frozen:
 
 
 def _value(field):
-    """field as == and hash read it: a Frozen by its public fields (a private
-    one, such as StateSpace._terms, is a cache), a tuple item by item, an
-    array by its shape, dtype and bytes."""
+    """field as == and hash read it: a Frozen as the tuple of its public fields
+    (a private one, such as StateSpace._terms, is a cache), an array by its
+    shape, dtype and bytes."""
     if isinstance(field, Frozen):
-        field = tuple(v for k, v in vars(field).items() if not k.startswith("_"))
-    if isinstance(field, tuple):
-        return tuple(map(_value, field))
+        return tuple(_value(v) for k, v in vars(field).items() if not k.startswith("_"))
     return (field.shape, field.dtype.str, field.tobytes()) if isinstance(field, np.ndarray) else field
 
 

@@ -89,6 +89,12 @@ class StateSpace(Frozen):
         return terms
 
 
+def require_level(delta: float):
+    """Raise ValueError unless the strictness level delta is positive and finite."""
+    if not 0 < delta < math.inf:
+        raise ValueError("strictness level delta must be positive and finite")
+
+
 def first_order(a: float, b: float) -> StateSpace:
     """SISO lag a/(s+b) realised as (A, B, C, D) = (-b, a, 1, 0)."""
     return StateSpace([[-b]], [[a]], [[1.0]], [[0.0]])
@@ -142,8 +148,7 @@ def osni_freq_test(sys: StateSpace, delta: float) -> bool:
     Requires jw [M - M*] - 2 delta w^2 Mc* Mc >= 0 at every grid point and at
     the analytic w -> inf limit.
     """
-    if delta <= 0:
-        raise ValueError("strictness level delta must be positive")
+    require_level(delta)
     _, P, R = sys._terms
     return _psd(P - delta * R)
 
@@ -177,26 +182,18 @@ def osni_max_delta(sys: StateSpace, graph=None) -> float:
     return float(1.0 / top) if top > 0 else math.inf
 
 
-class CertificateReport(Frozen):
-    """Outcome of the state-space OSNI certificate check."""
-
-    def __init__(self, passed: bool, inequality_residual: float, b_equation_residual: float):
-        self._set(passed=passed, inequality_residual=inequality_residual,
-                  b_equation_residual=b_equation_residual)
-
-
-def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> CertificateReport:
-    """Check the algebraic OSNI certificate for a supplied symmetric Y.
+def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> dict:
+    """verify's entry {passed, inequality_residual, b_equation_residual} of a given Y.
 
     The certificate requires Y > 0 together with
 
         A Y + Y A^T + 2 delta (C A Y)^T (C A Y) <= 0   and   B = -A Y C^T.
 
-    This is a verification of a given Y, not a feasibility search. The
-    inequality residual is the largest eigenvalue of the left-hand side; the
-    B-equation residual is the max-abs entry of B + A Y C^T. Both must be
-    below 1e-9 to pass.
+    It checks the given Y and searches for none. The inequality residual is the
+    largest eigenvalue of the left-hand side, the B-equation residual the
+    max-abs entry of B + A Y C^T; both must be below 1e-9 to pass.
     """
+    require_level(delta)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     q = sys.state_dim
     if Y.shape != (q, q):
@@ -208,9 +205,8 @@ def osni_certificate_check(sys: StateSpace, Y: np.ndarray, delta: float) -> Cert
     lhs = sys.A @ Y + Y @ sys.A.T + 2.0 * delta * (CAY.T @ CAY)
     ineq_residual = float(np.linalg.eigvalsh(lhs).max())
     beq_residual = float(np.abs(sys.B + sys.A @ Y @ sys.C.T).max())
-    return CertificateReport(
-        passed=y_pd and ineq_residual <= CERT_TOL and beq_residual <= CERT_TOL,
-        inequality_residual=ineq_residual, b_equation_residual=beq_residual)
+    return {"passed": y_pd and ineq_residual <= CERT_TOL and beq_residual <= CERT_TOL,
+            "inequality_residual": ineq_residual, "b_equation_residual": beq_residual}
 
 
 def first_order_certificate(a: float, b: float):

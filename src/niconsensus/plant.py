@@ -260,14 +260,6 @@ class GammaError(RuntimeError):
         self.input, self.node = u, node
 
 
-class GammaReport(Frozen):
-    """Largest steady-state ratio u^T ybar2 / |u|^2 over a grid of constant
-    inputs, with the input attaining it."""
-
-    def __init__(self, gamma_hat: float, worst_input: np.ndarray, ratios: np.ndarray):
-        self._set(gamma_hat=gamma_hat, worst_input=worst_input, ratios=ratios)
-
-
 def gamma_input_grid():
     """Scalar constant-input grid (zero excluded) for the pair-chain ratio,
     one input per row: a (k, 1) array."""
@@ -275,7 +267,7 @@ def gamma_input_grid():
     return pts[np.abs(pts) > 1e-12, None]
 
 
-def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, graph=None) -> GammaReport:
+def gamma_estimate(plant: NonlinearPlant, M: StateSpace, inputs, graph=None) -> dict:
     """Steady-state gain ratio of the open chain from n plant copies to the
     bank K (x) M(s), K = [[1]] for a pair (no graph) and the graph's Laplacian
     L for a network: gamma_estimates on this one case, raising its GammaError."""
@@ -290,8 +282,9 @@ def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
     (inputs, graph) case, K the mixing matrix of ``mixing_entries(graph)`` of
     order n and inputs a (k, n m) array or a list of k finite nonzero vectors:
     each node's equilibrium solved from rest, those of all cases in one batch,
-    its output mapped through K (x) M(0) on the nonzeros of K. Per case a
-    GammaReport, or a GammaError naming the input and first node that failed."""
+    its output mapped through K (x) M(0) on the nonzeros of K. Per case {gamma_hat,
+    worst_input, ratios}, the largest ratio, its input and every ratio, or a
+    GammaError naming the input and first node that failed."""
     if M.io_dim != plant.m:
         raise ValueError("controller input/output dimension must equal the plant's")
     mixes = [mixing_entries(graph) for _, graph in cases]
@@ -320,5 +313,5 @@ def gamma_estimates(plant: NonlinearPlant, M: StateSpace, cases) -> list:
         np.add.at(mixed, (slice(None), rows), vals[:, None] * plant.h(x)[:, cols])
         ratios = np.sum(U * matvec(D, mixed).reshape(k, -1), axis=1) / np.sum(U * U, axis=1)
         worst = int(np.argmax(ratios))
-        out.append(GammaReport(float(ratios[worst]), U[worst], ratios))
+        out.append({"gamma_hat": float(ratios[worst]), "worst_input": U[worst], "ratios": ratios})
     return out

@@ -80,14 +80,19 @@ def write_line_plot(path, x, series, labels=None, title="", xlabel="", ylabel=""
                      'stroke="#ddd" stroke-width="0.7"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">'
                      f'{_fmt(tv)}</text>')
+    rows = (ph - 16) // 20 + 1  # legend rows beside the plot box; a last row counts those left out
+    shown = len(ys) if len(ys) <= rows else rows - 1
     for idx, pts in enumerate(_polyline_points(sx(x), map(sy, ys))):
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.6"/>')
         ly = _MT + 16 + 20 * idx
-        parts.append(f'<line x1="{_ML + pw + 12}" y1="{ly - 4}" x2="{_ML + pw + 36}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2.5"/>')
-        parts.append(f'<text x="{_ML + pw + 42}" y="{ly}">{labels[idx].translate(_ESC)}</text>')
+        if idx < shown:
+            parts.append(f'<line x1="{_ML + pw + 12}" y1="{ly - 4}" x2="{_ML + pw + 36}" '
+                         f'y2="{ly - 4}" stroke="{color}" stroke-width="2.5"/>')
+            parts.append(f'<text x="{_ML + pw + 42}" y="{ly}">{labels[idx].translate(_ESC)}</text>')
+        elif idx == shown:
+            parts.append(f'<text x="{_ML + pw + 42}" y="{ly}">+{len(ys) - shown} more</text>')
     if title:
         parts.append(f'<text x="{_ML + pw / 2}" y="26" text-anchor="middle" '
                      f'font-size="16">{title.translate(_ESC)}</text>')

@@ -90,7 +90,7 @@ def kron_ss(K, M: nc.StateSpace) -> nc.StateSpace:
                          np.kron(K, M.C), np.kron(K, M.D))
 
 
-def steady_state_relation(bank: nc.StateSpace, u2bar, tol: float = 1e-6) -> nc.CheckReport:
+def steady_state_relation(bank: nc.StateSpace, u2bar, tol: float = 1e-6) -> dict:
     """Settled output of a Hurwitz controller bank against its DC map.
 
     Simulates the bank (for instance kron_ss(L, M)) from rest under the
@@ -106,8 +106,8 @@ def steady_state_relation(bank: nc.StateSpace, u2bar, tol: float = 1e-6) -> nc.C
     cfg = nc.IntegratorConfig(step_s=step, t_end_s=t_end, record_every=10 ** 9)
     _, states = nc.rk4_path(lambda xc: bank.A @ xc + drive, np.zeros(bank.state_dim), cfg)
     violation = float(np.abs(bank.C @ states[-1] - nc.dc_gain(bank) @ u2bar).max())
-    return nc.CheckReport(name="steady_state_relation", max_violation=violation,
-                          time_of_max=t_end, tolerance=tol, passed=violation <= tol)
+    return {"name": "steady_state_relation", "max_violation": violation,
+            "time_of_max": t_end, "tolerance": tol, "passed": violation <= tol}
 
 
 def dense_plant():

@@ -49,12 +49,12 @@ def test_criterion_2_state_space_certificate():
     good = nc.osni_certificate_check(sysm, [[1.0]], 0.1)
     bad = nc.osni_certificate_check(sysm, [[1.0]], 0.2)
     elapsed = time.perf_counter() - start
-    ok = (good.passed and abs(good.inequality_residual) <= 1e-9
-          and good.b_equation_residual <= 1e-9
-          and not bad.passed and abs(bad.inequality_residual - 20.0) <= 1e-9
+    ok = (good["passed"] and abs(good["inequality_residual"]) <= 1e-9
+          and good["b_equation_residual"] <= 1e-9
+          and not bad["passed"] and abs(bad["inequality_residual"] - 20.0) <= 1e-9
           and elapsed < 0.1)
-    _criterion(2, ok, f"residuals {good.inequality_residual:.2e} / "
-                      f"{bad.inequality_residual:.6f}, {elapsed:.3f}s")
+    _criterion(2, ok, f"residuals {good['inequality_residual']:.2e} / "
+                      f"{bad['inequality_residual']:.6f}, {elapsed:.3f}s")
 
 
 def test_criterion_3_pendulum_losslessness(timed_network_traj, pendulum):
@@ -111,12 +111,12 @@ def test_criterion_7_gamma_estimates(pendulum, four_node_graph):
     networked = nc.gamma_estimate(plant, nc.first_order(A, B),
                                   [rng.uniform(-25, 25, 4) for _ in range(100)],
                                   four_node_graph)
-    ok = (pair.gamma_hat < 1.0
-          and abs(small.gamma_hat - 0.1010) <= 1e-3
-          and networked.gamma_hat < 1.0)
-    _criterion(7, ok, f"pair gamma {pair.gamma_hat:.4f}, small-signal "
-                      f"{small.gamma_hat:.6f}, network gamma "
-                      f"{networked.gamma_hat:.4f}")
+    ok = (pair["gamma_hat"] < 1.0
+          and abs(small["gamma_hat"] - 0.1010) <= 1e-3
+          and networked["gamma_hat"] < 1.0)
+    _criterion(7, ok, f"pair gamma {pair['gamma_hat']:.4f}, small-signal "
+                      f"{small['gamma_hat']:.6f}, network gamma "
+                      f"{networked['gamma_hat']:.4f}")
 
 
 def test_criterion_8_steady_state_relation(four_node_graph):
@@ -124,9 +124,9 @@ def test_criterion_8_steady_state_relation(four_node_graph):
     rng = np.random.default_rng(2024)
     random_report = steady_state_relation(net, rng.uniform(-2, 2, 4), tol=1e-6)
     ones_report = steady_state_relation(net, np.ones(4), tol=1e-9)
-    ok = random_report.passed and ones_report.passed
-    _criterion(8, ok, f"random input gap {random_report.max_violation:.2e}, "
-                      f"consensus direction gap {ones_report.max_violation:.2e}")
+    ok = random_report["passed"] and ones_report["passed"]
+    _criterion(8, ok, f"random input gap {random_report['max_violation']:.2e}, "
+                      f"consensus direction gap {ones_report['max_violation']:.2e}")
 
 
 def test_criterion_9_integrator_order(network_loop, network_x0):

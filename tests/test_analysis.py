@@ -26,9 +26,9 @@ def test_ni_dissipation_pendulum_lossless(network_traj, pendulum):
     residuals = analysis.ni_dissipation_residuals(network_traj, v1)
     assert residuals.shape == (network_traj.n_samples, 4)
     assert np.abs(residuals).max() < 1e-9
-    reports = analysis.check_ni_dissipation(network_traj, v1)
-    assert [r.name for r in reports] == [f"ni_dissipation_node_{i}" for i in range(4)]
-    assert all(r.passed for r in reports)
+    reports = analysis.check_ni_dissipation(network_traj, v1)["per_node"]
+    assert [r["name"] for r in reports] == [f"ni_dissipation_node_{i}" for i in range(4)]
+    assert all(r["passed"] for r in reports)
 
 
 def test_node_residuals_equal_single_node_oracle(network_traj, pendulum):
@@ -57,8 +57,8 @@ def test_ni_dissipation_zero_trajectory(network_loop, pendulum):
     _, v1 = pendulum
     cfg = nc.IntegratorConfig(step_s=1e-2, t_end_s=1.0)
     traj = nc.integrate(network_loop, np.zeros(12), cfg)
-    report = analysis.check_ni_dissipation(traj, v1)[0]
-    assert report.max_violation == 0.0 and report.passed
+    report = analysis.check_ni_dissipation(traj, v1)["per_node"][0]
+    assert report["max_violation"] == 0.0 and report["passed"]
 
 
 def test_ni_dissipation_corrupted_storage_fails(network_traj):
@@ -68,15 +68,15 @@ def test_ni_dissipation_corrupted_storage_fails(network_traj):
         grad=lambda x: honest.grad(x) + np.stack([0.0 * x[..., 1], 0.25 * x[..., 1]],
                                                  axis=-1),
         Q=honest.Q + np.diag([0.0, 0.25]))
-    report = analysis.check_ni_dissipation(network_traj, doubled_kinetic)[0]
-    assert not report.passed
+    report = analysis.check_ni_dissipation(network_traj, doubled_kinetic)["per_node"][0]
+    assert not report["passed"]
 
 
 @pytest.mark.parametrize("delta,expect_pass", [(0.05, True), (0.1, True),
                                                (0.2, False)])
 def test_osni_dissipation_levels(network_traj, delta, expect_pass):
-    report = analysis.check_osni_dissipation(network_traj, Y, delta)[0]
-    assert report.passed == expect_pass
+    report = analysis.check_osni_dissipation(network_traj, Y, delta)["per_node"][0]
+    assert report["passed"] == expect_pass
 
 
 def test_osni_dissipation_residual_identity(network_traj):
@@ -176,9 +176,9 @@ def test_composite_rate_is_the_plant_and_bank_residuals(pendulum, network_loop, 
 
 
 def test_osni_like_network_levels(two_node_traj):
-    assert analysis.check_osni_like_network(two_node_traj, Y, 0.05).passed
-    assert analysis.check_osni_like_network(two_node_traj, Y, 0.1).passed
-    assert not analysis.check_osni_like_network(two_node_traj, Y, 0.2).passed
+    assert analysis.check_osni_like_network(two_node_traj, Y, 0.05)["passed"]
+    assert analysis.check_osni_like_network(two_node_traj, Y, 0.1)["passed"]
+    assert not analysis.check_osni_like_network(two_node_traj, Y, 0.2)["passed"]
 
 
 def test_osni_like_network_consensus_manifold(network_loop, pendulum):
@@ -187,7 +187,7 @@ def test_osni_like_network_consensus_manifold(network_loop, pendulum):
     cfg = nc.IntegratorConfig(step_s=1e-3, t_end_s=2.0, record_every=10)
     traj = nc.integrate(network_loop, x0, cfg)
     report = analysis.check_osni_like_network(traj, Y, 0.05)
-    assert report.max_violation < 1e-12
+    assert report["max_violation"] < 1e-12
     assert np.abs(edge_rate_sums(traj)).max() < 1e-15
 
 
@@ -199,15 +199,15 @@ def test_osni_like_network_on_a_pair_is_the_controller_check(pair_traj):
         node = analysis.osni_dissipation_residuals(pair_traj, Y_pair, delta)[:, 0]
         assert np.allclose(bank, node, rtol=0.0, atol=1e-12)
         by_bank = analysis.check_osni_like_network(pair_traj, Y_pair, delta)
-        by_node = analysis.check_osni_dissipation(pair_traj, Y_pair, delta)[0]
-        assert by_bank.passed == by_node.passed
-        assert by_bank.max_violation == pytest.approx(by_node.max_violation, abs=1e-12)
-    assert not analysis.check_osni_like_network(pair_traj, Y_pair, 0.2).passed
+        by_node = analysis.check_osni_dissipation(pair_traj, Y_pair, delta)["per_node"][0]
+        assert by_bank["passed"] == by_node["passed"]
+        assert by_bank["max_violation"] == pytest.approx(by_node["max_violation"], abs=1e-12)
+    assert not analysis.check_osni_like_network(pair_traj, Y_pair, 0.2)["passed"]
 
 
 def test_pair_identities(two_node_traj):
     report = analysis.check_pair_identities(two_node_traj)
-    assert report.passed and report.tolerance == 1e-12
+    assert report["passed"] and report["tolerance"] == 1e-12
 
 
 def test_pair_identities_zero_trajectory(pendulum):
@@ -215,13 +215,13 @@ def test_pair_identities_zero_trajectory(pendulum):
     loop = nc.ClosedLoop(plant, nc.first_order(A, B), nc.Graph(2, frozenset({(0, 1)})))
     traj = nc.integrate(loop, np.zeros(6), nc.IntegratorConfig(1e-2, 1.0))
     report = analysis.check_pair_identities(traj)
-    assert report.max_violation == 0.0
+    assert report["max_violation"] == 0.0
 
 
 def test_pair_identities_broken_antisymmetry(two_node_traj):
     tampered = nc.Trajectory(**{**vars(two_node_traj), "y2dot": np.column_stack(
         [two_node_traj.y2dot[:, 0], -two_node_traj.y2dot[:, 1]])})
-    assert not analysis.check_pair_identities(tampered).passed
+    assert not analysis.check_pair_identities(tampered)["passed"]
 
 
 @pytest.mark.parametrize("refused,match", [
@@ -246,7 +246,7 @@ def test_lyapunov_monotone_network(network_traj, pendulum):
     _, v1 = pendulum
     cs = nc.CompositeStorage(network_traj.system, v1, Y)
     report = analysis.check_lyapunov_monotone(network_traj, cs, 0.05)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_lyapunov_monotone_reads_the_recorded_signals(network_traj, pendulum, monkeypatch):
@@ -270,7 +270,7 @@ def test_lyapunov_monotone_consensus_manifold(network_loop, pendulum):
     cs = nc.CompositeStorage(network_loop, v1, Y)
     report = analysis.check_lyapunov_monotone(traj, cs, 0.05)
     # the bound's right side is zero on the manifold and W stays constant
-    assert report.passed
+    assert report["passed"]
     assert np.abs(edge_rate_sums(traj)).max() < 1e-18
 
 
@@ -284,14 +284,14 @@ def test_lyapunov_monotone_sign_flipped_feedback_fails(pendulum, four_node_graph
     traj = nc.integrate(loop, x0, nc.IntegratorConfig(1e-3, 5.0, 10))
     cs = nc.CompositeStorage(loop, v1, Y)
     report = analysis.check_lyapunov_monotone(traj, cs, 0.05)
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_lyapunov_monotone_pair(pair_traj, pendulum):
     _, v1 = pendulum
     cs = nc.CompositeStorage(pair_traj.system, v1, nc.first_order_certificate(20.0, 6.0)[0])
     report = analysis.check_lyapunov_monotone(pair_traj, cs, 0.05)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_component_checks_imply_lyapunov_decay(network_traj, pendulum):
@@ -299,10 +299,10 @@ def test_component_checks_imply_lyapunov_decay(network_traj, pendulum):
     composite storage to decay at the claimed rate."""
     _, v1 = pendulum
     delta = 0.05
-    ni_ok = all(r.passed for r in analysis.check_ni_dissipation(network_traj, v1))
-    osni_ok = analysis.check_osni_like_network(network_traj, Y, delta).passed
+    ni_ok = all(r["passed"] for r in analysis.check_ni_dissipation(network_traj, v1)["per_node"])
+    osni_ok = analysis.check_osni_like_network(network_traj, Y, delta)["passed"]
     cs = nc.CompositeStorage(network_traj.system, v1, Y)
-    lyap_ok = analysis.check_lyapunov_monotone(network_traj, cs, delta).passed
+    lyap_ok = analysis.check_lyapunov_monotone(network_traj, cs, delta)["passed"]
     assert not (ni_ok and osni_ok) or lyap_ok
 
 
@@ -380,11 +380,11 @@ def test_reports_are_reproducible(network_traj, pendulum):
 
 def test_report_pass_invariant(network_traj, pendulum):
     _, v1 = pendulum
-    reports = [*analysis.check_ni_dissipation(network_traj, v1),
-               *analysis.check_osni_dissipation(network_traj, Y, 0.2),
+    reports = [*analysis.check_ni_dissipation(network_traj, v1)["per_node"],
+               *analysis.check_osni_dissipation(network_traj, Y, 0.2)["per_node"],
                analysis.check_osni_like_network(network_traj, Y, 0.05)]
     for r in reports:
-        assert r.passed == (r.max_violation <= r.tolerance)
+        assert r["passed"] == (r["max_violation"] <= r["tolerance"])
 
 
 def test_report_names_the_first_non_finite_violation():
@@ -396,18 +396,18 @@ def test_report_names_the_first_non_finite_violation():
                            [0.0, np.nan, np.inf, 5.0, 2.0],
                            [0.0, 3.0, 1.0, 3.0, 2.0]]).T
     inf, nan, big = analysis._reports(["a", "b", "c"], violations, times, 1e-6)
-    assert (inf.name, inf.max_violation, inf.time_of_max, inf.passed) == ("a", np.inf, 0.2, False)
-    assert np.isnan(nan.max_violation) and nan.time_of_max == 0.1
-    assert (big.max_violation, big.time_of_max) == (3.0, 0.1)
+    assert (inf["name"], inf["max_violation"], inf["time_of_max"], inf["passed"]) == (
+        "a", np.inf, 0.2, False)
+    assert np.isnan(nan["max_violation"]) and nan["time_of_max"] == 0.1
+    assert (big["max_violation"], big["time_of_max"]) == (3.0, 0.1)
 
 
 def column_report(name, v, times, tol):
     """The oracle: the report of one column of violations, found on that column alone."""
     bad = ~np.isfinite(v)
     k = int(np.argmin(np.where(bad, times, np.inf)) if bad.any() else np.argmax(v))
-    return analysis.CheckReport(name=name, max_violation=float(v[k]),
-                                time_of_max=float(times[k]), tolerance=tol,
-                                passed=float(v[k]) <= tol)
+    return {"name": name, "max_violation": float(v[k]), "time_of_max": float(times[k]),
+            "tolerance": tol, "passed": float(v[k]) <= tol}
 
 
 #: Violations are nonnegative; the few fixed values make ties and the tolerance likely.

@@ -10,9 +10,9 @@ import pytest
 
 import niconsensus
 from conftest import ROOT, package_env, perfbench
-from niconsensus import gamma_estimate, load_config
-from niconsensus.analysis import CHECKS, CheckReport
-from niconsensus.cli import SWEEP_FIGURES, _aggregate, main, run_simulation
+from niconsensus import gamma_estimate, integrate, load_config
+from niconsensus.analysis import CHECKS, per_node, run_checks
+from niconsensus.cli import SWEEP_FIGURES, main, run_simulation
 from niconsensus.config import DEFAULT_CHECKS, resolve_config
 from niconsensus.plant import GammaError, gamma_input_grid
 
@@ -304,26 +304,31 @@ def test_overflowing_run_fails_its_checks_without_a_warning(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["status"] == "check_failed"
 
 
-def test_aggregate_ranks_a_nan_violation_worst():
-    finite = CheckReport("node_0", 1e-3, 0.5, 1e-6, False)
-    nan = CheckReport("node_1", math.nan, 1.0, 1e-6, False)
+def node_entry(name, max_violation, time_of_max, tolerance, passed):
+    return {"name": name, "max_violation": max_violation, "time_of_max": time_of_max,
+            "tolerance": tolerance, "passed": passed}
+
+
+def test_per_node_entry_ranks_a_nan_violation_worst():
+    finite = node_entry("node_0", 1e-3, 0.5, 1e-6, False)
+    nan = node_entry("node_1", math.nan, 1.0, 1e-6, False)
     for reports in ([finite, nan], [nan, finite]):
-        entry = _aggregate(reports)
+        entry = per_node(reports)
         assert math.isnan(entry["max_violation"]) and entry["time_of_max"] == 1.0
         assert entry["passed"] is False
 
 
-def test_aggregate_names_the_first_non_finite_node_in_time():
+def test_per_node_entry_names_the_first_non_finite_node_in_time():
     """Over the nodes as within one report: the worst is the non-finite
     violation that comes first in time, inf or NaN alike, else the largest."""
-    finite = CheckReport("node_0", 1e3, 0.1, 1e-6, False)
-    late_nan = CheckReport("node_1", math.nan, 0.7, 1e-6, False)
-    early_inf = CheckReport("node_2", math.inf, 0.3, 1e-6, False)
+    finite = node_entry("node_0", 1e3, 0.1, 1e-6, False)
+    late_nan = node_entry("node_1", math.nan, 0.7, 1e-6, False)
+    early_inf = node_entry("node_2", math.inf, 0.3, 1e-6, False)
     for reports in ([finite, late_nan, early_inf], [early_inf, late_nan, finite]):
-        entry = _aggregate(reports)
+        entry = per_node(reports)
         assert (entry["max_violation"], entry["time_of_max"]) == (math.inf, 0.3)
-    small = CheckReport("node_3", 1e-3, 0.2, 1e-6, False)
-    assert _aggregate([small, finite])["time_of_max"] == 0.1
+    small = node_entry("node_3", 1e-3, 0.2, 1e-6, False)
+    assert per_node([small, finite])["time_of_max"] == 0.1
 
 
 def test_simulate_failing_check_exit4(tmp_path):
@@ -365,8 +370,8 @@ def test_verify_gamma_network_draws_one_input_per_row(tmp_path):
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25.0, 25.0, 4) for _ in range(100)]
     report = gamma_estimate(cfg.plant, cfg.controller_ss, inputs, cfg.graph)
-    assert entry["gamma_hat"] == report.gamma_hat
-    assert entry["worst_input"] == report.worst_input.tolist()
+    assert entry["gamma_hat"] == report["gamma_hat"]
+    assert entry["worst_input"] == report["worst_input"].tolist()
 
 
 def test_verify_bundled_pair_config(tmp_path):
@@ -682,6 +687,88 @@ def test_skip_rules_read_the_node_count_of_the_loop(tmp_path, doc, mode, skipped
     assert list(report["checks"]) == list(CHECKS)
     assert {k: v["skipped"] for k, v in report["checks"].items() if "skipped" in v} == skipped
     assert all(v["passed"] for k, v in report["checks"].items() if k not in skipped)
+
+
+def json_type(value):
+    """value's JSON type: an object as its [key, type] pairs in order, an
+    array as ["array", the one type of its items]."""
+    if isinstance(value, dict):
+        return [[key, json_type(item)] for key, item in value.items()]
+    if isinstance(value, list):
+        (item,) = {json.dumps(json_type(item)) for item in value}
+        return ["array", json.loads(item)]
+    return {bool: "boolean", int: "integer", float: "number", str: "string"}[type(value)]
+
+
+NODE = [["name", "string"], ["max_violation", "number"], ["time_of_max", "number"],
+        ["tolerance", "number"], ["passed", "boolean"]]
+PER_NODE = [["passed", "boolean"], ["max_violation", "number"], ["time_of_max", "number"],
+            ["tolerance", "number"], ["per_node", ["array", NODE]]]
+CONSENSUS = [["initial_edge_max", "number"], ["final_edge_max", "number"],
+             ["final_all_pairs_max", "number"], ["rel_threshold", "number"],
+             ["abs_threshold", "number"], ["outcome", "string"], ["passed", "boolean"]]
+SKIPPED = [["skipped", "string"]]
+PASSED = [["passed", "boolean"]]
+STRICTNESS = {"is_hurwitz": PASSED, "ni_freq_test": PASSED,
+              "osni_freq_test": [["passed", "boolean"], ["delta", "number"]],
+              "osni_max_delta": [["passed", "boolean"], ["value", "number"]],
+              "pair_network_strictness_halving": [["passed", "boolean"], ["value", "number"],
+                                                  ["expected", "number"]]}
+CERTIFICATE = [["passed", "boolean"], ["inequality_residual", "number"],
+               ["b_equation_residual", "number"]]
+GAIN = [["passed", "boolean"], ["gamma_hat", "number"], ["worst_input", ["array", "number"]]]
+
+
+def kappa_one_pair_doc():
+    """pendulum_pair.json with kappa = 1 < mgl = 4.9: gamma_pair's solve fails."""
+    doc = json.loads(PENDULUM_PAIR.read_text())
+    doc["plant"]["pendulum"]["kappa"] = 1.0
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, expected", [
+    ("simulate", load_pendulum4,
+     {"ni_dissipation": PER_NODE, "osni_dissipation": PER_NODE, "osni_like_network": NODE,
+      "lyapunov_monotone": NODE, "consensus": CONSENSUS}),
+    ("simulate", lambda: {**two_node_doc(), "checks": [*DEFAULT_CHECKS, "pair_identities"]},
+     {"ni_dissipation": PER_NODE, "osni_dissipation": PER_NODE, "osni_like_network": NODE,
+      "lyapunov_monotone": NODE, "consensus": CONSENSUS, "pair_identities": NODE}),
+    ("simulate", lambda: {**json.loads(PENDULUM_PAIR.read_text()), "checks": list(CHECKS)},
+     {"ni_dissipation": PER_NODE, "osni_dissipation": PER_NODE, "osni_like_network": NODE,
+      "pair_identities": SKIPPED, "lyapunov_monotone": NODE, "consensus": SKIPPED}),
+    ("verify", load_pendulum4,
+     {**STRICTNESS, "osni_certificate": CERTIFICATE, "gamma_pair": GAIN, "gamma_network": GAIN}),
+    ("verify", lambda: {**json.loads(PENDULUM_PAIR.read_text()),
+                        "controller": {"A": [[-1.0]], "B": [[1.0]], "C": [[-1.0]]}},
+     {"is_hurwitz": PASSED, "ni_freq_test": PASSED, "osni_freq_test": SKIPPED,
+      "osni_max_delta": SKIPPED, "pair_network_strictness_halving": SKIPPED,
+      "gamma_pair": GAIN}),
+    ("verify", kappa_one_pair_doc,
+     {**STRICTNESS, "osni_certificate": CERTIFICATE,
+      "gamma_pair": [["passed", "boolean"], ["error", "string"],
+                     ["input", ["array", "number"]], ["node", "integer"]]}),
+], ids=["pendulum4", "two_node_path", "pair", "verify_pendulum4", "verify_not_ni",
+        "verify_kappa_1"])
+def test_record_entries_keep_their_keys_and_json_types(tmp_path, command, doc, expected):
+    """The entries of report.json or verify.json in order, each with its keys
+    in order and the JSON type of each value, skipped checks and a failed
+    gain included."""
+    out = tmp_path / "o"
+    main([command, "--config", str(write(tmp_path, doc())), "--out", str(out), "--quiet"])
+    record = out / ("report.json" if command == "simulate" else "verify.json")
+    checks = json.loads(record.read_text())["checks"]
+    assert json_type(checks) == [[name, shape] for name, shape in expected.items()]
+
+
+def test_run_checks_returns_the_checks_of_report_json(tmp_path):
+    """analysis.run_checks is the record: its entries, consensus's series
+    aside, are report.json's "checks" after a JSON round trip."""
+    assert main(["simulate", "--config", str(PENDULUM4), "--out", str(tmp_path), "--quiet"]) == 0
+    cfg = load_config(PENDULUM4)
+    entries = run_checks(cfg, integrate(cfg.build_loop(), cfg.x0, cfg.integrator))
+    entries["consensus"].pop("columns")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert json.loads(json.dumps(entries)) == report["checks"]
 
 
 def test_sweep_node_count_from_pair_config(tmp_path):

@@ -190,17 +190,17 @@ def test_static_gain_unbounded_strictness():
 def test_certificate_examples():
     m = nc.StateSpace([[-10.0]], [[10.0]], [[1.0]])
     report = nc.osni_certificate_check(m, [[1.0]], 0.1)
-    assert report.passed
-    assert abs(report.inequality_residual) <= 1e-9
-    assert report.b_equation_residual <= 1e-9
+    assert report["passed"]
+    assert abs(report["inequality_residual"]) <= 1e-9
+    assert report["b_equation_residual"] <= 1e-9
 
     report = nc.osni_certificate_check(m, [[1.0]], 0.2)
-    assert not report.passed
-    assert report.inequality_residual == pytest.approx(20.0, abs=1e-9)
+    assert not report["passed"]
+    assert report["inequality_residual"] == pytest.approx(20.0, abs=1e-9)
 
     report = nc.osni_certificate_check(m, [[2.0]], 0.1)
-    assert report.b_equation_residual > CERT_TOL
-    assert report.b_equation_residual == pytest.approx(10.0, abs=1e-12)
+    assert report["b_equation_residual"] > CERT_TOL
+    assert report["b_equation_residual"] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_certificate_validation():
@@ -220,8 +220,8 @@ def test_certificate_analytic_family(a, b):
     Y, delta = nc.first_order_certificate(a, b)
     sysm = nc.first_order(a, b)
     report = nc.osni_certificate_check(sysm, Y, delta)
-    assert report.passed
-    assert abs(report.inequality_residual) < 1e-9
+    assert report["passed"]
+    assert abs(report["inequality_residual"]) < 1e-9
     assert nc.osni_freq_test(sysm, delta)
 
 

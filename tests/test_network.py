@@ -71,7 +71,7 @@ def test_network_dc_relation_steady_state():
     two = kron_ss(L2, nc.first_order(10.0, 10.0))
     assert np.array_equal(nc.dc_gain(two) @ [1.0, 0.0], [1.0, -1.0])
     report = steady_state_relation(two, [1.0, 0.0])
-    assert report.passed and report.max_violation <= 1e-6
+    assert report["passed"] and report["max_violation"] <= 1e-6
 
 
 def test_pair_interconnect_structure(pendulum):

@@ -271,11 +271,11 @@ def test_gamma_pair_grid_matches_bracketing_oracle(pendulum):
                                nc.gamma_input_grid())
     oracle = max(u * brentq_equilibrium(u) / u ** 2
                  for u in np.linspace(-25, 25, 201) if abs(u) > 1e-12)
-    assert report.gamma_hat == pytest.approx(oracle, abs=1e-9)
-    assert report.gamma_hat == pytest.approx(0.254084, abs=1e-4)
-    assert report.gamma_hat < 1.0
+    assert report["gamma_hat"] == pytest.approx(oracle, abs=1e-9)
+    assert report["gamma_hat"] == pytest.approx(0.254084, abs=1e-4)
+    assert report["gamma_hat"] < 1.0
     # the ratio peaks near the positive root of tan(x) = x (about 4.4934)
-    assert abs(brentq_equilibrium(abs(report.worst_input[0])) - 4.4934) < 0.15
+    assert abs(brentq_equilibrium(abs(report["worst_input"][0])) - 4.4934) < 0.15
 
 
 #: sin(t)/t at its minimum t* > 0, where tan(t*) = t* (t* about 4.4934).
@@ -293,7 +293,7 @@ def test_sampled_gamma_pair_is_below_and_near_the_closed_form(name):
     cfg = nc.load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
     p = cfg.raw["plant"]["pendulum"]
     closed = nc.dc_gain(cfg.controller_ss)[0, 0] / (p["kappa"] + S_MIN * p["m"] * p["g"] * p["l"])
-    gamma_hat = nc.gamma_estimate(cfg.plant, cfg.controller_ss, nc.gamma_input_grid()).gamma_hat
+    gamma_hat = nc.gamma_estimate(cfg.plant, cfg.controller_ss, nc.gamma_input_grid())["gamma_hat"]
     assert S_MIN == pytest.approx(-0.2172336, abs=1e-7)
     assert closed - 1e-4 < gamma_hat <= closed
 
@@ -322,8 +322,8 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
     else:
         graph, K, inputs = None, np.ones((1, 1)), nc.gamma_input_grid()
     report = nc.gamma_estimate(plant, M, inputs, graph)
-    single = [nc.gamma_estimate(plant, M, u[None], graph).ratios[0] for u in inputs]
-    assert np.array_equal(report.ratios, single)
+    single = [nc.gamma_estimate(plant, M, u[None], graph)["ratios"][0] for u in inputs]
+    assert np.array_equal(report["ratios"], single)
     n = inputs.shape[1]
     dc = nc.dc_gain(kron_ss(K, M))
     loop = []
@@ -332,11 +332,11 @@ def test_gamma_ratios_equal_single_input_solves(pendulum, four_node_graph, netwo
         y2 = matvec(dc, plant.h(x).reshape(-1))
         loop.append(np.sum(u * y2) / np.sum(u * u))
     if not network:
-        assert np.array_equal(report.ratios, loop)
-    assert np.abs(report.ratios - loop).max() <= 1e-12
-    assert np.array_equal(report.worst_input, inputs[np.argmax(loop)])
+        assert np.array_equal(report["ratios"], loop)
+    assert np.abs(report["ratios"] - loop).max() <= 1e-12
+    assert np.array_equal(report["worst_input"], inputs[np.argmax(loop)])
     listed = nc.gamma_estimate(plant, M, list(inputs), graph)
-    assert np.array_equal(listed.ratios, report.ratios)
+    assert np.array_equal(listed["ratios"], report["ratios"])
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -353,14 +353,14 @@ def test_gamma_matches_bracketing_oracle_on_random_pendulums(m, l, stiffness, in
     plant, _ = nc.pendulum(m_kg=m, l_m=l, kappa=kappa, g_ms2=9.8)
     report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), np.array(inputs)[:, None])
     oracle = max(brentq_equilibrium(u, kappa, mgl) / u for u in inputs)
-    assert report.gamma_hat == pytest.approx(oracle, abs=1e-9)
+    assert report["gamma_hat"] == pytest.approx(oracle, abs=1e-9)
 
 
 def test_gamma_small_signal_limit(pendulum):
     plant, _ = pendulum
     report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0),
                                [np.array([1e-3]), np.array([-1e-3])])
-    assert report.gamma_hat == pytest.approx(1.0 / (KAP + MGL), abs=1e-6)
+    assert report["gamma_hat"] == pytest.approx(1.0 / (KAP + MGL), abs=1e-6)
 
 
 def test_gamma_network_random_inputs(pendulum, four_node_graph):
@@ -368,12 +368,12 @@ def test_gamma_network_random_inputs(pendulum, four_node_graph):
     rng = np.random.default_rng(12345)
     inputs = [rng.uniform(-25, 25, 4) for _ in range(100)]
     report = nc.gamma_estimate(plant, nc.first_order(10.0, 10.0), inputs, four_node_graph)
-    assert report.gamma_hat < 1.0
+    assert report["gamma_hat"] < 1.0
     # cross-check the reported maximiser against the bracketing oracle
-    u = report.worst_input
+    u = report["worst_input"]
     y1 = np.array([brentq_equilibrium(v) for v in u])
     L = nc.laplacian(four_node_graph)
-    assert report.gamma_hat == pytest.approx(float(u @ (L @ y1) / (u @ u)), abs=1e-9)
+    assert report["gamma_hat"] == pytest.approx(float(u @ (L @ y1) / (u @ u)), abs=1e-9)
 
 
 # the lossless spring x'' = -2 x + u, y = x (P(0) = 1/2), on the 4-cycle
@@ -390,7 +390,7 @@ def test_gamma_estimate_reaches_one_on_a_spring_ring_whose_gain_exceeds_one():
     """Defect C on an exact loop: a = 0.501 gives gamma = 1.002, yet on
     verify's own 100 draws the sampled estimate reads 0.99975."""
     inputs = np.random.default_rng(12345).uniform(-25, 25, (100, 4))
-    assert nc.gamma_estimate(SPRING, nc.first_order(0.501, 1.0), inputs, RING).gamma_hat >= 1.0
+    assert nc.gamma_estimate(SPRING, nc.first_order(0.501, 1.0), inputs, RING)["gamma_hat"] >= 1.0
 
 
 @pytest.mark.parametrize("a", [0.49, 0.501])
@@ -416,7 +416,7 @@ def test_gamma_zero_output_plant():
                                phi=lambda x, out=None: x[..., :0])
     report = nc.gamma_estimate(silent, nc.first_order(10.0, 10.0),
                                [np.array([1.0]), np.array([-2.0])])
-    assert report.gamma_hat == 0.0
+    assert report["gamma_hat"] == 0.0
 
 
 def test_gamma_input_validation(pendulum):
@@ -454,7 +454,7 @@ def test_gamma_error_names_the_failing_node(four_node_graph):
     gain = partial(nc.gamma_estimate, saturating, nc.first_order(10.0, 10.0),
                    graph=four_node_graph)
     report = gain([np.array([0.5, -0.3, 0.2, 0.9])])
-    assert np.isfinite(report.gamma_hat)
+    assert np.isfinite(report["gamma_hat"])
     with pytest.raises(RuntimeError, match=r"\(node 2\)"):
         gain([np.array([0.5, -0.3, 3.0, 0.2])])
     with pytest.raises(RuntimeError, match=r"\(node 1\)"):

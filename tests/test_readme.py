@@ -32,10 +32,9 @@ def test_readme_custom_plant_example_passes_its_check():
     namespace = {}
     exec(compile(blocks[0], "README quick start", "exec"), namespace)
     exec(compile(spring[0], "README custom plant", "exec"), namespace)
-    reports = namespace["analysis"].check_ni_dissipation(namespace["traj"],
-                                                         namespace["energy"])
+    entry = namespace["analysis"].check_ni_dissipation(namespace["traj"], namespace["energy"])
     assert namespace["loop"].plant is namespace["spring"]
-    assert len(reports) == 4 and all(r.passed for r in reports)
+    assert len(entry["per_node"]) == 4 and all(r["passed"] for r in entry["per_node"])
 
 
 def test_readme_field_example_runs():

@@ -202,11 +202,17 @@ LAG = nc.first_order(10.0, 10.0)
     lambda: nc.osni_certificate_check(LAG, [[np.inf]], 0.1),
     lambda: nc.first_order_certificate(np.nan, 1.0),
     lambda: nc.first_order_certificate(1.0, np.inf),
+    *(lambda delta=delta: nc.osni_certificate_check(LAG, [[1.0]], delta)
+      for delta in (-1.0, 0.0, np.nan, np.inf)),
+    lambda: nc.osni_freq_test(LAG, np.nan),
 ], ids=["state_space", "first_order", "plant", "controller_storage", "certificate_check",
-        "certificate_a", "certificate_b"])
+        "certificate_a", "certificate_b", "certificate_delta_negative", "certificate_delta_0",
+        "certificate_delta_nan", "certificate_delta_inf", "osni_freq_test_delta_nan"])
 def test_non_finite_model_inputs_are_refused_before_any_run(build):
     """A NaN or inf in a model would otherwise surface only as a divergence
-    blamed on the first step of a run, or as a NaN or zero certificate."""
+    blamed on the first step of a run, or as a NaN or zero certificate; a
+    strictness level delta that is not positive and finite would certify a
+    negative level or yield a NaN residual or verdict."""
     with pytest.raises(ValueError, match="finite"):
         build()
 

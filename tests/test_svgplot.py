@@ -1,4 +1,5 @@
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -48,3 +49,22 @@ def test_a_one_sample_plot_is_finite(tmp_path):
             write_line_plot(tmp_path / "one.svg", x, series)
         svg = (tmp_path / "one.svg").read_text()
         assert "nan" not in svg and f'points="{points}"' in svg
+
+
+def test_legend_of_many_series_stays_on_the_canvas(tmp_path):
+    """64 series: the legend holds the rows that fit beside the plot box, and
+    its last row counts the series it leaves out; every polyline is drawn."""
+    t = np.linspace(0.0, 1.0, 11)
+    write_line_plot(tmp_path / "many.svg", t, np.outer(np.arange(64.0), t),
+                    labels=[f"node {i + 1}" for i in range(64)])
+    root = ET.parse(tmp_path / "many.svg").getroot()
+    width, height = float(root.get("width")), float(root.get("height"))
+    ns = "{http://www.w3.org/2000/svg}"
+    for el in root.iter(f"{ns}line"):
+        assert 0 <= float(el.get("y1")) <= height and 0 <= float(el.get("y2")) <= height
+        assert 0 <= float(el.get("x1")) <= width and 0 <= float(el.get("x2")) <= width
+    texts = list(root.iter(f"{ns}text"))
+    assert texts and all(0 <= float(el.get("y")) <= height for el in texts)
+    legend = [el.text for el in texts if el.text.startswith(("node", "+"))]
+    assert legend == [f"node {i + 1}" for i in range(20)] + ["+44 more"]
+    assert len(list(root.iter(f"{ns}polyline"))) == 64
